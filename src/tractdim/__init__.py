@@ -10,9 +10,9 @@ set (tractgeom), the induced conformal iterated function system
 
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
-from .loglift import (MapFamily, TractFrame, UserCallbacks, check_growth,
-                      eval_lift, exponential_family, inv_branch,
-                      normalize_family, tract_frame, user_family)
+from .loglift import (MapFamily, UserCallbacks, check_growth, eval_lift,
+                      exponential_family, inv_branch, normalize_family,
+                      user_family)
 from .tractgeom import (CellImage, DistortionBound, GeometryBudget, GSet, Rect,
                         SquareSpec, anchor_line, build_G, build_squares,
                         cell_image, containment_test, distortion_constant,

@@ -166,7 +166,12 @@ class PlaneProjection:
 
     Rows with lifted real part beyond the exp range are emitted in
     log-polar form: `log_polar` marks them and for those rows `points`
-    stores ln|.| + i*arg instead of the plane value.
+    stores ln|.| + i*arg instead of the plane value.  The same holds for
+    the F-images.  A row whose own real part is past the exp range has
+    no float64 F-image: its image is flagged in `image_log_polar` and
+    recorded as ln|.| = +-inf (the sign of cos Im z, which decides
+    whether Re F(z) = e^Re z * cos Im z + Re Log(lam) runs off to plus
+    or minus infinity) with angle NaN (not resolvable).
     """
 
     points: np.ndarray
@@ -184,13 +189,17 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     """
     z = sample.points
     pts, logp = _project(z, family.offset)
-    fz = np.asarray(family.lift(z))
-    ipts, ilogp = _project(fz, family.offset)
+    ipts = np.empty_like(z)
+    ilogp = np.ones(z.shape, dtype=bool)
+    ipts.real[logp] = np.copysign(math.inf, np.cos(np.imag(z[logp])))
+    ipts.imag[logp] = math.nan
+    fz = np.asarray(family.lift(z[~logp]))
+    ipts[~logp], ilogp[~logp] = _project(fz, family.offset)
     ok = ~logp & ~ilogp
     resid = 0.0
     if np.any(ok):
         lhs = np.asarray(family.plane_map(np.exp(z[ok])))
-        rhs = np.exp(fz[ok])
+        rhs = np.exp(fz[ok[~logp]])
         resid = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
         if resid > 1e-9:
             raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")

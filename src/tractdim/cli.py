@@ -6,6 +6,14 @@ embed the fully resolved configuration plus a schema version, so a rerun
 with the same config is byte-identical.  Exit codes: 0 success or
 certified, 1 configuration error, 2 negative construction/certification
 outcome, 3 numeric or oracle failure.
+
+Anchors below the Koebe range (no covering disk of Q inside H) are not
+configuration errors for `sample`, `dim` and the two G-based oracles:
+they reach the construction, and an empty admissible set G exits 2.
+The two oracles say "admissible set G is empty", so `oracle recheck`
+never reports a pass with nothing checked; `oracle brute-pressure` also
+exits 2 when G holds fewer letters than its subsystem or no distortion
+constant bounds its slack.
 """
 
 from __future__ import annotations
@@ -352,9 +360,11 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
 def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
-    dist = distortion_constant(cfg.anchor, fam.ln_r0)
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode="enumerate", dist=dist,
-                   workers=cfg.workers)
+    dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
+    gset = _nonempty_G(fam, cfg, spec, dist, mode="enumerate")
+    if not math.isfinite(dist.c):
+        raise ConstructionError("no distortion constant below the Koebe range; "
+                                "the brute-force slack would be unbounded")
     k = int(cfg.oracle.get("subsystem", 8))
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
@@ -377,6 +387,15 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     return 0 if ok else 3
 
 
+def _nonempty_G(fam, cfg: RunConfig, spec, dist, mode: str):
+    """The admissible set an oracle checks; an empty G is a negative outcome."""
+    gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode=mode, dist=dist,
+                   collar=cfg.collar, workers=cfg.workers)
+    if gset.is_empty():
+        raise ConstructionError("admissible set G is empty at this configuration")
+    return gset
+
+
 def _subsystem(fam, letters, spec, dist):
     from .pressure import WeightedSystem
     model = fam.tail_model()
@@ -390,9 +409,8 @@ def _subsystem(fam, letters, spec, dist):
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
-    dist = distortion_constant(cfg.anchor, fam.ln_r0)
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode=cfg.mode, dist=dist,
-                   collar=cfg.collar, workers=cfg.workers)
+    dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
+    gset = _nonempty_G(fam, cfg, spec, dist, mode=cfg.mode)
     rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
                                   density=int(cfg.oracle.get("density", 10)),
                                   seed=cfg.seed)

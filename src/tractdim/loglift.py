@@ -145,22 +145,6 @@ def user_family(callbacks: UserCallbacks, r0: float, offset=0.0) -> MapFamily:
                      callbacks=callbacks)
 
 
-@dataclass(frozen=True)
-class TractFrame:
-    """Half-plane threshold and the branch-index range used for sampling."""
-
-    threshold: float
-    s_min: int = -3
-    s_max: int = 3
-
-    def indices(self) -> range:
-        return range(self.s_min, self.s_max + 1)
-
-
-def tract_frame(family: MapFamily, s_min: int = -3, s_max: int = 3) -> TractFrame:
-    return TractFrame(threshold=family.ln_r0, s_min=s_min, s_max=s_max)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

@@ -27,14 +27,6 @@ def chunked_fsum(partials: Iterable[float]) -> float:
     return math.fsum(partials)
 
 
-def array_sum(values: np.ndarray) -> float:
-    """Deterministic sum of one array (fsum over fixed-size blocks)."""
-    flat = np.asarray(values, dtype=float).ravel()
-    if flat.size == 0:
-        return 0.0
-    return math.fsum(float(np.sum(flat[i:i + CHUNK])) for i in range(0, flat.size, CHUNK))
-
-
 def log_sum_exp(log_terms: Sequence[float]) -> float:
     """log(sum(exp(x_i))) evaluated stably, in the given fixed order.
 
@@ -47,24 +39,6 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(math.fsum(math.exp(x - m) for x in terms))
-
-
-def log_sub_exp(log_a: float, log_b: float) -> float:
-    """log(exp(a) - exp(b)) for a > b."""
-    if log_b == -math.inf:
-        return log_a
-    if log_b >= log_a:
-        return -math.inf
-    return log_a + math.log(-math.expm1(log_b - log_a))
-
-
-def wrap_angle(theta):
-    """Reduce an angle to (-pi, pi]."""
-    out = np.mod(np.asarray(theta, dtype=float) + math.pi, TWO_PI) - math.pi
-    out = np.where(out == -math.pi, math.pi, out)
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return float(out)
-    return out
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:

@@ -161,7 +161,8 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds",
     mode "bounds" uses the inf/sup envelopes over Q (the defaults used by
     the pressure bounds); mode "anchor" evaluates derivative weights at
     the anchor point instead (diagnostics, the empirical growth constant).
-    Tail segments contribute closed-form integral sandwiches.
+    Tail segments contribute closed-form integral sandwiches, evaluated
+    once per distinct sigma range and added once per segment.
     """
     if not 0.0 <= t <= 4.0:
         raise ConfigError(f"exponent t = {t} outside [0, 4]")
@@ -194,8 +195,14 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds",
                 - system.family.log_lam
             d = abs(complex(system.anchor) - system.family.log_lam)
             env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
+        # the envelopes depend on sigma alone, so columns sharing a sigma
+        # range share one sandwich sum; every segment still adds its part
+        sums: dict = {}
         for seg in system.segments:
-            lo, hi = model.sum_log_weight_bounds(seg.sigma_lo, seg.sigma_hi, t, env)
+            key = (seg.sigma_lo, seg.sigma_hi)
+            if key not in sums:
+                sums[key] = model.sum_log_weight_bounds(seg.sigma_lo, seg.sigma_hi, t, env)
+            lo, hi = sums[key]
             parts_lo.append(lo)
             parts_hi.append(hi)
     log_lo = log_sum_exp(parts_lo)

@@ -28,6 +28,8 @@ from .loglift import ExpTailModel, MapFamily, TailEnvelope
 from .numerics import CHUNK, TWO_PI, parallel_map
 
 _MAX_EXACT_INT = float(2 ** 53)  # largest float-exact integer index
+# Floats a closed-form window endpoint may move inward to pass the enclosure test.
+_ENDPOINT_ULPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +133,6 @@ class GeometryBudget:
             raise ConfigError(f"margin must be >= 0, got {self.margin}")
         if self.boundary_samples < 64:
             raise ConfigError(f"need >= 64 boundary samples, got {self.boundary_samples}")
-
-
-def paper_default_inset(c: float) -> float:
-    """The conservative inset ceil(5*sqrt(2)*pi*C) tied to the universal
-    diameter bound; usable only at anchors of astronomical size."""
-    return math.ceil(5.0 * math.sqrt(2.0) * math.pi * c)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +528,27 @@ class SigmaWindow:
 def solve_s_window(family: MapFamily, u: int, anchor_or_spec, spec: Optional[SquareSpec] = None,
                    budget: Optional[GeometryBudget] = None, sign: int = 1,
                    margin: float = None) -> Optional[SigmaWindow]:
-    """Solve the containment predicate for sigma by monotone bisection.
+    """Admissible sigma interval of one (u, sign) column, in closed form.
 
     Accepts either (family, u, anchor, ...) or (family, u, spec, ...).
-    Returns None when no sigma is admissible for this (u, sign) column.
-    A non-monotone containment pattern raises NumericError, signalling
-    the caller to fall back to enumeration.
+    With b = env.b, x = re_lo(Q) + margin, y = re_hi(Q) - margin and
+    delta the vertical room around mid = 2*pi*u + sign*pi/2, each
+    inequality of `ExpTailModel.cell_enclosure` inverts exactly:
+
+        re_lo >= x          <=>  sigma >= ln(e^x + b)
+        re_hi <= y          <=>  sigma <= ln(e^y - b)
+        arcsin(...) <= delta <=> sigma >= ln b + log1p(1/sin delta),
+
+    the last only for delta < pi/2 (arcsin never exceeds pi/2).  All three
+    are evaluated in log form, so anchors past the exp range are fine.
+    Returns None when the inequalities leave no room (y <= ln b,
+    delta <= 0 or an empty interval).
+
+    Both endpoints are then checked against the enclosure predicate
+    itself; an endpoint that fails is moved inward by at most
+    `_ENDPOINT_ULPS` floats, never outward, so the returned window is
+    certified by the same test a bisection would use.  An endpoint that
+    still fails raises NumericError; there is no fallback to enumeration.
     """
     if spec is None:
         if isinstance(anchor_or_spec, SquareSpec):
@@ -558,36 +569,36 @@ def solve_s_window(family: MapFamily, u: int, anchor_or_spec, spec: Optional[Squ
         return (re_lo >= target.re_lo + margin and re_hi <= target.re_hi - margin
                 and im_lo >= target.im_lo + margin and im_hi <= target.im_hi - margin)
 
-    lo_probe = max(env.sigma_valid_min + 1e-9, target.re_lo - 2.0)
-    hi_probe = target.re_hi + 2.0
-    grid = np.linspace(lo_probe, hi_probe, 257)
-    flags = np.array([admissible(float(g)) for g in grid])
-    if not flags.any():
+    ln_b = math.log(env.b)
+    x = target.re_lo + margin
+    y = target.re_hi - margin
+    mid = TWO_PI * u + sign * 0.5 * math.pi
+    delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
+    if y <= ln_b or delta <= 0.0:
         return None
-    first, last = np.nonzero(flags)[0][[0, -1]]
-    if not flags[first:last + 1].all():
-        raise NumericError(
-            f"non-monotone containment in sigma for u={u}, sign={sign}; "
-            "fall back to enumeration")
-
-    def bisect(lo, hi, want_entry):
-        # predicate flips exactly once in (lo, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if admissible(mid) == want_entry:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * (1.0 + abs(hi)):
-                break
-        return hi if want_entry else lo
-
-    sigma_lo = grid[first] if first == 0 else bisect(grid[first - 1], grid[first], True)
-    sigma_hi = grid[last] if last == len(grid) - 1 else bisect(grid[last], grid[last + 1], False)
+    sigma_hi = y + math.log1p(-env.b * math.exp(-y))
+    sigma_lo = max(env.sigma_valid_min, float(np.logaddexp(x, ln_b)))
+    if delta < 0.5 * math.pi:
+        sigma_lo = max(sigma_lo, ln_b + math.log1p(1.0 / math.sin(delta)))
     if sigma_hi <= sigma_lo:
         return None
-    return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=float(sigma_lo),
-                       sigma_hi=float(sigma_hi))
+    certified_lo = _certify_endpoint(admissible, sigma_lo, math.inf)
+    certified_hi = _certify_endpoint(admissible, sigma_hi, -math.inf)
+    if certified_lo is None or certified_hi is None or certified_hi <= certified_lo:
+        raise NumericError(
+            f"closed-form sigma window [{sigma_lo!r}, {sigma_hi!r}] for u={u}, sign={sign} "
+            f"fails the enclosure test within {_ENDPOINT_ULPS} ulps inward")
+    return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=certified_lo,
+                       sigma_hi=certified_hi)
+
+
+def _certify_endpoint(admissible, sigma: float, inward: float) -> Optional[float]:
+    """First float from sigma towards `inward` passing the predicate, or None."""
+    for _ in range(_ENDPOINT_ULPS + 1):
+        if admissible(sigma):
+            return sigma
+        sigma = math.nextafter(sigma, inward)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,28 @@ def test_sample_empty_g_exit_2(tmp_path):
     assert run(["sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("oracle", ["recheck", "brute-pressure"])
+def test_oracle_empty_g_exit_2(tmp_path, capsys, oracle):
+    cfg = write_cfg(tmp_path, "tiny.json",
+                    {"geometry": {"anchor": 3.0, "inset": 0.5},
+                     "pressure": {"mode": "enumerate"}})
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", oracle, "--config", cfg, "--out", out]) == 2
+    assert "admissible set G is empty" in capsys.readouterr().err
+
+
+def test_oracle_brute_pressure_without_distortion_constant_exit_2(tmp_path, capsys):
+    # below the Koebe range (rho > 1) yet with a non-empty G: an infinite
+    # distortion slack would make the comparison vacuous
+    cfg = write_cfg(tmp_path, "koebe.json",
+                    {"family": {"lambda_re": 0.01},
+                     "geometry": {"anchor": 3.3, "inset": 0.5},
+                     "pressure": {"mode": "enumerate"}})
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 2
+    assert "distortion constant" in capsys.readouterr().err
+
+
 def test_oracle_box_dim(tmp_path):
     out = str(tmp_path / "box.json")
     assert run(["oracle", "box-dim", "--out", out]) == 0

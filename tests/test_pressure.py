@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tractdim as td
+from tractdim.numerics import log_sum_exp
 from tractdim.pressure import WeightedSystem, build_weighted_system
 
 
@@ -109,6 +110,22 @@ def test_level1_anchor_mode(small):
     # anchor values sit inside the inf/sup envelope sums
     assert bounded.log_lo <= anchored.log_hi
     assert anchored.log_lo <= bounded.log_hi
+
+
+def test_level1_segment_sums_bit_identical_to_direct(fam):
+    """Sharing one sandwich sum per sigma range changes no bit of the bounds."""
+    budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
+    spec = td.build_squares(4000.0, 3.0)
+    dist = td.distortion_constant(4000.0, fam.ln_r0)
+    gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
+    system = build_weighted_system(fam, gset, spec, dist)
+    assert gset.n_explicit == 0 and gset.n_segments > 1000
+    model = fam.tail_model()
+    parts = [model.sum_log_weight_bounds(seg.sigma_lo, seg.sigma_hi, 1.0, system.env)
+             for seg in gset.segments]
+    got = td.level1_sum(system, 1.0)
+    assert got.log_lo == log_sum_exp([lo for lo, _ in parts])
+    assert got.log_hi == log_sum_exp([hi for _, hi in parts])
 
 
 def test_brute_force_within_level1_sandwich(small):

@@ -5,7 +5,8 @@ import pytest
 
 import tractdim as td
 from tractdim.numerics import TWO_PI
-from tractdim.tractgeom import RadiusSearchError, universal_cell_diameter_bound
+from tractdim.tractgeom import (RadiusSearchError, _u_candidates,
+                                universal_cell_diameter_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,54 @@ def test_solve_s_window_empty_under_huge_margin(fam, small):
     win = td.solve_s_window(fam, 0, small.spec, budget=small.budget, sign=1,
                             margin=6.5)
     assert win is None
+
+
+def _enclosure_admissible(model, env, rect, margin, u, sign, sigma):
+    """The enclosure predicate of the window solver, vectorized over sigma."""
+    sigma = np.asarray(sigma, dtype=float)
+    valid = sigma > env.sigma_valid_min
+    s = np.where(valid, sigma, env.sigma_valid_min + 1.0)
+    re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, s, env)
+    return valid & ((re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
+                    & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
+
+
+def _ulps(x, n, direction):
+    for _ in range(n):
+        x = math.nextafter(x, direction)
+    return x
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("anchor", [12.0, 30.0, 100.0, 4000.0])
+def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
+    """Certified endpoints, at most 4 ulps of slack, None exactly when a
+    dense sigma grid finds no admissible point."""
+    spec = td.build_squares(anchor, 0.5)
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=margin)
+    model = fam.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    rect = spec.outer
+    grid = np.linspace(rect.re_lo - 2.0, rect.re_hi + 2.0, 4097)
+    n_windows = 0
+    for sign, us in _u_candidates(spec, margin).items():
+        for u in us:
+            win = td.solve_s_window(fam, u, spec, budget=budget, sign=sign, margin=margin)
+
+            def ok(sigma):
+                return bool(_enclosure_admissible(model, env, rect, margin, u, sign, sigma))
+
+            on_grid = bool(np.any(_enclosure_admissible(model, env, rect, margin,
+                                                        u, sign, grid)))
+            assert (win is None) == (not on_grid), (u, sign)
+            if win is None:
+                continue
+            n_windows += 1
+            assert ok(win.sigma_lo) and ok(win.sigma_hi)
+            below = _ulps(win.sigma_lo, 4, -math.inf)
+            assert not ok(below) or below <= env.sigma_valid_min
+            assert not ok(_ulps(win.sigma_hi, 4, math.inf))
+    assert n_windows > 0
 
 
 # ---------------------------------------------------------------------------
