@@ -8,8 +8,11 @@ certified, 1 configuration error, 2 negative construction/certification
 outcome, 3 numeric or oracle failure.
 
 Anchors below the Koebe range (no covering disk of Q inside H) are not
-configuration errors for `sample`, `dim` and the two G-based oracles:
-they reach the construction, and an empty admissible set G exits 2.
+configuration errors for `lemmas`, `sample`, `dim` and the two G-based
+oracles.  `lemmas` writes its report with `distortion_c` = "Infinity" and
+exits 0 like any other lemma report (the failing lemmas show in
+`checks` and `all_pass`); the others reach the construction, and an
+empty admissible set G exits 2.
 The two oracles say "admissible set G is empty", so `oracle recheck`
 never reports a pass with nothing checked; `oracle brute-pressure` also
 exits 2 when G holds fewer letters than its subsystem or no distortion
@@ -36,7 +39,7 @@ from .numerics import TWO_PI, write_csv, write_json
 from .pressure import (bowen_root, build_weighted_system, certify_dim_gt_one,
                        level1_sum, pressure_bounds)
 from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_line, build_G,
-                        build_squares, distortion_constant, find_radius, trace_level_lines)
+                        build_squares, find_radius, trace_level_lines)
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +98,6 @@ class RunConfig:
     count: int
     seed: int
     oracle: dict
-    workers: int
     timing: bool
     resolved: dict = field(default_factory=dict)
 
@@ -147,7 +149,8 @@ def load_config(raw: dict) -> RunConfig:
     count = int(_require_finite("count", smp.get("count", 10000)))
     if depth < 1 or count < 1:
         raise ConfigError("sampling depth and count must be positive")
-    workers = int(_require_finite("workers", raw.get("workers", 1)))
+    # accepted for compatibility; every computation runs in one process
+    _require_finite("workers", raw.get("workers", 1))
     resolved = {
         "family": {"kind": "exponential", "lambda_re": lam.real, "lambda_im": lam.imag,
                    "r0": family.r0},
@@ -159,8 +162,6 @@ def load_config(raw: dict) -> RunConfig:
                      "collar": int(_require_finite("collar", prs.get("collar", 32)))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
         "oracle": orc,
-        # worker count is pure scheduling and must not influence any output,
-        # so it is not echoed into byte-compared reports
         "timing": bool(raw.get("timing", False)),
         "schema_version": SCHEMA_VERSION,
     }
@@ -168,7 +169,7 @@ def load_config(raw: dict) -> RunConfig:
         family=family, budget=budget, anchor=anchor, scan=scan, mode=mode,
         t_grid=t_grid, bisect_tol=resolved["pressure"]["bisect_tol"],
         collar=resolved["pressure"]["collar"], depth=depth, count=count,
-        seed=seed, oracle=orc, workers=workers,
+        seed=seed, oracle=orc,
         timing=resolved["timing"], resolved=resolved)
 
 
@@ -198,7 +199,7 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     budget = cfg.budget
     spec = build_squares(cfg.anchor, budget.inset)
-    dist = distortion_constant(cfg.anchor, fam.ln_r0)
+    dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
     line = anchor_line(fam, cfg.anchor, budget.inset)
     checks = {}
 
@@ -275,8 +276,7 @@ def cmd_dim(cfg: RunConfig, out_path: str) -> int:
         cfg.family, anchor=cfg.anchor, epsilon=cfg.budget.epsilon,
         inset=cfg.budget.inset, margin=cfg.budget.margin,
         boundary_samples=cfg.budget.boundary_samples, mode=cfg.mode,
-        bisect_tol=cfg.bisect_tol, scan=cfg.scan, collar=cfg.collar,
-        workers=cfg.workers)
+        bisect_tol=cfg.bisect_tol, scan=cfg.scan, collar=cfg.collar)
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"
@@ -296,7 +296,7 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
     gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode=cfg.mode, dist=dist,
-                   collar=cfg.collar, workers=cfg.workers)
+                   collar=cfg.collar)
     if gset.n_explicit == 0:
         print("no explicit admissible letters at this configuration", file=sys.stderr)
         return 2
@@ -390,7 +390,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
 def _nonempty_G(fam, cfg: RunConfig, spec, dist, mode: str):
     """The admissible set an oracle checks; an empty G is a negative outcome."""
     gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode=mode, dist=dist,
-                   collar=cfg.collar, workers=cfg.workers)
+                   collar=cfg.collar)
     if gset.is_empty():
         raise ConstructionError("admissible set G is empty at this configuration")
     return gset
@@ -403,7 +403,7 @@ def _subsystem(fam, letters, spec, dist):
     sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
     return WeightedSystem(log_lo=lo, log_hi=hi, distortion_c=dist.c, family=fam,
-                          env=env, anchor=spec.anchor, rect_bounds=spec.outer.bounds())
+                          env=env, anchor=spec.anchor)
 
 
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
@@ -449,7 +449,7 @@ def _common_flags(sp):
     sp.add_argument("--out", default=None, help="output report path")
     sp.add_argument("--mode", choices=["enumerate", "tail"], default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=None, help="accepted; no effect")
 
 
 def main(argv=None) -> int:
@@ -463,8 +463,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.resolved["sampling"]["seed"] = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
         out = args.out or f"tractdim_{args.command.replace(' ', '_')}.json"
         if args.command == "lemmas":
             return cmd_lemmas(cfg, out)

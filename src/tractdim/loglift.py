@@ -421,6 +421,22 @@ class ExpTailModel:
         log_hi = self.sum_envelope_sandwich(sigma_lo, sigma_hi, t, env, "hi")[1]
         return log_lo, log_hi
 
+    def sum_run_log_bounds(self, s_lo: int, s_hi: int, t: float, env: TailEnvelope):
+        """Two-sided log bounds on sum over |s| in [s_lo, s_hi] of |g'|^t.
+
+        The explicit-run counterpart of `sum_log_weight_bounds`: a lower
+        bound on the lower-envelope sum of ((2 pi s + b) d_hi)^-t and an
+        upper bound on the upper-envelope sum of ((2 pi s - b) d_lo)^-t,
+        both in closed form by `log_run_sum_bounds`.  The upper bound is
+        +inf when 2 pi s_lo <= b, where the upper envelope is unbounded.
+        """
+        h = env.b / TWO_PI
+        log_lo = log_run_sum_bounds(s_lo, s_hi, t, h, -t * math.log(TWO_PI * env.d_hi))[0]
+        if s_lo - h <= 0.0:
+            return log_lo, math.inf
+        log_hi = log_run_sum_bounds(s_lo, s_hi, t, -h, -t * math.log(TWO_PI * env.d_lo))[1]
+        return log_lo, log_hi
+
 
 def _log_power_integral(log_x1: float, log_x2: float, t: float) -> float:
     """log of integral_{x1}^{x2} x^-t dx given log x1 < log x2, in log domain."""
@@ -434,3 +450,51 @@ def _log_power_integral(log_x1: float, log_x2: float, t: float) -> float:
         return -tau * log_x1 + math.log(-math.expm1(-tau * (log_x2 - log_x1))) - math.log(tau)
     # tau < 0: (x2^-tau - x1^-tau) / (-tau)
     return -tau * log_x2 + math.log(-math.expm1(tau * (log_x2 - log_x1))) - math.log(-tau)
+
+
+# Terms of a run added one by one before its Euler-Maclaurin tail.
+_RUN_DIRECT = 64
+# Outward widening of a run sum, in float64 ulps (2^-52) of the largest log
+# magnitude entering it: covers the rounding of every log, exp and sum.
+_RUN_SUM_ULPS = 64
+
+
+def log_run_sum_bounds(s1: int, s2: int, t: float, h: float, log_c: float = 0.0):
+    """(lower, upper) bounds on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t).
+
+    Needs s1 + h > 0 and t >= 0.  The first `_RUN_DIRECT` terms are added
+    one by one; the rest, from m to n, by Euler-Maclaurin through the B4
+    term, with g(x) = (x + h)^-t:
+
+        sum = int_m^n g + (g(m) + g(n))/2 + (B2/2!) (g'(n) - g'(m))
+              + (B4/4!) (g'''(n) - g'''(m)) + R.
+
+    g is completely monotone, so R lies between 0 and the next term
+    (B6/6!) (g^(5)(n) - g^(5)(m)) (Graham, Knuth and Patashnik, Concrete
+    Mathematics, section 9.5); the two ends of that range give the
+    bracket.  The tail terms are taken relative to g(m), so indices up to
+    2^53 and every t in [0, 4] stay in range.  The bracket is then widened
+    outward by `_RUN_SUM_ULPS` ulps of the largest log magnitude involved.
+    """
+    k = min(s2, s1 + _RUN_DIRECT - 1)
+    parts_lo = [log_sum_exp([-t * math.log(s + h) for s in range(s1, k + 1)])]
+    parts_hi = list(parts_lo)
+    if s2 > k:
+        x_m = (k + 1) + h
+        log_m = math.log(x_m)
+        r = math.log1p((s2 - k - 1) / x_m)  # ln(x_n / x_m), free of cancellation
+
+        def drop(p):  # 1 - (x_n / x_m)^-(t + p)
+            return -math.expm1(-(t + p) * r)
+
+        poly = t * (t + 1.0) * (t + 2.0)
+        rel = (math.exp(log_m + _log_power_integral(0.0, r, t))
+               + 0.5 * (2.0 - drop(0.0))
+               + t / 12.0 / x_m * drop(1.0)
+               - poly / 720.0 / x_m ** 3 * drop(3.0))
+        b6 = poly * (t + 3.0) * (t + 4.0) / 30240.0 / x_m ** 5 * drop(5.0)
+        parts_lo.append(-t * log_m + math.log(rel))
+        parts_hi.append(-t * log_m + math.log(rel + b6))
+    magnitude = (1.0 + t) * max(abs(math.log(s1 + h)), abs(math.log(s2 + h)))
+    slack = _RUN_SUM_ULPS * 2.0 ** -52 * (1.0 + abs(log_c) + magnitude)
+    return log_c + log_sum_exp(parts_lo) - slack, log_c + log_sum_exp(parts_hi) + slack

@@ -1,24 +1,22 @@
 """Deterministic numeric and serialization helpers.
 
 Reductions here have a fixed evaluation order so that every report is
-byte-identical across repeated runs and across worker counts.  Chunk
-boundaries are pinned by CHUNK, never by the number of workers.
+byte-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Fixed chunk length for streaming window enumerations.  Changing this
-# changes summation order, hence the bytes of some reports; bump only
-# together with the report schema_version.
+# Fixed chunk length for the per-letter streams over explicit runs (the
+# gap report and the brute-force window sums); it bounds their memory and
+# pins their evaluation order.
 CHUNK = 1 << 20
 
 
@@ -39,19 +37,6 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(math.fsum(math.exp(x - m) for x in terms))
-
-
-def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Order-preserving map; results are merged in item order.
-
-    Work is partitioned by `items`, never by `workers`, so the value of
-    `workers` cannot change any result.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ The dimension of the constructed subsystem lies between the Bowen roots
 of the two bounds; dimension > 1 is certified by P_lo(1) > 0.
 
 Sums are evaluated in log domain with fixed-order compensated reductions,
-so certificates are reproducible bit for bit at any worker count.
+so certificates are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError, GeometryError
 from .loglift import MapFamily, TailEnvelope, normalize_family
-from .numerics import CHUNK, TWO_PI, chunked_fsum, log_sum_exp, parallel_map
+from .numerics import CHUNK, TWO_PI, chunked_fsum, log_sum_exp
 from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec, SWindow,
                         TailSegment, _distortion_or_unavailable, anchor_line,
                         build_G, build_squares, distortion_constant, find_radius)
@@ -42,9 +42,10 @@ from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec, SWind
 class WeightedSystem:
     """Letters with two-sided log-weight bounds, plus analytic tail segments.
 
-    Small systems materialize their letters (log_lo/log_hi arrays); large
-    enumerated systems keep window index runs and evaluate weights on the
-    fly; tail segments are summed by closed-form integral sandwiches.
+    Synthetic systems and letter subsystems list their weights (log_lo /
+    log_hi arrays).  Systems built from an admissible set keep its
+    explicit index runs and tail segments and sum both in closed form:
+    runs by Euler-Maclaurin, segments by integral sandwiches.
     """
 
     log_lo: Optional[np.ndarray] = None
@@ -55,7 +56,6 @@ class WeightedSystem:
     family: Optional[MapFamily] = None
     env: Optional[TailEnvelope] = None
     anchor: Optional[float] = None
-    rect_bounds: Optional[tuple] = None
 
     @classmethod
     def from_uniform(cls, weights: Sequence[float], distortion_c: float = 1.0):
@@ -88,29 +88,18 @@ class WeightedSystem:
 
 
 def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
-                          dist: DistortionBound,
-                          materialize_limit: int = 1 << 22) -> WeightedSystem:
+                          dist: DistortionBound) -> WeightedSystem:
     """Weight envelopes for an admissible set.
 
-    With a tail model the per-letter bounds are the closed-form envelopes
-    of |g'| over Q; without one, anchor derivatives padded by the
-    distortion constant would be used (enumerate-only families).
+    The per-letter bounds are the closed-form envelopes of |g'| over Q,
+    which depend on sigma = ln(2*pi*|s|) alone; the system keeps the
+    explicit runs and tail segments of G and the envelope constants.
     """
     if not family.has_tail_model:
         raise ConfigError("weighted systems need tail asymptotics in this version")
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    n_exp = gset.n_explicit
-    if 0 < n_exp <= materialize_limit:
-        us, ss = gset.letters_from_ranks(np.arange(n_exp, dtype=np.int64))
-        sigma = np.log(TWO_PI) + np.log(np.abs(ss).astype(float))
-        lo, hi = model.log_weight_bounds(sigma, env)
-        return WeightedSystem(log_lo=lo, log_hi=hi, segments=gset.segments,
-                              distortion_c=dist.c, family=family, env=env,
-                              anchor=spec.anchor, rect_bounds=spec.outer.bounds())
+    env = family.tail_model().envelope(spec.outer.bounds())
     return WeightedSystem(windows=gset.windows, segments=gset.segments,
-                          distortion_c=dist.c, family=family, env=env,
-                          anchor=spec.anchor, rect_bounds=spec.outer.bounds())
+                          distortion_c=dist.c, family=family, env=env, anchor=spec.anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +126,19 @@ class Level1Sum:
         return math.exp(self.log_hi) if self.log_hi < 709 else math.inf
 
 
-def _window_sum_chunk(args):
-    """Worker: linear-domain partial sums of w^t over one index chunk."""
-    (family, rect_bounds, t, s_start, s_end, anchor_mode, anchor) = args
-    model = family.tail_model()
-    env = model.envelope(rect_bounds)
-    ss = np.arange(s_start, s_end + 1, dtype=np.int64)
-    sigma = np.log(TWO_PI) + np.log(np.abs(ss).astype(float))
-    if anchor_mode:
-        a = complex(np.asarray(family.inv0(complex(anchor))).item()) - family.log_lam
-        xi = a + TWO_PI * 1j * ss.astype(float)
-        w = 1.0 / (np.abs(xi) * abs(complex(anchor) - family.log_lam))
-        lo = hi = np.log(w)
-    else:
-        lo, hi = model.log_weight_bounds(sigma, env)
-    return (float(np.sum(np.exp(t * lo))), float(np.sum(np.exp(t * hi))))
-
-
-def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds",
-               workers: int = 1) -> Level1Sum:
+def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1Sum:
     """Two-sided level-1 sum sum_{letters} weight^t, in fixed order.
 
     mode "bounds" uses the inf/sup envelopes over Q (the defaults used by
     the pressure bounds); mode "anchor" evaluates derivative weights at
     the anchor point instead (diagnostics, the empirical growth constant).
-    Tail segments contribute closed-form integral sandwiches, evaluated
-    once per distinct sigma range and added once per segment.
+    The anchor weight 1/(|a + 2*pi*i*s| * |R - c|), with a = F_inv_0(R) - c,
+    lies between the envelopes with b = |a| and d_lo = d_hi = |R - c|,
+    which replace those of Q for runs and segments alike; listed weights
+    are used as given in both modes.  Explicit runs are summed in closed
+    form by Euler-Maclaurin, tail segments by integral sandwiches; each
+    distinct index or sigma range is evaluated once and added once per
+    run or segment.
     """
     if not 0.0 <= t <= 4.0:
         raise ConfigError(f"exponent t = {t} outside [0, 4]")
@@ -171,23 +147,9 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds",
     parts_lo: list[float] = []
     parts_hi: list[float] = []
     if system.log_lo is not None and system.log_lo.size:
-        if mode == "anchor" and system.windows:
-            raise ConfigError("anchor mode needs window-backed or synthetic letters")
         parts_lo.append(_materialized_log_sum(system.log_lo, t))
         parts_hi.append(_materialized_log_sum(system.log_hi, t))
-    if system.windows:
-        chunks = []
-        for w in system.windows:
-            lo, hi = (w.s_lo, w.s_hi)
-            for start in range(lo, hi + 1, CHUNK):
-                chunks.append((system.family, system.rect_bounds, t, start,
-                               min(start + CHUNK - 1, hi), mode == "anchor", system.anchor))
-        partials = parallel_map(_window_sum_chunk, chunks, workers=workers)
-        tot_lo = chunked_fsum(p[0] for p in partials)
-        tot_hi = chunked_fsum(p[1] for p in partials)
-        parts_lo.append(math.log(tot_lo) if tot_lo > 0 else -math.inf)
-        parts_hi.append(math.log(tot_hi) if tot_hi > 0 else -math.inf)
-    if system.segments:
+    if system.windows or system.segments:
         model = system.family.tail_model()
         env = system.env
         if mode == "anchor":
@@ -195,14 +157,13 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds",
                 - system.family.log_lam
             d = abs(complex(system.anchor) - system.family.log_lam)
             env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
-        # the envelopes depend on sigma alone, so columns sharing a sigma
-        # range share one sandwich sum; every segment still adds its part
-        sums: dict = {}
-        for seg in system.segments:
-            key = (seg.sigma_lo, seg.sigma_hi)
-            if key not in sums:
-                sums[key] = model.sum_log_weight_bounds(seg.sigma_lo, seg.sigma_hi, t, env)
-            lo, hi = sums[key]
+        # the envelopes depend on |s| alone, so runs sharing an index range
+        # and segments sharing a sigma range share one closed-form sum
+        runs = [(min(abs(w.s_lo), abs(w.s_hi)), max(abs(w.s_lo), abs(w.s_hi)))
+                for w in system.windows]
+        ranges = [(seg.sigma_lo, seg.sigma_hi) for seg in system.segments]
+        for lo, hi in (_shared_sums(runs, model.sum_run_log_bounds, t, env)
+                       + _shared_sums(ranges, model.sum_log_weight_bounds, t, env)):
             parts_lo.append(lo)
             parts_hi.append(hi)
     log_lo = log_sum_exp(parts_lo)
@@ -210,6 +171,15 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds",
     return Level1Sum(t=t, log_lo=log_lo, log_hi=log_hi,
                      n_letters=system.n_letters, n_segments=system.n_segments,
                      mode=mode)
+
+
+def _shared_sums(keys: list, summed, t: float, env: TailEnvelope) -> list:
+    """summed(*key, t, env) for every key, evaluated once per distinct key."""
+    sums: dict = {}
+    for key in keys:
+        if key not in sums:
+            sums[key] = summed(*key, t, env)
+    return [sums[key] for key in keys]
 
 
 def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
@@ -220,11 +190,11 @@ def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
     return m + math.log(chunked_fsum([float(np.sum(np.exp(scaled - m)))]))
 
 
-def pressure_bounds(system: WeightedSystem, t: float, workers: int = 1):
+def pressure_bounds(system: WeightedSystem, t: float):
     """[P_lo, P_hi] at one exponent; empty systems give (-inf, -inf)."""
     if system.is_empty():
         return (-math.inf, -math.inf)
-    s = level1_sum(system, t, workers=workers)
+    s = level1_sum(system, t)
     return (s.log_lo, s.log_hi)
 
 
@@ -239,12 +209,11 @@ class PressureReport:
     two_sided_consistent: bool    # p_lo <= p_hi pointwise
 
 
-def pressure_report(system: WeightedSystem, t_grid: Sequence[float],
-                    workers: int = 1) -> PressureReport:
+def pressure_report(system: WeightedSystem, t_grid: Sequence[float]) -> PressureReport:
     grid = [float(t) for t in t_grid]
     lows, highs = [], []
     for t in grid:
-        lo, hi = pressure_bounds(system, t, workers=workers)
+        lo, hi = pressure_bounds(system, t)
         lows.append(lo)
         highs.append(hi)
     dec_lo = all(b < a for a, b in zip(lows, lows[1:]))
@@ -270,8 +239,8 @@ class BowenInterval:
     hi_capped: bool = False
 
 
-def bowen_root(system: WeightedSystem, tol: float = 1e-3, t_cap: float = 4.0,
-               workers: int = 1) -> BowenInterval:
+def bowen_root(system: WeightedSystem, tol: float = 1e-3,
+               t_cap: float = 4.0) -> BowenInterval:
     """Roots of the decreasing pressure bounds by bisection on [0, t_cap].
 
     The reported t_lo is the left end of the final bracket of the lower
@@ -284,7 +253,7 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3, t_cap: float = 4.0,
 
     def root(side: int, conservative_left: bool):
         def f(t):
-            return pressure_bounds(system, t, workers=workers)[side]
+            return pressure_bounds(system, t)[side]
         f0 = f(0.0)
         if f0 <= 0.0:
             # single-letter systems: pressure vanishes exactly at t = 0
@@ -368,7 +337,8 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
 
     The verdict is "certified" exactly when P_lo(1) > 0 and the lower
     Bowen root exceeds 1; every constant entering the computation is
-    recorded so the run is reproducible bit for bit.
+    recorded so the run is reproducible bit for bit.  `workers` is
+    accepted for compatibility and has no effect.
     """
     start = time.perf_counter()
     family = normalize_family(family)
@@ -394,8 +364,7 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
         reasons.append(f"anchor-derivative condition fails (margin {eq1_margin:.3g})")
     if line.depth_margin <= 0:
         reasons.append(f"tract-depth condition fails (margin {line.depth_margin:.3g})")
-    gset = build_G(family, anchor_val, spec, budget, mode=mode, dist=dist,
-                   collar=collar, workers=workers)
+    gset = build_G(family, anchor_val, spec, budget, mode=mode, dist=dist, collar=collar)
     if gset.is_empty():
         reasons.append("admissible set G is empty at this configuration")
         elapsed = 1000.0 * (time.perf_counter() - start)
@@ -409,9 +378,9 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
                          "eq1_margin": eq1_margin, "depth_margin": line.depth_margin},
             reasons=tuple(reasons))
     system = build_weighted_system(family, gset, spec, dist)
-    s1 = level1_sum(system, 1.0, workers=workers)
+    s1 = level1_sum(system, 1.0)
     p1_lo = s1.log_lo
-    roots = bowen_root(system, tol=bisect_tol, workers=workers)
+    roots = bowen_root(system, tol=bisect_tol)
     if p1_lo <= 0:
         reasons.append(f"P_lo(1) = {p1_lo:.6g} <= 0")
     if roots.t_lo <= 1.0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
 from .loglift import ExpTailModel, MapFamily, TailEnvelope
-from .numerics import CHUNK, TWO_PI, parallel_map
+from .numerics import CHUNK, TWO_PI
 
 _MAX_EXACT_INT = float(2 ** 53)  # largest float-exact integer index
 # Floats a closed-form window endpoint may move inward to pass the enclosure test.
@@ -370,7 +370,7 @@ class CellImage:
 
 
 def _cell_sharp_bounds(model: ExpTailModel, env: TailEnvelope, sigma: float):
-    """(sup |g'| bound, sharp diameter factor) at sigma, or None below validity."""
+    """Upper bound on sup_Q |g'| at sigma, or None below validity."""
     if sigma <= env.sigma_valid_min:
         return None
     _, log_hi = model.log_weight_bounds(sigma, env)
@@ -710,41 +710,8 @@ def _u_candidates(spec: SquareSpec, margin: float) -> dict:
     return out
 
 
-def _enumerate_window_chunk(args):
-    """Worker: verdicts for one contiguous chunk of candidate indices.
-
-    Returns (inside run list, borderline list) with signed indices.
-    """
-    (family, rect_bounds, margin, u, sign, s_start, s_end) = args
-    model = family.tail_model()
-    env = model.envelope(rect_bounds)
-    rect = Rect(*rect_bounds)
-    ss = np.arange(s_start, s_end + 1, dtype=np.int64)
-    sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    valid = sigma > env.sigma_valid_min
-    with np.errstate(invalid="ignore"):
-        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
-        inside = (valid & (re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
-                  & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
-    anchor = rect.re_lo + 0.5 * rect.width
-    base = complex(np.asarray(family.inv0(complex(anchor))).item())
-    w = base + TWO_PI * 1j * (sign * ss.astype(float))
-    centers = np.asarray(family.inv0(w)) + TWO_PI * 1j * u
-    center_in = rect.contains(centers)
-    borderline = np.nonzero(~inside & center_in)[0]
-    runs = []
-    idx = np.nonzero(inside)[0]
-    if idx.size:
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [idx.size - 1]])
-        for a, b in zip(starts, ends):
-            runs.append((int(sign * ss[idx[a]]), int(sign * ss[idx[b]])))
-    return runs, [int(sign * ss[i]) for i in borderline]
-
-
 def _merge_runs(runs: list) -> list:
-    """Merge signed contiguous runs (each run already ordered by |s|...)."""
+    """Merge signed index runs (a, b) into disjoint maximal runs, sorted."""
     if not runs:
         return []
     norm = [(min(a, b), max(a, b)) for a, b in runs]
@@ -765,15 +732,23 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             max_explicit: int = 200_000_000) -> GSet:
     """Assemble the admissible set G = {(u, s): cell(u, s) inside Q}.
 
-    enumerate: every candidate integer index is tested individually
-    (vectorized enclosure fast path, sampled fallback for borderline
-    cells).  tail: per-(u, sign) sigma segments certified analytically.
-    Each window whose indices are float-exact keeps one explicit collar
-    of `collar` indices at its low edge, where the letters weigh most;
-    the segment runs from just past the collar to floor of the window's
-    upper endpoint.  The cell enclosure is monotone in sigma, so the
-    admissible sigma set is an interval and every index between the two
-    solved endpoints is certified without an explicit test.
+    Each (u, sign) column contributes its closed-form sigma window.  The
+    cell enclosure is monotone in sigma, so when the window's indices are
+    float-exact every integer in [ceil(s_lo), floor(s_hi)] is certified
+    without a per-index test.  Only the two edge bands just outside it,
+    ceil((2*pi + 2b) / (2*pi)) + 2 indices deep, are tested: by the
+    vectorized enclosure, then by the sampled fallback for cells whose
+    center lies in Q.  The fallback rescues a few cells past the analytic
+    endpoints.
+
+    enumerate: every admissible letter is explicit; a window past the
+    float-exact range is an error.  tail: the edge-band rescues and a
+    collar of `collar` indices at the low edge of each window, where the
+    letters weigh most, stay explicit; the rest of the window becomes a
+    TailSegment ending at ln(2*pi*floor(s_hi)).  A window of at most
+    `collar + 4` indices stays explicit whole, and a window past the
+    float-exact range is one segment.  `workers` is accepted for
+    compatibility and has no effect.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -791,81 +766,72 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
         return GSet(mode=mode, windows=(), segments=())
-    margin = budget.margin
+    u_cands = _u_candidates(spec, budget.margin)
+    widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
     windows: list[SWindow] = []
     segments: list[TailSegment] = []
-    u_cands = _u_candidates(spec, margin)
-    sigma_windows = []
+    n_explicit = 0
     for sign in (1, -1):
         for u in u_cands[sign]:
-            win = solve_s_window(family, u, spec, budget=budget, sign=sign, margin=margin)
-            if win is not None:
-                sigma_windows.append(win)
-    sigma_windows.sort(key=lambda w: (w.u, w.sign, w.sigma_lo))
-
-    if mode == "tail":
-        for win in sigma_windows:
+            win = solve_s_window(family, u, spec, budget=budget, sign=sign,
+                                 margin=budget.margin)
+            if win is None:
+                continue
             s_lo_f, s_hi_f = win.s_bounds
-            if collar > 0 and s_hi_f <= _MAX_EXACT_INT:
-                s_lo = math.ceil(s_lo_f - 1e-9)
-                s_hi = math.floor(s_hi_f)
-                if s_hi - s_lo + 1 <= collar + 4:
-                    windows.extend(_explicit_from_range(family, spec, budget, dist,
-                                                        win.u, win.sign, s_lo, s_hi, workers))
-                    continue
-                windows.extend(_explicit_from_range(family, spec, budget, dist, win.u, win.sign,
-                                                    s_lo, s_lo + collar - 1, workers))
-                seg_lo = math.log(TWO_PI) + math.log(s_lo + collar)
-                seg_hi = math.log(TWO_PI) + math.log(s_hi)
-                if seg_hi > seg_lo:
-                    segments.append(TailSegment(win.u, win.sign, seg_lo, seg_hi))
-            else:
-                segments.append(TailSegment(win.u, win.sign, win.sigma_lo, win.sigma_hi))
-        windows.sort(key=lambda w: (w.u, w.s_lo))
-        segments.sort(key=lambda s: (s.u, s.sign, s.sigma_lo))
-        return GSet(mode="tail", windows=tuple(windows), segments=tuple(segments))
-
-    # enumerate mode
-    total = 0
-    widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
-    for win in sigma_windows:
-        s_lo_f, s_hi_f = win.s_bounds
-        if s_hi_f > _MAX_EXACT_INT:
-            raise ConstructionError(
-                f"window for u={win.u} reaches |s| ~ {s_hi_f:.3g}, beyond exact "
-                "integer range; use tail mode")
-        s_lo = max(1, math.floor(s_lo_f) - widen)
-        s_hi = math.ceil(s_hi_f) + widen
-        total += s_hi - s_lo + 1
-        if total > max_explicit:
-            raise ConstructionError(
-                f"enumeration would visit more than {max_explicit} cells; use tail mode")
-        windows.extend(_explicit_from_range(family, spec, budget, dist,
-                                            win.u, win.sign, s_lo, s_hi, workers))
+            if s_hi_f > _MAX_EXACT_INT:
+                if mode == "enumerate":
+                    raise ConstructionError(
+                        f"window for u={u} reaches |s| ~ {s_hi_f:.3g}, beyond exact "
+                        "integer range; use tail mode")
+                segments.append(TailSegment(u, sign, win.sigma_lo, win.sigma_hi))
+                continue
+            lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
+            bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
+                          hi + 1:math.ceil(s_hi_f) + widen + 1]
+            runs = [(s, s) for s in _edge_letters(family, spec, budget, dist, u, sign, bands)]
+            if mode == "tail" and hi - lo + 1 > collar + 4:
+                segments.append(TailSegment(u, sign, math.log(TWO_PI) + math.log(lo + collar),
+                                            math.log(TWO_PI) + math.log(hi)))
+                hi = lo + collar - 1
+            if hi >= lo:
+                runs.append((sign * lo, sign * hi))
+            merged = _merge_runs(runs)
+            n_explicit += sum(b - a + 1 for a, b in merged)
+            if n_explicit > max_explicit:
+                raise ConstructionError(
+                    f"G would hold more than {max_explicit} explicit letters; use tail mode")
+            windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in merged)
     windows.sort(key=lambda w: (w.u, w.s_lo))
-    return GSet(mode="enumerate", windows=tuple(windows), segments=())
+    segments.sort(key=lambda s: (s.u, s.sign, s.sigma_lo))
+    return GSet(mode=mode, windows=tuple(windows), segments=tuple(segments))
 
 
-def _explicit_from_range(family, spec, budget, dist, u, sign, s_lo, s_hi, workers) -> list:
-    """Containment-test the unsigned index range [s_lo, s_hi] at (u, sign)."""
-    if s_hi < s_lo:
+def _edge_letters(family, spec, budget, dist, u, sign, ss: np.ndarray) -> list:
+    """Signed indices among the unsigned indices ss whose cell lies in Q.
+
+    The vectorized enclosure decides most indices; a cell it rejects whose
+    center still lies in Q gets the sampled containment test.
+    """
+    if ss.size == 0:
         return []
-    chunks = []
-    for start in range(s_lo, s_hi + 1, CHUNK):
-        chunks.append((family, spec.outer.bounds(), budget.margin, u, sign,
-                       start, min(start + CHUNK - 1, s_hi)))
-    results = parallel_map(_enumerate_window_chunk, chunks, workers=workers)
-    runs: list = []
-    borderline: list = []
-    for r, b in results:
-        runs.extend(r)
-        borderline.extend(b)
-    # sampled verdicts for borderline candidates (rare)
-    for s in borderline:
-        cell = cell_image(family, u, s, spec, dist, budget=None)
+    model = family.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    rect, margin = spec.outer, budget.margin
+    sigma = np.log(TWO_PI) + np.log(ss.astype(float))
+    with np.errstate(invalid="ignore"):
+        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
+        inside = ((sigma > env.sigma_valid_min)
+                  & (re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
+                  & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
+    base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
+    centers = np.asarray(family.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
+        + TWO_PI * 1j * u
+    letters = [int(sign * s) for s in ss[inside]]
+    for s in ss[~inside & rect.contains(centers)]:
+        cell = cell_image(family, u, int(sign * s), spec, dist)
         if containment_test(family, cell, spec, budget, dist) == "inside":
-            runs.append((s, s))
-    return [SWindow(u=u, s_lo=a, s_hi=b) for a, b in _merge_runs(runs)]
+            letters.append(int(sign * s))
+    return letters
 
 
 # ---------------------------------------------------------------------------

@@ -183,3 +183,20 @@ def test_malformed_json_exit_1(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert run(["lemmas", "--config", str(p), "--out", str(tmp_path / "x.json")]) == 1
+
+
+@pytest.mark.parametrize("family, anchor, failing", [
+    ({"lambda_re": 1.0}, 3.0, {"first_level_in_half_plane", "tract_depth"}),
+    ({"lambda_re": 0.01}, 3.3, {"anchor_derivative_lower"}),
+])
+def test_lemmas_below_koebe_range_report_exit_0(tmp_path, family, anchor, failing):
+    """No covering disk of Q fits in H: the report is written with an
+    infinite distortion constant and the failing lemmas, not a config error."""
+    cfg = write_cfg(tmp_path, "koebe.json",
+                    {"family": family, "geometry": {"anchor": anchor, "inset": 0.5}})
+    out = str(tmp_path / "lemmas.json")
+    assert run(["lemmas", "--config", cfg, "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    assert rep["distortion_c"] == "Infinity"
+    assert rep["all_pass"] is False
+    assert {name for name, check in rep["checks"].items() if not check["pass"]} == failing

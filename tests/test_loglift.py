@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tractdim as td
-from tractdim.loglift import branch_growth_bound, expansion_margin
+from tractdim.loglift import branch_growth_bound, expansion_margin, log_run_sum_bounds
 from tractdim.numerics import TWO_PI
 
 
@@ -156,3 +156,37 @@ def test_growth_bound_shared_constant(fam, fam25):
         assert np.all(re_vals <= bound + 1e-9)
     _, c0 = branch_growth_bound(fam, np.array([2.0]))
     assert c0 == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form sums over explicit index runs
+# ---------------------------------------------------------------------------
+
+RUNS = [(2, 63), (65, 64 + 64), (65, 129), (65, 10_450_108), (10 ** 15, 2 ** 53)]
+EXPONENTS = [0.5, 1.0, 1.0015, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("shift", [0.0, 0.37, -0.37])
+def test_run_sum_bracket_contains_hurwitz_zeta(run, shift):
+    """sum_{s=a}^{b} (s + h)^-t = zeta(t, a + h) - zeta(t, b + 1 + h), or
+    psi(b + 1 + h) - psi(a + h) at t = 1, at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    a, b = run
+    for t in EXPONENTS:
+        if t == 1.0:
+            exact = mpmath.digamma(b + 1 + shift) - mpmath.digamma(a + shift)
+        else:
+            exact = mpmath.zeta(t, a + shift) - mpmath.zeta(t, b + 1 + shift)
+        lo, hi = log_run_sum_bounds(a, b, t, shift)
+        assert lo <= mpmath.log(exact) <= hi, (run, shift, t)
+        assert hi - lo <= 1e-11
+
+
+def test_run_sum_bracket_contains_brute_fsum():
+    s = np.arange(65, 10_450_109, dtype=float)
+    for t in EXPONENTS:
+        brute = math.log(math.fsum((s ** -t).tolist()))
+        lo, hi = log_run_sum_bounds(65, 10_450_108, t, 0.0)
+        assert lo <= brute <= hi, t

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tractdim as td
-from tractdim.numerics import log_sum_exp
+from tractdim.numerics import TWO_PI, log_sum_exp
 from tractdim.pressure import WeightedSystem, build_weighted_system
 
 
@@ -66,6 +66,18 @@ def test_per_letter_envelope_width(small):
         assert np.all(system.log_hi < 0)  # contractions
 
 
+def test_explicit_letter_envelope_width(small):
+    """The per-letter envelopes that the closed-form run sums add up stay
+    within the distortion constant and are contractions."""
+    _, s = small.gset.letters_from_ranks(np.arange(small.gset.n_explicit))
+    model = small.family.tail_model()
+    env = model.envelope(small.spec.outer.bounds())
+    lo, hi = model.log_weight_bounds(np.log(TWO_PI) + np.log(np.abs(s).astype(float)), env)
+    assert s.size > 0
+    assert np.all(hi - lo <= 2.0 * math.log(small.dist.c))
+    assert np.all(hi < 0)
+
+
 def test_bowen_roots_closed_forms():
     r = td.bowen_root(WeightedSystem.from_uniform([0.25, 0.25]))
     assert r.t_lo == pytest.approx(0.5, abs=1e-3)
@@ -110,6 +122,27 @@ def test_level1_anchor_mode(small):
     # anchor values sit inside the inf/sup envelope sums
     assert bounded.log_lo <= anchored.log_hi
     assert anchored.log_lo <= bounded.log_hi
+
+
+@pytest.mark.parametrize("bundle", ["mini", "small"])
+def test_level1_anchor_mode_inside_bounds(request, bundle):
+    """Anchor-point sums use the anchor envelope for explicit runs too, so
+    they sit strictly inside the inf/sup sums and bracket the direct sum
+    of the anchor weights 1 / (|a + 2 pi i s| |R - c|)."""
+    b = request.getfixturevalue(bundle)
+    system = build_weighted_system(b.family, b.gset, b.spec, b.dist)
+    fam = b.family
+    a = complex(np.asarray(fam.inv0(complex(b.anchor))).item()) - fam.log_lam
+    d = abs(complex(b.anchor) - fam.log_lam)
+    for t in (0.5, 1.0, 2.0):
+        bounds = td.level1_sum(system, t, mode="bounds")
+        anchored = td.level1_sum(system, t, mode="anchor")
+        assert bounds.log_lo < anchored.log_lo <= anchored.log_hi < bounds.log_hi
+        if not b.gset.segments:
+            _, s = b.gset.letters_from_ranks(np.arange(b.gset.n_explicit))
+            direct = math.log(math.fsum(
+                (np.abs(a + TWO_PI * 1j * s.astype(float)) * d) ** -t))
+            assert anchored.log_lo <= direct <= anchored.log_hi
 
 
 def test_level1_segment_sums_bit_identical_to_direct(fam):

@@ -299,6 +299,47 @@ def test_build_g_enumerate_overflow_guard(fam):
     assert "tail" in str(err.value)
 
 
+def test_build_g_enumerate_pins_edge_rescues(mini):
+    """The sampled fallback admits cells just past the closed-form windows."""
+    assert [(w.u, w.s_lo, w.s_hi) for w in mini.gset.windows] == [(0, -64, -2), (0, 2, 64)]
+    win = td.solve_s_window(mini.family, 0, mini.spec, budget=mini.budget, sign=1)
+    assert math.floor(win.s_bounds[1]) == 63
+    fam = td.normalize_family(td.exponential_family(0.5 + 0.5j, math.e))
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0)
+    g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
+    assert [(w.u, w.s_lo, w.s_hi) for w in g.windows] == [(0, -25902, -9), (0, 9, 25903)]
+
+
+def _letter_runs(gset):
+    """Signed (u, s_lo, s_hi) runs of all letters: explicit runs plus the
+    integer index ranges of the tail segments, merged."""
+    runs = [(w.u, w.s_lo, w.s_hi) for w in gset.windows]
+    for seg in gset.segments:
+        lo = round(math.exp(seg.sigma_lo) / TWO_PI)
+        hi = round(math.exp(seg.sigma_hi) / TWO_PI)
+        runs.append((seg.u, lo, hi) if seg.sign > 0 else (seg.u, -hi, -lo))
+    merged = []
+    for u, a, b in sorted(runs):
+        if merged and merged[-1][0] == u and a <= merged[-1][2] + 1:
+            merged[-1] = (u, merged[-1][1], max(b, merged[-1][2]))
+        else:
+            merged.append((u, a, b))
+    return merged
+
+
+@pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
+@pytest.mark.parametrize("margin", [0.0, 0.3])
+def test_tail_letters_equal_enumerate_letters(fam, anchor, margin):
+    """Collar, segment index ranges and edge-band rescues of the tail G
+    are exactly the letters of the enumerate G."""
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=margin)
+    spec = td.build_squares(anchor, 0.5)
+    enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
+    tail = td.build_G(fam, anchor, spec, budget, mode="tail")
+    assert tail.n_segments > 0
+    assert _letter_runs(tail) == _letter_runs(enum)
+
+
 def test_mini_g_structure(mini):
     assert mini.gset.mode == "enumerate"
     assert mini.gset.n_explicit > 50
