@@ -17,6 +17,11 @@ The two oracles say "admissible set G is empty", so `oracle recheck`
 never reports a pass with nothing checked; `oracle brute-pressure` also
 exits 2 when G holds fewer letters than its subsystem or no distortion
 constant bounds its slack.
+
+A cell that sampling cannot certify (its containment padding exceeds half
+the side of Q) is an outside, borderline cell left out of G, not a
+configuration error: at lam = 0.01, R0 = e, anchor 4, `dim` reports
+not-certified and exits 2, `sample` and `oracle recheck` exit 0.
 """
 
 from __future__ import annotations

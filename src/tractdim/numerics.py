@@ -14,9 +14,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Fixed chunk length for the per-letter streams over explicit runs (the
-# gap report and the brute-force window sums); it bounds their memory and
-# pins their evaluation order.
+# Fixed chunk length for the brute-force window sums of
+# `pressure.compare_window_modes`, the per-letter reference for the closed
+# forms; it bounds their memory and pins their evaluation order.
 CHUNK = 1 << 20
 
 

@@ -232,7 +232,7 @@ class RecheckReport:
     n_densely_sampled: int
     n_flagged: int
     flagged: tuple
-    min_margin: float          # worst enclosure margin over all rechecked cells
+    min_margin: float          # worst enclosure margin over cells where it is defined
 
 
 def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
@@ -263,9 +263,11 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
             ss = np.arange(start, end + 1, dtype=np.int64)
             n_checked += ss.size
             two_pi_s = TWO_PI * np.abs(ss).astype(float)
-            lo_re = np.log(two_pi_s - b_ind)
+            # below 2*pi*|s| = b_ind the enclosure is undefined (NaN margin)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo_re = np.log(two_pi_s - b_ind)
+                dev = np.arcsin(np.minimum(1.0, b_ind / (two_pi_s - b_ind)))
             hi_re = np.log(two_pi_s + b_ind)
-            dev = np.arcsin(np.minimum(1.0, b_ind / (two_pi_s - b_ind)))
             mid = TWO_PI * win.u + np.sign(ss) * 0.5 * math.pi
             margin = np.minimum.reduce([
                 lo_re - (rect.re_lo + budget.margin),
@@ -273,10 +275,10 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
                 (mid - dev) - (rect.im_lo + budget.margin),
                 (rect.im_hi - budget.margin) - (mid + dev),
             ])
-            min_margin = min(min_margin, float(np.min(margin)))
-            bad = np.nonzero(margin < 0)[0]
+            min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
+            bad = np.nonzero(~(margin >= 0))[0]
             for i in bad:
-                # enclosure inconclusive: fall through to dense sampling
+                # enclosure inconclusive or undefined: fall through to dense sampling
                 v = containment_recheck(family, win.u, int(ss[i]), spec, budget,
                                         density=density)
                 if v == "outside":

@@ -18,14 +18,14 @@ and containment certificates are all functions of sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
 from .loglift import ExpTailModel, MapFamily, TailEnvelope
-from .numerics import CHUNK, TWO_PI
+from .numerics import TWO_PI
 
 _MAX_EXACT_INT = float(2 ** 53)  # largest float-exact integer index
 # Floats a closed-form window endpoint may move inward to pass the enclosure test.
@@ -176,10 +176,6 @@ def build_squares(anchor: float, inset: float) -> SquareSpec:
 
 def _koebe_hi(rho: float) -> float:
     return (1.0 + rho) / (1.0 - rho) ** 3
-
-
-def _koebe_lo(rho: float) -> float:
-    return (1.0 - rho) / (1.0 + rho) ** 3
 
 
 @dataclass(frozen=True)
@@ -445,7 +441,9 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
     center + diameter bound) inside the margin-shrunk Q is inside.  The
     sampled fallback maps boundary samples of Q and pads them by a
     Lipschitz delta = sup|g'| * sample spacing + margin; samples must
-    land in Q shrunk by delta for an "inside" verdict.
+    land in Q shrunk by delta for an "inside" verdict.  A log-domain cell,
+    or one whose delta exceeds half the side of Q, cannot be certified by
+    sampling and is "outside" with borderline set.
     """
     margin = budget.margin
     center_inside = (spec.outer.re_lo <= cell.center_re <= spec.outer.re_hi
@@ -486,9 +484,10 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
     delta = margin + lip * spacing
     cell.delta_used = delta
     if delta > 0.5 * spec.outer.min_side:
-        raise GeometryError(
-            f"containment padding {delta:.4g} exceeds half the square side; "
-            "cannot certify at this sample count")
+        # padding past half the side: no sample can certify the cell
+        cell.verdict = "outside"
+        cell.borderline = True
+        return cell.verdict
     diffs = imgs[:, None] - imgs[None, :]
     cell.measured_diam = float(np.max(np.abs(diffs)))
     inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
@@ -840,68 +839,57 @@ def _edge_letters(family, spec, budget, dist, u, sign, ss: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class GapReport:
-    min_gap: float
-    n_adjacent_checked: int
-    column_separation: float  # min gap between distinct (u, sign) columns
+    min_gap: float              # consecutive cells of one run (inf: no run of two)
+    n_adjacent_checked: int     # sum(count - 1) over the runs
+    column_separation: float    # gap between adjacent runs' imaginary extents
 
 
 def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
-    """Lower bound the pairwise separation of the enumerated cells.
+    """Closed-form lower bounds on the separation of the explicit cells.
 
-    Each cell g(Q) is enclosed in the disk of radius sup_Q |g'| * diam(Q)/2
-    around g(R): Q is convex and centred at the anchor R, so the segment
-    from R to any z in Q stays in Q and |g(z) - g(R)| <= sup_Q |g'| * |z - R|
-    <= sup_Q |g'| * diam(Q)/2.  Within one (u, sign) run, consecutive
-    indices give the closest pairs; across runs, the vertical extents of
-    whole columns are compared.  Since the disks enclose the cells,
-    min_gap is a lower bound on the true separation of consecutive cells
-    (it may be negative even when the cells are disjoint).
+    With c = Log(lam), the first-level image of Q minus c is the set of
+    w = p + i*(q + 2*pi*s): p = ln|z - c| - Re c lies in [ln d_lo - Re c,
+    ln d_hi - Re c] and is > 0 whenever G is non-empty; q = arg(z - c) -
+    Im c lies in [theta_lo, theta_hi] - Im c, arg's extremes over the four
+    corners of Q.  Consecutive images are 2*pi translates of a set of
+    height < pi, hence at least 2*pi - (theta_hi - theta_lo) apart.  The
+    cell is Log(w) + 2*pi*i*u, and |e^h1 - e^h2| <= |h1 - h2| *
+    max(|e^h1|, |e^h2|), so Log shrinks distances by at most max|w| <=
+    hypot(p_hi, |q + 2*pi*s|): a run's least bound is at its largest |s|.
+    A run's imaginary extent is that of atan2(q + 2*pi*s, p) + 2*pi*u over
+    the same rectangle, which is monotone in q, s and p and so extremal at
+    the run's end indices.
     """
     if not gset.windows:
         raise ConstructionError("gap report needs explicit cells")
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
-    half_diam = 0.5 * spec.outer.diam
+    c = family.log_lam
+    env = family.tail_model().envelope(spec.outer.bounds())
+    p_lo, p_hi = math.log(env.d_lo) - c.real, math.log(env.d_hi) - c.real
+    if p_lo <= 0.0:
+        raise ConstructionError("first-level images of Q reach Re <= Re Log(lam)")
+    rect = spec.outer
+    thetas = [math.atan2(y - c.imag, x - c.real)
+              for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
+    q_lo, q_hi = min(thetas) - c.imag, max(thetas) - c.imag
+    room = TWO_PI - (q_hi - q_lo)
     min_gap = math.inf
-    checked = 0
     columns = []
     for w in gset.windows:
-        lo, hi = (w.s_lo, w.s_hi)
-        col_im_lo, col_im_hi = math.inf, -math.inf
-        max_rad = 0.0
-        for start in range(lo, hi + 1, CHUNK):
-            end = min(start + CHUNK - 1, hi)
-            ss = np.arange(start, end + 1, dtype=np.int64)
-            v = base + TWO_PI * 1j * ss.astype(float)
-            centers = np.asarray(family.inv0(v)) + TWO_PI * 1j * w.u
-            sigma = np.log(TWO_PI) + np.log(np.abs(ss).astype(float))
-            _, log_hi_w = model.log_weight_bounds(sigma, env)
-            radius = np.exp(log_hi_w) * half_diam
-            if end + 1 <= hi:
-                nxt = complex(np.asarray(family.inv0(base + TWO_PI * 1j * float(end + 1))).item()) \
-                    + TWO_PI * 1j * w.u
-                centers_ext = np.concatenate([centers, [nxt]])
-                sig_n = math.log(TWO_PI) + math.log(abs(end + 1))
-                radius_ext = np.concatenate(
-                    [radius, [math.exp(model.log_weight_bounds(sig_n, env)[1]) * half_diam]])
-            else:
-                centers_ext, radius_ext = centers, radius
-            if centers_ext.size >= 2:
-                d = np.abs(np.diff(centers_ext))
-                g = d - radius_ext[:-1] - radius_ext[1:]
-                min_gap = min(min_gap, float(np.min(g)))
-                checked += g.size
-            col_im_lo = min(col_im_lo, float(np.min(np.imag(centers) - radius)))
-            col_im_hi = max(col_im_hi, float(np.max(np.imag(centers) + radius)))
-            max_rad = max(max_rad, float(np.max(radius)))
-        columns.append((col_im_lo, col_im_hi))
+        m, n = sorted((abs(w.s_lo), abs(w.s_hi)))
+        if n > m:
+            top = max(abs(q_lo + w.sign * TWO_PI * n), abs(q_hi + w.sign * TWO_PI * n))
+            min_gap = min(min_gap, room / math.hypot(p_hi, top))
+        if w.sign > 0:
+            lo, hi = math.atan2(q_lo + TWO_PI * m, p_hi), math.atan2(q_hi + TWO_PI * n, p_lo)
+        else:
+            lo, hi = math.atan2(q_lo - TWO_PI * n, p_lo), math.atan2(q_hi - TWO_PI * m, p_hi)
+        columns.append((lo + TWO_PI * w.u, hi + TWO_PI * w.u))
     columns.sort()
     col_sep = math.inf
     for (a_lo, a_hi), (b_lo, b_hi) in zip(columns, columns[1:]):
         col_sep = min(col_sep, b_lo - a_hi)
-    return GapReport(min_gap=min_gap, n_adjacent_checked=checked,
-                     column_separation=col_sep)
+    return GapReport(min_gap=min_gap, column_separation=col_sep,
+                     n_adjacent_checked=sum(w.count - 1 for w in gset.windows))
 
 
 # ---------------------------------------------------------------------------

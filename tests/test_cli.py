@@ -143,6 +143,22 @@ def test_oracle_brute_pressure_without_distortion_constant_exit_2(tmp_path, caps
     assert "distortion constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "tail"])
+@pytest.mark.parametrize("margin", [0.0, 0.1])
+def test_unsampleable_cells_do_not_stop_the_run(tmp_path, margin, mode):
+    # lam = 0.01, anchor 4: cells (0, +-1) and (0, +-2) need a containment
+    # padding past half the side of Q; they are left out of G, not errors
+    cfg = write_cfg(tmp_path, "pad.json",
+                    {"family": {"lambda_re": 0.01},
+                     "geometry": {"anchor": 4.0, "inset": 0.5, "margin": margin},
+                     "pressure": {"mode": mode},
+                     "sampling": {"count": 2000, "depth": 5}})
+    out = str(tmp_path / "o")
+    assert run(["dim", "--config", cfg, "--out", out + ".json"]) == 2
+    assert run(["sample", "--config", cfg, "--out", out + ".csv"]) == 0
+    assert run(["oracle", "recheck", "--config", cfg, "--out", out + ".json"]) == 0
+
+
 def test_oracle_box_dim(tmp_path):
     out = str(tmp_path / "box.json")
     assert run(["oracle", "box-dim", "--out", out]) == 0

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import tractdim as td
+from tractdim import oracle
 from tractdim.tractgeom import GSet, SWindow
 
 
@@ -97,3 +99,28 @@ def test_recheck_gset_flags_planted_outsider(small):
                           density=10, dense_sample=16)
     assert rep.n_flagged >= 1
     assert (0, 30) in rep.flagged
+
+
+def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
+    """lam = 0.01, R0 = 1.2, anchor 4: for |s| <= 2, 2*pi*|s| falls below
+    the independent envelope constant, so the enclosure margin is undefined;
+    those letters must go to the dense recheck instead of passing unchecked."""
+    fam = td.normalize_family(td.exponential_family(0.01, 1.2))
+    budget = td.GeometryBudget(inset=0.5, margin=0.0)
+    spec = td.build_squares(4.0, 0.5)
+    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
+    rechecked = []
+    dense = oracle.containment_recheck
+
+    def spy(family, u, s, *args, **kwargs):
+        rechecked.append(s)
+        return dense(family, u, s, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "containment_recheck", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = td.recheck_gset(fam, gset, spec, budget, dense_sample=0)
+    assert {-2, -1, 1, 2} <= set(rechecked)
+    assert rep.n_flagged == 0
+    assert rep.n_checked == gset.n_explicit
+    assert math.isfinite(rep.min_margin)

@@ -58,14 +58,6 @@ def test_two_sided_ratio_within_distortion(small):
         assert s.log_hi - s.log_lo <= 2.0 * t * math.log(small.dist.c) + 1e-9
 
 
-def test_per_letter_envelope_width(small):
-    system = build_weighted_system(small.family, small.gset, small.spec, small.dist)
-    if system.log_lo is not None and system.log_lo.size:
-        width = system.log_hi - system.log_lo
-        assert np.all(width <= 2.0 * math.log(small.dist.c))
-        assert np.all(system.log_hi < 0)  # contractions
-
-
 def test_explicit_letter_envelope_width(small):
     """The per-letter envelopes that the closed-form run sums add up stay
     within the distortion constant and are contractions."""

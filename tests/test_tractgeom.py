@@ -1,12 +1,16 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tractdim as td
 from tractdim.numerics import TWO_PI
-from tractdim.tractgeom import (RadiusSearchError, _u_candidates,
-                                universal_cell_diameter_bound)
+from tractdim.tractgeom import (RadiusSearchError, _distortion_or_unavailable,
+                                _u_candidates, universal_cell_diameter_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +375,83 @@ def test_min_cell_gap_positive(mini):
     rep = td.min_cell_gap(mini.family, mini.gset, mini.spec)
     assert rep.min_gap > 0
     assert rep.column_separation > 0
+
+
+def test_min_cell_gap_with_letters_below_envelope_validity():
+    """lam = 0.01, R0 = 1.2, anchor 4: G holds letters with e^sigma <= 2b,
+    where the per-letter envelopes are undefined; the closed-form bounds
+    still hold."""
+    fam = td.normalize_family(td.exponential_family(0.01, 1.2))
+    budget = td.GeometryBudget(inset=0.5, margin=0.0)
+    spec = td.build_squares(4.0, 0.5)
+    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
+    env = fam.tail_model().envelope(spec.outer.bounds())
+    lowest = min(min(abs(w.s_lo), abs(w.s_hi)) for w in gset.windows)
+    assert lowest <= math.exp(env.sigma_valid_min) / TWO_PI
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = td.min_cell_gap(fam, gset, spec)
+    assert 0 < rep.min_gap < math.inf
+    assert 0 < rep.column_separation < math.inf
+    assert rep.n_adjacent_checked == sum(w.count - 1 for w in gset.windows)
+
+
+def test_containment_padding_past_half_side_is_borderline_outside():
+    """lam = 0.01, R0 = e, anchor 4: the sampled padding of cells (0, +-1)
+    and (0, +-2) exceeds half the side of Q, so sampling cannot certify
+    them; they are outside and borderline, and G is built without them."""
+    fam = td.normalize_family(td.exponential_family(0.01, math.e))
+    budget = td.GeometryBudget(inset=0.5, margin=0.0)
+    spec = td.build_squares(4.0, 0.5)
+    dist = _distortion_or_unavailable(4.0, fam.ln_r0)
+    for s in (1, 2, -1, -2):
+        cell = td.cell_image(fam, 0, s, spec, dist)
+        assert td.containment_test(fam, cell, spec, budget, dist) == "outside"
+        assert cell.borderline and cell.delta_used > 0.5 * spec.outer.min_side
+    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate", dist=dist)
+    assert [(w.u, w.s_lo, w.s_hi) for w in gset.windows] == [(0, -64, -3), (0, 3, 64)]
+
+
+def _cells(fam, spec, u, ss, n=1024):
+    """Boundary samples of cell(u, s) for each s: the cell's boundary is
+    the image of the boundary of Q."""
+    first = np.asarray(fam.inv0(spec.outer.boundary_points(n)))
+    return [np.asarray(fam.inv0(first + TWO_PI * 1j * s)) + TWO_PI * 1j * u for s in ss]
+
+
+def _sampled_distance(a, b):
+    return float(np.min(np.abs(a[:, None] - b[None, :])))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(modulus=st.floats(0.01, 3.0), arg=st.floats(-math.pi, math.pi),
+       r0=st.sampled_from([1.2, 2.0, math.e]), anchor=st.floats(3.3, 7.0),
+       margin=st.sampled_from([0.0, 0.1, 0.3]))
+def test_min_cell_gap_below_sampled_distances(modulus, arg, r0, anchor, margin):
+    """Sampled boundary distances can only overstate a gap, so each closed-form
+    bound must stay below them: min_gap below the distance of the first and
+    the last consecutive pair of every run, column_separation below the gap
+    between the sampled extents of the runs' end cells."""
+    fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
+    budget = td.GeometryBudget(inset=0.5, margin=margin)
+    spec = td.build_squares(anchor, 0.5)
+    gset = td.build_G(fam, anchor, spec, budget, mode="enumerate")
+    if gset.is_empty():
+        return
+    rep = td.min_cell_gap(fam, gset, spec)
+    assert rep.min_gap > 0 and rep.column_separation > 0
+    extents = []
+    for w in gset.windows:
+        ends = [w.s_lo, w.s_lo + 1, w.s_hi - 1, w.s_hi] if w.count >= 2 else [w.s_lo]
+        c = _cells(fam, spec, w.u, ends)
+        if w.count >= 2:
+            assert rep.min_gap <= _sampled_distance(c[0], c[1])
+            assert rep.min_gap <= _sampled_distance(c[2], c[3])
+        im = np.imag(np.concatenate(c))
+        extents.append((float(im.min()), float(im.max())))
+    extents.sort()
+    for (_, a_hi), (b_lo, _) in zip(extents, extents[1:]):
+        assert rep.column_separation <= b_lo - a_hi
 
 
 def test_tail_segments_bracket_enumeration(small):
