@@ -22,6 +22,13 @@ A cell that sampling cannot certify (its containment padding exceeds half
 the side of Q) is an outside, borderline cell left out of G, not a
 configuration error: at lam = 0.01, R0 = e, anchor 4, `dim` reports
 not-certified and exits 2, `sample` and `oracle recheck` exit 0.
+
+Enumerate mode puts no cap on the number of letters in G: G is a tuple
+of runs, and sampling, the recheck oracle and the level-1 sums work per
+run.  So enumerate-mode `sample`, `oracle recheck` and `oracle
+brute-pressure` run at anchors 13.5-23 and 25.5 (lam = 1, R0 = e, inset
+0.5; up to 5.2e16 letters), where a 200M-letter cap used to stop them
+with exit 2.  A window past 2^53 still exits 2.
 """
 
 from __future__ import annotations
@@ -343,7 +350,6 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
         pts = data["re"][mask] + 1j * data["im"][mask]
         scales = cfg.oracle.get("scales")
         if scales is None:
-            lo = np.min(pts.real), np.min(pts.imag)
             diam = float(np.hypot(np.ptp(pts.real), np.ptp(pts.imag)))
             scales = [diam * (10.0 ** -k) for k in np.linspace(0.5, 3.0, 6)]
         expected, tol = None, None

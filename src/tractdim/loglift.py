@@ -358,20 +358,6 @@ class ExpTailModel:
         mid = TWO_PI * u + sign * 0.5 * math.pi
         return re_lo, re_hi, mid - dev, mid + dev
 
-    def center_re(self, sigma, sign: int, anchor_a: complex):
-        """Re of the cell center at sigma, via sigma-arithmetic.
-
-        anchor_a = F_inv_0(anchor) - Log(lam), so the center value is
-        Log(a + i*sign*e^sigma) + 2*pi*i*u and its real part equals
-        sigma + log1p(...)/2 exactly.  Error of the evaluated form stays
-        below 1e-9 whenever sigma-arithmetic is engaged (indices past the
-        exact-integer float range).
-        """
-        sigma = np.asarray(sigma, dtype=float)
-        e = np.exp(-sigma)
-        return sigma + 0.5 * np.log1p(2.0 * sign * anchor_a.imag * e
-                                      + (abs(anchor_a) ** 2) * e * e)
-
     # -- tail sums -----------------------------------------------------------
 
     def sum_envelope_sandwich(self, sigma_lo: float, sigma_hi: float, t: float,

@@ -27,7 +27,7 @@ from .errors import ConfigError, ConstructionError, GeometryError, NumericError
 from .loglift import ExpTailModel, MapFamily, TailEnvelope
 from .numerics import TWO_PI
 
-_MAX_EXACT_INT = float(2 ** 53)  # largest float-exact integer index
+_MAX_EXACT_INT = 2 ** 53  # largest float-exact integer index
 # Floats a closed-form window endpoint may move inward to pass the enclosure test.
 _ENDPOINT_ULPS = 8
 
@@ -97,16 +97,12 @@ class Rect:
         """n equally spaced boundary samples, anchored at the lower-left corner."""
         ts = np.arange(n, dtype=float) * (self.perimeter / n)
         w, h = self.width, self.height
+        edges = [ts < w, ts < w + h, ts < 2 * w + h]  # bottom, right, top; else left
         pts = np.empty(n, dtype=complex)
-        for i, t in enumerate(ts):
-            if t < w:
-                pts[i] = complex(self.re_lo + t, self.im_lo)
-            elif t < w + h:
-                pts[i] = complex(self.re_hi, self.im_lo + (t - w))
-            elif t < 2 * w + h:
-                pts[i] = complex(self.re_hi - (t - w - h), self.im_hi)
-            else:
-                pts[i] = complex(self.re_lo, self.im_hi - (t - 2 * w - h))
+        pts.real = np.select(edges, [self.re_lo + ts, self.re_hi, self.re_hi - (ts - w - h)],
+                             self.re_lo)
+        pts.imag = np.select(edges, [self.im_lo, self.im_lo + (ts - w), self.im_hi],
+                             self.im_hi - (ts - 2 * w - h))
         return pts
 
 
@@ -340,24 +336,18 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
 
 @dataclass
 class CellImage:
-    """One two-level image cell(u, s) with certified bounds.
-
-    log_domain marks cells whose index magnitude exceeds the float-exact
-    integer range; such cells carry sigma = ln(2*pi*|s|) instead of s and
-    no complex center.
-    """
+    """One two-level image cell(u, s) with certified bounds."""
 
     u: int
-    s: Optional[int]
+    s: int
     sign: int
     sigma: float
-    log_domain: bool
-    center: Optional[complex]
+    center: complex
     center_re: float
     center_im: float
     diam_bound: float
     diam_bound_universal: float
-    anchor_deriv_abs: Optional[float] = None
+    anchor_deriv_abs: float
     verdict: str = "unverified"
     borderline: bool = False
     measured_diam: Optional[float] = None
@@ -378,15 +368,17 @@ def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
     """Construct the cell at (u, s): center, diameter bounds, verdict.
 
     The first-level image must stay in H for the second branch to apply;
-    a violation is a construction error, not a containment failure.
+    a violation is a construction error, not a containment failure.  So
+    is an index past 2^53, where s is no longer float-exact.
     """
+    if abs(s) > _MAX_EXACT_INT:
+        raise ConstructionError(f"index s = {s} lies beyond the float-exact range 2^53")
     if s == 0:
         sign = 1
         sigma = -math.inf
     else:
         sign = 1 if s > 0 else -1
         sigma = math.log(TWO_PI) + math.log(abs(s))
-    log_domain = abs(s) > _MAX_EXACT_INT
     env = None
     model = None
     if family.has_tail_model:
@@ -404,28 +396,17 @@ def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
         diam_bound = min(diam_universal, sup_g * spec.outer.diam)
         re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
         enclosure = (float(re_lo), float(re_hi), float(im_lo), float(im_hi))
-    if log_domain:
-        if model is None:
-            raise ConstructionError("index beyond exact-integer range needs a tail model")
-        a = complex(np.asarray(family.inv0(complex(spec.anchor))).item()) - family.log_lam
-        center_re = float(model.center_re(sigma, sign, a))
-        center_im = TWO_PI * u + sign * 0.5 * math.pi
-        center = None
-        anchor_deriv = None
-    else:
-        v_s = complex(np.asarray(family.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
-        if v_s.real <= family.ln_r0:
-            raise ConstructionError(
-                f"anchor preimage leaves the half plane (Re = {v_s.real:.6g})")
-        center = complex(np.asarray(family.inv0(v_s)).item()) + TWO_PI * 1j * u
-        center_re, center_im = center.real, center.imag
-        d1 = complex(np.asarray(family.inv0_deriv(v_s)).item())
-        d0 = complex(np.asarray(family.inv0_deriv(complex(spec.anchor))).item())
-        anchor_deriv = abs(d1 * d0)
+    v_s = complex(np.asarray(family.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
+    if v_s.real <= family.ln_r0:
+        raise ConstructionError(
+            f"anchor preimage leaves the half plane (Re = {v_s.real:.6g})")
+    center = complex(np.asarray(family.inv0(v_s)).item()) + TWO_PI * 1j * u
+    d1 = complex(np.asarray(family.inv0_deriv(v_s)).item())
+    d0 = complex(np.asarray(family.inv0_deriv(complex(spec.anchor))).item())
+    anchor_deriv = abs(d1 * d0)
     cell = CellImage(
-        u=int(u), s=None if log_domain else int(s), sign=sign, sigma=sigma,
-        log_domain=log_domain, center=center, center_re=center_re,
-        center_im=center_im, diam_bound=diam_bound,
+        u=int(u), s=int(s), sign=sign, sigma=sigma, center=center,
+        center_re=center.real, center_im=center.imag, diam_bound=diam_bound,
         diam_bound_universal=diam_universal, anchor_deriv_abs=anchor_deriv,
         enclosure=enclosure)
     if budget is not None:
@@ -441,9 +422,9 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
     center + diameter bound) inside the margin-shrunk Q is inside.  The
     sampled fallback maps boundary samples of Q and pads them by a
     Lipschitz delta = sup|g'| * sample spacing + margin; samples must
-    land in Q shrunk by delta for an "inside" verdict.  A log-domain cell,
-    or one whose delta exceeds half the side of Q, cannot be certified by
-    sampling and is "outside" with borderline set.
+    land in Q shrunk by delta for an "inside" verdict.  A cell whose delta
+    exceeds half the side of Q cannot be certified by sampling and is
+    "outside" with borderline set.
     """
     margin = budget.margin
     center_inside = (spec.outer.re_lo <= cell.center_re <= spec.outer.re_hi
@@ -460,11 +441,6 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
     if dist_to_edge - margin > cell.diam_bound:
         cell.verdict = "inside"
         return cell.verdict
-    if cell.log_domain:
-        # sigma-cells are decided purely by their analytic enclosure
-        cell.verdict = "outside"
-        cell.borderline = True
-        return cell.verdict
     n = budget.boundary_samples
     pts = spec.outer.boundary_points(n)
     first = np.asarray(family.inv0(pts)) + TWO_PI * 1j * cell.s
@@ -473,7 +449,7 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
             f"first-level boundary image leaves the half plane at (u,s)=({cell.u},{cell.s})")
     imgs = np.asarray(family.inv0(first)) + TWO_PI * 1j * cell.u
     lip = None
-    if cell.anchor_deriv_abs is not None and dist is not None:
+    if dist is not None:
         lip = cell.anchor_deriv_abs * dist.c
     if cell.enclosure is not None:
         sharp = cell.diam_bound / spec.outer.diam
@@ -517,11 +493,6 @@ class SigmaWindow:
         """Window endpoints in index units (floats; may overflow to inf)."""
         return (math.exp(self.sigma_lo) / TWO_PI if self.sigma_lo < 700 else math.inf,
                 math.exp(self.sigma_hi) / TWO_PI if self.sigma_hi < 700 else math.inf)
-
-    @property
-    def representable(self) -> bool:
-        lo, hi = self.s_bounds
-        return hi <= _MAX_EXACT_INT
 
 
 def solve_s_window(family: MapFamily, u: int, anchor_or_spec, spec: Optional[SquareSpec] = None,
@@ -727,8 +698,7 @@ def _merge_runs(runs: list) -> list:
 
 def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: GeometryBudget,
             mode: str = "enumerate", dist: Optional[DistortionBound] = None,
-            workers: int = 1, collar: int = 32,
-            max_explicit: int = 200_000_000) -> GSet:
+            workers: int = 1, collar: int = 32) -> GSet:
     """Assemble the admissible set G = {(u, s): cell(u, s) inside Q}.
 
     Each (u, sign) column contributes its closed-form sigma window.  The
@@ -738,12 +708,13 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     ceil((2*pi + 2b) / (2*pi)) + 2 indices deep, are tested: by the
     vectorized enclosure, then by the sampled fallback for cells whose
     center lies in Q.  The fallback rescues a few cells past the analytic
-    endpoints.
+    endpoints.  The high band stops at 2^53, the last float-exact index.
 
-    enumerate: every admissible letter is explicit; a window past the
-    float-exact range is an error.  tail: the edge-band rescues and a
-    collar of `collar` indices at the low edge of each window, where the
-    letters weigh most, stay explicit; the rest of the window becomes a
+    enumerate: every admissible letter is explicit, with no cap on their
+    number (G holds runs, and no consumer lists their letters); a window
+    past the float-exact range is an error.  tail: the edge-band rescues
+    and a collar of `collar` indices at the low edge of each window, where
+    the letters weigh most, stay explicit; the rest of the window becomes a
     TailSegment ending at ln(2*pi*floor(s_hi)).  A window of at most
     `collar + 4` indices stays explicit whole, and a window past the
     float-exact range is one segment.  `workers` is accepted for
@@ -769,7 +740,6 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
     windows: list[SWindow] = []
     segments: list[TailSegment] = []
-    n_explicit = 0
     for sign in (1, -1):
         for u in u_cands[sign]:
             win = solve_s_window(family, u, spec, budget=budget, sign=sign,
@@ -786,7 +756,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
                 continue
             lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
-                          hi + 1:math.ceil(s_hi_f) + widen + 1]
+                          hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
             runs = [(s, s) for s in _edge_letters(family, spec, budget, dist, u, sign, bands)]
             if mode == "tail" and hi - lo + 1 > collar + 4:
                 segments.append(TailSegment(u, sign, math.log(TWO_PI) + math.log(lo + collar),
@@ -794,12 +764,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
                 hi = lo + collar - 1
             if hi >= lo:
                 runs.append((sign * lo, sign * hi))
-            merged = _merge_runs(runs)
-            n_explicit += sum(b - a + 1 for a, b in merged)
-            if n_explicit > max_explicit:
-                raise ConstructionError(
-                    f"G would hold more than {max_explicit} explicit letters; use tail mode")
-            windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in merged)
+            windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in _merge_runs(runs))
     windows.sort(key=lambda w: (w.u, w.s_lo))
     segments.sort(key=lambda s: (s.u, s.sign, s.sigma_lo))
     return GSet(mode=mode, windows=tuple(windows), segments=tuple(segments))

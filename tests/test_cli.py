@@ -216,3 +216,14 @@ def test_lemmas_below_koebe_range_report_exit_0(tmp_path, family, anchor, failin
     assert rep["distortion_c"] == "Infinity"
     assert rep["all_pass"] is False
     assert {name for name, check in rep["checks"].items() if not check["pass"]} == failing
+
+
+def test_oracle_box_dim_every_seed(tmp_path):
+    """The grid is anchored at the origin, so no middle-thirds sample spills
+    into a neighbouring triadic box; seeds 6, 13, 16, 18, 25 and 27 used
+    to miss the tolerance with the grid anchored at the cloud's corner."""
+    for seed in range(30):
+        out = str(tmp_path / f"box{seed}.json")
+        assert run(["oracle", "box-dim", "--seed", str(seed), "--out", out]) == 0, seed
+        rep = json.loads(open(out).read())
+        assert rep["counts"] == [2 ** k for k in range(7, 0, -1)]

@@ -6,6 +6,7 @@ import pytest
 
 import tractdim as td
 from tractdim import oracle
+from tractdim.numerics import TWO_PI
 from tractdim.tractgeom import GSet, SWindow
 
 
@@ -124,3 +125,142 @@ def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
     assert rep.n_flagged == 0
     assert rep.n_checked == gset.n_explicit
     assert math.isfinite(rep.min_margin)
+
+
+def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=2000,
+                        seed=20210):
+    """Reference: the recheck margin evaluated on every letter of every run."""
+    flagged = []
+    n_checked = 0
+    min_margin = math.inf
+    c = family.log_lam
+    rect = spec.outer
+    w = rect.boundary_points(4096) - c
+    log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
+    b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
+    for win in gset.windows:
+        for start in range(win.s_lo, win.s_hi + 1, 1 << 20):
+            end = min(start + (1 << 20) - 1, win.s_hi)
+            ss = np.arange(start, end + 1, dtype=np.int64)
+            n_checked += ss.size
+            two_pi_s = TWO_PI * np.abs(ss).astype(float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo_re = np.log(two_pi_s - b_ind)
+                dev = np.arcsin(np.minimum(1.0, b_ind / (two_pi_s - b_ind)))
+            hi_re = np.log(two_pi_s + b_ind)
+            mid = TWO_PI * win.u + np.sign(ss) * 0.5 * math.pi
+            margin = np.minimum.reduce([
+                lo_re - (rect.re_lo + budget.margin),
+                (rect.re_hi - budget.margin) - hi_re,
+                (mid - dev) - (rect.im_lo + budget.margin),
+                (rect.im_hi - budget.margin) - (mid + dev),
+            ])
+            min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
+            for i in np.nonzero(~(margin >= 0))[0]:
+                v = td.containment_recheck(family, win.u, int(ss[i]), spec, budget,
+                                           density=density)
+                if v == "outside":
+                    flagged.append((win.u, int(ss[i])))
+    rng = np.random.default_rng(seed)
+    n_dense = 0
+    if gset.n_explicit:
+        ranks = np.sort(rng.choice(gset.n_explicit, size=min(dense_sample, gset.n_explicit),
+                                   replace=False))
+        for u, s in zip(*gset.letters_from_ranks(ranks)):
+            n_dense += 1
+            if td.containment_recheck(family, int(u), int(s), spec, budget,
+                                      density=density) == "outside":
+                flagged.append((int(u), int(s)))
+    return oracle.RecheckReport(n_checked=n_checked, n_densely_sampled=n_dense,
+                                n_flagged=len(flagged), flagged=tuple(flagged[:64]),
+                                min_margin=min_margin)
+
+
+def _lam_001_anchor_4():
+    fam = td.normalize_family(td.exponential_family(0.01, 1.2))
+    budget = td.GeometryBudget(inset=0.5, margin=0.0)
+    spec = td.build_squares(4.0, 0.5)
+    return fam, td.build_G(fam, 4.0, spec, budget, mode="enumerate"), spec, budget
+
+
+def _planted(anchor, *windows):
+    fam = td.normalize_family(td.exponential_family(1.0, math.e))
+    return (fam, GSet(mode="enumerate", windows=windows, segments=()),
+            td.build_squares(anchor, 0.5), td.GeometryBudget(inset=0.5))
+
+
+# the anchor-20 u = 0 windows (|s| from 3506) started 100 letters early
+_EXTENDED_BELOW = (20.0, SWindow(0, -5505, -3406), SWindow(0, 3406, 5505))
+
+
+@pytest.mark.parametrize("case", ["mini", "small", "lam-0.01-anchor-4",
+                                  "planted-no-window", "window-extended-below"])
+def test_recheck_gset_matches_per_letter_reference(request, case):
+    """The run-by-run recheck gives the per-letter report field for field:
+    - mini and small: clean runs, the end blocks stop at 64 letters;
+    - lam = 0.01, R0 = 1.2, anchor 4: undefined margins at |s| <= 2;
+    - 1,000 letters at u = 2, anchor 12, a column with no window: every
+      letter fails, so the end blocks grow to the whole run;
+    - the anchor-20 u = 0 windows of both signs (|s| from 3506) started
+      100 letters early: the inner letter of the 64-letter block at the
+      small-|s| end fails, so both blocks widen."""
+    if case in ("mini", "small"):
+        b = request.getfixturevalue(case)
+        fam, gset, spec, budget = b.family, b.gset, b.spec, b.budget
+    elif case == "lam-0.01-anchor-4":
+        fam, gset, spec, budget = _lam_001_anchor_4()
+    elif case == "planted-no-window":
+        fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5999))
+    else:
+        fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
+    kw = dict(density=2, dense_sample=64, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = td.recheck_gset(fam, gset, spec, budget, **kw)
+    ref = _recheck_per_letter(fam, gset, spec, budget, **kw)
+    assert rep == ref
+    assert rep.min_margin.hex() == ref.min_margin.hex()
+    if case == "planted-no-window":
+        assert rep.n_flagged == 1000 + 64 and rep.min_margin < 0
+    if case == "window-extended-below":
+        assert rep.n_flagged > 0 and rep.min_margin < 0
+
+
+def test_recheck_gset_widens_past_a_failing_inner_letter(monkeypatch):
+    # the inner letter of the end block at |s| = 3406 (|s| = 3406 + 63)
+    # fails the margin; in each run the failing letters are the ones
+    # nearest |s| = 3406, found in (run, s) order
+    fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
+    rechecked = []
+    dense = oracle.containment_recheck
+
+    def spy(family, u, s, *args, **kwargs):
+        rechecked.append(s)
+        return dense(family, u, s, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "containment_recheck", spy)
+    td.recheck_gset(fam, gset, spec, budget, density=2, dense_sample=0)
+    neg, pos = [s for s in rechecked if s < 0], [s for s in rechecked if s > 0]
+    assert rechecked == neg + pos
+    assert -(3406 + 63) in neg and 3406 + 63 in pos
+    assert neg == list(range(min(neg), -3406 + 1))
+    assert pos == list(range(3406, max(pos) + 1))
+
+
+def test_enumerate_g_at_anchor_20_works_per_run(fam):
+    """Anchor 20 in enumerate mode: 1.02e13 letters in 6 runs.  G, its
+    level-1 sum, the gap report and the recheck all work per run."""
+    budget = td.GeometryBudget(inset=0.5)
+    spec = td.build_squares(20.0, 0.5)
+    dist = td.distortion_constant(20.0, fam.ln_r0)
+    gset = td.build_G(fam, 20.0, spec, budget, mode="enumerate", dist=dist)
+    assert len(gset.windows) == 6
+    assert gset.n_explicit == 10_204_831_502_220
+    s1 = td.level1_sum(td.build_weighted_system(fam, gset, spec, dist), 1.0)
+    assert s1.log_lo < s1.log_hi
+    gap = td.min_cell_gap(fam, gset, spec)
+    assert gap.min_gap > 0 and gap.column_separation > 0
+    rep = td.recheck_gset(fam, gset, spec, budget, dense_sample=64)
+    assert rep.n_checked == gset.n_explicit
+    assert rep.n_densely_sampled == 64
+    assert rep.n_flagged == 0

@@ -149,6 +149,43 @@ def test_cell_image_outside_verdict(fam):
     assert cell.verdict == "outside"
 
 
+def test_cell_image_past_exact_range_raises(fam):
+    # 2^53 + 2 is a float-exact integer, but |s| past 2^53 has no exact cell
+    spec = td.build_squares(100.0, 25.0)
+    dist = td.distortion_constant(100.0, 1.0)
+    with pytest.raises(td.ConstructionError):
+        td.cell_image(fam, 0, 2 ** 53 + 2, spec, dist)
+    with pytest.raises(td.ConstructionError):
+        td.cell_image(fam, 0, -(2 ** 53 + 2), spec, dist)
+
+
+def _boundary_points_per_point(rect, n):
+    """Reference: each boundary sample placed on its edge one at a time."""
+    ts = np.arange(n, dtype=float) * (rect.perimeter / n)
+    w, h = rect.width, rect.height
+    pts = np.empty(n, dtype=complex)
+    for i, t in enumerate(ts):
+        if t < w:
+            pts[i] = complex(rect.re_lo + t, rect.im_lo)
+        elif t < w + h:
+            pts[i] = complex(rect.re_hi, rect.im_lo + (t - w))
+        elif t < 2 * w + h:
+            pts[i] = complex(rect.re_hi - (t - w - h), rect.im_hi)
+        else:
+            pts[i] = complex(rect.re_lo, rect.im_hi - (t - 2 * w - h))
+    return pts
+
+
+@pytest.mark.parametrize("anchor", [3.3, 4.0, 12.0, 37.5, 4000.0, 1e5])
+def test_boundary_points_bit_identical_to_per_point_reference(anchor):
+    for inset in (0.5, anchor / 8.0):
+        spec = td.build_squares(anchor, inset)
+        for rect in (spec.outer, spec.inner, spec.core):
+            for n in (64, 256, 777, 1000, 2560, 4096):
+                pts = rect.boundary_points(n)
+                assert pts.tobytes() == _boundary_points_per_point(rect, n).tobytes()
+
+
 def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
     # the distortion-only bound dwarfs the square itself at this scale;
     # admissibility is rescued by the family-sharp per-cell bound
