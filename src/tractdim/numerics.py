@@ -39,6 +39,32 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     return m + math.log(math.fsum(math.exp(x - m) for x in terms))
 
 
+def weighted_log_sum_exp(terms: Iterable[tuple]) -> float:
+    """log(sum(k * exp(x))) over pairs (x, k): k copies of each log term.
+
+    Equal bit for bit to `log_sum_exp` over the expanded list.  There,
+    math.fsum rounds the exact sum of the scaled terms exp(x - m) once;
+    here that exact sum is accumulated in integers (every float is an
+    integer over a power of two) and rounded once by the correctly
+    rounded integer division.
+    """
+    terms = [(float(x), int(k)) for x, k in terms if x != -math.inf and k > 0]
+    if not terms:
+        return -math.inf
+    m = max(x for x, _ in terms)
+    if m == math.inf:
+        return math.inf
+    num, shift = 0, 0  # the exact sum is num / 2**shift
+    for x, k in terms:
+        p, q = math.exp(x - m).as_integer_ratio()
+        e = q.bit_length() - 1
+        if e > shift:
+            num <<= e - shift
+            shift = e
+        num += k * p << (shift - e)
+    return m + math.log(num / (1 << shift))
+
+
 # ---------------------------------------------------------------------------
 # Canonical report serialization
 # ---------------------------------------------------------------------------

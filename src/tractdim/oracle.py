@@ -185,15 +185,32 @@ def fd_derivative_check(op: Callable, samples: Sequence[complex],
 # Containment recheck
 # ---------------------------------------------------------------------------
 
-def _independent_two_level(family: MapFamily, u, s, pts: np.ndarray) -> np.ndarray:
-    """cell map images via the ln|.| + atan2 evaluation path."""
+def _recheck_boundary(family: MapFamily, spec: SquareSpec, budget: GeometryBudget,
+                      density: int):
+    """What a dense recheck shares across letters: at density x boundary
+    samples z of Q, the first-level logs ln|z - c| + i*atan2 and |z - c|."""
+    w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
+    log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
+    return log_first, np.abs(w)
+
+
+def _recheck_cell(family: MapFamily, u: int, s: int, spec: SquareSpec,
+                  budget: GeometryBudget, boundary) -> str:
+    """Dense containment verdict of one cell from the shared boundary work."""
+    log_first, d_first = boundary
     c = family.log_lam
-    w = pts - c
-    first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real) \
-        + TWO_PI * 1j * np.asarray(s, dtype=float)
-    w2 = first - c
-    return 0.5 * np.log(w2.real ** 2 + w2.imag ** 2) + 1j * np.arctan2(w2.imag, w2.real) \
+    # cell map images via the ln|.| + atan2 evaluation path
+    w2 = log_first + TWO_PI * 1j * np.asarray(s, dtype=float) - c
+    imgs = 0.5 * np.log(w2.real ** 2 + w2.imag ** 2) + 1j * np.arctan2(w2.imag, w2.real) \
         + TWO_PI * 1j * np.asarray(u, dtype=float)
+    # independent Lipschitz bound from the sampled boundary derivative
+    xi = np.abs(log_first + TWO_PI * 1j * float(s) - c)
+    lip = float(np.max(1.0 / (xi * d_first))) * 1.25  # sampled sup padded by 25%
+    spacing = spec.outer.perimeter / log_first.size
+    delta = budget.margin + lip * spacing
+    inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
+    near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
+    return "inside" if inside else ("borderline" if near else "outside")
 
 
 def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
@@ -206,21 +223,8 @@ def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
     """
     if family.kind != "exponential":
         raise ConfigError("the recheck oracle covers the exponential family")
-    n = budget.boundary_samples * density
-    pts = spec.outer.boundary_points(n)
-    imgs = _independent_two_level(family, u, s, pts)
-    # independent Lipschitz bound from the sampled boundary derivative
-    c = family.log_lam
-    d_first = np.abs(pts - c)
-    xi = np.abs(0.5 * np.log((pts - c).real ** 2 + (pts - c).imag ** 2)
-                + 1j * np.arctan2((pts - c).imag, (pts - c).real)
-                + TWO_PI * 1j * float(s) - c)
-    lip = float(np.max(1.0 / (xi * d_first))) * 1.25  # sampled sup padded by 25%
-    spacing = spec.outer.perimeter / n
-    delta = budget.margin + lip * spacing
-    inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
-    near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
-    verdict = "inside" if inside else ("borderline" if near else "outside")
+    verdict = _recheck_cell(family, u, s, spec, budget,
+                            _recheck_boundary(family, spec, budget, density))
     if recorded_verdict is not None:
         agree = (verdict == recorded_verdict
                  or (verdict == "borderline" and recorded_verdict == "outside"))
@@ -260,8 +264,11 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     counts every letter the runs cover; `min_margin` is the least defined
     margin, which the end blocks always contain.
 
-    A deterministic subsample additionally gets the full density x
-    boundary-sampled recheck.
+    A deterministic subsample of `dense_sample` letters additionally gets
+    the full density x boundary-sampled recheck.  Its letters share one
+    evaluation of the boundary samples of Q, their first-level logs and
+    |z - c|, which do not depend on the letter; only the second level and
+    the padding are evaluated per letter.
     """
     if family.kind != "exponential":
         raise ConfigError("the recheck oracle covers the exponential family")
@@ -309,15 +316,16 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
             v = containment_recheck(family, win.u, int(s), spec, budget, density=density)
             if v == "outside":
                 flagged.append((win.u, int(s)))
-    # deterministic dense-sampled subsample
+    # deterministic dense-sampled subsample, sharing one boundary evaluation
     rng = np.random.default_rng(seed)
     n_dense = 0
     if gset.n_explicit:
         take = min(dense_sample, gset.n_explicit)
         ranks = np.sort(rng.choice(gset.n_explicit, size=take, replace=False))
         us, ss = gset.letters_from_ranks(ranks)
+        boundary = _recheck_boundary(family, spec, budget, density)
         for u, s in zip(us, ss):
-            v = containment_recheck(family, int(u), int(s), spec, budget, density=density)
+            v = _recheck_cell(family, int(u), int(s), spec, budget, boundary)
             n_dense += 1
             if v == "outside":
                 flagged.append((int(u), int(s)))

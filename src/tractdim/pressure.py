@@ -13,25 +13,26 @@ limit pressure, which is the paper-level reduction this module encodes.
 The dimension of the constructed subsystem lies between the Bowen roots
 of the two bounds; dimension > 1 is certified by P_lo(1) > 0.
 
-Sums are evaluated in log domain with fixed-order compensated reductions,
-so certificates are reproducible bit for bit.
+Sums are evaluated in log domain in a fixed order, so certificates are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError, GeometryError
+from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, normalize_family
-from .numerics import CHUNK, TWO_PI, chunked_fsum, log_sum_exp
-from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec, SWindow,
-                        TailSegment, _distortion_or_unavailable, anchor_line,
-                        build_G, build_squares, distortion_constant, find_radius)
+from .numerics import CHUNK, TWO_PI, chunked_fsum, weighted_log_sum_exp
+from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
+                        _distortion_or_unavailable, anchor_line, build_G, build_squares,
+                        find_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +44,19 @@ class WeightedSystem:
     """Letters with two-sided log-weight bounds, plus analytic tail segments.
 
     Synthetic systems and letter subsystems list their weights (log_lo /
-    log_hi arrays).  Systems built from an admissible set keep its
-    explicit index runs and tail segments and sum both in closed form:
-    runs by Euler-Maclaurin, segments by integral sandwiches.
+    log_hi arrays).  Systems built from an admissible set hold G grouped
+    by what its sums depend on, since the envelopes depend on |s| alone:
+    `runs` pairs each distinct |s| range (lo, hi) of the explicit runs with
+    its multiplicity k, and `ranges` pairs each distinct (sigma_lo,
+    sigma_hi) of the tail segments with its k.  Runs are summed by
+    Euler-Maclaurin, segments by integral sandwiches, each distinct range
+    once.
     """
 
     log_lo: Optional[np.ndarray] = None
     log_hi: Optional[np.ndarray] = None
-    windows: tuple = ()
-    segments: tuple = ()
+    runs: tuple = ()     # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
+    ranges: tuple = ()   # of ((sigma_lo, sigma_hi), k)
     distortion_c: float = 1.0
     family: Optional[MapFamily] = None
     env: Optional[TailEnvelope] = None
@@ -69,18 +74,18 @@ class WeightedSystem:
     @property
     def n_letters(self) -> int:
         n = 0 if self.log_lo is None else int(self.log_lo.size)
-        return n + sum(w.count for w in self.windows)
+        return n + sum(k * (hi - lo + 1) for (lo, hi), k in self.runs)
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return sum(k for _, k in self.ranges)
 
     def is_empty(self) -> bool:
         return self.n_letters == 0 and self.n_segments == 0
 
     def scaled(self, factor: float) -> "WeightedSystem":
         """All weights multiplied by a factor (synthetic systems only)."""
-        if self.windows or self.segments:
+        if self.runs or self.ranges:
             raise ConfigError("scaling is defined for materialized systems only")
         shift = math.log(factor)
         return WeightedSystem(log_lo=self.log_lo + shift, log_hi=self.log_hi + shift,
@@ -92,13 +97,17 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     """Weight envelopes for an admissible set.
 
     The per-letter bounds are the closed-form envelopes of |g'| over Q,
-    which depend on sigma = ln(2*pi*|s|) alone; the system keeps the
-    explicit runs and tail segments of G and the envelope constants.
+    which depend on sigma = ln(2*pi*|s|) alone.  So G is grouped once:
+    its explicit runs by their |s| range and its tail segments by their
+    sigma range, each distinct range with its multiplicity.  At the
+    default anchor-4000 certificate the 1,274 segments are one range.
     """
     if not family.has_tail_model:
         raise ConfigError("weighted systems need tail asymptotics in this version")
     env = family.tail_model().envelope(spec.outer.bounds())
-    return WeightedSystem(windows=gset.windows, segments=gset.segments,
+    runs = Counter(tuple(sorted((abs(w.s_lo), abs(w.s_hi)))) for w in gset.windows)
+    ranges = Counter((seg.sigma_lo, seg.sigma_hi) for seg in gset.segments)
+    return WeightedSystem(runs=tuple(runs.items()), ranges=tuple(ranges.items()),
                           distortion_c=dist.c, family=family, env=env, anchor=spec.anchor)
 
 
@@ -127,7 +136,7 @@ class Level1Sum:
 
 
 def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1Sum:
-    """Two-sided level-1 sum sum_{letters} weight^t, in fixed order.
+    """Two-sided level-1 sum sum_{letters} weight^t.
 
     mode "bounds" uses the inf/sup envelopes over Q (the defaults used by
     the pressure bounds); mode "anchor" evaluates derivative weights at
@@ -135,21 +144,25 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1
     The anchor weight 1/(|a + 2*pi*i*s| * |R - c|), with a = F_inv_0(R) - c,
     lies between the envelopes with b = |a| and d_lo = d_hi = |R - c|,
     which replace those of Q for runs and segments alike; listed weights
-    are used as given in both modes.  Explicit runs are summed in closed
-    form by Euler-Maclaurin, tail segments by integral sandwiches; each
-    distinct index or sigma range is evaluated once and added once per
-    run or segment.
+    are used as given in both modes.
+
+    Each distinct run range is summed once in closed form by
+    Euler-Maclaurin, each distinct segment range once by integral
+    sandwiches, and the parts are combined with their multiplicities k
+    by `weighted_log_sum_exp`: the sum of k * e^(x - m) is exact and
+    rounded once, so the bounds are bit-identical to adding every run
+    and segment as a term of its own.
     """
     if not 0.0 <= t <= 4.0:
         raise ConfigError(f"exponent t = {t} outside [0, 4]")
     if mode not in ("bounds", "anchor"):
         raise ConfigError(f"unknown evaluation-point mode {mode!r}")
-    parts_lo: list[float] = []
-    parts_hi: list[float] = []
+    parts_lo: list[tuple] = []
+    parts_hi: list[tuple] = []
     if system.log_lo is not None and system.log_lo.size:
-        parts_lo.append(_materialized_log_sum(system.log_lo, t))
-        parts_hi.append(_materialized_log_sum(system.log_hi, t))
-    if system.windows or system.segments:
+        parts_lo.append((_materialized_log_sum(system.log_lo, t), 1))
+        parts_hi.append((_materialized_log_sum(system.log_hi, t), 1))
+    if system.runs or system.ranges:
         model = system.family.tail_model()
         env = system.env
         if mode == "anchor":
@@ -157,29 +170,16 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1
                 - system.family.log_lam
             d = abs(complex(system.anchor) - system.family.log_lam)
             env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
-        # the envelopes depend on |s| alone, so runs sharing an index range
-        # and segments sharing a sigma range share one closed-form sum
-        runs = [(min(abs(w.s_lo), abs(w.s_hi)), max(abs(w.s_lo), abs(w.s_hi)))
-                for w in system.windows]
-        ranges = [(seg.sigma_lo, seg.sigma_hi) for seg in system.segments]
-        for lo, hi in (_shared_sums(runs, model.sum_run_log_bounds, t, env)
-                       + _shared_sums(ranges, model.sum_log_weight_bounds, t, env)):
-            parts_lo.append(lo)
-            parts_hi.append(hi)
-    log_lo = log_sum_exp(parts_lo)
-    log_hi = log_sum_exp(parts_hi)
-    return Level1Sum(t=t, log_lo=log_lo, log_hi=log_hi,
+        for groups, summed in ((system.runs, model.sum_run_log_bounds),
+                               (system.ranges, model.sum_log_weight_bounds)):
+            for (lo, hi), k in groups:
+                log_lo, log_hi = summed(lo, hi, t, env)
+                parts_lo.append((log_lo, k))
+                parts_hi.append((log_hi, k))
+    return Level1Sum(t=t, log_lo=weighted_log_sum_exp(parts_lo),
+                     log_hi=weighted_log_sum_exp(parts_hi),
                      n_letters=system.n_letters, n_segments=system.n_segments,
                      mode=mode)
-
-
-def _shared_sums(keys: list, summed, t: float, env: TailEnvelope) -> list:
-    """summed(*key, t, env) for every key, evaluated once per distinct key."""
-    sums: dict = {}
-    for key in keys:
-        if key not in sums:
-            sums[key] = summed(*key, t, env)
-    return [sums[key] for key in keys]
 
 
 def _materialized_log_sum(logs: np.ndarray, t: float) -> float:

@@ -369,7 +369,10 @@ def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
 
     The first-level image must stay in H for the second branch to apply;
     a violation is a construction error, not a containment failure.  So
-    is an index past 2^53, where s is no longer float-exact.
+    is an index past 2^53, where s is no longer float-exact.  The
+    enclosure is rounded outward by one ulp per side, so it stays a
+    proper rectangle even where the cell is narrower than an ulp of sigma;
+    such a cell is then decided by the sampled fallback.
     """
     if abs(s) > _MAX_EXACT_INT:
         raise ConstructionError(f"index s = {s} lies beyond the float-exact range 2^53")
@@ -394,8 +397,11 @@ def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
     if env is not None and sigma > env.sigma_valid_min:
         sup_g = _cell_sharp_bounds(model, env, sigma)
         diam_bound = min(diam_universal, sup_g * spec.outer.diam)
-        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
-        enclosure = (float(re_lo), float(re_hi), float(im_lo), float(im_hi))
+        # one ulp outward per side: the enclosure stays a proper rectangle
+        # where b * e^-sigma is below half an ulp of sigma
+        re_lo, re_hi, im_lo, im_hi = map(float, model.cell_enclosure(u, sign, sigma, env))
+        enclosure = (math.nextafter(re_lo, -math.inf), math.nextafter(re_hi, math.inf),
+                     math.nextafter(im_lo, -math.inf), math.nextafter(im_hi, math.inf))
     v_s = complex(np.asarray(family.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
     if v_s.real <= family.ln_r0:
         raise ConstructionError(
@@ -501,24 +507,10 @@ def solve_s_window(family: MapFamily, u: int, anchor_or_spec, spec: Optional[Squ
     """Admissible sigma interval of one (u, sign) column, in closed form.
 
     Accepts either (family, u, anchor, ...) or (family, u, spec, ...).
-    With b = env.b, x = re_lo(Q) + margin, y = re_hi(Q) - margin and
-    delta the vertical room around mid = 2*pi*u + sign*pi/2, each
-    inequality of `ExpTailModel.cell_enclosure` inverts exactly:
-
-        re_lo >= x          <=>  sigma >= ln(e^x + b)
-        re_hi <= y          <=>  sigma <= ln(e^y - b)
-        arcsin(...) <= delta <=> sigma >= ln b + log1p(1/sin delta),
-
-    the last only for delta < pi/2 (arcsin never exceeds pi/2).  All three
-    are evaluated in log form, so anchors past the exp range are fine.
-    Returns None when the inequalities leave no room (y <= ln b,
-    delta <= 0 or an empty interval).
-
-    Both endpoints are then checked against the enclosure predicate
-    itself; an endpoint that fails is moved inward by at most
-    `_ENDPOINT_ULPS` floats, never outward, so the returned window is
-    certified by the same test a bisection would use.  An endpoint that
-    still fails raises NumericError; there is no fallback to enumeration.
+    The one-column view of `_sigma_windows`, the solve `build_G` runs
+    once per sign over all its columns; see there for the formulas and
+    the endpoint certification.  Returns None when the column has no
+    room; raises NumericError when an endpoint fails its certification.
     """
     if spec is None:
         if isinstance(anchor_or_spec, SquareSpec):
@@ -530,45 +522,85 @@ def solve_s_window(family: MapFamily, u: int, anchor_or_spec, spec: Optional[Squ
         margin = budget.margin if budget is not None else 0.0
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
-    target = spec.outer
+    return _sigma_windows(model, env, spec.outer, margin, sign, [u])[0]
 
-    def admissible(sigma: float) -> bool:
-        if sigma <= env.sigma_valid_min:
-            return False
-        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
-        return (re_lo >= target.re_lo + margin and re_hi <= target.re_hi - margin
-                and im_lo >= target.im_lo + margin and im_hi <= target.im_hi - margin)
 
+def _sigma_windows(model: ExpTailModel, env: TailEnvelope, target: Rect, margin: float,
+                   sign: int, us) -> list:
+    """Admissible sigma windows of the columns (u, sign), u in us: one solve.
+
+    With b = env.b, x = re_lo(Q) + margin, y = re_hi(Q) - margin and
+    delta the vertical room around mid = 2*pi*u + sign*pi/2, each
+    inequality of `ExpTailModel.cell_enclosure` inverts exactly:
+
+        re_lo >= x          <=>  sigma >= ln(e^x + b)
+        re_hi <= y          <=>  sigma <= ln(e^y - b)
+        arcsin(...) <= delta <=> sigma >= ln b + log1p(1/sin delta),
+
+    the last only for delta < pi/2 (arcsin never exceeds pi/2).  All three
+    are evaluated in log form, so anchors past the exp range are fine.
+    The first two and sigma_hi are shared by every column; the third is
+    a per-column closed form in scalar `math`.  A column gets None when
+    the inequalities leave no room (y <= ln b, delta <= 0 or an empty
+    interval).
+
+    Both endpoints of every column are then checked against the enclosure
+    predicate itself, by one `cell_enclosure` call over all of them; an
+    endpoint that fails is moved inward by one float and checked again,
+    at most `_ENDPOINT_ULPS` times and never outward, so each window is
+    certified by the same test a bisection would use.  A column whose
+    endpoint still fails raises NumericError (the first such u); there is
+    no fallback to enumeration.  Returns one entry per u, in order.
+    """
     ln_b = math.log(env.b)
     x = target.re_lo + margin
     y = target.re_hi - margin
-    mid = TWO_PI * u + sign * 0.5 * math.pi
-    delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
-    if y <= ln_b or delta <= 0.0:
-        return None
+    if y <= ln_b:
+        return [None] * len(us)
     sigma_hi = y + math.log1p(-env.b * math.exp(-y))
-    sigma_lo = max(env.sigma_valid_min, float(np.logaddexp(x, ln_b)))
-    if delta < 0.5 * math.pi:
-        sigma_lo = max(sigma_lo, ln_b + math.log1p(1.0 / math.sin(delta)))
-    if sigma_hi <= sigma_lo:
-        return None
-    certified_lo = _certify_endpoint(admissible, sigma_lo, math.inf)
-    certified_hi = _certify_endpoint(admissible, sigma_hi, -math.inf)
-    if certified_lo is None or certified_hi is None or certified_hi <= certified_lo:
-        raise NumericError(
-            f"closed-form sigma window [{sigma_lo!r}, {sigma_hi!r}] for u={u}, sign={sign} "
-            f"fails the enclosure test within {_ENDPOINT_ULPS} ulps inward")
-    return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=certified_lo,
-                       sigma_hi=certified_hi)
+    shared_lo = max(env.sigma_valid_min, float(np.logaddexp(x, ln_b)))
+    cols = []  # (entry index, u, closed-form sigma_lo) of the columns with room
+    for i, u in enumerate(us):
+        mid = TWO_PI * u + sign * 0.5 * math.pi
+        delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
+        if delta <= 0.0:
+            continue
+        sigma_lo = shared_lo
+        if delta < 0.5 * math.pi:
+            sigma_lo = max(sigma_lo, ln_b + math.log1p(1.0 / math.sin(delta)))
+        if sigma_hi > sigma_lo:
+            cols.append((i, u, sigma_lo))
+    out = [None] * len(us)
+    if not cols:
+        return out
+    n = len(cols)
+    u_arr = np.array([u for _, u, _ in cols] * 2, dtype=np.int64)
+    sigma = np.array([lo for _, _, lo in cols] + [sigma_hi] * n)
+    inward = np.repeat([math.inf, -math.inf], n)
+    for step in range(_ENDPOINT_ULPS + 1):
+        ok = _enclosed(model, env, target, margin, u_arr, sign, sigma)
+        if ok.all() or step == _ENDPOINT_ULPS:
+            break
+        sigma = np.where(ok, sigma, np.nextafter(sigma, inward))
+    for j, (i, u, closed_lo) in enumerate(cols):
+        lo, hi = float(sigma[j]), float(sigma[n + j])
+        if not (ok[j] and ok[n + j] and hi > lo):
+            raise NumericError(
+                f"closed-form sigma window [{closed_lo!r}, {sigma_hi!r}] for u={u}, "
+                f"sign={sign} fails the enclosure test within {_ENDPOINT_ULPS} ulps inward")
+        out[i] = SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
+    return out
 
 
-def _certify_endpoint(admissible, sigma: float, inward: float) -> Optional[float]:
-    """First float from sigma towards `inward` passing the predicate, or None."""
-    for _ in range(_ENDPOINT_ULPS + 1):
-        if admissible(sigma):
-            return sigma
-        sigma = math.nextafter(sigma, inward)
-    return None
+def _enclosed(model: ExpTailModel, env: TailEnvelope, rect: Rect, margin: float, u, sign: int,
+              sigma: np.ndarray) -> np.ndarray:
+    """Whether the cell enclosures at (u, sign, sigma) lie in rect shrunk by
+    margin; False below envelope validity."""
+    with np.errstate(invalid="ignore"):
+        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
+        return ((sigma > env.sigma_valid_min)
+                & (re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
+                & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +733,9 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             workers: int = 1, collar: int = 32) -> GSet:
     """Assemble the admissible set G = {(u, s): cell(u, s) inside Q}.
 
-    Each (u, sign) column contributes its closed-form sigma window.  The
+    Each (u, sign) column contributes its closed-form sigma window; the
+    windows of one sign come from a single solve (`_sigma_windows`), and
+    the tail model and envelope are computed once per call.  The
     cell enclosure is monotone in sigma, so when the window's indices are
     float-exact every integer in [ceil(s_lo), floor(s_hi)] is certified
     without a per-index test.  Only the two edge bands just outside it,
@@ -741,11 +775,10 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     windows: list[SWindow] = []
     segments: list[TailSegment] = []
     for sign in (1, -1):
-        for u in u_cands[sign]:
-            win = solve_s_window(family, u, spec, budget=budget, sign=sign,
-                                 margin=budget.margin)
+        for win in _sigma_windows(model, env, spec.outer, budget.margin, sign, u_cands[sign]):
             if win is None:
                 continue
+            u = win.u
             s_lo_f, s_hi_f = win.s_bounds
             if s_hi_f > _MAX_EXACT_INT:
                 if mode == "enumerate":
@@ -757,7 +790,8 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
                           hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
-            runs = [(s, s) for s in _edge_letters(family, spec, budget, dist, u, sign, bands)]
+            runs = [(s, s) for s in _edge_letters(family, model, env, spec, budget, dist, u,
+                                                  sign, bands)]
             if mode == "tail" and hi - lo + 1 > collar + 4:
                 segments.append(TailSegment(u, sign, math.log(TWO_PI) + math.log(lo + collar),
                                             math.log(TWO_PI) + math.log(hi)))
@@ -770,7 +804,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     return GSet(mode=mode, windows=tuple(windows), segments=tuple(segments))
 
 
-def _edge_letters(family, spec, budget, dist, u, sign, ss: np.ndarray) -> list:
+def _edge_letters(family, model, env, spec, budget, dist, u, sign, ss: np.ndarray) -> list:
     """Signed indices among the unsigned indices ss whose cell lies in Q.
 
     The vectorized enclosure decides most indices; a cell it rejects whose
@@ -778,15 +812,9 @@ def _edge_letters(family, spec, budget, dist, u, sign, ss: np.ndarray) -> list:
     """
     if ss.size == 0:
         return []
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    rect, margin = spec.outer, budget.margin
+    rect = spec.outer
     sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    with np.errstate(invalid="ignore"):
-        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
-        inside = ((sigma > env.sigma_valid_min)
-                  & (re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
-                  & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
+    inside = _enclosed(model, env, rect, budget.margin, u, sign, sigma)
     base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
     centers = np.asarray(family.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
         + TWO_PI * 1j * u

@@ -159,6 +159,20 @@ def test_unsampleable_cells_do_not_stop_the_run(tmp_path, margin, mode):
     assert run(["oracle", "recheck", "--config", cfg, "--out", out + ".json"]) == 0
 
 
+def test_sub_ulp_edge_cells_are_decided_at_anchor_24(tmp_path):
+    # lam = 1, R0 = e, inset 0.5, anchor 24: an edge-band cell at sigma ~ 36
+    # is narrower than an ulp of sigma; its outward-rounded enclosure leaves
+    # the cell to the sampled fallback instead of a degenerate rectangle
+    cfg = write_cfg(tmp_path, "a24.json",
+                    {"geometry": {"anchor": 24.0, "inset": 0.5},
+                     "pressure": {"mode": "enumerate"},
+                     "sampling": {"count": 2000, "depth": 5}})
+    out = str(tmp_path / "o")
+    assert run(["dim", "--config", cfg, "--out", out + ".json"]) == 2
+    assert run(["sample", "--config", cfg, "--out", out + ".csv"]) == 0
+    assert run(["oracle", "recheck", "--config", cfg, "--out", out + ".json"]) == 0
+
+
 def test_oracle_box_dim(tmp_path):
     out = str(tmp_path / "box.json")
     assert run(["oracle", "box-dim", "--out", out]) == 0

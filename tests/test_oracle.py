@@ -7,7 +7,7 @@ import pytest
 import tractdim as td
 from tractdim import oracle
 from tractdim.numerics import TWO_PI
-from tractdim.tractgeom import GSet, SWindow
+from tractdim.tractgeom import GSet, Rect, SWindow
 
 
 def test_box_dim_middle_thirds():
@@ -264,3 +264,30 @@ def test_enumerate_g_at_anchor_20_works_per_run(fam):
     assert rep.n_checked == gset.n_explicit
     assert rep.n_densely_sampled == 64
     assert rep.n_flagged == 0
+
+
+@pytest.mark.parametrize("case", ["small", "planted-no-window"])
+def test_recheck_gset_boundary_work_does_not_grow_with_dense_sample(monkeypatch, request,
+                                                                   case):
+    """The dense subsample shares one evaluation of the boundary samples of
+    Q: Rect.boundary_points is called as often for 64 letters as for none."""
+    if case == "small":
+        b = request.getfixturevalue(case)
+        fam, gset, spec, budget = b.family, b.gset, b.spec, b.budget
+    else:
+        fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5009))
+    calls = []
+    points = Rect.boundary_points
+
+    def spy(self, n):
+        calls.append(n)
+        return points(self, n)
+
+    monkeypatch.setattr(Rect, "boundary_points", spy)
+    counts = []
+    for dense_sample in (0, 8, 64):
+        calls.clear()
+        td.recheck_gset(fam, gset, spec, budget, density=2, dense_sample=dense_sample)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
+

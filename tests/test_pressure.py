@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tractdim as td
-from tractdim.numerics import TWO_PI, log_sum_exp
+from tractdim.loglift import ExpTailModel, TailEnvelope
+from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
 from tractdim.pressure import WeightedSystem, build_weighted_system
 
 
@@ -188,3 +191,101 @@ def test_certificate_deterministic(fam):
                               workers=4)
     da, db = a.to_json_dict(), b.to_json_dict()
     assert da == db
+
+
+# ---------------------------------------------------------------------------
+# One sum per distinct range
+# ---------------------------------------------------------------------------
+
+_LOG_TERMS = st.one_of(st.just(-math.inf), st.floats(-800.0, 50.0), st.floats(-40.0, 1.0),
+                       st.sampled_from([0.0, -1e-300, 1e-16]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(_LOG_TERMS, st.integers(0, 10_000)), max_size=5))
+@example([(0.0, 10_000), (-math.inf, 3), (-1e-3, 1), (0.0, 7), (-745.0, 10_000)])
+@example([(-math.inf, 10_000)])
+@example([])
+# a float sum of the k * e^(x - m) is an ulp off the correctly rounded one here
+@example([(-13.970713010307275, 8572), (-24.012594443624273, 249),
+          (-12.472129509846706, 1050)])
+@example([(-13.421755638530684, 1135), (-0.6926974884253383, 4165),
+          (-30.07423603909414, 3107)])
+def test_weighted_log_sum_exp_equals_expanded_list(terms):
+    expanded = [x for x, k in terms for _ in range(k)]
+    assert weighted_log_sum_exp(terms).hex() == log_sum_exp(expanded).hex()
+
+
+def _level1_sum_per_part(system, gset, t, mode="bounds"):
+    """Reference: one log-sum-exp term per run and per segment of G, each
+    distinct range summed once (the level-1 sum before multiplicities)."""
+    model = system.family.tail_model()
+    env = system.env
+    if mode == "anchor":
+        a = complex(np.asarray(system.family.inv0(complex(system.anchor))).item()) \
+            - system.family.log_lam
+        d = abs(complex(system.anchor) - system.family.log_lam)
+        env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
+
+    def shared(keys, summed):
+        sums = {}
+        for key in keys:
+            if key not in sums:
+                sums[key] = summed(*key, t, env)
+        return [sums[key] for key in keys]
+
+    runs = [(min(abs(w.s_lo), abs(w.s_hi)), max(abs(w.s_lo), abs(w.s_hi)))
+            for w in gset.windows]
+    ranges = [(seg.sigma_lo, seg.sigma_hi) for seg in gset.segments]
+    parts = (shared(runs, model.sum_run_log_bounds)
+             + shared(ranges, model.sum_log_weight_bounds))
+    return log_sum_exp([lo for lo, _ in parts]), log_sum_exp([hi for _, hi in parts])
+
+
+_SUM_CONFIGS = {
+    "cert-4000": (1.0, 4000.0, 3.0, "tail"),
+    "anchor-12-tail": (1.0, 12.0, 0.5, "tail"),
+    "anchor-12-enumerate": (1.0, 12.0, 0.5, "enumerate"),
+    "lam-0.5+0.5i-anchor-100": (0.5 + 0.5j, 100.0, 0.5, "tail"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_SUM_CONFIGS))
+def test_level1_sum_bit_identical_to_per_part_reference(config):
+    lam, anchor, inset, mode = _SUM_CONFIGS[config]
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    spec = td.build_squares(anchor, inset)
+    dist = td.distortion_constant(anchor, fam.ln_r0)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), mode=mode,
+                      dist=dist)
+    system = build_weighted_system(fam, gset, spec, dist)
+    assert sum(k for _, k in system.runs) == len(gset.windows)
+    assert sum(k for _, k in system.ranges) == gset.n_segments
+    for t in (0.0, 0.5, 1.0, 1.0015, 2.0, 4.0):
+        for mode in ("bounds", "anchor"):
+            got = td.level1_sum(system, t, mode=mode)
+            ref = _level1_sum_per_part(system, gset, t, mode)
+            assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
+            assert (got.n_letters, got.n_segments) == (gset.n_explicit, gset.n_segments)
+
+
+def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
+    """The 1,274 segments of the default certificate share one sigma range,
+    so one level-1 sum evaluates one sandwich pair."""
+    spec = td.build_squares(4000.0, 3.0)
+    dist = td.distortion_constant(4000.0, fam.ln_r0)
+    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0), mode="tail",
+                      dist=dist)
+    system = build_weighted_system(fam, gset, spec, dist)
+    calls = []
+    summed = ExpTailModel.sum_log_weight_bounds
+
+    def spy(self, *args):
+        calls.append(args)
+        return summed(self, *args)
+
+    monkeypatch.setattr(ExpTailModel, "sum_log_weight_bounds", spy)
+    td.level1_sum(system, 1.0)
+    assert gset.n_segments == 1274
+    assert len(calls) == 1
+

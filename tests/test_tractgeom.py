@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import tractdim as td
 from tractdim.numerics import TWO_PI
-from tractdim.tractgeom import (RadiusSearchError, _distortion_or_unavailable,
-                                _u_candidates, universal_cell_diameter_bound)
+from tractdim.loglift import ExpTailModel
+from tractdim.tractgeom import (_ENDPOINT_ULPS, RadiusSearchError, SigmaWindow,
+                                _distortion_or_unavailable, _sigma_windows, _u_candidates,
+                                universal_cell_diameter_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +311,109 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
             assert not ok(below) or below <= env.sigma_valid_min
             assert not ok(_ulps(win.sigma_hi, 4, math.inf))
     assert n_windows > 0
+
+
+def _solve_s_window_per_column(family, u, spec, margin, sign):
+    """Reference: the window of one column by its own closed forms and one
+    scalar enclosure test per endpoint step."""
+    model = family.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    target = spec.outer
+
+    def admissible(sigma):
+        if sigma <= env.sigma_valid_min:
+            return False
+        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
+        return (re_lo >= target.re_lo + margin and re_hi <= target.re_hi - margin
+                and im_lo >= target.im_lo + margin and im_hi <= target.im_hi - margin)
+
+    def certify(sigma, inward):
+        for _ in range(_ENDPOINT_ULPS + 1):
+            if admissible(sigma):
+                return sigma
+            sigma = math.nextafter(sigma, inward)
+        return None
+
+    ln_b = math.log(env.b)
+    x = target.re_lo + margin
+    y = target.re_hi - margin
+    mid = TWO_PI * u + sign * 0.5 * math.pi
+    delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
+    if y <= ln_b or delta <= 0.0:
+        return None
+    sigma_hi = y + math.log1p(-env.b * math.exp(-y))
+    sigma_lo = max(env.sigma_valid_min, float(np.logaddexp(x, ln_b)))
+    if delta < 0.5 * math.pi:
+        sigma_lo = max(sigma_lo, ln_b + math.log1p(1.0 / math.sin(delta)))
+    if sigma_hi <= sigma_lo:
+        return None
+    lo, hi = certify(sigma_lo, math.inf), certify(sigma_hi, -math.inf)
+    if lo is None or hi is None or hi <= lo:
+        raise td.NumericError(f"u={u}, sign={sign}")
+    return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.5])
+@pytest.mark.parametrize("anchor", [3.3, 4.0, 12.0, 100.0, 4000.0, 1e5])
+@pytest.mark.parametrize("lam", [1.0, 0.5 + 0.5j])
+def test_window_solve_matches_per_column_reference(lam, anchor, margin):
+    """One solve over all columns of a sign gives every column's window bit
+    for bit, None where there is no room, as does the one-column view."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    inset = 0.5 if anchor < 1000 else 3.0
+    spec = td.build_squares(anchor, inset)
+    budget = td.GeometryBudget(inset=inset, margin=margin)
+    model = fam.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    n_windows = 0
+    for sign, us in _u_candidates(spec, margin).items():
+        us = range(us.start - 2, us.stop + 2)  # two columns past each end have no room
+        wins = _sigma_windows(model, env, spec.outer, margin, sign, us)
+        assert len(wins) == len(us)
+        # every column up to anchor 4000; at 1e5 (31,834 columns) both ends and a stride
+        picks = range(len(us)) if len(us) <= 2000 else sorted(
+            {*range(40), *range(40, len(us) - 40, 97), *range(len(us) - 40, len(us))})
+        for i in picks:
+            ref = _solve_s_window_per_column(fam, us[i], spec, margin, sign)
+            assert wins[i] == ref, (us[i], sign)
+            assert td.solve_s_window(fam, us[i], spec, budget=budget, sign=sign) == ref
+            if ref is not None:
+                assert type(ref.sigma_lo) is type(wins[i].sigma_lo) is float
+        assert wins[0] is None and wins[-1] is None
+        n_windows += sum(w is not None for w in wins)
+    # below anchor 12 a margin of 0.5 leaves no column any room
+    assert (n_windows > 0) == (margin == 0.0 or anchor >= 12.0)
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    method = getattr(cls, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_build_g_solves_each_sign_once(fam, monkeypatch):
+    """The tail model's envelope is computed once per build_G, whatever the
+    number of columns, and the window endpoints of one sign take one
+    cell_enclosure call plus at most one per inward ulp step."""
+    envelopes = _count_calls(monkeypatch, ExpTailModel, "envelope")
+    enclosures = _count_calls(monkeypatch, ExpTailModel, "cell_enclosure")
+    counts = {}
+    for anchor in (100.0, 4000.0):
+        envelopes.clear()
+        enclosures.clear()
+        spec = td.build_squares(anchor, 3.0)
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=3.0), mode="tail")
+        assert gset.n_explicit == 0  # windows past 2^53: no edge bands to test
+        counts[anchor] = (gset.n_segments, len(envelopes), len(enclosures))
+    assert counts[100.0][0] < 100 < 1000 < counts[4000.0][0]
+    assert counts[100.0][1] == counts[4000.0][1] == 1
+    assert all(n <= 2 * 2 * (1 + _ENDPOINT_ULPS) for _, _, n in counts.values())
 
 
 # ---------------------------------------------------------------------------
