@@ -1,15 +1,17 @@
 """Independent brute-force verifiers backing the acceptance suite.
 
 Nothing here reuses the main pipeline's evaluation paths: complex
-logarithms are assembled from ln|.| and atan2, compositions are evaluated
-with cmath in plain loops, and box counting sees only point clouds.
+logarithms are assembled from ln|.| and atan2.  The brute-force pressure
+composes branches on complex scalars in plain loops.  The containment
+recheck is array-based: it evaluates its letters as numpy arrays, in
+blocks over shared boundary samples of Q.  Box counting sees only point
+clouds, and the middle-thirds sample is drawn in numpy blocks.
 Disagreement between an oracle and the pipeline is a failure of the run,
 not of the oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +26,12 @@ from .tractgeom import GSet, GeometryBudget, SquareSpec
 
 # Letters whose margin `recheck_gset` evaluates at each end of a run at first.
 _END_BLOCK = 64
+# Points per block of `cantor_middle_thirds`: a multiple of the 4-row groups
+# in which the BLAS matrix-vector kernel weights rows.
+_DIGIT_ROWS = 4096
+# Boundary points per block of the dense recheck: 8 letters at the default
+# 2,560 samples (density 10 x 256).
+_DENSE_BLOCK = 20_480
 
 # ---------------------------------------------------------------------------
 # Box counting
@@ -79,11 +87,24 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
 
 def cantor_middle_thirds(count: int = 100_000, depth: int = 35,
                          seed: int = 7) -> np.ndarray:
-    """Random points of the middle-thirds set on [0, 1], as complex values."""
+    """Random points of the middle-thirds set on [0, 1], as complex values.
+
+    Each point is sum_k d_k 3^-k over k = 1..depth with digits d_k drawn
+    uniformly from {0, 2}.  The digits are drawn and weighted in blocks of
+    `_DIGIT_ROWS` points, so memory does not grow with `count`; the draws
+    and the rows of the matrix-vector product are the same as for one
+    count x depth matrix, so the points are too.  A last block of one row
+    joins the block before it: numpy weights a single row by a dot
+    product, which may round differently.
+    """
     rng = np.random.default_rng(seed)
-    digits = 2 * rng.integers(0, 2, size=(count, depth))
     weights = 3.0 ** -np.arange(1, depth + 1)
-    xs = digits @ weights
+    bounds = list(range(0, count, _DIGIT_ROWS)) + [count]
+    if count % _DIGIT_ROWS == 1 and len(bounds) > 2:
+        del bounds[-2]
+    xs = np.empty(count)
+    for lo, hi in zip(bounds, bounds[1:]):
+        xs[lo:hi] = 2 * rng.integers(0, 2, size=(hi - lo, depth)) @ weights
     return xs.astype(complex)
 
 
@@ -194,23 +215,61 @@ def _recheck_boundary(family: MapFamily, spec: SquareSpec, budget: GeometryBudge
     return log_first, np.abs(w)
 
 
-def _recheck_cell(family: MapFamily, u: int, s: int, spec: SquareSpec,
-                  budget: GeometryBudget, boundary) -> str:
-    """Dense containment verdict of one cell from the shared boundary work."""
+def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: GeometryBudget,
+                   boundary):
+    """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
+    boundary work; `us` may be one column for all letters.
+
+    Letters are evaluated in blocks of about `_DENSE_BLOCK` boundary points,
+    as (letters x samples) arrays.  The second level is w2 = log_first +
+    2*pi*i*s - c, whose real part does not depend on the letter, and the
+    images are 0.5*ln(re^2 + im^2) + i*atan2 + 2*pi*i*u.  The Lipschitz
+    padding is the sampled sup of 1/(|w2| * |z - c|), padded by 25%.  The
+    images enter the verdict only through their extremes: all samples lie
+    in Q shrunk by delta exactly when the least and greatest real and
+    imaginary parts do, and a NaN fails both forms.  Division and adding a
+    constant are monotone in float, so the sup is 1 / min and 2*pi*u is
+    added after the reduction, both exactly.
+
+    Returns the verdicts ("inside", "borderline" or "outside"), the
+    paddings delta and the image extents (re_min, re_max, im_min, im_max),
+    one row per letter.
+    """
     log_first, d_first = boundary
     c = family.log_lam
-    # cell map images via the ln|.| + atan2 evaluation path
-    w2 = log_first + TWO_PI * 1j * np.asarray(s, dtype=float) - c
-    imgs = 0.5 * np.log(w2.real ** 2 + w2.imag ** 2) + 1j * np.arctan2(w2.imag, w2.real) \
-        + TWO_PI * 1j * np.asarray(u, dtype=float)
-    # independent Lipschitz bound from the sampled boundary derivative
-    xi = np.abs(log_first + TWO_PI * 1j * float(s) - c)
-    lip = float(np.max(1.0 / (xi * d_first))) * 1.25  # sampled sup padded by 25%
-    spacing = spec.outer.perimeter / log_first.size
-    delta = budget.margin + lip * spacing
-    inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
-    near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
-    return "inside" if inside else ("borderline" if near else "outside")
+    rect = spec.outer
+    ss = np.asarray(ss, dtype=float)
+    us = np.broadcast_to(np.asarray(us, dtype=float), ss.shape)
+    n = log_first.size
+    step = max(1, _DENSE_BLOCK // n)
+    re_w2 = log_first.real - c.real
+    re_w2_sq = re_w2 ** 2
+    lip = np.empty(ss.size)
+    ext = np.empty((ss.size, 4))
+    for i in range(0, ss.size, step):
+        im_w2 = log_first.imag + (TWO_PI * ss[i:i + step])[:, None]
+        im_w2 -= c.imag
+        w2 = np.empty(im_w2.shape, dtype=complex)
+        w2.real = re_w2
+        w2.imag = im_w2
+        re = np.log(re_w2_sq + im_w2 * im_w2)
+        re *= 0.5
+        im = np.arctan2(im_w2, re_w2)
+        d = np.abs(w2)
+        d *= d_first
+        lip[i:i + step] = 1.0 / d.min(axis=1) * 1.25
+        ext[i:i + step] = np.column_stack([re.min(axis=1), re.max(axis=1),
+                                           im.min(axis=1), im.max(axis=1)])
+    ext[:, 2:] += TWO_PI * us[:, None]
+    delta = budget.margin + lip * (rect.perimeter / n)
+
+    def within(pad):
+        return ((ext[:, 0] >= rect.re_lo + pad) & (ext[:, 1] <= rect.re_hi - pad)
+                & (ext[:, 2] >= rect.im_lo + pad) & (ext[:, 3] <= rect.im_hi - pad))
+
+    verdicts = np.where(within(delta), "inside",
+                        np.where(within(0.0), "borderline", "outside"))
+    return verdicts, delta, ext
 
 
 def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
@@ -218,13 +277,15 @@ def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
                         recorded_verdict: Optional[str] = None) -> str:
     """Repeat one containment decision at density x boundary sampling.
 
-    Uses an independent evaluation path and its own Lipschitz padding.
+    Uses an independent evaluation path and its own Lipschitz padding: the
+    one-letter view of the batched dense recheck of `recheck_gset`, on
+    freshly built boundary work.
     When a recorded verdict is supplied, disagreement raises NumericError.
     """
     if family.kind != "exponential":
         raise ConfigError("the recheck oracle covers the exponential family")
-    verdict = _recheck_cell(family, u, s, spec, budget,
-                            _recheck_boundary(family, spec, budget, density))
+    boundary = _recheck_boundary(family, spec, budget, density)
+    verdict = str(_recheck_cells(family, u, [s], spec, budget, boundary)[0][0])
     if recorded_verdict is not None:
         agree = (verdict == recorded_verdict
                  or (verdict == "borderline" and recorded_verdict == "outside"))
@@ -260,15 +321,15 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     therefore evaluated on `_END_BLOCK` letters at each end of a run; when
     the inner letter of either block fails, the blocks grow eightfold,
     up to the whole run.  Every letter whose margin is negative or
-    undefined gets the dense recheck, in (run, s) order.  `n_checked`
-    counts every letter the runs cover; `min_margin` is the least defined
-    margin, which the end blocks always contain.
+    undefined gets the dense recheck, one batch per run, in (run, s)
+    order.  `n_checked` counts every letter the runs cover; `min_margin`
+    is the least defined margin, which the end blocks always contain.
 
     A deterministic subsample of `dense_sample` letters additionally gets
-    the full density x boundary-sampled recheck.  Its letters share one
-    evaluation of the boundary samples of Q, their first-level logs and
-    |z - c|, which do not depend on the letter; only the second level and
-    the padding are evaluated per letter.
+    the full density x boundary-sampled recheck.  All dense rechecks share
+    one evaluation of the boundary samples of Q, their first-level logs
+    and |z - c|, which do not depend on the letter, and evaluate the
+    second level and the padding in blocks of letters (`_recheck_cells`).
     """
     if family.kind != "exponential":
         raise ConfigError("the recheck oracle covers the exponential family")
@@ -282,6 +343,7 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     w = bpts - c
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
+    boundary = _recheck_boundary(family, spec, budget, density)
 
     def margins(u: int, ss: np.ndarray) -> np.ndarray:
         two_pi_s = TWO_PI * np.abs(ss).astype(float)
@@ -311,24 +373,20 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
             ss = np.arange(win.s_lo, win.s_hi + 1, dtype=np.int64)
             margin = margins(win.u, ss)
         min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
-        for s in ss[~(margin >= 0)]:
-            # enclosure inconclusive or undefined: fall through to dense sampling
-            v = containment_recheck(family, win.u, int(s), spec, budget, density=density)
-            if v == "outside":
-                flagged.append((win.u, int(s)))
-    # deterministic dense-sampled subsample, sharing one boundary evaluation
+        # enclosure inconclusive or undefined: fall through to dense sampling
+        bad = ss[~(margin >= 0)]
+        outside = _recheck_cells(family, win.u, bad, spec, budget, boundary)[0] == "outside"
+        flagged.extend((win.u, int(s)) for s in bad[outside])
+    # deterministic dense-sampled subsample
     rng = np.random.default_rng(seed)
     n_dense = 0
     if gset.n_explicit:
         take = min(dense_sample, gset.n_explicit)
         ranks = np.sort(rng.choice(gset.n_explicit, size=take, replace=False))
         us, ss = gset.letters_from_ranks(ranks)
-        boundary = _recheck_boundary(family, spec, budget, density)
-        for u, s in zip(us, ss):
-            v = _recheck_cell(family, int(u), int(s), spec, budget, boundary)
-            n_dense += 1
-            if v == "outside":
-                flagged.append((int(u), int(s)))
+        outside = _recheck_cells(family, us, ss, spec, budget, boundary)[0] == "outside"
+        flagged.extend((int(u), int(s)) for u, s in zip(us[outside], ss[outside]))
+        n_dense = take
     return RecheckReport(n_checked=n_checked, n_densely_sampled=n_dense,
                          n_flagged=len(flagged), flagged=tuple(flagged[:64]),
                          min_margin=min_margin)

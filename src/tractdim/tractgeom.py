@@ -427,10 +427,12 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
     Fast paths: a center outside Q is outside; a certified enclosure (or
     center + diameter bound) inside the margin-shrunk Q is inside.  The
     sampled fallback maps boundary samples of Q and pads them by a
-    Lipschitz delta = sup|g'| * sample spacing + margin; samples must
-    land in Q shrunk by delta for an "inside" verdict.  A cell whose delta
-    exceeds half the side of Q cannot be certified by sampling and is
-    "outside" with borderline set.
+    Lipschitz delta = sup|g'| * sample spacing + margin, raised to at
+    least an ulp of Q's largest coordinate; samples must land in Q shrunk
+    by delta for an "inside" verdict.  The ulp floor keeps a cell narrower
+    than an ulp, whose samples round onto the edge of Q, from being
+    admitted by rounding.  A cell whose delta exceeds half the side of Q
+    cannot be certified by sampling and is "outside" with borderline set.
     """
     margin = budget.margin
     center_inside = (spec.outer.re_lo <= cell.center_re <= spec.outer.re_hi
@@ -463,7 +465,8 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
     if lip is None:
         raise ConstructionError("no Lipschitz bound available for sampled containment")
     spacing = spec.outer.perimeter / n
-    delta = margin + lip * spacing
+    # at least an ulp of Q's coordinates, so Q shrunk by delta lies strictly inside Q
+    delta = max(margin + lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
     cell.delta_used = delta
     if delta > 0.5 * spec.outer.min_side:
         # padding past half the side: no sample can certify the cell

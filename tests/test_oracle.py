@@ -17,6 +17,22 @@ def test_box_dim_middle_thirds():
     assert all(a >= b for a, b in zip(est.counts, est.counts[1:]))  # sorted by scale
 
 
+def _cantor_one_shot(count, depth, seed):
+    """Reference: the digits of all points drawn and weighted as one matrix."""
+    rng = np.random.default_rng(seed)
+    digits = 2 * rng.integers(0, 2, size=(count, depth))
+    return (digits @ (3.0 ** -np.arange(1, depth + 1))).astype(complex)
+
+
+@pytest.mark.parametrize("count", [100_000, 10_001, 4097, 1])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_cantor_blocks_equal_one_shot_draw(count, seed):
+    pts = td.cantor_middle_thirds(count, 35, seed=seed)
+    ref = _cantor_one_shot(count, 35, seed)
+    assert pts.dtype == ref.dtype and pts.shape == ref.shape
+    assert np.array_equal(pts.view(np.int64), ref.view(np.int64))
+
+
 def test_box_dim_segment():
     rng = np.random.default_rng(3)
     pts = rng.random(20_000).astype(complex)
@@ -111,13 +127,13 @@ def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
     spec = td.build_squares(4.0, 0.5)
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
     rechecked = []
-    dense = oracle.containment_recheck
+    dense = oracle._recheck_cells
 
-    def spy(family, u, s, *args, **kwargs):
-        rechecked.append(s)
-        return dense(family, u, s, *args, **kwargs)
+    def spy(family, us, ss, *args, **kwargs):
+        rechecked.extend(int(s) for s in ss)
+        return dense(family, us, ss, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "containment_recheck", spy)
+    monkeypatch.setattr(oracle, "_recheck_cells", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = td.recheck_gset(fam, gset, spec, budget, dense_sample=0)
@@ -232,13 +248,13 @@ def test_recheck_gset_widens_past_a_failing_inner_letter(monkeypatch):
     # nearest |s| = 3406, found in (run, s) order
     fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
     rechecked = []
-    dense = oracle.containment_recheck
+    dense = oracle._recheck_cells
 
-    def spy(family, u, s, *args, **kwargs):
-        rechecked.append(s)
-        return dense(family, u, s, *args, **kwargs)
+    def spy(family, us, ss, *args, **kwargs):
+        rechecked.extend(int(s) for s in ss)
+        return dense(family, us, ss, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "containment_recheck", spy)
+    monkeypatch.setattr(oracle, "_recheck_cells", spy)
     td.recheck_gset(fam, gset, spec, budget, density=2, dense_sample=0)
     neg, pos = [s for s in rechecked if s < 0], [s for s in rechecked if s > 0]
     assert rechecked == neg + pos
@@ -291,3 +307,122 @@ def test_recheck_gset_boundary_work_does_not_grow_with_dense_sample(monkeypatch,
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
 
+
+def _recheck_cell_reference(family, u, s, spec, budget, boundary):
+    """The per-letter dense recheck that `_recheck_cells` batches: verdict,
+    padding delta and the images of the boundary samples."""
+    log_first, d_first = boundary
+    c = family.log_lam
+    w2 = log_first + TWO_PI * 1j * np.asarray(s, dtype=float) - c
+    imgs = 0.5 * np.log(w2.real ** 2 + w2.imag ** 2) + 1j * np.arctan2(w2.imag, w2.real) \
+        + TWO_PI * 1j * np.asarray(u, dtype=float)
+    xi = np.abs(log_first + TWO_PI * 1j * float(s) - c)
+    lip = float(np.max(1.0 / (xi * d_first))) * 1.25
+    spacing = spec.outer.perimeter / log_first.size
+    delta = budget.margin + lip * spacing
+    inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
+    near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
+    return ("inside" if inside else ("borderline" if near else "outside")), delta, imgs
+
+
+def _kernel_case(request, case):
+    """(family, spec, budget, density, us, ss) for one batched-recheck case."""
+    if case.startswith("block-"):
+        b = request.getfixturevalue("small")
+        step = oracle._DENSE_BLOCK // (b.budget.boundary_samples * 10)
+        m = {"1": 1, "B-1": step - 1, "B": step, "B+1": step + 1}[case[len("block-"):]]
+        # the first letters of the u = 0 column cross its window edge at |s| = 64
+        ss = np.arange(60, 60 + m, dtype=np.int64)
+        return b.family, b.spec, b.budget, 10, np.zeros(m, dtype=np.int64), ss
+    if case in ("small-subsample", "lam-0.5+0.5i", "anchor-25"):
+        if case == "small-subsample":
+            # the small config in enumerate mode: 41.8M letters
+            b = request.getfixturevalue("small")
+            fam, spec, budget = b.family, b.spec, b.budget
+            gset = td.build_G(fam, 12.0, spec, budget, mode="enumerate", dist=b.dist)
+        else:
+            lam, anchor = (complex(0.5, 0.5), 12.0) if case == "lam-0.5+0.5i" else (1.0, 25.0)
+            fam = td.normalize_family(td.exponential_family(lam, math.e))
+            spec, budget = td.build_squares(anchor, 0.5), td.GeometryBudget(inset=0.5)
+            gset = td.build_G(fam, anchor, spec, budget, mode="enumerate")
+        ranks = np.sort(np.random.default_rng(20210).choice(gset.n_explicit, size=2000,
+                                                            replace=False))
+        us, ss = gset.letters_from_ranks(ranks)
+        if case == "anchor-25":
+            # the last letters of the first run, |s| near 3.1e15
+            win = gset.windows[0]
+            us = np.r_[us, np.full(20, win.u)]
+            ss = np.r_[ss, np.arange(win.s_hi - 19, win.s_hi + 1, dtype=np.int64)]
+        return fam, spec, budget, 10, us, ss
+    if case == "margin-0.1":
+        fam, _, spec, _ = _planted(12.0)
+        us = np.repeat([0, 1], 200)
+        ss = np.r_[40:240, -239:-39]
+        return fam, spec, td.GeometryBudget(inset=0.5, margin=0.1), 2, us, ss
+    if case == "planted-no-window":
+        fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5999))
+    elif case == "lam-0.01-anchor-4":
+        fam, gset, spec, budget = _lam_001_anchor_4()
+    else:
+        fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
+    us = np.concatenate([np.full(w.count, w.u) for w in gset.windows])
+    ss = np.concatenate([np.arange(w.s_lo, w.s_hi + 1) for w in gset.windows])
+    return fam, spec, budget, 2, us, ss
+
+
+@pytest.mark.parametrize("case", ["block-1", "block-B-1", "block-B", "block-B+1",
+                                  "small-subsample", "planted-no-window",
+                                  "lam-0.01-anchor-4", "window-extended-below",
+                                  "lam-0.5+0.5i", "anchor-25", "margin-0.1"])
+def test_recheck_cells_matches_per_letter_reference(request, case):
+    """The batched dense recheck gives every letter the verdict, padding and
+    image extents of the per-letter evaluation, bit for bit:
+    - 1, B - 1, B and B + 1 letters, B the letters of one block;
+    - the 2,000-letter subsample of the small config in enumerate mode;
+    - 1,000 letters at u = 2, anchor 12, a column with no window;
+    - lam = 0.01, R0 = 1.2, anchor 4: G, with undefined margins at |s| <= 2;
+    - the anchor-20 u = 0 windows started 100 letters early;
+    - lam = 0.5 + 0.5i, anchor 12, a 2,000-letter subsample;
+    - anchor 25, where G holds 2.5e16 letters (ranks past 2^53), a
+      2,000-letter subsample and the last letters of a run;
+    - margin 0.1 at anchor 12, across the u = 0 and u = 1 window edges:
+      all three verdicts."""
+    fam, spec, budget, density, us, ss = _kernel_case(request, case)
+    boundary = oracle._recheck_boundary(fam, spec, budget, density)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    assert len(verdicts) == delta.size == ext.shape[0] == len(ss)
+    for i, (u, s) in enumerate(zip(us, ss)):
+        v, d, imgs = _recheck_cell_reference(fam, int(u), int(s), spec, budget, boundary)
+        assert verdicts[i] == v, (u, s)
+        assert delta[i].hex() == d.hex(), (u, s)
+        ref = (imgs.real.min(), imgs.real.max(), imgs.imag.min(), imgs.imag.max())
+        assert [x.hex() for x in ext[i]] == [float(x).hex() for x in ref], (u, s)
+    if case == "planted-no-window":
+        assert set(verdicts) == {"outside"}
+    if case == "window-extended-below":
+        assert {"inside", "outside"} <= set(verdicts)
+    if case == "margin-0.1":
+        assert set(verdicts) == {"inside", "borderline", "outside"}
+
+
+@pytest.mark.parametrize("n_letters", [10, 1000])
+def test_recheck_gset_evaluates_the_boundary_once(monkeypatch, n_letters):
+    """Planted u = 2 window at anchor 12, where every letter fails its
+    margin: the dense boundary work is built once per recheck, whatever
+    the number of failing letters and the size of the dense subsample."""
+    fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5000 + n_letters - 1))
+    calls = []
+    boundary = oracle._recheck_boundary
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return boundary(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_recheck_boundary", spy)
+    for dense_sample in (0, 8, 64):
+        calls.clear()
+        rep = td.recheck_gset(fam, gset, spec, budget, density=2, dense_sample=dense_sample)
+        assert rep.n_flagged == n_letters + min(dense_sample, n_letters)
+        assert len(calls) == 1

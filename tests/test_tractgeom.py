@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
+from tractdim import tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import ExpTailModel
 from tractdim.tractgeom import (_ENDPOINT_ULPS, RadiusSearchError, SigmaWindow,
@@ -641,3 +642,25 @@ def test_level_lines_vertical_translation(fam):
     n = min(t0.points.size, t1.points.size)
     shift = t1.points[:n] - t0.points[:n]
     assert np.max(np.abs(shift - TWO_PI * 1j)) <= 1e-9 * TWO_PI
+
+
+def test_sampled_fallback_pads_by_at_least_an_ulp_at_anchor_24(fam, monkeypatch):
+    """lam = 1, R0 = e, inset 0.5, anchor 24, enumerate mode: the edge-band
+    cells at sigma ~ 36 are narrower than an ulp of Q's coordinates and go
+    to the sampled fallback.  Its padding is at least ulp(36), so no cell
+    is admitted because its samples round onto the edge of Q."""
+    budget = td.GeometryBudget(inset=0.5)
+    spec = td.build_squares(24.0, 0.5)
+    ulp = math.ulp(max(abs(x) for x in spec.outer.bounds()))
+    decided = []
+    test = tractgeom.containment_test
+
+    def spy(family, cell, *args, **kwargs):
+        decided.append((test(family, cell, *args, **kwargs), cell.delta_used))
+        return decided[-1][0]
+
+    monkeypatch.setattr(tractgeom, "containment_test", spy)
+    td.build_G(fam, 24.0, spec, budget, mode="enumerate")
+    padded = [(v, d) for v, d in decided if d is not None]
+    assert padded
+    assert all(d >= ulp for _, d in padded)
