@@ -13,9 +13,8 @@ oracles.  `lemmas` writes its report with `distortion_c` = "Infinity" and
 exits 0 like any other lemma report (the failing lemmas show in
 `checks` and `all_pass`); the others reach the construction, and an
 empty admissible set G exits 2.
-The two oracles say "admissible set G is empty", so `oracle recheck`
-never reports a pass with nothing checked; `oracle brute-pressure` also
-exits 2 when G holds fewer letters than its subsystem or no distortion
+The two oracles say "admissible set G is empty"; `oracle brute-pressure`
+also exits 2 when G holds fewer letters than its subsystem or no distortion
 constant bounds its slack.
 
 A cell that sampling cannot certify (its containment padding exceeds half
@@ -23,12 +22,13 @@ the side of Q) is an outside, borderline cell left out of G, not a
 configuration error: at lam = 0.01, R0 = e, anchor 4, `dim` reports
 not-certified and exits 2, `sample` and `oracle recheck` exit 0.
 
-Enumerate mode puts no cap on the number of letters in G: G is a tuple
-of runs, and sampling, the recheck oracle and the level-1 sums work per
-run.  So enumerate-mode `sample`, `oracle recheck` and `oracle
-brute-pressure` run at anchors 13.5-23 and 25.5 (lam = 1, R0 = e, inset
-0.5; up to 5.2e16 letters), where a 200M-letter cap used to stop them
-with exit 2.  A window past 2^53 still exits 2.
+`pressure.mode` only decides how many letters of each float-exact window
+of G are listed for `sample` and `oracle recheck`: all (enumerate) or a
+collar (tail).  G, its sums and the `dim` certificate do not depend on
+it, and a window past 2^53 is never listed, so enumerate-mode `dim` no
+longer exits 2 there.  `sample` and `oracle recheck` exit 2 when G lists
+no letter ("no explicit admissible letters", as at lam = 1, R0 = e,
+inset 0.5, anchor 30): the recheck never passes with nothing checked.
 """
 
 from __future__ import annotations
@@ -307,11 +307,7 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode=cfg.mode, dist=dist,
-                   collar=cfg.collar)
-    if gset.n_explicit == 0:
-        print("no explicit admissible letters at this configuration", file=sys.stderr)
-        return 2
+    gset = _listed_G(fam, cfg, spec, dist)
     sample = sample_limit_set(fam, gset, spec, depth=cfg.depth, count=cfg.count,
                               seed=cfg.seed)
     proj = project_to_plane(fam, sample)
@@ -380,7 +376,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
         raise ConstructionError(f"admissible set holds fewer than {k} letters")
-    sub = _subsystem(fam, letters, spec, dist)
+    sub = _subsystem(fam, letters, spec)
     t = float(cfg.oracle.get("t", 1.0))
     n = int(cfg.oracle.get("word_length", 2))
     brute = oracle_mod.brute_force_pressure(fam, letters, spec, n=n, t=t,
@@ -407,21 +403,28 @@ def _nonempty_G(fam, cfg: RunConfig, spec, dist, mode: str):
     return gset
 
 
-def _subsystem(fam, letters, spec, dist):
+def _listed_G(fam, cfg: RunConfig, spec, dist):
+    """G in the configured mode, for the commands that work on its listed letters."""
+    gset = _nonempty_G(fam, cfg, spec, dist, mode=cfg.mode)
+    if gset.n_explicit == 0:
+        raise ConstructionError("no explicit admissible letters at this configuration")
+    return gset
+
+
+def _subsystem(fam, letters, spec):
     from .pressure import WeightedSystem
     model = fam.tail_model()
     env = model.envelope(spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
-    return WeightedSystem(log_lo=lo, log_hi=hi, distortion_c=dist.c, family=fam,
-                          env=env, anchor=spec.anchor)
+    return WeightedSystem(log_lo=lo, log_hi=hi, family=fam, env=env, anchor=spec.anchor)
 
 
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _nonempty_G(fam, cfg, spec, dist, mode=cfg.mode)
+    gset = _listed_G(fam, cfg, spec, dist)
     rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
                                   density=int(cfg.oracle.get("density", 10)),
                                   seed=cfg.seed)

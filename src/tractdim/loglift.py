@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,8 +62,8 @@ class MapFamily:
 
     `offset` records the plane translation applied during normalization so
     that projections can restore original coordinates.  `tail_model` (for
-    the exponential family) provides the closed-form envelopes used by the
-    large-index summation mode.
+    the exponential family) provides the closed-form envelopes and run
+    sums behind the admissible set and its pressure bounds.
     """
 
     kind: str = "exponential"
@@ -287,7 +288,7 @@ class TailEnvelope:
         |xi_s(z)| in [2*pi*|s| - b, 2*pi*|s| + b],   |z - c| in [d_lo, d_hi],
 
     where b bounds |Log(z - c) - c|.  Everything downstream (weights,
-    cell enclosures, window solving, tail integrals) is derived from
+    cell enclosures, window solving, run sums) is derived from
     (b, d_lo, d_hi) alone, as a function of sigma = ln(2*pi*|s|).
     """
 
@@ -358,67 +359,20 @@ class ExpTailModel:
         mid = TWO_PI * u + sign * 0.5 * math.pi
         return re_lo, re_hi, mid - dev, mid + dev
 
-    # -- tail sums -----------------------------------------------------------
-
-    def sum_envelope_sandwich(self, sigma_lo: float, sigma_hi: float, t: float,
-                              env: TailEnvelope, side: str):
-        """Monotone integral sandwich of one envelope sum over a sigma window.
-
-        side "lo" sums the lower per-letter envelope ((2 pi s + b) d_hi)^-t
-        over the integers s with sigma(s) in the window, side "hi" the
-        upper one ((2 pi s - b) d_lo)^-t.  The integrand is decreasing in
-        s, so
-
-            integral_{s1+1}^{s2} <= sum <= first term + integral_{s1}^{s2},
-
-        and both antiderivatives are closed form; the sandwich slack is a
-        single endpoint term.  Returns (log lower, log upper) for one
-        (u, sign) window.
-        """
-        if sigma_hi <= sigma_lo:
-            return -math.inf, -math.inf
-        if side == "lo":
-            bb, d = env.b, env.d_hi
-        elif side == "hi":
-            bb, d = -env.b, env.d_lo
-        else:
-            raise ConfigError(f"unknown envelope side {side!r}")
-        # endpoints of x = 2 pi s + bb in log form
-        l1 = sigma_lo + math.log1p(bb * math.exp(-sigma_lo))
-        l2 = sigma_hi + math.log1p(bb * math.exp(-sigma_hi))
-        l1_shift = sigma_lo + math.log1p((bb + TWO_PI) * math.exp(-sigma_lo))
-        log_lower = (-t * math.log(d) - math.log(TWO_PI)
-                     + _log_power_integral(min(l1_shift, l2), l2, t))
-        log_upper = log_sum_exp([
-            -t * (l1 + math.log(d)),
-            -t * math.log(d) - math.log(TWO_PI) + _log_power_integral(l1, l2, t),
-        ])
-        return log_lower, log_upper
-
-    def sum_log_weight_bounds(self, sigma_lo: float, sigma_hi: float, t: float,
-                              env: TailEnvelope):
-        """Two-sided log bounds on sum over integer |s| of |g'|^t in a window.
-
-        Outer bounds of the two envelope sandwiches: a certified lower
-        bound through the lower envelopes and upper bound through the
-        upper ones.  Returns (log_lo, log_hi) for one (u, sign) window.
-        """
-        log_lo = self.sum_envelope_sandwich(sigma_lo, sigma_hi, t, env, "lo")[0]
-        log_hi = self.sum_envelope_sandwich(sigma_lo, sigma_hi, t, env, "hi")[1]
-        return log_lo, log_hi
+    # -- run sums ------------------------------------------------------------
 
     def sum_run_log_bounds(self, s_lo: int, s_hi: int, t: float, env: TailEnvelope):
         """Two-sided log bounds on sum over |s| in [s_lo, s_hi] of |g'|^t.
 
-        The explicit-run counterpart of `sum_log_weight_bounds`: a lower
-        bound on the lower-envelope sum of ((2 pi s + b) d_hi)^-t and an
-        upper bound on the upper-envelope sum of ((2 pi s - b) d_lo)^-t,
-        both in closed form by `log_run_sum_bounds`.  The upper bound is
-        +inf when 2 pi s_lo <= b, where the upper envelope is unbounded.
+        The one run sum behind every level-1 bound, for ints of any size: a
+        lower bound on the lower-envelope sum of ((2 pi s + b) d_hi)^-t and
+        an upper bound on the upper-envelope sum of ((2 pi s - b) d_lo)^-t,
+        both by `log_run_sum_bounds`.  The upper bound is +inf when
+        2 pi s_lo <= b, where the upper envelope is unbounded.
         """
         h = env.b / TWO_PI
         log_lo = log_run_sum_bounds(s_lo, s_hi, t, h, -t * math.log(TWO_PI * env.d_hi))[0]
-        if s_lo - h <= 0.0:
+        if s_lo <= h:
             return log_lo, math.inf
         log_hi = log_run_sum_bounds(s_lo, s_hi, t, -h, -t * math.log(TWO_PI * env.d_lo))[1]
         return log_lo, log_hi
@@ -440,6 +394,8 @@ def _log_power_integral(log_x1: float, log_x2: float, t: float) -> float:
 
 # Terms of a run added one by one before its Euler-Maclaurin tail.
 _RUN_DIRECT = 64
+# Largest float-exact integer index; run sums past it are formed in log form.
+_MAX_EXACT_INT = 2 ** 53
 # Outward widening of a run sum, in float64 ulps (2^-52) of the largest log
 # magnitude entering it: covers the rounding of every log, exp and sum.
 _RUN_SUM_ULPS = 64
@@ -461,26 +417,64 @@ def log_run_sum_bounds(s1: int, s2: int, t: float, h: float, log_c: float = 0.0)
     bracket.  The tail terms are taken relative to g(m), so indices up to
     2^53 and every t in [0, 4] stay in range.  The bracket is then widened
     outward by `_RUN_SUM_ULPS` ulps of the largest log magnitude involved.
+
+    Past 2^53, for ints of any size, the bracket is formed in logs:
+    ln(s + h) = ln s + log1p(h e^-ln s); r = ln(x_n / x_m) is log1p of the
+    rounded quotient (n - m) / m while n - m < m (the integral is n - m
+    where r underflows), else ln x_n - ln x_m; the Bernoulli terms are
+    dropped from m = 2^100 on, far below the widening; runs past 2^53 add
+    no direct terms.
     """
-    k = min(s2, s1 + _RUN_DIRECT - 1)
+    big = s2 > _MAX_EXACT_INT
+    log_1, log_n = (_log_shifted(s, h) if big else math.log(s + h) for s in (s1, s2))
+    k = s1 - 1 if s1 > _MAX_EXACT_INT else min(s2, s1 + _RUN_DIRECT - 1)
     parts_lo = [log_sum_exp([-t * math.log(s + h) for s in range(s1, k + 1)])]
     parts_hi = list(parts_lo)
     if s2 > k:
-        x_m = (k + 1) + h
-        log_m = math.log(x_m)
-        r = math.log1p((s2 - k - 1) / x_m)  # ln(x_n / x_m), free of cancellation
+        m, d = k + 1, s2 - k - 1
+        x_m = m + h if m < 2 ** 100 else math.inf
+        if not big:
+            log_m = math.log(x_m)
+            r = math.log1p(d / x_m)  # ln(x_n / x_m), free of cancellation
+            log_int = log_m + _log_power_integral(0.0, r, t)
+        else:
+            log_m = log_1 if m == s1 else _log_shifted(m, h)
+            if d >= m:
+                r = log_n - log_m
+            elif d << 960 >= m:  # m > 2^52 here: h shifts r by a relative h / m
+                r = math.log1p(d / m)
+            else:  # x_n / x_m < 1 + 2^-960
+                r = 0.0
+            log_int = (log_m + _log_power_integral(0.0, r, t) if r
+                       else math.log(d) if d else -math.inf)
 
         def drop(p):  # 1 - (x_n / x_m)^-(t + p)
             return -math.expm1(-(t + p) * r)
 
         poly = t * (t + 1.0) * (t + 2.0)
-        rel = (math.exp(log_m + _log_power_integral(0.0, r, t))
-               + 0.5 * (2.0 - drop(0.0))
-               + t / 12.0 / x_m * drop(1.0)
-               - poly / 720.0 / x_m ** 3 * drop(3.0))
+        ends = (0.5 * (2.0 - drop(0.0)), t / 12.0 / x_m * drop(1.0),
+                -poly / 720.0 / x_m ** 3 * drop(3.0))
         b6 = poly * (t + 3.0) * (t + 4.0) / 30240.0 / x_m ** 5 * drop(5.0)
-        parts_lo.append(-t * log_m + math.log(rel))
-        parts_hi.append(-t * log_m + math.log(rel + b6))
-    magnitude = (1.0 + t) * max(abs(math.log(s1 + h)), abs(math.log(s2 + h)))
+        if big:
+            log_rel = [_log_add(log_int, math.log(sum(ends) + x)) for x in (0.0, b6)]
+        else:
+            rel = math.exp(log_int) + ends[0] + ends[1] + ends[2]
+            log_rel = [math.log(rel), math.log(rel + b6)]
+        parts_lo.append(-t * log_m + log_rel[0])
+        parts_hi.append(-t * log_m + log_rel[1])
+    magnitude = (1.0 + t) * max(abs(log_1), abs(log_n))
     slack = _RUN_SUM_ULPS * 2.0 ** -52 * (1.0 + abs(log_c) + magnitude)
-    return log_c + log_sum_exp(parts_lo) - slack, log_c + log_sum_exp(parts_hi) + slack
+    # past 2^53 the parts are the direct sum (maybe -inf) and a finite tail
+    lo, hi = (reduce(_log_add, p) if big else log_sum_exp(p) for p in (parts_lo, parts_hi))
+    return log_c + lo - slack, log_c + hi + slack
+
+
+def _log_shifted(s: int, h: float) -> float:
+    """ln(s + h) for an integer s of any size."""
+    log_s = math.log(s)
+    return log_s + math.log1p(h * math.exp(-log_s))
+
+
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b) for finite b; a may be -inf."""
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))

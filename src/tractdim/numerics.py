@@ -20,11 +20,6 @@ TWO_PI = 2.0 * math.pi
 CHUNK = 1 << 20
 
 
-def chunked_fsum(partials: Iterable[float]) -> float:
-    """Exact-rounding sum of a fixed-order sequence of partials."""
-    return math.fsum(partials)
-
-
 def log_sum_exp(log_terms: Sequence[float]) -> float:
     """log(sum(exp(x_i))) evaluated stably, in the given fixed order.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .loglift import MapFamily
-from .numerics import TWO_PI, chunked_fsum
+from .numerics import TWO_PI
 from .tractgeom import GSet, GeometryBudget, SquareSpec
 
 # Letters whose margin `recheck_gset` evaluates at each end of a run at first.
@@ -135,7 +135,7 @@ def brute_force_pressure_similarity(weights: Sequence[float], n: int, t: float) 
         for w in word:
             prod *= w
         terms.append(prod ** t)
-    return math.log(chunked_fsum(terms)) / n
+    return math.log(math.fsum(terms)) / n
 
 
 def _branch_point(family: MapFamily, s: int, zeta: complex) -> complex:
@@ -172,7 +172,7 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
             z = _branch_point(family, u, first)
             deriv *= d
         terms.append(abs(deriv) ** t)
-    total = chunked_fsum(terms)
+    total = math.fsum(terms)
     return BrutePressure(n=n, t=t, value=math.log(total) / n,
                          slack_log=math.log(distortion_c), n_words=len(terms))
 
@@ -224,7 +224,9 @@ def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: Geometry
     as (letters x samples) arrays.  The second level is w2 = log_first +
     2*pi*i*s - c, whose real part does not depend on the letter, and the
     images are 0.5*ln(re^2 + im^2) + i*atan2 + 2*pi*i*u.  The Lipschitz
-    padding is the sampled sup of 1/(|w2| * |z - c|), padded by 25%.  The
+    padding is the sampled sup of 1/(|w2| * |z - c|), padded by 25% and
+    raised to at least an ulp of Q's largest coordinate, so a cell
+    narrower than an ulp is not rated "inside" by rounding.  The
     images enter the verdict only through their extremes: all samples lie
     in Q shrunk by delta exactly when the least and greatest real and
     imaginary parts do, and a NaN fails both forms.  Division and adding a
@@ -261,7 +263,8 @@ def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: Geometry
         ext[i:i + step] = np.column_stack([re.min(axis=1), re.max(axis=1),
                                            im.min(axis=1), im.max(axis=1)])
     ext[:, 2:] += TWO_PI * us[:, None]
-    delta = budget.margin + lip * (rect.perimeter / n)
+    delta = np.maximum(budget.margin + lip * (rect.perimeter / n),
+                       math.ulp(max(map(abs, rect.bounds()))))
 
     def within(pad):
         return ((ext[:, 0] >= rect.re_lo + pad) & (ext[:, 1] <= rect.re_hi - pad)

@@ -23,16 +23,18 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError
-from .loglift import MapFamily, TailEnvelope, normalize_family
-from .numerics import CHUNK, TWO_PI, chunked_fsum, weighted_log_sum_exp
-from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
-                        _distortion_or_unavailable, anchor_line, build_G, build_squares,
-                        find_radius)
+from .errors import ConfigError, ConstructionError, NumericError
+from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
+from .numerics import CHUNK, TWO_PI, weighted_log_sum_exp
+from .tractgeom import (DistortionBound, GeometryBudget, GSet, SigmaWindow, SquareSpec,
+                        SWindow, _distortion_or_unavailable, _merge_runs, anchor_line,
+                        build_G, build_squares, find_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -41,74 +43,95 @@ from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
 
 @dataclass(frozen=True)
 class WeightedSystem:
-    """Letters with two-sided log-weight bounds, plus analytic tail segments.
+    """Letters with two-sided log-weight bounds.
 
     Synthetic systems and letter subsystems list their weights (log_lo /
-    log_hi arrays).  Systems built from an admissible set hold G grouped
-    by what its sums depend on, since the envelopes depend on |s| alone:
-    `runs` pairs each distinct |s| range (lo, hi) of the explicit runs with
-    its multiplicity k, and `ranges` pairs each distinct (sigma_lo,
-    sigma_hi) of the tail segments with its k.  Runs are summed by
-    Euler-Maclaurin, segments by integral sandwiches, each distinct range
-    once.
+    log_hi arrays).  Systems built from an admissible set hold G as `runs`:
+    each distinct |s| range (lo, hi), ints of any size, with its
+    multiplicity k, since the envelopes depend on |s| alone.
     """
 
     log_lo: Optional[np.ndarray] = None
     log_hi: Optional[np.ndarray] = None
     runs: tuple = ()     # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
-    ranges: tuple = ()   # of ((sigma_lo, sigma_hi), k)
-    distortion_c: float = 1.0
     family: Optional[MapFamily] = None
     env: Optional[TailEnvelope] = None
     anchor: Optional[float] = None
 
     @classmethod
-    def from_uniform(cls, weights: Sequence[float], distortion_c: float = 1.0):
+    def from_uniform(cls, weights: Sequence[float]):
         """Synthetic system of similarity letters with exact weights."""
         w = np.asarray(weights, dtype=float)
         if np.any(w <= 0) or np.any(w >= 1):
             raise ConfigError("synthetic weights must lie in (0, 1)")
         logs = np.log(w)
-        return cls(log_lo=logs.copy(), log_hi=logs.copy(), distortion_c=distortion_c)
+        return cls(log_lo=logs.copy(), log_hi=logs.copy())
 
-    @property
+    @cached_property
     def n_letters(self) -> int:
         n = 0 if self.log_lo is None else int(self.log_lo.size)
         return n + sum(k * (hi - lo + 1) for (lo, hi), k in self.runs)
 
-    @property
-    def n_segments(self) -> int:
-        return sum(k for _, k in self.ranges)
-
     def is_empty(self) -> bool:
-        return self.n_letters == 0 and self.n_segments == 0
+        return self.n_letters == 0
 
     def scaled(self, factor: float) -> "WeightedSystem":
         """All weights multiplied by a factor (synthetic systems only)."""
-        if self.runs or self.ranges:
+        if self.runs:
             raise ConfigError("scaling is defined for materialized systems only")
         shift = math.log(factor)
-        return WeightedSystem(log_lo=self.log_lo + shift, log_hi=self.log_hi + shift,
-                              distortion_c=self.distortion_c)
+        return WeightedSystem(log_lo=self.log_lo + shift, log_hi=self.log_hi + shift)
 
 
 def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
-                          dist: DistortionBound) -> WeightedSystem:
+                          dist: Optional[DistortionBound] = None) -> WeightedSystem:
     """Weight envelopes for an admissible set.
 
     The per-letter bounds are the closed-form envelopes of |g'| over Q,
-    which depend on sigma = ln(2*pi*|s|) alone.  So G is grouped once:
-    its explicit runs by their |s| range and its tail segments by their
-    sigma range, each distinct range with its multiplicity.  At the
-    default anchor-4000 certificate the 1,274 segments are one range.
+    which depend on sigma = ln(2*pi*|s|) alone.  So G is reduced once to
+    |s| runs with multiplicities: the listed and unlisted integer runs of
+    each (u, sign) column are merged, so the runs do not depend on the
+    mode, and each distinct sigma window is converted to integer bounds
+    once (at the default anchor-4000 certificate, one for 1,274 windows).
+    `dist` is accepted for compatibility and has no effect.
     """
     if not family.has_tail_model:
         raise ConfigError("weighted systems need tail asymptotics in this version")
     env = family.tail_model().envelope(spec.outer.bounds())
-    runs = Counter(tuple(sorted((abs(w.s_lo), abs(w.s_hi)))) for w in gset.windows)
-    ranges = Counter((seg.sigma_lo, seg.sigma_hi) for seg in gset.segments)
-    return WeightedSystem(runs=tuple(runs.items()), ranges=tuple(ranges.items()),
-                          distortion_c=dist.c, family=family, env=env, anchor=spec.anchor)
+    sigma_ranges = Counter((w.sigma_lo, w.sigma_hi) for w in gset.segments
+                           if isinstance(w, SigmaWindow))
+    columns: dict = {}
+    for w in gset.windows + gset.segments:
+        if isinstance(w, SWindow):
+            columns.setdefault((w.u, w.sign), []).append((w.s_lo, w.s_hi))
+    runs = Counter(tuple(sorted((abs(a), abs(b))))
+                   for col in columns.values() for a, b in _merge_runs(col))
+    for (sigma_lo, sigma_hi), k in sigma_ranges.items():
+        s1, s2 = _sigma_run(sigma_lo, sigma_hi)
+        if s1 <= s2:
+            runs[(s1, s2)] += k
+    return WeightedSystem(runs=tuple(runs.items()), family=family, env=env,
+                          anchor=spec.anchor)
+
+
+def _sigma_run(sigma_lo: float, sigma_hi: float):
+    """Integer bounds (s1, s2) of the |s| with ln(2*pi*|s|) in a sigma window.
+
+    Each end is trimmed inward by a relative 2^-30, far above the error of
+    e^x formed as a 53-bit mantissa times 2^k (about 1e-12 at sigma =
+    6000), and checked with math.log on the ints.
+    """
+    def exp_int(x, rounding):
+        e = x / math.log(2.0)
+        k = math.floor(e) - 52
+        return rounding(int(2.0 ** (e - k)) * Fraction(2) ** k)
+
+    log_two_pi = math.log(TWO_PI)
+    s1 = exp_int(sigma_lo - log_two_pi + 2.0 ** -30, math.ceil)
+    s2 = exp_int(sigma_hi - log_two_pi - 2.0 ** -30, math.floor)
+    if log_two_pi + math.log(s1) < sigma_lo or log_two_pi + math.log(s2) > sigma_hi:
+        raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")
+    return s1, s2
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +146,6 @@ class Level1Sum:
     log_lo: float
     log_hi: float
     n_letters: int
-    n_segments: int
     mode: str = "bounds"
 
     @property
@@ -143,15 +165,14 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1
     the anchor point instead (diagnostics, the empirical growth constant).
     The anchor weight 1/(|a + 2*pi*i*s| * |R - c|), with a = F_inv_0(R) - c,
     lies between the envelopes with b = |a| and d_lo = d_hi = |R - c|,
-    which replace those of Q for runs and segments alike; listed weights
-    are used as given in both modes.
+    which replace those of Q for every run; listed weights are used as
+    given in both modes.
 
     Each distinct run range is summed once in closed form by
-    Euler-Maclaurin, each distinct segment range once by integral
-    sandwiches, and the parts are combined with their multiplicities k
-    by `weighted_log_sum_exp`: the sum of k * e^(x - m) is exact and
-    rounded once, so the bounds are bit-identical to adding every run
-    and segment as a term of its own.
+    Euler-Maclaurin (`ExpTailModel.sum_run_log_bounds`), and the parts
+    are combined with their multiplicities k by `weighted_log_sum_exp`:
+    the sum of k * e^(x - m) is exact and rounded once, so the bounds are
+    bit-identical to adding every run as a term of its own.
     """
     if not 0.0 <= t <= 4.0:
         raise ConfigError(f"exponent t = {t} outside [0, 4]")
@@ -162,7 +183,7 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1
     if system.log_lo is not None and system.log_lo.size:
         parts_lo.append((_materialized_log_sum(system.log_lo, t), 1))
         parts_hi.append((_materialized_log_sum(system.log_hi, t), 1))
-    if system.runs or system.ranges:
+    if system.runs:
         model = system.family.tail_model()
         env = system.env
         if mode == "anchor":
@@ -170,16 +191,13 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1
                 - system.family.log_lam
             d = abs(complex(system.anchor) - system.family.log_lam)
             env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
-        for groups, summed in ((system.runs, model.sum_run_log_bounds),
-                               (system.ranges, model.sum_log_weight_bounds)):
-            for (lo, hi), k in groups:
-                log_lo, log_hi = summed(lo, hi, t, env)
-                parts_lo.append((log_lo, k))
-                parts_hi.append((log_hi, k))
+        for (lo, hi), k in system.runs:
+            log_lo, log_hi = model.sum_run_log_bounds(lo, hi, t, env)
+            parts_lo.append((log_lo, k))
+            parts_hi.append((log_hi, k))
     return Level1Sum(t=t, log_lo=weighted_log_sum_exp(parts_lo),
                      log_hi=weighted_log_sum_exp(parts_hi),
-                     n_letters=system.n_letters, n_segments=system.n_segments,
-                     mode=mode)
+                     n_letters=system.n_letters, mode=mode)
 
 
 def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
@@ -187,7 +205,7 @@ def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
     m = float(np.max(scaled))
     if m == -math.inf:
         return -math.inf
-    return m + math.log(chunked_fsum([float(np.sum(np.exp(scaled - m)))]))
+    return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
 
 
 def pressure_bounds(system: WeightedSystem, t: float):
@@ -427,7 +445,7 @@ def _constants(line, epsilon, c1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Cross-mode agreement (enumeration vs tail sandwich on one window)
+# Cross-mode agreement (enumeration vs the run sum on one window)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -437,8 +455,8 @@ class WindowComparison:
     sigma_hi: float
     enum_lo: float
     enum_hi: float
-    tail_lo_bounds: tuple   # sandwich for the lower-envelope sum
-    tail_hi_bounds: tuple   # sandwich for the upper-envelope sum
+    tail_lo_bounds: tuple   # run-sum bracket of the lower-envelope sum
+    tail_hi_bounds: tuple   # run-sum bracket of the upper-envelope sum
     rel_width_lo: float
     rel_width_hi: float
 
@@ -450,11 +468,10 @@ class WindowComparison:
 
 def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
                          sigma_hi: float, t: float = 1.0) -> WindowComparison:
-    """Sum one sigma window by explicit enumeration and by the tail sandwich.
+    """Sum one sigma window by explicit enumeration and by the run sum.
 
-    Both modes target the same per-letter envelopes, so the enumerated
-    value must fall inside the sandwich; the sandwich width is the
-    discretization cost of the analytic mode.
+    Both target the same per-letter envelopes, so the enumerated value
+    must fall inside the bracket of `log_run_sum_bounds`.
     """
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
@@ -471,12 +488,13 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
         lo, hi = model.log_weight_bounds(sigma, env)
         parts_lo.append(float(np.sum(np.exp(t * lo))))
         parts_hi.append(float(np.sum(np.exp(t * hi))))
-    enum_lo = chunked_fsum(parts_lo)
-    enum_hi = chunked_fsum(parts_hi)
+    enum_lo = math.fsum(parts_lo)
+    enum_hi = math.fsum(parts_hi)
     sig_a = math.log(TWO_PI) + math.log(s1)
     sig_b = math.log(TWO_PI) + math.log(s2)
-    lo_pair = model.sum_envelope_sandwich(sig_a, sig_b, t, env, "lo")
-    hi_pair = model.sum_envelope_sandwich(sig_a, sig_b, t, env, "hi")
+    h = env.b / TWO_PI
+    lo_pair = log_run_sum_bounds(s1, s2, t, h, -t * math.log(TWO_PI * env.d_hi))
+    hi_pair = log_run_sum_bounds(s1, s2, t, -h, -t * math.log(TWO_PI * env.d_lo))
 
     def span(pair):
         return (math.exp(pair[0]), math.exp(pair[1]))

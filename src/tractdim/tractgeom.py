@@ -18,16 +18,15 @@ and containment certificates are all functions of sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
-from .loglift import ExpTailModel, MapFamily, TailEnvelope
+from .loglift import _MAX_EXACT_INT, ExpTailModel, MapFamily, TailEnvelope
 from .numerics import TWO_PI
 
-_MAX_EXACT_INT = 2 ** 53  # largest float-exact integer index
 # Floats a closed-form window endpoint may move inward to pass the enclosure test.
 _ENDPOINT_ULPS = 8
 
@@ -628,22 +627,17 @@ class SWindow:
 
 
 @dataclass(frozen=True)
-class TailSegment:
-    """A sigma interval of admissible indices certified analytically."""
-
-    u: int
-    sign: int
-    sigma_lo: float
-    sigma_hi: float
-
-
-@dataclass(frozen=True)
 class GSet:
-    """The admissible index pairs: explicit runs plus analytic tail segments."""
+    """The admissible index pairs: listed runs plus the unlisted rest.
+
+    `windows` are listed for sampling, the recheck oracle and the gap
+    report.  `segments` holds the rest: in tail mode the SWindow past each
+    window's collar, in both modes every window past 2^53 (a SigmaWindow).
+    """
 
     mode: str
     windows: tuple  # of SWindow, sorted by (u, s_lo)
-    segments: tuple  # of TailSegment, sorted by (u, sign, sigma_lo)
+    segments: tuple  # of SWindow or SigmaWindow, sorted by (u, sign)
 
     @property
     def n_explicit(self) -> int:
@@ -699,8 +693,7 @@ class GSet:
         return {
             "mode": self.mode,
             "pairs": [[u, s] for (u, s) in self.pairs_iter()],
-            "segments": [{"u": seg.u, "sign": seg.sign, "sigma_lo": seg.sigma_lo,
-                          "sigma_hi": seg.sigma_hi} for seg in self.segments],
+            "segments": [asdict(seg) for seg in self.segments],
         }
 
 
@@ -747,15 +740,13 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     center lies in Q.  The fallback rescues a few cells past the analytic
     endpoints.  The high band stops at 2^53, the last float-exact index.
 
-    enumerate: every admissible letter is explicit, with no cap on their
-    number (G holds runs, and no consumer lists their letters); a window
-    past the float-exact range is an error.  tail: the edge-band rescues
-    and a collar of `collar` indices at the low edge of each window, where
-    the letters weigh most, stay explicit; the rest of the window becomes a
-    TailSegment ending at ln(2*pi*floor(s_hi)).  A window of at most
-    `collar + 4` indices stays explicit whole, and a window past the
-    float-exact range is one segment.  `workers` is accepted for
-    compatibility and has no effect.
+    A window past 2^53 is one SigmaWindow with no edge bands.  `mode`
+    only decides how many letters of a float-exact window are listed, so
+    G's letters do not depend on it.  enumerate: all, with no cap.  tail:
+    the edge-band rescues and a collar of `collar` indices at the low edge,
+    where the letters weigh most; the rest is an unlisted SWindow, and a
+    window of at most `collar + 4` indices is listed whole.  `workers` is
+    accepted for compatibility and has no effect.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -776,7 +767,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     u_cands = _u_candidates(spec, budget.margin)
     widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
     windows: list[SWindow] = []
-    segments: list[TailSegment] = []
+    segments: list = []
     for sign in (1, -1):
         for win in _sigma_windows(model, env, spec.outer, budget.margin, sign, u_cands[sign]):
             if win is None:
@@ -784,11 +775,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             u = win.u
             s_lo_f, s_hi_f = win.s_bounds
             if s_hi_f > _MAX_EXACT_INT:
-                if mode == "enumerate":
-                    raise ConstructionError(
-                        f"window for u={u} reaches |s| ~ {s_hi_f:.3g}, beyond exact "
-                        "integer range; use tail mode")
-                segments.append(TailSegment(u, sign, win.sigma_lo, win.sigma_hi))
+                segments.append(win)
                 continue
             lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
@@ -796,14 +783,13 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             runs = [(s, s) for s in _edge_letters(family, model, env, spec, budget, dist, u,
                                                   sign, bands)]
             if mode == "tail" and hi - lo + 1 > collar + 4:
-                segments.append(TailSegment(u, sign, math.log(TWO_PI) + math.log(lo + collar),
-                                            math.log(TWO_PI) + math.log(hi)))
+                segments.append(SWindow(u, *sorted((sign * (lo + collar), sign * hi))))
                 hi = lo + collar - 1
             if hi >= lo:
                 runs.append((sign * lo, sign * hi))
             windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in _merge_runs(runs))
     windows.sort(key=lambda w: (w.u, w.s_lo))
-    segments.sort(key=lambda s: (s.u, s.sign, s.sigma_lo))
+    segments.sort(key=lambda w: (w.u, w.sign))
     return GSet(mode=mode, windows=tuple(windows), segments=tuple(segments))
 
 

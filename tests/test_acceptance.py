@@ -210,7 +210,7 @@ def test_criterion_08_dimension_cross_check(small):
     env = model.envelope(spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
-    sub = WeightedSystem(log_lo=lo, log_hi=hi, distortion_c=dist.c)
+    sub = WeightedSystem(log_lo=lo, log_hi=hi)
     roots = td.bowen_root(sub, tol=1e-4)
 
     from tractdim.tractgeom import GSet, SWindow
@@ -251,8 +251,7 @@ def test_criterion_09_pressure_monotonicity(fam, small):
     env = model.envelope(small.spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
-    systems["subsystem8"] = WeightedSystem(log_lo=lo, log_hi=hi,
-                                           distortion_c=small.dist.c)
+    systems["subsystem8"] = WeightedSystem(log_lo=lo, log_hi=hi)
     systems["synthetic"] = WeightedSystem.from_uniform([0.25, 0.25, 0.125])
     ok = True
     detail = []

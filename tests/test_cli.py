@@ -173,6 +173,18 @@ def test_sub_ulp_edge_cells_are_decided_at_anchor_24(tmp_path):
     assert run(["oracle", "recheck", "--config", cfg, "--out", out + ".json"]) == 0
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "tail"])
+def test_oracle_recheck_with_no_listed_letter_exit_2(tmp_path, capsys, mode):
+    # lam = 1, R0 = e, inset 0.5, anchor 30: every window of G passes 2^53,
+    # so G lists no letter; a recheck would pass with nothing checked
+    cfg = write_cfg(tmp_path, "a30.json",
+                    {"geometry": {"anchor": 30.0, "inset": 0.5},
+                     "pressure": {"mode": mode}})
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", "recheck", "--config", cfg, "--out", out]) == 2
+    assert "no explicit admissible letters" in capsys.readouterr().err
+
+
 def test_oracle_box_dim(tmp_path):
     out = str(tmp_path / "box.json")
     assert run(["oracle", "box-dim", "--out", out]) == 0

@@ -184,6 +184,38 @@ def test_run_sum_bracket_contains_hurwitz_zeta(run, shift):
         assert hi - lo <= 1e-11
 
 
+BIG_RUNS = {"2^53+1-2^60": (2 ** 53 + 1, 2 ** 60), "1e20-1e300": (10 ** 20, 10 ** 300),
+            "1e300-1e2600": (10 ** 300, 10 ** 2600),
+            # short runs: ratio below 2, ratio 1 + 1e-299 and a run across 2^53
+            "2^60-+1000": (2 ** 60, 2 ** 60 + 1000), "1e300-+70": (10 ** 300, 10 ** 300 + 70),
+            "2^53-10-+100": (2 ** 53 - 10, 2 ** 53 + 100)}
+
+
+@pytest.mark.parametrize("run", BIG_RUNS.values(), ids=BIG_RUNS.keys())
+@pytest.mark.parametrize("shift", [0.0, 0.37, -0.37])
+def test_big_run_sum_bracket_contains_hurwitz_zeta(run, shift):
+    """Runs past 2^53, with Python-int ends up to far past the float range:
+    the log-form bracket holds the Hurwitz zeta difference at 30 digits
+    (the direct sum for the short runs, where the difference cancels).
+    Its width is the 64-ulp widening on each side, of the log magnitude
+    (1 + t) * ln(b + h), with a 1% allowance for the bracket itself."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    a, b = run
+    first, past = mpmath.mpf(a) + shift, mpmath.mpf(b) + 1 + shift
+    for t in EXPONENTS:
+        if b - a <= 1000:
+            exact = mpmath.fsum((mpmath.mpf(s) + shift) ** -t for s in range(a, b + 1))
+        elif t == 1.0:
+            exact = mpmath.digamma(past) - mpmath.digamma(first)
+        else:
+            exact = mpmath.zeta(t, first) - mpmath.zeta(t, past)
+        lo, hi = log_run_sum_bounds(a, b, t, shift)
+        assert lo <= mpmath.log(exact) <= hi, (run, shift, t)
+        slack = 64 * 2.0 ** -52 * (1.0 + (1.0 + t) * float(mpmath.log(past - 1)))
+        assert hi - lo <= 2.0 * slack * 1.01, (run, shift, t)
+
+
 def test_run_sum_bracket_contains_brute_fsum():
     s = np.arange(65, 10_450_109, dtype=float)
     for t in EXPONENTS:

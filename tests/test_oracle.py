@@ -310,7 +310,8 @@ def test_recheck_gset_boundary_work_does_not_grow_with_dense_sample(monkeypatch,
 
 def _recheck_cell_reference(family, u, s, spec, budget, boundary):
     """The per-letter dense recheck that `_recheck_cells` batches: verdict,
-    padding delta and the images of the boundary samples."""
+    padding delta (at least an ulp of Q's largest coordinate) and the images
+    of the boundary samples."""
     log_first, d_first = boundary
     c = family.log_lam
     w2 = log_first + TWO_PI * 1j * np.asarray(s, dtype=float) - c
@@ -319,7 +320,7 @@ def _recheck_cell_reference(family, u, s, spec, budget, boundary):
     xi = np.abs(log_first + TWO_PI * 1j * float(s) - c)
     lip = float(np.max(1.0 / (xi * d_first))) * 1.25
     spacing = spec.outer.perimeter / log_first.size
-    delta = budget.margin + lip * spacing
+    delta = max(budget.margin + lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
     inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
     near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
     return ("inside" if inside else ("borderline" if near else "outside")), delta, imgs
@@ -405,6 +406,24 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
         assert {"inside", "outside"} <= set(verdicts)
     if case == "margin-0.1":
         assert set(verdicts) == {"inside", "borderline", "outside"}
+
+
+def test_dense_recheck_pads_by_at_least_an_ulp_at_anchor_24(fam):
+    """lam = 1, R0 = e, inset 0.5, anchor 24, enumerate mode: the images of
+    the letters at the ends of the runs reach re_hi(Q) = 36.0 exactly, and
+    their Lipschitz padding (about 9.1e-19) is below ulp(36).  Raised to
+    that ulp, the padding rates them "borderline", not "inside"."""
+    spec, budget = td.build_squares(24.0, 0.5), td.GeometryBudget(inset=0.5)
+    gset = td.build_G(fam, 24.0, spec, budget, mode="enumerate")
+    letters = [(-2, 686153811537102), (0, 686153811537103), (0, -686153811537103)]
+    assert all(any(w.u == u and w.s_lo <= s <= w.s_hi for w in gset.windows)
+               for u, s in letters)
+    us, ss = (np.array(x, dtype=np.int64) for x in zip(*letters))
+    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
+    verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    assert spec.outer.re_hi == 36.0 and np.all(ext[:, 1] == 36.0)
+    assert np.all(delta == math.ulp(36.0))
+    assert list(verdicts) == ["borderline"] * 3
 
 
 @pytest.mark.parametrize("n_letters", [10, 1000])

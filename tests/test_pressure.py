@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
+from tractdim import pressure
 from tractdim.loglift import ExpTailModel, TailEnvelope
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
-from tractdim.pressure import WeightedSystem, build_weighted_system
+from tractdim.pressure import WeightedSystem, _sigma_run, build_weighted_system
+from tractdim.tractgeom import SigmaWindow
 
 
 def test_level1_empty_system():
@@ -141,7 +144,7 @@ def test_level1_anchor_mode_inside_bounds(request, bundle):
 
 
 def test_level1_segment_sums_bit_identical_to_direct(fam):
-    """Sharing one sandwich sum per sigma range changes no bit of the bounds."""
+    """Sharing one run sum per sigma range changes no bit of the bounds."""
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
@@ -149,7 +152,7 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
     system = build_weighted_system(fam, gset, spec, dist)
     assert gset.n_explicit == 0 and gset.n_segments > 1000
     model = fam.tail_model()
-    parts = [model.sum_log_weight_bounds(seg.sigma_lo, seg.sigma_hi, 1.0, system.env)
+    parts = [model.sum_run_log_bounds(*_sigma_run(seg.sigma_lo, seg.sigma_hi), 1.0, system.env)
              for seg in gset.segments]
     got = td.level1_sum(system, 1.0)
     assert got.log_lo == log_sum_exp([lo for lo, _ in parts])
@@ -162,7 +165,7 @@ def test_brute_force_within_level1_sandwich(small):
     env = model.envelope(small.spec.outer.bounds())
     sigma = np.log(2 * math.pi) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
-    sub = WeightedSystem(log_lo=lo, log_hi=hi, distortion_c=small.dist.c)
+    sub = WeightedSystem(log_lo=lo, log_hi=hi)
     for n in (1, 2, 3):
         brute = td.brute_force_pressure(small.family, letters, small.spec,
                                         n=n, t=1.0, distortion_c=small.dist.c)
@@ -216,9 +219,30 @@ def test_weighted_log_sum_exp_equals_expanded_list(terms):
     assert weighted_log_sum_exp(terms).hex() == log_sum_exp(expanded).hex()
 
 
-def _level1_sum_per_part(system, gset, t, mode="bounds"):
-    """Reference: one log-sum-exp term per run and per segment of G, each
-    distinct range summed once (the level-1 sum before multiplicities)."""
+def _runs_per_part(gset):
+    """|s| ranges of G: one per merged run of the listed and unlisted
+    integer runs of a (u, sign) column, and one per sigma window."""
+    columns, runs = {}, []
+    for w in gset.windows + gset.segments:
+        if isinstance(w, SigmaWindow):
+            runs.append(_sigma_run(w.sigma_lo, w.sigma_hi))
+        else:
+            columns.setdefault((w.u, w.sign), []).append([w.s_lo, w.s_hi])
+    for spans in columns.values():
+        spans.sort()
+        merged = [spans[0]]
+        for a, b in spans[1:]:
+            if a <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        runs.extend(tuple(sorted((abs(a), abs(b)))) for a, b in merged)
+    return runs
+
+
+def _level1_sum_per_part(system, runs, t, mode="bounds"):
+    """Reference: one log-sum-exp term per run of G, each distinct range
+    summed once (the level-1 sum before multiplicities)."""
     model = system.family.tail_model()
     env = system.env
     if mode == "anchor":
@@ -226,19 +250,11 @@ def _level1_sum_per_part(system, gset, t, mode="bounds"):
             - system.family.log_lam
         d = abs(complex(system.anchor) - system.family.log_lam)
         env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
-
-    def shared(keys, summed):
-        sums = {}
-        for key in keys:
-            if key not in sums:
-                sums[key] = summed(*key, t, env)
-        return [sums[key] for key in keys]
-
-    runs = [(min(abs(w.s_lo), abs(w.s_hi)), max(abs(w.s_lo), abs(w.s_hi)))
-            for w in gset.windows]
-    ranges = [(seg.sigma_lo, seg.sigma_hi) for seg in gset.segments]
-    parts = (shared(runs, model.sum_run_log_bounds)
-             + shared(ranges, model.sum_log_weight_bounds))
+    sums = {}
+    for key in runs:
+        if key not in sums:
+            sums[key] = model.sum_run_log_bounds(*key, t, env)
+    parts = [sums[key] for key in runs]
     return log_sum_exp([lo for lo, _ in parts]), log_sum_exp([hi for _, hi in parts])
 
 
@@ -259,33 +275,42 @@ def test_level1_sum_bit_identical_to_per_part_reference(config):
     gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), mode=mode,
                       dist=dist)
     system = build_weighted_system(fam, gset, spec, dist)
-    assert sum(k for _, k in system.runs) == len(gset.windows)
-    assert sum(k for _, k in system.ranges) == gset.n_segments
+    runs = _runs_per_part(gset)
+    assert sorted(system.runs) == sorted(Counter(runs).items())
     for t in (0.0, 0.5, 1.0, 1.0015, 2.0, 4.0):
         for mode in ("bounds", "anchor"):
             got = td.level1_sum(system, t, mode=mode)
-            ref = _level1_sum_per_part(system, gset, t, mode)
+            ref = _level1_sum_per_part(system, runs, t, mode)
             assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
-            assert (got.n_letters, got.n_segments) == (gset.n_explicit, gset.n_segments)
+            assert got.n_letters == sum(hi - lo + 1 for lo, hi in runs)
 
 
 def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
-    """The 1,274 segments of the default certificate share one sigma range,
-    so one level-1 sum evaluates one sandwich pair."""
+    """The 1,274 windows of the default certificate share one sigma range:
+    building its weighted system converts one sigma range to integer
+    bounds, and one level-1 sum makes one run-sum call."""
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
     gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0), mode="tail",
                       dist=dist)
+    converted, summed = [], []
+    convert = pressure._sigma_run
+    run_sum = ExpTailModel.sum_run_log_bounds
+
+    def convert_spy(*args):
+        converted.append(args)
+        return convert(*args)
+
+    def sum_spy(self, *args):
+        summed.append(args)
+        return run_sum(self, *args)
+
+    monkeypatch.setattr(pressure, "_sigma_run", convert_spy)
+    monkeypatch.setattr(ExpTailModel, "sum_run_log_bounds", sum_spy)
     system = build_weighted_system(fam, gset, spec, dist)
-    calls = []
-    summed = ExpTailModel.sum_log_weight_bounds
-
-    def spy(self, *args):
-        calls.append(args)
-        return summed(self, *args)
-
-    monkeypatch.setattr(ExpTailModel, "sum_log_weight_bounds", spy)
-    td.level1_sum(system, 1.0)
     assert gset.n_segments == 1274
-    assert len(calls) == 1
-
+    assert len(converted) == 1
+    for t in (0.5, 1.0):
+        summed.clear()
+        td.level1_sum(system, t)
+        assert len(summed) == 1

@@ -438,12 +438,18 @@ def test_build_g_tail_large_anchor_is_segments_only(fam):
         assert seg.sigma_hi - seg.sigma_lo == pytest.approx(4000.0, abs=0.1)
 
 
-def test_build_g_enumerate_overflow_guard(fam):
-    budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
-    spec = td.build_squares(40.0, 0.5)
-    with pytest.raises(td.ConstructionError) as err:
-        td.build_G(fam, 40.0, spec, budget, mode="enumerate")
-    assert "tail" in str(err.value)
+@pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0)])
+def test_certificate_past_2_53_does_not_depend_on_mode(fam, anchor, inset):
+    """Every window passes 2^53 at these anchors, so G lists no letter in
+    either mode; enumerate mode no longer stops there, and its certificate
+    is the tail-mode one field for field, apart from `mode`."""
+    reports = {}
+    for mode in ("enumerate", "tail"):
+        cert = td.certify_dim_gt_one(fam, anchor=anchor, epsilon=0.1, inset=inset, mode=mode)
+        reports[mode] = cert.to_json_dict()
+        assert reports[mode].pop("mode") == mode
+        assert reports[mode]["diagnostics"]["n_explicit"] == 0
+    assert reports["enumerate"] == reports["tail"]
 
 
 def test_build_g_enumerate_pins_edge_rescues(mini):
@@ -458,13 +464,9 @@ def test_build_g_enumerate_pins_edge_rescues(mini):
 
 
 def _letter_runs(gset):
-    """Signed (u, s_lo, s_hi) runs of all letters: explicit runs plus the
-    integer index ranges of the tail segments, merged."""
-    runs = [(w.u, w.s_lo, w.s_hi) for w in gset.windows]
-    for seg in gset.segments:
-        lo = round(math.exp(seg.sigma_lo) / TWO_PI)
-        hi = round(math.exp(seg.sigma_hi) / TWO_PI)
-        runs.append((seg.u, lo, hi) if seg.sign > 0 else (seg.u, -hi, -lo))
+    """Signed (u, s_lo, s_hi) runs of all letters: listed runs plus the
+    unlisted integer runs, merged."""
+    runs = [(w.u, w.s_lo, w.s_hi) for w in gset.windows + gset.segments]
     merged = []
     for u, a, b in sorted(runs):
         if merged and merged[-1][0] == u and a <= merged[-1][2] + 1:
@@ -477,14 +479,21 @@ def _letter_runs(gset):
 @pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
 @pytest.mark.parametrize("margin", [0.0, 0.3])
 def test_tail_letters_equal_enumerate_letters(fam, anchor, margin):
-    """Collar, segment index ranges and edge-band rescues of the tail G
-    are exactly the letters of the enumerate G."""
+    """Collar, unlisted runs and edge-band rescues of the tail G are
+    exactly the letters of the enumerate G, so the level-1 bounds and the
+    Bowen roots of the two are the same to the bit."""
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=margin)
     spec = td.build_squares(anchor, 0.5)
     enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
     tail = td.build_G(fam, anchor, spec, budget, mode="tail")
     assert tail.n_segments > 0
     assert _letter_runs(tail) == _letter_runs(enum)
+    systems = [td.build_weighted_system(fam, g, spec) for g in (enum, tail)]
+    for t in (0.5, 1.0, 2.0):
+        sums = [td.level1_sum(system, t) for system in systems]
+        assert len({(s.log_lo.hex(), s.log_hi.hex()) for s in sums}) == 1, t
+    roots = [td.bowen_root(system) for system in systems]
+    assert len({(r.t_lo.hex(), r.t_hi.hex()) for r in roots}) == 1
 
 
 def test_mini_g_structure(mini):
