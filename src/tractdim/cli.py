@@ -14,20 +14,19 @@ exits 0 like any other lemma report (the failing lemmas show in
 `checks` and `all_pass`); the others reach the construction, and an
 empty admissible set G exits 2.
 The two oracles say "admissible set G is empty"; `oracle brute-pressure`
-also exits 2 when G holds fewer letters than its subsystem or no distortion
-constant bounds its slack.
+also exits 2 when G lists fewer letters than its subsystem (it says how
+many) or no distortion constant bounds its slack.
 
 A cell that sampling cannot certify (its containment padding exceeds half
 the side of Q) is an outside, borderline cell left out of G, not a
 configuration error: at lam = 0.01, R0 = e, anchor 4, `dim` reports
 not-certified and exits 2, `sample` and `oracle recheck` exit 0.
 
-`pressure.mode` only decides how many letters of each float-exact window
-of G are listed for `sample` and `oracle recheck`: all (enumerate) or a
-collar (tail).  G, its sums and the `dim` certificate do not depend on
-it, and a window past 2^53 is never listed, so enumerate-mode `dim` no
-longer exits 2 there.  `sample` and `oracle recheck` exit 2 when G lists
-no letter ("no explicit admissible letters", as at lam = 1, R0 = e,
+G holds every letter in runs of indices shared by blocks of columns, so
+G, its sums and `dim` do not depend on `pressure.mode`, which only
+decides how many letters of each float-exact window `sample` and `oracle
+recheck` see: all (enumerate) or a collar (tail).  A window past 2^53 is
+never listed, so both exit 2 where G lists no letter (lam = 1, R0 = e,
 inset 0.5, anchor 30): the recheck never passes with nothing checked.
 """
 
@@ -375,7 +374,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     k = int(cfg.oracle.get("subsystem", 8))
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
-        raise ConstructionError(f"admissible set holds fewer than {k} letters")
+        raise ConstructionError(f"G lists {gset.n_explicit} letters; the subsystem needs {k}")
     sub = _subsystem(fam, letters, spec)
     t = float(cfg.oracle.get("t", 1.0))
     n = int(cfg.oracle.get("word_length", 2))

@@ -26,8 +26,7 @@ from .tractgeom import GSet, GeometryBudget, SquareSpec
 
 # Letters whose margin `recheck_gset` evaluates at each end of a run at first.
 _END_BLOCK = 64
-# Points per block of `cantor_middle_thirds`: a multiple of the 4-row groups
-# in which the BLAS matrix-vector kernel weights rows.
+# Points per block of `cantor_middle_thirds`, which bounds its memory.
 _DIGIT_ROWS = 4096
 # Boundary points per block of the dense recheck: 8 letters at the default
 # 2,560 samples (density 10 x 256).
@@ -90,21 +89,21 @@ def cantor_middle_thirds(count: int = 100_000, depth: int = 35,
     """Random points of the middle-thirds set on [0, 1], as complex values.
 
     Each point is sum_k d_k 3^-k over k = 1..depth with digits d_k drawn
-    uniformly from {0, 2}.  The digits are drawn and weighted in blocks of
-    `_DIGIT_ROWS` points, so memory does not grow with `count`; the draws
-    and the rows of the matrix-vector product are the same as for one
-    count x depth matrix, so the points are too.  A last block of one row
-    joins the block before it: numpy weights a single row by a dot
-    product, which may round differently.
+    uniformly from {0, 2}, formed as the exact int64 numerator
+    sum_k d_k 3^(depth - k) (an integer product, no BLAS) over 3^depth, so
+    the points do not depend on the numerical library.  The digits are
+    drawn and weighted in blocks of `_DIGIT_ROWS` points, so memory does
+    not grow with `count`; the draws are the same as for one count x depth
+    matrix, so the points are too.
     """
+    if depth > 39:
+        raise ConfigError(f"depth {depth} > 39 overflows the int64 numerators")
     rng = np.random.default_rng(seed)
-    weights = 3.0 ** -np.arange(1, depth + 1)
-    bounds = list(range(0, count, _DIGIT_ROWS)) + [count]
-    if count % _DIGIT_ROWS == 1 and len(bounds) > 2:
-        del bounds[-2]
+    powers = 3 ** np.arange(depth - 1, -1, -1, dtype=np.int64)
     xs = np.empty(count)
-    for lo, hi in zip(bounds, bounds[1:]):
-        xs[lo:hi] = 2 * rng.integers(0, 2, size=(hi - lo, depth)) @ weights
+    for lo in range(0, count, _DIGIT_ROWS):
+        hi = min(lo + _DIGIT_ROWS, count)
+        xs[lo:hi] = (2 * rng.integers(0, 2, size=(hi - lo, depth)) @ powers) / 3 ** depth
     return xs.astype(complex)
 
 

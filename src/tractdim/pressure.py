@@ -23,18 +23,17 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError, NumericError
+from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
 from .numerics import CHUNK, TWO_PI, weighted_log_sum_exp
-from .tractgeom import (DistortionBound, GeometryBudget, GSet, SigmaWindow, SquareSpec,
-                        SWindow, _distortion_or_unavailable, _merge_runs, anchor_line,
-                        build_G, build_squares, find_radius)
+from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
+                        _distortion_or_unavailable, anchor_line, build_G, build_squares,
+                        find_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -88,50 +87,19 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     """Weight envelopes for an admissible set.
 
     The per-letter bounds are the closed-form envelopes of |g'| over Q,
-    which depend on sigma = ln(2*pi*|s|) alone.  So G is reduced once to
-    |s| runs with multiplicities: the listed and unlisted integer runs of
-    each (u, sign) column are merged, so the runs do not depend on the
-    mode, and each distinct sigma window is converted to integer bounds
-    once (at the default anchor-4000 certificate, one for 1,274 windows).
+    which depend on sigma = ln(2*pi*|s|) alone.  So G's runs reduce to
+    distinct |s| ranges, each with the number of columns holding it (at
+    the default anchor-4000 certificate, one range for 1,274 columns).
     `dist` is accepted for compatibility and has no effect.
     """
     if not family.has_tail_model:
         raise ConfigError("weighted systems need tail asymptotics in this version")
     env = family.tail_model().envelope(spec.outer.bounds())
-    sigma_ranges = Counter((w.sigma_lo, w.sigma_hi) for w in gset.segments
-                           if isinstance(w, SigmaWindow))
-    columns: dict = {}
-    for w in gset.windows + gset.segments:
-        if isinstance(w, SWindow):
-            columns.setdefault((w.u, w.sign), []).append((w.s_lo, w.s_hi))
-    runs = Counter(tuple(sorted((abs(a), abs(b))))
-                   for col in columns.values() for a, b in _merge_runs(col))
-    for (sigma_lo, sigma_hi), k in sigma_ranges.items():
-        s1, s2 = _sigma_run(sigma_lo, sigma_hi)
-        if s1 <= s2:
-            runs[(s1, s2)] += k
+    runs = Counter()
+    for run in gset.runs:
+        runs[tuple(sorted((abs(run.s_lo), abs(run.s_hi))))] += run.n_columns
     return WeightedSystem(runs=tuple(runs.items()), family=family, env=env,
                           anchor=spec.anchor)
-
-
-def _sigma_run(sigma_lo: float, sigma_hi: float):
-    """Integer bounds (s1, s2) of the |s| with ln(2*pi*|s|) in a sigma window.
-
-    Each end is trimmed inward by a relative 2^-30, far above the error of
-    e^x formed as a 53-bit mantissa times 2^k (about 1e-12 at sigma =
-    6000), and checked with math.log on the ints.
-    """
-    def exp_int(x, rounding):
-        e = x / math.log(2.0)
-        k = math.floor(e) - 52
-        return rounding(int(2.0 ** (e - k)) * Fraction(2) ** k)
-
-    log_two_pi = math.log(TWO_PI)
-    s1 = exp_int(sigma_lo - log_two_pi + 2.0 ** -30, math.ceil)
-    s2 = exp_int(sigma_hi - log_two_pi - 2.0 ** -30, math.floor)
-    if log_two_pi + math.log(s1) < sigma_lo or log_two_pi + math.log(s2) > sigma_hi:
-        raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")
-    return s1, s2
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +316,9 @@ class DimensionCertificate:
 
 def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1,
                        inset="auto", margin: float = 0.0, boundary_samples: int = 256,
-                       mode: str = "tail", distortion_mode: str = "single",
-                       bisect_tol: float = 1e-4, scan=(1000.0, 20000.0, 100.0),
-                       collar: int = 32, workers: int = 1) -> DimensionCertificate:
+                       mode: str = "tail", bisect_tol: float = 1e-4,
+                       scan=(1000.0, 20000.0, 100.0), collar: int = 32,
+                       workers: int = 1) -> DimensionCertificate:
     """Run the full construction and certify dim > 1 via the pressure bound.
 
     The verdict is "certified" exactly when P_lo(1) > 0 and the lower
@@ -374,7 +342,7 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
     else:
         anchor_val = float(anchor)
     spec = build_squares(anchor_val, inset_val)
-    dist = _distortion_or_unavailable(anchor_val, family.ln_r0, mode=distortion_mode)
+    dist = _distortion_or_unavailable(anchor_val, family.ln_r0)
     line = anchor_line(family, anchor_val, inset_val)
     eq1_margin = float(np.abs(np.asarray(family.inv0_deriv(complex(anchor_val)))).item()
                        - anchor_val ** (-(1.0 + epsilon)))
@@ -475,12 +443,14 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
     """
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
+    # the size test comes first, in log form, so that no exp overflows
+    if (max(sigma_lo, sigma_hi) - math.log(TWO_PI) > 54 * math.log(2.0)
+            or math.floor(math.exp(sigma_hi) / TWO_PI) > 2 ** 53):
+        raise ConfigError("window too large to enumerate; shrink sigma_hi")
     s1 = math.ceil(math.exp(sigma_lo) / TWO_PI)
     s2 = math.floor(math.exp(sigma_hi) / TWO_PI)
     if s2 < s1:
         raise ConfigError("empty comparison window")
-    if s2 > 2 ** 53:
-        raise ConfigError("window too large to enumerate; shrink sigma_hi")
     parts_lo, parts_hi = [], []
     for start in range(s1, s2 + 1, CHUNK):
         ss = np.arange(start, min(start + CHUNK - 1, s2) + 1, dtype=np.int64)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -227,15 +228,14 @@ def universal_cell_diameter_bound(spec: SquareSpec, dist: DistortionBound,
     return spec.outer.diam * 4.0 * math.pi * dist.c / (spec.anchor - ln_r0)
 
 
-def _distortion_or_unavailable(anchor: float, ln_r0: float,
-                               mode: str = "single") -> DistortionBound:
+def _distortion_or_unavailable(anchor: float, ln_r0: float) -> DistortionBound:
     """Distortion constant, or an infinite sentinel below the Koebe range.
 
     Anchors too close to ln R0 admit no covering disk; constructions then
     lean on family-sharp envelopes alone and no universal bound exists.
     """
     try:
-        return distortion_constant(anchor, ln_r0, mode=mode)
+        return distortion_constant(anchor, ln_r0)
     except GeometryError:
         return DistortionBound(c=math.inf, rho=math.nan, mode="unavailable")
 
@@ -503,33 +503,31 @@ class SigmaWindow:
                 math.exp(self.sigma_hi) / TWO_PI if self.sigma_hi < 700 else math.inf)
 
 
-def solve_s_window(family: MapFamily, u: int, anchor_or_spec, spec: Optional[SquareSpec] = None,
+def solve_s_window(family: MapFamily, u: int, spec: SquareSpec,
                    budget: Optional[GeometryBudget] = None, sign: int = 1,
                    margin: float = None) -> Optional[SigmaWindow]:
     """Admissible sigma interval of one (u, sign) column, in closed form.
 
-    Accepts either (family, u, anchor, ...) or (family, u, spec, ...).
     The one-column view of `_sigma_windows`, the solve `build_G` runs
-    once per sign over all its columns; see there for the formulas and
-    the endpoint certification.  Returns None when the column has no
-    room; raises NumericError when an endpoint fails its certification.
+    once per sign over blocks of columns; see there for the formulas and
+    the endpoint certification.  `margin` defaults to the budget's, else
+    0.  Returns None when the column has no room; raises NumericError when
+    an endpoint fails its certification.
     """
-    if spec is None:
-        if isinstance(anchor_or_spec, SquareSpec):
-            spec = anchor_or_spec
-        else:
-            spec = build_squares(float(anchor_or_spec),
-                                 budget.inset if budget else float(anchor_or_spec) / 8.0)
     if margin is None:
         margin = budget.margin if budget is not None else 0.0
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
-    return _sigma_windows(model, env, spec.outer, margin, sign, [u])[0]
+    for u_lo, u_hi, lo, hi in _sigma_windows(model, env, spec.outer, margin, sign):
+        if u_lo <= u <= u_hi:
+            return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
+    return None
 
 
 def _sigma_windows(model: ExpTailModel, env: TailEnvelope, target: Rect, margin: float,
-                   sign: int, us) -> list:
-    """Admissible sigma windows of the columns (u, sign), u in us: one solve.
+                   sign: int) -> list:
+    """Admissible sigma windows of the columns (u, sign), as blocks (u_lo,
+    u_hi, sigma_lo, sigma_hi) of adjacent columns sharing one window.
 
     With b = env.b, x = re_lo(Q) + margin, y = re_hi(Q) - margin and
     delta the vertical room around mid = 2*pi*u + sign*pi/2, each
@@ -539,59 +537,65 @@ def _sigma_windows(model: ExpTailModel, env: TailEnvelope, target: Rect, margin:
         re_hi <= y          <=>  sigma <= ln(e^y - b)
         arcsin(...) <= delta <=> sigma >= ln b + log1p(1/sin delta),
 
-    the last only for delta < pi/2 (arcsin never exceeds pi/2).  All three
-    are evaluated in log form, so anchors past the exp range are fine.
-    The first two and sigma_hi are shared by every column; the third is
-    a per-column closed form in scalar `math`.  A column gets None when
-    the inequalities leave no room (y <= ln b, delta <= 0 or an empty
-    interval).
+    the last only for delta < pi/2 (arcsin never exceeds pi/2), all in log
+    form, so anchors past the exp range are fine.  Column mids are 2*pi
+    apart, so only the first and the last column with room can have
+    delta < pi/2; each is solved on its own, and the block between them
+    shares [max(sigma_valid_min, ln(e^x + b)), ln(e^y - b)].  A column
+    without room (y <= ln b, delta <= 0 or an empty interval) has none.
 
-    Both endpoints of every column are then checked against the enclosure
-    predicate itself, by one `cell_enclosure` call over all of them; an
-    endpoint that fails is moved inward by one float and checked again,
-    at most `_ENDPOINT_ULPS` times and never outward, so each window is
-    certified by the same test a bisection would use.  A column whose
-    endpoint still fails raises NumericError (the first such u); there is
-    no fallback to enumeration.  Returns one entry per u, in order.
+    Each block's endpoints are checked against the enclosure predicate at
+    its two extreme columns, all blocks in one `_enclosed` call, and an
+    endpoint failing at either moves inward by one float, at most
+    `_ENDPOINT_ULPS` times and never outward: the test a bisection would
+    use.  An enclosure's imaginary part is mid -/+ at most pi/2, mid
+    increasing in u in float, so a window passing at both extremes passes
+    between them; the block lies more than 2*pi inside Q, where that test
+    cannot fail, so each of its columns gets the window its own solve
+    gives.  A failing endpoint raises NumericError; there is no fallback.
     """
     ln_b = math.log(env.b)
     x = target.re_lo + margin
     y = target.re_hi - margin
     if y <= ln_b:
-        return [None] * len(us)
+        return []
     sigma_hi = y + math.log1p(-env.b * math.exp(-y))
     shared_lo = max(env.sigma_valid_min, float(np.logaddexp(x, ln_b)))
-    cols = []  # (entry index, u, closed-form sigma_lo) of the columns with room
-    for i, u in enumerate(us):
+
+    def closed_lo(u):  # None without room
         mid = TWO_PI * u + sign * 0.5 * math.pi
         delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
         if delta <= 0.0:
-            continue
+            return None
         sigma_lo = shared_lo
         if delta < 0.5 * math.pi:
             sigma_lo = max(sigma_lo, ln_b + math.log1p(1.0 / math.sin(delta)))
-        if sigma_hi > sigma_lo:
-            cols.append((i, u, sigma_lo))
-    out = [None] * len(us)
-    if not cols:
-        return out
-    n = len(cols)
-    u_arr = np.array([u for _, u, _ in cols] * 2, dtype=np.int64)
-    sigma = np.array([lo for _, _, lo in cols] + [sigma_hi] * n)
-    inward = np.repeat([math.inf, -math.inf], n)
+        return sigma_lo if sigma_hi > sigma_lo else None
+
+    mid0 = sign * 0.5 * math.pi  # candidates: the columns whose mid is in Q, one more each side
+    us = range(math.ceil((target.im_lo + margin - mid0) / TWO_PI) - 1,
+               math.floor((target.im_hi - margin - mid0) / TWO_PI) + 2)
+    first = next((u for u in us if closed_lo(u) is not None), None)
+    if first is None:
+        return []
+    last = next(u for u in reversed(us) if closed_lo(u) is not None)
+    blocks = [(u, u, closed_lo(u)) for u in sorted({first, last})]
+    if last - first >= 2:
+        blocks.append((first + 1, last - 1, shared_lo))
+    extremes = np.array([[blk[0] for blk in blocks], [blk[1] for blk in blocks]])[:, None]
+    sigma = np.array([[blk[2] for blk in blocks], [sigma_hi] * len(blocks)])
     for step in range(_ENDPOINT_ULPS + 1):
-        ok = _enclosed(model, env, target, margin, u_arr, sign, sigma)
+        ok = _enclosed(model, env, target, margin, extremes, sign, sigma).all(axis=0)
         if ok.all() or step == _ENDPOINT_ULPS:
             break
-        sigma = np.where(ok, sigma, np.nextafter(sigma, inward))
-    for j, (i, u, closed_lo) in enumerate(cols):
-        lo, hi = float(sigma[j]), float(sigma[n + j])
-        if not (ok[j] and ok[n + j] and hi > lo):
+        sigma = np.where(ok, sigma, np.nextafter(sigma, [[math.inf], [-math.inf]]))  # inward
+    for j, (u_lo, u_hi, closed) in enumerate(blocks):
+        if not (ok[:, j].all() and sigma[1, j] > sigma[0, j]):
             raise NumericError(
-                f"closed-form sigma window [{closed_lo!r}, {sigma_hi!r}] for u={u}, "
+                f"closed-form sigma window [{closed!r}, {sigma_hi!r}] for u={u_lo}..{u_hi}, "
                 f"sign={sign} fails the enclosure test within {_ENDPOINT_ULPS} ulps inward")
-        out[i] = SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
-    return out
+    return sorted((u_lo, u_hi, float(sigma[0, j]), float(sigma[1, j]))
+                  for j, (u_lo, u_hi, _) in enumerate(blocks))
 
 
 def _enclosed(model: ExpTailModel, env: TailEnvelope, rect: Rect, margin: float, u, sign: int,
@@ -626,29 +630,43 @@ class SWindow:
         return 1 if self.s_lo > 0 else -1
 
 
+@dataclass(frozen=True, order=True)
+class RunBlock:
+    """The letters (u, s) with u_lo <= u <= u_hi and s_lo <= s <= s_hi:
+    one signed index run (ints of any size) shared by adjacent columns."""
+
+    u_lo: int
+    u_hi: int
+    s_lo: int
+    s_hi: int
+
+    @property
+    def n_columns(self) -> int:
+        return self.u_hi - self.u_lo + 1
+
+
 @dataclass(frozen=True)
 class GSet:
-    """The admissible index pairs: listed runs plus the unlisted rest.
+    """The admissible index pairs: all in `runs`, some listed in `windows`.
 
-    `windows` are listed for sampling, the recheck oracle and the gap
-    report.  `segments` holds the rest: in tail mode the SWindow past each
-    window's collar, in both modes every window past 2^53 (a SigmaWindow).
-    """
+    `runs` holds each column's letters as maximal signed runs, each with
+    the block of adjacent columns sharing it.  `windows` lists letters
+    column by column for sampling, the recheck oracle and the gap report."""
 
     mode: str
     windows: tuple  # of SWindow, sorted by (u, s_lo)
-    segments: tuple  # of SWindow or SigmaWindow, sorted by (u, sign)
+    runs: tuple  # of RunBlock, sorted
 
     @property
     def n_explicit(self) -> int:
         return sum(w.count for w in self.windows)
 
     @property
-    def n_segments(self) -> int:
-        return len(self.segments)
+    def n_segments(self) -> int:  # the number of runs
+        return len(self.runs)
 
     def is_empty(self) -> bool:
-        return not self.windows and not self.segments
+        return not self.runs
 
     def cum_counts(self) -> np.ndarray:
         return np.cumsum([w.count for w in self.windows])
@@ -693,19 +711,8 @@ class GSet:
         return {
             "mode": self.mode,
             "pairs": [[u, s] for (u, s) in self.pairs_iter()],
-            "segments": [asdict(seg) for seg in self.segments],
+            "runs": [asdict(run) for run in self.runs],
         }
-
-
-def _u_candidates(spec: SquareSpec, margin: float) -> dict:
-    """Candidate u ranges per sign from the vertical extent of Q."""
-    out = {}
-    for sign in (1, -1):
-        mid = sign * 0.5 * math.pi
-        lo = math.ceil((spec.outer.im_lo + margin - mid) / TWO_PI) - 1
-        hi = math.floor((spec.outer.im_hi - margin - mid) / TWO_PI) + 1
-        out[sign] = range(lo, hi + 1)
-    return out
 
 
 def _merge_runs(runs: list) -> list:
@@ -729,24 +736,25 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             workers: int = 1, collar: int = 32) -> GSet:
     """Assemble the admissible set G = {(u, s): cell(u, s) inside Q}.
 
-    Each (u, sign) column contributes its closed-form sigma window; the
-    windows of one sign come from a single solve (`_sigma_windows`), and
-    the tail model and envelope are computed once per call.  The
-    cell enclosure is monotone in sigma, so when the window's indices are
-    float-exact every integer in [ceil(s_lo), floor(s_hi)] is certified
-    without a per-index test.  Only the two edge bands just outside it,
-    ceil((2*pi + 2b) / (2*pi)) + 2 indices deep, are tested: by the
-    vectorized enclosure, then by the sampled fallback for cells whose
-    center lies in Q.  The fallback rescues a few cells past the analytic
-    endpoints.  The high band stops at 2^53, the last float-exact index.
+    The columns (u, sign) of one sign get their closed-form sigma windows
+    from one solve (`_sigma_windows`), in blocks of adjacent columns
+    sharing a window; the tail model and envelope are computed once per
+    call.  A window past 2^53 becomes one run of its whole block, its
+    integer bounds converted once per distinct window (`_sigma_run`).  In
+    a float-exact window the cell enclosure is monotone in sigma, so every
+    integer in [ceil(s_lo), floor(s_hi)] is certified without a per-index
+    test.  Only the two edge bands just outside it, ceil((2*pi + 2b) /
+    (2*pi)) + 2 indices deep, are tested, column by column: by the
+    vectorized enclosure, then by the sampled fallback (which rescues a
+    few cells) for cells whose center lies in Q.  The high band stops at
+    2^53, the last float-exact index.
 
-    A window past 2^53 is one SigmaWindow with no edge bands.  `mode`
-    only decides how many letters of a float-exact window are listed, so
-    G's letters do not depend on it.  enumerate: all, with no cap.  tail:
-    the edge-band rescues and a collar of `collar` indices at the low edge,
-    where the letters weigh most; the rest is an unlisted SWindow, and a
-    window of at most `collar + 4` indices is listed whole.  `workers` is
-    accepted for compatibility and has no effect.
+    `mode` only decides which letters of a float-exact window `windows`
+    lists, so G's runs do not depend on it.  enumerate: all, with no cap.
+    tail: the edge-band rescues and a collar of `collar` indices at the
+    low edge, where the letters weigh most; a window of at most
+    `collar + 4` indices is listed whole.  `workers` is accepted for
+    compatibility and has no effect.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -763,34 +771,57 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     env = model.envelope(spec.outer.bounds())
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
-        return GSet(mode=mode, windows=(), segments=())
-    u_cands = _u_candidates(spec, budget.margin)
+        return GSet(mode=mode, windows=(), runs=())
     widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
     windows: list[SWindow] = []
-    segments: list = []
+    columns: dict = {}  # signed run (s_lo, s_hi) -> column blocks (u_lo, u_hi) holding it
+    sigma_runs: dict = {}  # sigma window -> its integer bounds
     for sign in (1, -1):
-        for win in _sigma_windows(model, env, spec.outer, budget.margin, sign, u_cands[sign]):
-            if win is None:
+        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(model, env, spec.outer,
+                                                             budget.margin, sign):
+            if sigma_hi >= 700.0 or math.exp(sigma_hi) / TWO_PI > _MAX_EXACT_INT:
+                key = (sigma_lo, sigma_hi)
+                s1, s2 = sigma_runs[key] = sigma_runs.get(key) or _sigma_run(*key)
+                if s1 <= s2:
+                    columns.setdefault(tuple(sorted((sign * s1, sign * s2))), []).append(
+                        (u_lo, u_hi))
                 continue
-            u = win.u
-            s_lo_f, s_hi_f = win.s_bounds
-            if s_hi_f > _MAX_EXACT_INT:
-                segments.append(win)
-                continue
+            s_lo_f, s_hi_f = math.exp(sigma_lo) / TWO_PI, math.exp(sigma_hi) / TWO_PI
             lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
                           hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
-            runs = [(s, s) for s in _edge_letters(family, model, env, spec, budget, dist, u,
-                                                  sign, bands)]
-            if mode == "tail" and hi - lo + 1 > collar + 4:
-                segments.append(SWindow(u, *sorted((sign * (lo + collar), sign * hi))))
-                hi = lo + collar - 1
-            if hi >= lo:
-                runs.append((sign * lo, sign * hi))
-            windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in _merge_runs(runs))
+            top = lo + collar - 1 if mode == "tail" and hi - lo + 1 > collar + 4 else hi
+            for u in range(u_lo, u_hi + 1):
+                edge = [(s, s) for s in _edge_letters(family, model, env, spec, budget, dist,
+                                                      u, sign, bands)]
+                for run in _merge_runs(edge + [(sign * lo, sign * hi)] if hi >= lo else edge):
+                    columns.setdefault(run, []).append((u, u))
+                listed = edge + [(sign * lo, sign * top)] if top >= lo else edge
+                windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in _merge_runs(listed))
     windows.sort(key=lambda w: (w.u, w.s_lo))
-    segments.sort(key=lambda w: (w.u, w.sign))
-    return GSet(mode=mode, windows=tuple(windows), segments=tuple(segments))
+    runs = sorted(RunBlock(u_lo, u_hi, s_lo, s_hi) for (s_lo, s_hi), blocks in columns.items()
+                  for u_lo, u_hi in _merge_runs(blocks))
+    return GSet(mode=mode, windows=tuple(windows), runs=tuple(runs))
+
+
+def _sigma_run(sigma_lo: float, sigma_hi: float):
+    """Integer bounds (s1, s2) of the |s| with ln(2*pi*|s|) in a sigma window.
+
+    Each end is trimmed inward by a relative 2^-30, far above the error of
+    e^x formed as a 53-bit mantissa times 2^k (about 1e-12 at sigma =
+    6000), and checked with math.log on the ints.
+    """
+    def exp_int(x, rounding):
+        e = x / math.log(2.0)
+        k = math.floor(e) - 52
+        return rounding(int(2.0 ** (e - k)) * Fraction(2) ** k)
+
+    log_two_pi = math.log(TWO_PI)
+    s1 = exp_int(sigma_lo - log_two_pi + 2.0 ** -30, math.ceil)
+    s2 = exp_int(sigma_hi - log_two_pi - 2.0 ** -30, math.floor)
+    if log_two_pi + math.log(s1) < sigma_lo or log_two_pi + math.log(s2) > sigma_hi:
+        raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")
+    return s1, s2
 
 
 def _edge_letters(family, model, env, spec, budget, dist, u, sign, ss: np.ndarray) -> list:

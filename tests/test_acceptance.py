@@ -163,7 +163,7 @@ def test_criterion_05_cross_mode_sum_agreement(full12):
     ok = (cmp.consistent and cmp.rel_width_lo <= 0.01 and cmp.rel_width_hi <= 0.01)
     _line(5, ok,
           f"level-1 sums at t=1 on the shared sigma window: enumerated "
-          f"{cmp.enum_lo:.6g}/{cmp.enum_hi:.6g} inside the tail sandwiches, "
+          f"{cmp.enum_lo:.6g}/{cmp.enum_hi:.6g} inside the run-sum brackets, "
           f"relative widths {cmp.rel_width_lo:.2%}/{cmp.rel_width_hi:.2%} <= 1%")
 
 
@@ -216,7 +216,7 @@ def test_criterion_08_dimension_cross_check(small):
     from tractdim.tractgeom import GSet, SWindow
     wins = tuple(sorted((SWindow(u=u, s_lo=s, s_hi=s) for (u, s) in letters),
                         key=lambda w: (w.u, w.s_lo)))
-    g8 = GSet(mode="enumerate", windows=wins, segments=())
+    g8 = GSet(mode="enumerate", windows=wins, runs=())
     sample = td.sample_limit_set(fam, g8, spec, depth=10, count=60_000, seed=7)
 
     # oracle-side contraction scale from the letters' return multipliers

@@ -185,6 +185,14 @@ def test_oracle_recheck_with_no_listed_letter_exit_2(tmp_path, capsys, mode):
     assert "no explicit admissible letters" in capsys.readouterr().err
 
 
+def test_oracle_brute_pressure_with_no_listed_letter_exit_2(tmp_path, capsys):
+    # anchor 30: G holds about 10^18 letters, all past 2^53, and lists none
+    cfg = write_cfg(tmp_path, "a30.json", {"geometry": {"anchor": 30.0, "inset": 0.5}})
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 2
+    assert "G lists 0 letters; the subsystem needs 8" in capsys.readouterr().err
+
+
 def test_oracle_box_dim(tmp_path):
     out = str(tmp_path / "box.json")
     assert run(["oracle", "box-dim", "--out", out]) == 0

@@ -17,11 +17,14 @@ def test_box_dim_middle_thirds():
     assert all(a >= b for a, b in zip(est.counts, est.counts[1:]))  # sorted by scale
 
 
+def _cantor_digits(count, depth, seed):
+    return 2 * np.random.default_rng(seed).integers(0, 2, size=(count, depth))
+
+
 def _cantor_one_shot(count, depth, seed):
     """Reference: the digits of all points drawn and weighted as one matrix."""
-    rng = np.random.default_rng(seed)
-    digits = 2 * rng.integers(0, 2, size=(count, depth))
-    return (digits @ (3.0 ** -np.arange(1, depth + 1))).astype(complex)
+    powers = 3 ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    return ((_cantor_digits(count, depth, seed) @ powers) / 3 ** depth).astype(complex)
 
 
 @pytest.mark.parametrize("count", [100_000, 10_001, 4097, 1])
@@ -31,6 +34,23 @@ def test_cantor_blocks_equal_one_shot_draw(count, seed):
     ref = _cantor_one_shot(count, 35, seed)
     assert pts.dtype == ref.dtype and pts.shape == ref.shape
     assert np.array_equal(pts.view(np.int64), ref.view(np.int64))
+
+
+def test_cantor_points_are_exact_numerators_over_a_power_of_three():
+    """Count 4,097 ends in a block of one row; every point is still its
+    exact numerator sum_k d_k 3^(depth - k) over 3^depth, as a row-by-row
+    evaluation and a Python-int one give it."""
+    count, depth, seed = 4097, 35, 7
+    pts = td.cantor_middle_thirds(count, depth, seed=seed)
+    digits = _cantor_digits(count, depth, seed)
+    powers = 3 ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    rows = np.array([row @ powers for row in digits]) / 3 ** depth
+    exact = [float(sum(int(d) * 3 ** (depth - k) for k, d in enumerate(row, 1)))
+             / float(3 ** depth) for row in digits]
+    assert np.array_equal(pts.real, rows) and np.array_equal(pts.real, exact)
+    assert not pts.imag.any()
+    with pytest.raises(td.ConfigError):
+        td.cantor_middle_thirds(10, 40)
 
 
 def test_box_dim_segment():
@@ -111,7 +131,7 @@ def test_recheck_gset_flags_planted_outsider(small):
     bad = GSet(mode="enumerate",
                windows=tuple(sorted(small.gset.windows + (SWindow(0, 30, 30),),
                                     key=lambda w: (w.u, w.s_lo))),
-               segments=())
+               runs=())
     rep = td.recheck_gset(small.family, bad, small.spec, small.budget,
                           density=10, dense_sample=16)
     assert rep.n_flagged >= 1
@@ -201,7 +221,7 @@ def _lam_001_anchor_4():
 
 def _planted(anchor, *windows):
     fam = td.normalize_family(td.exponential_family(1.0, math.e))
-    return (fam, GSet(mode="enumerate", windows=windows, segments=()),
+    return (fam, GSet(mode="enumerate", windows=windows, runs=()),
             td.build_squares(anchor, 0.5), td.GeometryBudget(inset=0.5))
 
 

@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
-from tractdim import pressure
 from tractdim.loglift import ExpTailModel, TailEnvelope
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
-from tractdim.pressure import WeightedSystem, _sigma_run, build_weighted_system
-from tractdim.tractgeom import SigmaWindow
+from tractdim import tractgeom
+from tractdim.pressure import WeightedSystem, build_weighted_system
 
 
 def test_level1_empty_system():
@@ -103,7 +102,8 @@ def test_bowen_monotone_in_weights():
 
 
 def test_level1_cross_mode_windows_vs_segments(small):
-    """Explicit letters and tail segments of the same window agree."""
+    """The enumerated sum of a window lies inside its closed-form run-sum
+    bracket; a window past the float range is refused before any exp."""
     win = td.solve_s_window(small.family, 0, small.spec, budget=small.budget, sign=1)
     cmp = td.compare_window_modes(small.family, small.spec,
                                   win.sigma_lo, min(win.sigma_lo + 4.0, win.sigma_hi),
@@ -111,6 +111,8 @@ def test_level1_cross_mode_windows_vs_segments(small):
     assert cmp.consistent
     assert cmp.rel_width_lo <= 0.01
     assert cmp.rel_width_hi <= 0.01
+    with pytest.raises(td.ConfigError, match="window too large to enumerate"):
+        td.compare_window_modes(small.family, td.build_squares(4000.0, 3.0), 800.0, 801.0)
 
 
 def test_level1_anchor_mode(small):
@@ -136,7 +138,7 @@ def test_level1_anchor_mode_inside_bounds(request, bundle):
         bounds = td.level1_sum(system, t, mode="bounds")
         anchored = td.level1_sum(system, t, mode="anchor")
         assert bounds.log_lo < anchored.log_lo <= anchored.log_hi < bounds.log_hi
-        if not b.gset.segments:
+        if b.gset.n_explicit == sum(r.n_columns * (r.s_hi - r.s_lo + 1) for r in b.gset.runs):
             _, s = b.gset.letters_from_ranks(np.arange(b.gset.n_explicit))
             direct = math.log(math.fsum(
                 (np.abs(a + TWO_PI * 1j * s.astype(float)) * d) ** -t))
@@ -144,16 +146,17 @@ def test_level1_anchor_mode_inside_bounds(request, bundle):
 
 
 def test_level1_segment_sums_bit_identical_to_direct(fam):
-    """Sharing one run sum per sigma range changes no bit of the bounds."""
+    """Sharing one run sum per |s| range changes no bit of the bounds: the
+    sum equals one run-sum term per column of every run of G."""
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     system = build_weighted_system(fam, gset, spec, dist)
-    assert gset.n_explicit == 0 and gset.n_segments > 1000
+    assert gset.n_explicit == 0 and sum(run.n_columns for run in gset.runs) > 1000
     model = fam.tail_model()
-    parts = [model.sum_run_log_bounds(*_sigma_run(seg.sigma_lo, seg.sigma_hi), 1.0, system.env)
-             for seg in gset.segments]
+    parts = [model.sum_run_log_bounds(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, system.env)
+             for run in gset.runs for _ in range(run.n_columns)]
     got = td.level1_sum(system, 1.0)
     assert got.log_lo == log_sum_exp([lo for lo, _ in parts])
     assert got.log_hi == log_sum_exp([hi for _, hi in parts])
@@ -220,24 +223,9 @@ def test_weighted_log_sum_exp_equals_expanded_list(terms):
 
 
 def _runs_per_part(gset):
-    """|s| ranges of G: one per merged run of the listed and unlisted
-    integer runs of a (u, sign) column, and one per sigma window."""
-    columns, runs = {}, []
-    for w in gset.windows + gset.segments:
-        if isinstance(w, SigmaWindow):
-            runs.append(_sigma_run(w.sigma_lo, w.sigma_hi))
-        else:
-            columns.setdefault((w.u, w.sign), []).append([w.s_lo, w.s_hi])
-    for spans in columns.values():
-        spans.sort()
-        merged = [spans[0]]
-        for a, b in spans[1:]:
-            if a <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        runs.extend(tuple(sorted((abs(a), abs(b)))) for a, b in merged)
-    return runs
+    """|s| ranges of G: one per column of every run."""
+    return [tuple(sorted((abs(run.s_lo), abs(run.s_hi))))
+            for run in gset.runs for _ in range(run.n_columns)]
 
 
 def _level1_sum_per_part(system, runs, t, mode="bounds"):
@@ -286,15 +274,14 @@ def test_level1_sum_bit_identical_to_per_part_reference(config):
 
 
 def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
-    """The 1,274 windows of the default certificate share one sigma range:
-    building its weighted system converts one sigma range to integer
-    bounds, and one level-1 sum makes one run-sum call."""
+    """The 1,274 columns of the default certificate share one sigma window:
+    build_G converts it to integer bounds once and holds G as one run of
+    637 columns per sign, the weighted system is that |s| range with
+    multiplicity 1,274, and one level-1 sum makes one run-sum call."""
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
-    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0), mode="tail",
-                      dist=dist)
     converted, summed = [], []
-    convert = pressure._sigma_run
+    convert = tractgeom._sigma_run
     run_sum = ExpTailModel.sum_run_log_bounds
 
     def convert_spy(*args):
@@ -305,11 +292,15 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
         summed.append(args)
         return run_sum(self, *args)
 
-    monkeypatch.setattr(pressure, "_sigma_run", convert_spy)
+    monkeypatch.setattr(tractgeom, "_sigma_run", convert_spy)
     monkeypatch.setattr(ExpTailModel, "sum_run_log_bounds", sum_spy)
-    system = build_weighted_system(fam, gset, spec, dist)
-    assert gset.n_segments == 1274
+    budget = td.GeometryBudget(inset=3.0)
+    gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     assert len(converted) == 1
+    assert gset.n_segments == 2 and [run.n_columns for run in gset.runs] == [637, 637]
+    win = td.solve_s_window(fam, 0, spec, budget=budget)
+    system = build_weighted_system(fam, gset, spec, dist)
+    assert system.runs == ((convert(win.sigma_lo, win.sigma_hi), 1274),)
     for t in (0.5, 1.0):
         summed.clear()
         td.level1_sum(system, t)

@@ -12,7 +12,7 @@ from tractdim import tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import ExpTailModel
 from tractdim.tractgeom import (_ENDPOINT_ULPS, RadiusSearchError, SigmaWindow,
-                                _distortion_or_unavailable, _sigma_windows, _u_candidates,
+                                _distortion_or_unavailable, _sigma_windows,
                                 universal_cell_diameter_bound)
 
 
@@ -282,6 +282,12 @@ def _ulps(x, n, direction):
     return x
 
 
+def _columns(spec):
+    """Every column u that can have room in Q, and two more past each end."""
+    return range(math.floor(spec.outer.im_lo / TWO_PI) - 3,
+                 math.ceil(spec.outer.im_hi / TWO_PI) + 4)
+
+
 @pytest.mark.parametrize("margin", [0.0, 0.5, 2.0])
 @pytest.mark.parametrize("anchor", [12.0, 30.0, 100.0, 4000.0])
 def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
@@ -294,8 +300,8 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     rect = spec.outer
     grid = np.linspace(rect.re_lo - 2.0, rect.re_hi + 2.0, 4097)
     n_windows = 0
-    for sign, us in _u_candidates(spec, margin).items():
-        for u in us:
+    for sign in (1, -1):
+        for u in _columns(spec):
             win = td.solve_s_window(fam, u, spec, budget=budget, sign=sign, margin=margin)
 
             def ok(sigma):
@@ -359,7 +365,9 @@ def _solve_s_window_per_column(family, u, spec, margin, sign):
 @pytest.mark.parametrize("lam", [1.0, 0.5 + 0.5j])
 def test_window_solve_matches_per_column_reference(lam, anchor, margin):
     """One solve over all columns of a sign gives every column's window bit
-    for bit, None where there is no room, as does the one-column view."""
+    for bit, none where there is no room, as does the one-column view; the
+    columns come in at most three blocks: two edge columns and the block
+    between them."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     inset = 0.5 if anchor < 1000 else 3.0
     spec = td.build_squares(anchor, inset)
@@ -367,10 +375,15 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
     model = fam.tail_model()
     env = model.envelope(spec.outer.bounds())
     n_windows = 0
-    for sign, us in _u_candidates(spec, margin).items():
-        us = range(us.start - 2, us.stop + 2)  # two columns past each end have no room
-        wins = _sigma_windows(model, env, spec.outer, margin, sign, us)
-        assert len(wins) == len(us)
+    for sign in (1, -1):
+        us = _columns(spec)
+        blocks = _sigma_windows(model, env, spec.outer, margin, sign)
+        assert len(blocks) <= 3
+        assert all(b[1] == b[0] for b in blocks[:1] + blocks[2:])
+        wins = [None] * len(us)
+        for u_lo, u_hi, lo, hi in blocks:
+            for u in range(u_lo, u_hi + 1):
+                wins[u - us.start] = SigmaWindow(u=u, sign=sign, sigma_lo=lo, sigma_hi=hi)
         # every column up to anchor 4000; at 1e5 (31,834 columns) both ends and a stride
         picks = range(len(us)) if len(us) <= 2000 else sorted(
             {*range(40), *range(40, len(us) - 40, 97), *range(len(us) - 40, len(us))})
@@ -411,7 +424,8 @@ def test_build_g_solves_each_sign_once(fam, monkeypatch):
         spec = td.build_squares(anchor, 3.0)
         gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=3.0), mode="tail")
         assert gset.n_explicit == 0  # windows past 2^53: no edge bands to test
-        counts[anchor] = (gset.n_segments, len(envelopes), len(enclosures))
+        counts[anchor] = (sum(run.n_columns for run in gset.runs), len(envelopes),
+                          len(enclosures))
     assert counts[100.0][0] < 100 < 1000 < counts[4000.0][0]
     assert counts[100.0][1] == counts[4000.0][1] == 1
     assert all(n <= 2 * 2 * (1 + _ENDPOINT_ULPS) for _, _, n in counts.values())
@@ -429,13 +443,16 @@ def test_build_g_empty_below_threshold(fam):
 
 
 def test_build_g_tail_large_anchor_is_segments_only(fam):
+    """At anchor 4000 G lists nothing and holds one run per sign, shared
+    by all 637 columns of that sign and spanning sigma from R/2 to 3R/2."""
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
     spec = td.build_squares(4000.0, 3.0)
     g = td.build_G(fam, 4000.0, spec, budget, mode="tail")
     assert g.n_explicit == 0
-    assert g.n_segments > 1000
-    for seg in g.segments[:5]:
-        assert seg.sigma_hi - seg.sigma_lo == pytest.approx(4000.0, abs=0.1)
+    assert [(run.s_lo > 0, run.n_columns) for run in g.runs] == [(False, 637), (True, 637)]
+    for run in g.runs:
+        assert abs(math.log(abs(run.s_hi)) - math.log(abs(run.s_lo))) == pytest.approx(
+            4000.0, abs=0.1)
 
 
 @pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0)])
@@ -464,9 +481,12 @@ def test_build_g_enumerate_pins_edge_rescues(mini):
 
 
 def _letter_runs(gset):
-    """Signed (u, s_lo, s_hi) runs of all letters: listed runs plus the
-    unlisted integer runs, merged."""
-    runs = [(w.u, w.s_lo, w.s_hi) for w in gset.windows + gset.segments]
+    """Signed (u, s_lo, s_hi) runs of all letters, column by column."""
+    return sorted((u, run.s_lo, run.s_hi) for run in gset.runs
+                  for u in range(run.u_lo, run.u_hi + 1))
+
+
+def _merged(runs):
     merged = []
     for u, a, b in sorted(runs):
         if merged and merged[-1][0] == u and a <= merged[-1][2] + 1:
@@ -476,24 +496,74 @@ def _letter_runs(gset):
     return merged
 
 
-@pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
-@pytest.mark.parametrize("margin", [0.0, 0.3])
-def test_tail_letters_equal_enumerate_letters(fam, anchor, margin):
-    """Collar, unlisted runs and edge-band rescues of the tail G are
-    exactly the letters of the enumerate G, so the level-1 bounds and the
-    Bowen roots of the two are the same to the bit."""
-    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=margin)
-    spec = td.build_squares(anchor, 0.5)
+def _letter_runs_per_column(fam, spec, margin, enum, collar=32):
+    """Reference from each column's own window solve: (all letters, the
+    letters the tail G lists).  Past 2^53 a window holds the integers of
+    its sigma range and lists none.  Else it holds the letters the
+    enumerate G lists in it, and the tail G lists all of them but those
+    past the collar of [ceil(s_lo), floor(s_hi)]."""
+    runs, listed = [], []
+    for sign in (1, -1):
+        for u in _columns(spec):
+            win = _solve_s_window_per_column(fam, u, spec, margin, sign)
+            if win is None:
+                continue
+            s_lo, s_hi = win.s_bounds
+            if s_hi > 2 ** 53:
+                s1, s2 = tractgeom._sigma_run(win.sigma_lo, win.sigma_hi)
+                runs += [(u, *sorted((sign * s1, sign * s2)))] if s1 <= s2 else []
+                continue
+            col = [(w.u, w.s_lo, w.s_hi) for w in enum.windows if w.u == u and w.sign == sign]
+            runs += col
+            lo, hi = math.ceil(s_lo), math.floor(s_hi)
+            top = lo + collar - 1 if hi - lo + 1 > collar + 4 else hi
+            for _, a, b in col:
+                m, n = sorted((abs(a), abs(b)))
+                for p, q in ((m, min(n, top)), (max(m, top + 1, hi + 1), n)):
+                    if p <= q:
+                        listed.append((u, *sorted((sign * p, sign * q))))
+    return _merged(runs), _merged(listed)
+
+
+def _check_runs_in_both_modes(lam, anchor, inset, margin):
+    """The runs of G are the same in both modes and hold, column by column,
+    the letters of each column's own window solve: in a float-exact window
+    exactly the collar, unlisted rest and edge-band rescues of the tail G
+    and the listed letters of the enumerate G.  So the level-1 bounds and
+    the Bowen roots of the two are the same to the bit."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    budget = td.GeometryBudget(epsilon=0.1, inset=inset, margin=margin)
+    spec = td.build_squares(anchor, inset)
     enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
     tail = td.build_G(fam, anchor, spec, budget, mode="tail")
-    assert tail.n_segments > 0
-    assert _letter_runs(tail) == _letter_runs(enum)
+    assert tail.n_explicit < sum(r.n_columns * (r.s_hi - r.s_lo + 1) for r in tail.runs)
+    letters, listed = _letter_runs_per_column(fam, spec, margin, enum)
+    assert _letter_runs(tail) == _letter_runs(enum) == letters
+    assert _merged((w.u, w.s_lo, w.s_hi) for w in tail.windows) == listed
     systems = [td.build_weighted_system(fam, g, spec) for g in (enum, tail)]
     for t in (0.5, 1.0, 2.0):
         sums = [td.level1_sum(system, t) for system in systems]
         assert len({(s.log_lo.hex(), s.log_hi.hex()) for s in sums}) == 1, t
     roots = [td.bowen_root(system) for system in systems]
     assert len({(r.t_lo.hex(), r.t_hi.hex()) for r in roots}) == 1
+
+
+@pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
+@pytest.mark.parametrize("margin", [0.0, 0.3])
+def test_tail_letters_equal_enumerate_letters(anchor, margin):
+    """Float-exact windows, with collars and edge-band rescues."""
+    _check_runs_in_both_modes(1.0, anchor, 0.5, margin)
+
+
+@pytest.mark.parametrize("lam, anchor, inset, margin", [
+    (1.0, 30.0, 0.5, 0.0), (1.0, 30.0, 0.5, 0.3), (1.0, 4000.0, 3.0, 0.0),
+    (1.0, 4000.0, 3.0, 0.3),
+    # the two edge columns of each sign get windows of their own here
+    (0.01, 9.5, 0.5, 0.0)])
+def test_runs_past_2_53_and_edge_windows_equal_per_column_solves(lam, anchor, inset, margin):
+    """Windows past 2^53, one run per block of columns, and edge columns
+    whose window differs from the shared one."""
+    _check_runs_in_both_modes(lam, anchor, inset, margin)
 
 
 def test_mini_g_structure(mini):
@@ -509,7 +579,8 @@ def test_mini_g_structure(mini):
 def test_gset_json_roundtrip(mini):
     d = mini.gset.to_json_dict()
     assert d["mode"] == "enumerate"
-    assert d["segments"] == []
+    assert sum((r["u_hi"] - r["u_lo"] + 1) * (r["s_hi"] - r["s_lo"] + 1)
+               for r in d["runs"]) == mini.gset.n_explicit
     assert len(d["pairs"]) == mini.gset.n_explicit
     assert all(len(p) == 2 for p in d["pairs"])
     with pytest.raises(td.ConstructionError):
