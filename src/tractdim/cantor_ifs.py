@@ -37,11 +37,7 @@ def _as_word(word) -> np.ndarray:
 
 
 def _letters_in_gset(word: np.ndarray, gset: GSet) -> bool:
-    for u, s in word:
-        ok = any(w.u == u and w.s_lo <= s <= w.s_hi for w in gset.windows)
-        if not ok:
-            return False
-    return True
+    return all((u, s) in gset for u, s in word.tolist())
 
 
 def cylinder_eval(family: MapFamily, word, z, spec: Optional[SquareSpec] = None,
@@ -127,23 +123,25 @@ class LimitSample:
 
 def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
                      depth: int = 8, count: int = 10000, seed: int = 42) -> LimitSample:
-    """Sample the attractor with uniform random words over the explicit letters.
+    """Sample the attractor with random words of letters drawn uniformly
+    over all of G, through the ranks of its runs (`GSet.random_ranks`).
 
-    Deterministic for a fixed seed; rows are ordered by word rank
-    (lexicographic in the flat letter ranks), so output order does not
-    depend on how the evaluation was scheduled.
+    Words are int64, so a G with letters past 2^63 raises
+    ConstructionError.  Deterministic for a fixed seed; rows are ordered
+    by word rank (lexicographic in the flat letter ranks).
     """
-    if gset.n_explicit == 0:
-        raise ConstructionError("cannot sample: no explicit letters in G")
+    if gset.is_empty():
+        raise ConstructionError("cannot sample: G has no letters")
     if depth < 1:
         raise ConstructionError("depth must be >= 1")
+    if gset.max_abs_index() >= 2 ** 63:
+        raise ConstructionError("cannot sample: G has letters past 2^63, and words are int64")
     rng = np.random.default_rng(seed)
-    ranks = rng.integers(0, gset.n_explicit, size=(count, depth), dtype=np.int64)
+    ranks = gset.random_ranks(rng, count * depth).reshape(count, depth)
     order = np.lexsort(tuple(ranks[:, k] for k in range(depth - 1, -1, -1)))
-    ranks = ranks[order]
-    u, s = gset.letters_from_ranks(ranks.ravel())
-    words_u = u.reshape(count, depth)
-    words_s = s.reshape(count, depth)
+    u, s = gset.letters(ranks[order].ravel())
+    words_u = u.astype(np.int64).reshape(count, depth)
+    words_s = s.astype(np.int64).reshape(count, depth)
     levels = [None] * (depth + 1)
     z = np.full(count, spec.outer.center, dtype=complex)
     levels[depth] = z.copy()
@@ -270,11 +268,10 @@ def check_invariance(family: MapFamily, sample: LimitSample, gset: GSet,
 
 
 def _worst_ratio(family: MapFamily, gset: GSet, spec: SquareSpec) -> float:
-    if not family.has_tail_model or not gset.windows:
+    if not family.has_tail_model or gset.is_empty():
         return 0.5
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
-    sig_min = min(math.log(TWO_PI) + math.log(min(abs(w.s_lo), abs(w.s_hi)))
-                  for w in gset.windows)
-    _, log_hi = model.log_weight_bounds(sig_min, env)
+    s_min = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
+    _, log_hi = model.log_weight_bounds(math.log(TWO_PI) + math.log(s_min), env)
     return min(0.99, float(np.exp(log_hi)))

@@ -22,12 +22,13 @@ the side of Q) is an outside, borderline cell left out of G, not a
 configuration error: at lam = 0.01, R0 = e, anchor 4, `dim` reports
 not-certified and exits 2, `sample` and `oracle recheck` exit 0.
 
-G holds every letter in runs of indices shared by blocks of columns, so
-G, its sums and `dim` do not depend on `pressure.mode`, which only
-decides how many letters of each float-exact window `sample` and `oracle
-recheck` see: all (enumerate) or a collar (tail).  A window past 2^53 is
-never listed, so both exit 2 where G lists no letter (lam = 1, R0 = e,
-inset 0.5, anchor 30): the recheck never passes with nothing checked.
+Every command reads G from its runs of indices shared by blocks of
+columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
+or tail, a finite number) and have no effect, like `workers`.  `sample`
+and `oracle recheck` draw letters uniformly over all of G: at lam = 1,
+R0 = e, inset 0.5, anchor 30 they and `oracle brute-pressure` exit 0.
+Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
+the default certificate, which `oracle recheck` checks.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def cmd_dim(cfg: RunConfig, out_path: str) -> int:
         cfg.family, anchor=cfg.anchor, epsilon=cfg.budget.epsilon,
         inset=cfg.budget.inset, margin=cfg.budget.margin,
         boundary_samples=cfg.budget.boundary_samples, mode=cfg.mode,
-        bisect_tol=cfg.bisect_tol, scan=cfg.scan, collar=cfg.collar)
+        bisect_tol=cfg.bisect_tol, scan=cfg.scan)
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"
@@ -306,21 +307,17 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _listed_G(fam, cfg, spec, dist)
+    gset = _nonempty_G(fam, cfg, spec, dist)
     sample = sample_limit_set(fam, gset, spec, depth=cfg.depth, count=cfg.count,
                               seed=cfg.seed)
     proj = project_to_plane(fam, sample)
 
-    def rows():
-        for i in range(sample.count):
-            z = sample.points[i]
-            yield (float(z.real), float(z.imag), "lifted", cfg.depth, int(sample.word_ranks[i]))
-        for i in range(sample.count):
-            p = proj.points[i]
-            space = "plane_logpolar" if proj.log_polar[i] else "plane"
-            yield (float(p.real), float(p.imag), space, cfg.depth, int(sample.word_ranks[i]))
-
-    n = write_csv(out_path, ["re", "im", "space", "depth", "word_rank"], rows())
+    lifted, plane = sample.points, proj.points
+    spaces = ["plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
+    n = write_csv(out_path, ["re", "im", "space", "depth", "word_rank"], [
+        lifted.real.tolist() + plane.real.tolist(), lifted.imag.tolist() + plane.imag.tolist(),
+        ["lifted"] * sample.count + spaces, [cfg.depth] * (2 * sample.count),
+        sample.word_ranks.tolist() * 2])
     print(f"wrote {n} rows", file=sys.stderr)
     return 0
 
@@ -367,14 +364,16 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _nonempty_G(fam, cfg, spec, dist, mode="enumerate")
+    gset = _nonempty_G(fam, cfg, spec, dist)
     if not math.isfinite(dist.c):
         raise ConstructionError("no distortion constant below the Koebe range; "
                                 "the brute-force slack would be unbounded")
     k = int(cfg.oracle.get("subsystem", 8))
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
-        raise ConstructionError(f"G lists {gset.n_explicit} letters; the subsystem needs {k}")
+        raise ConstructionError(f"G holds {gset.n_letters} letters; the subsystem needs {k}")
+    if max(abs(s) for _, s in letters) > sys.float_info.max / TWO_PI:
+        raise ConstructionError("the subsystem's letters pass the float range")
     sub = _subsystem(fam, letters, spec)
     t = float(cfg.oracle.get("t", 1.0))
     n = int(cfg.oracle.get("word_length", 2))
@@ -393,20 +392,11 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     return 0 if ok else 3
 
 
-def _nonempty_G(fam, cfg: RunConfig, spec, dist, mode: str):
-    """The admissible set an oracle checks; an empty G is a negative outcome."""
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget, mode=mode, dist=dist,
-                   collar=cfg.collar)
+def _nonempty_G(fam, cfg: RunConfig, spec, dist):
+    """The admissible set a command works on; an empty G is a negative outcome."""
+    gset = build_G(fam, cfg.anchor, spec, cfg.budget, dist=dist)
     if gset.is_empty():
         raise ConstructionError("admissible set G is empty at this configuration")
-    return gset
-
-
-def _listed_G(fam, cfg: RunConfig, spec, dist):
-    """G in the configured mode, for the commands that work on its listed letters."""
-    gset = _nonempty_G(fam, cfg, spec, dist, mode=cfg.mode)
-    if gset.n_explicit == 0:
-        raise ConstructionError("no explicit admissible letters at this configuration")
     return gset
 
 
@@ -423,7 +413,7 @@ def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _listed_G(fam, cfg, spec, dist)
+    gset = _nonempty_G(fam, cfg, spec, dist)
     rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
                                   density=int(cfg.oracle.get("density", 10)),
                                   seed=cfg.seed)
@@ -460,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _common_flags(sp):
     sp.add_argument("--config", default=None, help="JSON config path")
     sp.add_argument("--out", default=None, help="output report path")
-    sp.add_argument("--mode", choices=["enumerate", "tail"], default=None)
+    sp.add_argument("--mode", choices=["enumerate", "tail"], default=None,
+                    help="accepted and echoed; no effect")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--workers", type=int, default=None, help="accepted; no effect")
 

@@ -96,12 +96,13 @@ def write_json(path, obj) -> None:
         fh.write(canonical_json(obj))
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write rows with repr-formatted floats; returns the row count."""
-    n = 0
+def write_csv(path, header: Sequence[str], columns: Sequence[list]) -> int:
+    """Write columns of plain Python values (lists, as `.tolist()` gives
+    them) as rows, one format call per row; str of a float is its repr.
+    Returns the row count."""
+    row = ",".join(["{}"] * len(header)) + "\n"
+    rows = [row.format(*values) for values in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-            n += 1
-    return n
+        fh.writelines(rows)
+    return len(rows)

@@ -206,62 +206,75 @@ def fd_derivative_check(op: Callable, samples: Sequence[complex],
 # ---------------------------------------------------------------------------
 
 def _recheck_boundary(family: MapFamily, spec: SquareSpec, budget: GeometryBudget,
-                      density: int):
-    """What a dense recheck shares across letters: at density x boundary
-    samples z of Q, the first-level logs ln|z - c| + i*atan2 and |z - c|."""
+                      density: int) -> np.ndarray:
+    """What a dense recheck shares across letters: the first-level logs
+    ln|z - c| + i*atan2 at density x boundary samples z of Q."""
     w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
-    log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
-    return log_first, np.abs(w)
+    return 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
+
+
+def _log_two_pi_index(ss) -> np.ndarray:
+    """ln(2*pi*|s|) for indices s of any size."""
+    return math.log(TWO_PI) + np.array([math.log(abs(int(s))) for s in ss], dtype=float)
 
 
 def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: GeometryBudget,
-                   boundary):
+                   log_first: np.ndarray):
     """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
-    boundary work; `us` may be one column for all letters.
+    boundary work; `us` may be one column for all letters, and the indices
+    `ss` are ints of any size.
 
     Letters are evaluated in blocks of about `_DENSE_BLOCK` boundary points,
-    as (letters x samples) arrays.  The second level is w2 = log_first +
-    2*pi*i*s - c, whose real part does not depend on the letter, and the
-    images are 0.5*ln(re^2 + im^2) + i*atan2 + 2*pi*i*u.  The Lipschitz
-    padding is the sampled sup of 1/(|w2| * |z - c|), padded by 25% and
-    raised to at least an ulp of Q's largest coordinate, so a cell
-    narrower than an ulp is not rated "inside" by rounding.  The
-    images enter the verdict only through their extremes: all samples lie
-    in Q shrunk by delta exactly when the least and greatest real and
-    imaginary parts do, and a NaN fails both forms.  Division and adding a
-    constant are monotone in float, so the sup is 1 / min and 2*pi*u is
-    added after the reduction, both exactly.
+    as (letters x samples) arrays, in a scale-free form.  The second level
+    is w2 = log_first - c + 2*pi*i*s = p + i*(q + 2*pi*s).  With T =
+    2*pi*|s| and x = e^-ln T, w2 / T = X + i*Y with X = p*x and Y =
+    sign(s) + q*x, so the image Log(w2) + 2*pi*i*u has real part re =
+    ln T + 0.5*ln(X^2 + Y^2) and imaginary part atan2(Y, X) + 2*pi*u.  The
+    Lipschitz padding is the sampled sup of 1/(|w2| * |z - c|) =
+    e^-(re + ln|z - c|), padded by 25% and raised to at least an ulp of
+    Q's largest coordinate, so a cell narrower than an ulp is not rated
+    "inside" by rounding.  The images enter the verdict only through
+    their extremes: all samples lie in Q shrunk by delta exactly when the
+    least and greatest real and imaginary parts do, and a NaN fails both
+    forms.  Adding a constant is monotone in float, so ln T and 2*pi*u
+    are added after the reductions, with the same result as before them.
 
     Returns the verdicts ("inside", "borderline" or "outside"), the
     paddings delta and the image extents (re_min, re_max, im_min, im_max),
     one row per letter.
     """
-    log_first, d_first = boundary
     c = family.log_lam
     rect = spec.outer
-    ss = np.asarray(ss, dtype=float)
-    us = np.broadcast_to(np.asarray(us, dtype=float), ss.shape)
+    p = log_first.real - c.real
+    q = log_first.imag - c.imag
+    ln_t = _log_two_pi_index(ss)
+    x = np.exp(-ln_t)
+    sign = np.array([1.0 if s > 0 else -1.0 for s in ss])
+    us = np.broadcast_to(np.asarray(us, dtype=float), ln_t.shape)
     n = log_first.size
     step = max(1, _DENSE_BLOCK // n)
-    re_w2 = log_first.real - c.real
-    re_w2_sq = re_w2 ** 2
-    lip = np.empty(ss.size)
-    ext = np.empty((ss.size, 4))
-    for i in range(0, ss.size, step):
-        im_w2 = log_first.imag + (TWO_PI * ss[i:i + step])[:, None]
-        im_w2 -= c.imag
-        w2 = np.empty(im_w2.shape, dtype=complex)
-        w2.real = re_w2
-        w2.imag = im_w2
-        re = np.log(re_w2_sq + im_w2 * im_w2)
-        re *= 0.5
-        im = np.arctan2(im_w2, re_w2)
-        d = np.abs(w2)
-        d *= d_first
-        lip[i:i + step] = 1.0 / d.min(axis=1) * 1.25
-        ext[i:i + step] = np.column_stack([re.min(axis=1), re.max(axis=1),
+    low = np.empty(ln_t.size)  # least re + ln|z - c| - ln T per letter
+    ext = np.empty((ln_t.size, 4))
+    work = np.empty((4, min(step, ln_t.size), n))  # reused by every block
+    for i in range(0, ln_t.size, step):
+        xs = x[i:i + step, None]
+        y, xx, half, im = work[:, :xs.shape[0]]
+        np.multiply(q, xs, out=y)
+        y += sign[i:i + step, None]
+        np.multiply(p, xs, out=xx)
+        np.arctan2(y, xx, out=im)
+        np.multiply(y, y, out=half)
+        xx *= xx
+        half += xx
+        np.log(half, out=half)
+        half *= 0.5
+        ext[i:i + step] = np.column_stack([half.min(axis=1), half.max(axis=1),
                                            im.min(axis=1), im.max(axis=1)])
+        half += log_first.real  # ln|z - c|
+        low[i:i + step] = half.min(axis=1)
+    ext[:, :2] += ln_t[:, None]
     ext[:, 2:] += TWO_PI * us[:, None]
+    lip = np.exp(-(ln_t + low)) * 1.25
     delta = np.maximum(budget.margin + lip * (rect.perimeter / n),
                        math.ulp(max(map(abs, rect.bounds()))))
 
@@ -310,28 +323,34 @@ class RecheckReport:
 def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
                  budget: GeometryBudget, density: int = 10,
                  dense_sample: int = 2000, seed: int = 20210) -> RecheckReport:
-    """Recheck every explicit member of G with independent evaluations.
+    """Recheck every letter of G with independent evaluations.
 
     Each letter's cell has an independent interval enclosure, recomputed
     with atan2/hypot arithmetic and its own envelope constant b_ind.  With
-    T = 2*pi*|s| its margin against Q is the least of ln(T - b_ind) - x
-    and the two vertical margins mid -/+ arcsin(b_ind / (T - b_ind)),
-    which rise with T, and y - ln(T + b_ind), which falls.  So within one
-    run of G the letters with margin >= 0 form one interval, the least
-    margin over any stretch of the run sits at its two ends, and undefined
-    margins (T <= b_ind) only occur at the small-|s| end.  The margin is
-    therefore evaluated on `_END_BLOCK` letters at each end of a run; when
-    the inner letter of either block fails, the blocks grow eightfold,
-    up to the whole run.  Every letter whose margin is negative or
-    undefined gets the dense recheck, one batch per run, in (run, s)
-    order.  `n_checked` counts every letter the runs cover; `min_margin`
-    is the least defined margin, which the end blocks always contain.
+    T = 2*pi*|s| and x = e^-ln T, its margin against Q is the least of
+    ln T + log1p(-b_ind*x) - x_lo and the two vertical margins mid -/+
+    arcsin(b_ind*x / (1 - b_ind*x)), which rise with T, and
+    y_hi - ln T - log1p(b_ind*x), which falls.  In this log form it takes
+    indices of any size.  So within one run of G the letters with margin
+    >= 0 form one interval, the least margin over any stretch of the run
+    sits at its two ends, and undefined margins (T <= b_ind) only occur at
+    the small-|s| end.  The vertical margins are monotone in the column u,
+    one rising and one falling, so a run's columns do no worse than the
+    two extreme columns of its block.  The margin is therefore evaluated
+    on `_END_BLOCK` letters at each end of a run, at those two columns;
+    when the inner letter of either end fails, the ends grow eightfold, up
+    to the whole run.  Every letter whose margin is negative or undefined
+    there gets the dense recheck at every column of its block, one batch
+    per run, in (run, u, s) order.  `n_checked` counts every letter of G;
+    `min_margin` is the least defined margin, which the ends always hold.
 
-    A deterministic subsample of `dense_sample` letters additionally gets
-    the full density x boundary-sampled recheck.  All dense rechecks share
-    one evaluation of the boundary samples of Q, their first-level logs
-    and |z - c|, which do not depend on the letter, and evaluate the
-    second level and the padding in blocks of letters (`_recheck_cells`).
+    A deterministic subsample of `dense_sample` distinct letters, drawn
+    uniformly over G through its ranks (all of G when it holds no more),
+    additionally gets the full density x boundary-sampled recheck.  All
+    dense rechecks share one evaluation of the first-level logs of the
+    boundary samples of Q, which do not depend on the letter, and evaluate
+    the second level and the padding in blocks of letters
+    (`_recheck_cells`).
     """
     if family.kind != "exponential":
         raise ConfigError("the recheck oracle covers the exponential family")
@@ -341,20 +360,19 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     c = family.log_lam
     rect = spec.outer
     # independent envelope constants from a dense boundary grid of Q
-    bpts = rect.boundary_points(4096)
-    w = bpts - c
+    w = rect.boundary_points(4096) - c
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
     boundary = _recheck_boundary(family, spec, budget, density)
 
-    def margins(u: int, ss: np.ndarray) -> np.ndarray:
-        two_pi_s = TWO_PI * np.abs(ss).astype(float)
+    def margins(u: int, ln_t: np.ndarray, sign: int) -> np.ndarray:
         # below 2*pi*|s| = b_ind the enclosure is undefined (NaN margin)
+        bx = b_ind * np.exp(-ln_t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo_re = np.log(two_pi_s - b_ind)
-            dev = np.arcsin(np.minimum(1.0, b_ind / (two_pi_s - b_ind)))
-        hi_re = np.log(two_pi_s + b_ind)
-        mid = TWO_PI * u + np.sign(ss) * 0.5 * math.pi
+            lo_re = ln_t + np.log1p(-bx)
+            dev = np.arcsin(np.minimum(1.0, bx / (1.0 - bx)))
+        hi_re = ln_t + np.log1p(bx)
+        mid = TWO_PI * u + sign * 0.5 * math.pi
         return np.minimum.reduce([
             lo_re - (rect.re_lo + budget.margin),
             (rect.re_hi - budget.margin) - hi_re,
@@ -362,33 +380,39 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
             (rect.im_hi - budget.margin) - (mid + dev),
         ])
 
-    for win in gset.windows:
-        n_checked += win.count
+    for run in gset.runs:
+        n_checked += run.n_columns * run.length
+        sign = 1 if run.s_lo > 0 else -1
         block = _END_BLOCK
-        while 2 * block < win.count:
-            ss = np.r_[win.s_lo:win.s_lo + block, win.s_hi - block + 1:win.s_hi + 1]
-            margin = margins(win.u, ss)
-            if margin[block - 1] >= 0 and margin[block] >= 0:
+        while True:
+            whole = 2 * block >= run.length
+            ss = (list(range(run.s_lo, run.s_hi + 1)) if whole else
+                  [*range(run.s_lo, run.s_lo + block), *range(run.s_hi - block + 1, run.s_hi + 1)])
+            ln_t = _log_two_pi_index(ss)
+            margin = np.minimum(margins(run.u_lo, ln_t, sign), margins(run.u_hi, ln_t, sign))
+            if whole or (margin[block - 1] >= 0 and margin[block] >= 0):
                 break
             block *= 8
-        else:
-            ss = np.arange(win.s_lo, win.s_hi + 1, dtype=np.int64)
-            margin = margins(win.u, ss)
         min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
         # enclosure inconclusive or undefined: fall through to dense sampling
-        bad = ss[~(margin >= 0)]
-        outside = _recheck_cells(family, win.u, bad, spec, budget, boundary)[0] == "outside"
-        flagged.extend((win.u, int(s)) for s in bad[outside])
+        bad = [s for s, m in zip(ss, margin) if not m >= 0]
+        us = np.repeat(np.arange(run.u_lo, run.u_hi + 1), len(bad))
+        verdicts = _recheck_cells(family, us, bad * run.n_columns, spec, budget, boundary)[0]
+        flagged.extend((int(u), s) for u, s, v in zip(us, bad * run.n_columns, verdicts)
+                       if v == "outside")
     # deterministic dense-sampled subsample
     rng = np.random.default_rng(seed)
-    n_dense = 0
-    if gset.n_explicit:
-        take = min(dense_sample, gset.n_explicit)
-        ranks = np.sort(rng.choice(gset.n_explicit, size=take, replace=False))
-        us, ss = gset.letters_from_ranks(ranks)
+    if gset.n_letters <= dense_sample:
+        ranks = list(range(gset.n_letters))
+    else:
+        picked = set()
+        while len(picked) < dense_sample:
+            picked.update(gset.random_ranks(rng, dense_sample - len(picked)).tolist())
+        ranks = sorted(picked)
+    if ranks:
+        us, ss = gset.letters(ranks)
         outside = _recheck_cells(family, us, ss, spec, budget, boundary)[0] == "outside"
         flagged.extend((int(u), int(s)) for u, s in zip(us[outside], ss[outside]))
-        n_dense = take
-    return RecheckReport(n_checked=n_checked, n_densely_sampled=n_dense,
+    return RecheckReport(n_checked=n_checked, n_densely_sampled=len(ranks),
                          n_flagged=len(flagged), flagged=tuple(flagged[:64]),
                          min_margin=min_margin)

@@ -317,14 +317,14 @@ class DimensionCertificate:
 def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1,
                        inset="auto", margin: float = 0.0, boundary_samples: int = 256,
                        mode: str = "tail", bisect_tol: float = 1e-4,
-                       scan=(1000.0, 20000.0, 100.0), collar: int = 32,
+                       scan=(1000.0, 20000.0, 100.0),
                        workers: int = 1) -> DimensionCertificate:
     """Run the full construction and certify dim > 1 via the pressure bound.
 
     The verdict is "certified" exactly when P_lo(1) > 0 and the lower
     Bowen root exceeds 1; every constant entering the computation is
-    recorded so the run is reproducible bit for bit.  `workers` is
-    accepted for compatibility and has no effect.
+    recorded so the run is reproducible bit for bit.  `mode` is echoed in
+    the certificate; it and `workers` have no effect.
     """
     start = time.perf_counter()
     family = normalize_family(family)
@@ -350,7 +350,7 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
         reasons.append(f"anchor-derivative condition fails (margin {eq1_margin:.3g})")
     if line.depth_margin <= 0:
         reasons.append(f"tract-depth condition fails (margin {line.depth_margin:.3g})")
-    gset = build_G(family, anchor_val, spec, budget, mode=mode, dist=dist, collar=collar)
+    gset = build_G(family, anchor_val, spec, budget, mode=mode, dist=dist)
     if gset.is_empty():
         reasons.append("admissible set G is empty at this configuration")
         elapsed = 1000.0 * (time.perf_counter() - start)

@@ -17,8 +17,10 @@ and containment certificates are all functions of sigma.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -613,23 +615,6 @@ def _enclosed(model: ExpTailModel, env: TailEnvelope, rect: Rect, margin: float,
 # The admissible set G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SWindow:
-    """A contiguous run of explicit admissible indices at one u (one sign)."""
-
-    u: int
-    s_lo: int
-    s_hi: int
-
-    @property
-    def count(self) -> int:
-        return self.s_hi - self.s_lo + 1
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.s_lo > 0 else -1
-
-
 @dataclass(frozen=True, order=True)
 class RunBlock:
     """The letters (u, s) with u_lo <= u <= u_hi and s_lo <= s <= s_hi:
@@ -644,22 +629,28 @@ class RunBlock:
     def n_columns(self) -> int:
         return self.u_hi - self.u_lo + 1
 
+    @property
+    def length(self) -> int:
+        return self.s_hi - self.s_lo + 1
+
 
 @dataclass(frozen=True)
 class GSet:
-    """The admissible index pairs: all in `runs`, some listed in `windows`.
+    """The admissible index pairs: every letter of G, as maximal signed
+    runs in `runs`, each with the block of adjacent columns sharing it.
 
-    `runs` holds each column's letters as maximal signed runs, each with
-    the block of adjacent columns sharing it.  `windows` lists letters
-    column by column for sampling, the recheck oracle and the gap report."""
+    Ranks in [0, n_letters) order G by run, column, then s (`letters`,
+    `random_ranks`).  `n_explicit` (0) and `windows` (empty) are
+    constants kept for readers of the former listing."""
 
-    mode: str
-    windows: tuple  # of SWindow, sorted by (u, s_lo)
     runs: tuple  # of RunBlock, sorted
 
+    n_explicit = 0
+    windows = ()
+
     @property
-    def n_explicit(self) -> int:
-        return sum(w.count for w in self.windows)
+    def n_letters(self) -> int:
+        return sum(run.n_columns * run.length for run in self.runs)
 
     @property
     def n_segments(self) -> int:  # the number of runs
@@ -668,51 +659,48 @@ class GSet:
     def is_empty(self) -> bool:
         return not self.runs
 
-    def cum_counts(self) -> np.ndarray:
-        return np.cumsum([w.count for w in self.windows])
+    def __contains__(self, letter) -> bool:
+        u, s = letter
+        return any(r.u_lo <= u <= r.u_hi and r.s_lo <= s <= r.s_hi for r in self.runs)
 
-    def letters_from_ranks(self, ranks: np.ndarray):
-        """Map ranks in [0, n_explicit) to (u, s) arrays, rank order = (u, s_lo)."""
-        if not self.windows:
-            raise ConstructionError("no explicit letters to index")
-        cum = self.cum_counts()
-        ranks = np.asarray(ranks, dtype=np.int64)
-        win = np.searchsorted(cum, ranks, side="right")
-        starts = cum - np.array([w.count for w in self.windows])
-        offs = ranks - starts[win]
-        u = np.array([w.u for w in self.windows], dtype=np.int64)[win]
-        s = np.array([w.s_lo for w in self.windows], dtype=np.int64)[win] + offs
+    def max_abs_index(self) -> int:
+        return max(max(abs(r.s_lo), abs(r.s_hi)) for r in self.runs)
+
+    def letters(self, ranks):
+        """The letters (u, s) at ranks in [0, n_letters): int64 arrays below
+        2^63, else object arrays of Python ints, by the same arithmetic."""
+        dtype = np.int64 if max(self.n_letters, self.max_abs_index()) < 2 ** 63 else object
+        ranks = np.asarray(ranks, dtype=dtype)
+        cum = list(itertools.accumulate(r.n_columns * r.length for r in self.runs))
+        k = np.searchsorted(np.array(cum, dtype=dtype), ranks, side="right")
+        offset = ranks - np.array([0] + cum[:-1], dtype=dtype)[k]
+        length = np.array([r.length for r in self.runs], dtype=dtype)[k]
+        u = np.array([r.u_lo for r in self.runs], dtype=dtype)[k] + offset // length
+        s = np.array([r.s_lo for r in self.runs], dtype=dtype)[k] + offset % length
         return u, s
 
+    def random_ranks(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` ranks drawn uniformly from [0, n_letters): int64 draws
+        below 2^63, else Python ints, each a random integer 64 bits longer
+        than n_letters reduced mod n_letters (uniform within 2^-64)."""
+        n = self.n_letters
+        if n <= 2 ** 63:
+            return rng.integers(0, n, size=size, dtype=np.int64)
+        width = (n.bit_length() + 64 + 7) // 8
+        buf = rng.bytes(width * size)
+        return np.array([int.from_bytes(buf[i:i + width], "little") % n
+                         for i in range(0, width * size, width)], dtype=object)
+
     def letters_by_weight(self, k: int):
-        """The k explicit letters of largest derivative (smallest |s|),
-        ties broken by (u, s)."""
+        """The k letters of largest derivative (smallest |s|), ties broken
+        by (u, s): taken from the small-|s| ends of the runs."""
         cands = []
-        for w in self.windows:
-            take = min(w.count, k)
-            if w.s_lo > 0:
-                ss = range(w.s_lo, w.s_lo + take)
-            else:
-                ss = range(w.s_hi, w.s_hi - take, -1)
-            cands.extend((abs(s), w.u, s) for s in ss)
+        for r in self.runs:
+            take = min(r.length, k)
+            ss = range(r.s_lo, r.s_lo + take) if r.s_lo > 0 else range(r.s_hi, r.s_hi - take, -1)
+            cands.extend((abs(s), u, s) for u in range(r.u_lo, r.u_hi + 1) for s in ss)
         cands.sort()
         return [(u, s) for _, u, s in cands[:k]]
-
-    def pairs_iter(self):
-        for w in self.windows:
-            for s in range(w.s_lo, w.s_hi + 1):
-                yield (w.u, s)
-
-    def to_json_dict(self, max_pairs: int = 1_000_000) -> dict:
-        if self.n_explicit > max_pairs:
-            raise ConstructionError(
-                f"{self.n_explicit} explicit pairs exceed the serialization "
-                f"limit {max_pairs}; serialize windows or raise the limit")
-        return {
-            "mode": self.mode,
-            "pairs": [[u, s] for (u, s) in self.pairs_iter()],
-            "runs": [asdict(run) for run in self.runs],
-        }
 
 
 def _merge_runs(runs: list) -> list:
@@ -749,12 +737,8 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     few cells) for cells whose center lies in Q.  The high band stops at
     2^53, the last float-exact index.
 
-    `mode` only decides which letters of a float-exact window `windows`
-    lists, so G's runs do not depend on it.  enumerate: all, with no cap.
-    tail: the edge-band rescues and a collar of `collar` indices at the
-    low edge, where the letters weigh most; a window of at most
-    `collar + 4` indices is listed whole.  `workers` is accepted for
-    compatibility and has no effect.
+    `mode` (enumerate or tail), `collar` and `workers` are accepted for
+    compatibility and have no effect.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -771,9 +755,8 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     env = model.envelope(spec.outer.bounds())
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
-        return GSet(mode=mode, windows=(), runs=())
+        return GSet(runs=())
     widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
-    windows: list[SWindow] = []
     columns: dict = {}  # signed run (s_lo, s_hi) -> column blocks (u_lo, u_hi) holding it
     sigma_runs: dict = {}  # sigma window -> its integer bounds
     for sign in (1, -1):
@@ -790,18 +773,14 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
                           hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
-            top = lo + collar - 1 if mode == "tail" and hi - lo + 1 > collar + 4 else hi
             for u in range(u_lo, u_hi + 1):
                 edge = [(s, s) for s in _edge_letters(family, model, env, spec, budget, dist,
                                                       u, sign, bands)]
                 for run in _merge_runs(edge + [(sign * lo, sign * hi)] if hi >= lo else edge):
                     columns.setdefault(run, []).append((u, u))
-                listed = edge + [(sign * lo, sign * top)] if top >= lo else edge
-                windows.extend(SWindow(u=u, s_lo=a, s_hi=b) for a, b in _merge_runs(listed))
-    windows.sort(key=lambda w: (w.u, w.s_lo))
-    runs = sorted(RunBlock(u_lo, u_hi, s_lo, s_hi) for (s_lo, s_hi), blocks in columns.items()
-                  for u_lo, u_hi in _merge_runs(blocks))
-    return GSet(mode=mode, windows=tuple(windows), runs=tuple(runs))
+    return GSet(runs=tuple(sorted(
+        RunBlock(u_lo, u_hi, s_lo, s_hi) for (s_lo, s_hi), blocks in columns.items()
+        for u_lo, u_hi in _merge_runs(blocks))))
 
 
 def _sigma_run(sigma_lo: float, sigma_hi: float):
@@ -853,12 +832,12 @@ def _edge_letters(family, model, env, spec, budget, dist, u, sign, ss: np.ndarra
 @dataclass(frozen=True)
 class GapReport:
     min_gap: float              # consecutive cells of one run (inf: no run of two)
-    n_adjacent_checked: int     # sum(count - 1) over the runs
+    n_adjacent_checked: int     # sum over the runs of n_columns * (length - 1)
     column_separation: float    # gap between adjacent runs' imaginary extents
 
 
 def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
-    """Closed-form lower bounds on the separation of the explicit cells.
+    """Closed-form lower bounds on the separation of the cells of G.
 
     With c = Log(lam), the first-level image of Q minus c is the set of
     w = p + i*(q + 2*pi*s): p = ln|z - c| - Re c lies in [ln d_lo - Re c,
@@ -868,13 +847,17 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     height < pi, hence at least 2*pi - (theta_hi - theta_lo) apart.  The
     cell is Log(w) + 2*pi*i*u, and |e^h1 - e^h2| <= |h1 - h2| *
     max(|e^h1|, |e^h2|), so Log shrinks distances by at most max|w| <=
-    hypot(p_hi, |q + 2*pi*s|): a run's least bound is at its largest |s|.
-    A run's imaginary extent is that of atan2(q + 2*pi*s, p) + 2*pi*u over
-    the same rectangle, which is monotone in q, s and p and so extremal at
-    the run's end indices.
+    hypot(p_hi, |q + 2*pi*s|): a run's least bound is at its largest |s|,
+    the same for every column of its block.  A run's imaginary extent is
+    that of atan2(q + 2*pi*s, p) + 2*pi*u over the same rectangle, which
+    is monotone in q, s and p and so extremal at the run's end indices.
+    The bounds are formed in float, so a G whose 2*pi*|s| passes the
+    float range raises ConstructionError.
     """
-    if not gset.windows:
-        raise ConstructionError("gap report needs explicit cells")
+    if gset.is_empty():
+        raise ConstructionError("gap report needs a non-empty G")
+    if gset.max_abs_index() > sys.float_info.max / TWO_PI:
+        raise ConstructionError("gap report: 2*pi*|s| passes the float range")
     c = family.log_lam
     env = family.tail_model().envelope(spec.outer.bounds())
     p_lo, p_hi = math.log(env.d_lo) - c.real, math.log(env.d_hi) - c.real
@@ -887,22 +870,24 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     room = TWO_PI - (q_hi - q_lo)
     min_gap = math.inf
     columns = []
-    for w in gset.windows:
-        m, n = sorted((abs(w.s_lo), abs(w.s_hi)))
+    for run in gset.runs:
+        sign = 1 if run.s_lo > 0 else -1
+        m, n = sorted((abs(run.s_lo), abs(run.s_hi)))
         if n > m:
-            top = max(abs(q_lo + w.sign * TWO_PI * n), abs(q_hi + w.sign * TWO_PI * n))
+            top = max(abs(q_lo + sign * TWO_PI * n), abs(q_hi + sign * TWO_PI * n))
             min_gap = min(min_gap, room / math.hypot(p_hi, top))
-        if w.sign > 0:
+        if sign > 0:
             lo, hi = math.atan2(q_lo + TWO_PI * m, p_hi), math.atan2(q_hi + TWO_PI * n, p_lo)
         else:
             lo, hi = math.atan2(q_lo - TWO_PI * n, p_lo), math.atan2(q_hi - TWO_PI * m, p_hi)
-        columns.append((lo + TWO_PI * w.u, hi + TWO_PI * w.u))
+        columns.extend((lo + TWO_PI * u, hi + TWO_PI * u) for u in range(run.u_lo, run.u_hi + 1))
     columns.sort()
     col_sep = math.inf
     for (a_lo, a_hi), (b_lo, b_hi) in zip(columns, columns[1:]):
         col_sep = min(col_sep, b_lo - a_hi)
     return GapReport(min_gap=min_gap, column_separation=col_sep,
-                     n_adjacent_checked=sum(w.count - 1 for w in gset.windows))
+                     n_adjacent_checked=sum(run.n_columns * (run.length - 1)
+                                            for run in gset.runs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ def fam25():
 
 @pytest.fixture(scope="session")
 def small(fam):
-    """Anchor 12 bundle with a fast tail-mode G (explicit collar + segments)."""
+    """Anchor 12 bundle: G holds 41.8M letters in two runs of two columns."""
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0, boundary_samples=256)
     spec = td.build_squares(12.0, 0.5)
     dist = td.distortion_constant(12.0, fam.ln_r0)
-    gset = td.build_G(fam, 12.0, spec, budget, mode="tail", dist=dist, collar=64)
+    gset = td.build_G(fam, 12.0, spec, budget, dist=dist)
     return SimpleNamespace(family=fam, budget=budget, spec=spec, dist=dist,
                            gset=gset, anchor=12.0)
 

@@ -9,6 +9,7 @@ module and shared between the criteria that need it.
 import json
 import math
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,10 +116,10 @@ def test_criterion_04_small_instance_construction(full12):
     t0 = time.perf_counter()
     g, fam, spec, budget, dist = (full12.gset, full12.family, full12.spec,
                                   full12.budget, full12.dist)
-    nonempty = g.n_explicit > 0
+    nonempty = g.n_letters > 0
 
     recheck = td.recheck_gset(fam, g, spec, budget, density=10, dense_sample=2000)
-    all_recheck = recheck.n_flagged == 0 and recheck.n_checked == g.n_explicit
+    all_recheck = recheck.n_flagged == 0 and recheck.n_checked == g.n_letters
 
     # measured diameters against the distortion-certified bound, on a
     # deterministic stratified subsample
@@ -126,8 +127,8 @@ def test_criterion_04_small_instance_construction(full12):
     pts = spec.outer.boundary_points(256)
     base = np.asarray(fam.inv0(pts))
     diam_ok = True
-    ranks = np.unique(np.geomspace(1, g.n_explicit - 1, 200).astype(np.int64))
-    us, ss = g.letters_from_ranks(ranks)
+    ranks = np.unique(np.geomspace(1, g.n_letters - 1, 200).astype(np.int64))
+    us, ss = g.letters(ranks)
     for u, s in zip(us.tolist(), ss.tolist()):
         imgs = np.asarray(fam.inv0(base + TWO_PI * 1j * s)) + TWO_PI * 1j * u
         measured = float(np.max(np.abs(imgs[:, None] - imgs[None, :])))
@@ -135,19 +136,19 @@ def test_criterion_04_small_instance_construction(full12):
     gaps = td.min_cell_gap(fam, g, spec)
     gaps_ok = gaps.min_gap > 0 and gaps.column_separation > 0
 
-    # analytic windows bracket the enumerated ranges within one index
+    # analytic windows bracket every column's run within one index
     bracket_ok = True
-    for win in g.windows:
-        sw = td.solve_s_window(fam, win.u, spec, budget=budget, sign=win.sign)
-        lo, hi = sw.s_bounds
-        s_min = min(abs(win.s_lo), abs(win.s_hi))
-        s_max = max(abs(win.s_lo), abs(win.s_hi))
-        bracket_ok = bracket_ok and abs(s_min - math.ceil(lo - 1e-9)) <= 1 \
-            and abs(s_max - math.floor(hi + 1e-9)) <= 1
+    for run in g.runs:
+        s_min, s_max = sorted((abs(run.s_lo), abs(run.s_hi)))
+        for u in range(run.u_lo, run.u_hi + 1):
+            sw = td.solve_s_window(fam, u, spec, budget=budget, sign=1 if run.s_lo > 0 else -1)
+            lo, hi = sw.s_bounds
+            bracket_ok = bracket_ok and abs(s_min - math.ceil(lo - 1e-9)) <= 1 \
+                and abs(s_max - math.floor(hi + 1e-9)) <= 1
     elapsed = time.perf_counter() - t0 + full12.build_seconds
     _line(4, nonempty and all_recheck and diam_ok and gaps_ok and bracket_ok
           and elapsed < 60.0,
-          f"anchor-12 enumeration: {g.n_explicit} cells, recheck flags "
+          f"anchor-12 construction: {g.n_letters} cells, recheck flags "
           f"{recheck.n_flagged}, diameters within {eq5_bound:.4g}, min gap "
           f"{gaps.min_gap:.3g} > 0, windows bracket enumeration, "
           f"{elapsed:.1f}s < 60s")
@@ -213,10 +214,8 @@ def test_criterion_08_dimension_cross_check(small):
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
     roots = td.bowen_root(sub, tol=1e-4)
 
-    from tractdim.tractgeom import GSet, SWindow
-    wins = tuple(sorted((SWindow(u=u, s_lo=s, s_hi=s) for (u, s) in letters),
-                        key=lambda w: (w.u, w.s_lo)))
-    g8 = GSet(mode="enumerate", windows=wins, runs=())
+    from tractdim.tractgeom import GSet, RunBlock
+    g8 = GSet(runs=tuple(sorted(RunBlock(u, u, s, s) for (u, s) in letters)))
     sample = td.sample_limit_set(fam, g8, spec, depth=10, count=60_000, seed=7)
 
     # oracle-side contraction scale from the letters' return multipliers
@@ -278,7 +277,7 @@ def test_criterion_10_determinism(tmp_path):
         out = str(tmp_path / out_name)
         code = cli_main(args + ["--out", out])
         assert code in (0, 2)
-        return open(out, "rb").read()
+        return Path(out).read_bytes()
 
     dim_runs = [run_bytes(["dim"], f"cert_{w}.json") if w == 0 else
                 run_bytes(["dim", "--workers", str(w)], f"cert_{w}.json")

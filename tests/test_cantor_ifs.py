@@ -95,8 +95,8 @@ def test_sampling_depth_refinement(small):
                             depth=d, count=40, seed=12)
     model = small.family.tail_model()
     env = model.envelope(small.spec.outer.bounds())
-    sig_min = min(math.log(TWO_PI) + math.log(min(abs(w.s_lo), abs(w.s_hi)))
-                  for w in small.gset.windows)
+    sig_min = min(math.log(TWO_PI) + math.log(min(abs(r.s_lo), abs(r.s_hi)))
+                  for r in small.gset.runs)
     ratio = float(np.exp(model.log_weight_bounds(sig_min, env)[1]))
     tail = small.spec.outer.diam * ratio ** d + 1e-12
     extra = small.gset.letters_by_weight(1)[0]

@@ -1,11 +1,11 @@
 import json
 import math
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tractdim as td
-from tractdim.cli import main
+from tractdim.cli import DEFAULT_CERTIFICATE_CONFIG, load_config, main
 
 
 def run(args):
@@ -18,6 +18,10 @@ def write_cfg(tmp_path, name, cfg):
     return str(p)
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 SMALL_TAIL = {"geometry": {"anchor": 12.0, "inset": 0.5},
               "pressure": {"mode": "tail"},
               "sampling": {"count": 2000, "depth": 5, "seed": 42}}
@@ -26,7 +30,7 @@ SMALL_TAIL = {"geometry": {"anchor": 12.0, "inset": 0.5},
 def test_lemmas_default_all_pass(tmp_path):
     out = str(tmp_path / "lemmas.json")
     assert run(["lemmas", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = read_json(out)
     assert rep["all_pass"] is True
     assert rep["schema_version"] == 1
     assert "config" in rep
@@ -38,7 +42,7 @@ def test_lemmas_rerun_byte_identical(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run(["lemmas", "--out", a]) == 0
     assert run(["lemmas", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_lemmas_geometry_error_exit_1(tmp_path):
@@ -50,7 +54,7 @@ def test_lemmas_geometry_error_exit_1(tmp_path):
 def test_dim_certificate_exit_0(tmp_path):
     out = str(tmp_path / "cert.json")
     assert run(["dim", "--out", out]) == 0
-    cert = json.loads(open(out).read())
+    cert = read_json(out)
     assert cert["verdict"] == "certified"
     assert cert["P1_lo"] > 0
     assert cert["t_lo"] >= 1.001
@@ -66,7 +70,7 @@ def test_dim_small_anchor_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "small.json", SMALL_TAIL)
     out = str(tmp_path / "cert12.json")
     assert run(["dim", "--config", cfg, "--out", out]) == 2
-    cert = json.loads(open(out).read())
+    cert = read_json(out)
     assert cert["verdict"] == "not-certified"
     assert cert["reasons"]
 
@@ -87,8 +91,8 @@ def test_sample_rows_and_determinism(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(["sample", "--config", cfg, "--out", a]) == 0
     assert run(["sample", "--config", cfg, "--out", b, "--workers", "4"]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    lines = open(a).read().splitlines()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    lines = Path(a).read_text().splitlines()
     assert lines[0] == "re,im,space,depth,word_rank"
     assert len(lines) == 1 + 2 * 2000  # lifted + plane rows
     spaces = {ln.split(",")[2] for ln in lines[1:]}
@@ -103,10 +107,10 @@ def test_sample_seed_changes_words_not_statistics(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(["sample", "--config", cfg1, "--out", a]) == 0
     assert run(["sample", "--config", cfg2, "--out", b]) == 0
-    assert open(a, "rb").read() != open(b, "rb").read()
+    assert Path(a).read_bytes() != Path(b).read_bytes()
 
     def lifted_upper_fraction(path):
-        rows = [ln.split(",") for ln in open(path).read().splitlines()[1:]]
+        rows = [ln.split(",") for ln in Path(path).read_text().splitlines()[1:]]
         ims = [float(r[1]) for r in rows if r[2] == "lifted"]
         return sum(1 for v in ims if v > 0) / len(ims)
 
@@ -173,30 +177,86 @@ def test_sub_ulp_edge_cells_are_decided_at_anchor_24(tmp_path):
     assert run(["oracle", "recheck", "--config", cfg, "--out", out + ".json"]) == 0
 
 
-@pytest.mark.parametrize("mode", ["enumerate", "tail"])
-def test_oracle_recheck_with_no_listed_letter_exit_2(tmp_path, capsys, mode):
-    # lam = 1, R0 = e, inset 0.5, anchor 30: every window of G passes 2^53,
-    # so G lists no letter; a recheck would pass with nothing checked
-    cfg = write_cfg(tmp_path, "a30.json",
-                    {"geometry": {"anchor": 30.0, "inset": 0.5},
-                     "pressure": {"mode": mode}})
-    out = str(tmp_path / "o.json")
-    assert run(["oracle", "recheck", "--config", cfg, "--out", out]) == 2
-    assert "no explicit admissible letters" in capsys.readouterr().err
+A30 = {"geometry": {"anchor": 30.0, "inset": 0.5}}
 
 
-def test_oracle_brute_pressure_with_no_listed_letter_exit_2(tmp_path, capsys):
-    # anchor 30: G holds about 10^18 letters, all past 2^53, and lists none
-    cfg = write_cfg(tmp_path, "a30.json", {"geometry": {"anchor": 30.0, "inset": 0.5}})
+@pytest.mark.parametrize("config", ["anchor-30-enumerate", "anchor-30-tail", "certificate"])
+def test_oracle_recheck_past_2_53_exit_0(tmp_path, config):
+    # lam = 1, R0 = e, inset 0.5, anchor 30: every run of G passes 2^53;
+    # at the default certificate its indices have 2,600 digits
+    raw = (DEFAULT_CERTIFICATE_CONFIG if config == "certificate"
+           else dict(A30, pressure={"mode": config.rsplit("-", 1)[1]}))
+    cfg = write_cfg(tmp_path, "big.json", raw)
     out = str(tmp_path / "o.json")
+    assert run(["oracle", "recheck", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["pass"] is True and rep["n_flagged"] == 0
+    assert isinstance(rep["min_margin"], float) and math.isfinite(rep["min_margin"])
+    assert rep["n_densely_sampled"] == 2000
+    # every letter of G: the sum over its runs of n_columns * (s_hi - s_lo + 1)
+    c = load_config(raw)
+    spec = td.build_squares(c.anchor, c.budget.inset)
+    runs = td.build_G(c.family, c.anchor, spec, c.budget).runs
+    assert rep["n_checked"] == sum(r.n_columns * (r.s_hi - r.s_lo + 1) for r in runs)
+    if config != "certificate":
+        assert rep["n_checked"] == 55_599_619_169_322_300_560
+
+
+def test_sample_past_2_53_exit_0_and_past_2_63_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "a30.json", dict(A30, sampling={"count": 2000, "depth": 5}))
+    out = str(tmp_path / "o.csv")
+    assert run(["sample", "--config", cfg, "--out", out]) == 0
+    assert len(Path(out).read_text().splitlines()) == 1 + 2 * 2000
+    cfg = write_cfg(tmp_path, "cert.json", DEFAULT_CERTIFICATE_CONFIG)
+    assert run(["sample", "--config", cfg, "--out", out]) == 2
+    assert "past 2^63" in capsys.readouterr().err
+
+
+def test_oracle_brute_pressure_past_2_53_exit_0(tmp_path, capsys):
+    # anchor 30: the eight heaviest letters sit at |s| = 520,281, the low
+    # ends of the two runs; at the default certificate they pass the float
+    # range, where the brute-force sum cannot be formed
+    cfg = write_cfg(tmp_path, "a30.json", A30)
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["pass"] is True
+    assert {abs(s) for _, s in rep["letters"]} == {520281}
+    assert rep["level1_lo"] - rep["slack_log"] <= rep["brute_value"] \
+        <= rep["level1_hi"] + rep["slack_log"]
+    cfg = write_cfg(tmp_path, "cert.json", DEFAULT_CERTIFICATE_CONFIG)
     assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 2
-    assert "G lists 0 letters; the subsystem needs 8" in capsys.readouterr().err
+    assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pressure", [{"collar": -5}, {"mode": "tail"}, {"collar": 0}])
+def test_mode_and_collar_have_no_effect(tmp_path, pressure):
+    """`pressure.mode` and `pressure.collar` are validated and otherwise
+    ignored: `sample` and `oracle recheck` give the default's payload,
+    apart from the echoed config."""
+    base = {"sampling": {"count": 2000, "depth": 5}}
+    payloads = []
+    for name, raw in (("default", base), ("changed", dict(base, pressure=pressure))):
+        cfg = write_cfg(tmp_path, f"{name}.json", raw)
+        csv, rc = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert run(["sample", "--config", cfg, "--out", str(csv)]) == 0
+        assert run(["oracle", "recheck", "--config", cfg, "--out", str(rc)]) == 0
+        report = read_json(rc)
+        report.pop("config")
+        payloads.append((csv.read_bytes(), report))
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("collar", [float("nan"), float("inf"), "32"])
+def test_non_finite_collar_exit_1(tmp_path, collar):
+    cfg = write_cfg(tmp_path, "c.json", {"pressure": {"collar": collar}})
+    assert run(["sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
 
 
 def test_oracle_box_dim(tmp_path):
     out = str(tmp_path / "box.json")
     assert run(["oracle", "box-dim", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = read_json(out)
     assert abs(rep["slope"] - math.log(2) / math.log(3)) <= 0.05
     assert rep["pass"] is True
 
@@ -205,7 +265,7 @@ def test_oracle_brute_pressure(tmp_path):
     cfg = write_cfg(tmp_path, "bp.json", SMALL_TAIL)
     out = str(tmp_path / "bp_out.json")
     assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = read_json(out)
     assert rep["pass"] is True
     assert rep["level1_lo"] - rep["slack_log"] <= rep["brute_value"] \
         <= rep["level1_hi"] + rep["slack_log"]
@@ -215,7 +275,7 @@ def test_oracle_recheck_clean(tmp_path):
     cfg = write_cfg(tmp_path, "rc.json", SMALL_TAIL)
     out = str(tmp_path / "rc_out.json")
     assert run(["oracle", "recheck", "--config", cfg, "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = read_json(out)
     assert rep["n_flagged"] == 0
     assert rep["pass"] is True
 
@@ -224,7 +284,7 @@ def test_config_merging_preserves_defaults(tmp_path):
     cfg = write_cfg(tmp_path, "m.json", {"sampling": {"seed": 9}})
     out = str(tmp_path / "m_out.json")
     assert run(["lemmas", "--config", cfg, "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = read_json(out)
     assert rep["config"]["sampling"]["seed"] == 9
     assert rep["config"]["geometry"]["anchor"] == 12.0
 
@@ -246,7 +306,7 @@ def test_lemmas_below_koebe_range_report_exit_0(tmp_path, family, anchor, failin
                     {"family": family, "geometry": {"anchor": anchor, "inset": 0.5}})
     out = str(tmp_path / "lemmas.json")
     assert run(["lemmas", "--config", cfg, "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = read_json(out)
     assert rep["distortion_c"] == "Infinity"
     assert rep["all_pass"] is False
     assert {name for name, check in rep["checks"].items() if not check["pass"]} == failing
@@ -259,5 +319,5 @@ def test_oracle_box_dim_every_seed(tmp_path):
     for seed in range(30):
         out = str(tmp_path / f"box{seed}.json")
         assert run(["oracle", "box-dim", "--seed", str(seed), "--out", out]) == 0, seed
-        rep = json.loads(open(out).read())
+        rep = read_json(out)
         assert rep["counts"] == [2 ** k for k in range(7, 0, -1)]

@@ -7,7 +7,7 @@ import pytest
 import tractdim as td
 from tractdim import oracle
 from tractdim.numerics import TWO_PI
-from tractdim.tractgeom import GSet, Rect, SWindow
+from tractdim.tractgeom import GSet, Rect, RunBlock
 
 
 def test_box_dim_middle_thirds():
@@ -122,16 +122,13 @@ def test_recheck_gset_clean(small):
     rep = td.recheck_gset(small.family, small.gset, small.spec, small.budget,
                           density=10, dense_sample=64)
     assert rep.n_flagged == 0
-    assert rep.n_checked == small.gset.n_explicit
+    assert rep.n_checked == small.gset.n_letters == 41_800_176
     assert rep.min_margin > 0
 
 
 def test_recheck_gset_flags_planted_outsider(small):
-    # plant a window holding one clearly inadmissible index
-    bad = GSet(mode="enumerate",
-               windows=tuple(sorted(small.gset.windows + (SWindow(0, 30, 30),),
-                                    key=lambda w: (w.u, w.s_lo))),
-               runs=())
+    # plant a run holding one clearly inadmissible index
+    bad = GSet(runs=tuple(sorted(small.gset.runs + (RunBlock(0, 0, 30, 30),))))
     rep = td.recheck_gset(small.family, bad, small.spec, small.budget,
                           density=10, dense_sample=16)
     assert rep.n_flagged >= 1
@@ -159,13 +156,14 @@ def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
         rep = td.recheck_gset(fam, gset, spec, budget, dense_sample=0)
     assert {-2, -1, 1, 2} <= set(rechecked)
     assert rep.n_flagged == 0
-    assert rep.n_checked == gset.n_explicit
+    assert rep.n_checked == gset.n_letters
     assert math.isfinite(rep.min_margin)
 
 
 def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=2000,
                         seed=20210):
-    """Reference: the recheck margin evaluated on every letter of every run."""
+    """Reference: the recheck margin evaluated on every letter of every
+    column of every run, and the dense subsample drawn through the ranks."""
     flagged = []
     n_checked = 0
     min_margin = math.inf
@@ -174,17 +172,18 @@ def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=200
     w = rect.boundary_points(4096) - c
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
-    for win in gset.windows:
-        for start in range(win.s_lo, win.s_hi + 1, 1 << 20):
-            end = min(start + (1 << 20) - 1, win.s_hi)
-            ss = np.arange(start, end + 1, dtype=np.int64)
-            n_checked += ss.size
-            two_pi_s = TWO_PI * np.abs(ss).astype(float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lo_re = np.log(two_pi_s - b_ind)
-                dev = np.arcsin(np.minimum(1.0, b_ind / (two_pi_s - b_ind)))
-            hi_re = np.log(two_pi_s + b_ind)
-            mid = TWO_PI * win.u + np.sign(ss) * 0.5 * math.pi
+    for run in gset.runs:
+        sign = 1 if run.s_lo > 0 else -1
+        ss = list(range(run.s_lo, run.s_hi + 1))
+        ln_t = math.log(TWO_PI) + np.array([math.log(abs(s)) for s in ss])
+        bx = b_ind * np.exp(-ln_t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo_re = ln_t + np.log1p(-bx)
+            dev = np.arcsin(np.minimum(1.0, bx / (1.0 - bx)))
+        hi_re = ln_t + np.log1p(bx)
+        for u in range(run.u_lo, run.u_hi + 1):
+            n_checked += len(ss)
+            mid = TWO_PI * float(u) + sign * 0.5 * math.pi
             margin = np.minimum.reduce([
                 lo_re - (rect.re_lo + budget.margin),
                 (rect.re_hi - budget.margin) - hi_re,
@@ -193,21 +192,23 @@ def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=200
             ])
             min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
             for i in np.nonzero(~(margin >= 0))[0]:
-                v = td.containment_recheck(family, win.u, int(ss[i]), spec, budget,
-                                           density=density)
+                v = td.containment_recheck(family, u, ss[i], spec, budget, density=density)
                 if v == "outside":
-                    flagged.append((win.u, int(ss[i])))
+                    flagged.append((u, ss[i]))
     rng = np.random.default_rng(seed)
-    n_dense = 0
-    if gset.n_explicit:
-        ranks = np.sort(rng.choice(gset.n_explicit, size=min(dense_sample, gset.n_explicit),
-                                   replace=False))
-        for u, s in zip(*gset.letters_from_ranks(ranks)):
-            n_dense += 1
-            if td.containment_recheck(family, int(u), int(s), spec, budget,
-                                      density=density) == "outside":
-                flagged.append((int(u), int(s)))
-    return oracle.RecheckReport(n_checked=n_checked, n_densely_sampled=n_dense,
+    if gset.n_letters <= dense_sample:
+        ranks = list(range(gset.n_letters))
+    else:
+        picked = set()
+        while len(picked) < dense_sample:
+            picked.update(gset.random_ranks(rng, dense_sample - len(picked)).tolist())
+        ranks = sorted(picked)
+    for rank in ranks:
+        (u,), (s,) = gset.letters([rank])
+        if td.containment_recheck(family, int(u), int(s), spec, budget,
+                                  density=density) == "outside":
+            flagged.append((int(u), int(s)))
+    return oracle.RecheckReport(n_checked=n_checked, n_densely_sampled=len(ranks),
                                 n_flagged=len(flagged), flagged=tuple(flagged[:64]),
                                 min_margin=min_margin)
 
@@ -219,34 +220,51 @@ def _lam_001_anchor_4():
     return fam, td.build_G(fam, 4.0, spec, budget, mode="enumerate"), spec, budget
 
 
-def _planted(anchor, *windows):
+def _planted(anchor, *runs):
     fam = td.normalize_family(td.exponential_family(1.0, math.e))
-    return (fam, GSet(mode="enumerate", windows=windows, runs=()),
-            td.build_squares(anchor, 0.5), td.GeometryBudget(inset=0.5))
+    return (fam, GSet(runs=runs), td.build_squares(anchor, 0.5), td.GeometryBudget(inset=0.5))
 
 
-# the anchor-20 u = 0 windows (|s| from 3506) started 100 letters early
-_EXTENDED_BELOW = (20.0, SWindow(0, -5505, -3406), SWindow(0, 3406, 5505))
+# the anchor-20 u = 0 runs (|s| from 3506) started 100 letters early
+_EXTENDED_BELOW = (20.0, RunBlock(0, 0, -5505, -3406), RunBlock(0, 0, 3406, 5505))
+# anchor 12: u = -1 and u = 0 have room for |s| = 5000..5099 at sign +1, u = 1 has none
+_BLOCK_PAST_ITS_COLUMNS = (12.0, RunBlock(-1, 1, 5000, 5099))
+
+
+def _small_cut(small):
+    """The runs of the small G cut to |s| <= 5000: two blocks of two columns."""
+    return GSet(runs=tuple(RunBlock(r.u_lo, r.u_hi, max(r.s_lo, -5000), min(r.s_hi, 5000))
+                           for r in small.gset.runs))
 
 
 @pytest.mark.parametrize("case", ["mini", "small", "lam-0.01-anchor-4",
-                                  "planted-no-window", "window-extended-below"])
+                                  "planted-no-window", "window-extended-below",
+                                  "block-past-its-columns"])
 def test_recheck_gset_matches_per_letter_reference(request, case):
     """The run-by-run recheck gives the per-letter report field for field:
-    - mini and small: clean runs, the end blocks stop at 64 letters;
+    - mini: clean runs, the end blocks stop at 64 letters;
+    - small: the runs of the small G cut to |s| <= 5000, two blocks of two
+      columns each, evaluated at their extreme columns;
     - lam = 0.01, R0 = 1.2, anchor 4: undefined margins at |s| <= 2;
     - 1,000 letters at u = 2, anchor 12, a column with no window: every
       letter fails, so the end blocks grow to the whole run;
-    - the anchor-20 u = 0 windows of both signs (|s| from 3506) started
+    - the anchor-20 u = 0 runs of both signs (|s| from 3506) started
       100 letters early: the inner letter of the 64-letter block at the
-      small-|s| end fails, so both blocks widen."""
-    if case in ("mini", "small"):
+      small-|s| end fails, so both blocks widen;
+    - 100 letters shared by u = -1..1 at anchor 12, where u = 1 has no
+      room: only the u = 1 letters get the dense recheck and are flagged."""
+    if case == "mini":
         b = request.getfixturevalue(case)
         fam, gset, spec, budget = b.family, b.gset, b.spec, b.budget
+    elif case == "small":
+        b = request.getfixturevalue(case)
+        fam, gset, spec, budget = b.family, _small_cut(b), b.spec, b.budget
     elif case == "lam-0.01-anchor-4":
         fam, gset, spec, budget = _lam_001_anchor_4()
     elif case == "planted-no-window":
-        fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5999))
+        fam, gset, spec, budget = _planted(12.0, RunBlock(2, 2, 5000, 5999))
+    elif case == "block-past-its-columns":
+        fam, gset, spec, budget = _planted(*_BLOCK_PAST_ITS_COLUMNS)
     else:
         fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
     kw = dict(density=2, dense_sample=64, seed=5)
@@ -260,6 +278,8 @@ def test_recheck_gset_matches_per_letter_reference(request, case):
         assert rep.n_flagged == 1000 + 64 and rep.min_margin < 0
     if case == "window-extended-below":
         assert rep.n_flagged > 0 and rep.min_margin < 0
+    if case == "block-past-its-columns":
+        assert {u for u, _ in rep.flagged} == {1} and rep.n_flagged >= 100
 
 
 def test_recheck_gset_widens_past_a_failing_inner_letter(monkeypatch):
@@ -284,20 +304,20 @@ def test_recheck_gset_widens_past_a_failing_inner_letter(monkeypatch):
 
 
 def test_enumerate_g_at_anchor_20_works_per_run(fam):
-    """Anchor 20 in enumerate mode: 1.02e13 letters in 6 runs.  G, its
-    level-1 sum, the gap report and the recheck all work per run."""
+    """Anchor 20: 1.02e13 letters in 2 runs of 3 columns.  G, its level-1
+    sum, the gap report and the recheck all work per run."""
     budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(20.0, 0.5)
     dist = td.distortion_constant(20.0, fam.ln_r0)
     gset = td.build_G(fam, 20.0, spec, budget, mode="enumerate", dist=dist)
-    assert len(gset.windows) == 6
-    assert gset.n_explicit == 10_204_831_502_220
+    assert [run.n_columns for run in gset.runs] == [3, 3]
+    assert gset.n_letters == 10_204_831_502_220
     s1 = td.level1_sum(td.build_weighted_system(fam, gset, spec, dist), 1.0)
     assert s1.log_lo < s1.log_hi
     gap = td.min_cell_gap(fam, gset, spec)
     assert gap.min_gap > 0 and gap.column_separation > 0
     rep = td.recheck_gset(fam, gset, spec, budget, dense_sample=64)
-    assert rep.n_checked == gset.n_explicit
+    assert rep.n_checked == gset.n_letters
     assert rep.n_densely_sampled == 64
     assert rep.n_flagged == 0
 
@@ -311,7 +331,7 @@ def test_recheck_gset_boundary_work_does_not_grow_with_dense_sample(monkeypatch,
         b = request.getfixturevalue(case)
         fam, gset, spec, budget = b.family, b.gset, b.spec, b.budget
     else:
-        fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5009))
+        fam, gset, spec, budget = _planted(12.0, RunBlock(2, 2, 5000, 5009))
     calls = []
     points = Rect.boundary_points
 
@@ -328,22 +348,35 @@ def test_recheck_gset_boundary_work_does_not_grow_with_dense_sample(monkeypatch,
     assert counts[0] == counts[1] == counts[2]
 
 
-def _recheck_cell_reference(family, u, s, spec, budget, boundary):
+def _recheck_cell_reference(family, u, s, spec, budget, log_first):
     """The per-letter dense recheck that `_recheck_cells` batches: verdict,
     padding delta (at least an ulp of Q's largest coordinate) and the images
-    of the boundary samples."""
-    log_first, d_first = boundary
+    of the boundary samples, in the scale-free form."""
     c = family.log_lam
-    w2 = log_first + TWO_PI * 1j * np.asarray(s, dtype=float) - c
-    imgs = 0.5 * np.log(w2.real ** 2 + w2.imag ** 2) + 1j * np.arctan2(w2.imag, w2.real) \
-        + TWO_PI * 1j * np.asarray(u, dtype=float)
-    xi = np.abs(log_first + TWO_PI * 1j * float(s) - c)
-    lip = float(np.max(1.0 / (xi * d_first))) * 1.25
+    ln_t = math.log(TWO_PI) + np.array([math.log(abs(s))])
+    x = np.exp(-ln_t)
+    y = (log_first.imag - c.imag) * x + (1.0 if s > 0 else -1.0)
+    xx = (log_first.real - c.real) * x
+    half = 0.5 * np.log(y * y + xx * xx)
+    imgs = (ln_t + half) + 1j * (np.arctan2(y, xx) + TWO_PI * float(u))
+    lip = float(np.exp(-(ln_t + (half + log_first.real).min()))[0]) * 1.25
     spacing = spec.outer.perimeter / log_first.size
     delta = max(budget.margin + lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
     inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
     near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
     return ("inside" if inside else ("borderline" if near else "outside")), delta, imgs
+
+
+def _column_letters(gset):
+    """(us, ss) of every letter of G, run by run and column by column."""
+    us = np.concatenate([np.repeat(np.arange(r.u_lo, r.u_hi + 1), r.length) for r in gset.runs])
+    ss = np.concatenate([np.tile(np.arange(r.s_lo, r.s_hi + 1), r.n_columns)
+                         for r in gset.runs])
+    return us, ss
+
+
+def _random_letters(gset, n, seed=20210):
+    return gset.letters(np.sort(gset.random_ranks(np.random.default_rng(seed), n)))
 
 
 def _kernel_case(request, case):
@@ -355,25 +388,24 @@ def _kernel_case(request, case):
         # the first letters of the u = 0 column cross its window edge at |s| = 64
         ss = np.arange(60, 60 + m, dtype=np.int64)
         return b.family, b.spec, b.budget, 10, np.zeros(m, dtype=np.int64), ss
-    if case in ("small-subsample", "lam-0.5+0.5i", "anchor-25"):
+    if case in ("small-subsample", "lam-0.5+0.5i", "anchor-25", "anchor-30", "cert-4000"):
         if case == "small-subsample":
-            # the small config in enumerate mode: 41.8M letters
+            # the small config: 41.8M letters
             b = request.getfixturevalue("small")
-            fam, spec, budget = b.family, b.spec, b.budget
-            gset = td.build_G(fam, 12.0, spec, budget, mode="enumerate", dist=b.dist)
+            fam, spec, budget, gset = b.family, b.spec, b.budget, b.gset
         else:
-            lam, anchor = (complex(0.5, 0.5), 12.0) if case == "lam-0.5+0.5i" else (1.0, 25.0)
+            lam, anchor, inset = {"lam-0.5+0.5i": (complex(0.5, 0.5), 12.0, 0.5),
+                                  "anchor-25": (1.0, 25.0, 0.5), "anchor-30": (1.0, 30.0, 0.5),
+                                  "cert-4000": (1.0, 4000.0, 3.0)}[case]
             fam = td.normalize_family(td.exponential_family(lam, math.e))
-            spec, budget = td.build_squares(anchor, 0.5), td.GeometryBudget(inset=0.5)
-            gset = td.build_G(fam, anchor, spec, budget, mode="enumerate")
-        ranks = np.sort(np.random.default_rng(20210).choice(gset.n_explicit, size=2000,
-                                                            replace=False))
-        us, ss = gset.letters_from_ranks(ranks)
+            spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(inset=inset)
+            gset = td.build_G(fam, anchor, spec, budget)
+        us, ss = _random_letters(gset, 200 if case == "cert-4000" else 2000)
         if case == "anchor-25":
             # the last letters of the first run, |s| near 3.1e15
-            win = gset.windows[0]
-            us = np.r_[us, np.full(20, win.u)]
-            ss = np.r_[ss, np.arange(win.s_hi - 19, win.s_hi + 1, dtype=np.int64)]
+            run = gset.runs[0]
+            us = np.r_[us, np.full(20, run.u_lo)]
+            ss = np.r_[ss, np.arange(run.s_hi - 19, run.s_hi + 1, dtype=np.int64)]
         return fam, spec, budget, 10, us, ss
     if case == "margin-0.1":
         fam, _, spec, _ = _planted(12.0)
@@ -381,20 +413,19 @@ def _kernel_case(request, case):
         ss = np.r_[40:240, -239:-39]
         return fam, spec, td.GeometryBudget(inset=0.5, margin=0.1), 2, us, ss
     if case == "planted-no-window":
-        fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5999))
+        fam, gset, spec, budget = _planted(12.0, RunBlock(2, 2, 5000, 5999))
     elif case == "lam-0.01-anchor-4":
         fam, gset, spec, budget = _lam_001_anchor_4()
     else:
         fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
-    us = np.concatenate([np.full(w.count, w.u) for w in gset.windows])
-    ss = np.concatenate([np.arange(w.s_lo, w.s_hi + 1) for w in gset.windows])
-    return fam, spec, budget, 2, us, ss
+    return (fam, spec, budget, 2) + _column_letters(gset)
 
 
 @pytest.mark.parametrize("case", ["block-1", "block-B-1", "block-B", "block-B+1",
                                   "small-subsample", "planted-no-window",
                                   "lam-0.01-anchor-4", "window-extended-below",
-                                  "lam-0.5+0.5i", "anchor-25", "margin-0.1"])
+                                  "lam-0.5+0.5i", "anchor-25", "margin-0.1",
+                                  "anchor-30", "cert-4000"])
 def test_recheck_cells_matches_per_letter_reference(request, case):
     """The batched dense recheck gives every letter the verdict, padding and
     image extents of the per-letter evaluation, bit for bit:
@@ -402,18 +433,22 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
     - the 2,000-letter subsample of the small config in enumerate mode;
     - 1,000 letters at u = 2, anchor 12, a column with no window;
     - lam = 0.01, R0 = 1.2, anchor 4: G, with undefined margins at |s| <= 2;
-    - the anchor-20 u = 0 windows started 100 letters early;
+    - the anchor-20 u = 0 runs started 100 letters early;
     - lam = 0.5 + 0.5i, anchor 12, a 2,000-letter subsample;
     - anchor 25, where G holds 2.5e16 letters (ranks past 2^53), a
       2,000-letter subsample and the last letters of a run;
     - margin 0.1 at anchor 12, across the u = 0 and u = 1 window edges:
-      all three verdicts."""
+      all three verdicts;
+    - anchor 30 (ranks past 2^63, indices past 2^53), 2,000 letters, and
+      the default anchor-4000 certificate (indices of 2,600 digits), 200."""
     fam, spec, budget, density, us, ss = _kernel_case(request, case)
     boundary = oracle._recheck_boundary(fam, spec, budget, density)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
     assert len(verdicts) == delta.size == ext.shape[0] == len(ss)
+    if case in ("anchor-30", "cert-4000"):
+        assert set(verdicts) == {"inside"}
     for i, (u, s) in enumerate(zip(us, ss)):
         v, d, imgs = _recheck_cell_reference(fam, int(u), int(s), spec, budget, boundary)
         assert verdicts[i] == v, (u, s)
@@ -428,6 +463,61 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
         assert set(verdicts) == {"inside", "borderline", "outside"}
 
 
+def _direct_recheck_cells(family, us, ss, spec, budget, density, chunk=256):
+    """The direct-form dense kernel that the scale-free one replaced, kept
+    as its reference: w2 = log_first + 2*pi*i*s - c formed in float, images
+    0.5*ln(re^2 + im^2) + i*atan2 + 2*pi*i*u, padding 1.25 / min(|w2| * |z - c|).
+    Float-exact indices only."""
+    w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
+    log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
+    d_first = np.abs(w)
+    c = family.log_lam
+    rect = spec.outer
+    ss = np.asarray(ss, dtype=float)
+    us = np.broadcast_to(np.asarray(us, dtype=float), ss.shape)
+    re_w2 = log_first.real - c.real
+    lip = np.empty(ss.size)
+    ext = np.empty((ss.size, 4))
+    for i in range(0, ss.size, chunk):
+        im_w2 = log_first.imag + (TWO_PI * ss[i:i + chunk])[:, None] - c.imag
+        re = 0.5 * np.log(re_w2 ** 2 + im_w2 * im_w2)
+        im = np.arctan2(im_w2, re_w2)
+        lip[i:i + chunk] = 1.0 / (np.abs(re_w2 + 1j * im_w2) * d_first).min(axis=1) * 1.25
+        ext[i:i + chunk] = np.column_stack([re.min(axis=1), re.max(axis=1),
+                                            im.min(axis=1), im.max(axis=1)])
+    ext[:, 2:] += TWO_PI * us[:, None]
+    delta = np.maximum(budget.margin + lip * (rect.perimeter / log_first.size),
+                       math.ulp(max(map(abs, rect.bounds()))))
+
+    def within(pad):
+        return ((ext[:, 0] >= rect.re_lo + pad) & (ext[:, 1] <= rect.re_hi - pad)
+                & (ext[:, 2] >= rect.im_lo + pad) & (ext[:, 3] <= rect.im_hi - pad))
+
+    return np.where(within(delta), "inside", np.where(within(0.0), "borderline", "outside")), ext
+
+
+def test_scale_free_kernel_gives_the_direct_kernels_verdicts(small):
+    """At anchor 12 the scale-free dense kernel rates every letter as the
+    direct-form kernel does, and their image extents agree to 1e-14: s in
+    +-[1, 200] at u = -1, 0, 1, 64 letters at each end of every column of
+    every run, and 2,000 letters drawn over G."""
+    fam, spec, budget = small.family, small.spec, small.budget
+    low = np.r_[1:201, -200:0]
+    us, ss = [np.repeat([-1, 0, 1], low.size)], [np.tile(low, 3)]
+    for r in small.gset.runs:
+        ends = np.r_[r.s_lo:r.s_lo + 64, r.s_hi - 63:r.s_hi + 1]
+        us.append(np.repeat(np.arange(r.u_lo, r.u_hi + 1), ends.size))
+        ss.append(np.tile(ends, r.n_columns))
+    drawn = _random_letters(small.gset, 2000)
+    us, ss = np.concatenate(us + [drawn[0]]), np.concatenate(ss + [drawn[1]])
+    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
+    verdicts, _, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    direct, direct_ext = _direct_recheck_cells(fam, us, ss, spec, budget, 10)
+    assert np.array_equal(verdicts, direct)
+    assert {"inside", "outside"} <= set(verdicts)
+    assert np.max(np.abs(ext - direct_ext)) <= 1e-14
+
+
 def test_dense_recheck_pads_by_at_least_an_ulp_at_anchor_24(fam):
     """lam = 1, R0 = e, inset 0.5, anchor 24, enumerate mode: the images of
     the letters at the ends of the runs reach re_hi(Q) = 36.0 exactly, and
@@ -436,8 +526,7 @@ def test_dense_recheck_pads_by_at_least_an_ulp_at_anchor_24(fam):
     spec, budget = td.build_squares(24.0, 0.5), td.GeometryBudget(inset=0.5)
     gset = td.build_G(fam, 24.0, spec, budget, mode="enumerate")
     letters = [(-2, 686153811537102), (0, 686153811537103), (0, -686153811537103)]
-    assert all(any(w.u == u and w.s_lo <= s <= w.s_hi for w in gset.windows)
-               for u, s in letters)
+    assert all(letter in gset for letter in letters)
     us, ss = (np.array(x, dtype=np.int64) for x in zip(*letters))
     boundary = oracle._recheck_boundary(fam, spec, budget, 10)
     verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
@@ -451,7 +540,7 @@ def test_recheck_gset_evaluates_the_boundary_once(monkeypatch, n_letters):
     """Planted u = 2 window at anchor 12, where every letter fails its
     margin: the dense boundary work is built once per recheck, whatever
     the number of failing letters and the size of the dense subsample."""
-    fam, gset, spec, budget = _planted(12.0, SWindow(2, 5000, 5000 + n_letters - 1))
+    fam, gset, spec, budget = _planted(12.0, RunBlock(2, 2, 5000, 5000 + n_letters - 1))
     calls = []
     boundary = oracle._recheck_boundary
 

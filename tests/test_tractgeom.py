@@ -422,8 +422,7 @@ def test_build_g_solves_each_sign_once(fam, monkeypatch):
         envelopes.clear()
         enclosures.clear()
         spec = td.build_squares(anchor, 3.0)
-        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=3.0), mode="tail")
-        assert gset.n_explicit == 0  # windows past 2^53: no edge bands to test
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=3.0))
         counts[anchor] = (sum(run.n_columns for run in gset.runs), len(envelopes),
                           len(enclosures))
     assert counts[100.0][0] < 100 < 1000 < counts[4000.0][0]
@@ -443,12 +442,11 @@ def test_build_g_empty_below_threshold(fam):
 
 
 def test_build_g_tail_large_anchor_is_segments_only(fam):
-    """At anchor 4000 G lists nothing and holds one run per sign, shared
-    by all 637 columns of that sign and spanning sigma from R/2 to 3R/2."""
+    """At anchor 4000 G holds one run per sign, shared by all 637 columns
+    of that sign and spanning sigma from R/2 to 3R/2."""
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
     spec = td.build_squares(4000.0, 3.0)
     g = td.build_G(fam, 4000.0, spec, budget, mode="tail")
-    assert g.n_explicit == 0
     assert [(run.s_lo > 0, run.n_columns) for run in g.runs] == [(False, 637), (True, 637)]
     for run in g.runs:
         assert abs(math.log(abs(run.s_hi)) - math.log(abs(run.s_lo))) == pytest.approx(
@@ -457,9 +455,8 @@ def test_build_g_tail_large_anchor_is_segments_only(fam):
 
 @pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0)])
 def test_certificate_past_2_53_does_not_depend_on_mode(fam, anchor, inset):
-    """Every window passes 2^53 at these anchors, so G lists no letter in
-    either mode; enumerate mode no longer stops there, and its certificate
-    is the tail-mode one field for field, apart from `mode`."""
+    """Every window passes 2^53 at these anchors; the enumerate-mode
+    certificate is the tail-mode one field for field, apart from `mode`."""
     reports = {}
     for mode in ("enumerate", "tail"):
         cert = td.certify_dim_gt_one(fam, anchor=anchor, epsilon=0.1, inset=inset, mode=mode)
@@ -471,13 +468,13 @@ def test_certificate_past_2_53_does_not_depend_on_mode(fam, anchor, inset):
 
 def test_build_g_enumerate_pins_edge_rescues(mini):
     """The sampled fallback admits cells just past the closed-form windows."""
-    assert [(w.u, w.s_lo, w.s_hi) for w in mini.gset.windows] == [(0, -64, -2), (0, 2, 64)]
+    assert _letter_runs(mini.gset) == [(0, -64, -2), (0, 2, 64)]
     win = td.solve_s_window(mini.family, 0, mini.spec, budget=mini.budget, sign=1)
     assert math.floor(win.s_bounds[1]) == 63
     fam = td.normalize_family(td.exponential_family(0.5 + 0.5j, math.e))
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0)
     g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
-    assert [(w.u, w.s_lo, w.s_hi) for w in g.windows] == [(0, -25902, -9), (0, 9, 25903)]
+    assert _letter_runs(g) == [(0, -25902, -9), (0, 9, 25903)]
 
 
 def _letter_runs(gset):
@@ -496,16 +493,20 @@ def _merged(runs):
     return merged
 
 
-def _letter_runs_per_column(fam, spec, margin, enum, collar=32):
-    """Reference from each column's own window solve: (all letters, the
-    letters the tail G lists).  Past 2^53 a window holds the integers of
-    its sigma range and lists none.  Else it holds the letters the
-    enumerate G lists in it, and the tail G lists all of them but those
-    past the collar of [ceil(s_lo), floor(s_hi)]."""
-    runs, listed = [], []
+def _letter_runs_per_column(fam, spec, budget):
+    """Reference from each column's own window solve: its signed runs.
+    Past 2^53 a window holds the integers of its sigma range.  Else it
+    holds [ceil(s_lo), floor(s_hi)] and the letters of the two edge bands,
+    ceil((2*pi + 2b) / (2*pi)) + 2 indices deep, that `_edge_letters`
+    admits for that column alone."""
+    model = fam.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    dist = _distortion_or_unavailable(spec.anchor, fam.ln_r0)
+    widen = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
+    runs = []
     for sign in (1, -1):
         for u in _columns(spec):
-            win = _solve_s_window_per_column(fam, u, spec, margin, sign)
+            win = _solve_s_window_per_column(fam, u, spec, budget.margin, sign)
             if win is None:
                 continue
             s_lo, s_hi = win.s_bounds
@@ -513,45 +514,31 @@ def _letter_runs_per_column(fam, spec, margin, enum, collar=32):
                 s1, s2 = tractgeom._sigma_run(win.sigma_lo, win.sigma_hi)
                 runs += [(u, *sorted((sign * s1, sign * s2)))] if s1 <= s2 else []
                 continue
-            col = [(w.u, w.s_lo, w.s_hi) for w in enum.windows if w.u == u and w.sign == sign]
-            runs += col
             lo, hi = math.ceil(s_lo), math.floor(s_hi)
-            top = lo + collar - 1 if hi - lo + 1 > collar + 4 else hi
-            for _, a, b in col:
-                m, n = sorted((abs(a), abs(b)))
-                for p, q in ((m, min(n, top)), (max(m, top + 1, hi + 1), n)):
-                    if p <= q:
-                        listed.append((u, *sorted((sign * p, sign * q))))
-    return _merged(runs), _merged(listed)
+            bands = np.r_[max(1, math.floor(s_lo) - widen):lo,
+                          hi + 1:min(math.ceil(s_hi) + widen, 2 ** 53) + 1]
+            runs += [(u, s, s) for s in tractgeom._edge_letters(fam, model, env, spec, budget,
+                                                                dist, u, sign, bands)]
+            runs += [(u, *sorted((sign * lo, sign * hi)))] if hi >= lo else []
+    return _merged(runs)
 
 
 def _check_runs_in_both_modes(lam, anchor, inset, margin):
-    """The runs of G are the same in both modes and hold, column by column,
-    the letters of each column's own window solve: in a float-exact window
-    exactly the collar, unlisted rest and edge-band rescues of the tail G
-    and the listed letters of the enumerate G.  So the level-1 bounds and
-    the Bowen roots of the two are the same to the bit."""
+    """G is the same in both modes, and its runs hold, column by column,
+    the letters of each column's own window solve and edge bands."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     budget = td.GeometryBudget(epsilon=0.1, inset=inset, margin=margin)
     spec = td.build_squares(anchor, inset)
     enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
-    tail = td.build_G(fam, anchor, spec, budget, mode="tail")
-    assert tail.n_explicit < sum(r.n_columns * (r.s_hi - r.s_lo + 1) for r in tail.runs)
-    letters, listed = _letter_runs_per_column(fam, spec, margin, enum)
-    assert _letter_runs(tail) == _letter_runs(enum) == letters
-    assert _merged((w.u, w.s_lo, w.s_hi) for w in tail.windows) == listed
-    systems = [td.build_weighted_system(fam, g, spec) for g in (enum, tail)]
-    for t in (0.5, 1.0, 2.0):
-        sums = [td.level1_sum(system, t) for system in systems]
-        assert len({(s.log_lo.hex(), s.log_hi.hex()) for s in sums}) == 1, t
-    roots = [td.bowen_root(system) for system in systems]
-    assert len({(r.t_lo.hex(), r.t_hi.hex()) for r in roots}) == 1
+    tail = td.build_G(fam, anchor, spec, budget, mode="tail", collar=-5)
+    assert tail == enum
+    assert _letter_runs(enum) == _letter_runs_per_column(fam, spec, budget)
 
 
 @pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
 @pytest.mark.parametrize("margin", [0.0, 0.3])
 def test_tail_letters_equal_enumerate_letters(anchor, margin):
-    """Float-exact windows, with collars and edge-band rescues."""
+    """Float-exact windows with edge-band rescues."""
     _check_runs_in_both_modes(1.0, anchor, 0.5, margin)
 
 
@@ -567,31 +554,46 @@ def test_runs_past_2_53_and_edge_windows_equal_per_column_solves(lam, anchor, in
 
 
 def test_mini_g_structure(mini):
-    assert mini.gset.mode == "enumerate"
-    assert mini.gset.n_explicit > 50
-    us = {w.u for w in mini.gset.windows}
-    assert us == {0}
-    # pairs come out sorted by (u, s)
-    pairs = list(mini.gset.pairs_iter())
+    assert mini.gset.n_letters > 50
+    assert {u for r in mini.gset.runs for u in range(r.u_lo, r.u_hi + 1)} == {0}
+    # ranks come out sorted by (u, s) in a single column
+    u, s = mini.gset.letters(np.arange(mini.gset.n_letters))
+    pairs = list(zip(u.tolist(), s.tolist()))
     assert pairs == sorted(pairs)
 
 
-def test_gset_json_roundtrip(mini):
-    d = mini.gset.to_json_dict()
-    assert d["mode"] == "enumerate"
-    assert sum((r["u_hi"] - r["u_lo"] + 1) * (r["s_hi"] - r["s_lo"] + 1)
-               for r in d["runs"]) == mini.gset.n_explicit
-    assert len(d["pairs"]) == mini.gset.n_explicit
-    assert all(len(p) == 2 for p in d["pairs"])
-    with pytest.raises(td.ConstructionError):
-        mini.gset.to_json_dict(max_pairs=3)
-
-
 def test_gset_letter_ranks(mini):
-    n = mini.gset.n_explicit
-    u, s = mini.gset.letters_from_ranks(np.arange(n))
-    pairs = list(zip(u.tolist(), s.tolist()))
-    assert pairs == list(mini.gset.pairs_iter())
+    """Every rank of mini maps to its letter, run by run, column by
+    column, s by s."""
+    expected = [(u, s) for r in mini.gset.runs for u in range(r.u_lo, r.u_hi + 1)
+                for s in range(r.s_lo, r.s_hi + 1)]
+    u, s = mini.gset.letters(np.arange(mini.gset.n_letters))
+    assert list(zip(u.tolist(), s.tolist())) == expected
+    assert all(letter in mini.gset for letter in expected)
+    assert (0, 1) not in mini.gset and (1, 2) not in mini.gset
+
+
+@pytest.mark.parametrize("anchor", [12.0, 30.0, 4000.0])
+def test_gset_letter_ranks_of_any_size(fam, anchor):
+    """The ranks around each run's start and end and its column seams map
+    to their letters at anchors 12 (int64), 30 (ranks past 2^63) and 4000
+    (indices of 2,600 digits), and drawn ranks lie in [0, n_letters)."""
+    inset = 3.0 if anchor == 4000.0 else 0.5
+    spec = td.build_squares(anchor, inset)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset))
+    ranks, expected, start = [], [], 0
+    for r in gset.runs:
+        for col in (0, 1, r.n_columns - 1):
+            for off in (0, 1, r.length - 1):
+                ranks.append(start + col * r.length + off)
+                expected.append((r.u_lo + col, r.s_lo + off))
+        start += r.n_columns * r.length
+    u, s = gset.letters(ranks)
+    assert list(zip(u.tolist(), s.tolist())) == expected
+    assert all(letter in gset for letter in expected)
+    assert (u.dtype == np.int64) == (anchor == 12.0)
+    drawn = gset.random_ranks(np.random.default_rng(1), 500).tolist()
+    assert all(0 <= rank < gset.n_letters for rank in drawn) and len(set(drawn)) == 500
 
 
 def test_min_cell_gap_positive(mini):
@@ -609,14 +611,23 @@ def test_min_cell_gap_with_letters_below_envelope_validity():
     spec = td.build_squares(4.0, 0.5)
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
     env = fam.tail_model().envelope(spec.outer.bounds())
-    lowest = min(min(abs(w.s_lo), abs(w.s_hi)) for w in gset.windows)
+    lowest = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
     assert lowest <= math.exp(env.sigma_valid_min) / TWO_PI
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = td.min_cell_gap(fam, gset, spec)
     assert 0 < rep.min_gap < math.inf
     assert 0 < rep.column_separation < math.inf
-    assert rep.n_adjacent_checked == sum(w.count - 1 for w in gset.windows)
+    assert rep.n_adjacent_checked == sum(r.n_columns * (r.s_hi - r.s_lo) for r in gset.runs)
+
+
+def test_min_cell_gap_past_the_float_range(fam):
+    """At anchor 4000, 2*pi*|s| passes the float range: the gap report
+    raises ConstructionError, not OverflowError."""
+    spec = td.build_squares(4000.0, 3.0)
+    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0))
+    with pytest.raises(td.ConstructionError, match="float range"):
+        td.min_cell_gap(fam, gset, spec)
 
 
 def test_containment_padding_past_half_side_is_borderline_outside():
@@ -632,7 +643,7 @@ def test_containment_padding_past_half_side_is_borderline_outside():
         assert td.containment_test(fam, cell, spec, budget, dist) == "outside"
         assert cell.borderline and cell.delta_used > 0.5 * spec.outer.min_side
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate", dist=dist)
-    assert [(w.u, w.s_lo, w.s_hi) for w in gset.windows] == [(0, -64, -3), (0, 3, 64)]
+    assert _letter_runs(gset) == [(0, -64, -3), (0, 3, 64)]
 
 
 def _cells(fam, spec, u, ss, n=1024):
@@ -664,10 +675,10 @@ def test_min_cell_gap_below_sampled_distances(modulus, arg, r0, anchor, margin):
     rep = td.min_cell_gap(fam, gset, spec)
     assert rep.min_gap > 0 and rep.column_separation > 0
     extents = []
-    for w in gset.windows:
-        ends = [w.s_lo, w.s_lo + 1, w.s_hi - 1, w.s_hi] if w.count >= 2 else [w.s_lo]
-        c = _cells(fam, spec, w.u, ends)
-        if w.count >= 2:
+    for u, s_lo, s_hi in _letter_runs(gset):
+        ends = [s_lo, s_lo + 1, s_hi - 1, s_hi] if s_hi > s_lo else [s_lo]
+        c = _cells(fam, spec, u, ends)
+        if s_hi > s_lo:
             assert rep.min_gap <= _sampled_distance(c[0], c[1])
             assert rep.min_gap <= _sampled_distance(c[2], c[3])
         im = np.imag(np.concatenate(c))
@@ -679,16 +690,13 @@ def test_min_cell_gap_below_sampled_distances(modulus, arg, r0, anchor, margin):
 
 def test_tail_segments_bracket_enumeration(small):
     """Within one integer step, the analytic window endpoints match the
-    explicitly certified range (the collar letters of the tail G)."""
-    for win in small.gset.windows:
-        sign = win.sign
-        analytic = td.solve_s_window(small.family, win.u, small.spec,
+    small-|s| end of every column's run."""
+    for u, s_lo, s_hi in _letter_runs(small.gset):
+        sign = 1 if s_lo > 0 else -1
+        analytic = td.solve_s_window(small.family, u, small.spec,
                                      budget=small.budget, sign=sign)
         lo, hi = analytic.s_bounds
-        if sign > 0:
-            assert abs(win.s_lo - math.ceil(lo - 1e-9)) <= 1
-        else:
-            assert abs(-win.s_hi - math.ceil(lo - 1e-9)) <= 1
+        assert abs(min(abs(s_lo), abs(s_hi)) - math.ceil(lo - 1e-9)) <= 1
 
 
 # ---------------------------------------------------------------------------
