@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,8 +65,21 @@ def weighted_log_sum_exp(terms: Iterable[tuple]) -> float:
 # Canonical report serialization
 # ---------------------------------------------------------------------------
 
+def _decimal(n: int, limit: int) -> str:
+    """str(n) with the interpreter's int-to-string digit limit (`limit`)
+    lifted for this conversion only."""
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _sanitize(obj):
-    """Make an object JSON-safe; non-finite floats become strings."""
+    """Make an object JSON-safe; non-finite floats become strings, and so
+    do ints with more digits than the interpreter's int-to-string limit
+    (`sys.get_int_max_str_digits`), which a default `json.loads` could not
+    read back either."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -77,8 +91,13 @@ def _sanitize(obj):
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
         return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        n = int(obj)
+        # 0 where the limit is off, or the interpreter predates it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+            return _decimal(n, limit)
+        return n
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, complex):

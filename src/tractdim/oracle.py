@@ -4,8 +4,19 @@ Nothing here reuses the main pipeline's evaluation paths: complex
 logarithms are assembled from ln|.| and atan2.  The brute-force pressure
 composes branches on complex scalars in plain loops.  The containment
 recheck is array-based: it evaluates its letters as numpy arrays, in
-blocks over shared boundary samples of Q.  Box counting sees only point
-clouds, and the middle-thirds sample is drawn in numpy blocks.
+blocks over shared boundary samples of Q, and each letter only on the
+samples that can hold one of its float extremes.  At a sample z, with x =
+1/(2*pi*|s|), each extreme (least and greatest image real and imaginary
+part, least padding term) is a letter-independent key (q = arg(z - c) -
+Im c, or ln|z - c|) plus a perturbation bounded in x.  With the samples
+sorted by the keys, a letter needs only the prefix and suffix of each
+order whose keys lie within that bound, plus a rounding slack, of the
+extreme key: the float extreme is no worse than the float value at the
+extreme key's sample, so its own sample lies inside (`_recheck_cells`
+gives the bounds).  At x = 0 one sample serves; where x is not small
+every sample is evaluated.  Either way the verdicts, paddings and extents
+are those of evaluating every sample, bit for bit.  Box counting sees
+only point clouds, and the middle-thirds sample is drawn in numpy blocks.
 Disagreement between an oracle and the pipeline is a failure of the run,
 not of the oracle.
 """
@@ -31,6 +42,8 @@ _DIGIT_ROWS = 4096
 # Boundary points per block of the dense recheck: 8 letters at the default
 # 2,560 samples (density 10 x 256).
 _DENSE_BLOCK = 20_480
+# Rounding slack E of the dense recheck's float images (`_recheck_cells`).
+_ROUNDING = 32 * 2.0 ** -53
 
 # ---------------------------------------------------------------------------
 # Box counting
@@ -208,9 +221,11 @@ def fd_derivative_check(op: Callable, samples: Sequence[complex],
 def _recheck_boundary(family: MapFamily, spec: SquareSpec, budget: GeometryBudget,
                       density: int) -> np.ndarray:
     """What a dense recheck shares across letters: the first-level logs
-    ln|z - c| + i*atan2 at density x boundary samples z of Q."""
+    ln|z - c| + i*atan2 at density x boundary samples z of Q, sorted by
+    ln|z - c| (stably, so ties keep the order along the boundary)."""
     w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
-    return 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
+    log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
+    return log_first[np.argsort(log_first.real, kind="stable")]
 
 
 def _log_two_pi_index(ss) -> np.ndarray:
@@ -218,45 +233,20 @@ def _log_two_pi_index(ss) -> np.ndarray:
     return math.log(TWO_PI) + np.array([math.log(abs(int(s))) for s in ss], dtype=float)
 
 
-def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: GeometryBudget,
-                   log_first: np.ndarray):
-    """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
-    boundary work; `us` may be one column for all letters, and the indices
-    `ss` are ints of any size.
+def _sample_extremes(p, q, lr, x, sign) -> np.ndarray:
+    """The block loop of the dense recheck: for letters (x[i], sign[i]) at
+    the samples (p, q, lr), the least and greatest half = 0.5*ln(X^2 +
+    Y^2) and im = atan2(Y, X), with X = p*x and Y = sign + q*x, and the
+    least half + lr, as the columns of a (letters x 5) array.
 
-    Letters are evaluated in blocks of about `_DENSE_BLOCK` boundary points,
-    as (letters x samples) arrays, in a scale-free form.  The second level
-    is w2 = log_first - c + 2*pi*i*s = p + i*(q + 2*pi*s).  With T =
-    2*pi*|s| and x = e^-ln T, w2 / T = X + i*Y with X = p*x and Y =
-    sign(s) + q*x, so the image Log(w2) + 2*pi*i*u has real part re =
-    ln T + 0.5*ln(X^2 + Y^2) and imaginary part atan2(Y, X) + 2*pi*u.  The
-    Lipschitz padding is the sampled sup of 1/(|w2| * |z - c|) =
-    e^-(re + ln|z - c|), padded by 25% and raised to at least an ulp of
-    Q's largest coordinate, so a cell narrower than an ulp is not rated
-    "inside" by rounding.  The images enter the verdict only through
-    their extremes: all samples lie in Q shrunk by delta exactly when the
-    least and greatest real and imaginary parts do, and a NaN fails both
-    forms.  Adding a constant is monotone in float, so ln T and 2*pi*u
-    are added after the reductions, with the same result as before them.
-
-    Returns the verdicts ("inside", "borderline" or "outside"), the
-    paddings delta and the image extents (re_min, re_max, im_min, im_max),
-    one row per letter.
+    Letters are evaluated in blocks of about `_DENSE_BLOCK` (letter,
+    sample) pairs, as (letters x samples) arrays in one reused buffer.
     """
-    c = family.log_lam
-    rect = spec.outer
-    p = log_first.real - c.real
-    q = log_first.imag - c.imag
-    ln_t = _log_two_pi_index(ss)
-    x = np.exp(-ln_t)
-    sign = np.array([1.0 if s > 0 else -1.0 for s in ss])
-    us = np.broadcast_to(np.asarray(us, dtype=float), ln_t.shape)
-    n = log_first.size
+    n = p.size
     step = max(1, _DENSE_BLOCK // n)
-    low = np.empty(ln_t.size)  # least re + ln|z - c| - ln T per letter
-    ext = np.empty((ln_t.size, 4))
-    work = np.empty((4, min(step, ln_t.size), n))  # reused by every block
-    for i in range(0, ln_t.size, step):
+    out = np.empty((x.size, 5))
+    work = np.empty((4, min(step, x.size), n))  # reused by every block
+    for i in range(0, x.size, step):
         xs = x[i:i + step, None]
         y, xx, half, im = work[:, :xs.shape[0]]
         np.multiply(q, xs, out=y)
@@ -268,14 +258,129 @@ def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: Geometry
         half += xx
         np.log(half, out=half)
         half *= 0.5
-        ext[i:i + step] = np.column_stack([half.min(axis=1), half.max(axis=1),
-                                           im.min(axis=1), im.max(axis=1)])
-        half += log_first.real  # ln|z - c|
-        low[i:i + step] = half.min(axis=1)
+        out[i:i + step, :4] = np.column_stack([half.min(axis=1), half.max(axis=1),
+                                               im.min(axis=1), im.max(axis=1)])
+        half += lr
+        out[i:i + step, 4] = half.min(axis=1)
+    return out
+
+
+def _candidate_samples(p, q, lr, x):
+    """Buckets (letters, samples) of the letters x = e^-ln T by the prefix
+    rule of `_recheck_cells`: each bucket's samples hold, for each of its
+    letters, a sample of every float extreme of `_sample_extremes`.  `p`
+    and `lr` come sorted (the boundary is sorted by ln|z - c|); q is
+    sorted here."""
+    n = p.size
+    q_order = np.argsort(q, kind="stable")
+    qs = q[q_order]
+    big_p, big_q = float(np.max(np.abs(p))), float(np.max(np.abs(q)))
+    with np.errstate(divide="ignore", over="ignore"):  # x = 0 or subnormal
+        w_half = np.where(x > 0, 1.25 * big_p ** 2 * x + 2.5 * _ROUNDING / x, -np.inf)
+        w_angle = np.where(x > 0, 8 / 3 * big_p * big_q * x + 2.5 * _ROUNDING / x, -np.inf)
+    w_pad = (8 / 3 * big_q * x + (big_p * x) ** 2
+             + np.where(x > 0, 2 * _ROUNDING * (1 + float(np.max(np.abs(lr)))), 0.0))
+    far = x * max(big_p, big_q) > 0.25
+    w_half[far] = w_angle[far] = w_pad[far] = np.inf
+    lengths = np.column_stack([
+        np.searchsorted(qs, qs[0] + w_half, "right"),
+        n - np.searchsorted(qs, qs[-1] - w_half, "left"),
+        np.maximum(np.searchsorted(p, p[0] + w_angle, "right"),
+                   np.searchsorted(lr, lr[0] + w_pad, "right")),
+        n - np.searchsorted(p, p[-1] - w_angle, "left"),
+    ])
+    # the bit length of each letter's longest prefix
+    bucket = np.searchsorted(1 << np.arange(n.bit_length()), lengths.max(axis=1), "right")
+    for b in set(bucket.tolist()):
+        letters = np.nonzero(bucket == b)[0]
+        lo_q, hi_q, lo_p, hi_p = lengths[letters].max(axis=0)
+        samples = np.zeros(n, dtype=bool)
+        samples[q_order[:lo_q]] = samples[q_order[n - hi_q:]] = True
+        samples[:lo_p] = samples[n - hi_p:] = True
+        yield letters, np.nonzero(samples)[0]
+
+
+def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: GeometryBudget,
+                   log_first: np.ndarray):
+    """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
+    boundary work (`_recheck_boundary`); `us` may be one column for all
+    letters, and the indices `ss` are ints of any size.
+
+    The second level is w2 = log_first - c + 2*pi*i*s = p + i*(q + 2*pi*s),
+    in a scale-free form.  With T = 2*pi*|s|, x = e^-ln T and sigma =
+    sign(s), w2 / T = X + i*Y with X = p*x and Y = sigma + q*x, so the
+    image Log(w2) + 2*pi*i*u has real part re = ln T + half, half =
+    0.5*ln(X^2 + Y^2), and imaginary part atan2(Y, X) + 2*pi*u.  The
+    Lipschitz padding is the sampled sup of 1/(|w2| * |z - c|) =
+    e^-(ln T + half + ln|z - c|), padded by 25% and raised to at least an
+    ulp of Q's largest coordinate, so a cell narrower than an ulp is not
+    rated "inside" by rounding.  The images enter the verdict only through
+    their extremes: all samples lie in Q shrunk by delta exactly when the
+    least and greatest real and imaginary parts do, and a NaN fails both
+    forms.  Adding a constant is monotone in float, so ln T and 2*pi*u are
+    added after the reductions, with the same result as before them.
+
+    Candidate samples.  The five float extremes (least and greatest half
+    and atan2, least half + ln|z - c|) are reduced by the block loop
+    `_sample_extremes` over each letter's candidate samples only; with
+    every sample as candidates that loop is the reference.  With k =
+    sigma*q, P = max|p| and Q = max|q| over the samples, and while x *
+    max(P, Q) <= 1/4 (so 3/4 <= 1 + k*x <= 5/4), the exact values are a
+    letter-independent order plus a perturbation bounded in x:
+    - half = ln(1 + k*x) + D with 0 <= D <= P^2 x^2: ordered by k, and
+      ln(1 + k*x) - ln(1 + k'*x) >= 0.8 (k - k') x for k >= k';
+    - atan2 = sigma*(pi/2 - atan(g)), g = p*x / (1 + k*x), |g - p*x| <=
+      4/3 P Q x^2 and |g| <= 1/3: ordered by p, with atan's slope >= 0.9;
+    - half + ln|z - c|: ordered by ln|z - c|, with half within
+      [-4/3 Q x, 4/3 Q x + P^2 x^2].
+    Rounding slack: each float expression lies within E of its exact
+    value, E = `_ROUNDING` = 32 * 2^-53 for half and atan2 (at least three
+    times what the float chain costs when np.log and np.arctan2 err by up
+    to four ulps), and E * (1 + max|ln|z - c||) for half + ln|z - c|,
+    whose sum rounds at ln|z - c|'s scale.  Prefix rule: the float extreme
+    is no worse than the float value at the sample of the extreme key, so
+    the exact value at its sample is within the perturbation plus 2 E of
+    the extreme key's, and its key lies within
+    - 1.25 P^2 x + 2.5 E / x of the least or greatest k (half);
+    - 8/3 P Q x + 2.5 E / x of the least or greatest p (atan2);
+    - 8/3 Q x + P^2 x^2 + 2 E (1 + max|ln|z - c||) of the least
+      ln|z - c| (half + ln|z - c|).
+    Those prefixes and suffixes of the samples sorted by q and by
+    ln|z - c| (p = ln|z - c| - Re c has the same order; the boundary
+    comes sorted by it) hold a sample of every float extreme, so the
+    reductions over them equal the reductions over all samples, bit for
+    bit.  E is at least three times the error it covers, and its excess
+    also covers the float evaluation of the widths and of the thresholds
+    key + width, so no sample the bound admits is dropped.  At x = 0 (ln T
+    past the underflow of exp) every expression is exact: Y = sigma, X =
+    +-0, half = 0 and atan2 = sigma*pi/2 at every sample, so the least
+    ln|z - c| (and its exact ties) is the only candidate.  Where x *
+    max(P, Q) > 1/4 every sample is a candidate.  Letters are bucketed by
+    the bit length of their longest prefix, and each bucket is evaluated
+    on the union of its letters' prefixes.
+
+    Returns the verdicts ("inside", "borderline" or "outside"), the
+    paddings delta and the image extents (re_min, re_max, im_min, im_max),
+    one row per letter.
+    """
+    c = family.log_lam
+    rect = spec.outer
+    lr = log_first.real  # ln|z - c|
+    p = lr - c.real
+    q = log_first.imag - c.imag
+    ln_t = _log_two_pi_index(ss)
+    x = np.exp(-ln_t)
+    sign = np.array([1.0 if s > 0 else -1.0 for s in ss])
+    us = np.broadcast_to(np.asarray(us, dtype=float), ln_t.shape)
+    extremes = np.empty((ln_t.size, 5))
+    for letters, samples in _candidate_samples(p, q, lr, x):
+        extremes[letters] = _sample_extremes(p[samples], q[samples], lr[samples],
+                                             x[letters], sign[letters])
+    ext, low = extremes[:, :4], extremes[:, 4]  # low: least re + ln|z - c| - ln T
     ext[:, :2] += ln_t[:, None]
     ext[:, 2:] += TWO_PI * us[:, None]
     lip = np.exp(-(ln_t + low)) * 1.25
-    delta = np.maximum(budget.margin + lip * (rect.perimeter / n),
+    delta = np.maximum(budget.margin + lip * (rect.perimeter / log_first.size),
                        math.ulp(max(map(abs, rect.bounds()))))
 
     def within(pad):

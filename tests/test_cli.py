@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,30 @@ def test_oracle_recheck_past_2_53_exit_0(tmp_path, config):
     assert rep["n_checked"] == sum(r.n_columns * (r.s_hi - r.s_lo + 1) for r in runs)
     if config != "certificate":
         assert rep["n_checked"] == 55_599_619_169_322_300_560
+
+
+def test_oracle_recheck_past_the_int_digit_limit_exit_0(tmp_path):
+    # at anchor 8000 G holds more letters than an int of 4,300 digits (the
+    # interpreter's default int-to-string limit): the report writes
+    # n_checked as a decimal string, which a default json.loads reads back
+    raw = dict(DEFAULT_CERTIFICATE_CONFIG,
+               geometry=dict(DEFAULT_CERTIFICATE_CONFIG["geometry"], anchor=8000.0))
+    cfg = write_cfg(tmp_path, "a8000.json", raw)
+    out = str(tmp_path / "o.json")
+    limit = sys.get_int_max_str_digits()
+    assert run(["oracle", "recheck", "--config", cfg, "--out", out]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    rep = read_json(out)
+    assert rep["pass"] is True
+    c = load_config(raw)
+    spec = td.build_squares(c.anchor, c.budget.inset)
+    n = sum(r.n_columns * r.length for r in td.build_G(c.family, c.anchor, spec, c.budget).runs)
+    assert n >= 10 ** limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rep["n_checked"] == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sample_past_2_53_exit_0_and_past_2_63_exit_2(tmp_path, capsys):

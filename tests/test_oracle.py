@@ -1,8 +1,13 @@
+import cmath
+import decimal
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tractdim as td
 from tractdim import oracle
@@ -554,3 +559,137 @@ def test_recheck_gset_evaluates_the_boundary_once(monkeypatch, n_letters):
         rep = td.recheck_gset(fam, gset, spec, budget, density=2, dense_sample=dense_sample)
         assert rep.n_flagged == n_letters + min(dense_sample, n_letters)
         assert len(calls) == 1
+
+
+def _every_sample(p, q, lr, x):
+    """The candidate buckets of `_recheck_cells` with every sample for every
+    letter: the block loop's reference."""
+    yield np.arange(x.size), np.arange(p.size)
+
+
+# (lam, anchor, inset): lam = 20 puts p = ln|z| - ln 20 <= 0 on part of
+# Q's boundary at anchor 12; lam = e^3i at anchor 4 puts q = arg(z - c) - 3
+# in [-4.2, -3.1]
+_KERNEL_FAMILIES = [(1.0, 12.0, 0.5), (20.0, 12.0, 0.5), (complex(0.5, 0.5), 12.0, 0.5),
+                    (cmath.rect(1.0, 3.0), 4.0, 0.5), (1.0, 30.0, 0.5), (1.0, 4000.0, 3.0)]
+
+
+def _index_near_log(ln_t):
+    """The least index s with ln(2*pi*s) >= ln_t, as an exact int."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return int((decimal.Decimal(ln_t).exp() / decimal.Decimal(TWO_PI))
+                   .to_integral_value(decimal.ROUND_CEILING))
+
+
+# ln T around the underflow of x = e^-ln T: x goes subnormal past 708.4
+# and is 0 past 745.13
+_UNDERFLOW_INDICES = [_index_near_log(t) for t in (708.3, 708.5, 744.4, 744.45, 745.13,
+                                                   745.14, 746.0)]
+
+_letters = st.tuples(
+    st.integers(-3, 3),
+    st.one_of(st.integers(1, 64), st.integers(1, 10 ** 9), st.integers(1, 10 ** 20),
+              st.sampled_from(_UNDERFLOW_INDICES),
+              st.integers(10 ** 2599, 10 ** 2600)),
+    st.sampled_from([1, -1]))
+
+
+def _near(lo, hi):
+    """Floats on a grid of step 1 or 0.1 plus offsets from 5e-2 down to
+    1e-16, so that samples nearly tie."""
+    return st.builds(lambda a, digits, m, e: round(a, digits) + m * 10.0 ** -e,
+                     st.floats(lo, hi), st.sampled_from([0, 1]), st.integers(-50, 50),
+                     st.integers(3, 16))
+
+
+# boundary logs ln|z - c| + i*arg(z - c) that no square produces (|q| up
+# to 11, past 2*pi), sorted by ln|z - c| as `_recheck_boundary` returns them
+_synthetic_boundaries = st.lists(st.tuples(_near(-3.0, 9.0), _near(-8.0, 8.0)),
+                                 min_size=1, max_size=48).map(
+    lambda pts: np.array([complex(a, b) for a, b in sorted(pts)]))
+
+
+def _pinned(*logs):
+    """One letter (0, 159), x = 1.0e-3, at lam = 1 (c = 0), on the boundary
+    logs `logs`: p = ln|z - c|, q = arg(z - c)."""
+    return example(family=_KERNEL_FAMILIES[0], density=1, margin=0.0,
+                   letters=[(0, 159, 1)], synthetic=np.array(logs))
+
+
+# Each pins one perturbation bound: a sample that holds a float extreme
+# only through its perturbation, and no extreme key.
+# atan2: the least atan2 is at p = 4.99 (q = -2), not at the greatest p
+@_pinned(1.0 - 3j, 2.0 + 3j, 4.99 - 2j, 5.0 + 2j)
+# half: the least half is at q = -1.995 (p = 1), not at the least q
+@_pinned(0.5 + 0j, 1.0 - 1.995j, 5.0 - 2j, 6.0 + 0j)
+# padding: the least half + ln|z - c| is at ln|z - c| = 0.002 (q = -2)
+@_pinned(0.0 + 2j, 0.002 - 2j, 0.04 - 3j, 0.05 + 3j)
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(family=st.sampled_from(_KERNEL_FAMILIES), density=st.integers(1, 10),
+       margin=st.sampled_from([0.0, 0.1]), letters=st.lists(_letters, min_size=1, max_size=24),
+       synthetic=st.one_of(st.none(), _synthetic_boundaries))
+def test_recheck_cells_on_candidate_samples_equal_every_sample(family, density, margin,
+                                                                letters, synthetic):
+    """The dense recheck on per-letter candidate samples gives the verdicts,
+    paddings and image extents of the same block loop given every sample,
+    bit for bit: lam = 1, 20 (p <= 0 on some samples), 0.5 + 0.5i and e^3i
+    (|q| up to 4.2 at anchor 4), anchors 4 to 4000, small |s| where every
+    sample is a candidate, ln T around the underflow of e^-ln T, indices of
+    2,600 digits, density 1 to 10 and margin 0 and 0.1; and on synthetic
+    boundary logs whose keys nearly tie (and with 2*pi*|s| <= max|q| at
+    |s| = 1), where the perturbation bounds decide which samples are
+    candidates.  Three pinned examples each fail when one perturbation
+    bound is dropped."""
+    lam, anchor, inset = family
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(inset=inset, margin=margin)
+    us = np.array([u for u, _, _ in letters])
+    ss = [sign * s for _, s, sign in letters]
+    boundary = (oracle._recheck_boundary(fam, spec, budget, density) if synthetic is None
+                else synthetic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+        with mock.patch.object(oracle, "_candidate_samples", _every_sample):
+            ref = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    assert list(verdicts) == list(ref[0])
+    assert delta.tobytes() == ref[1].tobytes()
+    assert ext.tobytes() == ref[2].tobytes()
+
+
+def _count_evaluations(monkeypatch):
+    """Spy on the block loop; returns the list of its (letter, sample) counts."""
+    counts = []
+    block = oracle._sample_extremes
+
+    def spy(p, q, lr, x, sign):
+        counts.append(x.size * p.size)
+        return block(p, q, lr, x, sign)
+
+    monkeypatch.setattr(oracle, "_sample_extremes", spy)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["small-subsample", "cert-4000"])
+def test_recheck_cells_evaluates_few_samples_per_letter(monkeypatch, request, case):
+    """The dense recheck evaluates each letter on its candidate samples, not
+    on all density x 256 = 2,560: the 2,000 letters drawn over the anchor-12
+    G take at most 2% of 2,000 x 2,560 (letter, sample) evaluations, and
+    the default certificate's 2,000 letters, where x = e^-ln T is 0, one
+    sample each."""
+    if case == "small-subsample":
+        b = request.getfixturevalue("small")
+        fam, spec, budget, gset = b.family, b.spec, b.budget, b.gset
+    else:
+        fam = td.normalize_family(td.exponential_family(1.0, math.e))
+        spec, budget = td.build_squares(4000.0, 3.0), td.GeometryBudget(inset=3.0)
+        gset = td.build_G(fam, 4000.0, spec, budget)
+    us, ss = _random_letters(gset, 2000)
+    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
+    counts = _count_evaluations(monkeypatch)
+    oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    if case == "small-subsample":
+        assert 0 < sum(counts) <= 0.02 * 2000 * boundary.size
+    else:
+        assert sum(counts) == 2000

@@ -11,7 +11,7 @@ import tractdim as td
 from tractdim import tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import ExpTailModel
-from tractdim.tractgeom import (_ENDPOINT_ULPS, RadiusSearchError, SigmaWindow,
+from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, RunBlock, SigmaWindow,
                                 _distortion_or_unavailable, _sigma_windows,
                                 universal_cell_diameter_bound)
 
@@ -628,6 +628,45 @@ def test_min_cell_gap_past_the_float_range(fam):
     gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0))
     with pytest.raises(td.ConstructionError, match="float range"):
         td.min_cell_gap(fam, gset, spec)
+
+
+def _brute_column_separation(fam, gset, spec):
+    """The least gap between the imaginary extents of adjacent columns,
+    each the min and max of atan2(q + 2*pi*s, p) + 2*pi*u over the run
+    ends s, q = arg(corner - c) - Im c at the four corners of Q, and p =
+    ln|z - c| - Re c at the nearest and farthest points z of Q."""
+    c, rect = fam.log_lam, spec.outer
+    corners = [complex(x, y) for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
+    nearest = complex(min(max(c.real, rect.re_lo), rect.re_hi),
+                      min(max(c.imag, rect.im_lo), rect.im_hi))
+    ps = [math.log(abs(nearest - c)) - c.real, math.log(max(abs(z - c) for z in corners)) - c.real]
+    qs = [math.atan2(z.imag - c.imag, z.real - c.real) - c.imag for z in corners]
+    extents = []
+    for r in gset.runs:
+        angles = [math.atan2(q + TWO_PI * s, p) for p in ps for q in qs for s in (r.s_lo, r.s_hi)]
+        extents.extend((min(angles) + TWO_PI * u, max(angles) + TWO_PI * u)
+                       for u in range(r.u_lo, r.u_hi + 1))
+    extents.sort()
+    return min(b_lo - a_hi for (_, a_hi), (b_lo, _) in zip(extents, extents[1:]))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_min_cell_gap_column_extents_of_one_sign(fam, sign):
+    """G's of one sign at anchor 12: columns u = -1, 0 at |s| near 1e7,
+    where the images sit near +-pi/2 + 2*pi*u, then u = 1, 2 at |s| = 65..70,
+    which lie further from it, so the gap between u = 0 and u = 1 is the
+    least.  The column separation equals the brute-force one over the
+    corners of Q and the run ends, bit for bit, so each sign's run ends
+    enter the extents the right way round (with them swapped, a column's
+    extent is mirrored and that gap widens)."""
+    spec = td.build_squares(12.0, 0.5)
+    runs = [RunBlock(-1, 0, 10 ** 7, 10 ** 7 + 1000), RunBlock(1, 2, 65, 70)]
+    if sign < 0:
+        runs = [RunBlock(r.u_lo, r.u_hi, -r.s_hi, -r.s_lo) for r in runs]
+    gset = GSet(runs=tuple(sorted(runs)))
+    rep = td.min_cell_gap(fam, gset, spec)
+    assert 0 < rep.column_separation < math.inf
+    assert rep.column_separation == _brute_column_separation(fam, gset, spec)
 
 
 def test_containment_padding_past_half_side_is_borderline_outside():
