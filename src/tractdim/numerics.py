@@ -117,11 +117,12 @@ def write_json(path, obj) -> None:
 
 def write_csv(path, header: Sequence[str], columns: Sequence[list]) -> int:
     """Write columns of plain Python values (lists, as `.tolist()` gives
-    them) as rows, one format call per row; str of a float is its repr.
-    Returns the row count."""
-    row = ",".join(["{}"] * len(header)) + "\n"
-    rows = [row.format(*values) for values in zip(*columns)]
+    them) as rows: each column is mapped through `str` (str of a float is
+    its repr), the rows are zipped and joined by commas, and the rows by
+    newlines, each row ending in one.  Returns the row count."""
+    rows = list(map(",".join, zip(*(map(str, c) for c in columns))))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(rows)
+        if rows:
+            fh.write("\n".join(rows) + "\n")
     return len(rows)

@@ -16,7 +16,8 @@ extreme key's sample, so its own sample lies inside (`_recheck_cells`
 gives the bounds).  At x = 0 one sample serves; where x is not small
 every sample is evaluated.  Either way the verdicts, paddings and extents
 are those of evaluating every sample, bit for bit.  Box counting sees
-only point clouds, and the middle-thirds sample is drawn in numpy blocks.
+only point clouds: it counts the distinct boxes at each scale with one
+sort, and the middle-thirds sample is drawn in numpy blocks.
 Disagreement between an oracle and the pipeline is a failure of the run,
 not of the oracle.
 """
@@ -66,29 +67,60 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
     set with a fixed point at 0 (the middle-thirds set at triadic scales)
     meets exactly its own boxes.  Needs at least 1e4 points and 5 scales
     spanning two decades relative to the cloud diameter.
+
+    Each scale costs one sort of the box keys of the two contiguous
+    coordinate columns.  Division by eps > 0 and floor are monotone, so a
+    column's least and greatest box index are floor(min / eps) and
+    floor(max / eps), taken from the cloud's extremes computed once.  With
+    the indices shifted to start at 0, the key i*(span_j + 1) + j numbers
+    the boxes of the cloud's bounding grid one to one; the count is the
+    number of steps in the sorted keys plus one.  A grid of 2**63 boxes or
+    more has no int64 key, and there the index pairs are sorted
+    lexicographically instead.  Box indices past the int64 range raise
+    `ConfigError`.
     """
     pts = np.asarray(points)
     if np.iscomplexobj(pts):
-        xy = np.column_stack([pts.real, pts.imag])
+        cols = (np.ascontiguousarray(pts.real).ravel(), np.ascontiguousarray(pts.imag).ravel())
     else:
         xy = np.asarray(pts, dtype=float).reshape(-1, 2)
-    if xy.shape[0] < 10_000:
-        raise ConfigError(f"box counting needs >= 1e4 points, got {xy.shape[0]}")
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
-    diam = float(np.hypot(*(hi - lo)))
+        cols = (np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]))
+    n = cols[0].size
+    if n < 10_000:
+        raise ConfigError(f"box counting needs >= 1e4 points, got {n}")
+    lo = [c.min() for c in cols]
+    hi = [c.max() for c in cols]
+    if not all(math.isfinite(v) for v in lo + hi):
+        raise ConfigError("point cloud has non-finite coordinates")
+    diam = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
     if diam == 0.0:
         raise ConfigError("degenerate point cloud (zero diameter)")
     scales = sorted(float(s) for s in scales)
     if len(scales) < 5:
         raise ConfigError("need at least 5 scales")
+    if not all(0.0 < s < math.inf for s in scales):
+        raise ConfigError("scales must be positive and finite")
     if scales[-1] / scales[0] < 100.0:
         raise ConfigError("scales must span at least two decades")
     counts = []
     for eps in scales:
-        ij = np.floor(xy / eps).astype(np.int64)
-        ij -= ij.min(axis=0)  # non-negative box indices give collision-free keys
-        counts.append(int(np.unique(ij[:, 0] * (2 ** 31) + ij[:, 1]).size))
+        (i_lo, i_hi), (j_lo, j_hi) = ((math.floor(a / eps), math.floor(b / eps))
+                                      for a, b in zip(lo, hi))
+        if min(i_lo, j_lo) < -2 ** 63 or max(i_hi, j_hi) >= 2 ** 63:
+            raise ConfigError(f"box indices at scale {eps!r} exceed the int64 range")
+        i, j = (np.floor(c / eps).astype(np.int64) for c in cols)
+        rows = j_hi - j_lo + 1
+        if (i_hi - i_lo + 1) * rows < 2 ** 63:
+            i -= i_lo
+            i *= rows
+            j -= j_lo
+            i += j
+            i.sort()
+            steps = np.diff(i)
+        else:  # more boxes than int64 keys: sort the index pairs instead
+            order = np.lexsort((j, i))
+            steps = np.diff(i[order]) | np.diff(j[order])
+        counts.append(int(np.count_nonzero(steps)) + 1)
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)

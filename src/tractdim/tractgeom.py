@@ -927,6 +927,11 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec, budget: GeometryBudge
     adapted to the local branch derivative, clips the polyline to the
     inner square, and keeps components meeting the core square.  Only
     meaningful in the small-anchor regime where the curves are few.
+
+    The branches are vertical translates, F_inv_u = F_inv_0 + 2*pi*i*u,
+    so the continuation is marched once for all of them (`_march_curve`)
+    and each branch is the shared march shifted by 2*pi*i*u, cut where its
+    own residual check first fails.
     """
     if spec.anchor > 2000:
         raise GeometryError("level-line tracing is restricted to small anchors")
@@ -939,8 +944,9 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec, budget: GeometryBudge
     margins = []
     u_lo = math.floor((inner.im_lo - 1.0) / TWO_PI) - 1
     u_hi = math.ceil((inner.im_hi + 1.0) / TWO_PI) + 1
+    march = _march_curve(family, r, inner.re_hi + 1.0, step)
     for u in range(u_lo, u_hi + 1):
-        pts, aborted, diag = _march_curve(family, r, u, inner.re_hi + 1.0, step)
+        pts, aborted, diag = _branch_points(family, march, u)
         if pts.size == 0:
             continue
         comps, lens = _clip_components(pts, inner, core)
@@ -963,36 +969,58 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec, budget: GeometryBudge
         min_re_margins=tuple(margins))
 
 
-def _march_curve(family: MapFamily, r: float, u: int, re_stop: float, step: float):
-    """Continuation of F_inv_u along the vertical line {Re = r}."""
-    pts = []
-    aborted = False
-    diag = ""
+def _march_curve(family: MapFamily, r: float, re_stop: float, step: float) -> list:
+    """Continuation of F_inv_0 along the vertical line {Re = r}, shared by
+    every branch.
+
+    Nothing in the march depends on the branch index u: the zeta sequence,
+    the step |inv0'(zeta)| and the stop test Re w > re_stop, because adding
+    2*pi*i*u to w adds +-0.0 to its real part, which leaves Re w the same
+    bit for bit.  Returns, for the directions up and down, the ys, the
+    zetas and w0 = inv0(zeta) up to the stop (or 500,000 points).
+    """
+    march = []
     for direction in (1.0, -1.0):
-        branch = []
+        ys, zetas, ws = [], [], []
         y = 0.0
-        guard = 0
-        while guard < 500_000:
-            guard += 1
+        while len(ys) < 500_000:
             zeta = complex(r, y)
-            w = complex(np.asarray(family.inv0(zeta)).item()) + TWO_PI * 1j * u
-            back = complex(np.asarray(family.lift(w)).item())
-            if abs(back - zeta) > 1e-9 * (1.0 + abs(zeta)):
-                aborted = True
-                diag = (f"continuation residual {abs(back - zeta):.3g} at y={y:.6g} "
-                        f"for u={u}")
-                break
-            branch.append(w)
+            w = complex(np.asarray(family.inv0(zeta)).item())
+            ys.append(y)
+            zetas.append(zeta)
+            ws.append(w)
             if w.real > re_stop:
                 break
             dw = abs(complex(np.asarray(family.inv0_deriv(zeta)).item()))
             dy = step / max(dw, 1e-300)
             y += direction * dy
-        if direction > 0:
-            pts = branch[::-1]
-        else:
-            pts.extend(branch[1:])
-    return np.asarray(pts, dtype=complex), aborted, diag
+        march.append((ys, np.array(zetas, dtype=complex), np.array(ws, dtype=complex)))
+    return march
+
+
+def _branch_points(family: MapFamily, march: list, u: int):
+    """Branch u of the shared march: the points w0 + 2*pi*i*u, each
+    direction cut before its first point whose lift misses zeta by more than
+    1e-9 relative (one array `family.lift` call per direction).  The moduli
+    are taken by hypot, as complex abs takes them.  Returns the points along
+    the curve from its upper end, the abort flag and the last diagnostic."""
+    shift = TWO_PI * 1j * u
+    pieces = []
+    aborted = False
+    diag = ""
+    for direction, (ys, zetas, w0) in zip((1.0, -1.0), march):
+        w = w0 + shift
+        d = np.asarray(family.lift(w), dtype=complex) - zetas
+        res = np.hypot(d.real, d.imag)
+        bad = np.flatnonzero(res > 1e-9 * (1.0 + np.hypot(zetas.real, zetas.imag)))
+        if bad.size:
+            k = int(bad[0])
+            aborted = True
+            diag = (f"continuation residual {float(res[k]):.3g} at y={ys[k]:.6g} "
+                    f"for u={u}")
+            w = w[:k]
+        pieces.append(w[::-1] if direction > 0 else w[1:])
+    return np.concatenate(pieces), aborted, diag
 
 
 def _clip_components(pts: np.ndarray, inner: Rect, core: Rect):

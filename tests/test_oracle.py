@@ -75,6 +75,71 @@ def test_box_dim_validations():
     pts = rng.random(20_000).astype(complex)
     with pytest.raises(td.ConfigError):
         td.box_counting_dim(pts, [0.1, 0.09, 0.08, 0.07, 0.06])  # < 2 decades
+    for bad in ([0.0, 0.1, 0.01, 1e-3, 1e-4], [math.inf, 1.0, 0.1, 1e-2, 1e-3, 1e-4]):
+        with pytest.raises(td.ConfigError):
+            td.box_counting_dim(pts, bad)
+    for v in (math.nan, math.inf):
+        with pytest.raises(td.ConfigError):
+            td.box_counting_dim(np.append(pts, v), [10.0 ** -k for k in range(5)])
+
+
+def _box_counts_by_pairs(xy, scales):
+    """Reference: distinct (floor(x/eps), floor(y/eps)) float pairs, sorted
+    lexicographically."""
+    counts = []
+    for eps in sorted(scales):
+        boxes = np.floor(xy / eps)
+        boxes = boxes[np.lexsort((boxes[:, 1], boxes[:, 0]))]
+        counts.append(1 + int(np.count_nonzero((np.diff(boxes, axis=0) != 0).any(axis=1))))
+    return tuple(counts)
+
+
+def test_box_counts_equal_distinct_box_pairs():
+    triadic = [3.0 ** -k for k in range(1, 8)]
+    for seed in range(20):
+        pts = td.cantor_middle_thirds(20_000, 35, seed=seed)
+        xy = np.column_stack([pts.real, pts.imag])
+        assert td.box_counting_dim(pts, triadic).counts == _box_counts_by_pairs(xy, triadic)
+    rng = np.random.default_rng(5)
+    scales = [10.0 ** -k for k in np.linspace(0.5, 2.8, 6)]
+    for _ in range(10):
+        xy = rng.normal(rng.normal(size=2), rng.uniform(0.1, 3.0), size=(20_000, 2))
+        assert td.box_counting_dim(xy, scales).counts == _box_counts_by_pairs(xy, scales)
+        assert td.box_counting_dim(xy.ravel(), scales).counts == _box_counts_by_pairs(xy, scales)
+
+
+def test_box_counts_of_boxes_2_31_apart_do_not_collide():
+    """Boxes (0, 2**31) and (1, 0) at eps = 1 are two boxes; a key i*2**31 + j
+    gives both the key 2**31."""
+    pts = np.tile([0.5 + (2.0 ** 31 + 0.5) * 1j, 1.5 + 0.5j], 10_000)
+    est = td.box_counting_dim(pts, [1.0, 2.0, 4.0, 8.0, 1000.0])
+    assert est.counts == (2, 2, 2, 2, 2)
+
+
+def test_box_counts_on_a_grid_past_the_int64_key_range():
+    """At eps = 0.1 the cloud's bounding grid has about 1e22 boxes, more
+    than one int64 key can number; the counts are still the distinct box
+    pairs, at every scale."""
+    rng = np.random.default_rng(2)
+    xy = rng.random((20_000, 2)) * 1e10
+    # at eps = 0.1 each even point lies a box left of and 2**31 boxes above the
+    # next one, where keys i*2**31 + j coincide
+    xy[::2] = xy[1::2] + [-0.1, 2.0 ** 31 * 0.1]
+    scales = [0.1, 1.0, 10.0, 100.0, 1000.0]
+    assert td.box_counting_dim(xy, scales).counts == _box_counts_by_pairs(xy, scales)
+    # boxes (0, 2**32) and (2**32, 0) at eps = 1: in the (2**32 + 1)**2 grid
+    # the key i*(2**32 + 1) + j of both is 2**32 modulo 2**64
+    pts = np.tile([0.5 + (2.0 ** 32 + 0.5) * 1j, 2.0 ** 32 + 0.5 + 0.5j], 10_000)
+    assert td.box_counting_dim(pts, [1.0, 2.0, 4.0, 8.0, 1000.0]).counts == (2, 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("pts", [
+    np.tile([1e20, 1e20 + 2.0 ** 20 + 1j], 10_000),
+    np.tile([-1e20, -1e20 + 2.0 ** 20 + 1j], 10_000),
+], ids=["above", "below"])
+def test_box_indices_past_int64_raise(pts):
+    with pytest.raises(td.ConfigError, match="int64 range"):
+        td.box_counting_dim(pts, [0.1, 1.0, 10.0, 100.0, 1000.0])
 
 
 def test_brute_similarity_single_letter_exact():

@@ -771,6 +771,149 @@ def test_level_lines_vertical_translation(fam):
     assert np.max(np.abs(shift - TWO_PI * 1j)) <= 1e-9 * TWO_PI
 
 
+def _march_one_branch(family, r, u, re_stop, step):
+    """Reference: the continuation of F_inv_u alone, on complex scalars, with
+    the residual checked point by point (one march per branch)."""
+    pts = []
+    aborted = False
+    diag = ""
+    for direction in (1.0, -1.0):
+        branch = []
+        y = 0.0
+        guard = 0
+        while guard < 500_000:
+            guard += 1
+            zeta = complex(r, y)
+            w = complex(np.asarray(family.inv0(zeta)).item()) + TWO_PI * 1j * u
+            back = complex(np.asarray(family.lift(w)).item())
+            if abs(back - zeta) > 1e-9 * (1.0 + abs(zeta)):
+                aborted = True
+                diag = (f"continuation residual {abs(back - zeta):.3g} at y={y:.6g} "
+                        f"for u={u}")
+                break
+            branch.append(w)
+            if w.real > re_stop:
+                break
+            dw = abs(complex(np.asarray(family.inv0_deriv(zeta)).item()))
+            dy = step / max(dw, 1e-300)
+            y += direction * dy
+        if direction > 0:
+            pts = branch[::-1]
+        else:
+            pts.extend(branch[1:])
+    return np.asarray(pts, dtype=complex), aborted, diag
+
+
+def _traced_branches(monkeypatch, family, anchor, inset):
+    """Run trace_level_lines and return the shared march's arguments and
+    every branch it cut from the march, (u, (points, aborted, diagnostic))."""
+    march, branch = tractgeom._march_curve, tractgeom._branch_points
+    args, branches = [], []
+
+    def march_spy(family, *a):
+        args.append(a)
+        return march(family, *a)
+
+    def branch_spy(family, shared, u):
+        branches.append((u, branch(family, shared, u)))
+        return branches[-1][1]
+
+    monkeypatch.setattr(tractgeom, "_march_curve", march_spy)
+    monkeypatch.setattr(tractgeom, "_branch_points", branch_spy)
+    rep = td.trace_level_lines(family, td.build_squares(anchor, inset),
+                               td.GeometryBudget(epsilon=0.1, inset=inset))
+    monkeypatch.undo()
+    assert len(args) == 1
+    return rep, args[0], branches
+
+
+def _assert_branches_match_reference(family, march_args, branches):
+    r, re_stop, step = march_args
+    for u, (pts, aborted, diag) in branches:
+        ref_pts, ref_aborted, ref_diag = _march_one_branch(family, r, u, re_stop, step)
+        assert pts.dtype == ref_pts.dtype and pts.shape == ref_pts.shape, u
+        assert np.array_equal(pts.view(np.int64), ref_pts.view(np.int64)), u
+        assert (aborted, diag) == (ref_aborted, ref_diag), u
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3, 3.0, 0.5 + 0.5j, 1j, 0.01])
+def test_shared_march_equals_per_branch_march(lam, monkeypatch):
+    """Every branch cut from the shared march is the per-branch continuation
+    bit for bit: points, abort flag and diagnostic, over anchors 6 to 400."""
+    family = td.normalize_family(td.exponential_family(lam, math.e))
+    for anchor in (6.0, 12.0, 30.0, 100.0, 400.0):
+        _, march_args, branches = _traced_branches(monkeypatch, family, anchor, 0.5)
+        assert len(branches) >= 5
+        _assert_branches_match_reference(family, march_args, branches)
+
+
+def _planted_family(bad):
+    """exp with the lift perturbed by 1e-3 where bad(Im w) holds, so the
+    continuation residual check fails there."""
+    def lift(w):
+        w = np.asarray(w, dtype=complex)
+        return np.exp(w) + np.where(bad(w.imag), 1e-3, 0.0)
+
+    cbs = td.UserCallbacks(plane_map=np.exp, lift=lift, lift_deriv=np.exp,
+                           inv0=lambda z: np.log(np.asarray(z, dtype=complex)),
+                           inv0_deriv=lambda z: 1.0 / np.asarray(z, dtype=complex))
+    return td.normalize_family(td.user_family(cbs, r0=math.e))
+
+
+@pytest.mark.parametrize("bad, cut_down", [
+    # branch 0 leaves the band |Im w| <= 1 going up and going down
+    (lambda im: (np.abs(im) > 1.0) & (np.abs(im) < math.pi), True),
+    # branch 0 is cut going up only; branches 1 and above fail at y = 0
+    (lambda im: im > 1.0, False),
+], ids=["band", "above"])
+def test_shared_march_cuts_branches_at_the_first_failing_point(bad, cut_down, monkeypatch):
+    family = _planted_family(bad)
+    rep, march_args, branches = _traced_branches(monkeypatch, family, 12.0, 0.5)
+    _assert_branches_match_reference(family, march_args, branches)
+    up, down = (w for _, _, w in tractgeom._march_curve(family, *march_args))
+    by_u = dict(branches)
+    pts, aborted, diag = by_u[0]
+    assert aborted and diag.startswith("continuation residual 0.001 at y=")
+    assert 0.5 < pts.imag.max() <= 1.0 < up.imag.max()
+    if cut_down:
+        assert down.imag.min() < -1.0 <= pts.imag.min() < -0.5
+    else:
+        assert np.array_equal(pts[pts.size - down.size + 1:], down[1:])
+        assert all(by_u[u][0].size == 0 and by_u[u][1] for u in by_u if u > 0)
+    assert [t.u for t in rep.traces if t.aborted] == [0]
+
+
+def test_level_lines_march_once_for_all_branches(fam, monkeypatch):
+    """At anchor 12 the seven branches share one march: one scalar inv0 call
+    per march point (not one per point and branch) and one array lift call
+    per branch and direction."""
+    anchor, inset = 12.0, 0.5
+    spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
+    inv0 = _count_calls(monkeypatch, td.MapFamily, "inv0")
+    td.anchor_line(fam, anchor, inset)
+    line_calls = len(inv0)
+    inv0.clear()
+    deriv = _count_calls(monkeypatch, td.MapFamily, "inv0_deriv")
+    lift = _count_calls(monkeypatch, td.MapFamily, "lift")
+    march, marches = tractgeom._march_curve, []
+
+    def march_spy(*args):
+        marches.append(march(*args))
+        return marches[-1]
+
+    monkeypatch.setattr(tractgeom, "_march_curve", march_spy)
+    rep = td.trace_level_lines(fam, spec, budget)
+    assert rep.curve_count >= rep.required_count
+    (shared,) = marches
+    n_points = sum(len(ys) for ys, _, _ in shared)
+    assert n_points > 500
+    assert all(np.ndim(z) == 0 for (z,) in inv0 + deriv)
+    assert len(inv0) - line_calls == n_points
+    assert len(deriv) == n_points - 2  # the last point of each direction takes no step
+    assert len(lift) == 2 * 7
+    assert all(np.ndim(w) == 1 for (w,) in lift)
+
+
 def test_sampled_fallback_pads_by_at_least_an_ulp_at_anchor_24(fam, monkeypatch):
     """lam = 1, R0 = e, inset 0.5, anchor 24, enumerate mode: the edge-band
     cells at sigma ~ 36 are narrower than an ulp of Q's coordinates and go
