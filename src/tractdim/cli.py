@@ -96,6 +96,13 @@ def _require_finite(name, value):
     return float(value)
 
 
+def _require_positive(name, value):
+    value = _require_finite(name, value)
+    if value <= 0:
+        raise ConfigError(f"config field {name} must be positive, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     family: MapFamily
@@ -170,7 +177,7 @@ def load_config(raw: dict) -> RunConfig:
                      "scan": list(scan), "margin": budget.margin,
                      "boundary_samples": budget.boundary_samples},
         "pressure": {"mode": mode, "t_grid": list(t_grid),
-                     "bisect_tol": _require_finite("bisect_tol", prs.get("bisect_tol", 1e-3)),
+                     "bisect_tol": _require_positive("bisect_tol", prs.get("bisect_tol", 1e-3)),
                      "collar": int(_require_finite("collar", prs.get("collar", 32)))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
         "oracle": orc,
@@ -434,26 +441,22 @@ def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config path")
+    common.add_argument("--out", default=None, help="output report path")
+    common.add_argument("--mode", choices=["enumerate", "tail"], default=None,
+                        help="accepted and echoed; no effect")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--workers", type=int, default=None, help="accepted; no effect")
     p = argparse.ArgumentParser(prog="tractdim",
                                 description="dimension certificates for Cantor "
                                             "repellers over logarithmic tracts")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("lemmas", "dim", "sample"):
-        sp = sub.add_parser(name)
-        _common_flags(sp)
-    so = sub.add_parser("oracle")
+        sub.add_parser(name, parents=[common])
+    so = sub.add_parser("oracle", parents=[common])
     so.add_argument("oracle_command", choices=["box-dim", "brute-pressure", "recheck"])
-    _common_flags(so)
     return p
-
-
-def _common_flags(sp):
-    sp.add_argument("--config", default=None, help="JSON config path")
-    sp.add_argument("--out", default=None, help="output report path")
-    sp.add_argument("--mode", choices=["enumerate", "tail"], default=None,
-                    help="accepted and echoed; no effect")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None, help="accepted; no effect")
 
 
 def main(argv=None) -> int:

@@ -361,21 +361,23 @@ class ExpTailModel:
 
     # -- run sums ------------------------------------------------------------
 
-    def sum_run_log_bounds(self, s_lo: int, s_hi: int, t: float, env: TailEnvelope):
-        """Two-sided log bounds on sum over |s| in [s_lo, s_hi] of |g'|^t.
+    def envelope_run_sums(self, ranges, env: TailEnvelope):
+        """The t-independent data of both envelopes' run sums over |s| ranges.
 
-        The one run sum behind every level-1 bound, for ints of any size: a
-        lower bound on the lower-envelope sum of ((2 pi s + b) d_hi)^-t and
-        an upper bound on the upper-envelope sum of ((2 pi s - b) d_lo)^-t,
-        both by `log_run_sum_bounds`.  The upper bound is +inf when
-        2 pi s_lo <= b, where the upper envelope is unbounded.
+        The lower envelope ((2 pi s + b) d_hi)^-t is (2 pi d_hi)^-t (s + h)^-t
+        with h = b / (2 pi), the upper ((2 pi s - b) d_lo)^-t is
+        (2 pi d_lo)^-t (s - h)^-t.  Returns, per envelope (lower, upper),
+        the pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi), ints of
+        any size); an upper entry is None where 2 pi s_lo <= b, where the
+        upper envelope is unbounded.  A level-1 bound at t is the lower end
+        of `RunSum.log_bounds(t, -t ln(2 pi d_hi))` on the lower envelope,
+        or the upper end of `RunSum.log_bounds(t, -t ln(2 pi d_lo))` on the
+        upper one (+inf for None).
         """
         h = env.b / TWO_PI
-        log_lo = log_run_sum_bounds(s_lo, s_hi, t, h, -t * math.log(TWO_PI * env.d_hi))[0]
-        if s_lo <= h:
-            return log_lo, math.inf
-        log_hi = log_run_sum_bounds(s_lo, s_hi, t, -h, -t * math.log(TWO_PI * env.d_lo))[1]
-        return log_lo, log_hi
+        lower = tuple(run_sum(lo, hi, h) for lo, hi in ranges)
+        upper = tuple(None if lo <= h else run_sum(lo, hi, -h) for lo, hi in ranges)
+        return ((math.log(TWO_PI * env.d_hi), lower), (math.log(TWO_PI * env.d_lo), upper))
 
 
 def _log_power_integral(log_x1: float, log_x2: float, t: float) -> float:
@@ -401,6 +403,85 @@ _MAX_EXACT_INT = 2 ** 53
 _RUN_SUM_ULPS = 64
 
 
+@dataclass(frozen=True)
+class RunSum:
+    """The part of a run sum over s in [s1, s2] of (s + h)^-t that does not
+    depend on t: built once per run by `run_sum`, evaluated per exponent by
+    `log_bounds`.
+
+    `direct` holds ln(s + h) of the terms added one by one; the tail from m
+    on is described by x_m = m + h (inf from m = 2^100 on) and its powers,
+    ln x_m, r = ln(x_n / x_m) and, where r is 0, the log of the integral
+    ln(n - m).  `magnitude` is the largest |ln(s + h)| at the run's ends.
+    """
+
+    big: bool
+    direct: tuple
+    magnitude: float
+    tail: Optional[tuple] = None   # (x_m, x_m^3, x_m^5, ln x_m, r, ln(n - m))
+
+    def log_bounds(self, t: float, log_c: float):
+        """(lower, upper) bounds on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t);
+        see `log_run_sum_bounds`."""
+        parts_lo = [log_sum_exp([-t * x for x in self.direct])]
+        parts_hi = list(parts_lo)
+        if self.tail is not None:
+            x_m, x_m3, x_m5, log_m, r, log_flat = self.tail
+            log_int = log_m + _log_power_integral(0.0, r, t) if r else log_flat
+
+            def drop(p):  # 1 - (x_n / x_m)^-(t + p)
+                return -math.expm1(-(t + p) * r)
+
+            poly = t * (t + 1.0) * (t + 2.0)
+            ends = (0.5 * (2.0 - drop(0.0)), t / 12.0 / x_m * drop(1.0),
+                    -poly / 720.0 / x_m3 * drop(3.0))
+            b6 = poly * (t + 3.0) * (t + 4.0) / 30240.0 / x_m5 * drop(5.0)
+            if self.big:
+                log_rel = [_log_add(log_int, math.log(sum(ends) + x)) for x in (0.0, b6)]
+            else:
+                rel = math.exp(log_int) + ends[0] + ends[1] + ends[2]
+                log_rel = [math.log(rel), math.log(rel + b6)]
+            parts_lo.append(-t * log_m + log_rel[0])
+            parts_hi.append(-t * log_m + log_rel[1])
+        slack = _RUN_SUM_ULPS * 2.0 ** -52 * (1.0 + abs(log_c) + (1.0 + t) * self.magnitude)
+        # past 2^53 the parts are the direct sum (maybe -inf) and a finite tail
+        lo, hi = (reduce(_log_add, p) if self.big else log_sum_exp(p)
+                  for p in (parts_lo, parts_hi))
+        return log_c + lo - slack, log_c + hi + slack
+
+
+def run_sum(s1: int, s2: int, h: float) -> RunSum:
+    """The t-independent data of the run sum over s in [s1, s2] of (s + h)^-t.
+
+    Needs s1 + h > 0.  Every log of the run's ends and of its h-shifts is
+    taken here, once; `RunSum.log_bounds` then costs a few scalar
+    operations per exponent, whatever the size of the ints.
+    """
+    big = s2 > _MAX_EXACT_INT
+    log_1, log_n = (_log_shifted(s, h) if big else math.log(s + h) for s in (s1, s2))
+    k = s1 - 1 if s1 > _MAX_EXACT_INT else min(s2, s1 + _RUN_DIRECT - 1)
+    direct = tuple(math.log(s + h) for s in range(s1, k + 1))
+    magnitude = max(abs(log_1), abs(log_n))
+    if s2 <= k:
+        return RunSum(big, direct, magnitude)
+    m, d = k + 1, s2 - k - 1
+    x_m = m + h if m < 2 ** 100 else math.inf
+    if not big:
+        log_m = math.log(x_m)
+        r = math.log1p(d / x_m)  # ln(x_n / x_m), free of cancellation
+    else:
+        log_m = log_1 if m == s1 else _log_shifted(m, h)
+        if d >= m:
+            r = log_n - log_m
+        elif d << 960 >= m:  # m > 2^52 here: h shifts r by a relative h / m
+            r = math.log1p(d / m)
+        else:  # x_n / x_m < 1 + 2^-960
+            r = 0.0
+    # the integral is n - m where r underflows (r is 0 below 2^53 only if d is)
+    log_flat = math.log(d) if d else -math.inf
+    return RunSum(big, direct, magnitude, (x_m, x_m ** 3, x_m ** 5, log_m, r, log_flat))
+
+
 def log_run_sum_bounds(s1: int, s2: int, t: float, h: float, log_c: float = 0.0):
     """(lower, upper) bounds on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t).
 
@@ -424,49 +505,11 @@ def log_run_sum_bounds(s1: int, s2: int, t: float, h: float, log_c: float = 0.0)
     where r underflows), else ln x_n - ln x_m; the Bernoulli terms are
     dropped from m = 2^100 on, far below the widening; runs past 2^53 add
     no direct terms.
+
+    This builds the run's t-independent data, `run_sum(s1, s2, h)`, and
+    evaluates it once; keep that data to evaluate many exponents.
     """
-    big = s2 > _MAX_EXACT_INT
-    log_1, log_n = (_log_shifted(s, h) if big else math.log(s + h) for s in (s1, s2))
-    k = s1 - 1 if s1 > _MAX_EXACT_INT else min(s2, s1 + _RUN_DIRECT - 1)
-    parts_lo = [log_sum_exp([-t * math.log(s + h) for s in range(s1, k + 1)])]
-    parts_hi = list(parts_lo)
-    if s2 > k:
-        m, d = k + 1, s2 - k - 1
-        x_m = m + h if m < 2 ** 100 else math.inf
-        if not big:
-            log_m = math.log(x_m)
-            r = math.log1p(d / x_m)  # ln(x_n / x_m), free of cancellation
-            log_int = log_m + _log_power_integral(0.0, r, t)
-        else:
-            log_m = log_1 if m == s1 else _log_shifted(m, h)
-            if d >= m:
-                r = log_n - log_m
-            elif d << 960 >= m:  # m > 2^52 here: h shifts r by a relative h / m
-                r = math.log1p(d / m)
-            else:  # x_n / x_m < 1 + 2^-960
-                r = 0.0
-            log_int = (log_m + _log_power_integral(0.0, r, t) if r
-                       else math.log(d) if d else -math.inf)
-
-        def drop(p):  # 1 - (x_n / x_m)^-(t + p)
-            return -math.expm1(-(t + p) * r)
-
-        poly = t * (t + 1.0) * (t + 2.0)
-        ends = (0.5 * (2.0 - drop(0.0)), t / 12.0 / x_m * drop(1.0),
-                -poly / 720.0 / x_m ** 3 * drop(3.0))
-        b6 = poly * (t + 3.0) * (t + 4.0) / 30240.0 / x_m ** 5 * drop(5.0)
-        if big:
-            log_rel = [_log_add(log_int, math.log(sum(ends) + x)) for x in (0.0, b6)]
-        else:
-            rel = math.exp(log_int) + ends[0] + ends[1] + ends[2]
-            log_rel = [math.log(rel), math.log(rel + b6)]
-        parts_lo.append(-t * log_m + log_rel[0])
-        parts_hi.append(-t * log_m + log_rel[1])
-    magnitude = (1.0 + t) * max(abs(log_1), abs(log_n))
-    slack = _RUN_SUM_ULPS * 2.0 ** -52 * (1.0 + abs(log_c) + magnitude)
-    # past 2^53 the parts are the direct sum (maybe -inf) and a finite tail
-    lo, hi = (reduce(_log_add, p) if big else log_sum_exp(p) for p in (parts_lo, parts_hi))
-    return log_c + lo - slack, log_c + hi + slack
+    return run_sum(s1, s2, h).log_bounds(t, log_c)
 
 
 def _log_shifted(s: int, h: float) -> float:

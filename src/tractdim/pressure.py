@@ -3,8 +3,7 @@
 The pressure of the cell system at exponent t is estimated through
 level-1 derivative sums with two-sided weight envelopes: for every
 admissible letter the quantities inf_Q |g'| and sup_Q |g'| are bracketed
-(analytically where the family provides tail asymptotics, by the
-distortion constant otherwise), giving
+in closed form by the family's tail envelopes, giving
 
     P_lo(t) = ln sum(inf-weights^t)  <=  P(t)  <=  ln sum(sup-weights^t).
 
@@ -13,8 +12,13 @@ limit pressure, which is the paper-level reduction this module encodes.
 The dimension of the constructed subsystem lies between the Bowen roots
 of the two bounds; dimension > 1 is certified by P_lo(1) > 0.
 
-Sums are evaluated in log domain in a fixed order, so certificates are
-reproducible bit for bit.
+Each envelope's sum over G is a run sum per distinct |s| range.  What
+does not depend on t (the logs of the run ends, of their h-shifts and of
+the run ratios) is built once per system, `WeightedSystem.envelope_sums`;
+a sum at one exponent then evaluates that data, and a Bowen root
+evaluates only the envelope whose root it bisects.  Sums are evaluated in
+log domain in a fixed order, so certificates are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ class WeightedSystem:
     Synthetic systems and letter subsystems list their weights (log_lo /
     log_hi arrays).  Systems built from an admissible set hold G as `runs`:
     each distinct |s| range (lo, hi), ints of any size, with its
-    multiplicity k, since the envelopes depend on |s| alone.
+    multiplicity k, since the envelopes depend on |s| alone.  The
+    envelopes' run-sum data over those ranges is built on first use and
+    kept (`envelope_sums`).
     """
 
     log_lo: Optional[np.ndarray] = None
@@ -73,6 +79,14 @@ class WeightedSystem:
 
     def is_empty(self) -> bool:
         return self.n_letters == 0
+
+    @cached_property
+    def envelope_sums(self) -> tuple:
+        """Per envelope (lower, upper): ln(2 pi d) and the t-independent
+        run-sum data of every range in `runs`, in order
+        (`ExpTailModel.envelope_run_sums` over `env`)."""
+        return self.family.tail_model().envelope_run_sums(
+            [lo_hi for lo_hi, _ in self.runs], self.env)
 
     def scaled(self, factor: float) -> "WeightedSystem":
         """All weights multiplied by a factor (synthetic systems only)."""
@@ -136,36 +150,47 @@ def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1
     which replace those of Q for every run; listed weights are used as
     given in both modes.
 
-    Each distinct run range is summed once in closed form by
-    Euler-Maclaurin (`ExpTailModel.sum_run_log_bounds`), and the parts
-    are combined with their multiplicities k by `weighted_log_sum_exp`:
-    the sum of k * e^(x - m) is exact and rounded once, so the bounds are
-    bit-identical to adding every run as a term of its own.
+    Each distinct run range is summed in closed form by Euler-Maclaurin:
+    mode "bounds" evaluates the run-sum data the system keeps
+    (`WeightedSystem.envelope_sums`), mode "anchor" builds that data for
+    its own envelope on each call.  The parts are combined with their
+    multiplicities k by `weighted_log_sum_exp`: the sum of k * e^(x - m)
+    is exact and rounded once, so the bounds are bit-identical to adding
+    every run as a term of its own.
     """
-    if not 0.0 <= t <= 4.0:
-        raise ConfigError(f"exponent t = {t} outside [0, 4]")
+    _check_exponent(t)
     if mode not in ("bounds", "anchor"):
         raise ConfigError(f"unknown evaluation-point mode {mode!r}")
-    parts_lo: list[tuple] = []
-    parts_hi: list[tuple] = []
-    if system.log_lo is not None and system.log_lo.size:
-        parts_lo.append((_materialized_log_sum(system.log_lo, t), 1))
-        parts_hi.append((_materialized_log_sum(system.log_hi, t), 1))
-    if system.runs:
-        model = system.family.tail_model()
-        env = system.env
-        if mode == "anchor":
-            a = complex(np.asarray(system.family.inv0(complex(system.anchor))).item()) \
-                - system.family.log_lam
-            d = abs(complex(system.anchor) - system.family.log_lam)
-            env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
-        for (lo, hi), k in system.runs:
-            log_lo, log_hi = model.sum_run_log_bounds(lo, hi, t, env)
-            parts_lo.append((log_lo, k))
-            parts_hi.append((log_hi, k))
-    return Level1Sum(t=t, log_lo=weighted_log_sum_exp(parts_lo),
-                     log_hi=weighted_log_sum_exp(parts_hi),
+    sums = None
+    if system.runs and mode == "anchor":
+        a = complex(np.asarray(system.family.inv0(complex(system.anchor))).item()) \
+            - system.family.log_lam
+        d = abs(complex(system.anchor) - system.family.log_lam)
+        sums = system.family.tail_model().envelope_run_sums(
+            [lo_hi for lo_hi, _ in system.runs], TailEnvelope(b=abs(a), d_lo=d, d_hi=d))
+    return Level1Sum(t=t, log_lo=_envelope_log_sum(system, t, 0, sums),
+                     log_hi=_envelope_log_sum(system, t, 1, sums),
                      n_letters=system.n_letters, mode=mode)
+
+
+def _check_exponent(t: float) -> None:
+    if not 0.0 <= t <= 4.0:
+        raise ConfigError(f"exponent t = {t} outside [0, 4]")
+
+
+def _envelope_log_sum(system: WeightedSystem, t: float, side: int, sums=None) -> float:
+    """One side of the level-1 sum at t: ln of the lower bound on the
+    lower-envelope sum (side 0) or of the upper bound on the upper-envelope
+    sum (side 1), over the run-sum data `sums` (by default the system's)."""
+    parts = []
+    if system.log_lo is not None and system.log_lo.size:
+        parts.append((_materialized_log_sum((system.log_lo, system.log_hi)[side], t), 1))
+    if system.runs:
+        log_scale, data = (sums or system.envelope_sums)[side]
+        log_c = -t * log_scale
+        parts.extend((math.inf if run is None else run.log_bounds(t, log_c)[side], k)
+                     for run, (_, k) in zip(data, system.runs))
+    return weighted_log_sum_exp(parts)
 
 
 def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
@@ -233,13 +258,24 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3,
     bound's root and t_hi the right end of the upper bound's, so the true
     Bowen interval is contained in [t_lo, t_hi].  Without a sign change
     up to the cap the corresponding end is capped and flagged.
+
+    Each bisection evaluates only the envelope whose root it seeks (the
+    lower bound's side of the level-1 sum for t_lo, the upper's for t_hi),
+    over the run-sum data the system keeps, at the points a two-sided
+    evaluation would visit.  It stops once the bracket is within `tol`, a
+    finite positive number, or once its midpoint is no longer strictly
+    inside it, so a `tol` below the float spacing gives the tightest float
+    bracket.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"bisection tolerance must be positive and finite, got {tol!r}")
     if system.is_empty():
         raise ConstructionError("Bowen root of an empty system")
 
     def root(side: int, conservative_left: bool):
         def f(t):
-            return pressure_bounds(system, t)[side]
+            _check_exponent(t)
+            return _envelope_log_sum(system, t, side)
         f0 = f(0.0)
         if f0 <= 0.0:
             # single-letter systems: pressure vanishes exactly at t = 0
@@ -249,6 +285,8 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3,
         lo, hi = 0.0, t_cap
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             if f(mid) > 0.0:
                 lo = mid
             else:

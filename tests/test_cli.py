@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tractdim as td
-from tractdim.cli import DEFAULT_CERTIFICATE_CONFIG, load_config, main
+from tractdim.cli import DEFAULT_CERTIFICATE_CONFIG, _build_parser, load_config, main
 
 
 def run(args):
@@ -346,3 +347,60 @@ def test_oracle_box_dim_every_seed(tmp_path):
         assert run(["oracle", "box-dim", "--seed", str(seed), "--out", out]) == 0, seed
         rep = read_json(out)
         assert rep["counts"] == [2 ** k for k in range(7, 0, -1)]
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_dim_non_positive_bisect_tol_exit_1(tmp_path, capsys, tol):
+    cfg = write_cfg(tmp_path, "tol.json", {"pressure": {"bisect_tol": tol}})
+    assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert "bisect_tol must be positive" in capsys.readouterr().err
+
+
+def test_dim_bisect_tol_below_float_spacing_finishes(tmp_path):
+    """The bisection stops at the tightest float bracket, which lies inside
+    the bracket of the default tolerance."""
+    cfg = write_cfg(tmp_path, "tol.json", {"pressure": {"bisect_tol": 1e-300}})
+    out = str(tmp_path / "cert.json")
+    assert run(["dim", "--config", cfg, "--out", out]) == 0
+    cert = read_json(out)
+    assert 1.00146484375 <= cert["t_lo"] <= cert["t_hi"] <= 1.00201416015625
+
+
+def _per_subparser_parser():
+    """The command line as built before the common flags moved to one
+    parent parser: the five flags added to each subparser."""
+    def common_flags(sp):
+        sp.add_argument("--config", default=None, help="JSON config path")
+        sp.add_argument("--out", default=None, help="output report path")
+        sp.add_argument("--mode", choices=["enumerate", "tail"], default=None,
+                        help="accepted and echoed; no effect")
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None, help="accepted; no effect")
+
+    p = argparse.ArgumentParser(prog="tractdim",
+                                description="dimension certificates for Cantor "
+                                            "repellers over logarithmic tracts")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in ("lemmas", "dim", "sample"):
+        common_flags(sub.add_parser(name))
+    so = sub.add_parser("oracle")
+    so.add_argument("oracle_command", choices=["box-dim", "brute-pressure", "recheck"])
+    common_flags(so)
+    return p
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["dim", "--help"], ["oracle", "--help"], ["oracle"], ["dim", "--seed", "x"],
+    [], ["dim"], ["oracle", "recheck", "--mode", "tail", "--seed", "3", "--workers", "1"],
+    ["sample", "--config", "c.json", "--out", "s.csv"], ["lemmas", "--mode", "fast"]],
+    ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_with_shared_flags_equals_per_subparser_flags(capsys, argv):
+    """Namespace, stdout, stderr and exit code are those of the reference."""
+    results = []
+    for build in (_build_parser, _per_subparser_parser):
+        try:
+            parsed, code = vars(build().parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+        results.append((parsed, code, capsys.readouterr()))
+    assert results[0] == results[1]

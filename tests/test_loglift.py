@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import run_sum_reference as ref
 import tractdim as td
-from tractdim.loglift import branch_growth_bound, expansion_margin, log_run_sum_bounds
+from tractdim.loglift import (branch_growth_bound, expansion_margin, log_run_sum_bounds,
+                              run_sum)
 from tractdim.numerics import TWO_PI
 
 
@@ -222,3 +226,50 @@ def test_run_sum_bracket_contains_brute_fsum():
         brute = math.log(math.fsum((s ** -t).tolist()))
         lo, hi = log_run_sum_bounds(65, 10_450_108, t, 0.0)
         assert lo <= brute <= hi, t
+
+
+# ---------------------------------------------------------------------------
+# the run sum's t-independent data, built once and evaluated per exponent
+# ---------------------------------------------------------------------------
+
+_RUN_STARTS = st.one_of(st.integers(1, 200), st.integers(2 ** 53 - 100, 2 ** 53 + 100),
+                        st.integers(1, 2 ** 110))
+_RUN_LENGTHS = st.one_of(st.integers(0, 200), st.integers(0, 2 ** 60),
+                         st.integers(0, 2 ** 210))
+_EXPONENTS = st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_RUN_STARTS, _RUN_LENGTHS, st.floats(-40.0, 40.0),
+       st.lists(_EXPONENTS, min_size=1, max_size=3), st.floats(1.0, 1e6))
+# r = ln(x_n / x_m) underflows to 0; the ratio passes 2; a run across 2^53
+@example(10 ** 300, 70, 0.37, [1.0, 0.5], 3.0)
+@example(2 ** 60, 2 ** 200, -0.37, [1.0015, 4.0], 3.0)
+@example(2 ** 53 - 10, 110, 1.9, [0.0, 2.0], 10.0)
+@example(2, 0, -1.5, [1.0], 1.0)
+def test_run_sum_data_equals_per_call_reference(s1, length, h, ts, d):
+    """One `run_sum` evaluated at several exponents gives the per-call
+    bracket hex for hex, with log_c = -t ln(2 pi d) as the envelopes form it."""
+    assume(s1 + h > 0)
+    data = run_sum(s1, s1 + length, h)
+    for t in ts:
+        log_c = -t * math.log(TWO_PI * d)
+        got = data.log_bounds(t, log_c)
+        want = ref.log_run_sum_bounds(s1, s1 + length, t, h, log_c)
+        assert tuple(x.hex() for x in got) == tuple(x.hex() for x in want)
+        assert log_run_sum_bounds(s1, s1 + length, t, h, log_c) == got
+
+
+def test_window_comparison_brackets_equal_per_call_reference(small):
+    """`compare_window_modes` takes its two brackets from the run sum."""
+    win = td.solve_s_window(small.family, 0, small.spec, budget=small.budget, sign=1)
+    sig_lo, sig_hi = win.sigma_lo, min(win.sigma_lo + 4.0, win.sigma_hi)
+    env = small.family.tail_model().envelope(small.spec.outer.bounds())
+    s1, s2 = math.ceil(math.exp(sig_lo) / TWO_PI), math.floor(math.exp(sig_hi) / TWO_PI)
+    h = env.b / TWO_PI
+    for t in (0.5, 1.0, 2.0):
+        cmp = td.compare_window_modes(small.family, small.spec, sig_lo, sig_hi, t=t)
+        lo = ref.log_run_sum_bounds(s1, s2, t, h, -t * math.log(TWO_PI * env.d_hi))
+        hi = ref.log_run_sum_bounds(s1, s2, t, -h, -t * math.log(TWO_PI * env.d_lo))
+        assert cmp.tail_lo_bounds == tuple(math.exp(x) for x in lo)
+        assert cmp.tail_hi_bounds == tuple(math.exp(x) for x in hi)

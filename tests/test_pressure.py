@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import run_sum_reference as ref
 import tractdim as td
-from tractdim.loglift import ExpTailModel, TailEnvelope
+from tractdim import loglift, tractgeom
+from tractdim.loglift import RunSum
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
-from tractdim import tractgeom
 from tractdim.pressure import WeightedSystem, build_weighted_system
 
 
@@ -157,8 +158,7 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     system = build_weighted_system(fam, gset, spec, dist)
     assert sum(run.n_columns for run in gset.runs) > 1000
-    model = fam.tail_model()
-    parts = [model.sum_run_log_bounds(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, system.env)
+    parts = [ref.envelope_run_sum(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, system.env)
              for run in gset.runs for _ in range(run.n_columns)]
     got = td.level1_sum(system, 1.0)
     assert got.log_lo == log_sum_exp([lo for lo, _ in parts])
@@ -234,17 +234,11 @@ def _runs_per_part(gset):
 def _level1_sum_per_part(system, runs, t, mode="bounds"):
     """Reference: one log-sum-exp term per run of G, each distinct range
     summed once (the level-1 sum before multiplicities)."""
-    model = system.family.tail_model()
-    env = system.env
-    if mode == "anchor":
-        a = complex(np.asarray(system.family.inv0(complex(system.anchor))).item()) \
-            - system.family.log_lam
-        d = abs(complex(system.anchor) - system.family.log_lam)
-        env = TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
+    env = ref.anchor_envelope(system) if mode == "anchor" else system.env
     sums = {}
     for key in runs:
         if key not in sums:
-            sums[key] = model.sum_run_log_bounds(*key, t, env)
+            sums[key] = ref.envelope_run_sum(*key, t, env)
     parts = [sums[key] for key in runs]
     return log_sum_exp([lo for lo, _ in parts]), log_sum_exp([hi for _, hi in parts])
 
@@ -280,31 +274,105 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     """The 1,274 columns of the default certificate share one sigma window:
     build_G converts it to integer bounds once and holds G as one run of
     637 columns per sign, the weighted system is that |s| range with
-    multiplicity 1,274, and one level-1 sum makes one run-sum call."""
+    multiplicity 1,274, and its run sum is built once per envelope, on the
+    first level-1 sum, whatever the number of exponents."""
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
     converted, summed = [], []
     convert = tractgeom._sigma_run
-    run_sum = ExpTailModel.sum_run_log_bounds
+    run_sum = loglift.run_sum
 
     def convert_spy(*args):
         converted.append(args)
         return convert(*args)
 
-    def sum_spy(self, *args):
+    def sum_spy(*args):
         summed.append(args)
-        return run_sum(self, *args)
+        return run_sum(*args)
 
     monkeypatch.setattr(tractgeom, "_sigma_run", convert_spy)
-    monkeypatch.setattr(ExpTailModel, "sum_run_log_bounds", sum_spy)
+    monkeypatch.setattr(loglift, "run_sum", sum_spy)
     budget = td.GeometryBudget(inset=3.0)
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     assert len(converted) == 1
     assert gset.n_segments == 2 and [run.n_columns for run in gset.runs] == [637, 637]
     win = td.solve_s_window(fam, 0, spec, budget=budget)
     system = build_weighted_system(fam, gset, spec, dist)
-    assert system.runs == ((convert(win.sigma_lo, win.sigma_hi), 1274),)
+    key = convert(win.sigma_lo, win.sigma_hi)
+    assert system.runs == ((key, 1274),)
     for t in (0.5, 1.0):
-        summed.clear()
         td.level1_sum(system, t)
-        assert len(summed) == 1
+    h = system.env.b / TWO_PI
+    assert summed == [(*key, h), (*key, -h)]
+
+
+def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
+    """At the default certificate the run data is built once per system
+    (one range, two envelopes) and each of the root's 2 x 18 steps
+    evaluates the run sum of one envelope: 36 evaluations, where summing
+    both envelopes per step took 72."""
+    spec = td.build_squares(4000.0, 3.0)
+    dist = td.distortion_constant(4000.0, fam.ln_r0)
+    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0), dist=dist)
+    built, evaluated = [], []
+    run_sum, log_bounds = loglift.run_sum, RunSum.log_bounds
+
+    def build_spy(*args):
+        built.append(args)
+        return run_sum(*args)
+
+    def evaluate_spy(self, *args):
+        evaluated.append(args)
+        return log_bounds(self, *args)
+
+    monkeypatch.setattr(loglift, "run_sum", build_spy)
+    monkeypatch.setattr(RunSum, "log_bounds", evaluate_spy)
+    system = build_weighted_system(fam, gset, spec, dist)
+    roots = td.bowen_root(system, tol=1e-4)
+    assert len(built) == 2
+    assert len(evaluated) == 36
+    assert (roots.t_lo, roots.t_hi) == (1.00146484375, 1.00201416015625)
+    td.bowen_root(system, tol=1e-4)
+    assert len(built) == 2 and len(evaluated) == 72
+
+
+_ROOT_LAMBDAS = (1.0, 0.5 + 0.5j, 2.5, 0.01)
+_ROOT_ANCHORS = ((12.0, 0.5), (30.0, 0.5), (100.0, 3.0), (4000.0, 3.0), (8000.0, 3.0))
+
+
+@pytest.mark.parametrize("lam", _ROOT_LAMBDAS, ids=str)
+def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
+    """The one-envelope root and the level-1 sums over the system's run
+    data are hex-identical to a per-call run sum of both envelopes at every
+    exponent and to bisecting on it, over anchors from 12 to 8000."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    for anchor, inset in _ROOT_ANCHORS:
+        spec = td.build_squares(anchor, inset)
+        dist = td.distortion_constant(anchor, fam.ln_r0)
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), dist=dist)
+        system = build_weighted_system(fam, gset, spec, dist)
+        assert system.runs
+        for t in (0.0, 0.5, 1.0, 1.37, 2.0, 4.0):
+            for mode in ("bounds", "anchor"):
+                got = td.level1_sum(system, t, mode=mode)
+                want = ref.level1_log_bounds(system, t, mode)
+                assert (got.log_lo.hex(), got.log_hi.hex()) == tuple(x.hex() for x in want)
+        for tol in (1e-3, 1e-4):
+            r = td.bowen_root(system, tol=tol)
+            got = (r.t_lo.hex(), r.t_hi.hex(), r.lo_capped, r.hi_capped)
+            t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, tol)
+            assert got == (t_lo.hex(), t_hi.hex(), lo_capped, hi_capped), (anchor, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_bowen_root_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(td.ConfigError, match="bisection tolerance"):
+        td.bowen_root(WeightedSystem.from_uniform([1 / 3, 1 / 3]), tol=tol)
+
+
+def test_bowen_root_below_the_float_spacing_gives_the_tightest_bracket():
+    """A tolerance of 1e-300 is finer than any float bracket around the
+    root ln 2 / ln 3: the bisection stops at two adjacent floats."""
+    r = td.bowen_root(WeightedSystem.from_uniform([1 / 3, 1 / 3]), tol=1e-300)
+    assert r.t_hi == math.nextafter(r.t_lo, math.inf)
+    assert r.t_lo <= math.log(2.0) / math.log(3.0) <= r.t_hi
