@@ -8,19 +8,23 @@ certified, 1 configuration error, 2 negative construction/certification
 outcome, 3 numeric or oracle failure.
 
 Anchors below the Koebe range (no covering disk of Q inside H) are not
-configuration errors for `lemmas`, `sample`, `dim` and the two G-based
-oracles.  `lemmas` writes its report with `distortion_c` = "Infinity" and
-exits 0 like any other lemma report (the failing lemmas show in
-`checks` and `all_pass`); the others reach the construction, and an
-empty admissible set G exits 2.
-The two oracles say "admissible set G is empty"; `oracle brute-pressure`
-also exits 2 when G lists fewer letters than its subsystem (it says how
-many) or no distortion constant bounds its slack.
+configuration errors.  The Koebe distortion constant C enters neither G
+nor the pressure bounds, so `sample` and `oracle recheck` do not compute
+it; `lemmas` writes its report with `distortion_c` = "Infinity" and exits
+0 like any other lemma report (the failing lemmas show in `checks` and
+`all_pass`), and `dim` reports `C` = "Infinity".  Every G-based command
+exits 2 on an empty admissible set G; the two oracles say "admissible
+set G is empty".  `oracle brute-pressure`, whose slack is C per level,
+also exits 2 when no distortion constant exists, and when G lists fewer
+letters than its subsystem (it says how many).
 
-A cell that sampling cannot certify (its containment padding exceeds half
-the side of Q) is an outside, borderline cell left out of G, not a
-configuration error: at lam = 0.01, R0 = e, anchor 4, `dim` reports
-not-certified and exits 2, `sample` and `oracle recheck` exit 0.
+A cell that sampling cannot certify (its containment padding, from the
+cell's closed-form Lipschitz bound, exceeds half the side of Q) is an
+outside, borderline cell left out of G, not a configuration error.  At
+lam = 0.01, R0 = e, anchor 4, G holds the cells (0, +-1) and (0, +-2),
+whose 2*pi*|s| lies below the envelope constant b: `dim` reports
+not-certified and exits 2, `sample`, `oracle recheck` and
+`oracle brute-pressure` exit 0.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -68,8 +72,8 @@ DEFAULT_SMALL_CONFIG = {
     "timing": False,
 }
 
-# Certificate scale: the anchor is tuned so the lower level-1 sum at t=1
-# clears the distortion constant with better than 10% margin.
+# Certificate scale: at anchor 4000, inset 3, the verdict's two tests pass,
+# P_lo(1) = 4.85 > 0 and the lower Bowen root t_lo = 1.00146 > 1.
 DEFAULT_CERTIFICATE_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
     "geometry": {"epsilon": 0.1, "inset": 3.0, "anchor": 4000.0,
@@ -101,6 +105,21 @@ def _require_positive(name, value):
     if value <= 0:
         raise ConfigError(f"config field {name} must be positive, got {value!r}")
     return value
+
+
+def _require_seed(value):
+    """A random seed: a finite number >= 0, truncated to an int."""
+    seed = _require_finite("seed", value)
+    if seed < 0:
+        raise ConfigError(f"config field seed must be >= 0, got {value!r}")
+    return int(seed)
+
+
+def _require_count(name, value):
+    """Reject all but an integer >= 1 (an integral float counts)."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ConfigError(f"config field {name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -163,11 +182,13 @@ def load_config(raw: dict) -> RunConfig:
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
     t_grid = tuple(_require_finite(f"t_grid[{i}]", t)
                    for i, t in enumerate(prs.get("t_grid", [])))
-    seed = int(_require_finite("seed", smp.get("seed", 42)))
+    seed = _require_seed(smp.get("seed", 42))
     depth = int(_require_finite("depth", smp.get("depth", 8)))
     count = int(_require_finite("count", smp.get("count", 10000)))
     if depth < 1 or count < 1:
         raise ConfigError("sampling depth and count must be positive")
+    for key in ("density", "subsystem", "word_length"):
+        _require_count(f"oracle.{key}", orc[key])
     # accepted for compatibility; every computation runs in one process
     _require_finite("workers", raw.get("workers", 1))
     resolved = {
@@ -313,8 +334,7 @@ def cmd_dim(cfg: RunConfig, out_path: str) -> int:
 def cmd_sample(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
-    dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _nonempty_G(fam, cfg, spec, dist)
+    gset = _nonempty_G(fam, cfg, spec)
     sample = sample_limit_set(fam, gset, spec, depth=cfg.depth, count=cfg.count,
                               seed=cfg.seed)
     proj = project_to_plane(fam, sample)
@@ -370,8 +390,8 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
 def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
+    gset = _nonempty_G(fam, cfg, spec)
     dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _nonempty_G(fam, cfg, spec, dist)
     if not math.isfinite(dist.c):
         raise ConstructionError("no distortion constant below the Koebe range; "
                                 "the brute-force slack would be unbounded")
@@ -399,9 +419,9 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     return 0 if ok else 3
 
 
-def _nonempty_G(fam, cfg: RunConfig, spec, dist):
+def _nonempty_G(fam, cfg: RunConfig, spec):
     """The admissible set a command works on; an empty G is a negative outcome."""
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget, dist=dist)
+    gset = build_G(fam, cfg.anchor, spec, cfg.budget)
     if gset.is_empty():
         raise ConstructionError("admissible set G is empty at this configuration")
     return gset
@@ -413,14 +433,13 @@ def _subsystem(fam, letters, spec):
     env = model.envelope(spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
-    return WeightedSystem(log_lo=lo, log_hi=hi, family=fam, env=env, anchor=spec.anchor)
+    return WeightedSystem(log_lo=lo, log_hi=hi, family=fam, env=env)
 
 
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
-    dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
-    gset = _nonempty_G(fam, cfg, spec, dist)
+    gset = _nonempty_G(fam, cfg, spec)
     rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
                                   density=int(cfg.oracle.get("density", 10)),
                                   seed=cfg.seed)
@@ -468,7 +487,7 @@ def main(argv=None) -> int:
             cfg.mode = args.mode
             cfg.resolved["pressure"]["mode"] = args.mode
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _require_seed(args.seed)
             cfg.resolved["sampling"]["seed"] = args.seed
         out = args.out or f"tractdim_{args.command.replace(' ', '_')}.json"
         if args.command == "lemmas":

@@ -336,13 +336,22 @@ class ExpTailModel:
     def log_weight_bounds(self, sigma, env: TailEnvelope):
         """Bounds for ln |g'| over the rectangle at sigma = ln(2*pi*|s|).
 
-        Valid for e^sigma > b; the bounds do not depend on the first-level
-        index u nor on the sign of s.
+        |g'| = 1 / (|xi_s| |z - c|), and |xi_s| lies between max(p_lo,
+        e^sigma - b) and e^sigma + b, where p_lo = ln d_lo - Re c bounds
+        Re xi_s from below.  The upper bound holds at every sigma, also
+        below envelope validity and at s = 0 (sigma = -inf), where p_lo
+        alone bounds |xi_s|; where e^sigma - b >= p_lo it is the envelope
+        value -ln(e^sigma - b) - ln d_lo.  The lower bound holds for s != 0.
+        Neither depends on the first-level index u nor on the sign of s.
         """
         sigma = np.asarray(sigma, dtype=float)
-        corr = env.b * np.exp(-sigma)
-        lo = -(sigma + np.log1p(corr)) - math.log(env.d_hi)
-        hi = -(sigma + np.log1p(-corr)) - math.log(env.d_lo)
+        p_lo = math.log(env.d_lo) - self.c.real
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = env.b * np.exp(-sigma)
+            lo = -(sigma + np.log1p(corr)) - math.log(env.d_hi)
+            # fmin drops the NaN of log1p(-corr) where e^sigma < b
+            hi = np.fmin(-(sigma + np.log1p(-corr)),
+                         -math.log(p_lo) if p_lo > 0.0 else math.inf) - math.log(env.d_lo)
         return lo, hi
 
     def cell_enclosure(self, u: int, sign: int, sigma, env: TailEnvelope):

@@ -61,7 +61,6 @@ class WeightedSystem:
     runs: tuple = ()     # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
     family: Optional[MapFamily] = None
     env: Optional[TailEnvelope] = None
-    anchor: Optional[float] = None
 
     @classmethod
     def from_uniform(cls, weights: Sequence[float]):
@@ -104,7 +103,8 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     which depend on sigma = ln(2*pi*|s|) alone.  So G's runs reduce to
     distinct |s| ranges, each with the number of columns holding it (at
     the default anchor-4000 certificate, one range for 1,274 columns).
-    `dist` is accepted for compatibility and has no effect.
+    `dist` is accepted for compatibility and has no effect: no distortion
+    constant enters the bounds.
     """
     if not family.has_tail_model:
         raise ConfigError("weighted systems need tail asymptotics in this version")
@@ -112,8 +112,7 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     runs = Counter()
     for run in gset.runs:
         runs[tuple(sorted((abs(run.s_lo), abs(run.s_hi))))] += run.n_columns
-    return WeightedSystem(runs=tuple(runs.items()), family=family, env=env,
-                          anchor=spec.anchor)
+    return WeightedSystem(runs=tuple(runs.items()), family=family, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,6 @@ class Level1Sum:
     log_lo: float
     log_hi: float
     n_letters: int
-    mode: str = "bounds"
 
     @property
     def lo(self) -> float:
@@ -139,38 +137,21 @@ class Level1Sum:
         return math.exp(self.log_hi) if self.log_hi < 709 else math.inf
 
 
-def level1_sum(system: WeightedSystem, t: float, mode: str = "bounds") -> Level1Sum:
-    """Two-sided level-1 sum sum_{letters} weight^t.
+def level1_sum(system: WeightedSystem, t: float) -> Level1Sum:
+    """Two-sided level-1 sum sum_{letters} weight^t over the inf/sup
+    envelopes of |g'| on Q; listed weights are used as given.
 
-    mode "bounds" uses the inf/sup envelopes over Q (the defaults used by
-    the pressure bounds); mode "anchor" evaluates derivative weights at
-    the anchor point instead (diagnostics, the empirical growth constant).
-    The anchor weight 1/(|a + 2*pi*i*s| * |R - c|), with a = F_inv_0(R) - c,
-    lies between the envelopes with b = |a| and d_lo = d_hi = |R - c|,
-    which replace those of Q for every run; listed weights are used as
-    given in both modes.
-
-    Each distinct run range is summed in closed form by Euler-Maclaurin:
-    mode "bounds" evaluates the run-sum data the system keeps
-    (`WeightedSystem.envelope_sums`), mode "anchor" builds that data for
-    its own envelope on each call.  The parts are combined with their
-    multiplicities k by `weighted_log_sum_exp`: the sum of k * e^(x - m)
-    is exact and rounded once, so the bounds are bit-identical to adding
-    every run as a term of its own.
+    Each distinct run range is summed in closed form by Euler-Maclaurin,
+    from the run-sum data the system keeps (`WeightedSystem.envelope_sums`).
+    The parts are combined with their multiplicities k by
+    `weighted_log_sum_exp`: the sum of k * e^(x - m) is exact and rounded
+    once, so the bounds are bit-identical to adding every run as a term of
+    its own.
     """
     _check_exponent(t)
-    if mode not in ("bounds", "anchor"):
-        raise ConfigError(f"unknown evaluation-point mode {mode!r}")
-    sums = None
-    if system.runs and mode == "anchor":
-        a = complex(np.asarray(system.family.inv0(complex(system.anchor))).item()) \
-            - system.family.log_lam
-        d = abs(complex(system.anchor) - system.family.log_lam)
-        sums = system.family.tail_model().envelope_run_sums(
-            [lo_hi for lo_hi, _ in system.runs], TailEnvelope(b=abs(a), d_lo=d, d_hi=d))
-    return Level1Sum(t=t, log_lo=_envelope_log_sum(system, t, 0, sums),
-                     log_hi=_envelope_log_sum(system, t, 1, sums),
-                     n_letters=system.n_letters, mode=mode)
+    return Level1Sum(t=t, log_lo=_envelope_log_sum(system, t, 0),
+                     log_hi=_envelope_log_sum(system, t, 1),
+                     n_letters=system.n_letters)
 
 
 def _check_exponent(t: float) -> None:
@@ -178,15 +159,15 @@ def _check_exponent(t: float) -> None:
         raise ConfigError(f"exponent t = {t} outside [0, 4]")
 
 
-def _envelope_log_sum(system: WeightedSystem, t: float, side: int, sums=None) -> float:
+def _envelope_log_sum(system: WeightedSystem, t: float, side: int) -> float:
     """One side of the level-1 sum at t: ln of the lower bound on the
     lower-envelope sum (side 0) or of the upper bound on the upper-envelope
-    sum (side 1), over the run-sum data `sums` (by default the system's)."""
+    sum (side 1), over the system's run-sum data."""
     parts = []
     if system.log_lo is not None and system.log_lo.size:
         parts.append((_materialized_log_sum((system.log_lo, system.log_hi)[side], t), 1))
     if system.runs:
-        log_scale, data = (sums or system.envelope_sums)[side]
+        log_scale, data = system.envelope_sums[side]
         log_c = -t * log_scale
         parts.extend((math.inf if run is None else run.log_bounds(t, log_c)[side], k)
                      for run, (_, k) in zip(data, system.runs))
@@ -388,7 +369,7 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
         reasons.append(f"anchor-derivative condition fails (margin {eq1_margin:.3g})")
     if line.depth_margin <= 0:
         reasons.append(f"tract-depth condition fails (margin {line.depth_margin:.3g})")
-    gset = build_G(family, anchor_val, spec, budget, mode=mode, dist=dist)
+    gset = build_G(family, anchor_val, spec, budget, mode=mode)
     if gset.is_empty():
         reasons.append("admissible set G is empty at this configuration")
         elapsed = 1000.0 * (time.perf_counter() - start)
@@ -401,7 +382,7 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
             diagnostics={"n_explicit": 0, "n_segments": 0,
                          "eq1_margin": eq1_margin, "depth_margin": line.depth_margin},
             reasons=tuple(reasons))
-    system = build_weighted_system(family, gset, spec, dist)
+    system = build_weighted_system(family, gset, spec)
     s1 = level1_sum(system, 1.0)
     p1_lo = s1.log_lo
     roots = bowen_root(system, tol=bisect_tol)

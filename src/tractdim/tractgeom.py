@@ -172,74 +172,42 @@ def build_squares(anchor: float, inset: float) -> SquareSpec:
 # Distortion constant
 # ---------------------------------------------------------------------------
 
-def _koebe_hi(rho: float) -> float:
-    return (1.0 + rho) / (1.0 - rho) ** 3
-
-
 @dataclass(frozen=True)
 class DistortionBound:
-    """Distortion constant C for inverse branches on the square Q.
+    """Koebe distortion constant C for inverse branches on the square Q.
 
     Any branch is univalent on all of H; C bounds |phi'(z)| / |phi'(R)|
-    from above and its reciprocal from below, for every z in Q.
+    from above and its reciprocal from below, for every z in Q.  It enters
+    neither G nor the pressure bounds, which use the exact derivative of
+    the two-level branches: it is reported (the certificate's `C` and
+    `sum_over_c`, the lemma report's `distortion_c`) and sets the slack of
+    the brute-force pressure oracle.
     """
 
     c: float
     rho: float
-    mode: str
 
 
-def distortion_constant(anchor: float, ln_r0: float, mode: str = "single",
-                        subdivisions: int = 4) -> DistortionBound:
-    """Koebe-based distortion constant of a branch on Q relative to the anchor.
-
-    single: one application on the disk B(R, R - ln R0), which contains
-    the covering disk of Q of radius R/sqrt(2) provided rho < 1.
-    chained: a two-step bound through the centers of a subdivision of Q,
-    never worse than the single-disk constant.
-    """
+def distortion_constant(anchor: float, ln_r0: float) -> DistortionBound:
+    """Koebe distortion constant of a branch on Q relative to the anchor:
+    one application on the disk B(R, R - ln R0), which contains the
+    covering disk of Q of radius R/sqrt(2) provided rho < 1."""
     a = float(anchor)
     univalence_radius = a - ln_r0
     rho = (a / math.sqrt(2.0)) / univalence_radius
     if rho >= 1.0 or univalence_radius <= 0.0:
         raise GeometryError(
             f"covering-disk ratio rho = {rho:.4f} >= 1; anchor too close to ln R0")
-    c_single = _koebe_hi(rho)
-    if mode == "single":
-        return DistortionBound(c=c_single, rho=rho, mode="single")
-    if mode != "chained":
-        raise ConfigError(f"unknown distortion mode {mode!r}")
-    k = max(2, int(subdivisions))
-    outer = build_squares(a, a / 8.0).outer
-    side = a / k
-    worst = 1.0
-    for i in range(k):
-        for j in range(k):
-            zc = complex(outer.re_lo + (i + 0.5) * side, outer.im_lo + (j + 0.5) * side)
-            rho1 = abs(zc - a) / univalence_radius
-            rho2 = (side / math.sqrt(2.0)) / (zc.real - ln_r0)
-            if rho1 >= 1.0 or rho2 >= 1.0:
-                return DistortionBound(c=c_single, rho=rho, mode="single")
-            worst = max(worst, _koebe_hi(rho1) * _koebe_hi(rho2))
-    return DistortionBound(c=min(worst, c_single), rho=rho, mode="chained")
-
-
-def universal_cell_diameter_bound(spec: SquareSpec, dist: DistortionBound,
-                                  ln_r0: float) -> float:
-    """diam(Q) * 4*pi*C / (R - ln R0), the distortion-certified cell bound."""
-    return spec.outer.diam * 4.0 * math.pi * dist.c / (spec.anchor - ln_r0)
+    return DistortionBound(c=(1.0 + rho) / (1.0 - rho) ** 3, rho=rho)
 
 
 def _distortion_or_unavailable(anchor: float, ln_r0: float) -> DistortionBound:
-    """Distortion constant, or an infinite sentinel below the Koebe range.
-
-    Anchors too close to ln R0 admit no covering disk; constructions then
-    lean on family-sharp envelopes alone and no universal bound exists.
-    """
+    """Distortion constant, or an infinite sentinel below the Koebe range,
+    where no covering disk of Q fits in H."""
     try:
         return distortion_constant(anchor, ln_r0)
     except GeometryError:
-        return DistortionBound(c=math.inf, rho=math.nan, mode="unavailable")
+        return DistortionBound(c=math.inf, rho=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +305,9 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
 
 @dataclass
 class CellImage:
-    """One two-level image cell(u, s) with certified bounds."""
+    """One two-level image cell(u, s) with certified bounds: `lipschitz`
+    bounds sup_Q |g'_{u,s}| and `diam_bound` = lipschitz * diam(Q) the
+    cell's diameter (`cell_image`)."""
 
     u: int
     s: int
@@ -346,9 +316,8 @@ class CellImage:
     center: complex
     center_re: float
     center_im: float
+    lipschitz: float
     diam_bound: float
-    diam_bound_universal: float
-    anchor_deriv_abs: float
     verdict: str = "unverified"
     borderline: bool = False
     measured_diam: Optional[float] = None
@@ -356,24 +325,25 @@ class CellImage:
     delta_used: Optional[float] = None
 
 
-def _cell_sharp_bounds(model: ExpTailModel, env: TailEnvelope, sigma: float):
-    """Upper bound on sup_Q |g'| at sigma, or None below validity."""
-    if sigma <= env.sigma_valid_min:
-        return None
-    _, log_hi = model.log_weight_bounds(sigma, env)
-    return float(np.exp(log_hi))
-
-
 def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
-               dist: DistortionBound, budget: Optional[GeometryBudget] = None) -> CellImage:
-    """Construct the cell at (u, s): center, diameter bounds, verdict.
+               budget: Optional[GeometryBudget] = None) -> CellImage:
+    """Construct the cell at (u, s): center, Lipschitz and diameter bounds,
+    and, given a budget, the containment verdict.
+
+    With c = Log(lam), the branch g_{u,s} has |g'(z)| = 1 / (|xi_s(z)| *
+    |z - c|), xi_s(z) = Log(z - c) - c + 2*pi*i*s.  On Q, |z - c| >= d_lo
+    and |xi_s| >= max(p_lo, 2*pi*|s| - b) with p_lo = ln d_lo - Re c, so
+    `lipschitz` = 1 / (max(p_lo, 2*pi*|s| - b) * d_lo), the upper bound
+    of `ExpTailModel.log_weight_bounds`, bounds sup_Q |g'| at every index,
+    also below envelope validity (e^sigma <= 2b) and at s = 0.
 
     The first-level image must stay in H for the second branch to apply;
     a violation is a construction error, not a containment failure.  So
-    is an index past 2^53, where s is no longer float-exact.  The
-    enclosure is rounded outward by one ulp per side, so it stays a
-    proper rectangle even where the cell is narrower than an ulp of sigma;
-    such a cell is then decided by the sampled fallback.
+    is an index past 2^53, where s is no longer float-exact.  Above
+    envelope validity the cell gets an enclosure, rounded outward by one
+    ulp per side, so it stays a proper rectangle even where the cell is
+    narrower than an ulp of sigma; such a cell is then decided by the
+    sampled fallback.  Families without tail asymptotics have no cells.
     """
     if abs(s) > _MAX_EXACT_INT:
         raise ConstructionError(f"index s = {s} lies beyond the float-exact range 2^53")
@@ -383,21 +353,15 @@ def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
     else:
         sign = 1 if s > 0 else -1
         sigma = math.log(TWO_PI) + math.log(abs(s))
-    env = None
-    model = None
-    if family.has_tail_model:
-        model = family.tail_model()
-        env = model.envelope(spec.outer.bounds())
-        if math.log(env.d_lo) <= family.ln_r0:
-            raise ConstructionError(
-                "first-level image leaves the half plane: ln(min|z - Log lam|) = "
-                f"{math.log(env.d_lo):.6g} <= ln R0 = {family.ln_r0:.6g}")
-    diam_universal = universal_cell_diameter_bound(spec, dist, family.ln_r0)
-    diam_bound = diam_universal
+    model = family.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    if math.log(env.d_lo) <= family.ln_r0:
+        raise ConstructionError(
+            "first-level image leaves the half plane: ln(min|z - Log lam|) = "
+            f"{math.log(env.d_lo):.6g} <= ln R0 = {family.ln_r0:.6g}")
+    lipschitz = float(np.exp(model.log_weight_bounds(sigma, env)[1]))
     enclosure = None
-    if env is not None and sigma > env.sigma_valid_min:
-        sup_g = _cell_sharp_bounds(model, env, sigma)
-        diam_bound = min(diam_universal, sup_g * spec.outer.diam)
+    if sigma > env.sigma_valid_min:
         # one ulp outward per side: the enclosure stays a proper rectangle
         # where b * e^-sigma is below half an ulp of sigma
         re_lo, re_hi, im_lo, im_hi = map(float, model.cell_enclosure(u, sign, sigma, env))
@@ -408,32 +372,29 @@ def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
         raise ConstructionError(
             f"anchor preimage leaves the half plane (Re = {v_s.real:.6g})")
     center = complex(np.asarray(family.inv0(v_s)).item()) + TWO_PI * 1j * u
-    d1 = complex(np.asarray(family.inv0_deriv(v_s)).item())
-    d0 = complex(np.asarray(family.inv0_deriv(complex(spec.anchor))).item())
-    anchor_deriv = abs(d1 * d0)
     cell = CellImage(
         u=int(u), s=int(s), sign=sign, sigma=sigma, center=center,
-        center_re=center.real, center_im=center.imag, diam_bound=diam_bound,
-        diam_bound_universal=diam_universal, anchor_deriv_abs=anchor_deriv,
-        enclosure=enclosure)
+        center_re=center.real, center_im=center.imag, lipschitz=lipschitz,
+        diam_bound=lipschitz * spec.outer.diam, enclosure=enclosure)
     if budget is not None:
-        containment_test(family, cell, spec, budget, dist)
+        containment_test(family, cell, spec, budget)
     return cell
 
 
 def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
-                     budget: GeometryBudget, dist: Optional[DistortionBound] = None) -> str:
+                     budget: GeometryBudget) -> str:
     """Decide cell containment in Q; updates and returns the verdict.
 
     Fast paths: a center outside Q is outside; a certified enclosure (or
     center + diameter bound) inside the margin-shrunk Q is inside.  The
     sampled fallback maps boundary samples of Q and pads them by a
-    Lipschitz delta = sup|g'| * sample spacing + margin, raised to at
-    least an ulp of Q's largest coordinate; samples must land in Q shrunk
-    by delta for an "inside" verdict.  The ulp floor keeps a cell narrower
-    than an ulp, whose samples round onto the edge of Q, from being
-    admitted by rounding.  A cell whose delta exceeds half the side of Q
-    cannot be certified by sampling and is "outside" with borderline set.
+    Lipschitz delta = cell.lipschitz * sample spacing + margin, raised to
+    at least an ulp of Q's largest coordinate; samples must land in Q
+    shrunk by delta for an "inside" verdict.  The ulp floor keeps a cell
+    narrower than an ulp, whose samples round onto the edge of Q, from
+    being admitted by rounding.  A cell whose delta exceeds half the side
+    of Q cannot be certified by sampling and is "outside" with borderline
+    set (a large budget margin gets there).
     """
     margin = budget.margin
     center_inside = (spec.outer.re_lo <= cell.center_re <= spec.outer.re_hi
@@ -457,17 +418,9 @@ def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
         raise ConstructionError(
             f"first-level boundary image leaves the half plane at (u,s)=({cell.u},{cell.s})")
     imgs = np.asarray(family.inv0(first)) + TWO_PI * 1j * cell.u
-    lip = None
-    if dist is not None:
-        lip = cell.anchor_deriv_abs * dist.c
-    if cell.enclosure is not None:
-        sharp = cell.diam_bound / spec.outer.diam
-        lip = sharp if lip is None else min(lip, sharp)
-    if lip is None:
-        raise ConstructionError("no Lipschitz bound available for sampled containment")
     spacing = spec.outer.perimeter / n
     # at least an ulp of Q's coordinates, so Q shrunk by delta lies strictly inside Q
-    delta = max(margin + lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
+    delta = max(margin + cell.lipschitz * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
     cell.delta_used = delta
     if delta > 0.5 * spec.outer.min_side:
         # padding past half the side: no sample can certify the cell
@@ -737,8 +690,10 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     few cells) for cells whose center lies in Q.  The high band stops at
     2^53, the last float-exact index.
 
-    `mode` (enumerate or tail), `collar` and `workers` are accepted for
-    compatibility and have no effect.
+    `mode` (enumerate or tail), `dist`, `collar` and `workers` are
+    accepted for compatibility and have no effect: every sampled cell is
+    padded by its own closed-form Lipschitz bound (`cell_image`), not by
+    the distortion constant.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -749,8 +704,6 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     if not family.has_tail_model:
         raise ConfigError("families without tail asymptotics are not supported by build_G; "
                           "provide tail callbacks or test cells individually")
-    if dist is None:
-        dist = _distortion_or_unavailable(anchor, family.ln_r0)
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
     if math.log(env.d_lo) <= family.ln_r0:
@@ -774,7 +727,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
                           hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
             for u in range(u_lo, u_hi + 1):
-                edge = [(s, s) for s in _edge_letters(family, model, env, spec, budget, dist,
+                edge = [(s, s) for s in _edge_letters(family, model, env, spec, budget,
                                                       u, sign, bands)]
                 for run in _merge_runs(edge + [(sign * lo, sign * hi)] if hi >= lo else edge):
                     columns.setdefault(run, []).append((u, u))
@@ -803,7 +756,7 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
     return s1, s2
 
 
-def _edge_letters(family, model, env, spec, budget, dist, u, sign, ss: np.ndarray) -> list:
+def _edge_letters(family, model, env, spec, budget, u, sign, ss: np.ndarray) -> list:
     """Signed indices among the unsigned indices ss whose cell lies in Q.
 
     The vectorized enclosure decides most indices; a cell it rejects whose
@@ -819,8 +772,8 @@ def _edge_letters(family, model, env, spec, budget, dist, u, sign, ss: np.ndarra
         + TWO_PI * 1j * u
     letters = [int(sign * s) for s in ss[inside]]
     for s in ss[~inside & rect.contains(centers)]:
-        cell = cell_image(family, u, int(sign * s), spec, dist)
-        if containment_test(family, cell, spec, budget, dist) == "inside":
+        cell = cell_image(family, u, int(sign * s), spec)
+        if containment_test(family, cell, spec, budget) == "inside":
             letters.append(int(sign * s))
     return letters
 

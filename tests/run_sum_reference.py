@@ -10,10 +10,8 @@ tests compare the library with them hex for hex.
 import math
 from functools import reduce
 
-import numpy as np
-
-from tractdim.loglift import (_MAX_EXACT_INT, _RUN_DIRECT, _RUN_SUM_ULPS, TailEnvelope,
-                              _log_add, _log_power_integral, _log_shifted)
+from tractdim.loglift import (_MAX_EXACT_INT, _RUN_DIRECT, _RUN_SUM_ULPS, _log_add,
+                              _log_power_integral, _log_shifted)
 from tractdim.numerics import TWO_PI, log_sum_exp
 
 
@@ -73,19 +71,10 @@ def envelope_run_sum(s_lo, s_hi, t, env):
     return log_lo, log_run_sum_bounds(s_lo, s_hi, t, -h, -t * math.log(TWO_PI * env.d_lo))[1]
 
 
-def anchor_envelope(system):
-    """The envelope of the anchor-point weights of a system built from G."""
-    fam = system.family
-    a = complex(np.asarray(fam.inv0(complex(system.anchor))).item()) - fam.log_lam
-    d = abs(complex(system.anchor) - fam.log_lam)
-    return TailEnvelope(b=abs(a), d_lo=d, d_hi=d)
-
-
-def level1_log_bounds(system, t, mode="bounds"):
+def level1_log_bounds(system, t):
     """(ln lower, ln upper) level-1 sum of a system built from G: each
     distinct range summed once and taken k times, both envelopes."""
-    env = anchor_envelope(system) if mode == "anchor" else system.env
-    parts = [(envelope_run_sum(lo, hi, t, env), k) for (lo, hi), k in system.runs]
+    parts = [(envelope_run_sum(lo, hi, t, system.env), k) for (lo, hi), k in system.runs]
     return tuple(log_sum_exp([pair[side] for pair, k in parts for _ in range(k)])
                  for side in (0, 1))
 

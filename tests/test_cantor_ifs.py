@@ -10,9 +10,8 @@ from tractdim.numerics import TWO_PI
 
 def test_cylinder_single_letter_is_cell_center(fam):
     spec = td.build_squares(100.0, 25.0)
-    dist = td.distortion_constant(100.0, 1.0)
     val, _ = td.cylinder_eval(fam, [(0, 64)], 100.0 + 0j)
-    cell = td.cell_image(fam, 0, 64, spec, dist)
+    cell = td.cell_image(fam, 0, 64, spec)
     assert val == pytest.approx(cell.center, rel=1e-12)
     assert val.real == pytest.approx(5.9968, abs=1e-4)
     assert val.imag == pytest.approx(1.5593, abs=1e-4)
@@ -80,7 +79,7 @@ def test_sampling_points_in_disjoint_cells(small):
     for i in range(0, 50):
         for j in range(i + 1, 50):
             if first[i] != first[j]:
-                cell_i = td.cell_image(small.family, *first[i], small.spec, small.dist)
+                cell_i = td.cell_image(small.family, *first[i], small.spec)
                 d = abs(sample.points[i] - sample.points[j])
                 assert d > 0
                 assert abs(sample.points[i] - complex(cell_i.center_re, cell_i.center_im)) \

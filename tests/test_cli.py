@@ -149,11 +149,27 @@ def test_oracle_brute_pressure_without_distortion_constant_exit_2(tmp_path, caps
     assert "distortion constant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r0", [1.2, math.e])
+def test_oracle_brute_pressure_with_letters_below_envelope_validity_exit_0(tmp_path, r0):
+    # lam = 0.01, anchor 4: G holds (0, +-1), where 2*pi*|s| <= b = 6.99 and
+    # the envelope e^sigma - b bounds nothing; the letters' upper weights
+    # come from |xi_s| >= p_lo = ln d_lo - Re c there
+    cfg = write_cfg(tmp_path, "low.json",
+                    {"family": {"lambda_re": 0.01, "r0": r0},
+                     "geometry": {"anchor": 4.0, "inset": 0.5}})
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["pass"] is True
+    assert [0, 1] in rep["letters"] and [0, -1] in rep["letters"]
+    assert rep["level1_lo"] <= rep["brute_value"] <= rep["level1_hi"]
+
+
 @pytest.mark.parametrize("mode", ["enumerate", "tail"])
 @pytest.mark.parametrize("margin", [0.0, 0.1])
 def test_unsampleable_cells_do_not_stop_the_run(tmp_path, margin, mode):
-    # lam = 0.01, anchor 4: cells (0, +-1) and (0, +-2) need a containment
-    # padding past half the side of Q; they are left out of G, not errors
+    # lam = 0.01, anchor 4: G holds cells (0, +-1) and (0, +-2), which lie
+    # below envelope validity; every command gives its documented outcome
     cfg = write_cfg(tmp_path, "pad.json",
                     {"family": {"lambda_re": 0.01},
                      "geometry": {"anchor": 4.0, "inset": 0.5, "margin": margin},
@@ -313,6 +329,29 @@ def test_config_merging_preserves_defaults(tmp_path):
     rep = read_json(out)
     assert rep["config"]["sampling"]["seed"] == 9
     assert rep["config"]["geometry"]["anchor"] == 12.0
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    pytest.param(command, config, flags, id=f"{command}-{name}")
+    for command, name, config, flags in [
+        ("sample", "flag-seed", {}, ["--seed", "-1"]),
+        ("oracle recheck", "flag-seed", {}, ["--seed", "-1"]),
+        ("oracle box-dim", "flag-seed", {}, ["--seed", "-1"]),
+        ("sample", "seed", {"sampling": {"seed": -1}}, []),
+        ("oracle recheck", "seed", {"sampling": {"seed": -1}}, []),
+        ("oracle box-dim", "seed", {"sampling": {"seed": -1}}, []),
+        ("oracle recheck", "density-0", {"oracle": {"density": 0}}, []),
+        ("oracle recheck", "density-x", {"oracle": {"density": "x"}}, []),
+        ("oracle brute-pressure", "word_length-0", {"oracle": {"word_length": 0}}, []),
+        ("oracle brute-pressure", "subsystem-0", {"oracle": {"subsystem": 0}}, []),
+    ]])
+def test_invalid_seed_and_oracle_counts_exit_1(tmp_path, capsys, command, config, flags):
+    """A negative seed, and an oracle density, subsystem or word length that
+    is not an integer >= 1, are configuration errors, not tracebacks."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    argv = command.split() + ["--config", cfg, "--out", str(tmp_path / "x")] + flags
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_malformed_json_exit_1(tmp_path):

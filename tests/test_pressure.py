@@ -119,36 +119,6 @@ def test_level1_cross_mode_windows_vs_segments(small):
         td.compare_window_modes(small.family, td.build_squares(4000.0, 3.0), 800.0, 801.0)
 
 
-def test_level1_anchor_mode(small):
-    system = build_weighted_system(small.family, small.gset, small.spec, small.dist)
-    anchored = td.level1_sum(system, 1.0, mode="anchor")
-    bounded = td.level1_sum(system, 1.0, mode="bounds")
-    # anchor values sit inside the inf/sup envelope sums
-    assert bounded.log_lo <= anchored.log_hi
-    assert anchored.log_lo <= bounded.log_hi
-
-
-@pytest.mark.parametrize("bundle", ["mini", "small"])
-def test_level1_anchor_mode_inside_bounds(request, bundle):
-    """Anchor-point sums use the anchor envelope for explicit runs too, so
-    they sit strictly inside the inf/sup sums and bracket the direct sum
-    of the anchor weights 1 / (|a + 2 pi i s| |R - c|)."""
-    b = request.getfixturevalue(bundle)
-    system = build_weighted_system(b.family, b.gset, b.spec, b.dist)
-    fam = b.family
-    a = complex(np.asarray(fam.inv0(complex(b.anchor))).item()) - fam.log_lam
-    d = abs(complex(b.anchor) - fam.log_lam)
-    for t in (0.5, 1.0, 2.0):
-        bounds = td.level1_sum(system, t, mode="bounds")
-        anchored = td.level1_sum(system, t, mode="anchor")
-        assert bounds.log_lo < anchored.log_lo <= anchored.log_hi < bounds.log_hi
-        if b.gset.n_letters <= 10_000:
-            _, s = b.gset.letters(np.arange(b.gset.n_letters))
-            direct = math.log(math.fsum(
-                (np.abs(a + TWO_PI * 1j * s.astype(float)) * d) ** -t))
-            assert anchored.log_lo <= direct <= anchored.log_hi
-
-
 def test_level1_segment_sums_bit_identical_to_direct(fam):
     """Sharing one run sum per |s| range changes no bit of the bounds: the
     sum equals one run-sum term per column of every run of G."""
@@ -231,14 +201,13 @@ def _runs_per_part(gset):
             for run in gset.runs for _ in range(run.n_columns)]
 
 
-def _level1_sum_per_part(system, runs, t, mode="bounds"):
+def _level1_sum_per_part(system, runs, t):
     """Reference: one log-sum-exp term per run of G, each distinct range
     summed once (the level-1 sum before multiplicities)."""
-    env = ref.anchor_envelope(system) if mode == "anchor" else system.env
     sums = {}
     for key in runs:
         if key not in sums:
-            sums[key] = ref.envelope_run_sum(*key, t, env)
+            sums[key] = ref.envelope_run_sum(*key, t, system.env)
     parts = [sums[key] for key in runs]
     return log_sum_exp([lo for lo, _ in parts]), log_sum_exp([hi for _, hi in parts])
 
@@ -263,11 +232,10 @@ def test_level1_sum_bit_identical_to_per_part_reference(config):
     runs = _runs_per_part(gset)
     assert sorted(system.runs) == sorted(Counter(runs).items())
     for t in (0.0, 0.5, 1.0, 1.0015, 2.0, 4.0):
-        for mode in ("bounds", "anchor"):
-            got = td.level1_sum(system, t, mode=mode)
-            ref = _level1_sum_per_part(system, runs, t, mode)
-            assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
-            assert got.n_letters == sum(hi - lo + 1 for lo, hi in runs)
+        got = td.level1_sum(system, t)
+        ref = _level1_sum_per_part(system, runs, t)
+        assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
+        assert got.n_letters == sum(hi - lo + 1 for lo, hi in runs)
 
 
 def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
@@ -353,10 +321,9 @@ def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
         system = build_weighted_system(fam, gset, spec, dist)
         assert system.runs
         for t in (0.0, 0.5, 1.0, 1.37, 2.0, 4.0):
-            for mode in ("bounds", "anchor"):
-                got = td.level1_sum(system, t, mode=mode)
-                want = ref.level1_log_bounds(system, t, mode)
-                assert (got.log_lo.hex(), got.log_hi.hex()) == tuple(x.hex() for x in want)
+            got = td.level1_sum(system, t)
+            want = ref.level1_log_bounds(system, t)
+            assert (got.log_lo.hex(), got.log_hi.hex()) == tuple(x.hex() for x in want)
         for tol in (1e-3, 1e-4):
             r = td.bowen_root(system, tol=tol)
             got = (r.t_lo.hex(), r.t_hi.hex(), r.lo_capped, r.hi_capped)

@@ -12,8 +12,7 @@ from tractdim import tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import ExpTailModel
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, RunBlock, SigmaWindow,
-                                _distortion_or_unavailable, _sigma_windows,
-                                universal_cell_diameter_bound)
+                                _sigma_windows)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +96,6 @@ def test_distortion_geometry_error():
         td.distortion_constant(1.2, 1.0)
 
 
-@pytest.mark.parametrize("anchor", [100.0, 4000.0])
-def test_distortion_chained_never_worse(anchor):
-    single = td.distortion_constant(anchor, 1.0)
-    chained = td.distortion_constant(anchor, 1.0, mode="chained", subdivisions=4)
-    assert chained.c <= single.c
-
-
 # ---------------------------------------------------------------------------
 # anchor line
 # ---------------------------------------------------------------------------
@@ -135,8 +127,7 @@ def test_anchor_preimages_on_one_line(fam):
 
 def test_cell_image_center_closed_form(fam):
     spec = td.build_squares(100.0, 25.0)
-    dist = td.distortion_constant(100.0, 1.0)
-    cell = td.cell_image(fam, 0, 64, spec, dist)
+    cell = td.cell_image(fam, 0, 64, spec)
     expect = complex(np.log(np.log(100.0 + 0j) + 2j * math.pi * 64))
     assert cell.center == pytest.approx(expect, rel=1e-12)
     assert cell.center.real == pytest.approx(5.9968, abs=1e-4)
@@ -145,9 +136,8 @@ def test_cell_image_center_closed_form(fam):
 
 def test_cell_image_outside_verdict(fam):
     spec = td.build_squares(100.0, 25.0)
-    dist = td.distortion_constant(100.0, 1.0)
     budget = td.GeometryBudget(epsilon=0.1, inset=25.0)
-    cell = td.cell_image(fam, 0, 64, spec, dist, budget=budget)
+    cell = td.cell_image(fam, 0, 64, spec, budget=budget)
     assert cell.center_re < spec.outer.re_lo
     assert cell.verdict == "outside"
 
@@ -155,11 +145,10 @@ def test_cell_image_outside_verdict(fam):
 def test_cell_image_past_exact_range_raises(fam):
     # 2^53 + 2 is a float-exact integer, but |s| past 2^53 has no exact cell
     spec = td.build_squares(100.0, 25.0)
-    dist = td.distortion_constant(100.0, 1.0)
     with pytest.raises(td.ConstructionError):
-        td.cell_image(fam, 0, 2 ** 53 + 2, spec, dist)
+        td.cell_image(fam, 0, 2 ** 53 + 2, spec)
     with pytest.raises(td.ConstructionError):
-        td.cell_image(fam, 0, -(2 ** 53 + 2), spec, dist)
+        td.cell_image(fam, 0, -(2 ** 53 + 2), spec)
 
 
 def _boundary_points_per_point(rect, n):
@@ -189,23 +178,29 @@ def test_boundary_points_bit_identical_to_per_point_reference(anchor):
                 assert pts.tobytes() == _boundary_points_per_point(rect, n).tobytes()
 
 
+def _koebe_cell_diameter_bound(spec, ln_r0):
+    """diam(Q) * 4*pi*C / (R - ln R0): the cell diameter bound from the Koebe
+    constant C alone, which the construction does not use."""
+    c = td.distortion_constant(spec.anchor, ln_r0).c
+    return spec.outer.diam * 4.0 * math.pi * c / (spec.anchor - ln_r0)
+
+
 def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
     # the distortion-only bound dwarfs the square itself at this scale;
-    # admissibility is rescued by the family-sharp per-cell bound
+    # the cell's closed-form Lipschitz bound does not
     spec = td.build_squares(100.0, 25.0)
     dist = td.distortion_constant(100.0, 1.0)
-    bound = universal_cell_diameter_bound(spec, dist, fam.ln_r0)
+    bound = _koebe_cell_diameter_bound(spec, fam.ln_r0)
     assert bound == pytest.approx(math.sqrt(2) * 100 * 4 * math.pi * dist.c / 99, rel=1e-12)
     assert bound > spec.outer.min_side
-    cell = td.cell_image(fam, 0, 64, spec, dist)
-    assert cell.diam_bound < bound
+    cell = td.cell_image(fam, 0, 64, spec)
+    assert cell.diam_bound == cell.lipschitz * spec.outer.diam < bound
 
 
 def test_containment_fast_path_inside(small):
     # pick an index well inside the admissible window
-    cell = td.cell_image(small.family, 0, 5000, small.spec, small.dist)
-    verdict = td.containment_test(small.family, cell, small.spec, small.budget,
-                                  small.dist)
+    cell = td.cell_image(small.family, 0, 5000, small.spec)
+    verdict = td.containment_test(small.family, cell, small.spec, small.budget)
     assert verdict == "inside"
     assert cell.measured_diam is None  # no sampling needed
 
@@ -213,9 +208,8 @@ def test_containment_fast_path_inside(small):
 def test_containment_sampled_agrees_with_dense_recheck(small):
     # the first admissible index sits near the window edge
     for s in (64, 65, 66):
-        cell = td.cell_image(small.family, 0, s, small.spec, small.dist)
-        v = td.containment_test(small.family, cell, small.spec, small.budget,
-                                small.dist)
+        cell = td.cell_image(small.family, 0, s, small.spec)
+        v = td.containment_test(small.family, cell, small.spec, small.budget)
         dense = td.containment_recheck(small.family, 0, s, small.spec,
                                        small.budget, density=10)
         if v == "inside":
@@ -229,12 +223,12 @@ def test_measured_diameter_below_bounds(small):
     spec, fam = small.spec, small.family
     pts = spec.outer.boundary_points(128)
     for s in (65, 200, 40000):
-        cell = td.cell_image(fam, 0, s, spec, small.dist)
+        cell = td.cell_image(fam, 0, s, spec)
         first = np.asarray(fam.inv0(pts)) + TWO_PI * 1j * s
         imgs = np.asarray(fam.inv0(first))
         measured = float(np.max(np.abs(imgs[:, None] - imgs[None, :])))
         assert measured <= cell.diam_bound
-        assert measured <= cell.diam_bound_universal
+        assert measured <= _koebe_cell_diameter_bound(spec, fam.ln_r0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +241,8 @@ def test_solve_s_window_small_anchor(fam, small):
     assert 64.0 <= lo <= 65.0          # asymptotic estimate is e^6 / 2pi ~ 64.2
     assert hi == pytest.approx(1.045e7, rel=1e-3)
     # endpoints verified by explicit cells
-    inside = td.cell_image(fam, 0, math.ceil(lo), small.spec, small.dist,
-                           budget=small.budget)
-    outside = td.cell_image(fam, 0, math.floor(lo) - 1, small.spec, small.dist,
-                            budget=small.budget)
+    inside = td.cell_image(fam, 0, math.ceil(lo), small.spec, budget=small.budget)
+    outside = td.cell_image(fam, 0, math.floor(lo) - 1, small.spec, budget=small.budget)
     assert inside.verdict == "inside"
     assert outside.verdict == "outside"
 
@@ -501,7 +493,6 @@ def _letter_runs_per_column(fam, spec, budget):
     admits for that column alone."""
     model = fam.tail_model()
     env = model.envelope(spec.outer.bounds())
-    dist = _distortion_or_unavailable(spec.anchor, fam.ln_r0)
     widen = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
     runs = []
     for sign in (1, -1):
@@ -518,7 +509,7 @@ def _letter_runs_per_column(fam, spec, budget):
             bands = np.r_[max(1, math.floor(s_lo) - widen):lo,
                           hi + 1:min(math.ceil(s_hi) + widen, 2 ** 53) + 1]
             runs += [(u, s, s) for s in tractgeom._edge_letters(fam, model, env, spec, budget,
-                                                                dist, u, sign, bands)]
+                                                                u, sign, bands)]
             runs += [(u, *sorted((sign * lo, sign * hi)))] if hi >= lo else []
     return _merged(runs)
 
@@ -669,20 +660,78 @@ def test_min_cell_gap_column_extents_of_one_sign(fam, sign):
     assert rep.column_separation == _brute_column_separation(fam, gset, spec)
 
 
-def test_containment_padding_past_half_side_is_borderline_outside():
-    """lam = 0.01, R0 = e, anchor 4: the sampled padding of cells (0, +-1)
-    and (0, +-2) exceeds half the side of Q, so sampling cannot certify
-    them; they are outside and borderline, and G is built without them."""
+def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
+    """lam = 0.01, R0 = e, anchor 4: cells (0, +-1) and (0, +-2) have
+    e^sigma <= 2b, so no enclosure, and the Koebe constant is 10386 here.
+    Their closed-form Lipschitz bound puts them inside by the center +
+    diameter test, before any sample, as the dense recheck rates them, and
+    G holds them."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     budget = td.GeometryBudget(inset=0.5, margin=0.0)
     spec = td.build_squares(4.0, 0.5)
-    dist = _distortion_or_unavailable(4.0, fam.ln_r0)
     for s in (1, 2, -1, -2):
-        cell = td.cell_image(fam, 0, s, spec, dist)
-        assert td.containment_test(fam, cell, spec, budget, dist) == "outside"
-        assert cell.borderline and cell.delta_used > 0.5 * spec.outer.min_side
-    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate", dist=dist)
-    assert _letter_runs(gset) == [(0, -64, -3), (0, 3, 64)]
+        cell = td.cell_image(fam, 0, s, spec)
+        assert cell.enclosure is None
+        assert td.containment_test(fam, cell, spec, budget) == "inside"
+        assert not cell.borderline and cell.delta_used is None
+        assert td.containment_recheck(fam, 0, s, spec, budget, density=40) == "inside"
+    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
+    assert _letter_runs(gset) == [(0, -64, -1), (0, 1, 64)]
+
+
+def test_containment_padding_past_half_side_is_borderline_outside(small):
+    """A cell whose sampled padding exceeds half the side of Q cannot be
+    certified by sampling: a budget margin of 6.5 at anchor 12 (side 12)
+    makes it outside and borderline, before any sample is measured."""
+    budget = td.GeometryBudget(inset=0.5, margin=6.5)
+    cell = td.cell_image(small.family, 0, 5000, small.spec)
+    assert small.spec.outer.contains(cell.center)
+    assert td.containment_test(small.family, cell, small.spec, budget) == "outside"
+    assert cell.borderline and cell.delta_used > 0.5 * small.spec.outer.min_side
+    assert cell.measured_diam is None
+
+
+def _sharp_or_koebe_lipschitz(fam, s, spec):
+    """Reference that the cell's Lipschitz bound may not exceed: min(sharp,
+    Koebe).  sharp = 1 / ((2*pi*|s| - b) d_lo), above envelope validity
+    (e^sigma > 2b) only; Koebe = |g'(R)| * C, the derivative at the anchor
+    times the Koebe constant C (infinite below the Koebe range)."""
+    model = fam.tail_model()
+    env = model.envelope(spec.outer.bounds())
+    sigma = math.log(TWO_PI) + math.log(abs(s))
+    sharp = math.inf
+    if sigma > env.sigma_valid_min:
+        corr = env.b * np.exp(-sigma)
+        sharp = float(np.exp(-(sigma + np.log1p(-corr)) - math.log(env.d_lo)))
+    v_s = complex(np.asarray(fam.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
+    deriv = abs(complex(np.asarray(fam.inv0_deriv(v_s)).item())
+                * complex(np.asarray(fam.inv0_deriv(complex(spec.anchor))).item()))
+    return min(sharp, deriv * tractgeom._distortion_or_unavailable(spec.anchor, fam.ln_r0).c)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(modulus=st.floats(0.01, 3.0), arg=st.floats(-math.pi, math.pi),
+       r0=st.sampled_from([1.2, 2.0, math.e]), anchor=st.floats(3.3, 40.0),
+       u=st.integers(-3, 3), s=st.integers(1, 10 ** 6), sign=st.sampled_from([1, -1]))
+def test_cell_lipschitz_bounds_the_sampled_derivative(modulus, arg, r0, anchor, u, s, sign):
+    """cell.lipschitz is at least |g'| = 1 / (|xi_s(z)| |z - c|) at every
+    point of an 80 x 80 grid of Q, formed by atan2 and hypot (1e-12
+    relative slack), and no larger than min(sharp, Koebe)."""
+    fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
+    spec = td.build_squares(anchor, 0.5)
+    try:
+        cell = td.cell_image(fam, u, sign * s, spec)
+    except td.ConstructionError:  # the first-level image leaves H
+        return
+    c, rect = fam.log_lam, spec.outer
+    x, y = np.meshgrid(np.linspace(rect.re_lo, rect.re_hi, 80),
+                       np.linspace(rect.im_lo, rect.im_hi, 80))
+    dist = np.hypot(x - c.real, y - c.imag)
+    xi = np.hypot(np.log(dist) - c.real,
+                  np.arctan2(y - c.imag, x - c.real) - c.imag + TWO_PI * sign * s)
+    assert float(np.max(1.0 / (xi * dist))) <= cell.lipschitz * (1.0 + 1e-12)
+    assert cell.lipschitz <= _sharp_or_koebe_lipschitz(fam, sign * s, spec)
+    assert cell.diam_bound == cell.lipschitz * rect.diam
 
 
 def _cells(fam, spec, u, ss, n=1024):
