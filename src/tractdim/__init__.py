@@ -13,11 +13,10 @@ from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
 from .loglift import (MapFamily, UserCallbacks, check_growth, eval_lift,
                       exponential_family, inv_branch, normalize_family,
                       user_family)
-from .tractgeom import (CellImage, DistortionBound, GeometryBudget, GSet, Rect,
-                        SquareSpec, anchor_line, build_G, build_squares,
-                        cell_image, containment_test, distortion_constant,
-                        find_radius, min_cell_gap, solve_s_window,
-                        trace_level_lines)
+from .tractgeom import (DistortionBound, GeometryBudget, GSet, Rect, SquareSpec,
+                        anchor_line, build_G, build_squares, cell_verdicts,
+                        distortion_constant, find_radius, min_cell_gap,
+                        solve_s_window, trace_level_lines)
 from .cantor_ifs import (LimitSample, check_invariance, cylinder_eval,
                          cylinder_fixed_point, project_to_plane, sample_limit_set)
 from .pressure import (BowenInterval, DimensionCertificate, Level1Sum,

@@ -375,17 +375,37 @@ class ExpTailModel:
 
         The lower envelope ((2 pi s + b) d_hi)^-t is (2 pi d_hi)^-t (s + h)^-t
         with h = b / (2 pi), the upper ((2 pi s - b) d_lo)^-t is
-        (2 pi d_lo)^-t (s - h)^-t.  Returns, per envelope (lower, upper),
-        the pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi), ints of
-        any size); an upper entry is None where 2 pi s_lo <= b, where the
-        upper envelope is unbounded.  A level-1 bound at t is the lower end
-        of `RunSum.log_bounds(t, -t ln(2 pi d_hi))` on the lower envelope,
-        or the upper end of `RunSum.log_bounds(t, -t ln(2 pi d_lo))` on the
-        upper one (+inf for None).
+        (2 pi d_lo)^-t (s - h)^-t.  Below s* = ceil((b + p_lo) / (2 pi)),
+        p_lo = ln d_lo - Re c, the upper weight is bounded by (p_lo d_lo)^-1
+        instead (the bound of `log_weight_bounds`), so each of the m letters
+        of a range below s* is a direct term at ln(p_lo / (2 pi)) in place
+        of ln(s - h): together they add m (p_lo d_lo)^-t.  Needs p_lo > 0,
+        which holds whenever G is non-empty.  Returns, per envelope (lower,
+        upper), the pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi),
+        ints of any size).  A level-1 bound at t is the lower end of
+        `RunSum.log_bounds(t, -t ln(2 pi d_hi))` on the lower envelope, or
+        the upper end of `RunSum.log_bounds(t, -t ln(2 pi d_lo))` on the
+        upper one.
         """
         h = env.b / TWO_PI
+        p_lo = math.log(env.d_lo) - self.c.real
+        if p_lo <= 0.0:
+            raise DomainError("upper envelope needs ln d_lo > Re Log(lam)")
+        s_star = math.ceil((env.b + p_lo) / TWO_PI)
+        log_x0 = math.log(p_lo / TWO_PI)
+
+        def upper_sum(lo, hi):
+            head = (log_x0,) * max(0, min(hi + 1, s_star) - lo)
+            if hi < s_star:
+                return RunSum(False, head, abs(log_x0))
+            run = run_sum(max(lo, s_star), hi, -h)
+            if not head:
+                return run
+            return replace(run, direct=head + run.direct,
+                           magnitude=max(run.magnitude, abs(log_x0)))
+
         lower = tuple(run_sum(lo, hi, h) for lo, hi in ranges)
-        upper = tuple(None if lo <= h else run_sum(lo, hi, -h) for lo, hi in ranges)
+        upper = tuple(upper_sum(lo, hi) for lo, hi in ranges)
         return ((math.log(TWO_PI * env.d_hi), lower), (math.log(TWO_PI * env.d_lo), upper))
 
 
@@ -418,10 +438,11 @@ class RunSum:
     depend on t: built once per run by `run_sum`, evaluated per exponent by
     `log_bounds`.
 
-    `direct` holds ln(s + h) of the terms added one by one; the tail from m
-    on is described by x_m = m + h (inf from m = 2^100 on) and its powers,
-    ln x_m, r = ln(x_n / x_m) and, where r is 0, the log of the integral
-    ln(n - m).  `magnitude` is the largest |ln(s + h)| at the run's ends.
+    `direct` holds ln(s + h) of the terms added one by one (or, for the
+    upper envelope below s*, ln(p_lo / (2 pi)); see `envelope_run_sums`);
+    the tail from m on is described by x_m = m + h (inf from m = 2^100 on)
+    and its powers, ln x_m, r = ln(x_n / x_m) and, where r is 0, the log of
+    the integral ln(n - m).  `magnitude` is the largest |ln(s + h)| at the run's ends.
     """
 
     big: bool

@@ -161,7 +161,6 @@ class BrutePressure:
     n: int
     t: float
     value: float            # (1/n) log sum over words of |word derivative|^t
-    slack_log: float        # per-level distortion allowance ln C
     n_words: int
 
 
@@ -193,11 +192,12 @@ def _branch_deriv(family: MapFamily, zeta: complex) -> complex:
 
 
 def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
-                         n: int, t: float, distortion_c: float = 1.0) -> BrutePressure:
+                         n: int, t: float) -> BrutePressure:
     """(1/n) log sum over all n-words of |(g^word)'(center Q)|^t.
 
-    The word norm is approximated by the derivative at the center of Q;
-    the distortion slack C^n is returned separately, never folded in.
+    For letters of G every intermediate point of a word lies in Q, where
+    each letter's |g'| lies between its level-1 weight bounds, so the
+    value lies between the letters' level-1 pressure bounds at every n.
     Refuses budgets beyond 1e6 words.
     """
     letters = [(int(u), int(s)) for (u, s) in letters]
@@ -217,8 +217,7 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
             deriv *= d
         terms.append(abs(deriv) ** t)
     total = math.fsum(terms)
-    return BrutePressure(n=n, t=t, value=math.log(total) / n,
-                         slack_log=math.log(distortion_c), n_words=len(terms))
+    return BrutePressure(n=n, t=t, value=math.log(total) / n, n_words=len(terms))
 
 
 # ---------------------------------------------------------------------------

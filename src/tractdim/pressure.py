@@ -169,7 +169,7 @@ def _envelope_log_sum(system: WeightedSystem, t: float, side: int) -> float:
     if system.runs:
         log_scale, data = system.envelope_sums[side]
         log_c = -t * log_scale
-        parts.extend((math.inf if run is None else run.log_bounds(t, log_c)[side], k)
+        parts.extend((run.log_bounds(t, log_c)[side], k)
                      for run, (_, k) in zip(data, system.runs))
     return weighted_log_sum_exp(parts)
 

@@ -84,10 +84,6 @@ class Rect:
         return ((np.real(z) >= self.re_lo + margin) & (np.real(z) <= self.re_hi - margin)
                 & (np.imag(z) >= self.im_lo + margin) & (np.imag(z) <= self.im_hi - margin))
 
-    def contains_rect(self, other: "Rect", margin: float = 0.0) -> bool:
-        return (other.re_lo >= self.re_lo + margin and other.re_hi <= self.re_hi - margin
-                and other.im_lo >= self.im_lo + margin and other.im_hi <= self.im_hi - margin)
-
     def dist_to_boundary(self, z):
         """Signed distance to the boundary (positive inside)."""
         z = np.asarray(z, dtype=complex)
@@ -178,10 +174,10 @@ class DistortionBound:
 
     Any branch is univalent on all of H; C bounds |phi'(z)| / |phi'(R)|
     from above and its reciprocal from below, for every z in Q.  It enters
-    neither G nor the pressure bounds, which use the exact derivative of
-    the two-level branches: it is reported (the certificate's `C` and
-    `sum_over_c`, the lemma report's `distortion_c`) and sets the slack of
-    the brute-force pressure oracle.
+    neither G, nor the pressure bounds, which use the exact derivative of
+    the two-level branches, nor any oracle: it is only reported (the
+    certificate's `C` and `sum_over_c`, the lemma report's
+    `distortion_c`).
     """
 
     c: float
@@ -303,139 +299,94 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
 # Cells
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CellImage:
-    """One two-level image cell(u, s) with certified bounds: `lipschitz`
-    bounds sup_Q |g'_{u,s}| and `diam_bound` = lipschitz * diam(Q) the
-    cell's diameter (`cell_image`)."""
-
-    u: int
-    s: int
-    sign: int
-    sigma: float
-    center: complex
-    center_re: float
-    center_im: float
-    lipschitz: float
-    diam_bound: float
-    verdict: str = "unverified"
-    borderline: bool = False
-    measured_diam: Optional[float] = None
-    enclosure: Optional[tuple] = None
-    delta_used: Optional[float] = None
-
-
-def cell_image(family: MapFamily, u: int, s: int, spec: SquareSpec,
-               budget: Optional[GeometryBudget] = None) -> CellImage:
-    """Construct the cell at (u, s): center, Lipschitz and diameter bounds,
-    and, given a budget, the containment verdict.
+def cell_verdicts(family: MapFamily, spec: SquareSpec, budget: GeometryBudget, u: int, ss):
+    """Containment verdicts of the cells g_{u,s}(Q) for the signed indices
+    ss of one column u: an array of "inside", "borderline" or "outside",
+    one per index, and the sampled padding delta (NaN where no sample was
+    taken).
 
     With c = Log(lam), the branch g_{u,s} has |g'(z)| = 1 / (|xi_s(z)| *
     |z - c|), xi_s(z) = Log(z - c) - c + 2*pi*i*s.  On Q, |z - c| >= d_lo
     and |xi_s| >= max(p_lo, 2*pi*|s| - b) with p_lo = ln d_lo - Re c, so
-    `lipschitz` = 1 / (max(p_lo, 2*pi*|s| - b) * d_lo), the upper bound
-    of `ExpTailModel.log_weight_bounds`, bounds sup_Q |g'| at every index,
-    also below envelope validity (e^sigma <= 2b) and at s = 0.
+    lip = 1 / (max(p_lo, 2*pi*|s| - b) * d_lo), e^hi of
+    `ExpTailModel.log_weight_bounds`, bounds sup_Q |g'| at every index,
+    also below envelope validity (e^sigma <= 2b) and at s = 0.  A cell is
+    decided by the first of these that applies:
 
-    The first-level image must stay in H for the second branch to apply;
-    a violation is a construction error, not a containment failure.  So
-    is an index past 2^53, where s is no longer float-exact.  Above
-    envelope validity the cell gets an enclosure, rounded outward by one
-    ulp per side, so it stays a proper rectangle even where the cell is
-    narrower than an ulp of sigma; such a cell is then decided by the
-    sampled fallback.  Families without tail asymptotics have no cells.
+    1. inside if its enclosure lies in Q shrunk by the budget margin
+       (`_enclosed`, the test the sigma windows use; it fails below
+       envelope validity);
+    2. outside if its center g_{u,s}(R) is not in Q;
+    3. inside if the center is farther than margin + lip * diam(Q) from
+       the boundary of Q;
+    4. by the images of `budget.boundary_samples` boundary samples of Q,
+       padded by delta = max(margin + lip * spacing, ulp of Q's largest
+       coordinate): inside if every image lies in Q shrunk by delta,
+       borderline if every image lies in Q but not in the shrunk Q, and
+       also if delta exceeds half the side of Q (no sample can certify
+       the cell), else outside.
+
+    The ulp floor keeps a cell narrower than an ulp, whose samples round
+    onto the edge of Q, from being admitted by rounding.  The anchor and
+    the samples lie in Q, so their first-level images lie in H once ln d_lo
+    > ln R0.  Raises ConstructionError where the first-level images leave
+    H (ln d_lo <= ln R0), since the second branch then does not apply, and
+    for an index past 2^53, which is no longer float-exact.  Families
+    without tail asymptotics have no cells.
     """
-    if abs(s) > _MAX_EXACT_INT:
-        raise ConstructionError(f"index s = {s} lies beyond the float-exact range 2^53")
-    if s == 0:
-        sign = 1
-        sigma = -math.inf
-    else:
-        sign = 1 if s > 0 else -1
-        sigma = math.log(TWO_PI) + math.log(abs(s))
+    ss = np.atleast_1d(ss)
+    if ss.size and max(abs(int(s)) for s in ss) > _MAX_EXACT_INT:
+        raise ConstructionError("an index lies beyond the float-exact range 2^53")
     model = family.tail_model()
     env = model.envelope(spec.outer.bounds())
     if math.log(env.d_lo) <= family.ln_r0:
         raise ConstructionError(
             "first-level image leaves the half plane: ln(min|z - Log lam|) = "
             f"{math.log(env.d_lo):.6g} <= ln R0 = {family.ln_r0:.6g}")
-    lipschitz = float(np.exp(model.log_weight_bounds(sigma, env)[1]))
-    enclosure = None
-    if sigma > env.sigma_valid_min:
-        # one ulp outward per side: the enclosure stays a proper rectangle
-        # where b * e^-sigma is below half an ulp of sigma
-        re_lo, re_hi, im_lo, im_hi = map(float, model.cell_enclosure(u, sign, sigma, env))
-        enclosure = (math.nextafter(re_lo, -math.inf), math.nextafter(re_hi, math.inf),
-                     math.nextafter(im_lo, -math.inf), math.nextafter(im_hi, math.inf))
-    v_s = complex(np.asarray(family.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
-    if v_s.real <= family.ln_r0:
-        raise ConstructionError(
-            f"anchor preimage leaves the half plane (Re = {v_s.real:.6g})")
-    center = complex(np.asarray(family.inv0(v_s)).item()) + TWO_PI * 1j * u
-    cell = CellImage(
-        u=int(u), s=int(s), sign=sign, sigma=sigma, center=center,
-        center_re=center.real, center_im=center.imag, lipschitz=lipschitz,
-        diam_bound=lipschitz * spec.outer.diam, enclosure=enclosure)
-    if budget is not None:
-        containment_test(family, cell, spec, budget)
-    return cell
+    ss = ss.astype(np.int64)
+    verdicts, delta = np.full(ss.shape, "outside", dtype="<U10"), np.full(ss.shape, math.nan)
+    for sign, pick in ((1, ss >= 0), (-1, ss < 0)):
+        with np.errstate(divide="ignore"):  # s = 0: sigma = -inf
+            inside, borderline, delta[pick] = _cell_verdicts(
+                family, model, env, spec, budget, int(u), sign, np.abs(ss[pick]))
+        verdicts[pick] = np.where(inside, "inside", np.where(borderline, "borderline", "outside"))
+    return verdicts, delta
 
 
-def containment_test(family: MapFamily, cell: CellImage, spec: SquareSpec,
-                     budget: GeometryBudget) -> str:
-    """Decide cell containment in Q; updates and returns the verdict.
-
-    Fast paths: a center outside Q is outside; a certified enclosure (or
-    center + diameter bound) inside the margin-shrunk Q is inside.  The
-    sampled fallback maps boundary samples of Q and pads them by a
-    Lipschitz delta = cell.lipschitz * sample spacing + margin, raised to
-    at least an ulp of Q's largest coordinate; samples must land in Q
-    shrunk by delta for an "inside" verdict.  The ulp floor keeps a cell
-    narrower than an ulp, whose samples round onto the edge of Q, from
-    being admitted by rounding.  A cell whose delta exceeds half the side
-    of Q cannot be certified by sampling and is "outside" with borderline
-    set (a large budget margin gets there).
-    """
-    margin = budget.margin
-    center_inside = (spec.outer.re_lo <= cell.center_re <= spec.outer.re_hi
-                     and spec.outer.im_lo <= cell.center_im <= spec.outer.im_hi)
-    if not center_inside:
-        cell.verdict = "outside"
-        return cell.verdict
-    if cell.enclosure is not None:
-        enc = Rect(*cell.enclosure)
-        if spec.outer.contains_rect(enc, margin):
-            cell.verdict = "inside"
-            return cell.verdict
-    dist_to_edge = float(spec.outer.dist_to_boundary(complex(cell.center_re, cell.center_im)))
-    if dist_to_edge - margin > cell.diam_bound:
-        cell.verdict = "inside"
-        return cell.verdict
+def _cell_verdicts(family, model, env, spec, budget, u, sign, ss: np.ndarray):
+    """`cell_verdicts` of the column (u, sign) at the unsigned int64
+    indices ss, with the tail model and the envelope of Q given: the masks
+    inside and borderline, and the paddings.  Only the cells the enclosure
+    rejects whose center lies in Q get a Lipschitz bound, and only those
+    near the boundary get their samples, mapped as one (cells x samples)
+    array."""
+    rect, margin = spec.outer, budget.margin
+    sigma = np.log(TWO_PI) + np.log(ss.astype(float))
+    inside = _enclosed(model, env, rect, margin, u, sign, sigma)
+    base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
+    centers = np.asarray(family.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
+        + TWO_PI * 1j * u
+    borderline = np.zeros(ss.shape, dtype=bool)
+    delta = np.full(ss.shape, math.nan)
+    cand = (~inside & rect.contains(centers)).nonzero()[0]
+    if not cand.size:
+        return inside, borderline, delta
+    lip = np.exp(model.log_weight_bounds(sigma[cand], env)[1])
+    near = ~(rect.dist_to_boundary(centers[cand]) - margin > lip * rect.diam)
+    inside[cand[~near]] = True
+    cand, lip = cand[near], lip[near]
+    if not cand.size:
+        return inside, borderline, delta
     n = budget.boundary_samples
-    pts = spec.outer.boundary_points(n)
-    first = np.asarray(family.inv0(pts)) + TWO_PI * 1j * cell.s
-    if np.any(np.real(first) <= family.ln_r0):
-        raise ConstructionError(
-            f"first-level boundary image leaves the half plane at (u,s)=({cell.u},{cell.s})")
-    imgs = np.asarray(family.inv0(first)) + TWO_PI * 1j * cell.u
-    spacing = spec.outer.perimeter / n
-    # at least an ulp of Q's coordinates, so Q shrunk by delta lies strictly inside Q
-    delta = max(margin + cell.lipschitz * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
-    cell.delta_used = delta
-    if delta > 0.5 * spec.outer.min_side:
-        # padding past half the side: no sample can certify the cell
-        cell.verdict = "outside"
-        cell.borderline = True
-        return cell.verdict
-    diffs = imgs[:, None] - imgs[None, :]
-    cell.measured_diam = float(np.max(np.abs(diffs)))
-    inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
-    if inside:
-        cell.verdict = "inside"
-    else:
-        cell.verdict = "outside"
-        cell.borderline = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
-    return cell.verdict
+    first = np.asarray(family.inv0(rect.boundary_points(n)))
+    imgs = np.asarray(family.inv0(first + TWO_PI * 1j * (sign * ss[cand, None].astype(float)))) \
+        + TWO_PI * 1j * u
+    pad = np.maximum(margin + lip * (rect.perimeter / n), math.ulp(max(map(abs, rect.bounds()))))
+    delta[cand] = pad
+    inside[cand] = rect.contains(imgs, margin=pad[:, None]).all(axis=1)
+    borderline[cand] = ~inside[cand] & (rect.contains(imgs).all(axis=1)
+                                        | (pad > 0.5 * rect.min_side))
+    return inside, borderline, delta
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +636,17 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     a float-exact window the cell enclosure is monotone in sigma, so every
     integer in [ceil(s_lo), floor(s_hi)] is certified without a per-index
     test.  Only the two edge bands just outside it, ceil((2*pi + 2b) /
-    (2*pi)) + 2 indices deep, are tested, column by column: by the
-    vectorized enclosure, then by the sampled fallback (which rescues a
-    few cells) for cells whose center lies in Q.  The high band stops at
-    2^53, the last float-exact index.
+    (2*pi)) + 2 indices deep, are tested, with one verdict array per
+    column (`cell_verdicts`, the same decisions on the model and envelope
+    held here): first by the enclosure test the windows use, then, for
+    the cells it rejects whose center lies in Q, by their closed-form
+    Lipschitz bound and the sampled fallback, which rescue a few cells.
+    The high band stops at 2^53, the last float-exact index.
 
     `mode` (enumerate or tail), `dist`, `collar` and `workers` are
     accepted for compatibility and have no effect: every sampled cell is
-    padded by its own closed-form Lipschitz bound (`cell_image`), not by
-    the distortion constant.
+    padded by its own closed-form Lipschitz bound, not by the distortion
+    constant.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -727,8 +680,8 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
                           hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
             for u in range(u_lo, u_hi + 1):
-                edge = [(s, s) for s in _edge_letters(family, model, env, spec, budget,
-                                                      u, sign, bands)]
+                inside = _cell_verdicts(family, model, env, spec, budget, u, sign, bands)[0]
+                edge = [(sign * s, sign * s) for s in bands[inside].tolist()]
                 for run in _merge_runs(edge + [(sign * lo, sign * hi)] if hi >= lo else edge):
                     columns.setdefault(run, []).append((u, u))
     return GSet(runs=tuple(sorted(
@@ -754,28 +707,6 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
     if log_two_pi + math.log(s1) < sigma_lo or log_two_pi + math.log(s2) > sigma_hi:
         raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")
     return s1, s2
-
-
-def _edge_letters(family, model, env, spec, budget, u, sign, ss: np.ndarray) -> list:
-    """Signed indices among the unsigned indices ss whose cell lies in Q.
-
-    The vectorized enclosure decides most indices; a cell it rejects whose
-    center still lies in Q gets the sampled containment test.
-    """
-    if ss.size == 0:
-        return []
-    rect = spec.outer
-    sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    inside = _enclosed(model, env, rect, budget.margin, u, sign, sigma)
-    base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
-    centers = np.asarray(family.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
-        + TWO_PI * 1j * u
-    letters = [int(sign * s) for s in ss[inside]]
-    for s in ss[~inside & rect.contains(centers)]:
-        cell = cell_image(family, u, int(sign * s), spec)
-        if containment_test(family, cell, spec, budget) == "inside":
-            letters.append(int(sign * s))
-    return letters
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,11 @@ def log_run_sum_bounds(s1, s2, t, h, log_c=0.0):
 
 def envelope_run_sum(s_lo, s_hi, t, env):
     """(lower bound of the lower-envelope sum, upper bound of the
-    upper-envelope sum) over |s| in [s_lo, s_hi]; +inf above where
-    2 pi s_lo <= b."""
+    upper-envelope sum) over |s| in [s_lo, s_hi], for ranges from s* =
+    ceil((b + p_lo) / (2 pi)) on, where the upper envelope is the run sum
+    itself."""
     h = env.b / TWO_PI
     log_lo = log_run_sum_bounds(s_lo, s_hi, t, h, -t * math.log(TWO_PI * env.d_hi))[0]
-    if s_lo <= h:
-        return log_lo, math.inf
     return log_lo, log_run_sum_bounds(s_lo, s_hi, t, -h, -t * math.log(TWO_PI * env.d_lo))[1]
 
 

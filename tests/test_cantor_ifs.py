@@ -9,10 +9,11 @@ from tractdim.numerics import TWO_PI
 
 
 def test_cylinder_single_letter_is_cell_center(fam):
-    spec = td.build_squares(100.0, 25.0)
+    """At the anchor, a one-letter cylinder is the center that `cell_verdicts`
+    tests, F_inv_u(F_inv_s(R))."""
     val, _ = td.cylinder_eval(fam, [(0, 64)], 100.0 + 0j)
-    cell = td.cell_image(fam, 0, 64, spec)
-    assert val == pytest.approx(cell.center, rel=1e-12)
+    center = complex(np.asarray(fam.inv0(fam.inv0(100.0 + 0j) + TWO_PI * 1j * 64)).item())
+    assert val == pytest.approx(center, rel=1e-12)
     assert val.real == pytest.approx(5.9968, abs=1e-4)
     assert val.imag == pytest.approx(1.5593, abs=1e-4)
 
@@ -76,14 +77,17 @@ def test_sampling_points_in_disjoint_cells(small):
     # distinct first letters put points in disjoint cells: cross distances
     # exceed within-cell diameters
     first = list(zip(sample.words_u[:, 0].tolist(), sample.words_s[:, 0].tolist()))
+    model = small.family.tail_model()
+    env = model.envelope(small.spec.outer.bounds())
     for i in range(0, 50):
         for j in range(i + 1, 50):
             if first[i] != first[j]:
-                cell_i = td.cell_image(small.family, *first[i], small.spec)
+                u, s = first[i]
+                center, _ = td.cylinder_eval(small.family, [(u, s)], complex(small.anchor))
+                lip = float(np.exp(model.log_weight_bounds(np.log(TWO_PI * abs(s)), env)[1]))
                 d = abs(sample.points[i] - sample.points[j])
                 assert d > 0
-                assert abs(sample.points[i] - complex(cell_i.center_re, cell_i.center_im)) \
-                    <= cell_i.diam_bound
+                assert abs(sample.points[i] - center) <= lip * small.spec.outer.diam
 
 
 def test_sampling_depth_refinement(small):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -137,16 +138,42 @@ def test_oracle_empty_g_exit_2(tmp_path, capsys, oracle):
     assert "admissible set G is empty" in capsys.readouterr().err
 
 
-def test_oracle_brute_pressure_without_distortion_constant_exit_2(tmp_path, capsys):
-    # below the Koebe range (rho > 1) yet with a non-empty G: an infinite
-    # distortion slack would make the comparison vacuous
-    cfg = write_cfg(tmp_path, "koebe.json",
-                    {"family": {"lambda_re": 0.01},
-                     "geometry": {"anchor": 3.3, "inset": 0.5},
-                     "pressure": {"mode": "enumerate"}})
+KOEBE = {"family": {"lambda_re": 0.01}, "geometry": {"anchor": 3.3, "inset": 0.5},
+         "pressure": {"mode": "enumerate"}}
+
+
+def test_oracle_brute_pressure_below_the_koebe_range_exit_0(tmp_path):
+    # below the Koebe range (rho > 1) yet with a non-empty G of 30 letters:
+    # the brute value needs no distortion constant, it lies in the level-1
+    # bracket itself
+    cfg = write_cfg(tmp_path, "koebe.json", KOEBE)
     out = str(tmp_path / "o.json")
-    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 2
-    assert "distortion constant" in capsys.readouterr().err
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["pass"] is True
+    assert rep["level1_lo"] <= rep["brute_value"] <= rep["level1_hi"]
+    assert rep["brute_value"] == pytest.approx(-4.124, abs=1e-3)
+    assert (rep["level1_lo"], rep["level1_hi"]) == pytest.approx((-4.379, -3.703), abs=1e-3)
+    assert rep["slack_log"] == pytest.approx(1e-12 * (1.0 + abs(rep["brute_value"])), rel=1e-15)
+
+
+@pytest.mark.parametrize("shift, code", [(-2.0, 3), (-0.5, 0), (0.5, 0), (2.0, 3)])
+def test_oracle_brute_pressure_fails_outside_the_level1_bracket(tmp_path, monkeypatch,
+                                                                 shift, code):
+    """A brute value planted `shift` float-rounding slacks past either end of
+    the bracket: within the slack it passes, beyond it the oracle exits 3."""
+    cfg = write_cfg(tmp_path, "koebe.json", KOEBE)
+    out = str(tmp_path / "o.json")
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    lo, hi = read_json(out)["level1_lo"], read_json(out)["level1_hi"]
+    end = lo if shift < 0 else hi
+    planted = end + shift * 1e-12 * (1.0 + abs(end))
+    brute = td.oracle.brute_force_pressure
+    monkeypatch.setattr(td.oracle, "brute_force_pressure",
+                        lambda *a, **k: dataclasses.replace(brute(*a, **k), value=planted))
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == code
+    rep = read_json(out)
+    assert rep["brute_value"] == planted and rep["pass"] is (code == 0)
 
 
 @pytest.mark.parametrize("r0", [1.2, math.e])
@@ -350,6 +377,26 @@ def test_invalid_seed_and_oracle_counts_exit_1(tmp_path, capsys, command, config
     is not an integer >= 1, are configuration errors, not tracebacks."""
     cfg = write_cfg(tmp_path, "c.json", config)
     argv = command.split() + ["--config", cfg, "--out", str(tmp_path / "x")] + flags
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("oracle brute-pressure", json.dumps({"oracle": {"t": "x"}})),
+    ("oracle box-dim", json.dumps({"oracle": {"source": "csv", "path": "no-such/x.csv"}})),
+    ("dim", "[1, 2]"),
+    ("sample", json.dumps({"family": 3})),
+    ("oracle recheck", json.dumps({"oracle": [1]})),
+    ("lemmas", None),
+], ids=["oracle-t", "csv-path", "array", "family-section", "oracle-section", "no-file"])
+def test_malformed_config_exit_1(tmp_path, capsys, command, text):
+    """A non-numeric oracle.t, an unreadable oracle.path, a config that is
+    not a JSON object, a section that is not one and a missing config file
+    are configuration errors, not tracebacks."""
+    cfg = tmp_path / "c.json"
+    if text is not None:
+        cfg.write_text(text)
+    argv = command.split() + ["--config", str(cfg), "--out", str(tmp_path / "x")]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("config error: ")
 

@@ -142,11 +142,50 @@ def test_brute_force_within_level1_sandwich(small):
     sigma = np.log(2 * math.pi) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = model.log_weight_bounds(sigma, env)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
+    p_lo, p_hi = td.pressure_bounds(sub, 1.0)
     for n in (1, 2, 3):
-        brute = td.brute_force_pressure(small.family, letters, small.spec,
-                                        n=n, t=1.0, distortion_c=small.dist.c)
-        p_lo, p_hi = td.pressure_bounds(sub, 1.0)
-        assert p_lo - brute.slack_log <= brute.value <= p_hi + brute.slack_log
+        # every intermediate point lies in Q: no distortion slack
+        brute = td.brute_force_pressure(small.family, letters, small.spec, n=n, t=1.0)
+        assert p_lo <= brute.value <= p_hi
+
+
+def test_upper_envelope_below_s_star_bounds_each_letter_by_p_lo():
+    """lam = 0.01, R0 = e, anchor 4, inset 0.5: G holds letters with
+    2*pi*|s| <= b = 6.99, where the upper envelope (2*pi*|s| - b)^-1 is
+    unbounded.  Below s* = ceil((b + p_lo) / (2*pi)) = 3 each letter weighs
+    at most (p_lo d_lo)^-1 (p_lo = ln d_lo - Re c = 6.49), so a range
+    (s_lo, s_hi) adds ln m - t ln(p_lo d_lo) for its m letters below s* to
+    the run sum from s* on.  The upper sum is finite, it bounds the sum of
+    the letters' own upper weights, and the upper Bowen root is no longer
+    capped: t_hi = 0.7645, t_lo = 0.671 as before."""
+    fam = td.normalize_family(td.exponential_family(0.01, math.e))
+    spec = td.build_squares(4.0, 0.5)
+    gset = td.build_G(fam, 4.0, spec, td.GeometryBudget(inset=0.5))
+    system = build_weighted_system(fam, gset, spec)
+    env = system.env
+    p_lo = math.log(env.d_lo) - fam.log_lam.real
+    s_star = math.ceil((env.b + p_lo) / TWO_PI)
+    assert (round(env.b, 2), round(p_lo, 2), s_star) == (6.99, 6.49, 3)
+    assert min(lo for (lo, _), _ in system.runs) < s_star
+    ss = [abs(s) for run in gset.runs for _ in range(run.n_columns)
+          for s in range(run.s_lo, run.s_hi + 1)]
+    lo_w, hi_w = fam.tail_model().log_weight_bounds(np.log(TWO_PI) + np.log(ss), env)
+    h, log_scale = env.b / TWO_PI, math.log(TWO_PI * env.d_lo)
+    for t in (0.0, 0.5, 1.0, 2.0, 4.0):
+        got = td.level1_sum(system, t)
+        parts = []
+        for (lo, hi), k in system.runs:
+            m = min(hi + 1, s_star) - lo
+            part = [math.log(m) - t * math.log(p_lo * env.d_lo)] if m > 0 else []
+            if hi >= s_star:
+                part.append(ref.log_run_sum_bounds(max(lo, s_star), hi, t, -h,
+                                                   -t * log_scale)[1])
+            parts += [log_sum_exp(part)] * k
+        assert got.log_hi == pytest.approx(log_sum_exp(parts), abs=1e-12)
+        assert got.log_lo <= log_sum_exp(t * lo_w) <= log_sum_exp(t * hi_w) <= got.log_hi
+    roots = td.bowen_root(system, tol=1e-3)
+    assert not (roots.lo_capped or roots.hi_capped)
+    assert (roots.t_lo, roots.t_hi) == pytest.approx((0.671, 0.7645), abs=1e-3)
 
 
 def test_certificate_small_anchor_not_certified(fam):
