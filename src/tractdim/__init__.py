@@ -1,18 +1,17 @@
 """tractdim: certified dimension bounds for Cantor repellers over logarithmic tracts.
 
-The pipeline goes from a map family with a logarithmic tract to a
-dimension-greater-than-one certificate in four steps: logarithmic lift
-and inverse branches (loglift), square geometry and the admissible index
-set (tractgeom), the induced conformal iterated function system
-(cantor_ifs), and pressure bounds with the Bowen-root enclosure
-(pressure).  The oracle module holds independent brute-force verifiers.
+The pipeline goes from the map f(z) = lam * e**z, which has a
+logarithmic tract, to a dimension-greater-than-one certificate in four
+steps: logarithmic lift and inverse branches (loglift), square geometry
+and the admissible index set (tractgeom), the induced conformal iterated
+function system (cantor_ifs), and pressure bounds with the Bowen-root
+enclosure (pressure).  The oracle module holds independent brute-force verifiers.
 """
 
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
-from .loglift import (MapFamily, UserCallbacks, check_growth, eval_lift,
-                      exponential_family, inv_branch, normalize_family,
-                      user_family)
+from .loglift import (MapFamily, check_growth, eval_lift, exponential_family, inv_branch,
+                      normalize_family)
 from .tractgeom import (DistortionBound, GeometryBudget, GSet, Rect, SquareSpec,
                         anchor_line, build_G, build_squares, cell_verdicts,
                         distortion_constant, find_radius, min_cell_gap,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .tractgeom import GSet, SquareSpec
 
 # exp overflows past this; plane projections switch to log-polar records
 _EXP_OVERFLOW_RE = 700.0
+# Float64 ulps covering the rounding of exp, lam * . and the residual itself
+# in the conjugacy check of `project_to_plane`.
+_CONJUGACY_ULPS = 16
 
 
 def _as_word(word) -> np.ndarray:
@@ -182,8 +185,16 @@ class PlaneProjection:
 def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     """Project sampled points (and their F-images) by exp, minus the offset.
 
-    Also verifies the conjugacy f(exp z) = exp(F z) on the non-overflowing
-    rows at relative tolerance 1e-9.
+    Also verifies the conjugacy f(exp z) = lam * exp(e^z) = exp(F z) at
+    relative tolerance 1e-9 on the rows where float64 can decide it: not
+    past the exp range, and not where the rounding of F z = e^z + Log(lam)
+    alone can move exp(F z) by the tolerance.  That sum rounds each part
+    to which Log(lam) adds a nonzero term by up to half an ulp, which turns
+    the phase or the modulus of exp(F z) by as much.  For lam > 0 only the
+    real part rounds, and the compared rows have Re F z <= 700, so no row
+    is left out.  For a non-real lam the imaginary part rounds too; it is
+    about 2*pi*|s| for the sample's first letter s, so rows past |s| of
+    about 1e7 are left out, most rows from anchor 12 on.
     """
     z = sample.points
     pts, logp = _project(z, family.offset)
@@ -196,9 +207,20 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     ok = ~logp & ~ilogp
     resid = 0.0
     if np.any(ok):
+        c = family.log_lam
+        f_ok = fz[ok[~logp]]
+        rhs = np.exp(f_ok)
+        scale = np.abs(rhs) / (1.0 + np.abs(rhs))
+        rounding = (0.5 * np.spacing(np.abs(f_ok.real)) * (c.real != 0.0)
+                    + 0.5 * np.spacing(np.abs(f_ok.imag)) * (c.imag != 0.0))
+        # clipped at 1, far past the tolerance, so that expm1 cannot overflow
+        bound = np.expm1(np.minimum(rounding + _CONJUGACY_ULPS * 2.0 ** -52, 1.0)) * scale
+        decidable = bound < 1e-9
+        ok[ok] = decidable
         lhs = np.asarray(family.plane_map(np.exp(z[ok])))
-        rhs = np.exp(fz[ok[~logp]])
-        resid = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
+        rhs = rhs[decidable]
+        if rhs.size:
+            resid = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
         if resid > 1e-9:
             raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
     if np.any(~logp) and np.any(pts[~logp] == 0):
@@ -268,10 +290,9 @@ def check_invariance(family: MapFamily, sample: LimitSample, gset: GSet,
 
 
 def _worst_ratio(family: MapFamily, gset: GSet, spec: SquareSpec) -> float:
-    if not family.has_tail_model or gset.is_empty():
+    if gset.is_empty():
         return 0.5
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
     s_min = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
-    _, log_hi = model.log_weight_bounds(math.log(TWO_PI) + math.log(s_min), env)
+    _, log_hi = family.envelope(spec.outer.bounds()).log_weight_bounds(
+        math.log(TWO_PI) + math.log(s_min))
     return min(0.99, float(np.exp(log_hi)))

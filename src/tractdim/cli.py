@@ -42,11 +42,18 @@ and `oracle recheck` draw letters uniformly over all of G: at lam = 1,
 R0 = e, inset 0.5, anchor 30 they and `oracle brute-pressure` exit 0.
 Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
 the default certificate, which `oracle recheck` checks.
+
+For a non-real or negative lam, `sample` writes its rows and exits 0 as
+for lam > 0.  Its conjugacy check f(exp z) = exp(F z) leaves out the rows
+where the rounding of F z = e^z + Log(lam) alone can reach the check's
+1e-9 tolerance: for such lam, the rows whose first letter has |s| past
+about 1e7, most rows at anchors 20 and 30 (lam = i, -2 or 0.5+0.5i).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,10 +66,9 @@ from .cantor_ifs import project_to_plane, sample_limit_set
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
 from .loglift import (MapFamily, branch_growth_bound, check_growth, expansion_margin,
-                      exponential_family, inv_branch, normalize_family)
+                      exponential_family, normalize_family)
 from .numerics import TWO_PI, write_csv, write_json
-from .pressure import (bowen_root, build_weighted_system, certify_dim_gt_one,
-                       level1_sum, pressure_bounds)
+from .pressure import certify_dim_gt_one, pressure_bounds
 from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_line, build_G,
                         build_squares, find_radius, trace_level_lines)
 
@@ -136,9 +142,7 @@ class RunConfig:
     family: MapFamily
     budget: GeometryBudget
     anchor: float            # resolved, never "auto" after load
-    scan: tuple
     mode: str
-    t_grid: tuple
     bisect_tol: float
     collar: int
     depth: int
@@ -161,20 +165,19 @@ def load_config(raw: dict) -> RunConfig:
     prs = dict(DEFAULT_SMALL_CONFIG["pressure"], **raw.get("pressure", {}))
     smp = dict(DEFAULT_SMALL_CONFIG["sampling"], **raw.get("sampling", {}))
     orc = dict(DEFAULT_SMALL_CONFIG["oracle"], **raw.get("oracle", {}))
-    if fam.get("kind") != "exponential":
-        raise ConfigError("the CLI drives the exponential family; use the library "
-                          "API for user-supplied families")
-    lam = complex(_require_finite("lambda_re", fam.get("lambda_re", 1.0)),
-                  _require_finite("lambda_im", fam.get("lambda_im", 0.0)))
-    r0 = _require_finite("r0", fam.get("r0", math.e))
+    if fam["kind"] != "exponential":
+        raise ConfigError(f"family.kind must be exponential, got {fam['kind']!r}")
+    lam = complex(_require_finite("lambda_re", fam["lambda_re"]),
+                  _require_finite("lambda_im", fam["lambda_im"]))
+    r0 = _require_finite("r0", fam["r0"])
     family = normalize_family(exponential_family(lam=lam, r0=r0))
-    epsilon = _require_finite("epsilon", geo.get("epsilon", 0.1))
-    scan = geo.get("scan", [8.0, 4000.0, 1.0])
+    epsilon = _require_finite("epsilon", geo["epsilon"])
+    scan = geo["scan"]
     if (not isinstance(scan, (list, tuple))) or len(scan) != 3:
         raise ConfigError("geometry.scan must be [lo, hi, step]")
     scan = tuple(_require_finite(f"scan[{i}]", v) for i, v in enumerate(scan))
-    inset = geo.get("inset", 0.5)
-    anchor = geo.get("anchor", "auto")
+    inset = geo["inset"]
+    anchor = geo["anchor"]
     if inset == "auto" and anchor == "auto":
         raise ConfigError("at most one of geometry.inset and geometry.anchor may be 'auto'")
     if inset == "auto":
@@ -183,20 +186,18 @@ def load_config(raw: dict) -> RunConfig:
     inset = _require_finite("inset", inset)
     budget = GeometryBudget(
         epsilon=epsilon, inset=inset,
-        margin=_require_finite("margin", geo.get("margin", 0.0)),
-        boundary_samples=int(_require_finite("boundary_samples",
-                                             geo.get("boundary_samples", 256))))
+        margin=_require_finite("margin", geo["margin"]),
+        boundary_samples=int(_require_finite("boundary_samples", geo["boundary_samples"])))
     if anchor == "auto":
         anchor = find_radius(family, budget, *scan)
     anchor = _require_finite("anchor", anchor)
-    mode = prs.get("mode", "enumerate")
+    mode = prs["mode"]
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
-    t_grid = tuple(_require_finite(f"t_grid[{i}]", t)
-                   for i, t in enumerate(prs.get("t_grid", [])))
-    seed = _require_seed(smp.get("seed", 42))
-    depth = int(_require_finite("depth", smp.get("depth", 8)))
-    count = int(_require_finite("count", smp.get("count", 10000)))
+    t_grid = [_require_finite(f"t_grid[{i}]", t) for i, t in enumerate(prs["t_grid"])]
+    seed = _require_seed(smp["seed"])
+    depth = int(_require_finite("depth", smp["depth"]))
+    count = int(_require_finite("count", smp["count"]))
     if depth < 1 or count < 1:
         raise ConfigError("sampling depth and count must be positive")
     for key in ("density", "subsystem", "word_length"):
@@ -210,17 +211,17 @@ def load_config(raw: dict) -> RunConfig:
         "geometry": {"epsilon": epsilon, "inset": inset, "anchor": anchor,
                      "scan": list(scan), "margin": budget.margin,
                      "boundary_samples": budget.boundary_samples},
-        "pressure": {"mode": mode, "t_grid": list(t_grid),
-                     "bisect_tol": _require_positive("bisect_tol", prs.get("bisect_tol", 1e-3)),
-                     "collar": int(_require_finite("collar", prs.get("collar", 32)))},
+        "pressure": {"mode": mode, "t_grid": t_grid,
+                     "bisect_tol": _require_positive("bisect_tol", prs["bisect_tol"]),
+                     "collar": int(_require_finite("collar", prs["collar"]))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
         "oracle": orc,
         "timing": bool(raw.get("timing", False)),
         "schema_version": SCHEMA_VERSION,
     }
     return RunConfig(
-        family=family, budget=budget, anchor=anchor, scan=scan, mode=mode,
-        t_grid=t_grid, bisect_tol=resolved["pressure"]["bisect_tol"],
+        family=family, budget=budget, anchor=anchor, mode=mode,
+        bisect_tol=resolved["pressure"]["bisect_tol"],
         collar=resolved["pressure"]["collar"], depth=depth, count=count,
         seed=seed, oracle=orc,
         timing=resolved["timing"], resolved=resolved)
@@ -307,9 +308,7 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
                  and lines.min_component_length >= lines.required_length
                  and min_margin > 0)}
 
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    depth_direct = math.log(env.d_lo) - fam.ln_r0
+    depth_direct = math.log(fam.envelope(spec.outer.bounds()).d_lo) - fam.ln_r0
     checks["first_level_in_half_plane"] = {"margin": depth_direct, "pass": depth_direct > 0}
 
     report = {
@@ -329,11 +328,8 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dim(cfg: RunConfig, out_path: str) -> int:
-    cert = certify_dim_gt_one(
-        cfg.family, anchor=cfg.anchor, epsilon=cfg.budget.epsilon,
-        inset=cfg.budget.inset, margin=cfg.budget.margin,
-        boundary_samples=cfg.budget.boundary_samples, mode=cfg.mode,
-        bisect_tol=cfg.bisect_tol, scan=cfg.scan)
+    cert = certify_dim_gt_one(cfg.family, cfg.anchor, cfg.budget, mode=cfg.mode,
+                              bisect_tol=cfg.bisect_tol)
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"
@@ -446,11 +442,9 @@ def _nonempty_G(fam, cfg: RunConfig, spec):
 
 def _subsystem(fam, letters, spec):
     from .pressure import WeightedSystem
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
-    lo, hi = model.log_weight_bounds(sigma, env)
-    return WeightedSystem(log_lo=lo, log_hi=hi, family=fam, env=env)
+    lo, hi = fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)
+    return WeightedSystem(log_lo=lo, log_hi=hi)
 
 
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
@@ -476,7 +470,10 @@ def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for every later
+    `main` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config path")
     common.add_argument("--out", default=None, help="output report path")

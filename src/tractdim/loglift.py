@@ -1,32 +1,25 @@
-"""Map families with a logarithmic tract, in logarithmic coordinates.
+"""The map f(z) = lam * e**z and its logarithmic lift.
 
-A family bundles a plane map f having a logarithmic tract T over infinity
-with its logarithmic lift F (exp o F = f o exp on the lifted tracts) and
-the inverse branches of F defined on the closed half plane
-H = {Re z > ln R0}.  All branches are vertical translates of the branch
-with index 0:
-
-    F_inv_s(z) = F_inv_0(z) + 2*pi*i*s.
-
-The flagship family is f(z) = lam * e**z, whose lift and branches are in
-closed form:
+f has a logarithmic tract T over infinity; its logarithmic lift F
+(exp o F = f o exp on the lifted tracts) and the inverse branches of F,
+defined on the closed half plane H = {Re z > ln R0}, are in closed form:
 
     F(w)       = e**w + Log(lam)
     F_inv_s(z) = Log(z - Log(lam)) + 2*pi*i*s
 
-with Log the principal branch.  The principal branch is safe on H as soon
-as ln R0 > Re Log(lam), which is exactly the normalization condition
-|f(0)| < R0.  A user-supplied family provides the same surface through
-callbacks; callbacks must accept numpy arrays of complex values.
+with Log the principal branch.  All branches are vertical translates of
+the branch with index 0.  The principal branch is safe on H as soon as
+ln R0 > Re Log(lam), which is exactly the normalization condition
+|f(0)| < R0.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,52 +31,24 @@ _BOUNDARY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class UserCallbacks:
-    """Callbacks defining a user-supplied family.
-
-    All of `plane_map`, `lift`, `lift_deriv`, `inv0`, `inv0_deriv` are
-    required; each maps complex arrays to complex arrays.
-    """
-
-    plane_map: Optional[Callable] = None
-    lift: Optional[Callable] = None
-    lift_deriv: Optional[Callable] = None
-    inv0: Optional[Callable] = None
-    inv0_deriv: Optional[Callable] = None
-
-    def missing(self) -> list[str]:
-        return [name for name in ("plane_map", "lift", "lift_deriv", "inv0", "inv0_deriv")
-                if getattr(self, name) is None]
-
-
-@dataclass(frozen=True)
 class MapFamily:
-    """A concrete map with a logarithmic tract plus its computable lift.
+    """The map f(z) = lam * e**z with tract radius R0, plus its lift.
 
     `offset` records the plane translation applied during normalization so
-    that projections can restore original coordinates.  `tail_model` (for
-    the exponential family) provides the closed-form envelopes and run
-    sums behind the admissible set and its pressure bounds.
+    that projections can restore original coordinates.  `envelope` gives
+    the closed-form bounds over a rectangle behind the admissible set and
+    its pressure bounds.
     """
 
-    kind: str = "exponential"
     lam: complex = 1.0 + 0.0j
     r0: float = math.e
     offset: complex = 0.0 + 0.0j
-    callbacks: Optional[UserCallbacks] = None
 
     def __post_init__(self):
         if self.r0 <= 1.0:
             raise ConfigError(f"tract radius must exceed 1, got {self.r0}")
-        if self.kind == "exponential":
-            if self.lam == 0:
-                raise ConfigError("exponential family needs lam != 0")
-        elif self.kind == "user":
-            if self.callbacks is None or self.callbacks.missing():
-                missing = "all" if self.callbacks is None else ", ".join(self.callbacks.missing())
-                raise ConfigError(f"user family is missing lift callbacks: {missing}")
-        else:
-            raise ConfigError(f"unknown family kind {self.kind!r}")
+        if self.lam == 0:
+            raise ConfigError("exponential family needs lam != 0")
 
     # -- basic constants ----------------------------------------------------
 
@@ -97,53 +62,52 @@ class MapFamily:
 
     @property
     def tract_threshold(self) -> float:
-        """Left edge of the tract of the exponential family, Re z > this."""
-        return math.log(self.r0 / abs(self.lam)) if self.kind == "exponential" else math.nan
+        """Left edge of the tract, Re z > this."""
+        return math.log(self.r0 / abs(self.lam))
 
     # -- plane map and lift -------------------------------------------------
 
     def plane_map(self, z):
-        if self.kind == "exponential":
-            return self.lam * np.exp(z)
-        return self.callbacks.plane_map(z)
+        return self.lam * np.exp(z)
 
     def lift(self, w):
-        if self.kind == "exponential":
-            return np.exp(w) + self.log_lam
-        return self.callbacks.lift(w)
+        return np.exp(w) + self.log_lam
 
     def lift_deriv(self, w):
-        if self.kind == "exponential":
-            return np.exp(w)
-        return self.callbacks.lift_deriv(w)
+        return np.exp(w)
 
     def inv0(self, zeta):
-        if self.kind == "exponential":
-            return np.log(np.asarray(zeta, dtype=complex) - self.log_lam)
-        return self.callbacks.inv0(zeta)
+        return np.log(np.asarray(zeta, dtype=complex) - self.log_lam)
 
     def inv0_deriv(self, zeta):
-        if self.kind == "exponential":
-            return 1.0 / (np.asarray(zeta, dtype=complex) - self.log_lam)
-        return self.callbacks.inv0_deriv(zeta)
+        return 1.0 / (np.asarray(zeta, dtype=complex) - self.log_lam)
 
-    @property
-    def has_tail_model(self) -> bool:
-        return self.kind == "exponential"
+    # -- closed-form bounds over a rectangle --------------------------------
 
-    def tail_model(self) -> "ExpTailModel":
-        if not self.has_tail_model:
-            raise ConfigError("family provides no tail asymptotics; use enumerate mode")
-        return ExpTailModel(self)
+    def envelope(self, rect) -> "TailEnvelope":
+        """The `TailEnvelope` of the rectangle rect = (re_lo, re_hi, im_lo,
+        im_hi), which must lie strictly right of c = Log(lam)."""
+        re_lo, re_hi, im_lo, im_hi = map(float, rect)
+        c = self.log_lam
+        cr, ci = c.real, c.imag
+        if re_lo <= cr:
+            raise ConfigError(
+                "tail envelopes need the rectangle strictly right of Log(lam)")
+        # distance of c to the rectangle and to its farthest corner
+        dx_lo = re_lo - cr
+        dx_hi = re_hi - cr
+        dy = 0.0 if im_lo <= ci <= im_hi else min(abs(im_lo - ci), abs(im_hi - ci))
+        d_lo = math.hypot(dx_lo, dy)
+        d_hi = max(math.hypot(dx, iy - ci) for dx in (dx_lo, dx_hi) for iy in (im_lo, im_hi))
+        # |Arg(z - c)| is extremal at the left-edge corners
+        amax = max(abs(math.atan2(im_lo - ci, dx_lo)), abs(math.atan2(im_hi - ci, dx_lo)))
+        b_re = max(abs(math.log(d_lo) - cr), abs(math.log(d_hi) - cr))
+        b = math.hypot(b_re, amax + abs(ci))
+        return TailEnvelope(b=b, d_lo=d_lo, d_hi=d_hi, c=c, p_lo=math.log(d_lo) - cr)
 
 
 def exponential_family(lam=1.0, r0=math.e, offset=0.0) -> MapFamily:
-    return MapFamily(kind="exponential", lam=complex(lam), r0=float(r0), offset=complex(offset))
-
-
-def user_family(callbacks: UserCallbacks, r0: float, offset=0.0) -> MapFamily:
-    return MapFamily(kind="user", lam=1.0, r0=float(r0), offset=complex(offset),
-                     callbacks=callbacks)
+    return MapFamily(lam=complex(lam), r0=float(r0), offset=complex(offset))
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +117,13 @@ def user_family(callbacks: UserCallbacks, r0: float, offset=0.0) -> MapFamily:
 def normalize_family(family: MapFamily) -> MapFamily:
     """Return a family whose closed tract excludes 0.
 
-    The testable form of the condition is |f(0)| < R0.  The exponential
-    family can always be normalized by enlarging R0 (shrinking the tract);
-    a user-supplied family that fails the test cannot be repaired here and
-    is rejected.
+    The testable form of the condition is |f(0)| < R0.  A family failing it
+    is normalized by enlarging R0 (shrinking the tract), which is always
+    admissible and moves the tract boundary to Re z = 1 > 0.
     """
-    f0 = abs(complex(np.asarray(family.plane_map(0.0 + 0.0j)).item()))
-    if f0 < family.r0:
+    if abs(family.lam) < family.r0:  # |f(0)| = |lam|
         return family
-    if family.kind == "exponential":
-        # Enlarging the radius is always admissible and moves the tract
-        # boundary to Re z = 1 > 0.
-        return replace(family, r0=abs(family.lam) * math.e)
-    raise ConfigError(
-        f"family cannot be normalized: |f(0)| = {f0:.6g} >= R0 = {family.r0:.6g}")
+    return replace(family, r0=abs(family.lam) * math.e)
 
 
 def eval_lift(family: MapFamily, w):
@@ -274,94 +231,68 @@ def branch_growth_bound(family: MapFamily, x):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form tail asymptotics of the exponential family
+# Closed-form envelopes over a rectangle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TailEnvelope:
-    """Rigorous per-rectangle bounds backing the large-index regime.
+    """Rigorous per-rectangle bounds backing the large-index regime
+    (`MapFamily.envelope`).
 
-    For the exponential family the two-level composition at index pair
-    (u, s) has derivative 1 / (xi_s(z) * (z - c)) with c = Log(lam) and
-    xi_s(z) = Log(z - c) - c + 2*pi*i*s, so on a rectangle right of c
+    The two-level composition at index pair (u, s) has derivative
+    1 / (xi_s(z) * (z - c)) with c = Log(lam) and xi_s(z) = Log(z - c) - c
+    + 2*pi*i*s, so on a rectangle right of c
 
         |xi_s(z)| in [2*pi*|s| - b, 2*pi*|s| + b],   |z - c| in [d_lo, d_hi],
 
-    where b bounds |Log(z - c) - c|.  Everything downstream (weights,
-    cell enclosures, window solving, run sums) is derived from
-    (b, d_lo, d_hi) alone, as a function of sigma = ln(2*pi*|s|).
+    where b bounds |Log(z - c) - c|, and Re xi_s >= p_lo = ln d_lo - Re c.
+    Everything downstream (weights, cell enclosures, window solving, run
+    sums) is derived from (b, d_lo, d_hi, c, p_lo) alone, as a function of
+    sigma = ln(2*pi*|s|).
     """
 
     b: float
     d_lo: float
     d_hi: float
+    c: complex
+    p_lo: float
 
     @property
     def sigma_valid_min(self) -> float:
         """Smallest sigma at which the enclosures are usable (e^sigma > 2b)."""
         return math.log(2.0 * self.b) if self.b > 0 else -math.inf
 
-
-class ExpTailModel:
-    """Closed-form tail behavior of the exponential family branches."""
-
-    def __init__(self, family: MapFamily):
-        if family.kind != "exponential":
-            raise ConfigError("tail model is defined for the exponential family only")
-        self.family = family
-        self.c = family.log_lam
-
-    # rect is (re_lo, re_hi, im_lo, im_hi)
-
-    def envelope(self, rect) -> TailEnvelope:
-        re_lo, re_hi, im_lo, im_hi = map(float, rect)
-        cr, ci = self.c.real, self.c.imag
-        if re_lo <= cr:
-            raise ConfigError(
-                "tail envelopes need the rectangle strictly right of Log(lam)")
-        # distance of c to the rectangle and to its farthest corner
-        dx_lo = re_lo - cr
-        dx_hi = re_hi - cr
-        dy = 0.0 if im_lo <= ci <= im_hi else min(abs(im_lo - ci), abs(im_hi - ci))
-        d_lo = math.hypot(dx_lo, dy)
-        d_hi = max(math.hypot(dx, iy - ci) for dx in (dx_lo, dx_hi) for iy in (im_lo, im_hi))
-        # |Arg(z - c)| is extremal at the left-edge corners
-        amax = max(abs(math.atan2(im_lo - ci, dx_lo)), abs(math.atan2(im_hi - ci, dx_lo)))
-        b_re = max(abs(math.log(d_lo) - cr), abs(math.log(d_hi) - cr))
-        b = math.hypot(b_re, amax + abs(ci))
-        return TailEnvelope(b=b, d_lo=d_lo, d_hi=d_hi)
-
     # -- per-letter derivative envelopes (vectorized over sigma) ------------
 
-    def log_weight_bounds(self, sigma, env: TailEnvelope):
+    def log_weight_bounds(self, sigma):
         """Bounds for ln |g'| over the rectangle at sigma = ln(2*pi*|s|).
 
         |g'| = 1 / (|xi_s| |z - c|), and |xi_s| lies between max(p_lo,
-        e^sigma - b) and e^sigma + b, where p_lo = ln d_lo - Re c bounds
-        Re xi_s from below.  The upper bound holds at every sigma, also
-        below envelope validity and at s = 0 (sigma = -inf), where p_lo
-        alone bounds |xi_s|; where e^sigma - b >= p_lo it is the envelope
-        value -ln(e^sigma - b) - ln d_lo.  The lower bound holds for s != 0.
-        Neither depends on the first-level index u nor on the sign of s.
+        e^sigma - b) and e^sigma + b.  The upper bound holds at every
+        sigma, also below envelope validity and at s = 0 (sigma = -inf),
+        where p_lo alone bounds |xi_s|; where e^sigma - b >= p_lo it is the
+        envelope value -ln(e^sigma - b) - ln d_lo.  The lower bound holds
+        for s != 0.  Neither depends on the first-level index u nor on the
+        sign of s.
         """
         sigma = np.asarray(sigma, dtype=float)
-        p_lo = math.log(env.d_lo) - self.c.real
         with np.errstate(invalid="ignore", divide="ignore"):
-            corr = env.b * np.exp(-sigma)
-            lo = -(sigma + np.log1p(corr)) - math.log(env.d_hi)
+            corr = self.b * np.exp(-sigma)
+            lo = -(sigma + np.log1p(corr)) - math.log(self.d_hi)
             # fmin drops the NaN of log1p(-corr) where e^sigma < b
             hi = np.fmin(-(sigma + np.log1p(-corr)),
-                         -math.log(p_lo) if p_lo > 0.0 else math.inf) - math.log(env.d_lo)
+                         -math.log(self.p_lo) if self.p_lo > 0.0 else math.inf) \
+                - math.log(self.d_lo)
         return lo, hi
 
-    def cell_enclosure(self, u: int, sign: int, sigma, env: TailEnvelope):
+    def cell_enclosure(self, u: int, sign: int, sigma):
         """Axis-aligned enclosure of the image cell at (u, sign, sigma).
 
         Returns (re_lo, re_hi, im_lo, im_hi) arrays covering the full image
         of the rectangle, not just its center.
         """
         sigma = np.asarray(sigma, dtype=float)
-        corr = env.b * np.exp(-sigma)
+        corr = self.b * np.exp(-sigma)
         re_lo = sigma + np.log1p(-corr)
         re_hi = sigma + np.log1p(corr)
         dev = np.arcsin(np.minimum(1.0, corr / np.maximum(1e-300, 1.0 - corr)))
@@ -370,28 +301,28 @@ class ExpTailModel:
 
     # -- run sums ------------------------------------------------------------
 
-    def envelope_run_sums(self, ranges, env: TailEnvelope):
+    def run_sums(self, ranges):
         """The t-independent data of both envelopes' run sums over |s| ranges.
 
         The lower envelope ((2 pi s + b) d_hi)^-t is (2 pi d_hi)^-t (s + h)^-t
         with h = b / (2 pi), the upper ((2 pi s - b) d_lo)^-t is
-        (2 pi d_lo)^-t (s - h)^-t.  Below s* = ceil((b + p_lo) / (2 pi)),
-        p_lo = ln d_lo - Re c, the upper weight is bounded by (p_lo d_lo)^-1
-        instead (the bound of `log_weight_bounds`), so each of the m letters
-        of a range below s* is a direct term at ln(p_lo / (2 pi)) in place
-        of ln(s - h): together they add m (p_lo d_lo)^-t.  Needs p_lo > 0,
-        which holds whenever G is non-empty.  Returns, per envelope (lower,
-        upper), the pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi),
-        ints of any size).  A level-1 bound at t is the lower end of
+        (2 pi d_lo)^-t (s - h)^-t.  Below s* = ceil((b + p_lo) / (2 pi)) the
+        upper weight is bounded by (p_lo d_lo)^-1 instead (the bound of
+        `log_weight_bounds`), so each of the m letters of a range below s*
+        is a direct term at ln(p_lo / (2 pi)) in place of ln(s - h):
+        together they add m (p_lo d_lo)^-t.  Needs p_lo > 0, which holds
+        whenever G is non-empty.  Returns, per envelope (lower, upper), the
+        pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi), ints of any
+        size).  A level-1 bound at t is the lower end of
         `RunSum.log_bounds(t, -t ln(2 pi d_hi))` on the lower envelope, or
         the upper end of `RunSum.log_bounds(t, -t ln(2 pi d_lo))` on the
         upper one.
         """
-        h = env.b / TWO_PI
-        p_lo = math.log(env.d_lo) - self.c.real
+        h = self.b / TWO_PI
+        p_lo = self.p_lo
         if p_lo <= 0.0:
             raise DomainError("upper envelope needs ln d_lo > Re Log(lam)")
-        s_star = math.ceil((env.b + p_lo) / TWO_PI)
+        s_star = math.ceil((self.b + p_lo) / TWO_PI)
         log_x0 = math.log(p_lo / TWO_PI)
 
         def upper_sum(lo, hi):
@@ -406,7 +337,7 @@ class ExpTailModel:
 
         lower = tuple(run_sum(lo, hi, h) for lo, hi in ranges)
         upper = tuple(upper_sum(lo, hi) for lo, hi in ranges)
-        return ((math.log(TWO_PI * env.d_hi), lower), (math.log(TWO_PI * env.d_lo), upper))
+        return ((math.log(TWO_PI * self.d_hi), lower), (math.log(TWO_PI * self.d_lo), upper))
 
 
 def _log_power_integral(log_x1: float, log_x2: float, t: float) -> float:
@@ -439,7 +370,7 @@ class RunSum:
     `log_bounds`.
 
     `direct` holds ln(s + h) of the terms added one by one (or, for the
-    upper envelope below s*, ln(p_lo / (2 pi)); see `envelope_run_sums`);
+    upper envelope below s*, ln(p_lo / (2 pi)); see `TailEnvelope.run_sums`);
     the tail from m on is described by x_m = m + h (inf from m = 2^100 on)
     and its powers, ln x_m, r = ln(x_n / x_m) and, where r is 0, the log of
     the integral ln(n - m).  `magnitude` is the largest |ln(s + h)| at the run's ends.

@@ -203,8 +203,6 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
     letters = [(int(u), int(s)) for (u, s) in letters]
     if len(letters) ** n > 1_000_000:
         raise ConfigError(f"{len(letters)}^{n} words exceed the brute-force budget")
-    if family.kind != "exponential":
-        raise ConfigError("the brute-force oracle covers the exponential family")
     z0 = spec.outer.center
     terms = []
     for word in itertools.product(letters, repeat=n):
@@ -433,8 +431,6 @@ def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
     freshly built boundary work.
     When a recorded verdict is supplied, disagreement raises NumericError.
     """
-    if family.kind != "exponential":
-        raise ConfigError("the recheck oracle covers the exponential family")
     boundary = _recheck_boundary(family, spec, budget, density)
     verdict = str(_recheck_cells(family, u, [s], spec, budget, boundary)[0][0])
     if recorded_verdict is not None:
@@ -488,8 +484,6 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     the second level and the padding in blocks of letters
     (`_recheck_cells`).
     """
-    if family.kind != "exponential":
-        raise ConfigError("the recheck oracle covers the exponential family")
     flagged = []
     n_checked = 0
     min_margin = math.inf

@@ -36,8 +36,7 @@ from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
 from .numerics import CHUNK, TWO_PI, weighted_log_sum_exp
 from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
-                        _distortion_or_unavailable, anchor_line, build_G, build_squares,
-                        find_radius)
+                        _distortion_or_unavailable, anchor_line, build_G, build_squares)
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +48,16 @@ class WeightedSystem:
     """Letters with two-sided log-weight bounds.
 
     Synthetic systems and letter subsystems list their weights (log_lo /
-    log_hi arrays).  Systems built from an admissible set hold G as `runs`:
-    each distinct |s| range (lo, hi), ints of any size, with its
-    multiplicity k, since the envelopes depend on |s| alone.  The
-    envelopes' run-sum data over those ranges is built on first use and
-    kept (`envelope_sums`).
+    log_hi arrays).  Systems built from an admissible set hold the envelope
+    `env` of Q and G as `runs`: each distinct |s| range (lo, hi), ints of
+    any size, with its multiplicity k, since the envelopes depend on |s|
+    alone.  The envelopes' run-sum data over those ranges is built on first
+    use and kept (`envelope_sums`).
     """
 
     log_lo: Optional[np.ndarray] = None
     log_hi: Optional[np.ndarray] = None
     runs: tuple = ()     # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
-    family: Optional[MapFamily] = None
     env: Optional[TailEnvelope] = None
 
     @classmethod
@@ -83,9 +81,8 @@ class WeightedSystem:
     def envelope_sums(self) -> tuple:
         """Per envelope (lower, upper): ln(2 pi d) and the t-independent
         run-sum data of every range in `runs`, in order
-        (`ExpTailModel.envelope_run_sums` over `env`)."""
-        return self.family.tail_model().envelope_run_sums(
-            [lo_hi for lo_hi, _ in self.runs], self.env)
+        (`TailEnvelope.run_sums`)."""
+        return self.env.run_sums([lo_hi for lo_hi, _ in self.runs])
 
     def scaled(self, factor: float) -> "WeightedSystem":
         """All weights multiplied by a factor (synthetic systems only)."""
@@ -106,13 +103,10 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     `dist` is accepted for compatibility and has no effect: no distortion
     constant enters the bounds.
     """
-    if not family.has_tail_model:
-        raise ConfigError("weighted systems need tail asymptotics in this version")
-    env = family.tail_model().envelope(spec.outer.bounds())
     runs = Counter()
     for run in gset.runs:
         runs[tuple(sorted((abs(run.s_lo), abs(run.s_hi))))] += run.n_columns
-    return WeightedSystem(runs=tuple(runs.items()), family=family, env=env)
+    return WeightedSystem(runs=tuple(runs.items()), env=family.envelope(spec.outer.bounds()))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,6 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3,
 class DimensionCertificate:
     """Everything needed to reproduce one dimension-greater-than-one run."""
 
-    family_kind: str
     lam: complex
     r0: float
     anchor: float
@@ -312,7 +305,7 @@ class DimensionCertificate:
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         return {
-            "family": self.family_kind,
+            "family": "exponential",
             "lambda": {"re": self.lam.real, "im": self.lam.imag},
             "R0": self.r0,
             "R": self.anchor,
@@ -333,49 +326,35 @@ class DimensionCertificate:
         }
 
 
-def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1,
-                       inset="auto", margin: float = 0.0, boundary_samples: int = 256,
-                       mode: str = "tail", bisect_tol: float = 1e-4,
-                       scan=(1000.0, 20000.0, 100.0),
-                       workers: int = 1) -> DimensionCertificate:
+def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget, *,
+                       mode: str = "tail", bisect_tol: float = 1e-4) -> DimensionCertificate:
     """Run the full construction and certify dim > 1 via the pressure bound.
 
     The verdict is "certified" exactly when P_lo(1) > 0 and the lower
     Bowen root exceeds 1; every constant entering the computation is
     recorded so the run is reproducible bit for bit.  `mode` is echoed in
-    the certificate; it and `workers` have no effect.
+    the certificate and has no effect.
     """
     start = time.perf_counter()
     family = normalize_family(family)
     reasons = []
-    if inset == "auto":
-        if anchor == "auto":
-            raise ConfigError("at most one of anchor and inset may be 'auto'")
-        inset_val = _auto_inset(family, float(anchor))
-    else:
-        inset_val = float(inset)
-    budget = GeometryBudget(epsilon=epsilon, inset=inset_val, margin=margin,
-                            boundary_samples=boundary_samples)
-    if anchor == "auto":
-        anchor_val = find_radius(family, budget, *scan)
-    else:
-        anchor_val = float(anchor)
-    spec = build_squares(anchor_val, inset_val)
-    dist = _distortion_or_unavailable(anchor_val, family.ln_r0)
-    line = anchor_line(family, anchor_val, inset_val)
-    eq1_margin = float(np.abs(np.asarray(family.inv0_deriv(complex(anchor_val)))).item()
-                       - anchor_val ** (-(1.0 + epsilon)))
+    anchor, epsilon, inset = float(anchor), budget.epsilon, budget.inset
+    spec = build_squares(anchor, inset)
+    dist = _distortion_or_unavailable(anchor, family.ln_r0)
+    line = anchor_line(family, anchor, inset)
+    eq1_margin = float(np.abs(np.asarray(family.inv0_deriv(complex(anchor)))).item()
+                       - anchor ** (-(1.0 + epsilon)))
     if eq1_margin <= 0:
         reasons.append(f"anchor-derivative condition fails (margin {eq1_margin:.3g})")
     if line.depth_margin <= 0:
         reasons.append(f"tract-depth condition fails (margin {line.depth_margin:.3g})")
-    gset = build_G(family, anchor_val, spec, budget, mode=mode)
+    gset = build_G(family, anchor, spec, budget, mode=mode)
     if gset.is_empty():
         reasons.append("admissible set G is empty at this configuration")
         elapsed = 1000.0 * (time.perf_counter() - start)
         return DimensionCertificate(
-            family_kind=family.kind, lam=complex(family.lam), r0=family.r0,
-            anchor=anchor_val, epsilon=epsilon, inset=inset_val, c=dist.c, mode=mode,
+            lam=complex(family.lam), r0=family.r0,
+            anchor=anchor, epsilon=epsilon, inset=inset, c=dist.c, mode=mode,
             sigma_sum_t1_lo=0.0, p1_lo=-math.inf, t_lo=0.0, t_hi=0.0,
             verdict="not-certified", runtime_ms=elapsed,
             constants=_constants(line, epsilon, None),
@@ -391,11 +370,11 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
     if roots.t_lo <= 1.0:
         reasons.append(f"lower Bowen root {roots.t_lo:.6g} <= 1")
     verdict = "certified" if (p1_lo > 0 and roots.t_lo > 1.0) else "not-certified"
-    c1 = math.exp(p1_lo - (1.0 - epsilon) * math.log(anchor_val))
+    c1 = math.exp(p1_lo - (1.0 - epsilon) * math.log(anchor))
     elapsed = 1000.0 * (time.perf_counter() - start)
     return DimensionCertificate(
-        family_kind=family.kind, lam=complex(family.lam), r0=family.r0,
-        anchor=anchor_val, epsilon=epsilon, inset=inset_val, c=dist.c, mode=mode,
+        lam=complex(family.lam), r0=family.r0,
+        anchor=anchor, epsilon=epsilon, inset=inset, c=dist.c, mode=mode,
         sigma_sum_t1_lo=s1.lo, p1_lo=p1_lo, t_lo=roots.t_lo, t_hi=roots.t_hi,
         verdict=verdict, runtime_ms=elapsed,
         constants=_constants(line, epsilon, c1),
@@ -414,9 +393,7 @@ def certify_dim_gt_one(family: MapFamily, *, anchor="auto", epsilon: float = 0.1
 
 def _auto_inset(family: MapFamily, anchor: float) -> float:
     spec = build_squares(anchor, anchor / 8.0)
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    first_level_diam = spec.outer.diam / env.d_lo
+    first_level_diam = spec.outer.diam / family.envelope(spec.outer.bounds()).d_lo
     line = anchor_line(family, anchor, inset=anchor / 8.0)
     depth_room = (line.real_part - family.ln_r0) / 4.0
     return max(min(1.05 * first_level_diam, depth_room, anchor / 8.0), 1e-3)
@@ -460,8 +437,7 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
     Both target the same per-letter envelopes, so the enumerated value
     must fall inside the bracket of `log_run_sum_bounds`.
     """
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer.bounds())
     # the size test comes first, in log form, so that no exp overflows
     if (max(sigma_lo, sigma_hi) - math.log(TWO_PI) > 54 * math.log(2.0)
             or math.floor(math.exp(sigma_hi) / TWO_PI) > 2 ** 53):
@@ -474,7 +450,7 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
     for start in range(s1, s2 + 1, CHUNK):
         ss = np.arange(start, min(start + CHUNK - 1, s2) + 1, dtype=np.int64)
         sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-        lo, hi = model.log_weight_bounds(sigma, env)
+        lo, hi = env.log_weight_bounds(sigma)
         parts_lo.append(float(np.sum(np.exp(t * lo))))
         parts_hi.append(float(np.sum(np.exp(t * hi))))
     enum_lo = math.fsum(parts_lo)

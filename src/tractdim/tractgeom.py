@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
-from .loglift import _MAX_EXACT_INT, ExpTailModel, MapFamily, TailEnvelope
+from .loglift import _MAX_EXACT_INT, MapFamily, TailEnvelope
 from .numerics import TWO_PI
 
 # Floats a closed-form window endpoint may move inward to pass the enclosure test.
@@ -220,39 +220,21 @@ class AnchorLine:
     growth_bound: float         # 4*pi*ln(anchor - ln R0) + c0
     cor_margin: float           # growth_bound - real_part (> 0 expected)
     depth_margin: float         # real_part - (ln R0 + 2*inset)
-    conj_symmetric: bool        # v_s and v_-s conjugate (real parameter)
-    sample_indices: tuple
-    sample_points: tuple
 
 
-def anchor_line(family: MapFamily, anchor: float, inset: float,
-                s_check: int = 1000) -> AnchorLine:
+def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
     """Locate the line {Re = r} of branch preimages of the anchor.
 
-    Raises if the sampled preimages fail to share one real part, which
-    would break the family contract F_inv_s = F_inv_0 + 2*pi*i*s.
+    The preimages are v_s = F_inv_0(R) + 2*pi*i*s, so all of them have
+    the real part r of F_inv_0(R) exactly.
     """
-    v0 = complex(np.asarray(family.inv0(complex(anchor))).item())
-    r = v0.real
-    s_sample = sorted({0, 1, -1, 2, -2, 10, -10, s_check, -s_check})
-    pts = [v0 + TWO_PI * 1j * s for s in s_sample]
-    worst = max(abs(p.real - r) for p in pts)
-    if worst > 1e-9 * (1.0 + abs(r)):
-        raise ConstructionError(
-            f"branch preimages not on one vertical line (spread {worst:.3g})")
+    r = complex(np.asarray(family.inv0(complex(anchor))).item()).real
     c0 = float(np.real(np.asarray(family.inv0(complex(1.0 + family.ln_r0))).item()))
     bound = 4.0 * math.pi * math.log(anchor - family.ln_r0) + c0
-    conj = False
-    if abs(complex(family.lam).imag) == 0.0:
-        v1 = complex(np.asarray(family.inv0(complex(anchor))).item()) + TWO_PI * 1j
-        vm1 = complex(np.asarray(family.inv0(complex(anchor))).item()) - TWO_PI * 1j
-        conj = abs(v1 - vm1.conjugate()) <= 1e-9 * (1.0 + abs(v1))
     return AnchorLine(
         anchor=float(anchor), real_part=r, c0=c0, growth_bound=bound,
         cor_margin=bound - r,
-        depth_margin=r - (family.ln_r0 + 2.0 * inset),
-        conj_symmetric=conj,
-        sample_indices=tuple(s_sample), sample_points=tuple(pts))
+        depth_margin=r - (family.ln_r0 + 2.0 * inset))
 
 
 class RadiusSearchError(GeometryError):
@@ -309,7 +291,7 @@ def cell_verdicts(family: MapFamily, spec: SquareSpec, budget: GeometryBudget, u
     |z - c|), xi_s(z) = Log(z - c) - c + 2*pi*i*s.  On Q, |z - c| >= d_lo
     and |xi_s| >= max(p_lo, 2*pi*|s| - b) with p_lo = ln d_lo - Re c, so
     lip = 1 / (max(p_lo, 2*pi*|s| - b) * d_lo), e^hi of
-    `ExpTailModel.log_weight_bounds`, bounds sup_Q |g'| at every index,
+    `TailEnvelope.log_weight_bounds`, bounds sup_Q |g'| at every index,
     also below envelope validity (e^sigma <= 2b) and at s = 0.  A cell is
     decided by the first of these that applies:
 
@@ -331,14 +313,12 @@ def cell_verdicts(family: MapFamily, spec: SquareSpec, budget: GeometryBudget, u
     the samples lie in Q, so their first-level images lie in H once ln d_lo
     > ln R0.  Raises ConstructionError where the first-level images leave
     H (ln d_lo <= ln R0), since the second branch then does not apply, and
-    for an index past 2^53, which is no longer float-exact.  Families
-    without tail asymptotics have no cells.
+    for an index past 2^53, which is no longer float-exact.
     """
     ss = np.atleast_1d(ss)
     if ss.size and max(abs(int(s)) for s in ss) > _MAX_EXACT_INT:
         raise ConstructionError("an index lies beyond the float-exact range 2^53")
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer.bounds())
     if math.log(env.d_lo) <= family.ln_r0:
         raise ConstructionError(
             "first-level image leaves the half plane: ln(min|z - Log lam|) = "
@@ -348,21 +328,21 @@ def cell_verdicts(family: MapFamily, spec: SquareSpec, budget: GeometryBudget, u
     for sign, pick in ((1, ss >= 0), (-1, ss < 0)):
         with np.errstate(divide="ignore"):  # s = 0: sigma = -inf
             inside, borderline, delta[pick] = _cell_verdicts(
-                family, model, env, spec, budget, int(u), sign, np.abs(ss[pick]))
+                family, env, spec, budget, int(u), sign, np.abs(ss[pick]))
         verdicts[pick] = np.where(inside, "inside", np.where(borderline, "borderline", "outside"))
     return verdicts, delta
 
 
-def _cell_verdicts(family, model, env, spec, budget, u, sign, ss: np.ndarray):
+def _cell_verdicts(family, env, spec, budget, u, sign, ss: np.ndarray):
     """`cell_verdicts` of the column (u, sign) at the unsigned int64
-    indices ss, with the tail model and the envelope of Q given: the masks
+    indices ss, with the envelope of Q given: the masks
     inside and borderline, and the paddings.  Only the cells the enclosure
     rejects whose center lies in Q get a Lipschitz bound, and only those
     near the boundary get their samples, mapped as one (cells x samples)
     array."""
     rect, margin = spec.outer, budget.margin
     sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    inside = _enclosed(model, env, rect, margin, u, sign, sigma)
+    inside = _enclosed(env, rect, margin, u, sign, sigma)
     base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
     centers = np.asarray(family.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
         + TWO_PI * 1j * u
@@ -371,7 +351,7 @@ def _cell_verdicts(family, model, env, spec, budget, u, sign, ss: np.ndarray):
     cand = (~inside & rect.contains(centers)).nonzero()[0]
     if not cand.size:
         return inside, borderline, delta
-    lip = np.exp(model.log_weight_bounds(sigma[cand], env)[1])
+    lip = np.exp(env.log_weight_bounds(sigma[cand])[1])
     near = ~(rect.dist_to_boundary(centers[cand]) - margin > lip * rect.diam)
     inside[cand[~near]] = True
     cand, lip = cand[near], lip[near]
@@ -422,22 +402,20 @@ def solve_s_window(family: MapFamily, u: int, spec: SquareSpec,
     """
     if margin is None:
         margin = budget.margin if budget is not None else 0.0
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    for u_lo, u_hi, lo, hi in _sigma_windows(model, env, spec.outer, margin, sign):
+    env = family.envelope(spec.outer.bounds())
+    for u_lo, u_hi, lo, hi in _sigma_windows(env, spec.outer, margin, sign):
         if u_lo <= u <= u_hi:
             return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
     return None
 
 
-def _sigma_windows(model: ExpTailModel, env: TailEnvelope, target: Rect, margin: float,
-                   sign: int) -> list:
+def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) -> list:
     """Admissible sigma windows of the columns (u, sign), as blocks (u_lo,
     u_hi, sigma_lo, sigma_hi) of adjacent columns sharing one window.
 
     With b = env.b, x = re_lo(Q) + margin, y = re_hi(Q) - margin and
     delta the vertical room around mid = 2*pi*u + sign*pi/2, each
-    inequality of `ExpTailModel.cell_enclosure` inverts exactly:
+    inequality of `TailEnvelope.cell_enclosure` inverts exactly:
 
         re_lo >= x          <=>  sigma >= ln(e^x + b)
         re_hi <= y          <=>  sigma <= ln(e^y - b)
@@ -491,7 +469,7 @@ def _sigma_windows(model: ExpTailModel, env: TailEnvelope, target: Rect, margin:
     extremes = np.array([[blk[0] for blk in blocks], [blk[1] for blk in blocks]])[:, None]
     sigma = np.array([[blk[2] for blk in blocks], [sigma_hi] * len(blocks)])
     for step in range(_ENDPOINT_ULPS + 1):
-        ok = _enclosed(model, env, target, margin, extremes, sign, sigma).all(axis=0)
+        ok = _enclosed(env, target, margin, extremes, sign, sigma).all(axis=0)
         if ok.all() or step == _ENDPOINT_ULPS:
             break
         sigma = np.where(ok, sigma, np.nextafter(sigma, [[math.inf], [-math.inf]]))  # inward
@@ -504,12 +482,12 @@ def _sigma_windows(model: ExpTailModel, env: TailEnvelope, target: Rect, margin:
                   for j, (u_lo, u_hi, _) in enumerate(blocks))
 
 
-def _enclosed(model: ExpTailModel, env: TailEnvelope, rect: Rect, margin: float, u, sign: int,
+def _enclosed(env: TailEnvelope, rect: Rect, margin: float, u, sign: int,
               sigma: np.ndarray) -> np.ndarray:
     """Whether the cell enclosures at (u, sign, sigma) lie in rect shrunk by
     margin; False below envelope validity."""
     with np.errstate(invalid="ignore"):
-        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
+        re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
         return ((sigma > env.sigma_valid_min)
                 & (re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
                 & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
@@ -630,15 +608,15 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
 
     The columns (u, sign) of one sign get their closed-form sigma windows
     from one solve (`_sigma_windows`), in blocks of adjacent columns
-    sharing a window; the tail model and envelope are computed once per
-    call.  A window past 2^53 becomes one run of its whole block, its
-    integer bounds converted once per distinct window (`_sigma_run`).  In
+    sharing a window; the envelope of Q is computed once per call.  A
+    window past 2^53 becomes one run of its whole block, its integer
+    bounds converted once per distinct window (`_sigma_run`).  In
     a float-exact window the cell enclosure is monotone in sigma, so every
     integer in [ceil(s_lo), floor(s_hi)] is certified without a per-index
     test.  Only the two edge bands just outside it, ceil((2*pi + 2b) /
     (2*pi)) + 2 indices deep, are tested, with one verdict array per
-    column (`cell_verdicts`, the same decisions on the model and envelope
-    held here): first by the enclosure test the windows use, then, for
+    column (`cell_verdicts`, the same decisions on the envelope held
+    here): first by the enclosure test the windows use, then, for
     the cells it rejects whose center lies in Q, by their closed-form
     Lipschitz bound and the sampled fallback, which rescue a few cells.
     The high band stops at 2^53, the last float-exact index.
@@ -654,11 +632,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     """
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"unknown G mode {mode!r}")
-    if not family.has_tail_model:
-        raise ConfigError("families without tail asymptotics are not supported by build_G; "
-                          "provide tail callbacks or test cells individually")
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer.bounds())
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
         return GSet(runs=())
@@ -666,8 +640,8 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     columns: dict = {}  # signed run (s_lo, s_hi) -> column blocks (u_lo, u_hi) holding it
     sigma_runs: dict = {}  # sigma window -> its integer bounds
     for sign in (1, -1):
-        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(model, env, spec.outer,
-                                                             budget.margin, sign):
+        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer, budget.margin,
+                                                             sign):
             if sigma_hi >= 700.0 or math.exp(sigma_hi) / TWO_PI > _MAX_EXACT_INT:
                 key = (sigma_lo, sigma_hi)
                 s1, s2 = sigma_runs[key] = sigma_runs.get(key) or _sigma_run(*key)
@@ -680,7 +654,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
             bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
                           hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
             for u in range(u_lo, u_hi + 1):
-                inside = _cell_verdicts(family, model, env, spec, budget, u, sign, bands)[0]
+                inside = _cell_verdicts(family, env, spec, budget, u, sign, bands)[0]
                 edge = [(sign * s, sign * s) for s in bands[inside].tolist()]
                 for run in _merge_runs(edge + [(sign * lo, sign * hi)] if hi >= lo else edge):
                     columns.setdefault(run, []).append((u, u))
@@ -742,9 +716,9 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
         raise ConstructionError("gap report needs a non-empty G")
     if gset.max_abs_index() > sys.float_info.max / TWO_PI:
         raise ConstructionError("gap report: 2*pi*|s| passes the float range")
-    c = family.log_lam
-    env = family.tail_model().envelope(spec.outer.bounds())
-    p_lo, p_hi = math.log(env.d_lo) - c.real, math.log(env.d_hi) - c.real
+    env = family.envelope(spec.outer.bounds())
+    c = env.c
+    p_lo, p_hi = env.p_lo, math.log(env.d_hi) - c.real
     if p_lo <= 0.0:
         raise ConstructionError("first-level images of Q reach Re <= Re Log(lam)")
     rect = spec.outer

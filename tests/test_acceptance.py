@@ -172,7 +172,7 @@ def test_criterion_05_cross_mode_sum_agreement(full12):
 
 def test_criterion_06_certificate_run(fam, tmp_path):
     t0 = time.perf_counter()
-    cert = td.certify_dim_gt_one(fam, anchor=4000.0, epsilon=0.1, inset=3.0,
+    cert = td.certify_dim_gt_one(fam, 4000.0, td.GeometryBudget(epsilon=0.1, inset=3.0),
                                  mode="tail", bisect_tol=1e-4)
     elapsed = time.perf_counter() - t0
     out = str(tmp_path / "cert.json")
@@ -207,10 +207,9 @@ def test_criterion_07_bowen_solver_oracles():
 def test_criterion_08_dimension_cross_check(small):
     fam, spec, dist = small.family, small.spec, small.dist
     letters = small.gset.letters_by_weight(8)
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
-    lo, hi = model.log_weight_bounds(sigma, env)
+    lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
     roots = td.bowen_root(sub, tol=1e-4)
 
@@ -246,10 +245,9 @@ def test_criterion_09_pressure_monotonicity(fam, small):
     systems["mixed@12"] = build_weighted_system(small.family, small.gset,
                                                 small.spec, small.dist)
     letters = small.gset.letters_by_weight(8)
-    model = fam.tail_model()
-    env = model.envelope(small.spec.outer.bounds())
+    env = fam.envelope(small.spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
-    lo, hi = model.log_weight_bounds(sigma, env)
+    lo, hi = env.log_weight_bounds(sigma)
     systems["subsystem8"] = WeightedSystem(log_lo=lo, log_hi=hi)
     systems["synthetic"] = WeightedSystem.from_uniform([0.25, 0.25, 0.125])
     ok = True

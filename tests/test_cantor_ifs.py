@@ -77,14 +77,13 @@ def test_sampling_points_in_disjoint_cells(small):
     # distinct first letters put points in disjoint cells: cross distances
     # exceed within-cell diameters
     first = list(zip(sample.words_u[:, 0].tolist(), sample.words_s[:, 0].tolist()))
-    model = small.family.tail_model()
-    env = model.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer.bounds())
     for i in range(0, 50):
         for j in range(i + 1, 50):
             if first[i] != first[j]:
                 u, s = first[i]
                 center, _ = td.cylinder_eval(small.family, [(u, s)], complex(small.anchor))
-                lip = float(np.exp(model.log_weight_bounds(np.log(TWO_PI * abs(s)), env)[1]))
+                lip = float(np.exp(env.log_weight_bounds(np.log(TWO_PI * abs(s)))[1]))
                 d = abs(sample.points[i] - sample.points[j])
                 assert d > 0
                 assert abs(sample.points[i] - center) <= lip * small.spec.outer.diam
@@ -96,11 +95,10 @@ def test_sampling_depth_refinement(small):
     d = 4
     a = td.sample_limit_set(small.family, small.gset, small.spec,
                             depth=d, count=40, seed=12)
-    model = small.family.tail_model()
-    env = model.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer.bounds())
     sig_min = min(math.log(TWO_PI) + math.log(min(abs(r.s_lo), abs(r.s_hi)))
                   for r in small.gset.runs)
-    ratio = float(np.exp(model.log_weight_bounds(sig_min, env)[1]))
+    ratio = float(np.exp(env.log_weight_bounds(sig_min)[1]))
     tail = small.spec.outer.diam * ratio ** d + 1e-12
     extra = small.gset.letters_by_weight(1)[0]
     z0 = small.spec.outer.center
@@ -119,6 +117,21 @@ def test_projection_conjugacy_and_bookkeeping(small):
     assert np.all(proj.points != 0)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1j, -2.0, 0.5 + 0.5j])
+def test_projection_conjugacy_check_still_catches_a_planted_error(lam, monkeypatch):
+    """At anchor 12 the check still compares rows for every lam (all of
+    them for lam = 1), so an error of 1e-8 in f fails it."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    spec = td.build_squares(12.0, 0.5)
+    gset = td.build_G(fam, 12.0, spec, td.GeometryBudget(inset=0.5))
+    sample = td.sample_limit_set(fam, gset, spec, depth=8, count=2000, seed=3)
+    assert td.project_to_plane(fam, sample).conjugacy_residual <= 1e-9
+    plane_map = td.MapFamily.plane_map
+    monkeypatch.setattr(td.MapFamily, "plane_map", lambda f, z: plane_map(f, z) * (1 + 1e-8))
+    with pytest.raises(td.ConstructionError, match="conjugacy residual"):
+        td.project_to_plane(fam, sample)
+
+
 def test_projection_log_polar_for_huge_real_parts(small):
     pts = np.array([4000.0 + 0.5j, 6.0 + 1.5j])
     fake = LimitSample(points=pts, words_u=np.zeros((2, 1), dtype=np.int64),
@@ -133,7 +146,7 @@ def test_projection_log_polar_for_huge_real_parts(small):
 
 def test_projection_restores_offset():
     off = 0.25 + 0.1j
-    f = td.MapFamily(kind="exponential", lam=1.0, r0=math.e, offset=off)
+    f = td.MapFamily(lam=1.0, r0=math.e, offset=off)
     pts = np.array([2.0 + 0.3j])
     fake = LimitSample(points=pts, words_u=np.zeros((1, 1), dtype=np.int64),
                        words_s=np.full((1, 1), 65, dtype=np.int64), depth=1,

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -281,6 +283,30 @@ def test_sample_past_2_53_exit_0_and_past_2_63_exit_2(tmp_path, capsys):
     assert "past 2^63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam, anchor", [
+    ((0.0, 1.0), 20.0), ((0.0, 1.0), 30.0), ((-2.0, 0.0), 12.0), ((-2.0, 0.0), 20.0),
+    ((-2.0, 0.0), 30.0), ((0.5, 0.5), 20.0), ((0.5, 0.5), 30.0)],
+    ids=lambda v: f"{complex(*v)}" if isinstance(v, tuple) else f"anchor{v:g}")
+def test_sample_non_real_lambda_exit_0(tmp_path, lam, anchor):
+    """For a non-real or negative lam the rounding of e^z + Log(lam) turns
+    the phase of exp(F z) by up to half an ulp of 2*pi*|s|: the conjugacy
+    check leaves those rows out instead of failing the sample on them."""
+    cfg = write_cfg(tmp_path, "c.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]},
+                                         "geometry": {"anchor": anchor, "inset": 0.5}})
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 20_000
+
+
+def test_parser_is_built_on_first_use_and_kept():
+    code = ("from tractdim import cli; n = cli._build_parser.cache_info().currsize; "
+            "print(n, cli._build_parser() is cli._build_parser())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0", "True"]
+
+
 def test_oracle_brute_pressure_past_2_53_exit_0(tmp_path, capsys):
     # anchor 30: the eight heaviest letters sit at |s| = 520,281, the low
     # ends of the two runs; at the default certificate they pass the float
@@ -386,13 +412,16 @@ def test_invalid_seed_and_oracle_counts_exit_1(tmp_path, capsys, command, config
     ("oracle box-dim", json.dumps({"oracle": {"source": "csv", "path": "no-such/x.csv"}})),
     ("dim", "[1, 2]"),
     ("sample", json.dumps({"family": 3})),
+    ("dim", json.dumps({"family": {"kind": "user"}})),
     ("oracle recheck", json.dumps({"oracle": [1]})),
     ("lemmas", None),
-], ids=["oracle-t", "csv-path", "array", "family-section", "oracle-section", "no-file"])
+], ids=["oracle-t", "csv-path", "array", "family-section", "family-kind", "oracle-section",
+        "no-file"])
 def test_malformed_config_exit_1(tmp_path, capsys, command, text):
     """A non-numeric oracle.t, an unreadable oracle.path, a config that is
-    not a JSON object, a section that is not one and a missing config file
-    are configuration errors, not tracebacks."""
+    not a JSON object, a section that is not one, a family kind other than
+    exponential and a missing config file are configuration errors, not
+    tracebacks."""
     cfg = tmp_path / "c.json"
     if text is not None:
         cfg.write_text(text)

@@ -71,9 +71,8 @@ def test_explicit_letter_envelope_width(small):
     ends = [np.r_[r.s_lo:r.s_lo + 64, r.s_hi - 63:r.s_hi + 1] for r in small.gset.runs]
     drawn = small.gset.random_ranks(np.random.default_rng(0), 2000)
     s = np.concatenate(ends + [small.gset.letters(drawn)[1]])
-    model = small.family.tail_model()
-    env = model.envelope(small.spec.outer.bounds())
-    lo, hi = model.log_weight_bounds(np.log(TWO_PI) + np.log(np.abs(s).astype(float)), env)
+    env = small.family.envelope(small.spec.outer.bounds())
+    lo, hi = env.log_weight_bounds(np.log(TWO_PI) + np.log(np.abs(s).astype(float)))
     assert s.size > 0
     assert np.all(hi - lo <= 2.0 * math.log(small.dist.c))
     assert np.all(hi < 0)
@@ -137,10 +136,9 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
 
 def test_brute_force_within_level1_sandwich(small):
     letters = small.gset.letters_by_weight(8)
-    model = small.family.tail_model()
-    env = model.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer.bounds())
     sigma = np.log(2 * math.pi) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
-    lo, hi = model.log_weight_bounds(sigma, env)
+    lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
     p_lo, p_hi = td.pressure_bounds(sub, 1.0)
     for n in (1, 2, 3):
@@ -169,7 +167,7 @@ def test_upper_envelope_below_s_star_bounds_each_letter_by_p_lo():
     assert min(lo for (lo, _), _ in system.runs) < s_star
     ss = [abs(s) for run in gset.runs for _ in range(run.n_columns)
           for s in range(run.s_lo, run.s_hi + 1)]
-    lo_w, hi_w = fam.tail_model().log_weight_bounds(np.log(TWO_PI) + np.log(ss), env)
+    lo_w, hi_w = env.log_weight_bounds(np.log(TWO_PI) + np.log(ss))
     h, log_scale = env.b / TWO_PI, math.log(TWO_PI * env.d_lo)
     for t in (0.0, 0.5, 1.0, 2.0, 4.0):
         got = td.level1_sum(system, t)
@@ -189,7 +187,7 @@ def test_upper_envelope_below_s_star_bounds_each_letter_by_p_lo():
 
 
 def test_certificate_small_anchor_not_certified(fam):
-    cert = td.certify_dim_gt_one(fam, anchor=12.0, epsilon=0.1, inset=0.5,
+    cert = td.certify_dim_gt_one(fam, 12.0, td.GeometryBudget(epsilon=0.1, inset=0.5),
                                  mode="tail")
     assert cert.verdict == "not-certified"
     assert cert.p1_lo <= 0
@@ -197,16 +195,16 @@ def test_certificate_small_anchor_not_certified(fam):
 
 
 def test_certificate_empty_g(fam):
-    cert = td.certify_dim_gt_one(fam, anchor=3.0, epsilon=0.1, inset=0.5,
+    cert = td.certify_dim_gt_one(fam, 3.0, td.GeometryBudget(epsilon=0.1, inset=0.5),
                                  mode="enumerate")
     assert cert.verdict == "not-certified"
     assert any("empty" in r for r in cert.reasons)
 
 
 def test_certificate_deterministic(fam):
-    a = td.certify_dim_gt_one(fam, anchor=4000.0, epsilon=0.1, inset=3.0, mode="tail")
-    b = td.certify_dim_gt_one(fam, anchor=4000.0, epsilon=0.1, inset=3.0, mode="tail",
-                              workers=4)
+    budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
+    a = td.certify_dim_gt_one(fam, 4000.0, budget, mode="tail")
+    b = td.certify_dim_gt_one(fam, 4000.0, budget, mode="tail")
     da, db = a.to_json_dict(), b.to_json_dict()
     assert da == db
 

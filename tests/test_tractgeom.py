@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tractdim as td
 from tractdim import tractgeom
 from tractdim.numerics import TWO_PI
-from tractdim.loglift import ExpTailModel
+from tractdim.loglift import MapFamily, TailEnvelope
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, RunBlock, SigmaWindow,
                                 _sigma_windows)
 
@@ -106,19 +106,12 @@ def test_anchor_line_values(fam):
     assert line.c0 == pytest.approx(0.693147, abs=1e-6)
     assert line.growth_bound == pytest.approx(58.44, abs=0.01)
     assert line.cor_margin > 0
-    assert line.conj_symmetric
 
 
 def test_anchor_line_depth_failure_is_reported_not_raised(fam):
     line = td.anchor_line(fam, 100.0, inset=25.0)
     # ln 100 < ln R0 + 50: the depth condition fails at this inset
     assert line.depth_margin < 0
-
-
-def test_anchor_preimages_on_one_line(fam):
-    line = td.anchor_line(fam, 1000.0, inset=1.0, s_check=1000)
-    spread = max(abs(p.real - line.real_part) for p in line.sample_points)
-    assert spread <= 1e-9 * (1.0 + abs(line.real_part))
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +128,11 @@ def _reference_cell_decision(fam, u, s, spec, budget):
     borderline flag; delta None where nothing was sampled)."""
     sign = 1 if s > 0 else -1
     sigma = math.log(TWO_PI) + math.log(abs(s))
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
-    lipschitz = float(np.exp(model.log_weight_bounds(sigma, env)[1]))
+    env = fam.envelope(spec.outer.bounds())
+    lipschitz = float(np.exp(env.log_weight_bounds(sigma)[1]))
     enclosure = None
     if sigma > env.sigma_valid_min:
-        re_lo, re_hi, im_lo, im_hi = map(float, model.cell_enclosure(u, sign, sigma, env))
+        re_lo, re_hi, im_lo, im_hi = map(float, env.cell_enclosure(u, sign, sigma))
         enclosure = (math.nextafter(re_lo, -math.inf), math.nextafter(re_hi, math.inf),
                      math.nextafter(im_lo, -math.inf), math.nextafter(im_hi, math.inf))
     v_s = complex(np.asarray(fam.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
@@ -171,10 +163,9 @@ def _reference_edge_verdicts(fam, spec, budget, u, sign, ss):
     """Per unsigned index of ss, (verdict, delta) as `_edge_letters` decided
     it: the vectorized enclosure, then the per-cell decision for the cells
     it rejects whose center lies in Q."""
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    enclosed = tractgeom._enclosed(model, env, spec.outer, budget.margin, u, sign, sigma)
+    enclosed = tractgeom._enclosed(env, spec.outer, budget.margin, u, sign, sigma)
     base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
     centers = np.asarray(fam.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
         + TWO_PI * 1j * u
@@ -192,11 +183,10 @@ def _edge_bands(fam, spec, budget):
     """(u, sign, unsigned band indices) of every column, as `build_G` forms
     them: ceil((2*pi + 2b) / (2*pi)) + 2 indices on each side of each
     float-exact window."""
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     widen = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
     for sign in (1, -1):
-        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(model, env, spec.outer,
+        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer,
                                                              budget.margin, sign):
             s_lo, s_hi = math.exp(sigma_lo) / TWO_PI, math.exp(sigma_hi) / TWO_PI
             assert s_hi <= 2 ** 53
@@ -257,9 +247,8 @@ def test_cell_image_past_exact_range_raises(fam):
 def _cell_lipschitz(fam, s, spec):
     """sup_Q |g'_{u,s}| <= e^hi of `log_weight_bounds`, the bound every
     cell verdict pads with."""
-    model = fam.tail_model()
     sigma = np.log(TWO_PI) + np.log(float(abs(s)))
-    return float(np.exp(model.log_weight_bounds(sigma, model.envelope(spec.outer.bounds()))[1]))
+    return float(np.exp(fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)[1]))
 
 
 def _boundary_points_per_point(rect, n):
@@ -365,12 +354,12 @@ def test_solve_s_window_empty_under_huge_margin(fam, small):
     assert win is None
 
 
-def _enclosure_admissible(model, env, rect, margin, u, sign, sigma):
+def _enclosure_admissible(env, rect, margin, u, sign, sigma):
     """The enclosure predicate of the window solver, vectorized over sigma."""
     sigma = np.asarray(sigma, dtype=float)
     valid = sigma > env.sigma_valid_min
     s = np.where(valid, sigma, env.sigma_valid_min + 1.0)
-    re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, s, env)
+    re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, s)
     return valid & ((re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
                     & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
 
@@ -394,8 +383,7 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     dense sigma grid finds no admissible point."""
     spec = td.build_squares(anchor, 0.5)
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=margin)
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     rect = spec.outer
     grid = np.linspace(rect.re_lo - 2.0, rect.re_hi + 2.0, 4097)
     n_windows = 0
@@ -404,9 +392,9 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
             win = td.solve_s_window(fam, u, spec, budget=budget, sign=sign, margin=margin)
 
             def ok(sigma):
-                return bool(_enclosure_admissible(model, env, rect, margin, u, sign, sigma))
+                return bool(_enclosure_admissible(env, rect, margin, u, sign, sigma))
 
-            on_grid = bool(np.any(_enclosure_admissible(model, env, rect, margin,
+            on_grid = bool(np.any(_enclosure_admissible(env, rect, margin,
                                                         u, sign, grid)))
             assert (win is None) == (not on_grid), (u, sign)
             if win is None:
@@ -422,14 +410,13 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
 def _solve_s_window_per_column(family, u, spec, margin, sign):
     """Reference: the window of one column by its own closed forms and one
     scalar enclosure test per endpoint step."""
-    model = family.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer.bounds())
     target = spec.outer
 
     def admissible(sigma):
         if sigma <= env.sigma_valid_min:
             return False
-        re_lo, re_hi, im_lo, im_hi = model.cell_enclosure(u, sign, sigma, env)
+        re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
         return (re_lo >= target.re_lo + margin and re_hi <= target.re_hi - margin
                 and im_lo >= target.im_lo + margin and im_hi <= target.im_hi - margin)
 
@@ -471,12 +458,11 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
     inset = 0.5 if anchor < 1000 else 3.0
     spec = td.build_squares(anchor, inset)
     budget = td.GeometryBudget(inset=inset, margin=margin)
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     n_windows = 0
     for sign in (1, -1):
         us = _columns(spec)
-        blocks = _sigma_windows(model, env, spec.outer, margin, sign)
+        blocks = _sigma_windows(env, spec.outer, margin, sign)
         assert len(blocks) <= 3
         assert all(b[1] == b[0] for b in blocks[:1] + blocks[2:])
         wins = [None] * len(us)
@@ -511,11 +497,11 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def test_build_g_solves_each_sign_once(fam, monkeypatch):
-    """The tail model's envelope is computed once per build_G, whatever the
-    number of columns, and the window endpoints of one sign take one
+    """The envelope of Q is computed once per build_G, whatever the number
+    of columns, and the window endpoints of one sign take one
     cell_enclosure call plus at most one per inward ulp step."""
-    envelopes = _count_calls(monkeypatch, ExpTailModel, "envelope")
-    enclosures = _count_calls(monkeypatch, ExpTailModel, "cell_enclosure")
+    envelopes = _count_calls(monkeypatch, MapFamily, "envelope")
+    enclosures = _count_calls(monkeypatch, TailEnvelope, "cell_enclosure")
     counts = {}
     for anchor in (100.0, 4000.0):
         envelopes.clear()
@@ -558,7 +544,8 @@ def test_certificate_past_2_53_does_not_depend_on_mode(fam, anchor, inset):
     certificate is the tail-mode one field for field, apart from `mode`."""
     reports = {}
     for mode in ("enumerate", "tail"):
-        cert = td.certify_dim_gt_one(fam, anchor=anchor, epsilon=0.1, inset=inset, mode=mode)
+        cert = td.certify_dim_gt_one(fam, anchor, td.GeometryBudget(epsilon=0.1, inset=inset),
+                                     mode=mode)
         reports[mode] = cert.to_json_dict()
         assert reports[mode].pop("mode") == mode
         assert reports[mode]["diagnostics"]["n_explicit"] == 0
@@ -598,8 +585,7 @@ def _letter_runs_per_column(fam, spec, budget):
     holds [ceil(s_lo), floor(s_hi)] and the letters of the two edge bands,
     ceil((2*pi + 2b) / (2*pi)) + 2 indices deep, that the per-cell
     reference decision admits for that column alone."""
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     widen = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
     runs = []
     for sign in (1, -1):
@@ -708,7 +694,7 @@ def test_min_cell_gap_with_letters_below_envelope_validity():
     budget = td.GeometryBudget(inset=0.5, margin=0.0)
     spec = td.build_squares(4.0, 0.5)
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
-    env = fam.tail_model().envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     lowest = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
     assert lowest <= math.exp(env.sigma_valid_min) / TWO_PI
     with warnings.catch_warnings():
@@ -776,7 +762,7 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     budget = td.GeometryBudget(inset=0.5, margin=0.0)
     spec = td.build_squares(4.0, 0.5)
-    env = fam.tail_model().envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     ss = [1, 2, -1, -2]
     assert all(math.log(TWO_PI * abs(s)) <= env.sigma_valid_min for s in ss)
     verdicts, delta = td.cell_verdicts(fam, spec, budget, 0, ss)
@@ -812,8 +798,7 @@ def _sharp_or_koebe_lipschitz(fam, s, spec):
     Koebe).  sharp = 1 / ((2*pi*|s| - b) d_lo), above envelope validity
     (e^sigma > 2b) only; Koebe = |g'(R)| * C, the derivative at the anchor
     times the Koebe constant C (infinite below the Koebe range)."""
-    model = fam.tail_model()
-    env = model.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer.bounds())
     sigma = math.log(TWO_PI) + math.log(abs(s))
     sharp = math.inf
     if sigma > env.sigma_valid_min:
@@ -836,7 +821,7 @@ def test_cell_lipschitz_bounds_the_sampled_derivative(modulus, arg, r0, anchor, 
     min(sharp, Koebe)."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
     spec = td.build_squares(anchor, 0.5)
-    if math.log(fam.tail_model().envelope(spec.outer.bounds()).d_lo) <= fam.ln_r0:
+    if math.log(fam.envelope(spec.outer.bounds()).d_lo) <= fam.ln_r0:
         return  # the first-level image leaves H: no cells
     lip = _cell_lipschitz(fam, sign * s, spec)
     c, rect = fam.log_lam, spec.outer
@@ -1011,17 +996,16 @@ def test_shared_march_equals_per_branch_march(lam, monkeypatch):
         _assert_branches_match_reference(family, march_args, branches)
 
 
-def _planted_family(bad):
-    """exp with the lift perturbed by 1e-3 where bad(Im w) holds, so the
-    continuation residual check fails there."""
-    def lift(w):
-        w = np.asarray(w, dtype=complex)
-        return np.exp(w) + np.where(bad(w.imag), 1e-3, 0.0)
+def _plant_lift(monkeypatch, bad):
+    """Perturb the lift by 1e-3 where bad(Im w) holds, so the continuation
+    residual check fails there."""
+    lift = td.MapFamily.lift
 
-    cbs = td.UserCallbacks(plane_map=np.exp, lift=lift, lift_deriv=np.exp,
-                           inv0=lambda z: np.log(np.asarray(z, dtype=complex)),
-                           inv0_deriv=lambda z: 1.0 / np.asarray(z, dtype=complex))
-    return td.normalize_family(td.user_family(cbs, r0=math.e))
+    def planted(family, w):
+        w = np.asarray(w, dtype=complex)
+        return lift(family, w) + np.where(bad(w.imag), 1e-3, 0.0)
+
+    monkeypatch.setattr(td.MapFamily, "lift", planted)
 
 
 @pytest.mark.parametrize("bad, cut_down", [
@@ -1030,11 +1014,12 @@ def _planted_family(bad):
     # branch 0 is cut going up only; branches 1 and above fail at y = 0
     (lambda im: im > 1.0, False),
 ], ids=["band", "above"])
-def test_shared_march_cuts_branches_at_the_first_failing_point(bad, cut_down, monkeypatch):
-    family = _planted_family(bad)
-    rep, march_args, branches = _traced_branches(monkeypatch, family, 12.0, 0.5)
-    _assert_branches_match_reference(family, march_args, branches)
-    up, down = (w for _, _, w in tractgeom._march_curve(family, *march_args))
+def test_shared_march_cuts_branches_at_the_first_failing_point(bad, cut_down, fam, monkeypatch):
+    _plant_lift(monkeypatch, bad)
+    with pytest.MonkeyPatch.context() as spies:  # undone before the plant is
+        rep, march_args, branches = _traced_branches(spies, fam, 12.0, 0.5)
+    _assert_branches_match_reference(fam, march_args, branches)
+    up, down = (w for _, _, w in tractgeom._march_curve(fam, *march_args))
     by_u = dict(branches)
     pts, aborted, diag = by_u[0]
     assert aborted and diag.startswith("continuation residual 0.001 at y=")
