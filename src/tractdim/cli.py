@@ -33,7 +33,10 @@ and `oracle brute-pressure` exit 0.
 
 A config that is not a JSON object, a section that is not one, a
 non-numeric `oracle.t` and an unreadable config or `oracle.path` file are
-configuration errors (exit 1).
+configuration errors (exit 1).  So are, for `oracle box-dim` from a CSV,
+a file without numeric `re` and `im` and a text `space` column, one with
+no rows of `oracle.space`, and an `oracle.scales` that is not a list of
+numbers.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -57,6 +60,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -377,13 +381,28 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
         if not path:
             raise ConfigError("oracle.source=csv needs oracle.path")
         space = cfg.oracle.get("space", "lifted")
+        scales = cfg.oracle.get("scales")
+        if scales is not None and not (isinstance(scales, list) and all(
+                isinstance(s, (int, float)) and not isinstance(s, bool) for s in scales)):
+            raise ConfigError(f"oracle.scales must be a list of numbers, got {scales!r}")
         try:
-            data = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-        except OSError as exc:
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.filterwarnings("ignore", "genfromtxt: Empty input file")
+                data = np.genfromtxt(path, delimiter=",", names=True, dtype=None,
+                                     encoding="utf-8")
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read oracle.path: {exc}") from exc
+        except IndexError as exc:  # genfromtxt on a file with no header line
+            raise ConfigError("oracle.path is empty") from exc
+        columns = data.dtype.names or ()
+        for name, kinds, what in (("re", "iuf", "numeric"), ("im", "iuf", "numeric"),
+                                  ("space", "U", "text")):
+            if name not in columns or data[name].dtype.kind not in kinds:
+                raise ConfigError(f"oracle.path needs a {what} column {name!r}")
         mask = data["space"] == space
         pts = data["re"][mask] + 1j * data["im"][mask]
-        scales = cfg.oracle.get("scales")
+        if pts.size == 0:
+            raise ConfigError(f"oracle.path has no rows of oracle.space {space!r}")
         if scales is None:
             diam = float(np.hypot(np.ptp(pts.real), np.ptp(pts.imag)))
             scales = [diam * (10.0 ** -k) for k in np.linspace(0.5, 3.0, 6)]

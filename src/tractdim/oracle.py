@@ -3,9 +3,14 @@
 Nothing here reuses the main pipeline's evaluation paths: complex
 logarithms are assembled from ln|.| and atan2.  The brute-force pressure
 composes branches on complex scalars in plain loops.  The containment
-recheck is array-based: it evaluates its letters as numpy arrays, in
-blocks over shared boundary samples of Q, and each letter only on the
-samples that can hold one of its float extremes.  At a sample z, with x =
+recheck is array-based.  One `recheck_gset` call builds the boundary
+object once (`_Boundary`: the first-level logs of the boundary samples of
+Q, sorted, with every key order and maximum that does not depend on the
+letter) and sends every letter it rechecks densely through one batched
+pass (`_recheck_cells`).  That pass forms ln T with one map of math.log
+over the indices, everything else in array passes over the letters, and
+evaluates each letter, in blocks, only on the samples that can hold one
+of its float extremes.  At a sample z, with x =
 1/(2*pi*|s|), each extreme (least and greatest image real and imaginary
 part, least padding term) is a letter-independent key (q = arg(z - c) -
 Im c, or ln|z - c|) plus a perturbation bounded in x.  With the samples
@@ -247,39 +252,105 @@ def fd_derivative_check(op: Callable, samples: Sequence[complex],
 # Containment recheck
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Boundary:
+    """What every dense recheck of one `recheck_gset` call shares: the
+    first-level logs ln|z - c| + i*arg(z - c) at the boundary samples z of
+    Q, sorted by ln|z - c| (stably, so ties keep the order along the
+    boundary), and the letter-independent parts of the prefix rule of
+    `_recheck_cells`: the keys p = ln|z - c| - Re c and q = arg(z - c) -
+    Im c in that order, a stable sort order of q and q sorted by it, and
+    max|p|, max|q| and max|ln|z - c||."""
+
+    logs: np.ndarray
+    lr: np.ndarray        # ln|z - c|
+    p: np.ndarray
+    q: np.ndarray
+    q_order: np.ndarray
+    qs: np.ndarray        # q[q_order]
+    big_p: float
+    big_q: float
+    big_lr: float
+
+    @classmethod
+    def from_logs(cls, family: MapFamily, logs: np.ndarray) -> "_Boundary":
+        """The boundary of the first-level logs `logs`, sorted by ln|z - c|."""
+        c = family.log_lam
+        lr = logs.real
+        p, q = lr - c.real, logs.imag - c.imag
+        q_order = np.argsort(q, kind="stable")
+        return cls(logs=logs, lr=lr, p=p, q=q, q_order=q_order, qs=q[q_order],
+                   big_p=float(np.max(np.abs(p))), big_q=float(np.max(np.abs(q))),
+                   big_lr=float(np.max(np.abs(lr))))
+
+
 def _recheck_boundary(family: MapFamily, spec: SquareSpec, budget: GeometryBudget,
-                      density: int) -> np.ndarray:
-    """What a dense recheck shares across letters: the first-level logs
-    ln|z - c| + i*atan2 at density x boundary samples z of Q, sorted by
-    ln|z - c| (stably, so ties keep the order along the boundary)."""
+                      density: int) -> _Boundary:
+    """The shared boundary work of the dense recheck at density x boundary
+    samples of Q."""
     w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
-    return log_first[np.argsort(log_first.real, kind="stable")]
+    return _Boundary.from_logs(family, log_first[np.argsort(log_first.real, kind="stable")])
 
 
-def _log_two_pi_index(ss) -> np.ndarray:
-    """ln(2*pi*|s|) for indices s of any size."""
-    return math.log(TWO_PI) + np.array([math.log(abs(int(s))) for s in ss], dtype=float)
+def _index_logs(ss):
+    """ln(2*pi*|s|) and sign(s) as float arrays, for indices s of any size
+    (an int64 or object array, or a sequence of ints).  ln|s| is math.log
+    of each int, mapped over the array's list of ints: np.log of a float
+    need not match it bit for bit, and past 2^1024 there is no float."""
+    ss = ss if isinstance(ss, np.ndarray) else np.array(ss, dtype=object)
+    ints = ss.tolist()
+    ln_t = math.log(TWO_PI) + np.fromiter(map(math.log, map(abs, ints)), float, len(ints))
+    return ln_t, np.where(ss > 0, 1.0, -1.0)
+
+
+def _dense_ranks(gset: GSet, dense_sample: int, seed: int) -> np.ndarray:
+    """The ranks of the deterministic dense subsample, sorted: all of G when
+    it holds no more than `dense_sample` letters, else `dense_sample`
+    distinct ranks drawn uniformly, the repeats drawn again.  Distinct
+    ranks come from one sort and a comparison of neighbours (np.unique
+    first hashes int64, ten times slower on 2,000 ranks)."""
+    if gset.n_letters <= dense_sample:
+        return np.arange(gset.n_letters)
+    rng = np.random.default_rng(seed)
+    ranks = np.empty(0, dtype=np.int64)
+    while ranks.size < dense_sample:
+        ranks = np.sort(np.concatenate([ranks, gset.random_ranks(rng, dense_sample - ranks.size)]))
+        ranks = ranks[np.concatenate(([True], ranks[1:] != ranks[:-1]))]
+    return ranks
 
 
 def _sample_extremes(p, q, lr, x, sign) -> np.ndarray:
     """The block loop of the dense recheck: for letters (x[i], sign[i]) at
     the samples (p, q, lr), the least and greatest half = 0.5*ln(X^2 +
     Y^2) and im = atan2(Y, X), with X = p*x and Y = sign + q*x, and the
-    least half + lr, as the columns of a (letters x 5) array.
+    least half + lr, as the rows of a (5 x letters) array.
 
     Letters are evaluated in blocks of about `_DENSE_BLOCK` (letter,
-    sample) pairs, as (letters x samples) arrays in one reused buffer.
+    sample) pairs, in one reused buffer.  A block with fewer samples than
+    letters is laid out samples x letters, so that each reduction over
+    the samples is one elementwise pass across the letters: numpy reduces
+    the short rows of a letters x samples block one row at a time, 30
+    times slower at 1,990 letters x 7 samples.  The layout moves no bit:
+    min and max are exact, and no value reduced here is -0.0 (Y = sign +
+    q*x never is, so atan2(Y, X) is not, and no log or sum of logs is), so
+    no tie between signed zeros depends on the order.
     """
     n = p.size
     step = max(1, _DENSE_BLOCK // n)
-    out = np.empty((x.size, 5))
-    work = np.empty((4, min(step, x.size), n))  # reused by every block
+    axis = 0 if n < min(step, x.size) else 1  # the axis of the samples
+    if axis == 0:
+        p, q, lr = p[:, None], q[:, None], lr[:, None]
+    out = np.empty((5, x.size))
+    buf = np.empty(4 * n * min(step, x.size))  # reused by every block
     for i in range(0, x.size, step):
-        xs = x[i:i + step, None]
-        y, xx, half, im = work[:, :xs.shape[0]]
+        xs, sg = x[i:i + step], sign[i:i + step]
+        k = xs.size
+        if axis == 1:
+            xs, sg = xs[:, None], sg[:, None]
+        y, xx, half, im = buf[:4 * n * k].reshape((4, n, k) if axis == 0 else (4, k, n))
         np.multiply(q, xs, out=y)
-        y += sign[i:i + step, None]
+        y += sg
         np.multiply(p, xs, out=xx)
         np.arctan2(y, xx, out=im)
         np.multiply(y, y, out=half)
@@ -287,31 +358,29 @@ def _sample_extremes(p, q, lr, x, sign) -> np.ndarray:
         half += xx
         np.log(half, out=half)
         half *= 0.5
-        out[i:i + step, :4] = np.column_stack([half.min(axis=1), half.max(axis=1),
-                                               im.min(axis=1), im.max(axis=1)])
+        out[0, i:i + k], out[1, i:i + k] = half.min(axis=axis), half.max(axis=axis)
+        out[2, i:i + k], out[3, i:i + k] = im.min(axis=axis), im.max(axis=axis)
         half += lr
-        out[i:i + step, 4] = half.min(axis=1)
+        out[4, i:i + k] = half.min(axis=axis)
     return out
 
 
-def _candidate_samples(p, q, lr, x):
+def _candidate_samples(boundary: _Boundary, x):
     """Buckets (letters, samples) of the letters x = e^-ln T by the prefix
     rule of `_recheck_cells`: each bucket's samples hold, for each of its
-    letters, a sample of every float extreme of `_sample_extremes`.  `p`
-    and `lr` come sorted (the boundary is sorted by ln|z - c|); q is
-    sorted here."""
+    letters, a sample of every float extreme of `_sample_extremes`.  The
+    sort orders and maxima come from the shared `boundary`."""
+    p, lr, qs, q_order = boundary.p, boundary.lr, boundary.qs, boundary.q_order
+    big_p, big_q = boundary.big_p, boundary.big_q
     n = p.size
-    q_order = np.argsort(q, kind="stable")
-    qs = q[q_order]
-    big_p, big_q = float(np.max(np.abs(p))), float(np.max(np.abs(q)))
     with np.errstate(divide="ignore", over="ignore"):  # x = 0 or subnormal
         w_half = np.where(x > 0, 1.25 * big_p ** 2 * x + 2.5 * _ROUNDING / x, -np.inf)
         w_angle = np.where(x > 0, 8 / 3 * big_p * big_q * x + 2.5 * _ROUNDING / x, -np.inf)
     w_pad = (8 / 3 * big_q * x + (big_p * x) ** 2
-             + np.where(x > 0, 2 * _ROUNDING * (1 + float(np.max(np.abs(lr)))), 0.0))
+             + np.where(x > 0, 2 * _ROUNDING * (1 + boundary.big_lr), 0.0))
     far = x * max(big_p, big_q) > 0.25
     w_half[far] = w_angle[far] = w_pad[far] = np.inf
-    lengths = np.column_stack([
+    lengths = np.array([
         np.searchsorted(qs, qs[0] + w_half, "right"),
         n - np.searchsorted(qs, qs[-1] - w_half, "left"),
         np.maximum(np.searchsorted(p, p[0] + w_angle, "right"),
@@ -319,21 +388,22 @@ def _candidate_samples(p, q, lr, x):
         n - np.searchsorted(p, p[-1] - w_angle, "left"),
     ])
     # the bit length of each letter's longest prefix
-    bucket = np.searchsorted(1 << np.arange(n.bit_length()), lengths.max(axis=1), "right")
+    bucket = np.searchsorted(1 << np.arange(n.bit_length()), lengths.max(axis=0), "right")
     for b in set(bucket.tolist()):
         letters = np.nonzero(bucket == b)[0]
-        lo_q, hi_q, lo_p, hi_p = lengths[letters].max(axis=0)
+        lo_q, hi_q, lo_p, hi_p = lengths[:, letters].max(axis=1)
         samples = np.zeros(n, dtype=bool)
         samples[q_order[:lo_q]] = samples[q_order[n - hi_q:]] = True
         samples[:lo_p] = samples[n - hi_p:] = True
         yield letters, np.nonzero(samples)[0]
 
 
-def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: GeometryBudget,
-                   log_first: np.ndarray):
+def _recheck_cells(us, ss, spec: SquareSpec, budget: GeometryBudget, boundary: _Boundary):
     """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
-    boundary work (`_recheck_boundary`); `us` may be one column for all
-    letters, and the indices `ss` are ints of any size.
+    boundary work (`_recheck_boundary`), in one batch whatever the number
+    of letters; `us` may be one column for all letters, and the indices
+    `ss` are ints of any size (`_index_logs`).  Apart from one map of
+    math.log over the indices, the work is array passes over the letters.
 
     The second level is w2 = log_first - c + 2*pi*i*s = p + i*(q + 2*pi*s),
     in a scale-free form.  With T = 2*pi*|s|, x = e^-ln T and sigma =
@@ -392,33 +462,29 @@ def _recheck_cells(family: MapFamily, us, ss, spec: SquareSpec, budget: Geometry
     paddings delta and the image extents (re_min, re_max, im_min, im_max),
     one row per letter.
     """
-    c = family.log_lam
     rect = spec.outer
-    lr = log_first.real  # ln|z - c|
-    p = lr - c.real
-    q = log_first.imag - c.imag
-    ln_t = _log_two_pi_index(ss)
+    p, q, lr = boundary.p, boundary.q, boundary.lr
+    ln_t, sign = _index_logs(ss)
     x = np.exp(-ln_t)
-    sign = np.array([1.0 if s > 0 else -1.0 for s in ss])
     us = np.broadcast_to(np.asarray(us, dtype=float), ln_t.shape)
-    extremes = np.empty((ln_t.size, 5))
-    for letters, samples in _candidate_samples(p, q, lr, x):
-        extremes[letters] = _sample_extremes(p[samples], q[samples], lr[samples],
+    extremes = np.empty((5, ln_t.size))
+    for letters, samples in _candidate_samples(boundary, x):
+        extremes[:, letters] = _sample_extremes(p[samples], q[samples], lr[samples],
                                              x[letters], sign[letters])
-    ext, low = extremes[:, :4], extremes[:, 4]  # low: least re + ln|z - c| - ln T
-    ext[:, :2] += ln_t[:, None]
-    ext[:, 2:] += TWO_PI * us[:, None]
+    ext, low = extremes[:4], extremes[4]  # low: least re + ln|z - c| - ln T
+    ext[:2] += ln_t
+    ext[2:] += TWO_PI * us
     lip = np.exp(-(ln_t + low)) * 1.25
-    delta = np.maximum(budget.margin + lip * (rect.perimeter / log_first.size),
+    delta = np.maximum(budget.margin + lip * (rect.perimeter / boundary.logs.size),
                        math.ulp(max(map(abs, rect.bounds()))))
 
     def within(pad):
-        return ((ext[:, 0] >= rect.re_lo + pad) & (ext[:, 1] <= rect.re_hi - pad)
-                & (ext[:, 2] >= rect.im_lo + pad) & (ext[:, 3] <= rect.im_hi - pad))
+        return ((ext[0] >= rect.re_lo + pad) & (ext[1] <= rect.re_hi - pad)
+                & (ext[2] >= rect.im_lo + pad) & (ext[3] <= rect.im_hi - pad))
 
     verdicts = np.where(within(delta), "inside",
                         np.where(within(0.0), "borderline", "outside"))
-    return verdicts, delta, ext
+    return verdicts, delta, ext.T
 
 
 def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
@@ -432,7 +498,7 @@ def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
     When a recorded verdict is supplied, disagreement raises NumericError.
     """
     boundary = _recheck_boundary(family, spec, budget, density)
-    verdict = str(_recheck_cells(family, u, [s], spec, budget, boundary)[0][0])
+    verdict = str(_recheck_cells(u, [s], spec, budget, boundary)[0][0])
     if recorded_verdict is not None:
         agree = (verdict == recorded_verdict
                  or (verdict == "borderline" and recorded_verdict == "outside"))
@@ -472,19 +538,20 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     on `_END_BLOCK` letters at each end of a run, at those two columns;
     when the inner letter of either end fails, the ends grow eightfold, up
     to the whole run.  Every letter whose margin is negative or undefined
-    there gets the dense recheck at every column of its block, one batch
-    per run, in (run, u, s) order.  `n_checked` counts every letter of G;
-    `min_margin` is the least defined margin, which the ends always hold.
+    there gets the dense recheck at every column of its block, in (run,
+    u, s) order.  `n_checked` counts every letter of G; `min_margin` is
+    the least defined margin, which the ends always hold.
 
     A deterministic subsample of `dense_sample` distinct letters, drawn
-    uniformly over G through its ranks (all of G when it holds no more),
-    additionally gets the full density x boundary-sampled recheck.  All
-    dense rechecks share one evaluation of the first-level logs of the
-    boundary samples of Q, which do not depend on the letter, and evaluate
-    the second level and the padding in blocks of letters
-    (`_recheck_cells`).
+    uniformly over G through its ranks (all of G when it holds no more,
+    `_dense_ranks`), additionally gets the full density x boundary-sampled
+    recheck.  The dense recheck is one batch: the runs' inconclusive
+    letters, then the subsample, through a single `_recheck_cells` call on
+    the boundary object built once here (`_recheck_boundary`), and no call
+    when there is no such letter.  Each letter's verdict is the same in
+    any batch, so the flagged letters come in the order of one call per
+    run and one for the subsample.
     """
-    flagged = []
     n_checked = 0
     min_margin = math.inf
     c = family.log_lam
@@ -510,6 +577,7 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
             (rect.im_hi - budget.margin) - (mid + dev),
         ])
 
+    run_u, run_s = [], []  # the runs' inconclusive letters, in (run, u, s) order
     for run in gset.runs:
         n_checked += run.n_columns * run.length
         sign = 1 if run.s_lo > 0 else -1
@@ -518,31 +586,26 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
             whole = 2 * block >= run.length
             ss = (list(range(run.s_lo, run.s_hi + 1)) if whole else
                   [*range(run.s_lo, run.s_lo + block), *range(run.s_hi - block + 1, run.s_hi + 1)])
-            ln_t = _log_two_pi_index(ss)
+            ln_t = _index_logs(ss)[0]
             margin = np.minimum(margins(run.u_lo, ln_t, sign), margins(run.u_hi, ln_t, sign))
             if whole or (margin[block - 1] >= 0 and margin[block] >= 0):
                 break
             block *= 8
         min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
         # enclosure inconclusive or undefined: fall through to dense sampling
-        bad = [s for s, m in zip(ss, margin) if not m >= 0]
-        us = np.repeat(np.arange(run.u_lo, run.u_hi + 1), len(bad))
-        verdicts = _recheck_cells(family, us, bad * run.n_columns, spec, budget, boundary)[0]
-        flagged.extend((int(u), s) for u, s, v in zip(us, bad * run.n_columns, verdicts)
-                       if v == "outside")
-    # deterministic dense-sampled subsample
-    rng = np.random.default_rng(seed)
-    if gset.n_letters <= dense_sample:
-        ranks = list(range(gset.n_letters))
-    else:
-        picked = set()
-        while len(picked) < dense_sample:
-            picked.update(gset.random_ranks(rng, dense_sample - len(picked)).tolist())
-        ranks = sorted(picked)
-    if ranks:
-        us, ss = gset.letters(ranks)
-        outside = _recheck_cells(family, us, ss, spec, budget, boundary)[0] == "outside"
-        flagged.extend((int(u), int(s)) for u, s in zip(us[outside], ss[outside]))
-    return RecheckReport(n_checked=n_checked, n_densely_sampled=len(ranks),
+        bad = [ss[i] for i in np.flatnonzero(~(margin >= 0))]
+        for u in range(run.u_lo, run.u_hi + 1):
+            run_u += [u] * len(bad)
+            run_s += bad
+    ranks = _dense_ranks(gset, dense_sample, seed)
+    us, ss = gset.letters(ranks) if ranks.size else (np.empty(0, dtype=np.int64),) * 2
+    if run_s:  # one batch: the runs' letters, then the subsample
+        us = np.concatenate([np.array(run_u, dtype=object), us])
+        ss = np.concatenate([np.array(run_s, dtype=object), ss])
+    flagged = []
+    if ss.size:
+        outside = np.flatnonzero(_recheck_cells(us, ss, spec, budget, boundary)[0] == "outside")
+        flagged = list(zip(us[outside].tolist(), ss[outside].tolist()))
+    return RecheckReport(n_checked=n_checked, n_densely_sampled=ranks.size,
                          n_flagged=len(flagged), flagged=tuple(flagged[:64]),
                          min_margin=min_margin)

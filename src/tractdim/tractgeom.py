@@ -92,15 +92,20 @@ class Rect:
             np.minimum(np.imag(z) - self.im_lo, self.im_hi - np.imag(z)))
 
     def boundary_points(self, n: int) -> np.ndarray:
-        """n equally spaced boundary samples, anchored at the lower-left corner."""
+        """n equally spaced boundary samples, anchored at the lower-left corner.
+
+        The arc lengths ts rise with the index, so each edge (bottom, right,
+        top, left) takes the contiguous slice of the samples with ts below
+        its end and not below the previous edge's, filled edge by edge."""
         ts = np.arange(n, dtype=float) * (self.perimeter / n)
         w, h = self.width, self.height
-        edges = [ts < w, ts < w + h, ts < 2 * w + h]  # bottom, right, top; else left
+        a, b, c = np.searchsorted(ts, [w, w + h, 2 * w + h])  # where each edge ends
         pts = np.empty(n, dtype=complex)
-        pts.real = np.select(edges, [self.re_lo + ts, self.re_hi, self.re_hi - (ts - w - h)],
-                             self.re_lo)
-        pts.imag = np.select(edges, [self.im_lo, self.im_lo + (ts - w), self.im_hi],
-                             self.im_hi - (ts - 2 * w - h))
+        re, im = pts.real, pts.imag  # views: writing them fills pts
+        re[:a], im[:a] = self.re_lo + ts[:a], self.im_lo
+        re[a:b], im[a:b] = self.re_hi, self.im_lo + (ts[a:b] - w)
+        re[b:c], im[b:c] = self.re_hi - (ts[b:c] - w - h), self.im_hi
+        re[c:], im[c:] = self.re_lo, self.im_hi - (ts[c:] - 2 * w - h)
         return pts
 
 

@@ -430,6 +430,35 @@ def test_malformed_config_exit_1(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+_ONE_ROW = "re,im,space\n1.0,2.0,lifted\n"
+
+
+@pytest.mark.parametrize("csv, oracle, names", [
+    ("re,im\n1.0,2.0\n", {}, "'space'"),
+    ("re,space\n1.0,lifted\n", {}, "'im'"),
+    ("re,im,space\nx,2.0,lifted\n", {}, "'re'"),
+    ("re,im,space\n", {}, "'re'"),
+    ("", {}, "empty"),
+    ("re,im,space\n1.0,2.0,plane\n", {"space": "lifted"}, "oracle.space"),
+    (_ONE_ROW, {"scales": "abcde"}, "oracle.scales"),
+    (_ONE_ROW, {"scales": [1, 2, "x", 4, 5]}, "oracle.scales"),
+    (_ONE_ROW, {"scales": 5}, "oracle.scales"),
+    (_ONE_ROW, {"scales": [1, 2, True, 4, 5]}, "oracle.scales"),
+], ids=["no-space", "no-im", "text-re", "header-only", "empty-file", "no-rows-of-space",
+        "scales-string", "scales-mixed", "scales-number", "scales-bool"])
+def test_box_dim_malformed_csv_exit_1(tmp_path, capsys, csv, oracle, names):
+    """`oracle box-dim` from a CSV without a numeric re or im or a text space
+    column, with no rows of oracle.space, or with oracle.scales that is not
+    a list of numbers, is a configuration error naming the field, not a
+    traceback."""
+    (tmp_path / "points.csv").write_text(csv)
+    cfg = write_cfg(tmp_path, "c.json", {"oracle": dict(
+        {"source": "csv", "path": str(tmp_path / "points.csv")}, **oracle)})
+    assert run(["oracle", "box-dim", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err
+
+
 def test_malformed_json_exit_1(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

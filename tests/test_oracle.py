@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -216,9 +217,9 @@ def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
     rechecked = []
     dense = oracle._recheck_cells
 
-    def spy(family, us, ss, *args, **kwargs):
+    def spy(us, ss, *args, **kwargs):
         rechecked.extend(int(s) for s in ss)
-        return dense(family, us, ss, *args, **kwargs)
+        return dense(us, ss, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_recheck_cells", spy)
     with warnings.catch_warnings():
@@ -360,9 +361,9 @@ def test_recheck_gset_widens_past_a_failing_inner_letter(monkeypatch):
     rechecked = []
     dense = oracle._recheck_cells
 
-    def spy(family, us, ss, *args, **kwargs):
+    def spy(us, ss, *args, **kwargs):
         rechecked.extend(int(s) for s in ss)
-        return dense(family, us, ss, *args, **kwargs)
+        return dense(us, ss, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_recheck_cells", spy)
     td.recheck_gset(fam, gset, spec, budget, density=2, dense_sample=0)
@@ -515,12 +516,12 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
     boundary = oracle._recheck_boundary(fam, spec, budget, density)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+        verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
     assert len(verdicts) == delta.size == ext.shape[0] == len(ss)
     if case in ("anchor-30", "cert-4000"):
         assert set(verdicts) == {"inside"}
     for i, (u, s) in enumerate(zip(us, ss)):
-        v, d, imgs = _recheck_cell_reference(fam, int(u), int(s), spec, budget, boundary)
+        v, d, imgs = _recheck_cell_reference(fam, int(u), int(s), spec, budget, boundary.logs)
         assert verdicts[i] == v, (u, s)
         assert delta[i].hex() == d.hex(), (u, s)
         ref = (imgs.real.min(), imgs.real.max(), imgs.imag.min(), imgs.imag.max())
@@ -581,7 +582,7 @@ def test_scale_free_kernel_gives_the_direct_kernels_verdicts(small):
     drawn = _random_letters(small.gset, 2000)
     us, ss = np.concatenate(us + [drawn[0]]), np.concatenate(ss + [drawn[1]])
     boundary = oracle._recheck_boundary(fam, spec, budget, 10)
-    verdicts, _, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    verdicts, _, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
     direct, direct_ext = _direct_recheck_cells(fam, us, ss, spec, budget, 10)
     assert np.array_equal(verdicts, direct)
     assert {"inside", "outside"} <= set(verdicts)
@@ -599,7 +600,7 @@ def test_dense_recheck_pads_by_at_least_an_ulp_at_anchor_24(fam):
     assert all(letter in gset for letter in letters)
     us, ss = (np.array(x, dtype=np.int64) for x in zip(*letters))
     boundary = oracle._recheck_boundary(fam, spec, budget, 10)
-    verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
     assert spec.outer.re_hi == 36.0 and np.all(ext[:, 1] == 36.0)
     assert np.all(delta == math.ulp(36.0))
     assert list(verdicts) == ["borderline"] * 3
@@ -626,10 +627,10 @@ def test_recheck_gset_evaluates_the_boundary_once(monkeypatch, n_letters):
         assert len(calls) == 1
 
 
-def _every_sample(p, q, lr, x):
+def _every_sample(boundary, x):
     """The candidate buckets of `_recheck_cells` with every sample for every
     letter: the block loop's reference."""
-    yield np.arange(x.size), np.arange(p.size)
+    yield np.arange(x.size), np.arange(boundary.logs.size)
 
 
 # (lam, anchor, inset): lam = 20 puts p = ln|z| - ln 20 <= 0 on part of
@@ -712,12 +713,12 @@ def test_recheck_cells_on_candidate_samples_equal_every_sample(family, density, 
     us = np.array([u for u, _, _ in letters])
     ss = [sign * s for _, s, sign in letters]
     boundary = (oracle._recheck_boundary(fam, spec, budget, density) if synthetic is None
-                else synthetic)
+                else oracle._Boundary.from_logs(fam, synthetic))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdicts, delta, ext = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+        verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
         with mock.patch.object(oracle, "_candidate_samples", _every_sample):
-            ref = oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+            ref = oracle._recheck_cells(us, ss, spec, budget, boundary)
     assert list(verdicts) == list(ref[0])
     assert delta.tobytes() == ref[1].tobytes()
     assert ext.tobytes() == ref[2].tobytes()
@@ -753,8 +754,106 @@ def test_recheck_cells_evaluates_few_samples_per_letter(monkeypatch, request, ca
     us, ss = _random_letters(gset, 2000)
     boundary = oracle._recheck_boundary(fam, spec, budget, 10)
     counts = _count_evaluations(monkeypatch)
-    oracle._recheck_cells(fam, us, ss, spec, budget, boundary)
+    oracle._recheck_cells(us, ss, spec, budget, boundary)
     if case == "small-subsample":
-        assert 0 < sum(counts) <= 0.02 * 2000 * boundary.size
+        assert 0 < sum(counts) <= 0.02 * 2000 * boundary.logs.size
     else:
         assert sum(counts) == 2000
+
+
+def _index_logs_per_letter(ss):
+    """Reference: ln T and the signs formed letter by letter."""
+    ln_t = math.log(TWO_PI) + np.array([math.log(abs(int(s))) for s in ss], dtype=float)
+    return ln_t, np.array([1.0 if s > 0 else -1.0 for s in ss])
+
+
+# indices around the float and int64 limits, and past the int-to-str limit;
+# np.log of the float of 9170, 275063, 1441959 and 10755591 is an ulp off
+# math.log's where numpy vectorises log itself (AVX-512)
+_EDGE_INDICES = [1, 2, 3, 65, 9170, 275063, 1441959, 10755591,
+                 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1]
+_HUGE_INDICES = [2 ** 63, 2 ** 64 + 1, 10 ** 2600 + 7,
+                 10 ** (sys.get_int_max_str_digits() + 5) + 3]
+
+
+@pytest.mark.parametrize("form", ["int64", "list", "object"])
+def test_index_logs_equal_the_per_letter_forms(form):
+    """ln T and the signs from one map over the list of ints are the per-letter
+    math.log(abs(int(s))) and sign lists, bit for bit, on int64 arrays,
+    lists and object arrays: indices at 2^53 +- 1 and 2^63 - 1 (int64),
+    and past 2^63 and past the int-to-str digit limit (lists and object
+    arrays), of both signs."""
+    rng = np.random.default_rng(5)
+    small = _EDGE_INDICES + rng.integers(1, 2 ** 62, size=200).tolist()
+    ints = small if form == "int64" else small + _HUGE_INDICES
+    ints = [s * sign for s in ints for sign in (1, -1)]
+    ss = {"int64": lambda: np.array(ints, dtype=np.int64), "list": lambda: ints,
+          "object": lambda: np.array(ints, dtype=object)}[form]()
+    ln_t, sign = oracle._index_logs(ss)
+    ref_ln_t, ref_sign = _index_logs_per_letter(ss)
+    assert ln_t.tobytes() == ref_ln_t.tobytes()
+    assert sign.tobytes() == ref_sign.tobytes()
+
+
+def _dense_ranks_by_set(gset, dense_sample, seed):
+    """Reference: the subsample ranks picked through a set and redrawn until
+    there are `dense_sample` of them."""
+    rng = np.random.default_rng(seed)
+    if gset.n_letters <= dense_sample:
+        return list(range(gset.n_letters))
+    picked = set()
+    while len(picked) < dense_sample:
+        picked.update(gset.random_ranks(rng, dense_sample - len(picked)).tolist())
+    return sorted(picked)
+
+
+@pytest.mark.parametrize("runs, dense_sample", [
+    ((RunBlock(0, 0, 1, 2_500),), 2000),             # most draws repeat: several redraws
+    ((RunBlock(0, 1, 65, 10_450_108),), 2000),       # the anchor-12 sizes
+    ((RunBlock(0, 0, 1, 2 ** 40),), 2000),
+    ((RunBlock(0, 0, 1, 2 ** 64),), 300),             # ranks past 2^63: object arrays
+    ((RunBlock(0, 0, 1, 1_000),), 1000),              # all of G
+    ((RunBlock(0, 0, 1, 1_000),), 0),
+])
+def test_dense_ranks_equal_the_set_pick(runs, dense_sample):
+    """The sorted distinct ranks are those the set loop picks from the same
+    draws, with the same redraws, as int64 or object arrays."""
+    gset = GSet(runs=runs)
+    for seed in (0, 1, 7, 20210):
+        ranks = oracle._dense_ranks(gset, dense_sample, seed)
+        assert ranks.tolist() == _dense_ranks_by_set(gset, dense_sample, seed)
+        assert all(type(r) is int for r in ranks.tolist())
+
+
+def test_sample_extremes_layouts_agree(small):
+    """A block with fewer samples than letters (laid out samples x letters)
+    gives each letter the bits it gets evaluated alone (letters x samples)."""
+    fam, spec, budget, gset = small.family, small.spec, small.budget, small.gset
+    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
+    us, ss = _random_letters(gset, 2000)
+    ln_t, sign = oracle._index_logs(ss)
+    x = np.exp(-ln_t)
+    for samples in (np.arange(7), np.arange(0, 2560, 97), np.array([0, 2559])):
+        p, q, lr = (a[samples] for a in (boundary.p, boundary.q, boundary.lr))
+        batched = oracle._sample_extremes(p, q, lr, x, sign)
+        alone = np.hstack([oracle._sample_extremes(p, q, lr, x[i:i + 1], sign[i:i + 1])
+                           for i in range(x.size)])
+        assert batched.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("dense_sample, calls", [(2000, 1), (0, 0)])
+def test_recheck_gset_makes_one_dense_batch(monkeypatch, small, dense_sample, calls):
+    """At anchor 12 no letter is inconclusive: the subsample is the one
+    dense batch, and without it the dense recheck is not called."""
+    batches = []
+    dense = oracle._recheck_cells
+
+    def spy(us, ss, *args, **kwargs):
+        batches.append(len(ss))
+        return dense(us, ss, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_recheck_cells", spy)
+    rep = td.recheck_gset(small.family, small.gset, small.spec, small.budget,
+                          dense_sample=dense_sample)
+    assert batches == [dense_sample] * calls
+    assert rep.n_densely_sampled == dense_sample and rep.n_flagged == 0

@@ -8,6 +8,7 @@ perfbench files are loaded as they are, by path.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,30 @@ def test_build_g_observer_counts_the_certificate_g(fam):
     layers.OBSERVERS["tractgeom.build_G"](tr, gset, (), {})
     assert tr.counters == {"tractgeom.letters": 0, "tractgeom.windows": 0,
                            "tractgeom.segments": 2}
+
+
+def test_tracer_wraps_recheck_gset_and_counts_its_cells(tmp_path):
+    """The recheck oracle's per-layer metrics cannot silently read 0: the
+    tracer wraps public functions only, so `oracle.recheck_gset` must be
+    one, and on one enum-12 op its observer counts every letter of G."""
+    from tractdim import oracle
+    assert inspect.isfunction(oracle.recheck_gset)
+    tr = tracer.Tracer("tractdim", layers.LAYERS)
+    for key, fn in layers.OBSERVERS.items():
+        tr.observe(key, fn)
+    built = []
+
+    def step(fn, *args, **kwargs):
+        built.append(fn(*args, **kwargs))
+        return built[-1]
+
+    workload = workloads.WORKLOADS["enum-12"](seed=0, workdir=tmp_path)
+    with tr:
+        assert inspect.isfunction(oracle.recheck_gset.__wrapped__)
+        workload.op(step)
+    _, _, gset = built[0]
+    metrics, absent = layers.layer_metrics(tr, 1)
+    assert "oracle.recheck_gset.s" not in absent and "oracle.cells_rechecked" not in absent
+    assert tr.stats["oracle.recheck_gset"][0] == 1
+    assert metrics["oracle.recheck_gset.s"]["value"] > 0
+    assert metrics["oracle.cells_rechecked"]["value"] == gset.n_letters

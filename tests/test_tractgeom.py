@@ -11,8 +11,8 @@ import tractdim as td
 from tractdim import tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
-from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, RunBlock, SigmaWindow,
-                                _sigma_windows)
+from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
+                                SigmaWindow, _sigma_windows)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,31 @@ def test_boundary_points_bit_identical_to_per_point_reference(anchor):
             for n in (64, 256, 777, 1000, 2560, 4096):
                 pts = rect.boundary_points(n)
                 assert pts.tobytes() == _boundary_points_per_point(rect, n).tobytes()
+
+
+def _boundary_points_by_select(rect, n):
+    """Reference: the edge of each sample chosen by two np.select passes."""
+    ts = np.arange(n, dtype=float) * (rect.perimeter / n)
+    w, h = rect.width, rect.height
+    edges = [ts < w, ts < w + h, ts < 2 * w + h]
+    pts = np.empty(n, dtype=complex)
+    pts.real = np.select(edges, [rect.re_lo + ts, rect.re_hi, rect.re_hi - (ts - w - h)],
+                         rect.re_lo)
+    pts.imag = np.select(edges, [rect.im_lo, rect.im_lo + (ts - w), rect.im_hi],
+                         rect.im_hi - (ts - 2 * w - h))
+    return pts
+
+
+@pytest.mark.parametrize("rect", [
+    Rect(6.0, 18.0, -6.0, 6.0), Rect(3997.0, 4003.0, -3.0, 3.0),
+    Rect(-0.3, 1e5, -1e-3, 7.1), Rect(1.0, 1.0 + 1e-9, -2.0, 40.0),  # thin rectangles
+    Rect(0.1, 0.7, 0.2, 0.9)])
+def test_boundary_points_edge_slices_equal_np_select(rect):
+    """The edge-by-edge slice fill gives the np.select form bit for bit,
+    including sizes where an edge holds one sample or none."""
+    for n in (1, 2, 3, 7, 2560, 4096):
+        assert (rect.boundary_points(n).tobytes()
+                == _boundary_points_by_select(rect, n).tobytes())
 
 
 def _koebe_cell_diameter_bound(spec, ln_r0):
