@@ -180,6 +180,7 @@ class PlaneProjection:
     image_points: np.ndarray      # projections of the F-images
     image_log_polar: np.ndarray
     conjugacy_residual: float
+    conjugacy_checked: int        # rows compared with both sides nonzero and finite
 
 
 def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
@@ -195,6 +196,12 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     is left out.  For a non-real lam the imaginary part rounds too; it is
     about 2*pi*|s| for the sample's first letter s, so rows past |s| of
     about 1e7 are left out, most rows from anchor 12 on.
+
+    `conjugacy_checked` counts the compared rows whose two sides are both
+    nonzero and finite: a row where both underflow to 0 passes without
+    testing anything.  At lam = 1, seed 42, 10,000 rows, it is 10,000 at
+    anchor 12 and 1,224 at anchor 30 (5,150 rows left out, 3,626 compare
+    0 with 0).
     """
     z = sample.points
     pts, logp = _project(z, family.offset)
@@ -205,7 +212,7 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     fz = np.asarray(family.lift(z[~logp]))
     ipts[~logp], ilogp[~logp] = _project(fz, family.offset)
     ok = ~logp & ~ilogp
-    resid = 0.0
+    resid, checked = 0.0, 0
     if np.any(ok):
         c = family.log_lam
         f_ok = fz[ok[~logp]]
@@ -221,12 +228,15 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
         rhs = rhs[decidable]
         if rhs.size:
             resid = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
+        checked = int(np.count_nonzero((lhs != 0) & (rhs != 0)
+                                       & np.isfinite(lhs) & np.isfinite(rhs)))
         if resid > 1e-9:
             raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
     if np.any(~logp) and np.any(pts[~logp] == 0):
         raise ConstructionError("plane projection produced 0")
     return PlaneProjection(points=pts, log_polar=logp, image_points=ipts,
-                           image_log_polar=ilogp, conjugacy_residual=resid)
+                           image_log_polar=ilogp, conjugacy_residual=resid,
+                           conjugacy_checked=checked)
 
 
 def _project(z: np.ndarray, offset: complex):

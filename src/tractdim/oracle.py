@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .loglift import MapFamily
-from .numerics import TWO_PI
+from .numerics import TWO_PI, log_sum_exp
 from .tractgeom import GSet, GeometryBudget, SquareSpec
 
 # Letters whose margin `recheck_gset` evaluates at each end of a run at first.
@@ -203,24 +203,26 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
     For letters of G every intermediate point of a word lies in Q, where
     each letter's |g'| lies between its level-1 weight bounds, so the
     value lies between the letters' level-1 pressure bounds at every n.
-    Refuses budgets beyond 1e6 words.
+    Each word's ln|derivative| is summed letter by letter and the words
+    are added by `log_sum_exp`, so a derivative below the float range
+    (letters with |s| near e^(R/2) at anchors R of about 750 and more)
+    does not underflow.  Refuses budgets beyond 1e6 words.
     """
     letters = [(int(u), int(s)) for (u, s) in letters]
     if len(letters) ** n > 1_000_000:
         raise ConfigError(f"{len(letters)}^{n} words exceed the brute-force budget")
     z0 = spec.outer.center
-    terms = []
+    log_terms = []
     for word in itertools.product(letters, repeat=n):
         z = z0
-        deriv = complex(1.0)
+        log_deriv = 0.0
         for (u, s) in reversed(word):
             first = _branch_point(family, s, z)
-            d = _branch_deriv(family, z) * _branch_deriv(family, first)
+            log_deriv += (math.log(abs(_branch_deriv(family, z)))
+                          + math.log(abs(_branch_deriv(family, first))))
             z = _branch_point(family, u, first)
-            deriv *= d
-        terms.append(abs(deriv) ** t)
-    total = math.fsum(terms)
-    return BrutePressure(n=n, t=t, value=math.log(total) / n, n_words=len(terms))
+        log_terms.append(t * log_deriv)
+    return BrutePressure(n=n, t=t, value=log_sum_exp(log_terms) / n, n_words=len(log_terms))
 
 
 # ---------------------------------------------------------------------------

@@ -759,16 +759,13 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
 
 @dataclass(frozen=True)
 class CurveTrace:
-    """One traced branch preimage of the anchor line, clipped to Q'."""
+    """One branch preimage of the anchor line: the arclengths of its
+    components in Q' that meet Q'', and its least real part."""
 
     u: int
-    points: np.ndarray
-    components: tuple         # polylines inside Q' that meet Q''
     arclengths: tuple
     min_re: float
     meets_core: bool
-    aborted: bool = False
-    diagnostic: str = ""
 
 
 @dataclass(frozen=True)
@@ -782,144 +779,80 @@ class LevelLineReport:
     min_re_margins: tuple       # per trace: growth_bound - min Re
 
 
-def trace_level_lines(family: MapFamily, spec: SquareSpec, budget: GeometryBudget,
-                      step_fraction: float = 0.02) -> LevelLineReport:
-    """Trace the branch preimages of the anchor line by continuation.
+def trace_level_lines(family: MapFamily, spec: SquareSpec,
+                      budget: GeometryBudget) -> LevelLineReport:
+    """The branch preimages of the anchor line {Re zeta = r}, in closed form.
 
-    Follows each curve {F_inv_u(r + iy)} outward from y = 0 with steps
-    adapted to the local branch derivative, clips the polyline to the
-    inner square, and keeps components meeting the core square.  Only
-    meaningful in the small-anchor regime where the curves are few.
+    With c = Log(lam), a = r - Re c and y = Im zeta - Im c, branch u maps
+    the line to F_inv_u(r + i*Im zeta) = Log(a + iy) + 2*pi*i*u.  For a > 0
+    the curve has its least real part ln a at its vertex y = 0, and with
+    l = Re w - ln a >= 0 its half with h = sign(y) is
 
-    The branches are vertical translates, F_inv_u = F_inv_0 + 2*pi*i*u,
-    so the continuation is marched once for all of them (`_march_curve`)
-    and each branch is the shared march shifted by 2*pi*i*u, cut where its
-    own residual check first fails.
+        Im w = 2*pi*u + h*arccos(e^-l),
+
+    of arclength A(l) = l + log1p(sqrt(-expm1(-2l))) = asinh(|y|/a) from
+    the vertex.  Re w and Im w are monotone in l along a half, so a
+    rectangle cuts it in one l-interval (`_half_interval`).  A component
+    of the curve in Q' is such an interval, or both halves' intervals
+    joined at the vertex when both start at l = 0; it is kept if it
+    overlaps the core's interval on one of its halves, and its length is
+    A(l2) - A(l1) summed over its halves.  Every quantity stays finite at
+    any anchor.
+
+    Where a <= 0 the anchor line is not right of Log(lam): it meets the
+    branch cut of Log, so no branch maps it to a curve.  Each trace then
+    has no components and a NaN min_re, hence a NaN margin.
     """
-    if spec.anchor > 2000:
-        raise GeometryError("level-line tracing is restricted to small anchors")
     line = anchor_line(family, spec.anchor, budget.inset)
-    r = line.real_part
+    a = line.real_part - family.log_lam.real
+    ln_a = math.log(a) if a > 0.0 else math.nan
     inner, core = spec.inner, spec.core
-    required_length = spec.anchor / 4.0 - budget.inset
-    step = max(1e-6, step_fraction * max(required_length, 1e-3))
     traces = []
-    margins = []
     u_lo = math.floor((inner.im_lo - 1.0) / TWO_PI) - 1
     u_hi = math.ceil((inner.im_hi + 1.0) / TWO_PI) + 1
-    march = _march_curve(family, r, inner.re_hi + 1.0, step)
     for u in range(u_lo, u_hi + 1):
-        pts, aborted, diag = _branch_points(family, march, u)
-        if pts.size == 0:
-            continue
-        comps, lens = _clip_components(pts, inner, core)
-        meets = len(comps) > 0
-        trace = CurveTrace(
-            u=u, points=pts, components=tuple(comps), arclengths=tuple(lens),
-            min_re=float(np.min(np.real(pts))), meets_core=meets,
-            aborted=aborted, diagnostic=diag)
-        if meets or inner.im_lo <= TWO_PI * u <= inner.im_hi:
-            traces.append(trace)
-            margins.append(line.growth_bound - trace.min_re)
-    count = sum(1 for t in traces if t.meets_core)
+        lens = _branch_components(ln_a, u, inner, core) if a > 0.0 else []
+        if lens or inner.im_lo <= TWO_PI * u <= inner.im_hi:
+            traces.append(CurveTrace(u=u, arclengths=tuple(lens), min_re=ln_a,
+                                     meets_core=bool(lens)))
     lengths = [l for t in traces for l in t.arclengths]
     return LevelLineReport(
-        traces=tuple(traces), curve_count=count,
+        traces=tuple(traces), curve_count=sum(1 for t in traces if t.meets_core),
         required_count=int(math.floor(spec.anchor / (4.0 * math.pi))),
         min_component_length=min(lengths) if lengths else math.inf,
-        required_length=required_length,
+        required_length=spec.anchor / 4.0 - budget.inset,
         growth_bound=line.growth_bound,
-        min_re_margins=tuple(margins))
+        min_re_margins=tuple(line.growth_bound - t.min_re for t in traces))
 
 
-def _march_curve(family: MapFamily, r: float, re_stop: float, step: float) -> list:
-    """Continuation of F_inv_0 along the vertical line {Re = r}, shared by
-    every branch.
+def _branch_components(ln_a: float, u: int, inner: Rect, core: Rect) -> list:
+    """Arclengths of the components in inner of branch u's curve that meet
+    core (see `trace_level_lines`)."""
+    def arclength(l):
+        return l + math.log1p(math.sqrt(-math.expm1(-2.0 * l)))
 
-    Nothing in the march depends on the branch index u: the zeta sequence,
-    the step |inv0'(zeta)| and the stop test Re w > re_stop, because adding
-    2*pi*i*u to w adds +-0.0 to its real part, which leaves Re w the same
-    bit for bit.  Returns, for the directions up and down, the ys, the
-    zetas and w0 = inv0(zeta) up to the stop (or 500,000 points).
-    """
-    march = []
-    for direction in (1.0, -1.0):
-        ys, zetas, ws = [], [], []
-        y = 0.0
-        while len(ys) < 500_000:
-            zeta = complex(r, y)
-            w = complex(np.asarray(family.inv0(zeta)).item())
-            ys.append(y)
-            zetas.append(zeta)
-            ws.append(w)
-            if w.real > re_stop:
-                break
-            dw = abs(complex(np.asarray(family.inv0_deriv(zeta)).item()))
-            dy = step / max(dw, 1e-300)
-            y += direction * dy
-        march.append((ys, np.array(zetas, dtype=complex), np.array(ws, dtype=complex)))
-    return march
-
-
-def _branch_points(family: MapFamily, march: list, u: int):
-    """Branch u of the shared march: the points w0 + 2*pi*i*u, each
-    direction cut before its first point whose lift misses zeta by more than
-    1e-9 relative (one array `family.lift` call per direction).  The moduli
-    are taken by hypot, as complex abs takes them.  Returns the points along
-    the curve from its upper end, the abort flag and the last diagnostic."""
-    shift = TWO_PI * 1j * u
-    pieces = []
-    aborted = False
-    diag = ""
-    for direction, (ys, zetas, w0) in zip((1.0, -1.0), march):
-        w = w0 + shift
-        d = np.asarray(family.lift(w), dtype=complex) - zetas
-        res = np.hypot(d.real, d.imag)
-        bad = np.flatnonzero(res > 1e-9 * (1.0 + np.hypot(zetas.real, zetas.imag)))
-        if bad.size:
-            k = int(bad[0])
-            aborted = True
-            diag = (f"continuation residual {float(res[k]):.3g} at y={ys[k]:.6g} "
-                    f"for u={u}")
-            w = w[:k]
-        pieces.append(w[::-1] if direction > 0 else w[1:])
-    return np.concatenate(pieces), aborted, diag
-
-
-def _clip_components(pts: np.ndarray, inner: Rect, core: Rect):
-    """Split a polyline at the inner-square boundary; keep core-meeting parts."""
-    comps, lens = [], []
-    cur = []
-
-    def crossing(a, b):
-        # linear parameter where the segment [a, b] crosses the inner boundary
-        ts = [1.0]
-        for lo, hi, get in ((inner.re_lo, inner.re_hi, np.real), (inner.im_lo, inner.im_hi, np.imag)):
-            va, vb = float(get(a)), float(get(b))
-            for edge in (lo, hi):
-                if (va - edge) * (vb - edge) < 0:
-                    ts.append((edge - va) / (vb - va))
-        return min(t for t in ts if t > 0)
-
-    inside_flags = inner.contains(pts)
-    for i in range(len(pts)):
-        p = pts[i]
-        if inside_flags[i]:
-            if not cur and i > 0:
-                t = crossing(pts[i - 1], p)
-                cur.append(pts[i - 1] + t * (p - pts[i - 1]) if t < 1.0 else pts[i - 1])
-            cur.append(p)
-        else:
-            if cur:
-                t = crossing(cur[-1], p)
-                cur.append(cur[-1] + t * (p - cur[-1]))
-                comps.append(np.asarray(cur))
-                cur = []
-    if cur:
-        comps.append(np.asarray(cur))
-    kept, lengths = [], []
+    halves = [(cut, _half_interval(ln_a, u, h, core)) for h in (1, -1)
+              if (cut := _half_interval(ln_a, u, h, inner)) is not None]
+    comps = [[half] for half in halves]
+    if len(halves) == 2 and halves[0][0][0] == halves[1][0][0] == 0.0:
+        comps = [halves]  # both halves start at the vertex: one component
+    lengths = []
     for comp in comps:
-        if comp.size >= 2 and bool(np.any(core.contains(comp))):
-            kept.append(comp)
-            lengths.append(float(np.sum(np.abs(np.diff(comp)))))
-    return kept, lengths
+        if any(core_cut is not None and max(l1, core_cut[0]) <= min(l2, core_cut[1])
+               for (l1, l2), core_cut in comp):
+            lengths.append(sum(arclength(l2) - arclength(l1) for (l1, l2), _ in comp))
+    return lengths
+
+
+def _half_interval(ln_a: float, u: int, h: int, rect: Rect):
+    """The l-interval (l1, l2), l1 < l2, of the half h of branch u's curve
+    inside rect, or None.  The real bounds give [re_lo - ln a, re_hi - ln
+    a]; on the half, arccos(e^-l) = h*(Im w - 2*pi*u), so each imaginary
+    bound, as theta = h*(bound - 2*pi*u) clipped to [0, pi/2), gives
+    l = -ln cos(theta)."""
+    th_lo, th_hi = sorted((h * (rect.im_lo - TWO_PI * u), h * (rect.im_hi - TWO_PI * u)))
+    if th_hi < 0.0 or th_lo >= 0.5 * math.pi:
+        return None
+    l1 = max(0.0, rect.re_lo - ln_a, -math.log(math.cos(th_lo)) if th_lo > 0.0 else 0.0)
+    l2 = min(rect.re_hi - ln_a, -math.log(math.cos(th_hi)) if th_hi < 0.5 * math.pi else math.inf)
+    return (l1, l2) if l1 < l2 else None

@@ -482,6 +482,62 @@ def test_lemmas_below_koebe_range_report_exit_0(tmp_path, family, anchor, failin
     assert {name for name, check in rep["checks"].items() if not check["pass"]} == failing
 
 
+def test_lemmas_at_the_certificate_config_all_pass(tmp_path):
+    """Anchor 4000, inset 3: the level lines are traced in closed form at
+    the certificate's own scale, and every lemma passes."""
+    cfg = write_cfg(tmp_path, "cert.json", {"geometry": {"anchor": 4000.0, "inset": 3.0}})
+    out = str(tmp_path / "lemmas.json")
+    assert run(["lemmas", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["all_pass"] is True
+    lines = rep["checks"]["level_lines"]
+    assert (lines["curve_count"], lines["required_count"]) == (319, 318)
+    assert lines["min_component_length"] == pytest.approx(3994.0, rel=1e-12)
+
+
+def test_lemmas_anchor_line_left_of_log_lambda_fails_level_lines(tmp_path):
+    """lam = 3, R0 = e, anchor 3: the anchor line is not right of Log(lam),
+    so the level lines are not branch preimages and their check fails with
+    a NaN margin."""
+    cfg = write_cfg(tmp_path, "cut.json", {"family": {"lambda_re": 3.0},
+                                           "geometry": {"anchor": 3.0, "inset": 0.5}})
+    out = str(tmp_path / "lemmas.json")
+    assert run(["lemmas", "--config", cfg, "--out", out]) == 0
+    lines = read_json(out)["checks"]["level_lines"]
+    assert lines["pass"] is False
+    assert lines["min_inf_re_margin"] == "NaN"
+    assert lines["curve_count"] == 0
+
+
+def test_lemmas_large_lambda_exit_0(tmp_path):
+    """lam = 1e4: ln R0 = 10.2, so the growth grid starts at 100."""
+    cfg = write_cfg(tmp_path, "big.json", {"family": {"lambda_re": 1e4},
+                                           "geometry": {"anchor": 100.0}})
+    out = str(tmp_path / "lemmas.json")
+    assert run(["lemmas", "--config", cfg, "--out", out]) == 0
+    assert read_json(out)["checks"]["branch_growth_to_infinity"]["pass"] is True
+
+
+def test_oracle_brute_pressure_at_anchor_800_exit_0(tmp_path):
+    """Word derivatives near e^-808 underflow as floats; their logs do not."""
+    cfg = write_cfg(tmp_path, "bp.json", {"geometry": {"anchor": 800.0, "inset": 3.0}})
+    out = str(tmp_path / "report.json")
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["level1_lo"] <= rep["brute_value"] <= rep["level1_hi"]
+    assert rep["brute_value"] == pytest.approx(-404.4234, abs=1e-4)
+
+
+@pytest.mark.parametrize("anchor, checked", [(12.0, 10_000), (30.0, 1_224)])
+def test_sample_reports_conjugacy_checked_rows(tmp_path, capsys, anchor, checked):
+    """At anchor 30 most rows are left out of the conjugacy check or
+    compare 0 with 0; the stderr line says how many were checked."""
+    cfg = write_cfg(tmp_path, "s.json", {"geometry": {"anchor": anchor}})
+    assert run(["sample", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == (
+        f"wrote 20000 rows; conjugacy checked on {checked} of 10000 rows\n")
+
+
 def test_oracle_box_dim_every_seed(tmp_path):
     """The grid is anchored at the origin, so no middle-thirds sample spills
     into a neighbouring triadic box; seeds 6, 13, 16, 18, 25 and 27 used

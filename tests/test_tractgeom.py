@@ -934,158 +934,99 @@ def test_level_lines_anchor_100(fam):
     assert rep.min_component_length >= 100.0 / 4.0 - 5.0
 
 
-def test_level_lines_vertical_translation(fam):
-    budget = td.GeometryBudget(epsilon=0.1, inset=5.0)
-    spec = td.build_squares(100.0, 5.0)
-    rep = td.trace_level_lines(fam, spec, budget)
-    by_u = {t.u: t for t in rep.traces}
-    t0, t1 = by_u[0], by_u[1]
-    n = min(t0.points.size, t1.points.size)
-    shift = t1.points[:n] - t0.points[:n]
-    assert np.max(np.abs(shift - TWO_PI * 1j)) <= 1e-9 * TWO_PI
+def _dense_branch(family, r, u, re_stop, n=4_000):
+    """Reference: branch u of the anchor line {Re = r} on a dense grid of
+    the line, from its lowest to its highest point, each point checked to
+    lift back to its zeta (|F(w) - zeta| <= 1e-9 (1 + |zeta|)).  The grid
+    is y = 0, uniform in |y| up to a = r - Re c and geometric past it,
+    until Re w passes re_stop."""
+    c = family.log_lam
+    a = r - c.real
+    half = np.r_[np.linspace(0.0, a, 1_000)[1:], np.geomspace(a, math.exp(re_stop + 1.0), n)[1:]]
+    zeta = r + 1j * (c.imag + np.r_[-half[::-1], 0.0, half])
+    w = np.log(zeta - c) + TWO_PI * 1j * u
+    assert np.all(np.abs(family.lift(w) - zeta) <= 1e-9 * (1.0 + np.abs(zeta)))
+    return w
 
 
-def _march_one_branch(family, r, u, re_stop, step):
-    """Reference: the continuation of F_inv_u alone, on complex scalars, with
-    the residual checked point by point (one march per branch)."""
-    pts = []
-    aborted = False
-    diag = ""
-    for direction in (1.0, -1.0):
-        branch = []
-        y = 0.0
-        guard = 0
-        while guard < 500_000:
-            guard += 1
-            zeta = complex(r, y)
-            w = complex(np.asarray(family.inv0(zeta)).item()) + TWO_PI * 1j * u
-            back = complex(np.asarray(family.lift(w)).item())
-            if abs(back - zeta) > 1e-9 * (1.0 + abs(zeta)):
-                aborted = True
-                diag = (f"continuation residual {abs(back - zeta):.3g} at y={y:.6g} "
-                        f"for u={u}")
-                break
-            branch.append(w)
-            if w.real > re_stop:
-                break
-            dw = abs(complex(np.asarray(family.inv0_deriv(zeta)).item()))
-            dy = step / max(dw, 1e-300)
-            y += direction * dy
-        if direction > 0:
-            pts = branch[::-1]
-        else:
-            pts.extend(branch[1:])
-    return np.asarray(pts, dtype=complex), aborted, diag
+def _leave(p, q, rect):
+    """The point where the segment from p, in rect, to q, outside it,
+    crosses the boundary of rect."""
+    t = 1.0
+    for lo, hi, vp, vq in ((rect.re_lo, rect.re_hi, p.real, q.real),
+                           (rect.im_lo, rect.im_hi, p.imag, q.imag)):
+        for edge in (lo, hi):
+            if (vp - edge) * (vq - edge) < 0:
+                t = min(t, (edge - vp) / (vq - vp))
+    return p + t * (q - p)
 
 
-def _traced_branches(monkeypatch, family, anchor, inset):
-    """Run trace_level_lines and return the shared march's arguments and
-    every branch it cut from the march, (u, (points, aborted, diagnostic))."""
-    march, branch = tractgeom._march_curve, tractgeom._branch_points
-    args, branches = [], []
-
-    def march_spy(family, *a):
-        args.append(a)
-        return march(family, *a)
-
-    def branch_spy(family, shared, u):
-        branches.append((u, branch(family, shared, u)))
-        return branches[-1][1]
-
-    monkeypatch.setattr(tractgeom, "_march_curve", march_spy)
-    monkeypatch.setattr(tractgeom, "_branch_points", branch_spy)
-    rep = td.trace_level_lines(family, td.build_squares(anchor, inset),
-                               td.GeometryBudget(epsilon=0.1, inset=inset))
-    monkeypatch.undo()
-    assert len(args) == 1
-    return rep, args[0], branches
+def _clipped_lengths(pts, inner, core):
+    """Lengths of the polyline's components in inner that meet core, each
+    cut where it leaves inner."""
+    flags = np.r_[0, inner.contains(pts).astype(np.int8), 0]
+    bounds = np.flatnonzero(np.diff(flags))
+    lengths = []
+    for start, stop in zip(bounds[::2], bounds[1::2]):  # pts[start:stop] lie in inner
+        comp = pts[start:stop]
+        if start > 0:
+            comp = np.r_[_leave(comp[0], pts[start - 1], inner), comp]
+        if stop < pts.size:
+            comp = np.r_[comp, _leave(comp[-1], pts[stop], inner)]
+        if core.contains(comp).any():
+            lengths.append(float(np.sum(np.abs(np.diff(comp)))))
+    return lengths
 
 
-def _assert_branches_match_reference(family, march_args, branches):
-    r, re_stop, step = march_args
-    for u, (pts, aborted, diag) in branches:
-        ref_pts, ref_aborted, ref_diag = _march_one_branch(family, r, u, re_stop, step)
-        assert pts.dtype == ref_pts.dtype and pts.shape == ref_pts.shape, u
-        assert np.array_equal(pts.view(np.int64), ref_pts.view(np.int64)), u
-        assert (aborted, diag) == (ref_aborted, ref_diag), u
+def _assert_level_lines_match_dense_reference(family, anchor, inset):
+    """The closed-form curves against dense polylines of Log, clipped here,
+    over every branch within two of Q': the same curve count, the same
+    components to 1e-5 relative, and a least real part at or below every
+    reference point's.  Returns the curve count."""
+    spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
+    rep = td.trace_level_lines(family, spec, budget)
+    r = td.anchor_line(family, anchor, inset).real_part
+    traces = {t.u: t for t in rep.traces}
+    count = 0
+    for u in range(math.floor(spec.inner.im_lo / TWO_PI) - 2,
+                   math.ceil(spec.inner.im_hi / TWO_PI) + 3):
+        pts = _dense_branch(family, r, u, spec.inner.re_hi)
+        want = sorted(_clipped_lengths(pts, spec.inner, spec.core))
+        count += bool(want)
+        if u not in traces:
+            assert not want, (anchor, u)
+            continue
+        assert sorted(traces[u].arclengths) == pytest.approx(want, rel=1e-5), (anchor, u)
+        assert traces[u].min_re <= pts.real.min(), (anchor, u)
+    assert rep.curve_count == count, anchor
+    return count
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.3, 3.0, 0.5 + 0.5j, 1j, 0.01])
-def test_shared_march_equals_per_branch_march(lam, monkeypatch):
-    """Every branch cut from the shared march is the per-branch continuation
-    bit for bit: points, abort flag and diagnostic, over anchors 6 to 400."""
+def test_level_lines_equal_dense_log_reference(lam):
+    """Anchors 6 to 400, inset 0.5; the curve counts from anchor 12 on are
+    the same for every lam."""
     family = td.normalize_family(td.exponential_family(lam, math.e))
-    for anchor in (6.0, 12.0, 30.0, 100.0, 400.0):
-        _, march_args, branches = _traced_branches(monkeypatch, family, anchor, 0.5)
-        assert len(branches) >= 5
-        _assert_branches_match_reference(family, march_args, branches)
+    counts = [_assert_level_lines_match_dense_reference(family, anchor, 0.5)
+              for anchor in (6.0, 12.0, 30.0, 100.0, 400.0)]
+    assert counts[1:] == [1, 3, 9, 33]
 
 
-def _plant_lift(monkeypatch, bad):
-    """Perturb the lift by 1e-3 where bad(Im w) holds, so the continuation
-    residual check fails there."""
-    lift = td.MapFamily.lift
-
-    def planted(family, w):
-        w = np.asarray(w, dtype=complex)
-        return lift(family, w) + np.where(bad(w.imag), 1e-3, 0.0)
-
-    monkeypatch.setattr(td.MapFamily, "lift", planted)
-
-
-@pytest.mark.parametrize("bad, cut_down", [
-    # branch 0 leaves the band |Im w| <= 1 going up and going down
-    (lambda im: (np.abs(im) > 1.0) & (np.abs(im) < math.pi), True),
-    # branch 0 is cut going up only; branches 1 and above fail at y = 0
-    (lambda im: im > 1.0, False),
-], ids=["band", "above"])
-def test_shared_march_cuts_branches_at_the_first_failing_point(bad, cut_down, fam, monkeypatch):
-    _plant_lift(monkeypatch, bad)
-    with pytest.MonkeyPatch.context() as spies:  # undone before the plant is
-        rep, march_args, branches = _traced_branches(spies, fam, 12.0, 0.5)
-    _assert_branches_match_reference(fam, march_args, branches)
-    up, down = (w for _, _, w in tractgeom._march_curve(fam, *march_args))
-    by_u = dict(branches)
-    pts, aborted, diag = by_u[0]
-    assert aborted and diag.startswith("continuation residual 0.001 at y=")
-    assert 0.5 < pts.imag.max() <= 1.0 < up.imag.max()
-    if cut_down:
-        assert down.imag.min() < -1.0 <= pts.imag.min() < -0.5
-    else:
-        assert np.array_equal(pts[pts.size - down.size + 1:], down[1:])
-        assert all(by_u[u][0].size == 0 and by_u[u][1] for u in by_u if u > 0)
-    assert [t.u for t in rep.traces if t.aborted] == [0]
-
-
-def test_level_lines_march_once_for_all_branches(fam, monkeypatch):
-    """At anchor 12 the seven branches share one march: one scalar inv0 call
-    per march point (not one per point and branch) and one array lift call
-    per branch and direction."""
-    anchor, inset = 12.0, 0.5
-    spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
-    inv0 = _count_calls(monkeypatch, td.MapFamily, "inv0")
-    td.anchor_line(fam, anchor, inset)
-    line_calls = len(inv0)
-    inv0.clear()
-    deriv = _count_calls(monkeypatch, td.MapFamily, "inv0_deriv")
-    lift = _count_calls(monkeypatch, td.MapFamily, "lift")
-    march, marches = tractgeom._march_curve, []
-
-    def march_spy(*args):
-        marches.append(march(*args))
-        return marches[-1]
-
-    monkeypatch.setattr(tractgeom, "_march_curve", march_spy)
-    rep = td.trace_level_lines(fam, spec, budget)
-    assert rep.curve_count >= rep.required_count
-    (shared,) = marches
-    n_points = sum(len(ys) for ys, _, _ in shared)
-    assert n_points > 500
-    assert all(np.ndim(z) == 0 for (z,) in inv0 + deriv)
-    assert len(inv0) - line_calls == n_points
-    assert len(deriv) == n_points - 2  # the last point of each direction takes no step
-    assert len(lift) == 2 * 7
-    assert all(np.ndim(w) == 1 for (w,) in lift)
+@pytest.mark.parametrize("inner, core, n_comps", [
+    ((-1.0, 3.0, 0.3, 2.0), (1.0, 2.0, 0.5, 1.5), 1),     # enters through the bottom edge
+    ((-1.0, 3.0, -2.0, -0.3), (1.0, 2.0, -1.5, -0.5), 1),  # the same, lower half
+    ((0.5, 3.0, -1.2, 1.2), (0.6, 2.0, -1.1, 1.1), 2),     # leaves through the top and bottom
+    ((-1.0, 3.0, -1.0, 1.0), (0.1, 0.5, 0.3, 0.8), 1),     # the vertex lies inside
+    ((-1.0, 3.0, -1.0, 1.0), (2.0, 3.0, -0.5, 0.5), 0),    # misses the core
+], ids=["bottom", "top", "sides", "vertex", "no-core"])
+def test_branch_components_cut_by_each_edge(fam, inner, core, n_comps):
+    """a = 1 (ln a = 0), branch 0, against rectangles that cut the curve
+    by each of their edges: the same lengths as the dense reference."""
+    inner, core = Rect(*inner), Rect(*core)
+    got = tractgeom._branch_components(0.0, 0, inner, core)
+    want = _clipped_lengths(_dense_branch(fam, 1.0, 0, inner.re_hi), inner, core)
+    assert len(want) == n_comps
+    assert sorted(got) == pytest.approx(sorted(want), rel=1e-6)
 
 
 def test_sampled_fallback_pads_by_at_least_an_ulp_at_anchor_24(fam, monkeypatch):
