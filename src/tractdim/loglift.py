@@ -313,10 +313,9 @@ class TailEnvelope:
         together they add m (p_lo d_lo)^-t.  Needs p_lo > 0, which holds
         whenever G is non-empty.  Returns, per envelope (lower, upper), the
         pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi), ints of any
-        size).  A level-1 bound at t is the lower end of
-        `RunSum.log_bounds(t, -t ln(2 pi d_hi))` on the lower envelope, or
-        the upper end of `RunSum.log_bounds(t, -t ln(2 pi d_lo))` on the
-        upper one.
+        size).  A level-1 bound at t is
+        `RunSum.log_bound(t, -t ln(2 pi d_hi), 0)` on the lower envelope, or
+        `RunSum.log_bound(t, -t ln(2 pi d_lo), 1)` on the upper one.
         """
         h = self.b / TWO_PI
         p_lo = self.p_lo
@@ -366,8 +365,8 @@ _RUN_SUM_ULPS = 64
 @dataclass(frozen=True)
 class RunSum:
     """The part of a run sum over s in [s1, s2] of (s + h)^-t that does not
-    depend on t: built once per run by `run_sum`, evaluated per exponent by
-    `log_bounds`.
+    depend on t: built once per run by `run_sum`, evaluated per exponent and
+    side by `log_bound`.
 
     `direct` holds ln(s + h) of the terms added one by one (or, for the
     upper envelope below s*, ln(p_lo / (2 pi)); see `TailEnvelope.run_sums`);
@@ -381,11 +380,18 @@ class RunSum:
     magnitude: float
     tail: Optional[tuple] = None   # (x_m, x_m^3, x_m^5, ln x_m, r, ln(n - m))
 
-    def log_bounds(self, t: float, log_c: float):
-        """(lower, upper) bounds on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t);
-        see `log_run_sum_bounds`."""
-        parts_lo = [log_sum_exp([-t * x for x in self.direct])]
-        parts_hi = list(parts_lo)
+    def log_bound(self, t: float, log_c: float, side: int) -> float:
+        """One end of the bracket on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t):
+        the lower bound for side 0, the upper for side 1 (see
+        `log_run_sum_bounds`).
+
+        The direct terms are added as they are; the tail's Euler-Maclaurin
+        value through the B4 term is the lower end, plus the B6 term the
+        upper, and only the side asked for is formed.  The result is
+        widened outward by `_RUN_SUM_ULPS` ulps of the largest log
+        magnitude, lower for side 0 and upper for side 1.
+        """
+        parts = [log_sum_exp([-t * x for x in self.direct])]
         if self.tail is not None:
             x_m, x_m3, x_m5, log_m, r, log_flat = self.tail
             log_int = log_m + _log_power_integral(0.0, r, t) if r else log_flat
@@ -396,26 +402,29 @@ class RunSum:
             poly = t * (t + 1.0) * (t + 2.0)
             ends = (0.5 * (2.0 - drop(0.0)), t / 12.0 / x_m * drop(1.0),
                     -poly / 720.0 / x_m3 * drop(3.0))
-            b6 = poly * (t + 3.0) * (t + 4.0) / 30240.0 / x_m5 * drop(5.0)
+            b6 = poly * (t + 3.0) * (t + 4.0) / 30240.0 / x_m5 * drop(5.0) if side else 0.0
             if self.big:
-                log_rel = [_log_add(log_int, math.log(sum(ends) + x)) for x in (0.0, b6)]
+                log_rel = _log_add(log_int, math.log(sum(ends) + b6))
             else:
                 rel = math.exp(log_int) + ends[0] + ends[1] + ends[2]
-                log_rel = [math.log(rel), math.log(rel + b6)]
-            parts_lo.append(-t * log_m + log_rel[0])
-            parts_hi.append(-t * log_m + log_rel[1])
+                log_rel = math.log(rel + b6)
+            parts.append(-t * log_m + log_rel)
         slack = _RUN_SUM_ULPS * 2.0 ** -52 * (1.0 + abs(log_c) + (1.0 + t) * self.magnitude)
         # past 2^53 the parts are the direct sum (maybe -inf) and a finite tail
-        lo, hi = (reduce(_log_add, p) if self.big else log_sum_exp(p)
-                  for p in (parts_lo, parts_hi))
-        return log_c + lo - slack, log_c + hi + slack
+        total = reduce(_log_add, parts) if self.big else log_sum_exp(parts)
+        return log_c + total + slack if side else log_c + total - slack
+
+    def log_bounds(self, t: float, log_c: float):
+        """(lower, upper) bounds on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t):
+        both sides of `log_bound`."""
+        return self.log_bound(t, log_c, 0), self.log_bound(t, log_c, 1)
 
 
 def run_sum(s1: int, s2: int, h: float) -> RunSum:
     """The t-independent data of the run sum over s in [s1, s2] of (s + h)^-t.
 
     Needs s1 + h > 0.  Every log of the run's ends and of its h-shifts is
-    taken here, once; `RunSum.log_bounds` then costs a few scalar
+    taken here, once; `RunSum.log_bound` then costs a few scalar
     operations per exponent, whatever the size of the ints.
     """
     big = s2 > _MAX_EXACT_INT

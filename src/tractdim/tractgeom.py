@@ -697,6 +697,7 @@ class GapReport:
     min_gap: float              # consecutive cells of one run (inf: no run of two)
     n_adjacent_checked: int     # sum over the runs of n_columns * (length - 1)
     column_separation: float    # gap between adjacent runs' imaginary extents
+    log_min_gap: float          # ln min_gap, finite where min_gap underflows
 
 
 def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
@@ -707,20 +708,22 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     ln d_hi - Re c] and is > 0 whenever G is non-empty; q = arg(z - c) -
     Im c lies in [theta_lo, theta_hi] - Im c, arg's extremes over the four
     corners of Q.  Consecutive images are 2*pi translates of a set of
-    height < pi, hence at least 2*pi - (theta_hi - theta_lo) apart.  The
-    cell is Log(w) + 2*pi*i*u, and |e^h1 - e^h2| <= |h1 - h2| *
+    height < pi, hence at least room = 2*pi - (theta_hi - theta_lo) apart.
+    The cell is Log(w) + 2*pi*i*u, and |e^h1 - e^h2| <= |h1 - h2| *
     max(|e^h1|, |e^h2|), so Log shrinks distances by at most max|w| <=
-    hypot(p_hi, |q + 2*pi*s|): a run's least bound is at its largest |s|,
-    the same for every column of its block.  A run's imaginary extent is
-    that of atan2(q + 2*pi*s, p) + 2*pi*u over the same rectangle, which
-    is monotone in q, s and p and so extremal at the run's end indices.
-    The bounds are formed in float, so a G whose 2*pi*|s| passes the
-    float range raises ConstructionError.
+    hypot(p_hi, top), top = max|q + 2*pi*s| = 2*pi*n + q_hi for s = +n and
+    2*pi*n - q_lo for s = -n (|q| < 3*pi/2): a run's least bound is at its
+    largest |s|, the same for every column of its block.  The bound is
+    formed in logs, ln room - ln hypot(p_hi, top) with ln top = ln(2*pi*n)
+    + log1p(+-q / (2*pi*n)), so it stays finite for indices of any size;
+    `min_gap` is its exp and may underflow to 0.  A run's imaginary extent
+    is that of atan2(q + 2*pi*s, p) + 2*pi*u over the same rectangle,
+    which is monotone in q, s and p and so extremal at the run's end
+    indices; where 2*pi*|s| passes the float range, atan2 takes its limit
+    +-pi/2.
     """
     if gset.is_empty():
         raise ConstructionError("gap report needs a non-empty G")
-    if gset.max_abs_index() > sys.float_info.max / TWO_PI:
-        raise ConstructionError("gap report: 2*pi*|s| passes the float range")
     env = family.envelope(spec.outer.bounds())
     c = env.c
     p_lo, p_hi = env.p_lo, math.log(env.d_hi) - c.real
@@ -730,27 +733,37 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     thetas = [math.atan2(y - c.imag, x - c.real)
               for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
     q_lo, q_hi = min(thetas) - c.imag, max(thetas) - c.imag
-    room = TWO_PI - (q_hi - q_lo)
-    min_gap = math.inf
+    log_room = math.log(TWO_PI - (q_hi - q_lo))
+    log_p_hi = math.log(p_hi)
+
+    def two_pi_times(n):  # inf past the float range, where atan2 is at its limit
+        return math.inf if n > sys.float_info.max / TWO_PI else TWO_PI * n
+
+    log_min_gap = math.inf
     columns = []
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         m, n = sorted((abs(run.s_lo), abs(run.s_hi)))
         if n > m:
-            top = max(abs(q_lo + sign * TWO_PI * n), abs(q_hi + sign * TWO_PI * n))
-            min_gap = min(min_gap, room / math.hypot(p_hi, top))
+            log_scale = math.log(TWO_PI) + math.log(n)
+            log_top = log_scale + math.log1p((q_hi if sign > 0 else -q_lo)
+                                             * math.exp(-log_scale))
+            log_hypot = log_top + 0.5 * math.log1p(math.exp(2.0 * (log_p_hi - log_top)))
+            log_min_gap = min(log_min_gap, log_room - log_hypot)
+        y_m, y_n = two_pi_times(m), two_pi_times(n)
         if sign > 0:
-            lo, hi = math.atan2(q_lo + TWO_PI * m, p_hi), math.atan2(q_hi + TWO_PI * n, p_lo)
+            lo, hi = math.atan2(q_lo + y_m, p_hi), math.atan2(q_hi + y_n, p_lo)
         else:
-            lo, hi = math.atan2(q_lo - TWO_PI * n, p_lo), math.atan2(q_hi - TWO_PI * m, p_hi)
+            lo, hi = math.atan2(q_lo - y_n, p_lo), math.atan2(q_hi - y_m, p_hi)
         columns.extend((lo + TWO_PI * u, hi + TWO_PI * u) for u in range(run.u_lo, run.u_hi + 1))
     columns.sort()
     col_sep = math.inf
     for (a_lo, a_hi), (b_lo, b_hi) in zip(columns, columns[1:]):
         col_sep = min(col_sep, b_lo - a_hi)
-    return GapReport(min_gap=min_gap, column_separation=col_sep,
+    return GapReport(min_gap=math.exp(log_min_gap), column_separation=col_sep,
                      n_adjacent_checked=sum(run.n_columns * (run.length - 1)
-                                            for run in gset.runs))
+                                            for run in gset.runs),
+                     log_min_gap=log_min_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 `log_run_sum_bounds` here forms every log of a run anew on each call, as
 the run sum did before its t-independent data was split off
-(`tractdim.loglift.run_sum`); `level1_log_bounds` and `bowen_root` sum
-both envelopes at every exponent and bisect on that two-sided sum.  The
-tests compare the library with them hex for hex.
+(`tractdim.loglift.run_sum`); `level1_log_bounds` sums both envelopes at
+every exponent and `bowen_root` bisects on that two-sided sum, evaluating
+every midpoint.  The tests compare the library with them hex for hex.
 """
 
 import math
 from functools import reduce
+
+import numpy as np
 
 from tractdim.loglift import (_MAX_EXACT_INT, _RUN_DIRECT, _RUN_SUM_ULPS, _log_add,
                               _log_power_integral, _log_shifted)
@@ -70,17 +72,32 @@ def envelope_run_sum(s_lo, s_hi, t, env):
     return log_lo, log_run_sum_bounds(s_lo, s_hi, t, -h, -t * math.log(TWO_PI * env.d_lo))[1]
 
 
+def _listed_log_sum(logs, t):
+    """ln sum(w^t) over listed log-weights, in the library's order."""
+    scaled = t * logs
+    m = float(np.max(scaled))
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
+
+
 def level1_log_bounds(system, t):
-    """(ln lower, ln upper) level-1 sum of a system built from G: each
-    distinct range summed once and taken k times, both envelopes."""
+    """(ln lower, ln upper) level-1 sum of a system: its listed weights
+    summed as they are, and each distinct range of a system built from G
+    summed once and taken k times, both envelopes."""
+    listed = ([(_listed_log_sum(system.log_lo, t), _listed_log_sum(system.log_hi, t))]
+              if system.log_lo is not None and system.log_lo.size else [])
     parts = [(envelope_run_sum(lo, hi, t, system.env), k) for (lo, hi), k in system.runs]
-    return tuple(log_sum_exp([pair[side] for pair, k in parts for _ in range(k)])
+    return tuple(log_sum_exp([pair[side] for pair in listed]
+                             + [pair[side] for pair, k in parts for _ in range(k)])
                  for side in (0, 1))
 
 
 def bowen_root(system, tol, t_cap=4.0):
-    """(t_lo, t_hi, lo_capped, hi_capped) by bisection on the two-sided
-    reference sum, each side read from a sum of both envelopes."""
+    """(t_lo, t_hi, lo_capped, hi_capped) by bisection on [0, t_cap] on the
+    two-sided reference sum, each side read from a sum of both envelopes;
+    it stops once the bracket is within tol or its midpoint is no longer
+    strictly inside it."""
     def root(side, conservative_left):
         def f(t):
             return level1_log_bounds(system, t)[side]
@@ -91,6 +108,8 @@ def bowen_root(system, tol, t_cap=4.0):
         lo, hi = 0.0, t_cap
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # below the float spacing
+                break
             if f(mid) > 0.0:
                 lo = mid
             else:

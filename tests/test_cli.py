@@ -69,6 +69,8 @@ def test_dim_certificate_exit_0(tmp_path):
                 "runtime_ms", "constants"):
         assert key in cert
     assert set(cert["constants"]) == {"c0", "a", "b", "C1_empirical"}
+    # one-sided pressure evaluations of the Bowen root, (lower, upper)
+    assert cert["diagnostics"]["bowen_evaluations"] == [8, 5]
 
 
 def test_dim_small_anchor_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import run_sum_reference as ref
 import tractdim as td
-from tractdim import loglift, tractgeom
+from tractdim import loglift, pressure, tractgeom
 from tractdim.loglift import RunSum
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
 from tractdim.pressure import WeightedSystem, build_weighted_system
@@ -313,14 +314,15 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
 
 def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
     """At the default certificate the run data is built once per system
-    (one range, two envelopes) and each of the root's 2 x 18 steps
-    evaluates the run sum of one envelope: 36 evaluations, where summing
-    both envelopes per step took 72."""
+    (one range, two envelopes) and the root evaluates the run sum of one
+    envelope per step: 13 one-sided evaluations (8 for the lower bound, 5
+    for the upper), where bisecting took 2 x 18, with the bisection's
+    bracket."""
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
     gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0), dist=dist)
     built, evaluated = [], []
-    run_sum, log_bounds = loglift.run_sum, RunSum.log_bounds
+    run_sum, log_bound = loglift.run_sum, RunSum.log_bound
 
     def build_spy(*args):
         built.append(args)
@@ -328,17 +330,18 @@ def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
 
     def evaluate_spy(self, *args):
         evaluated.append(args)
-        return log_bounds(self, *args)
+        return log_bound(self, *args)
 
     monkeypatch.setattr(loglift, "run_sum", build_spy)
-    monkeypatch.setattr(RunSum, "log_bounds", evaluate_spy)
+    monkeypatch.setattr(RunSum, "log_bound", evaluate_spy)
     system = build_weighted_system(fam, gset, spec, dist)
     roots = td.bowen_root(system, tol=1e-4)
     assert len(built) == 2
-    assert len(evaluated) == 36
+    assert len(evaluated) == 13 and roots.evaluations == (8, 5)
+    assert [side for _, _, side in evaluated] == [0] * 8 + [1] * 5
     assert (roots.t_lo, roots.t_hi) == (1.00146484375, 1.00201416015625)
     td.bowen_root(system, tol=1e-4)
-    assert len(built) == 2 and len(evaluated) == 72
+    assert len(built) == 2 and len(evaluated) == 26
 
 
 _ROOT_LAMBDAS = (1.0, 0.5 + 0.5j, 2.5, 0.01)
@@ -349,7 +352,8 @@ _ROOT_ANCHORS = ((12.0, 0.5), (30.0, 0.5), (100.0, 3.0), (4000.0, 3.0), (8000.0,
 def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
     """The one-envelope root and the level-1 sums over the system's run
     data are hex-identical to a per-call run sum of both envelopes at every
-    exponent and to bisecting on it, over anchors from 12 to 8000."""
+    exponent and to bisecting on it, over anchors from 12 to 8000 and
+    tolerances down to 1e-8."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     for anchor, inset in _ROOT_ANCHORS:
         spec = td.build_squares(anchor, inset)
@@ -361,7 +365,7 @@ def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
             got = td.level1_sum(system, t)
             want = ref.level1_log_bounds(system, t)
             assert (got.log_lo.hex(), got.log_hi.hex()) == tuple(x.hex() for x in want)
-        for tol in (1e-3, 1e-4):
+        for tol in (1e-3, 1e-4, 1e-8):
             r = td.bowen_root(system, tol=tol)
             got = (r.t_lo.hex(), r.t_hi.hex(), r.lo_capped, r.hi_capped)
             t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, tol)
@@ -380,3 +384,64 @@ def test_bowen_root_below_the_float_spacing_gives_the_tightest_bracket():
     r = td.bowen_root(WeightedSystem.from_uniform([1 / 3, 1 / 3]), tol=1e-300)
     assert r.t_hi == math.nextafter(r.t_lo, math.inf)
     assert r.t_lo <= math.log(2.0) / math.log(3.0) <= r.t_hi
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(weights=st.one_of(
+           st.lists(st.floats(1e-300, 0.999), min_size=1, max_size=50),
+           st.lists(st.floats(0.9, 0.999), min_size=20, max_size=50)),
+       tol=st.sampled_from([1e-3, 1e-4, 1e-8, 1e-300, 5e-324]),
+       t_cap=st.sampled_from([0.5, 4.0]))
+@example(weights=[0.6], tol=1e-4, t_cap=4.0)              # f(0) = 0 on both sides
+@example(weights=[0.9] * 10, tol=1e-4, t_cap=4.0)         # capped on both sides
+@example(weights=[1 / 3, 1 / 3], tol=5e-324, t_cap=4.0)   # below the float spacing
+@example(weights=[0.25, 0.25, 0.25], tol=1e-8, t_cap=0.5)  # capped at 0.5
+def test_bowen_root_equals_reference_bisection_with_a_witness(weights, tol, t_cap):
+    """On listed systems of 1 to 50 letters the root has the reference
+    bisection's bracket and flags, and each uncapped end rests on an
+    evaluated value of the right sign: f_lo > 0 at some t >= t_lo (where
+    t_lo > 0) and f_hi <= 0 at some t <= t_hi."""
+    system = WeightedSystem.from_uniform(weights)
+    evaluated = {0: [], 1: []}
+    envelope_log_sum = pressure._envelope_log_sum
+
+    def spy(system, t, side):
+        value = envelope_log_sum(system, t, side)
+        evaluated[side].append((t, value))
+        return value
+
+    with patch.object(pressure, "_envelope_log_sum", spy):
+        r = td.bowen_root(system, tol=tol, t_cap=t_cap)
+    assert (r.t_lo, r.t_hi, r.lo_capped, r.hi_capped) == ref.bowen_root(system, tol, t_cap)
+    assert r.evaluations == (len(evaluated[0]), len(evaluated[1]))
+    if r.t_lo > 0.0:
+        assert any(t >= r.t_lo and f > 0.0 for t, f in evaluated[0])
+    if not r.hi_capped:
+        assert any(t <= r.t_hi and f <= 0.0 for t, f in evaluated[1])
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-8])
+def test_bowen_root_evaluates_only_points_of_the_bisection_grid(monkeypatch, tol):
+    """The root reads its bound only on the bisection's final grid (t_cap
+    halved until it is within tol).  Here the bound is convex and
+    decreasing on the grid, with roots 1.2345 and 1.6789, but has the
+    wrong sign everywhere off it, as rounding can make a computed bound
+    near its root: the root still returns the grid cells around the roots,
+    the bisection's brackets, from grid evaluations only."""
+    grid = 4.0
+    while grid > tol:
+        grid *= 0.5
+    roots = (1.2345, 1.6789)
+    evaluated = []
+
+    def bound(system, t, side):
+        evaluated.append(t)
+        value = math.exp(-3.0 * t) - math.exp(-3.0 * roots[side])
+        return value if (t / grid).is_integer() else -value
+
+    monkeypatch.setattr(pressure, "_envelope_log_sum", bound)
+    r = td.bowen_root(WeightedSystem.from_uniform([0.5, 0.5]), tol=tol)
+    cells = [math.floor(root / grid) * grid for root in roots]
+    assert (r.t_lo, r.t_hi) == (cells[0], cells[1] + grid)
+    assert all((t / grid).is_integer() for t in evaluated)
+    assert len(evaluated) == sum(r.evaluations)

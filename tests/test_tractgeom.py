@@ -709,6 +709,8 @@ def test_min_cell_gap_positive(mini):
     rep = td.min_cell_gap(mini.family, mini.gset, mini.spec)
     assert rep.min_gap > 0
     assert rep.column_separation > 0
+    assert rep.log_min_gap == pytest.approx(
+        _mp_log_min_gap(mini.family, mini.gset, mini.spec), rel=0, abs=1e-12)
 
 
 def test_min_cell_gap_with_letters_below_envelope_validity():
@@ -730,13 +732,48 @@ def test_min_cell_gap_with_letters_below_envelope_validity():
     assert rep.n_adjacent_checked == sum(r.n_columns * (r.s_hi - r.s_lo) for r in gset.runs)
 
 
+def _mp_log_min_gap(fam, gset, spec):
+    """ln room - ln hypot(p_hi, top), top = max|q + 2*pi*s| over q in
+    {q_lo, q_hi} at each run's largest |s|, in 80-digit arithmetic from the
+    same float corner data (q_lo, q_hi, p_hi)."""
+    mp = pytest.importorskip("mpmath")
+    env = fam.envelope(spec.outer.bounds())
+    c, rect = env.c, spec.outer
+    thetas = [math.atan2(y - c.imag, x - c.real)
+              for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
+    q_lo, q_hi = min(thetas) - c.imag, max(thetas) - c.imag
+    p_hi = math.log(env.d_hi) - c.real
+    with mp.workdps(80):
+        room = 2 * mp.pi - (mp.mpf(q_hi) - mp.mpf(q_lo))
+        logs = []
+        for r in gset.runs:
+            m, n = sorted((abs(r.s_lo), abs(r.s_hi)))
+            if n > m:
+                sign = 1 if r.s_lo > 0 else -1
+                top = max(abs(mp.mpf(q) + sign * 2 * mp.pi * n) for q in (q_lo, q_hi))
+                logs.append(mp.log(room) - mp.log(mp.sqrt(mp.mpf(p_hi) ** 2 + top ** 2)))
+        return float(min(logs))
+
+
 def test_min_cell_gap_past_the_float_range(fam):
-    """At anchor 4000, 2*pi*|s| passes the float range: the gap report
-    raises ConstructionError, not OverflowError."""
-    spec = td.build_squares(4000.0, 3.0)
-    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0))
-    with pytest.raises(td.ConstructionError, match="float range"):
-        td.min_cell_gap(fam, gset, spec)
+    """From anchor 1000 on, 2*pi*|s| passes the float range (at 400,
+    min_gap is already 1.2e-260): the gap report forms its bound in logs,
+    so log_min_gap is finite and within 1e-12 of an 80-digit evaluation,
+    min_gap is its exp (0 where it underflows), and the column extents take
+    atan2's +-pi/2 limits, so adjacent columns stay about pi apart."""
+    for anchor in (400.0, 1000.0, 2000.0, 4000.0, 8000.0):
+        spec = td.build_squares(anchor, 3.0)
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=3.0))
+        assert (gset.max_abs_index() > 1.7e308 / TWO_PI) == (anchor > 400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = td.min_cell_gap(fam, gset, spec)
+        assert math.isfinite(rep.log_min_gap)
+        assert rep.log_min_gap == pytest.approx(_mp_log_min_gap(fam, gset, spec),
+                                                rel=0, abs=1e-12)
+        assert rep.min_gap == math.exp(rep.log_min_gap)
+        assert 3.0 < rep.column_separation < math.pi
+        assert rep.n_adjacent_checked == sum(r.n_columns * (r.length - 1) for r in gset.runs)
 
 
 def _brute_column_separation(fam, gset, spec):
@@ -767,7 +804,8 @@ def test_min_cell_gap_column_extents_of_one_sign(fam, sign):
     least.  The column separation equals the brute-force one over the
     corners of Q and the run ends, bit for bit, so each sign's run ends
     enter the extents the right way round (with them swapped, a column's
-    extent is mirrored and that gap widens)."""
+    extent is mirrored and that gap widens).  log_min_gap, which only one
+    sign reaches here, is within 1e-12 of its 80-digit value."""
     spec = td.build_squares(12.0, 0.5)
     runs = [RunBlock(-1, 0, 10 ** 7, 10 ** 7 + 1000), RunBlock(1, 2, 65, 70)]
     if sign < 0:
@@ -776,6 +814,7 @@ def test_min_cell_gap_column_extents_of_one_sign(fam, sign):
     rep = td.min_cell_gap(fam, gset, spec)
     assert 0 < rep.column_separation < math.inf
     assert rep.column_separation == _brute_column_separation(fam, gset, spec)
+    assert rep.log_min_gap == pytest.approx(_mp_log_min_gap(fam, gset, spec), rel=0, abs=1e-12)
 
 
 def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
