@@ -32,14 +32,13 @@ with `min_inf_re_margin` NaN.  Its growth grid runs over the powers of
 ten from the first above ln R0 to 1e12, so it also exits 0 at |lam| past
 e^9 (lam = 1e4, anchor 100).
 
-A cell that sampling cannot certify (its containment padding, from the
-cell's closed-form Lipschitz bound, exceeds half the side of Q) is a
-borderline cell left out of G, not a configuration error.  At lam =
-0.01, R0 = e, anchor 4, G holds the cells (0, +-1) and (0, +-2), whose
-2*pi*|s| lies below the envelope constant b: `dim` reports not-certified
-with a finite upper Bowen root (those letters' upper weights come from
-|xi_s| >= p_lo = ln d_lo - Re c) and exits 2; `sample`, `oracle recheck`
-and `oracle brute-pressure` exit 0.
+G is the ints of its closed-form sigma windows; a cell outside them is
+left out, not decided by sampling.  At lam = 0.01, R0 = e, anchor 4, G
+holds |s| = 4..63 at u = 0 for each sign, and none of the cells (0, +-1)
+and (0, +-2), whose 2*pi*|s| lies below the envelope constant b: `dim`
+reports not-certified with the Bowen bracket [0.6438, 0.7088] and exits
+2; `sample`, `oracle recheck`, `oracle brute-pressure` and `lemmas` exit
+0.
 
 A config that is not a JSON object, a section that is not one, a
 non-numeric `oracle.t` and an unreadable config or `oracle.path` file are

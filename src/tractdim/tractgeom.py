@@ -6,13 +6,16 @@ Q'', and studies the two-level inverse images
 
     cell(u, s) = F_inv_u(F_inv_s(Q)).
 
-The admissible index set G collects the pairs whose cell lands back
-inside Q; these cells generate a conformal iterated function system whose
-attractor carries the dimension bound certified by the pressure module.
+The admissible index set G collects the pairs whose cell provably lands
+back inside Q: per column u, the indices whose sigma = ln(2*pi*|s|) lies
+in a closed-form window where the cell's enclosure does.  These cells
+generate a conformal iterated function system whose attractor carries
+the dimension bound certified by the pressure module.
 
 Index magnitudes explode with R (admissible |s| reach exp(3R/2)), so the
-large-R regime works in sigma = ln(2*pi*|s|) throughout: windows, weights
-and containment certificates are all functions of sigma.
+large-R regime works in sigma throughout: windows, weights and
+containment certificates are all functions of sigma, and G is built
+without evaluating a branch.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -114,8 +116,11 @@ class GeometryBudget:
     """Tunable constants of the construction.
 
     epsilon controls the anchor-derivative condition, inset is the width D
-    by which the inner square retreats from Q, margin is extra containment
-    padding on top of the per-cell analytic padding.
+    by which the inner square retreats from Q, margin is the distance by
+    which every cell's enclosure stays inside Q (and extra padding of the
+    dense recheck).  boundary_samples is the number of boundary samples
+    of Q per unit of density in the dense containment recheck
+    (`oracle.recheck_gset`); G itself samples nothing.
     """
 
     epsilon: float = 0.1
@@ -280,98 +285,6 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
         "no grid point satisfies the anchor conditions (worst margins: "
         + ", ".join(f"{k}={v:.4g}" for k, v in margins.items())
         + "); the scan may simply be too short", margins)
-
-
-# ---------------------------------------------------------------------------
-# Cells
-# ---------------------------------------------------------------------------
-
-def cell_verdicts(family: MapFamily, spec: SquareSpec, budget: GeometryBudget, u: int, ss):
-    """Containment verdicts of the cells g_{u,s}(Q) for the signed indices
-    ss of one column u: an array of "inside", "borderline" or "outside",
-    one per index, and the sampled padding delta (NaN where no sample was
-    taken).
-
-    With c = Log(lam), the branch g_{u,s} has |g'(z)| = 1 / (|xi_s(z)| *
-    |z - c|), xi_s(z) = Log(z - c) - c + 2*pi*i*s.  On Q, |z - c| >= d_lo
-    and |xi_s| >= max(p_lo, 2*pi*|s| - b) with p_lo = ln d_lo - Re c, so
-    lip = 1 / (max(p_lo, 2*pi*|s| - b) * d_lo), e^hi of
-    `TailEnvelope.log_weight_bounds`, bounds sup_Q |g'| at every index,
-    also below envelope validity (e^sigma <= 2b) and at s = 0.  A cell is
-    decided by the first of these that applies:
-
-    1. inside if its enclosure lies in Q shrunk by the budget margin
-       (`_enclosed`, the test the sigma windows use; it fails below
-       envelope validity);
-    2. outside if its center g_{u,s}(R) is not in Q;
-    3. inside if the center is farther than margin + lip * diam(Q) from
-       the boundary of Q;
-    4. by the images of `budget.boundary_samples` boundary samples of Q,
-       padded by delta = max(margin + lip * spacing, ulp of Q's largest
-       coordinate): inside if every image lies in Q shrunk by delta,
-       borderline if every image lies in Q but not in the shrunk Q, and
-       also if delta exceeds half the side of Q (no sample can certify
-       the cell), else outside.
-
-    The ulp floor keeps a cell narrower than an ulp, whose samples round
-    onto the edge of Q, from being admitted by rounding.  The anchor and
-    the samples lie in Q, so their first-level images lie in H once ln d_lo
-    > ln R0.  Raises ConstructionError where the first-level images leave
-    H (ln d_lo <= ln R0), since the second branch then does not apply, and
-    for an index past 2^53, which is no longer float-exact.
-    """
-    ss = np.atleast_1d(ss)
-    if ss.size and max(abs(int(s)) for s in ss) > _MAX_EXACT_INT:
-        raise ConstructionError("an index lies beyond the float-exact range 2^53")
-    env = family.envelope(spec.outer.bounds())
-    if math.log(env.d_lo) <= family.ln_r0:
-        raise ConstructionError(
-            "first-level image leaves the half plane: ln(min|z - Log lam|) = "
-            f"{math.log(env.d_lo):.6g} <= ln R0 = {family.ln_r0:.6g}")
-    ss = ss.astype(np.int64)
-    verdicts, delta = np.full(ss.shape, "outside", dtype="<U10"), np.full(ss.shape, math.nan)
-    for sign, pick in ((1, ss >= 0), (-1, ss < 0)):
-        with np.errstate(divide="ignore"):  # s = 0: sigma = -inf
-            inside, borderline, delta[pick] = _cell_verdicts(
-                family, env, spec, budget, int(u), sign, np.abs(ss[pick]))
-        verdicts[pick] = np.where(inside, "inside", np.where(borderline, "borderline", "outside"))
-    return verdicts, delta
-
-
-def _cell_verdicts(family, env, spec, budget, u, sign, ss: np.ndarray):
-    """`cell_verdicts` of the column (u, sign) at the unsigned int64
-    indices ss, with the envelope of Q given: the masks
-    inside and borderline, and the paddings.  Only the cells the enclosure
-    rejects whose center lies in Q get a Lipschitz bound, and only those
-    near the boundary get their samples, mapped as one (cells x samples)
-    array."""
-    rect, margin = spec.outer, budget.margin
-    sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    inside = _enclosed(env, rect, margin, u, sign, sigma)
-    base = complex(np.asarray(family.inv0(complex(spec.anchor))).item())
-    centers = np.asarray(family.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
-        + TWO_PI * 1j * u
-    borderline = np.zeros(ss.shape, dtype=bool)
-    delta = np.full(ss.shape, math.nan)
-    cand = (~inside & rect.contains(centers)).nonzero()[0]
-    if not cand.size:
-        return inside, borderline, delta
-    lip = np.exp(env.log_weight_bounds(sigma[cand])[1])
-    near = ~(rect.dist_to_boundary(centers[cand]) - margin > lip * rect.diam)
-    inside[cand[~near]] = True
-    cand, lip = cand[near], lip[near]
-    if not cand.size:
-        return inside, borderline, delta
-    n = budget.boundary_samples
-    first = np.asarray(family.inv0(rect.boundary_points(n)))
-    imgs = np.asarray(family.inv0(first + TWO_PI * 1j * (sign * ss[cand, None].astype(float)))) \
-        + TWO_PI * 1j * u
-    pad = np.maximum(margin + lip * (rect.perimeter / n), math.ulp(max(map(abs, rect.bounds()))))
-    delta[cand] = pad
-    inside[cand] = rect.contains(imgs, margin=pad[:, None]).all(axis=1)
-    borderline[cand] = ~inside[cand] & (rect.contains(imgs).all(axis=1)
-                                        | (pad > 0.5 * rect.min_side))
-    return inside, borderline, delta
 
 
 # ---------------------------------------------------------------------------
@@ -609,27 +522,21 @@ def _merge_runs(runs: list) -> list:
 def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: GeometryBudget,
             mode: str = "enumerate", dist: Optional[DistortionBound] = None,
             workers: int = 1, collar: int = 32) -> GSet:
-    """Assemble the admissible set G = {(u, s): cell(u, s) inside Q}.
+    """Assemble the admissible set G: the letters of the sigma windows.
 
     The columns (u, sign) of one sign get their closed-form sigma windows
     from one solve (`_sigma_windows`), in blocks of adjacent columns
-    sharing a window; the envelope of Q is computed once per call.  A
-    window past 2^53 becomes one run of its whole block, its integer
-    bounds converted once per distinct window (`_sigma_run`).  In
-    a float-exact window the cell enclosure is monotone in sigma, so every
-    integer in [ceil(s_lo), floor(s_hi)] is certified without a per-index
-    test.  Only the two edge bands just outside it, ceil((2*pi + 2b) /
-    (2*pi)) + 2 indices deep, are tested, with one verdict array per
-    column (`cell_verdicts`, the same decisions on the envelope held
-    here): first by the enclosure test the windows use, then, for
-    the cells it rejects whose center lies in Q, by their closed-form
-    Lipschitz bound and the sampled fallback, which rescue a few cells.
-    The high band stops at 2^53, the last float-exact index.
+    sharing a window; the envelope of Q is computed once per call.  The
+    cell enclosure is monotone in sigma, so each letter whose sigma = ln
+    2*pi + ln|s| lies in a certified window has its cell inside Q, without
+    a per-index test.  Each distinct window becomes one integer run
+    (`_sigma_run`), shared by the columns of every block holding it.
+    Cells outside the windows are left out, also where another test could
+    place them in Q: any subset of the admissible cells generates a
+    compact invariant Cantor set, whose Bowen root is still a lower bound.
 
     `mode` (enumerate or tail), `dist`, `collar` and `workers` are
-    accepted for compatibility and have no effect: every sampled cell is
-    padded by its own closed-form Lipschitz bound, not by the distortion
-    constant.
+    accepted for compatibility and have no effect.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -641,49 +548,65 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
         return GSet(runs=())
-    widen = int(math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI)) + 2
     columns: dict = {}  # signed run (s_lo, s_hi) -> column blocks (u_lo, u_hi) holding it
     sigma_runs: dict = {}  # sigma window -> its integer bounds
     for sign in (1, -1):
         for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer, budget.margin,
                                                              sign):
-            if sigma_hi >= 700.0 or math.exp(sigma_hi) / TWO_PI > _MAX_EXACT_INT:
-                key = (sigma_lo, sigma_hi)
-                s1, s2 = sigma_runs[key] = sigma_runs.get(key) or _sigma_run(*key)
-                if s1 <= s2:
-                    columns.setdefault(tuple(sorted((sign * s1, sign * s2))), []).append(
-                        (u_lo, u_hi))
-                continue
-            s_lo_f, s_hi_f = math.exp(sigma_lo) / TWO_PI, math.exp(sigma_hi) / TWO_PI
-            lo, hi = math.ceil(s_lo_f), math.floor(s_hi_f)
-            bands = np.r_[max(1, math.floor(s_lo_f) - widen):lo,
-                          hi + 1:min(math.ceil(s_hi_f) + widen, _MAX_EXACT_INT) + 1]
-            for u in range(u_lo, u_hi + 1):
-                inside = _cell_verdicts(family, env, spec, budget, u, sign, bands)[0]
-                edge = [(sign * s, sign * s) for s in bands[inside].tolist()]
-                for run in _merge_runs(edge + [(sign * lo, sign * hi)] if hi >= lo else edge):
-                    columns.setdefault(run, []).append((u, u))
+            key = (sigma_lo, sigma_hi)
+            s1, s2 = sigma_runs[key] = sigma_runs.get(key) or _sigma_run(*key)
+            if s1 <= s2:
+                columns.setdefault(tuple(sorted((sign * s1, sign * s2))), []).append(
+                    (u_lo, u_hi))
     return GSet(runs=tuple(sorted(
         RunBlock(u_lo, u_hi, s_lo, s_hi) for (s_lo, s_hi), blocks in columns.items()
         for u_lo, u_hi in _merge_runs(blocks))))
 
 
+def _exp_int(x: float, up: bool) -> int:
+    """The float e^x, formed as a 53-bit mantissa m times 2^k, rounded up
+    (`up`) or down to an int by exact integer shifts."""
+    e = x / math.log(2.0)
+    k = math.floor(e) - 52
+    m = int(2.0 ** (e - k))
+    if k >= 0:
+        return m << k
+    return -(-m >> -k) if up else m >> -k
+
+
 def _sigma_run(sigma_lo: float, sigma_hi: float):
-    """Integer bounds (s1, s2) of the |s| with ln(2*pi*|s|) in a sigma window.
+    """Integer bounds (s1, s2) of the |s| whose float sigma, ln(2*pi) +
+    math.log(|s|), lies in the sigma window [sigma_lo, sigma_hi]; s1 > s2
+    where it holds no int.
 
-    Each end is trimmed inward by a relative 2^-30, far above the error of
-    e^x formed as a 53-bit mantissa times 2^k (about 1e-12 at sigma =
-    6000), and checked with math.log on the ints.
+    A window below 2^53 is tight: s1 is the least and s2 the greatest int
+    passing that test, each found from a float candidate by steps of one.
+    A window reaching past 2^53 has each end trimmed inward by a relative
+    2^-30, far above the error of e^x formed as a 53-bit mantissa times 2^k
+    (about 1e-12 at sigma = 6000, `_exp_int`), and its end ints checked by
+    the same test.
     """
-    def exp_int(x, rounding):
-        e = x / math.log(2.0)
-        k = math.floor(e) - 52
-        return rounding(int(2.0 ** (e - k)) * Fraction(2) ** k)
-
     log_two_pi = math.log(TWO_PI)
-    s1 = exp_int(sigma_lo - log_two_pi + 2.0 ** -30, math.ceil)
-    s2 = exp_int(sigma_hi - log_two_pi - 2.0 ** -30, math.floor)
-    if log_two_pi + math.log(s1) < sigma_lo or log_two_pi + math.log(s2) > sigma_hi:
+
+    def sigma(s):
+        return log_two_pi + math.log(s) if s >= 1 else -math.inf
+
+    x_lo, x_hi = sigma_lo - log_two_pi, sigma_hi - log_two_pi
+    if x_hi < math.log(_MAX_EXACT_INT):
+        s1 = max(1, math.ceil(math.exp(x_lo)))
+        while sigma(s1 - 1) >= sigma_lo:
+            s1 -= 1
+        while sigma(s1) < sigma_lo:
+            s1 += 1
+        s2 = math.floor(math.exp(x_hi))
+        while sigma(s2 + 1) <= sigma_hi:
+            s2 += 1
+        while sigma(s2) > sigma_hi:
+            s2 -= 1
+    else:
+        s1 = _exp_int(x_lo + 2.0 ** -30, up=True)
+        s2 = _exp_int(x_hi - 2.0 ** -30, up=False)
+    if sigma(s1) < sigma_lo or sigma(s2) > sigma_hi:
         raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")
     return s1, s2
 

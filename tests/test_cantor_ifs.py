@@ -9,8 +9,8 @@ from tractdim.numerics import TWO_PI
 
 
 def test_cylinder_single_letter_is_cell_center(fam):
-    """At the anchor, a one-letter cylinder is the center that `cell_verdicts`
-    tests, F_inv_u(F_inv_s(R))."""
+    """At the anchor, a one-letter cylinder is the cell's center,
+    F_inv_u(F_inv_s(R))."""
     val, _ = td.cylinder_eval(fam, [(0, 64)], 100.0 + 0j)
     center = complex(np.asarray(fam.inv0(fam.inv0(100.0 + 0j) + TWO_PI * 1j * 64)).item())
     assert val == pytest.approx(center, rel=1e-12)

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import tractdim as td
+from tractdim import cli
 from tractdim.cli import DEFAULT_CERTIFICATE_CONFIG, _build_parser, load_config, main
+from tractdim.tractgeom import RunBlock
 
 
 def run(args):
@@ -147,17 +149,18 @@ KOEBE = {"family": {"lambda_re": 0.01}, "geometry": {"anchor": 3.3, "inset": 0.5
 
 
 def test_oracle_brute_pressure_below_the_koebe_range_exit_0(tmp_path):
-    # below the Koebe range (rho > 1) yet with a non-empty G of 30 letters:
-    # the brute value needs no distortion constant, it lies in the level-1
-    # bracket itself
+    # below the Koebe range (rho > 1) yet with a non-empty G of 14 letters,
+    # |s| = 15..21 at u = 0: the brute value needs no distortion constant, it
+    # lies in the level-1 bracket itself; the values are those of a 40-digit
+    # mpmath evaluation over the 8 letters |s| = 15..18
     cfg = write_cfg(tmp_path, "koebe.json", KOEBE)
     out = str(tmp_path / "o.json")
     assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
     rep = read_json(out)
     assert rep["pass"] is True
     assert rep["level1_lo"] <= rep["brute_value"] <= rep["level1_hi"]
-    assert rep["brute_value"] == pytest.approx(-4.124, abs=1e-3)
-    assert (rep["level1_lo"], rep["level1_hi"]) == pytest.approx((-4.379, -3.703), abs=1e-3)
+    assert rep["brute_value"] == pytest.approx(-4.711, abs=1e-3)
+    assert (rep["level1_lo"], rep["level1_hi"]) == pytest.approx((-4.894, -4.321), abs=1e-3)
     assert rep["slack_log"] == pytest.approx(1e-12 * (1.0 + abs(rep["brute_value"])), rel=1e-15)
 
 
@@ -181,10 +184,14 @@ def test_oracle_brute_pressure_fails_outside_the_level1_bracket(tmp_path, monkey
 
 
 @pytest.mark.parametrize("r0", [1.2, math.e])
-def test_oracle_brute_pressure_with_letters_below_envelope_validity_exit_0(tmp_path, r0):
-    # lam = 0.01, anchor 4: G holds (0, +-1), where 2*pi*|s| <= b = 6.99 and
-    # the envelope e^sigma - b bounds nothing; the letters' upper weights
-    # come from |xi_s| >= p_lo = ln d_lo - Re c there
+def test_oracle_brute_pressure_with_letters_below_envelope_validity_exit_0(tmp_path,
+                                                                         monkeypatch, r0):
+    # lam = 0.01, anchor 4: a planted G holding (0, +-1), where 2*pi*|s| <=
+    # b = 6.99 and the envelope e^sigma - b bounds nothing (G itself starts
+    # at |s| = 4, inside its sigma windows); the letters' upper weights come
+    # from |xi_s| >= p_lo = ln d_lo - Re c there
+    planted = td.GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
+    monkeypatch.setattr(cli, "build_G", lambda *args, **kwargs: planted)
     cfg = write_cfg(tmp_path, "low.json",
                     {"family": {"lambda_re": 0.01, "r0": r0},
                      "geometry": {"anchor": 4.0, "inset": 0.5}})
@@ -199,8 +206,9 @@ def test_oracle_brute_pressure_with_letters_below_envelope_validity_exit_0(tmp_p
 @pytest.mark.parametrize("mode", ["enumerate", "tail"])
 @pytest.mark.parametrize("margin", [0.0, 0.1])
 def test_unsampleable_cells_do_not_stop_the_run(tmp_path, margin, mode):
-    # lam = 0.01, anchor 4: G holds cells (0, +-1) and (0, +-2), which lie
-    # below envelope validity; every command gives its documented outcome
+    # lam = 0.01, anchor 4: G holds |s| = 4..63 (margin 0) or 5..56 (margin
+    # 0.1) at u = 0, none of the cells below envelope validity; every
+    # command gives its documented outcome
     cfg = write_cfg(tmp_path, "pad.json",
                     {"family": {"lambda_re": 0.01},
                      "geometry": {"anchor": 4.0, "inset": 0.5, "margin": margin},
@@ -213,9 +221,9 @@ def test_unsampleable_cells_do_not_stop_the_run(tmp_path, margin, mode):
 
 
 def test_sub_ulp_edge_cells_are_decided_at_anchor_24(tmp_path):
-    # lam = 1, R0 = e, inset 0.5, anchor 24: an edge-band cell at sigma ~ 36
-    # is narrower than an ulp of sigma; its outward-rounded enclosure leaves
-    # the cell to the sampled fallback instead of a degenerate rectangle
+    # lam = 1, R0 = e, inset 0.5, anchor 24: the cells at the large-|s| ends
+    # of the windows, sigma ~ 36, are narrower than an ulp of sigma; G takes
+    # them from the windows alone, and every command is decided
     cfg = write_cfg(tmp_path, "a24.json",
                     {"geometry": {"anchor": 24.0, "inset": 0.5},
                      "pressure": {"mode": "enumerate"},

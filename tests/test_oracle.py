@@ -207,13 +207,11 @@ def test_recheck_gset_flags_planted_outsider(small):
 
 
 def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
-    """lam = 0.01, R0 = 1.2, anchor 4: for |s| <= 2, 2*pi*|s| falls below
-    the independent envelope constant, so the enclosure margin is undefined;
-    those letters must go to the dense recheck instead of passing unchecked."""
-    fam = td.normalize_family(td.exponential_family(0.01, 1.2))
-    budget = td.GeometryBudget(inset=0.5, margin=0.0)
-    spec = td.build_squares(4.0, 0.5)
-    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
+    """lam = 0.01, R0 = 1.2, anchor 4, a planted G of |s| = 1..64 at u = 0:
+    for |s| <= 2, 2*pi*|s| falls below the independent envelope constant,
+    so the enclosure margin is undefined; those letters must go to the
+    dense recheck instead of passing unchecked."""
+    fam, gset, spec, budget = _lam_001_anchor_4()
     rechecked = []
     dense = oracle._recheck_cells
 
@@ -285,10 +283,14 @@ def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=200
 
 
 def _lam_001_anchor_4():
+    """lam = 0.01, R0 = 1.2, anchor 4 with a planted G of the letters |s| =
+    1..64 at u = 0, of which |s| <= 2 lie below envelope validity (G's own
+    windows start at |s| = 4)."""
     fam = td.normalize_family(td.exponential_family(0.01, 1.2))
     budget = td.GeometryBudget(inset=0.5, margin=0.0)
     spec = td.build_squares(4.0, 0.5)
-    return fam, td.build_G(fam, 4.0, spec, budget, mode="enumerate"), spec, budget
+    gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
+    return fam, gset, spec, budget
 
 
 def _planted(anchor, *runs):
@@ -316,7 +318,8 @@ def test_recheck_gset_matches_per_letter_reference(request, case):
     - mini: clean runs, the end blocks stop at 64 letters;
     - small: the runs of the small G cut to |s| <= 5000, two blocks of two
       columns each, evaluated at their extreme columns;
-    - lam = 0.01, R0 = 1.2, anchor 4: undefined margins at |s| <= 2;
+    - lam = 0.01, R0 = 1.2, anchor 4, planted |s| = 1..64: undefined
+      margins at |s| <= 2;
     - 1,000 letters at u = 2, anchor 12, a column with no window: every
       letter fails, so the end blocks grow to the whole run;
     - the anchor-20 u = 0 runs of both signs (|s| from 3506) started
@@ -382,7 +385,8 @@ def test_enumerate_g_at_anchor_20_works_per_run(fam):
     dist = td.distortion_constant(20.0, fam.ln_r0)
     gset = td.build_G(fam, 20.0, spec, budget, mode="enumerate", dist=dist)
     assert [run.n_columns for run in gset.runs] == [3, 3]
-    assert gset.n_letters == 10_204_831_502_220
+    # the ints of each column's window, |s| = 3507..1700805253874
+    assert gset.n_letters == 10_204_831_502_208
     s1 = td.level1_sum(td.build_weighted_system(fam, gset, spec, dist), 1.0)
     assert s1.log_lo < s1.log_hi
     gap = td.min_cell_gap(fam, gset, spec)
@@ -503,7 +507,8 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
     - 1, B - 1, B and B + 1 letters, B the letters of one block;
     - the 2,000-letter subsample of the small config in enumerate mode;
     - 1,000 letters at u = 2, anchor 12, a column with no window;
-    - lam = 0.01, R0 = 1.2, anchor 4: G, with undefined margins at |s| <= 2;
+    - lam = 0.01, R0 = 1.2, anchor 4, a planted G with undefined margins at
+      |s| <= 2;
     - the anchor-20 u = 0 runs started 100 letters early;
     - lam = 0.5 + 0.5i, anchor 12, a 2,000-letter subsample;
     - anchor 25, where G holds 2.5e16 letters (ranks past 2^53), a
@@ -719,6 +724,12 @@ def test_recheck_cells_on_candidate_samples_equal_every_sample(family, density, 
         verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
         with mock.patch.object(oracle, "_candidate_samples", _every_sample):
             ref = oracle._recheck_cells(us, ss, spec, budget, boundary)
+        # each letter's bucket, folded or not, holds the letter's own candidates
+        x = np.exp(-oracle._index_logs(ss)[0])
+        for letters, samples in oracle._candidate_samples(boundary, x):
+            for i in letters:
+                (_, own), = oracle._candidate_samples(boundary, x[i:i + 1])
+                assert np.isin(own, samples).all()
     assert list(verdicts) == list(ref[0])
     assert delta.tobytes() == ref[1].tobytes()
     assert ext.tobytes() == ref[2].tobytes()
@@ -827,18 +838,35 @@ def test_dense_ranks_equal_the_set_pick(runs, dense_sample):
 
 def test_sample_extremes_layouts_agree(small):
     """A block with fewer samples than letters (laid out samples x letters)
-    gives each letter the bits it gets evaluated alone (letters x samples)."""
+    gives each letter the bits it gets evaluated alone (letters x samples).
+    On the 2,000 letters drawn at anchor 12 the small candidate buckets
+    fold into one (three buckets into two): each folded bucket's samples
+    hold those of the buckets it folds, and its letters get the bits of
+    every sample."""
     fam, spec, budget, gset = small.family, small.spec, small.budget, small.gset
     boundary = oracle._recheck_boundary(fam, spec, budget, 10)
     us, ss = _random_letters(gset, 2000)
     ln_t, sign = oracle._index_logs(ss)
     x = np.exp(-ln_t)
+    p, q, lr = boundary.p, boundary.q, boundary.lr
     for samples in (np.arange(7), np.arange(0, 2560, 97), np.array([0, 2559])):
-        p, q, lr = (a[samples] for a in (boundary.p, boundary.q, boundary.lr))
-        batched = oracle._sample_extremes(p, q, lr, x, sign)
-        alone = np.hstack([oracle._sample_extremes(p, q, lr, x[i:i + 1], sign[i:i + 1])
+        batched = oracle._sample_extremes(p[samples], q[samples], lr[samples], x, sign)
+        alone = np.hstack([oracle._sample_extremes(p[samples], q[samples], lr[samples],
+                                                   x[i:i + 1], sign[i:i + 1])
                            for i in range(x.size)])
         assert batched.tobytes() == alone.tobytes()
+    folded = list(oracle._candidate_samples(boundary, x))
+    with mock.patch.object(oracle, "_FOLD_PAIRS", 0):
+        unfolded = list(oracle._candidate_samples(boundary, x))
+    assert [len(b) for b, _ in folded] == [1995, 5] and len(unfolded) == 3
+    every = oracle._sample_extremes(p, q, lr, x, sign)
+    for letters, samples in folded:
+        parts = [set(s.tolist()) for l, s in unfolded if np.isin(l, letters).all()]
+        assert sum(len(l) for l, _ in unfolded if np.isin(l, letters).all()) == letters.size
+        assert all(part <= set(samples.tolist()) for part in parts)
+        got = oracle._sample_extremes(p[samples], q[samples], lr[samples], x[letters],
+                                      sign[letters])
+        assert got.tobytes() == every[:, letters].tobytes()
 
 
 @pytest.mark.parametrize("dense_sample, calls", [(2000, 1), (0, 0)])

@@ -13,6 +13,7 @@ from tractdim import loglift, pressure, tractgeom
 from tractdim.loglift import RunSum
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
 from tractdim.pressure import WeightedSystem, build_weighted_system
+from tractdim.tractgeom import GSet, RunBlock
 
 
 def test_level1_empty_system():
@@ -149,17 +150,18 @@ def test_brute_force_within_level1_sandwich(small):
 
 
 def test_upper_envelope_below_s_star_bounds_each_letter_by_p_lo():
-    """lam = 0.01, R0 = e, anchor 4, inset 0.5: G holds letters with
+    """lam = 0.01, R0 = e, anchor 4, inset 0.5, a planted G of |s| = 1..64
+    at u = 0 (G's own windows start at |s| = 4): it holds letters with
     2*pi*|s| <= b = 6.99, where the upper envelope (2*pi*|s| - b)^-1 is
     unbounded.  Below s* = ceil((b + p_lo) / (2*pi)) = 3 each letter weighs
     at most (p_lo d_lo)^-1 (p_lo = ln d_lo - Re c = 6.49), so a range
     (s_lo, s_hi) adds ln m - t ln(p_lo d_lo) for its m letters below s* to
     the run sum from s* on.  The upper sum is finite, it bounds the sum of
-    the letters' own upper weights, and the upper Bowen root is no longer
-    capped: t_hi = 0.7645, t_lo = 0.671 as before."""
+    the letters' own upper weights, and the upper Bowen root is not
+    capped: t_hi = 0.7645, t_lo = 0.671."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     spec = td.build_squares(4.0, 0.5)
-    gset = td.build_G(fam, 4.0, spec, td.GeometryBudget(inset=0.5))
+    gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
     system = build_weighted_system(fam, gset, spec)
     env = system.env
     p_lo = math.log(env.d_lo) - fam.log_lam.real

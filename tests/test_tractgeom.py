@@ -1,14 +1,15 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
-from tractdim import tractgeom
+from tractdim import oracle, tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
@@ -118,104 +119,6 @@ def test_anchor_line_depth_failure_is_reported_not_raised(fam):
 # cells and containment
 # ---------------------------------------------------------------------------
 
-# The per-cell decision `cell_verdicts` replaced, kept as its reference:
-# `cell_image` and `containment_test`, reached through `_edge_letters`.
-
-def _reference_cell_decision(fam, u, s, spec, budget):
-    """(verdict, delta) of one cell by the per-cell path: an enclosure
-    rounded one ulp outward, the center and Lipschitz bound from math.log,
-    then the sampled fallback ("borderline" for an outside cell with the
-    borderline flag; delta None where nothing was sampled)."""
-    sign = 1 if s > 0 else -1
-    sigma = math.log(TWO_PI) + math.log(abs(s))
-    env = fam.envelope(spec.outer.bounds())
-    lipschitz = float(np.exp(env.log_weight_bounds(sigma)[1]))
-    enclosure = None
-    if sigma > env.sigma_valid_min:
-        re_lo, re_hi, im_lo, im_hi = map(float, env.cell_enclosure(u, sign, sigma))
-        enclosure = (math.nextafter(re_lo, -math.inf), math.nextafter(re_hi, math.inf),
-                     math.nextafter(im_lo, -math.inf), math.nextafter(im_hi, math.inf))
-    v_s = complex(np.asarray(fam.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
-    center = complex(np.asarray(fam.inv0(v_s)).item()) + TWO_PI * 1j * u
-    rect, margin = spec.outer, budget.margin
-    if not (rect.re_lo <= center.real <= rect.re_hi and rect.im_lo <= center.imag <= rect.im_hi):
-        return "outside", None
-    if enclosure is not None:
-        e_lo, e_hi, f_lo, f_hi = enclosure
-        if (e_lo >= rect.re_lo + margin and e_hi <= rect.re_hi - margin
-                and f_lo >= rect.im_lo + margin and f_hi <= rect.im_hi - margin):
-            return "inside", None
-    if float(rect.dist_to_boundary(center)) - margin > lipschitz * rect.diam:
-        return "inside", None
-    n = budget.boundary_samples
-    first = np.asarray(fam.inv0(rect.boundary_points(n))) + TWO_PI * 1j * s
-    imgs = np.asarray(fam.inv0(first)) + TWO_PI * 1j * u
-    delta = max(margin + lipschitz * (rect.perimeter / n),
-                math.ulp(max(map(abs, rect.bounds()))))
-    if delta > 0.5 * rect.min_side:
-        return "borderline", delta
-    if np.all(rect.contains(imgs, margin=delta)):
-        return "inside", delta
-    return ("borderline" if np.all(rect.contains(imgs)) else "outside"), delta
-
-
-def _reference_edge_verdicts(fam, spec, budget, u, sign, ss):
-    """Per unsigned index of ss, (verdict, delta) as `_edge_letters` decided
-    it: the vectorized enclosure, then the per-cell decision for the cells
-    it rejects whose center lies in Q."""
-    env = fam.envelope(spec.outer.bounds())
-    sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-    enclosed = tractgeom._enclosed(env, spec.outer, budget.margin, u, sign, sigma)
-    base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
-    centers = np.asarray(fam.inv0(base + TWO_PI * 1j * (sign * ss.astype(float)))) \
-        + TWO_PI * 1j * u
-    return [("inside", None) if enc else ("outside", None) if not in_q
-            else _reference_cell_decision(fam, u, int(sign * s), spec, budget)
-            for s, enc, in_q in zip(ss, enclosed, spec.outer.contains(centers))]
-
-
-def _reference_edge_letters(fam, spec, budget, u, sign, ss):
-    return [int(sign * s) for s, (v, _) in
-            zip(ss, _reference_edge_verdicts(fam, spec, budget, u, sign, ss)) if v == "inside"]
-
-
-def _edge_bands(fam, spec, budget):
-    """(u, sign, unsigned band indices) of every column, as `build_G` forms
-    them: ceil((2*pi + 2b) / (2*pi)) + 2 indices on each side of each
-    float-exact window."""
-    env = fam.envelope(spec.outer.bounds())
-    widen = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
-    for sign in (1, -1):
-        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer,
-                                                             budget.margin, sign):
-            s_lo, s_hi = math.exp(sigma_lo) / TWO_PI, math.exp(sigma_hi) / TWO_PI
-            assert s_hi <= 2 ** 53
-            bands = np.r_[max(1, math.floor(s_lo) - widen):math.ceil(s_lo),
-                          math.floor(s_hi) + 1:min(math.ceil(s_hi) + widen, 2 ** 53) + 1]
-            for u in range(u_lo, u_hi + 1):
-                yield u, sign, bands
-
-
-@pytest.mark.parametrize("lam, anchor", [(1.0, 13.5), (1.0, 20.0), (1.0, 24.0), (0.01, 4.0)])
-@pytest.mark.parametrize("margin", [0.0, 0.3])
-def test_cell_verdicts_equal_the_per_cell_reference(lam, anchor, margin):
-    """On every edge-band index of every column (R0 = e, inset 0.5), the
-    verdict array and the paddings equal the per-cell decision's, bit for
-    bit.  At lam = 1 some cells go to the sampled fallback; at lam = 0.01,
-    anchor 4 the cells (0, +-1), (0, +-2) lie below envelope validity."""
-    fam = td.normalize_family(td.exponential_family(lam, math.e))
-    spec = td.build_squares(anchor, 0.5)
-    budget = td.GeometryBudget(inset=0.5, margin=margin)
-    sampled = 0
-    for u, sign, bands in _edge_bands(fam, spec, budget):
-        verdicts, delta = td.cell_verdicts(fam, spec, budget, u, sign * bands)
-        want = _reference_edge_verdicts(fam, spec, budget, u, sign, bands)
-        assert verdicts.tolist() == [v for v, _ in want], (u, sign)
-        np.testing.assert_array_equal(delta, [math.nan if d is None else d for _, d in want])
-        sampled += sum(d is not None for _, d in want)
-    assert sampled > 0 or lam != 1.0
-
-
 def test_cell_image_center_closed_form(fam):
     """The center of cell(0, 64), g_{0,64}(R), at anchor 100."""
     center, _ = td.cylinder_eval(fam, [(0, 64)], 100.0 + 0j)
@@ -226,27 +129,22 @@ def test_cell_image_center_closed_form(fam):
 
 
 def test_cell_image_outside_verdict(fam):
-    """A center left of Q: outside, decided before any sample."""
+    """A center left of Q: the cell's closed-form enclosure fails, the dense
+    recheck rates it outside, and G leaves it out."""
     spec = td.build_squares(100.0, 25.0)
     budget = td.GeometryBudget(epsilon=0.1, inset=25.0)
     center, _ = td.cylinder_eval(fam, [(0, 64)], complex(spec.anchor))
     assert center.real < spec.outer.re_lo
-    verdicts, delta = td.cell_verdicts(fam, spec, budget, 0, [64])
-    assert verdicts.tolist() == ["outside"] and np.isnan(delta).all()
-
-
-def test_cell_image_past_exact_range_raises(fam):
-    # 2^53 + 2 is a float-exact integer, but |s| past 2^53 has no exact cell
-    spec = td.build_squares(100.0, 25.0)
-    budget = td.GeometryBudget(inset=25.0)
-    for ss in ([2 ** 53 + 2], [64, -(2 ** 53 + 2)], [2 ** 70]):
-        with pytest.raises(td.ConstructionError, match="2\\^53"):
-            td.cell_verdicts(fam, spec, budget, 0, ss)
+    env = fam.envelope(spec.outer.bounds())
+    sigma = np.array([math.log(TWO_PI * 64)])
+    assert not tractgeom._enclosed(env, spec.outer, budget.margin, 0, 1, sigma).any()
+    assert td.containment_recheck(fam, 0, 64, spec, budget, density=10) == "outside"
+    assert (0, 64) not in td.build_G(fam, 100.0, spec, budget)
 
 
 def _cell_lipschitz(fam, s, spec):
-    """sup_Q |g'_{u,s}| <= e^hi of `log_weight_bounds`, the bound every
-    cell verdict pads with."""
+    """sup_Q |g'_{u,s}| <= e^hi of `log_weight_bounds`, the closed-form
+    Lipschitz bound of a cell."""
     sigma = np.log(TWO_PI) + np.log(float(abs(s)))
     return float(np.exp(fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)[1]))
 
@@ -322,27 +220,31 @@ def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
 
 
 def test_containment_fast_path_inside(small):
-    # an index well inside the admissible window: inside with no sampling
-    verdicts, delta = td.cell_verdicts(small.family, small.spec, small.budget, 0, [5000])
-    assert verdicts.tolist() == ["inside"] and np.isnan(delta).all()
+    """An index well inside the admissible window: its closed-form
+    enclosure lies in Q, with no sample, as the dense recheck agrees, and
+    G holds it."""
+    env = small.family.envelope(small.spec.outer.bounds())
+    sigma = np.array([math.log(TWO_PI * 5000)])
+    assert tractgeom._enclosed(env, small.spec.outer, small.budget.margin, 0, 1, sigma).all()
+    assert td.containment_recheck(small.family, 0, 5000, small.spec, small.budget,
+                                  density=10) == "inside"
+    assert (0, 5000) in small.gset
 
 
 def test_containment_sampled_agrees_with_dense_recheck(small):
-    # the first admissible index sits near the window edge
-    ss = [64, 65, 66]
-    verdicts, _ = td.cell_verdicts(small.family, small.spec, small.budget, 0, ss)
-    for s, v in zip(ss, verdicts):
+    """The first letters of the u = 0 run sit at its window edge (|s| from
+    65): each is inside by the dense recheck, and the letters just below
+    the window, which G leaves out, are not."""
+    for s in (63, 64, 65, 66):
         dense = td.containment_recheck(small.family, 0, s, small.spec,
                                        small.budget, density=10)
-        if v == "inside":
-            assert dense == "inside"
-        else:
-            assert dense in ("outside", "borderline")
+        assert ((0, s) in small.gset) == (s >= 65)
+        assert dense == ("inside" if s >= 65 else "outside")
 
 
 def test_measured_diameter_below_bounds(small):
-    """A cell's sampled diameter stays below lip * diam(Q), the bound the
-    verdicts pad with, and below the Koebe bound."""
+    """A cell's sampled diameter stays below lip * diam(Q), its closed-form
+    Lipschitz bound, and below the Koebe bound."""
     spec, fam = small.spec, small.family
     pts = spec.outer.boundary_points(128)
     for s in (65, 200, 40000):
@@ -362,10 +264,10 @@ def test_solve_s_window_small_anchor(fam, small):
     lo, hi = win.s_bounds
     assert 64.0 <= lo <= 65.0          # asymptotic estimate is e^6 / 2pi ~ 64.2
     assert hi == pytest.approx(1.045e7, rel=1e-3)
-    # endpoints verified by explicit cells
-    verdicts, _ = td.cell_verdicts(fam, small.spec, small.budget, 0,
-                                   [math.ceil(lo), math.floor(lo) - 1])
-    assert verdicts.tolist() == ["inside", "outside"]
+    # endpoints verified by the dense recheck of explicit cells
+    verdicts = [td.containment_recheck(fam, 0, s, small.spec, small.budget, density=10)
+                for s in (math.ceil(lo), math.floor(lo) - 1)]
+    assert verdicts == ["inside", "outside"]
 
 
 def test_solve_s_window_empty_for_large_u(fam, small):
@@ -577,15 +479,17 @@ def test_certificate_past_2_53_does_not_depend_on_mode(fam, anchor, inset):
     assert reports["enumerate"] == reports["tail"]
 
 
-def test_build_g_enumerate_pins_edge_rescues(mini):
-    """The sampled fallback admits cells just past the closed-form windows."""
-    assert _letter_runs(mini.gset) == [(0, -64, -2), (0, 2, 64)]
+def test_build_g_is_the_integers_of_its_windows(mini):
+    """G holds exactly the ints of its sigma windows: at lam = 1, R0 = 1.2,
+    anchor 4 the u = 0 window holds |s| = 2..63, and at lam = 0.5 + 0.5i,
+    R0 = e, anchor 8 it holds |s| = 10..25902, for both signs."""
+    assert _letter_runs(mini.gset) == [(0, -63, -2), (0, 2, 63)]
     win = td.solve_s_window(mini.family, 0, mini.spec, budget=mini.budget, sign=1)
-    assert math.floor(win.s_bounds[1]) == 63
+    assert tractgeom._sigma_run(win.sigma_lo, win.sigma_hi) == (2, 63)
     fam = td.normalize_family(td.exponential_family(0.5 + 0.5j, math.e))
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0)
     g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
-    assert _letter_runs(g) == [(0, -25902, -9), (0, 9, 25903)]
+    assert _letter_runs(g) == [(0, -25902, -10), (0, 10, 25902)]
 
 
 def _letter_runs(gset):
@@ -604,37 +508,56 @@ def _merged(runs):
     return merged
 
 
+def _exp_int_fraction(x, rounding):
+    """Reference: e^x formed as a 53-bit mantissa times 2^k, rounded by
+    `rounding` (math.ceil or math.floor) as an exact Fraction."""
+    e = x / math.log(2.0)
+    k = math.floor(e) - 52
+    return rounding(int(2.0 ** (e - k)) * Fraction(2) ** k)
+
+
+def _least_int(pred):
+    """The least int s >= 1 with pred(s), pred monotone, by bisection."""
+    lo, hi = 0, 1
+    while not pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+def _window_ints(sigma_lo, sigma_hi):
+    """Reference integer bounds of a sigma window: below 2^53 each end by
+    bisection on the float sigma test ln(2*pi) + math.log(s); for a window
+    reaching past 2^53 each end trimmed inward by a relative 2^-30, e^x
+    formed as a Fraction."""
+    log_two_pi = math.log(TWO_PI)
+    x_lo, x_hi = sigma_lo - log_two_pi, sigma_hi - log_two_pi
+    if x_hi >= math.log(2 ** 53):
+        return (_exp_int_fraction(x_lo + 2.0 ** -30, math.ceil),
+                _exp_int_fraction(x_hi - 2.0 ** -30, math.floor))
+    return (_least_int(lambda s: log_two_pi + math.log(s) >= sigma_lo),
+            _least_int(lambda s: log_two_pi + math.log(s) > sigma_hi) - 1)
+
+
 def _letter_runs_per_column(fam, spec, budget):
-    """Reference from each column's own window solve: its signed runs.
-    Past 2^53 a window holds the integers of its sigma range.  Else it
-    holds [ceil(s_lo), floor(s_hi)] and the letters of the two edge bands,
-    ceil((2*pi + 2b) / (2*pi)) + 2 indices deep, that the per-cell
-    reference decision admits for that column alone."""
-    env = fam.envelope(spec.outer.bounds())
-    widen = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
+    """Reference from each column's own window solve: its signed run, the
+    ints of its window (`_window_ints`)."""
     runs = []
     for sign in (1, -1):
         for u in _columns(spec):
             win = _solve_s_window_per_column(fam, u, spec, budget.margin, sign)
             if win is None:
                 continue
-            s_lo, s_hi = win.s_bounds
-            if s_hi > 2 ** 53:
-                s1, s2 = tractgeom._sigma_run(win.sigma_lo, win.sigma_hi)
-                runs += [(u, *sorted((sign * s1, sign * s2)))] if s1 <= s2 else []
-                continue
-            lo, hi = math.ceil(s_lo), math.floor(s_hi)
-            bands = np.r_[max(1, math.floor(s_lo) - widen):lo,
-                          hi + 1:min(math.ceil(s_hi) + widen, 2 ** 53) + 1]
-            runs += [(u, s, s) for s in _reference_edge_letters(fam, spec, budget, u, sign,
-                                                                bands)]
-            runs += [(u, *sorted((sign * lo, sign * hi)))] if hi >= lo else []
+            s1, s2 = _window_ints(win.sigma_lo, win.sigma_hi)
+            runs += [(u, *sorted((sign * s1, sign * s2)))] if s1 <= s2 else []
     return _merged(runs)
 
 
 def _check_runs_in_both_modes(lam, anchor, inset, margin):
     """G is the same in both modes, and its runs hold, column by column,
-    the letters of each column's own window solve and edge bands."""
+    the ints of each column's own window solve."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     budget = td.GeometryBudget(epsilon=0.1, inset=inset, margin=margin)
     spec = td.build_squares(anchor, inset)
@@ -647,7 +570,7 @@ def _check_runs_in_both_modes(lam, anchor, inset, margin):
 @pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
 @pytest.mark.parametrize("margin", [0.0, 0.3])
 def test_tail_letters_equal_enumerate_letters(anchor, margin):
-    """Float-exact windows with edge-band rescues."""
+    """Float-exact windows, each end the tight int of its window."""
     _check_runs_in_both_modes(1.0, anchor, 0.5, margin)
 
 
@@ -660,6 +583,80 @@ def test_runs_past_2_53_and_edge_windows_equal_per_column_solves(lam, anchor, in
     """Windows past 2^53, one run per block of columns, and edge columns
     whose window differs from the shared one."""
     _check_runs_in_both_modes(lam, anchor, inset, margin)
+
+
+_LOG_TWO_PI = math.log(TWO_PI)
+# ln(2*pi * 2^53): the sigma where window ends leave the tight int range
+_SIGMA_2_53 = _LOG_TWO_PI + 53 * math.log(2.0)
+
+
+@example(modulus=1.0, arg=0.0, r0=math.e, anchor=25.6, margin=0.0)   # s_hi just below 2^53
+@example(modulus=1.0, arg=0.0, r0=math.e, anchor=25.8, margin=0.0)   # s_hi just past 2^53
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(modulus=st.floats(0.01, 3.0), arg=st.one_of(st.sampled_from([0.0, math.pi]),
+                                                   st.floats(-math.pi, math.pi)),
+       r0=st.floats(1.1, 3.0),
+       anchor=st.one_of(st.floats(4.0, 100.0), st.floats(24.5, 26.5)),
+       margin=st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 1.0)))
+def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
+    """At every run end of G, for every column of its block: the end letter
+    passes the enclosure test `_enclosed` at its own sigma = ln(2*pi) +
+    ln|s|.  A run below 2^53 is tight: a per-index scan of `_enclosed`
+    over ceil((2*pi + 2b) / (2*pi)) + 2 indices on each side of each end
+    admits no letter outside the run.  A run reaching past 2^53, where
+    adjacent ints come to share their float sigma, is trimmed: the ints a
+    relative 2^-28, plus two, past each end have their float sigma outside
+    the window."""
+    fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
+    spec = td.build_squares(anchor, 0.5)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5, margin=margin))
+    env = fam.envelope(spec.outer.bounds())
+    depth = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
+
+    def enclosed(u, sign, ss):
+        sigma = _LOG_TWO_PI + np.array([math.log(s) for s in ss])
+        return tractgeom._enclosed(env, spec.outer, margin, u, sign, sigma)
+
+    for run in gset.runs:
+        sign = 1 if run.s_lo > 0 else -1
+        lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
+        win = td.solve_s_window(fam, run.u_lo, spec, sign=sign, margin=margin)
+        tight = win.sigma_hi - _LOG_TWO_PI < math.log(2 ** 53)
+        for u in range(run.u_lo, run.u_hi + 1):
+            assert enclosed(u, sign, [lo, hi]).all(), (u, lo, hi)
+            for end, out in ((lo, -1), (hi, 1)):
+                if tight:
+                    ss = [s for s in range(end - depth, end + depth + 1) if s >= 1]
+                    admitted = [s for s, ok in zip(ss, enclosed(u, sign, ss)) if ok]
+                    assert all(lo <= s <= hi for s in admitted), (u, end)
+                else:
+                    past = _LOG_TWO_PI + math.log(end + out * ((end >> 28) + 2))
+                    assert past < win.sigma_lo if out < 0 else past > win.sigma_hi
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(x=st.one_of(st.floats(-2.0, 6000.0), st.floats(30.0, 45.0)), up=st.booleans())
+def test_exp_int_equals_the_fraction_form(x, up):
+    """The shifted integer form of e^x gives the ints of the exact Fraction
+    form it replaced, rounded either way."""
+    assert tractgeom._exp_int(x, up) == _exp_int_fraction(x, math.ceil if up else math.floor)
+
+
+_NEAR_2_53 = st.floats(_SIGMA_2_53 - 2.0, _SIGMA_2_53 + 2.0)
+
+
+@example(sigma_lo=_SIGMA_2_53 - 1e-3, width=2e-3)
+@example(sigma_lo=10.0, width=1e-9)   # no int inside
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(sigma_lo=st.one_of(st.floats(1.0, 40.0), _NEAR_2_53, st.floats(40.0, 6000.0)),
+       width=st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 4000.0)))
+def test_sigma_run_equals_the_reference(sigma_lo, width):
+    """The integer bounds of a sigma window are the reference's: below 2^53
+    each end by bisection on the float sigma test, for a window reaching
+    past it each end trimmed through the Fraction form of e^x; also where
+    the window straddles 2^53 and where it holds no int."""
+    sigma_hi = sigma_lo + width
+    assert tractgeom._sigma_run(sigma_lo, sigma_hi) == _window_ints(sigma_lo, sigma_hi)
 
 
 def test_mini_g_structure(mini):
@@ -714,13 +711,13 @@ def test_min_cell_gap_positive(mini):
 
 
 def test_min_cell_gap_with_letters_below_envelope_validity():
-    """lam = 0.01, R0 = 1.2, anchor 4: G holds letters with e^sigma <= 2b,
-    where the per-letter envelopes are undefined; the closed-form bounds
-    still hold."""
+    """lam = 0.01, R0 = 1.2, anchor 4: a planted G with the letters |s| =
+    1..64 at u = 0, of which |s| <= 2 have e^sigma <= 2b, where the
+    per-letter envelopes are undefined (G itself starts at |s| = 4); the
+    closed-form bounds still hold."""
     fam = td.normalize_family(td.exponential_family(0.01, 1.2))
-    budget = td.GeometryBudget(inset=0.5, margin=0.0)
     spec = td.build_squares(4.0, 0.5)
-    gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
+    gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
     env = fam.envelope(spec.outer.bounds())
     lowest = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
     assert lowest <= math.exp(env.sigma_valid_min) / TWO_PI
@@ -820,40 +817,52 @@ def test_min_cell_gap_column_extents_of_one_sign(fam, sign):
 def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     """lam = 0.01, R0 = e, anchor 4: cells (0, +-1) and (0, +-2) have
     e^sigma <= 2b, so no enclosure, and the Koebe constant is 10386 here.
-    Their closed-form Lipschitz bound puts them inside by the center +
-    diameter test, before any sample, as the dense recheck rates them, and
-    G holds them."""
+    Their closed-form Lipschitz bound (`log_weight_bounds`) puts them
+    inside by the center + diameter test, as the dense recheck rates them;
+    G, the ints of its sigma windows, leaves them out."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     budget = td.GeometryBudget(inset=0.5, margin=0.0)
     spec = td.build_squares(4.0, 0.5)
     env = fam.envelope(spec.outer.bounds())
     ss = [1, 2, -1, -2]
     assert all(math.log(TWO_PI * abs(s)) <= env.sigma_valid_min for s in ss)
-    verdicts, delta = td.cell_verdicts(fam, spec, budget, 0, ss)
-    assert verdicts.tolist() == ["inside"] * 4 and np.isnan(delta).all()
+    base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
     for s in ss:
+        sigma = math.log(TWO_PI * abs(s))
+        assert not tractgeom._enclosed(env, spec.outer, 0.0, 0, int(math.copysign(1, s)),
+                                       np.array([sigma])).any()
+        center = complex(np.asarray(fam.inv0(base + TWO_PI * 1j * s)).item())
+        assert float(spec.outer.dist_to_boundary(center)) > _cell_lipschitz(fam, s, spec) \
+            * spec.outer.diam
         assert td.containment_recheck(fam, 0, s, spec, budget, density=40) == "inside"
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
-    assert _letter_runs(gset) == [(0, -64, -1), (0, 1, 64)]
+    assert all((0, s) not in gset for s in ss)
 
 
 def test_containment_padding_past_half_side_is_borderline_outside(small):
     """A cell whose sampled padding exceeds half the side of Q cannot be
-    certified by sampling: a budget margin of 6.5 at anchor 12 (side 12)
-    makes it borderline, so it is left out of G.  So does a margin of 7 at
-    anchor 13.5 for cell (0, 136), whose center lies in Q but whose samples
-    leave it (outside at margin 0)."""
+    certified by sampling: under a budget margin of 6.5 at anchor 12 (side
+    12) the dense recheck rates cell (0, 5000) borderline, and G leaves it
+    out.  At anchor 13.5 cell (0, 136) has its center in Q but its samples
+    leave it: outside at margin 0 and at margin 7, whose padding exceeds
+    half the side of Q."""
     budget = td.GeometryBudget(inset=0.5, margin=6.5)
     center, _ = td.cylinder_eval(small.family, [(0, 5000)], complex(small.spec.anchor))
     assert small.spec.outer.contains(center)
-    verdicts, delta = td.cell_verdicts(small.family, small.spec, budget, 0, [5000])
+    boundary = oracle._recheck_boundary(small.family, small.spec, budget, 10)
+    verdicts, delta, _ = oracle._recheck_cells(0, [5000], small.spec, budget, boundary)
     assert verdicts.tolist() == ["borderline"]
     assert delta[0] > 0.5 * small.spec.outer.min_side
+    assert (0, 5000) not in td.build_G(small.family, 12.0, small.spec, budget)
     spec = td.build_squares(13.5, 0.5)
-    for margin, want in ((0.0, "outside"), (7.0, "borderline")):
+    center, _ = td.cylinder_eval(small.family, [(0, 136)], complex(spec.anchor))
+    assert spec.outer.contains(center)
+    for margin in (0.0, 7.0):
         budget = td.GeometryBudget(inset=0.5, margin=margin)
-        verdicts, delta = td.cell_verdicts(small.family, spec, budget, 0, [136])
-        assert verdicts.tolist() == [want] and delta[0] > margin
+        boundary = oracle._recheck_boundary(small.family, spec, budget, 10)
+        verdicts, delta, _ = oracle._recheck_cells(0, [136], spec, budget, boundary)
+        assert verdicts.tolist() == ["outside"] and delta[0] > margin
+        assert (0, 136) not in td.build_G(small.family, 13.5, spec, budget)
     assert delta[0] > 0.5 * spec.outer.min_side
 
 
@@ -1066,25 +1075,3 @@ def test_branch_components_cut_by_each_edge(fam, inner, core, n_comps):
     want = _clipped_lengths(_dense_branch(fam, 1.0, 0, inner.re_hi), inner, core)
     assert len(want) == n_comps
     assert sorted(got) == pytest.approx(sorted(want), rel=1e-6)
-
-
-def test_sampled_fallback_pads_by_at_least_an_ulp_at_anchor_24(fam, monkeypatch):
-    """lam = 1, R0 = e, inset 0.5, anchor 24, enumerate mode: the edge-band
-    cells at sigma ~ 36 are narrower than an ulp of Q's coordinates and go
-    to the sampled fallback.  Its padding is at least ulp(36), so no cell
-    is admitted because its samples round onto the edge of Q."""
-    budget = td.GeometryBudget(inset=0.5)
-    spec = td.build_squares(24.0, 0.5)
-    ulp = math.ulp(max(abs(x) for x in spec.outer.bounds()))
-    paddings = []
-    kernel = tractgeom._cell_verdicts
-
-    def spy(*args):
-        inside, borderline, delta = kernel(*args)
-        paddings.extend(delta[~np.isnan(delta)].tolist())
-        return inside, borderline, delta
-
-    monkeypatch.setattr(tractgeom, "_cell_verdicts", spy)
-    td.build_G(fam, 24.0, spec, budget, mode="enumerate")
-    assert paddings
-    assert all(d >= ulp for d in paddings)
