@@ -167,35 +167,29 @@ class PlaneProjection:
 
     Rows with lifted real part beyond the exp range are emitted in
     log-polar form: `log_polar` marks them and for those rows `points`
-    stores ln|.| + i*arg instead of the plane value.  The same holds for
-    the F-images.  A row whose own real part is past the exp range has
-    no float64 F-image: its image is flagged in `image_log_polar` and
-    recorded as ln|.| = +-inf (the sign of cos Im z, which decides
-    whether Re F(z) = e^Re z * cos Im z + Re Log(lam) runs off to plus
-    or minus infinity) with angle NaN (not resolvable).
+    stores ln|.| + i*arg instead of the plane value.
     """
 
     points: np.ndarray
     log_polar: np.ndarray
-    image_points: np.ndarray      # projections of the F-images
-    image_log_polar: np.ndarray
     conjugacy_residual: float
     conjugacy_checked: int        # rows compared with both sides nonzero and finite
 
 
 def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
-    """Project sampled points (and their F-images) by exp, minus the offset.
+    """Project sampled points by exp.
 
     Also verifies the conjugacy f(exp z) = lam * exp(e^z) = exp(F z) at
     relative tolerance 1e-9 on the rows where float64 can decide it: not
-    past the exp range, and not where the rounding of F z = e^z + Log(lam)
-    alone can move exp(F z) by the tolerance.  That sum rounds each part
-    to which Log(lam) adds a nonzero term by up to half an ulp, which turns
-    the phase or the modulus of exp(F z) by as much.  For lam > 0 only the
-    real part rounds, and the compared rows have Re F z <= 700, so no row
-    is left out.  For a non-real lam the imaginary part rounds too; it is
-    about 2*pi*|s| for the sample's first letter s, so rows past |s| of
-    about 1e7 are left out, most rows from anchor 12 on.
+    where z or F z is past the exp range (Re > 700), and not where the
+    rounding of F z = e^z + Log(lam) alone can move exp(F z) by the
+    tolerance.  That sum rounds each part to which Log(lam) adds a nonzero
+    term by up to half an ulp, which turns the phase or the modulus of
+    exp(F z) by as much.  For lam > 0 only the real part rounds, and the
+    compared rows have Re F z <= 700, so no row is left out.  For a
+    non-real lam the imaginary part rounds too; it is about 2*pi*|s| for
+    the sample's first letter s, so rows past |s| of about 1e7 are left
+    out, most rows from anchor 12 on.
 
     `conjugacy_checked` counts the compared rows whose two sides are both
     nonzero and finite: a row where both underflow to 0 passes without
@@ -204,14 +198,10 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     0 with 0).
     """
     z = sample.points
-    pts, logp = _project(z, family.offset)
-    ipts = np.empty_like(z)
-    ilogp = np.ones(z.shape, dtype=bool)
-    ipts.real[logp] = np.copysign(math.inf, np.cos(np.imag(z[logp])))
-    ipts.imag[logp] = math.nan
+    pts, logp = _project(z)
     fz = np.asarray(family.lift(z[~logp]))
-    ipts[~logp], ilogp[~logp] = _project(fz, family.offset)
-    ok = ~logp & ~ilogp
+    ok = ~logp
+    ok[ok] = np.real(fz) <= _EXP_OVERFLOW_RE
     resid, checked = 0.0, 0
     if np.any(ok):
         c = family.log_lam
@@ -234,16 +224,15 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
             raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
     if np.any(~logp) and np.any(pts[~logp] == 0):
         raise ConstructionError("plane projection produced 0")
-    return PlaneProjection(points=pts, log_polar=logp, image_points=ipts,
-                           image_log_polar=ilogp, conjugacy_residual=resid,
+    return PlaneProjection(points=pts, log_polar=logp, conjugacy_residual=resid,
                            conjugacy_checked=checked)
 
 
-def _project(z: np.ndarray, offset: complex):
+def _project(z: np.ndarray):
     logp = np.real(z) > _EXP_OVERFLOW_RE
     out = np.empty_like(z)
     safe = ~logp
-    out[safe] = np.exp(z[safe]) - offset
+    out[safe] = np.exp(z[safe])
     # log-polar record: modulus as ln|.|, angle wrapped to (-pi, pi]
     wrapped = np.mod(np.imag(z[logp]) + math.pi, TWO_PI) - math.pi
     out[logp] = np.real(z[logp]) + 1j * wrapped

@@ -49,7 +49,9 @@ numbers.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
-or tail, a finite number) and have no effect, like `workers`.  `sample`
+or tail, a finite number) and have no effect, like `workers` and the
+`--mode` and `--workers` options.  They stay because
+`perfbench/workloads.py` passes them.  `sample`
 and `oracle recheck` draw letters uniformly over all of G: at lam = 1,
 R0 = e, inset 0.5, anchor 30 they and `oracle brute-pressure` exit 0.
 Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
@@ -86,8 +88,8 @@ from .loglift import (MapFamily, branch_growth_bound, check_growth, expansion_ma
                       exponential_family, normalize_family)
 from .numerics import TWO_PI, write_csv, write_json
 from .pressure import certify_dim_gt_one, pressure_bounds
-from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_line, build_G,
-                        build_squares, find_radius, trace_level_lines)
+from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_derivative_margin,
+                        anchor_line, build_G, build_squares, find_radius, trace_level_lines)
 
 SCHEMA_VERSION = 1
 
@@ -95,8 +97,7 @@ DEFAULT_SMALL_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
     "geometry": {"epsilon": 0.1, "inset": 0.5, "anchor": 12.0,
                  "scan": [8.0, 4000.0, 1.0], "margin": 0.0, "boundary_samples": 256},
-    "pressure": {"mode": "enumerate", "t_grid": [0.5 + 0.05 * k for k in range(21)],
-                 "bisect_tol": 1e-3, "collar": 32},
+    "pressure": {"mode": "enumerate", "bisect_tol": 1e-3, "collar": 32},
     "sampling": {"depth": 8, "count": 10000, "seed": 42},
     "oracle": {"source": "middle-thirds", "density": 10, "subsystem": 8,
                "word_length": 2, "t": 1.0},
@@ -111,8 +112,7 @@ DEFAULT_CERTIFICATE_CONFIG = {
     "geometry": {"epsilon": 0.1, "inset": 3.0, "anchor": 4000.0,
                  "scan": [1000.0, 20000.0, 100.0], "margin": 0.0,
                  "boundary_samples": 256},
-    "pressure": {"mode": "tail", "t_grid": [0.5 + 0.05 * k for k in range(21)],
-                 "bisect_tol": 1e-4, "collar": 32},
+    "pressure": {"mode": "tail", "bisect_tol": 1e-4, "collar": 32},
     "sampling": {"depth": 8, "count": 10000, "seed": 42},
     "oracle": {"source": "middle-thirds", "density": 10, "subsystem": 8,
                "word_length": 2, "t": 1.0},
@@ -211,7 +211,6 @@ def load_config(raw: dict) -> RunConfig:
     mode = prs["mode"]
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
-    t_grid = [_require_finite(f"t_grid[{i}]", t) for i, t in enumerate(prs["t_grid"])]
     seed = _require_seed(smp["seed"])
     depth = int(_require_finite("depth", smp["depth"]))
     count = int(_require_finite("count", smp["count"]))
@@ -220,7 +219,7 @@ def load_config(raw: dict) -> RunConfig:
     for key in ("density", "subsystem", "word_length"):
         _require_count(f"oracle.{key}", orc[key])
     _require_finite("oracle.t", orc["t"])
-    # accepted for compatibility; every computation runs in one process
+    # no effect: every computation runs in one process
     _require_finite("workers", raw.get("workers", 1))
     resolved = {
         "family": {"kind": "exponential", "lambda_re": lam.real, "lambda_im": lam.imag,
@@ -228,7 +227,7 @@ def load_config(raw: dict) -> RunConfig:
         "geometry": {"epsilon": epsilon, "inset": inset, "anchor": anchor,
                      "scan": list(scan), "margin": budget.margin,
                      "boundary_samples": budget.boundary_samples},
-        "pressure": {"mode": mode, "t_grid": t_grid,
+        "pressure": {"mode": mode,
                      "bisect_tol": _require_positive("bisect_tol", prs["bisect_tol"]),
                      "collar": int(_require_finite("collar", prs["collar"]))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
@@ -278,8 +277,7 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     line = anchor_line(fam, cfg.anchor, budget.inset)
     checks = {}
 
-    eq1_margin = float(abs(complex(np.asarray(fam.inv0_deriv(complex(cfg.anchor))).item()))
-                       - cfg.anchor ** (-(1.0 + budget.epsilon)))
+    eq1_margin = anchor_derivative_margin(fam, cfg.anchor, budget.epsilon)
     checks["anchor_derivative_lower"] = {"margin": eq1_margin, "pass": eq1_margin > 0}
 
     eq4_margin = float(4.0 * math.pi / (cfg.anchor - fam.ln_r0)
@@ -347,8 +345,7 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dim(cfg: RunConfig, out_path: str) -> int:
-    cert = certify_dim_gt_one(cfg.family, cfg.anchor, cfg.budget, mode=cfg.mode,
-                              bisect_tol=cfg.bisect_tol)
+    cert = certify_dim_gt_one(cfg.family, cfg.anchor, cfg.budget, bisect_tol=cfg.bisect_tol)
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"

@@ -34,15 +34,12 @@ _BOUNDARY_SLACK = 1e-12
 class MapFamily:
     """The map f(z) = lam * e**z with tract radius R0, plus its lift.
 
-    `offset` records the plane translation applied during normalization so
-    that projections can restore original coordinates.  `envelope` gives
-    the closed-form bounds over a rectangle behind the admissible set and
-    its pressure bounds.
+    `envelope` gives the closed-form bounds over a rectangle behind the
+    admissible set and its pressure bounds.
     """
 
     lam: complex = 1.0 + 0.0j
     r0: float = math.e
-    offset: complex = 0.0 + 0.0j
 
     def __post_init__(self):
         if self.r0 <= 1.0:
@@ -106,8 +103,8 @@ class MapFamily:
         return TailEnvelope(b=b, d_lo=d_lo, d_hi=d_hi, c=c, p_lo=math.log(d_lo) - cr)
 
 
-def exponential_family(lam=1.0, r0=math.e, offset=0.0) -> MapFamily:
-    return MapFamily(lam=complex(lam), r0=float(r0), offset=complex(offset))
+def exponential_family(lam=1.0, r0=math.e) -> MapFamily:
+    return MapFamily(lam=complex(lam), r0=float(r0))
 
 
 # ---------------------------------------------------------------------------

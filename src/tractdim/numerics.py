@@ -15,11 +15,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Fixed chunk length for the brute-force window sums of
-# `pressure.compare_window_modes`, the per-letter reference for the closed
-# forms; it bounds their memory and pins their evaluation order.
-CHUNK = 1 << 20
-
 
 def log_sum_exp(log_terms: Sequence[float]) -> float:
     """log(sum(exp(x_i))) evaluated stably, in the given fixed order.

@@ -32,11 +32,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .loglift import MapFamily
 from .numerics import TWO_PI, log_sum_exp
 from .tractgeom import GSet, GeometryBudget, SquareSpec
@@ -511,25 +511,15 @@ def _recheck_cells(us, ss, spec: SquareSpec, budget: GeometryBudget, boundary: _
 
 
 def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
-                        budget: GeometryBudget, density: int = 10,
-                        recorded_verdict: Optional[str] = None) -> str:
+                        budget: GeometryBudget, density: int = 10) -> str:
     """Repeat one containment decision at density x boundary sampling.
 
     Uses an independent evaluation path and its own Lipschitz padding: the
     one-letter view of the batched dense recheck of `recheck_gset`, on
     freshly built boundary work.
-    When a recorded verdict is supplied, disagreement raises NumericError.
     """
     boundary = _recheck_boundary(family, spec, budget, density)
-    verdict = str(_recheck_cells(u, [s], spec, budget, boundary)[0][0])
-    if recorded_verdict is not None:
-        agree = (verdict == recorded_verdict
-                 or (verdict == "borderline" and recorded_verdict == "outside"))
-        if not agree:
-            raise NumericError(
-                f"containment recheck disagrees at (u,s)=({u},{s}): "
-                f"recorded {recorded_verdict}, recheck {verdict}")
-    return verdict
+    return str(_recheck_cells(u, [s], spec, budget, boundary)[0][0])
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,10 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
-from .numerics import CHUNK, TWO_PI, weighted_log_sum_exp
+from .numerics import TWO_PI, weighted_log_sum_exp
 from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
-                        _distortion_or_unavailable, anchor_line, build_G, build_squares)
+                        _distortion_or_unavailable, anchor_derivative_margin, anchor_line,
+                        build_G, build_squares)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +101,8 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     which depend on sigma = ln(2*pi*|s|) alone.  So G's runs reduce to
     distinct |s| ranges, each with the number of columns holding it (at
     the default anchor-4000 certificate, one range for 1,274 columns).
-    `dist` is accepted for compatibility and has no effect: no distortion
-    constant enters the bounds.
+    `dist` has no effect, since no distortion constant enters the bounds;
+    it stays because `perfbench/workloads.py` passes it.
     """
     runs = Counter()
     for run in gset.runs:
@@ -189,7 +190,6 @@ class PressureReport:
     t_grid: tuple
     p_lo: tuple
     p_hi: tuple
-    mode: str
     strictly_decreasing_lo: bool
     strictly_decreasing_hi: bool
     two_sided_consistent: bool    # p_lo <= p_hi pointwise
@@ -206,7 +206,7 @@ def pressure_report(system: WeightedSystem, t_grid: Sequence[float]) -> Pressure
     dec_hi = all(b < a for a, b in zip(highs, highs[1:]))
     consistent = all(lo <= hi for lo, hi in zip(lows, highs))
     return PressureReport(t_grid=tuple(grid), p_lo=tuple(lows), p_hi=tuple(highs),
-                          mode="bounds", strictly_decreasing_lo=dec_lo,
+                          strictly_decreasing_lo=dec_lo,
                           strictly_decreasing_hi=dec_hi, two_sided_consistent=consistent)
 
 
@@ -349,7 +349,6 @@ class DimensionCertificate:
     epsilon: float
     inset: float
     c: float
-    mode: str
     sigma_sum_t1_lo: float
     p1_lo: float
     t_lo: float
@@ -373,7 +372,6 @@ class DimensionCertificate:
             "epsilon": self.epsilon,
             "D": self.inset,
             "C": self.c,
-            "mode": self.mode,
             "sigma_sum_t1_lo": self.sigma_sum_t1_lo,
             "P1_lo": self.p1_lo,
             "t_lo": self.t_lo,
@@ -388,13 +386,12 @@ class DimensionCertificate:
 
 
 def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget, *,
-                       mode: str = "tail", bisect_tol: float = 1e-4) -> DimensionCertificate:
+                       bisect_tol: float = 1e-4) -> DimensionCertificate:
     """Run the full construction and certify dim > 1 via the pressure bound.
 
     The verdict is "certified" exactly when P_lo(1) > 0 and the lower
     Bowen root exceeds 1; every constant entering the computation is
-    recorded so the run is reproducible bit for bit.  `mode` is echoed in
-    the certificate and has no effect.
+    recorded so the run is reproducible bit for bit.
     """
     start = time.perf_counter()
     family = normalize_family(family)
@@ -403,23 +400,22 @@ def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget,
     spec = build_squares(anchor, inset)
     dist = _distortion_or_unavailable(anchor, family.ln_r0)
     line = anchor_line(family, anchor, inset)
-    eq1_margin = float(np.abs(np.asarray(family.inv0_deriv(complex(anchor)))).item()
-                       - anchor ** (-(1.0 + epsilon)))
+    eq1_margin = anchor_derivative_margin(family, anchor, epsilon)
     if eq1_margin <= 0:
         reasons.append(f"anchor-derivative condition fails (margin {eq1_margin:.3g})")
     if line.depth_margin <= 0:
         reasons.append(f"tract-depth condition fails (margin {line.depth_margin:.3g})")
-    gset = build_G(family, anchor, spec, budget, mode=mode)
+    gset = build_G(family, anchor, spec, budget)
     if gset.is_empty():
         reasons.append("admissible set G is empty at this configuration")
         elapsed = 1000.0 * (time.perf_counter() - start)
         return DimensionCertificate(
             lam=complex(family.lam), r0=family.r0,
-            anchor=anchor, epsilon=epsilon, inset=inset, c=dist.c, mode=mode,
+            anchor=anchor, epsilon=epsilon, inset=inset, c=dist.c,
             sigma_sum_t1_lo=0.0, p1_lo=-math.inf, t_lo=0.0, t_hi=0.0,
             verdict="not-certified", runtime_ms=elapsed,
             constants=_constants(line, epsilon, None),
-            diagnostics={"n_explicit": 0, "n_segments": 0,
+            diagnostics={"n_segments": 0,
                          "eq1_margin": eq1_margin, "depth_margin": line.depth_margin},
             reasons=tuple(reasons))
     system = build_weighted_system(family, gset, spec)
@@ -435,12 +431,11 @@ def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget,
     elapsed = 1000.0 * (time.perf_counter() - start)
     return DimensionCertificate(
         lam=complex(family.lam), r0=family.r0,
-        anchor=anchor, epsilon=epsilon, inset=inset, c=dist.c, mode=mode,
+        anchor=anchor, epsilon=epsilon, inset=inset, c=dist.c,
         sigma_sum_t1_lo=s1.lo, p1_lo=p1_lo, t_lo=roots.t_lo, t_hi=roots.t_hi,
         verdict=verdict, runtime_ms=elapsed,
         constants=_constants(line, epsilon, c1),
         diagnostics={
-            "n_explicit": gset.n_explicit,
             "n_segments": gset.n_segments,
             "eq1_margin": eq1_margin,
             "depth_margin": line.depth_margin,
@@ -508,9 +503,12 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
     s2 = math.floor(math.exp(sigma_hi) / TWO_PI)
     if s2 < s1:
         raise ConfigError("empty comparison window")
+    # fixed chunk length of the per-letter sums: bounds their memory and
+    # pins their evaluation order
+    chunk = 1 << 20
     parts_lo, parts_hi = [], []
-    for start in range(s1, s2 + 1, CHUNK):
-        ss = np.arange(start, min(start + CHUNK - 1, s2) + 1, dtype=np.int64)
+    for start in range(s1, s2 + 1, chunk):
+        ss = np.arange(start, min(start + chunk - 1, s2) + 1, dtype=np.int64)
         sigma = np.log(TWO_PI) + np.log(ss.astype(float))
         lo, hi = env.log_weight_bounds(sigma)
         parts_lo.append(float(np.sum(np.exp(t * lo))))

@@ -247,6 +247,18 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
         depth_margin=r - (family.ln_r0 + 2.0 * inset))
 
 
+def anchor_derivative_margin(family: MapFamily, anchor: float, epsilon: float) -> float:
+    """Margin |F_inv_0'(R)| - R^-(1+epsilon) of the anchor-derivative
+    condition (eq1) at R = anchor, with |F_inv_0'(R)| = 1 / |R - Log(lam)|.
+
+    One scalar expression in Python floats for every reader (`find_radius`,
+    the certificate's `eq1_margin`, the lemma report's
+    `anchor_derivative_lower`), so that all of them see the same float.
+    """
+    anchor = float(anchor)
+    return 1.0 / abs(anchor - family.log_lam) - anchor ** (-(1.0 + epsilon))
+
+
 class RadiusSearchError(GeometryError):
     def __init__(self, message, margins):
         super().__init__(message)
@@ -267,8 +279,8 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
     if step <= 0 or scan_hi < scan_lo:
         raise ConfigError("empty or backwards scan grid")
     xs = np.arange(scan_lo, scan_hi + 0.5 * step, step, dtype=float)
-    deriv_margin = np.abs(np.asarray(family.inv0_deriv(xs.astype(complex)))) \
-        - xs ** (-(1.0 + budget.epsilon))
+    deriv_margin = np.array([anchor_derivative_margin(family, x, budget.epsilon)
+                             for x in xs.tolist()])
     depth_margin = np.real(np.asarray(family.inv0(xs.astype(complex)))) \
         - (family.ln_r0 + 2.0 * budget.inset)
     size_margin = xs / 4.0 - budget.inset
@@ -441,7 +453,8 @@ class GSet:
 
     Ranks in [0, n_letters) order G by run, column, then s (`letters`,
     `random_ranks`).  `n_explicit` (0) and `windows` (empty) are
-    constants kept for readers of the former listing."""
+    constants that nothing in the package reads; they stay because
+    `perfbench/workloads.py` and `perfbench/layers.py` read them."""
 
     runs: tuple  # of RunBlock, sorted
 
@@ -535,8 +548,8 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     place them in Q: any subset of the admissible cells generates a
     compact invariant Cantor set, whose Bowen root is still a lower bound.
 
-    `mode` (enumerate or tail), `dist`, `collar` and `workers` are
-    accepted for compatibility and have no effect.
+    `mode` (enumerate or tail), `dist`, `collar` and `workers` have no
+    effect; they stay because `perfbench/workloads.py` passes them.
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -579,32 +592,35 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
     math.log(|s|), lies in the sigma window [sigma_lo, sigma_hi]; s1 > s2
     where it holds no int.
 
-    A window below 2^53 is tight: s1 is the least and s2 the greatest int
-    passing that test, each found from a float candidate by steps of one.
-    A window reaching past 2^53 has each end trimmed inward by a relative
-    2^-30, far above the error of e^x formed as a 53-bit mantissa times 2^k
-    (about 1e-12 at sigma = 6000, `_exp_int`), and its end ints checked by
-    the same test.
+    Each end is handled on its own.  An end below 2^53 is tight: s1 is
+    the least and s2 the greatest int passing that test, each found from a
+    float candidate by steps of one.  An end past 2^53 is trimmed inward by
+    a relative 2^-30, far above the error of e^x formed as a 53-bit
+    mantissa times 2^k (about 1e-12 at sigma = 6000, `_exp_int`), and its
+    int checked by the same test.
     """
     log_two_pi = math.log(TWO_PI)
+    log_exact = math.log(_MAX_EXACT_INT)
 
     def sigma(s):
         return log_two_pi + math.log(s) if s >= 1 else -math.inf
 
     x_lo, x_hi = sigma_lo - log_two_pi, sigma_hi - log_two_pi
-    if x_hi < math.log(_MAX_EXACT_INT):
+    if x_lo < log_exact:
         s1 = max(1, math.ceil(math.exp(x_lo)))
         while sigma(s1 - 1) >= sigma_lo:
             s1 -= 1
         while sigma(s1) < sigma_lo:
             s1 += 1
+    else:
+        s1 = _exp_int(x_lo + 2.0 ** -30, up=True)
+    if x_hi < log_exact:
         s2 = math.floor(math.exp(x_hi))
         while sigma(s2 + 1) <= sigma_hi:
             s2 += 1
         while sigma(s2) > sigma_hi:
             s2 -= 1
     else:
-        s1 = _exp_int(x_lo + 2.0 ** -30, up=True)
         s2 = _exp_int(x_hi - 2.0 ** -30, up=False)
     if sigma(s1) < sigma_lo or sigma(s2) > sigma_hi:
         raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")

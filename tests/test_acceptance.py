@@ -173,7 +173,7 @@ def test_criterion_05_cross_mode_sum_agreement(full12):
 def test_criterion_06_certificate_run(fam, tmp_path):
     t0 = time.perf_counter()
     cert = td.certify_dim_gt_one(fam, 4000.0, td.GeometryBudget(epsilon=0.1, inset=3.0),
-                                 mode="tail", bisect_tol=1e-4)
+                                 bisect_tol=1e-4)
     elapsed = time.perf_counter() - t0
     out = str(tmp_path / "cert.json")
     code = cli_main(["dim", "--out", out])

@@ -66,7 +66,7 @@ def test_dim_certificate_exit_0(tmp_path):
     assert cert["P1_lo"] > 0
     assert cert["t_lo"] >= 1.001
     assert cert["runtime_ms"] is None
-    for key in ("family", "lambda", "R0", "R", "epsilon", "D", "C", "mode",
+    for key in ("family", "lambda", "R0", "R", "epsilon", "D", "C",
                 "sigma_sum_t1_lo", "P1_lo", "t_lo", "t_hi", "verdict",
                 "runtime_ms", "constants"):
         assert key in cert
@@ -350,6 +350,20 @@ def test_mode_and_collar_have_no_effect(tmp_path, pressure):
         report.pop("config")
         payloads.append((csv.read_bytes(), report))
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0)])
+def test_dim_report_does_not_depend_on_mode(tmp_path, anchor, inset):
+    """`dim --mode enumerate` and `dim --mode tail` certify with the same
+    report, apart from the echoed `config.pressure.mode`."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": anchor, "inset": inset}})
+    reports = {}
+    for mode in ("enumerate", "tail"):
+        out = tmp_path / f"{mode}.json"
+        assert run(["dim", "--config", cfg, "--mode", mode, "--out", str(out)]) == 0
+        reports[mode] = read_json(out)
+        assert reports[mode]["config"]["pressure"].pop("mode") == mode
+    assert reports["enumerate"] == reports["tail"]
 
 
 @pytest.mark.parametrize("collar", [float("nan"), float("inf"), "32"])

@@ -183,12 +183,6 @@ def test_containment_recheck_inside_and_outside(small):
     assert v == "outside"
 
 
-def test_containment_recheck_disagreement_raises(small):
-    with pytest.raises(td.NumericError):
-        td.containment_recheck(small.family, 0, 30, small.spec, small.budget,
-                               density=10, recorded_verdict="inside")
-
-
 def test_recheck_gset_clean(small):
     rep = td.recheck_gset(small.family, small.gset, small.spec, small.budget,
                           density=10, dense_sample=64)

@@ -190,24 +190,22 @@ def test_upper_envelope_below_s_star_bounds_each_letter_by_p_lo():
 
 
 def test_certificate_small_anchor_not_certified(fam):
-    cert = td.certify_dim_gt_one(fam, 12.0, td.GeometryBudget(epsilon=0.1, inset=0.5),
-                                 mode="tail")
+    cert = td.certify_dim_gt_one(fam, 12.0, td.GeometryBudget(epsilon=0.1, inset=0.5))
     assert cert.verdict == "not-certified"
     assert cert.p1_lo <= 0
     assert any("P_lo" in r for r in cert.reasons)
 
 
 def test_certificate_empty_g(fam):
-    cert = td.certify_dim_gt_one(fam, 3.0, td.GeometryBudget(epsilon=0.1, inset=0.5),
-                                 mode="enumerate")
+    cert = td.certify_dim_gt_one(fam, 3.0, td.GeometryBudget(epsilon=0.1, inset=0.5))
     assert cert.verdict == "not-certified"
     assert any("empty" in r for r in cert.reasons)
 
 
 def test_certificate_deterministic(fam):
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
-    a = td.certify_dim_gt_one(fam, 4000.0, budget, mode="tail")
-    b = td.certify_dim_gt_one(fam, 4000.0, budget, mode="tail")
+    a = td.certify_dim_gt_one(fam, 4000.0, budget)
+    b = td.certify_dim_gt_one(fam, 4000.0, budget)
     da, db = a.to_json_dict(), b.to_json_dict()
     assert da == db
 

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
-from tractdim import oracle, tractgeom
+from tractdim import cli, oracle, tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
@@ -41,6 +42,40 @@ def test_find_radius_depth_condition_dominates(fam):
         td.find_radius(fam, budget, 1000.0, 10000.0, 10.0)
     assert err.value.margins["tract_depth"] < 0
     assert err.value.margins["anchor_derivative"] > 0  # condition (1) is easy here
+
+
+def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
+    """On seeded random (lam, anchor), with both signs of the margin: the
+    certificate's `eq1_margin` and the lemma report's
+    `anchor_derivative_lower` margin are `anchor_derivative_margin` bit for
+    bit, and `find_radius` passes a one-point scan at the anchor exactly
+    when that margin is positive (the depth and size conditions hold
+    there)."""
+    rng = np.random.default_rng(2026)
+    signs = set()
+    for k in range(30):
+        lam = cmath.rect(math.exp(rng.uniform(-25.0, 0.9)), rng.uniform(-math.pi, math.pi))
+        anchor = float(rng.uniform(5.0, 100.0))
+        fam = td.normalize_family(td.exponential_family(lam, math.e))
+        budget = td.GeometryBudget(epsilon=0.1, inset=0.05)
+        margin = tractgeom.anchor_derivative_margin(fam, anchor, budget.epsilon)
+        signs.add(margin > 0)
+        cert = td.certify_dim_gt_one(fam, anchor, budget)
+        assert cert.diagnostics["eq1_margin"] == margin
+        cfg = cli.load_config({"family": {"lambda_re": lam.real, "lambda_im": lam.imag},
+                               "geometry": {"anchor": anchor, "inset": budget.inset}})
+        out = tmp_path / f"lemmas-{k}.json"
+        assert cli.cmd_lemmas(cfg, str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["checks"]["anchor_derivative_lower"]["margin"] == margin
+        if margin > 0:
+            assert td.find_radius(fam, budget, anchor, anchor, 1.0) == anchor
+        else:
+            with pytest.raises(RadiusSearchError) as err:
+                td.find_radius(fam, budget, anchor, anchor, 1.0)
+            assert err.value.margins["anchor_derivative"] == margin
+            assert err.value.margins["tract_depth"] > 0 and err.value.margins["square_size"] > 0
+    assert signs == {True, False}
 
 
 def test_anchor_derivative_condition_arithmetic(fam):
@@ -465,20 +500,6 @@ def test_build_g_tail_large_anchor_is_segments_only(fam):
             4000.0, abs=0.1)
 
 
-@pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0)])
-def test_certificate_past_2_53_does_not_depend_on_mode(fam, anchor, inset):
-    """Every window passes 2^53 at these anchors; the enumerate-mode
-    certificate is the tail-mode one field for field, apart from `mode`."""
-    reports = {}
-    for mode in ("enumerate", "tail"):
-        cert = td.certify_dim_gt_one(fam, anchor, td.GeometryBudget(epsilon=0.1, inset=inset),
-                                     mode=mode)
-        reports[mode] = cert.to_json_dict()
-        assert reports[mode].pop("mode") == mode
-        assert reports[mode]["diagnostics"]["n_explicit"] == 0
-    assert reports["enumerate"] == reports["tail"]
-
-
 def test_build_g_is_the_integers_of_its_windows(mini):
     """G holds exactly the ints of its sigma windows: at lam = 1, R0 = 1.2,
     anchor 4 the u = 0 window holds |s| = 2..63, and at lam = 0.5 + 0.5i,
@@ -490,6 +511,25 @@ def test_build_g_is_the_integers_of_its_windows(mini):
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0)
     g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
     assert _letter_runs(g) == [(0, -25902, -10), (0, 10, 25902)]
+
+
+@pytest.mark.parametrize("margin, low", [(0.0, 11459935658), (0.1, 12665187612)])
+def test_run_end_below_2_53_is_tight_when_the_other_end_is_past(fam, margin, low):
+    """At lam = 1, R0 = e, inset 0.5, anchor 50 every window runs from
+    below 2^53 to past it.  Its low end is the least int whose float sigma
+    lies in the window: 10 (margin 0) and 11 (margin 0.1) more letters per
+    column than a trim by a relative 2^-30 keeps.  Its high end is
+    trimmed."""
+    spec = td.build_squares(50.0, 0.5)
+    gset = td.build_G(fam, 50.0, spec, td.GeometryBudget(inset=0.5, margin=margin))
+    assert gset.n_segments == 2
+    for run in gset.runs:
+        sign = 1 if run.s_lo > 0 else -1
+        lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
+        win = td.solve_s_window(fam, run.u_lo, spec, sign=sign, margin=margin)
+        assert lo == low
+        assert _LOG_TWO_PI + math.log(lo - 1) < win.sigma_lo <= _LOG_TWO_PI + math.log(lo)
+        assert hi > 2 ** 53 and _LOG_TWO_PI + math.log(hi) <= win.sigma_hi
 
 
 def _letter_runs(gset):
@@ -528,17 +568,17 @@ def _least_int(pred):
 
 
 def _window_ints(sigma_lo, sigma_hi):
-    """Reference integer bounds of a sigma window: below 2^53 each end by
-    bisection on the float sigma test ln(2*pi) + math.log(s); for a window
-    reaching past 2^53 each end trimmed inward by a relative 2^-30, e^x
-    formed as a Fraction."""
+    """Reference integer bounds of a sigma window, end by end: an end below
+    2^53 by bisection on the float sigma test ln(2*pi) + math.log(s), an
+    end past 2^53 trimmed inward by a relative 2^-30, e^x formed as a
+    Fraction."""
     log_two_pi = math.log(TWO_PI)
     x_lo, x_hi = sigma_lo - log_two_pi, sigma_hi - log_two_pi
-    if x_hi >= math.log(2 ** 53):
-        return (_exp_int_fraction(x_lo + 2.0 ** -30, math.ceil),
-                _exp_int_fraction(x_hi - 2.0 ** -30, math.floor))
-    return (_least_int(lambda s: log_two_pi + math.log(s) >= sigma_lo),
-            _least_int(lambda s: log_two_pi + math.log(s) > sigma_hi) - 1)
+    log_exact = math.log(2 ** 53)
+    return (_least_int(lambda s: log_two_pi + math.log(s) >= sigma_lo) if x_lo < log_exact
+            else _exp_int_fraction(x_lo + 2.0 ** -30, math.ceil),
+            _least_int(lambda s: log_two_pi + math.log(s) > sigma_hi) - 1 if x_hi < log_exact
+            else _exp_int_fraction(x_hi - 2.0 ** -30, math.floor))
 
 
 def _letter_runs_per_column(fam, spec, budget):
@@ -601,12 +641,12 @@ _SIGMA_2_53 = _LOG_TWO_PI + 53 * math.log(2.0)
 def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
     """At every run end of G, for every column of its block: the end letter
     passes the enclosure test `_enclosed` at its own sigma = ln(2*pi) +
-    ln|s|.  A run below 2^53 is tight: a per-index scan of `_enclosed`
-    over ceil((2*pi + 2b) / (2*pi)) + 2 indices on each side of each end
-    admits no letter outside the run.  A run reaching past 2^53, where
-    adjacent ints come to share their float sigma, is trimmed: the ints a
-    relative 2^-28, plus two, past each end have their float sigma outside
-    the window."""
+    ln|s|.  A run end whose window end is below 2^53 is tight: a
+    per-index scan of `_enclosed` over ceil((2*pi + 2b) / (2*pi)) + 2
+    indices on each side of it admits no letter outside the run.  A run
+    end past 2^53, where adjacent ints come to share their float sigma, is
+    trimmed: the int a relative 2^-28, plus two, past it has its float
+    sigma outside the window."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
     spec = td.build_squares(anchor, 0.5)
     gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5, margin=margin))
@@ -621,11 +661,10 @@ def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
         win = td.solve_s_window(fam, run.u_lo, spec, sign=sign, margin=margin)
-        tight = win.sigma_hi - _LOG_TWO_PI < math.log(2 ** 53)
         for u in range(run.u_lo, run.u_hi + 1):
             assert enclosed(u, sign, [lo, hi]).all(), (u, lo, hi)
-            for end, out in ((lo, -1), (hi, 1)):
-                if tight:
+            for end, out, edge in ((lo, -1, win.sigma_lo), (hi, 1, win.sigma_hi)):
+                if edge - _LOG_TWO_PI < math.log(2 ** 53):
                     ss = [s for s in range(end - depth, end + depth + 1) if s >= 1]
                     admitted = [s for s, ok in zip(ss, enclosed(u, sign, ss)) if ok]
                     assert all(lo <= s <= hi for s in admitted), (u, end)
@@ -651,10 +690,10 @@ _NEAR_2_53 = st.floats(_SIGMA_2_53 - 2.0, _SIGMA_2_53 + 2.0)
 @given(sigma_lo=st.one_of(st.floats(1.0, 40.0), _NEAR_2_53, st.floats(40.0, 6000.0)),
        width=st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 4000.0)))
 def test_sigma_run_equals_the_reference(sigma_lo, width):
-    """The integer bounds of a sigma window are the reference's: below 2^53
-    each end by bisection on the float sigma test, for a window reaching
-    past it each end trimmed through the Fraction form of e^x; also where
-    the window straddles 2^53 and where it holds no int."""
+    """The integer bounds of a sigma window are the reference's: an end
+    below 2^53 by bisection on the float sigma test, an end past it
+    trimmed through the Fraction form of e^x; also where the window
+    straddles 2^53 and where it holds no int."""
     sigma_hi = sigma_lo + width
     assert tractgeom._sigma_run(sigma_lo, sigma_hi) == _window_ints(sigma_lo, sigma_hi)
 
