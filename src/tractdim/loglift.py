@@ -11,6 +11,11 @@ with Log the principal branch.  All branches are vertical translates of
 the branch with index 0.  The principal branch is safe on H as soon as
 ln R0 > Re Log(lam), which is exactly the normalization condition
 |f(0)| < R0.
+
+So the lift's two estimates (Eremenko and Lyubich, Ann. Inst. Fourier 42,
+1992) are exact formulas: at zeta = F(w), |F'(w)| = |zeta - Log(lam)|, and
+Re F_inv_s(x) = ln|x - Log(lam)| on the real axis, for every branch.  The
+lemma report (`cli.cmd_lemmas`) takes their margins in closed form.
 """
 
 from __future__ import annotations
@@ -201,30 +206,6 @@ def check_growth(family: MapFamily, xs: Sequence[float],
         nondecreasing=bool(np.all(diffs >= 0)) if diffs.size else True,
         threshold_hits=tuple(hits),
     )
-
-
-def expansion_margin(family: MapFamily, w):
-    """Margin of the lower expansion bound 4*pi*|F'(w)| - (Re F(w) - ln R0).
-
-    Positive at every point of every lifted tract; sampled, not proved.
-    """
-    w = np.asarray(w, dtype=complex)
-    value = np.asarray(family.lift(w))
-    deriv = np.asarray(family.lift_deriv(w))
-    return 4.0 * math.pi * np.abs(deriv) - (np.real(value) - family.ln_r0)
-
-
-def branch_growth_bound(family: MapFamily, x):
-    """Upper bound 4*pi*ln(x - ln R0) + c0 for Re F_inv_s(x), x >= ln R0 + 1.
-
-    c0 = Re F_inv_0(1 + ln R0) is shared by all branches.  Returns the
-    pair (bound values, c0).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < family.ln_r0 + 1.0):
-        raise DomainError("growth bound needs x >= ln R0 + 1")
-    c0 = float(np.real(np.asarray(family.inv0(complex(1.0 + family.ln_r0)))))
-    return 4.0 * math.pi * np.log(x - family.ln_r0) + c0, c0
 
 
 # ---------------------------------------------------------------------------

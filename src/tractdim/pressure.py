@@ -177,14 +177,6 @@ def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
     return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
 
 
-def pressure_bounds(system: WeightedSystem, t: float):
-    """[P_lo, P_hi] at one exponent; empty systems give (-inf, -inf)."""
-    if system.is_empty():
-        return (-math.inf, -math.inf)
-    s = level1_sum(system, t)
-    return (s.log_lo, s.log_hi)
-
-
 @dataclass(frozen=True)
 class PressureReport:
     t_grid: tuple
@@ -199,9 +191,9 @@ def pressure_report(system: WeightedSystem, t_grid: Sequence[float]) -> Pressure
     grid = [float(t) for t in t_grid]
     lows, highs = [], []
     for t in grid:
-        lo, hi = pressure_bounds(system, t)
-        lows.append(lo)
-        highs.append(hi)
+        s = level1_sum(system, t)
+        lows.append(s.log_lo)
+        highs.append(s.log_hi)
     dec_lo = all(b < a for a, b in zip(lows, lows[1:]))
     dec_hi = all(b < a for a, b in zip(highs, highs[1:]))
     consistent = all(lo <= hi for lo, hi in zip(lows, highs))
@@ -446,14 +438,6 @@ def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget,
             "bisect_tol": roots.tol,
         },
         reasons=tuple(reasons))
-
-
-def _auto_inset(family: MapFamily, anchor: float) -> float:
-    spec = build_squares(anchor, anchor / 8.0)
-    first_level_diam = spec.outer.diam / family.envelope(spec.outer.bounds()).d_lo
-    line = anchor_line(family, anchor, inset=anchor / 8.0)
-    depth_room = (line.real_part - family.ln_r0) / 4.0
-    return max(min(1.05 * first_level_diam, depth_room, anchor / 8.0), 1e-3)
 
 
 def _constants(line, epsilon, c1) -> dict:

@@ -247,16 +247,23 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
         depth_margin=r - (family.ln_r0 + 2.0 * inset))
 
 
+def anchor_derivative(family: MapFamily, anchor: float) -> float:
+    """|F_inv_0'(R)| = 1 / |R - Log(lam)| at R = anchor.
+
+    One scalar expression in Python floats for every reader (the margins
+    of eq1, in `anchor_derivative_margin`, and of eq4, in the lemma
+    report's `anchor_derivative_upper`), so that all of them see the same
+    float.
+    """
+    return 1.0 / abs(float(anchor) - family.log_lam)
+
+
 def anchor_derivative_margin(family: MapFamily, anchor: float, epsilon: float) -> float:
     """Margin |F_inv_0'(R)| - R^-(1+epsilon) of the anchor-derivative
-    condition (eq1) at R = anchor, with |F_inv_0'(R)| = 1 / |R - Log(lam)|.
-
-    One scalar expression in Python floats for every reader (`find_radius`,
-    the certificate's `eq1_margin`, the lemma report's
-    `anchor_derivative_lower`), so that all of them see the same float.
-    """
+    condition (eq1) at R = anchor, for `find_radius`, the certificate's
+    `eq1_margin` and the lemma report's `anchor_derivative_lower`."""
     anchor = float(anchor)
-    return 1.0 / abs(anchor - family.log_lam) - anchor ** (-(1.0 + epsilon))
+    return anchor_derivative(family, anchor) - anchor ** (-(1.0 + epsilon))
 
 
 class RadiusSearchError(GeometryError):
@@ -712,11 +719,10 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
 @dataclass(frozen=True)
 class CurveTrace:
     """One branch preimage of the anchor line: the arclengths of its
-    components in Q' that meet Q'', and its least real part."""
+    components in Q' that meet Q''."""
 
     u: int
     arclengths: tuple
-    min_re: float
     meets_core: bool
 
 
@@ -728,7 +734,8 @@ class LevelLineReport:
     min_component_length: float
     required_length: float      # R/4 - inset
     growth_bound: float         # 4 pi ln(r - ln R0) + c0
-    min_re_margins: tuple       # per trace: growth_bound - min Re
+    min_re: float               # ln a, the least Re of every branch
+    min_re_margin: float        # growth_bound - min_re
 
 
 def trace_level_lines(family: MapFamily, spec: SquareSpec,
@@ -751,9 +758,11 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     A(l2) - A(l1) summed over its halves.  Every quantity stays finite at
     any anchor.
 
-    Where a <= 0 the anchor line is not right of Log(lam): it meets the
-    branch cut of Log, so no branch maps it to a curve.  Each trace then
-    has no components and a NaN min_re, hence a NaN margin.
+    Every branch is a vertical translate of branch 0, so all of them share
+    the least real part min_re = ln a.  Where a <= 0 the anchor line is not
+    right of Log(lam): it meets the branch cut of Log, so no branch maps it
+    to a curve.  Each trace then has no components, and min_re and its
+    margin are NaN.
     """
     line = anchor_line(family, spec.anchor, budget.inset)
     a = line.real_part - family.log_lam.real
@@ -765,16 +774,14 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     for u in range(u_lo, u_hi + 1):
         lens = _branch_components(ln_a, u, inner, core) if a > 0.0 else []
         if lens or inner.im_lo <= TWO_PI * u <= inner.im_hi:
-            traces.append(CurveTrace(u=u, arclengths=tuple(lens), min_re=ln_a,
-                                     meets_core=bool(lens)))
+            traces.append(CurveTrace(u=u, arclengths=tuple(lens), meets_core=bool(lens)))
     lengths = [l for t in traces for l in t.arclengths]
     return LevelLineReport(
         traces=tuple(traces), curve_count=sum(1 for t in traces if t.meets_core),
         required_count=int(math.floor(spec.anchor / (4.0 * math.pi))),
         min_component_length=min(lengths) if lengths else math.inf,
         required_length=spec.anchor / 4.0 - budget.inset,
-        growth_bound=line.growth_bound,
-        min_re_margins=tuple(line.growth_bound - t.min_re for t in traces))
+        growth_bound=line.growth_bound, min_re=ln_a, min_re_margin=line.growth_bound - ln_a)
 
 
 def _branch_components(ln_a: float, u: int, inner: Rect, core: Rect) -> list:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tractdim as td
@@ -52,6 +53,35 @@ def test_lemmas_rerun_byte_identical(tmp_path):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
+@pytest.mark.parametrize("lam", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.01, 0.0), (-2.0, 0.0)])
+def test_lemmas_margins_are_closed_forms_free_of_the_seed(tmp_path, lam):
+    """The expansion margin is 4 pi (ln R0 - Re Log(lam)), the growth
+    excess 0, and no check depends on the seed."""
+    cfg = write_cfg(tmp_path, "c.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]}})
+    checks = []
+    for seed in ("0", "1"):
+        out = str(tmp_path / f"lemmas-{seed}.json")
+        assert run(["lemmas", "--config", cfg, "--out", out, "--seed", seed]) == 0
+        checks.append(read_json(out)["checks"])
+    assert checks[0] == checks[1]
+    fam = load_config(json.loads(Path(cfg).read_text())).family
+    assert checks[0]["expansion_margin"] == {
+        "margin": 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real), "pass": True}
+    assert checks[0]["branch_growth_bound"]["max_excess"] == 0.0
+
+
+def test_module_entry_point_runs_lemmas(tmp_path):
+    """`python -m tractdim lemmas` exits 0 and writes the in-process report."""
+    out = tmp_path / "lemmas.json"
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, "-m", "tractdim", "lemmas", "--out", str(out)],
+                          cwd=Path(__file__).resolve().parents[1], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert run(["lemmas", "--out", str(tmp_path / "in.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "in.json").read_bytes()
+
+
 def test_lemmas_geometry_error_exit_1(tmp_path):
     cfg = write_cfg(tmp_path, "bad.json",
                     {"geometry": {"anchor": 12.0, "inset": 4.0}})
@@ -89,10 +119,42 @@ def test_dim_invalid_config_exit_1(tmp_path):
     assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
 
 
-def test_dim_double_auto_rejected(tmp_path):
+def test_dim_double_auto_rejected(tmp_path, capsys):
+    """The inset is a number: "auto" is rejected like any other non-number."""
     cfg = write_cfg(tmp_path, "auto.json",
                     {"geometry": {"anchor": "auto", "inset": "auto"}})
     assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: config field inset must be a finite number, got 'auto'\n"
+
+
+def test_dim_timing_writes_the_runtime(tmp_path, capsys):
+    """`timing: true` prints the verdict and its runtime to stderr and
+    writes a numeric `runtime_ms`; the rest of the report is the
+    timing-off report but for `config.timing`."""
+    off, on = tmp_path / "off.json", tmp_path / "on.json"
+    assert run(["dim", "--out", str(off)]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = write_cfg(tmp_path, "t.json", {"timing": True})
+    assert run(["dim", "--config", cfg, "--out", str(on)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("certificate: certified in ") and err.endswith(" ms\n")
+    rep_off, rep_on = read_json(off), read_json(on)
+    assert isinstance(rep_on["runtime_ms"], float) and rep_on["runtime_ms"] > 0
+    assert rep_on["config"].pop("timing") is True and rep_off["config"].pop("timing") is False
+    rep_on["runtime_ms"] = None
+    assert rep_on == rep_off
+
+
+def test_auto_anchor_resolves_to_the_first_passing_grid_point(tmp_path):
+    """`geometry.anchor: "auto"` is `find_radius`'s first passing point of
+    the scan, 8.0 at the small defaults, and the report echoes it."""
+    cfg = write_cfg(tmp_path, "a.json", {"geometry": {"anchor": "auto"}})
+    out = str(tmp_path / "lemmas.json")
+    assert run(["lemmas", "--config", cfg, "--out", out]) == 0
+    assert read_json(out)["config"]["geometry"]["anchor"] == 8.0
+    loaded = load_config({"geometry": {"anchor": "auto"}})
+    assert loaded.anchor == td.find_radius(loaded.family, loaded.budget, 8.0, 4000.0, 1.0) == 8.0
 
 
 def test_sample_rows_and_determinism(tmp_path):
@@ -377,6 +439,24 @@ def test_oracle_box_dim(tmp_path):
     assert run(["oracle", "box-dim", "--out", out]) == 0
     rep = read_json(out)
     assert abs(rep["slope"] - math.log(2) / math.log(3)) <= 0.05
+    assert rep["pass"] is True
+
+
+def test_oracle_box_dim_from_a_sample_csv(tmp_path):
+    """`source: csv` on a `sample` CSV: the default scales are the lifted
+    points' diameter times 10^-k, k = 0.5 .. 3 (reported in increasing
+    order), and no slope is expected."""
+    csv_path = tmp_path / "s.csv"
+    assert run(["sample", "--out", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    re_, im_ = (np.array([float(r[k]) for r in rows if r[2] == "lifted"]) for k in (0, 1))
+    diam = float(np.hypot(np.ptp(re_), np.ptp(im_)))
+    cfg = write_cfg(tmp_path, "b.json", {"oracle": {"source": "csv", "path": str(csv_path)}})
+    out = str(tmp_path / "box.json")
+    assert run(["oracle", "box-dim", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["scales"] == sorted(diam * 10.0 ** -k for k in np.linspace(0.5, 3.0, 6))
+    assert rep["expected"] is None and rep["tolerance"] is None
     assert rep["pass"] is True
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 
 import run_sum_reference as ref
 import tractdim as td
-from tractdim.loglift import (branch_growth_bound, expansion_margin, log_run_sum_bounds,
-                              run_sum)
+from tractdim.loglift import log_run_sum_bounds, run_sum
 from tractdim.numerics import TWO_PI
 
 
@@ -101,12 +101,39 @@ def test_branch_derivative_against_finite_differences(fam):
     assert worst <= 1e-6
 
 
-def test_expansion_margin_positive(fam):
-    rng = np.random.default_rng(8)
-    zeta = fam.ln_r0 + 0.1 + 30.0 * rng.random(2000) \
-        + 1j * (rng.random(2000) * 100.0 - 50.0)
-    w, _ = td.inv_branch(fam, 1, zeta)
-    assert np.all(expansion_margin(fam, w) > 0)
+# normalized families over (lam, R0): |lam| from e^-25 to e^3, any argument
+_FAMILIES = st.builds(
+    lambda log_mod, arg, r0: td.normalize_family(
+        td.exponential_family(cmath.rect(math.exp(log_mod), arg), r0)),
+    st.floats(-25.0, 3.0), st.floats(-math.pi, math.pi), st.floats(1.2, 20.0))
+
+
+def _lift_margins(family, zeta, s):
+    """Sampled 4 pi |F'(w)| - (Re F(w) - ln R0) at w = F_inv_s(zeta)."""
+    w = np.asarray(family.inv0(zeta)) + TWO_PI * 1j * s
+    return 4.0 * math.pi * np.abs(family.lift_deriv(w)) \
+        - (np.real(family.lift(w)) - family.ln_r0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_FAMILIES, st.integers(0, 2 ** 32 - 1))
+@example(td.exponential_family(1.0, math.e), 8)
+def test_expansion_margin_positive(family, seed):
+    """On 10,000 points of H, each on a branch |s| <= 3, the sampled
+    expansion margin never falls below its closed-form infimum
+    4 pi (ln R0 - Re Log(lam)), the lemma report's margin, which is
+    positive; at zeta = ln R0 + i Im Log(lam) every branch attains it."""
+    c = family.log_lam
+    closed = 4.0 * math.pi * (family.ln_r0 - c.real)
+    assert closed > 0
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    zeta = family.ln_r0 + 30.0 * rng.random(n) ** 2 \
+        + 1j * (c.imag + 100.0 * rng.random(n) - 50.0)
+    margins = _lift_margins(family, zeta, np.arange(n) % 7 - 3)
+    assert np.all(margins >= closed - 1e-9)
+    at_inf = _lift_margins(family, np.full(7, complex(family.ln_r0, c.imag)), np.arange(-3, 4))
+    assert np.all(np.abs(at_inf - closed) <= 1e-9)
 
 
 def test_growth_report_closed_form(fam):
@@ -131,14 +158,27 @@ def test_growth_threshold_crossing(fam):
     assert xs[idx] == pytest.approx(1e23)
 
 
-def test_growth_bound_shared_constant(fam, fam25):
-    for f in (fam, fam25):
-        xs = np.geomspace(f.ln_r0 + 1.0, 1e6, 100)
-        bound, c0 = branch_growth_bound(f, xs)
-        re_vals = np.real(np.asarray(f.inv0(xs.astype(complex))))
-        assert np.all(re_vals <= bound + 1e-9)
-    _, c0 = branch_growth_bound(fam, np.array([2.0]))
-    assert c0 == pytest.approx(math.log(2.0), rel=1e-12)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_FAMILIES)
+@example(td.exponential_family(1.0, math.e))
+@example(td.exponential_family(2.5, math.e))
+def test_growth_bound_shared_constant(family):
+    """Re F_inv_s(x), the same for every branch s, stays at or below the
+    growth bound 4 pi ln(x - ln R0) + c0 up to x = 1e6 (within 1e-9), and
+    the excess is 0 (up to rounding) at x = ln R0 + 1, its closed-form
+    maximum, the lemma report's `max_excess`; c0 = ln|1 + ln R0 - Log(lam)|
+    (ln 2 at lam = 1, R0 = e) is `AnchorLine.c0`."""
+    line = td.anchor_line(family, family.ln_r0 + 10.0, 1.0)
+    assert line.c0 == pytest.approx(math.log(abs(1.0 + family.ln_r0 - family.log_lam)),
+                                    rel=1e-15, abs=1e-15)
+    xs = np.geomspace(family.ln_r0 + 1.0, 1e6, 500)
+    re_vals = np.real(np.asarray(family.inv0(xs.astype(complex))))
+    excess = re_vals - (4.0 * math.pi * np.log(xs - family.ln_r0) + line.c0)
+    assert np.all(excess <= 1e-9)
+    assert abs(excess[0]) <= 1e-9
+    for s in (-1000, -10, 1, 100):
+        w, _ = td.inv_branch(family, s, xs)
+        assert np.array_equal(w.real, re_vals)
 
 
 # ---------------------------------------------------------------------------

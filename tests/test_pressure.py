@@ -39,7 +39,8 @@ def test_pressure_single_letter_linear():
     c = 0.37
     sys1 = WeightedSystem.from_uniform([c])
     for t in (0.0, 0.5, 1.0, 2.0):
-        lo, hi = td.pressure_bounds(sys1, t)
+        s = td.level1_sum(sys1, t)
+        lo, hi = s.log_lo, s.log_hi
         assert lo == pytest.approx(t * math.log(c), abs=1e-12)
         assert hi == pytest.approx(t * math.log(c), abs=1e-12)
 
@@ -47,7 +48,8 @@ def test_pressure_single_letter_linear():
 def test_pressure_middle_thirds_straddles_zero():
     sys3 = WeightedSystem.from_uniform([1.0 / 3.0, 1.0 / 3.0])
     t_star = math.log(2.0) / math.log(3.0)
-    lo, hi = td.pressure_bounds(sys3, t_star)
+    s = td.level1_sum(sys3, t_star)
+    lo, hi = s.log_lo, s.log_hi
     assert abs(lo) <= 1e-9 and abs(hi) <= 1e-9
 
 
@@ -142,7 +144,8 @@ def test_brute_force_within_level1_sandwich(small):
     sigma = np.log(2 * math.pi) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
-    p_lo, p_hi = td.pressure_bounds(sub, 1.0)
+    s1 = td.level1_sum(sub, 1.0)
+    p_lo, p_hi = s1.log_lo, s1.log_hi
     for n in (1, 2, 3):
         # every intermediate point lies in Q: no distortion slack
         brute = td.brute_force_pressure(small.family, letters, small.spec, n=n, t=1.0)

@@ -78,6 +78,34 @@ def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
     assert signs == {True, False}
 
 
+def test_eq1_and_eq4_read_one_anchor_derivative(tmp_path, monkeypatch):
+    """On seeded random (lam, R), R from 5 to 4000: shifting
+    `anchor_derivative` by 1/8 shifts the lemma report's eq1 margin up and
+    its eq4 margin down by the same float, so both read that one
+    expression (the forms 1/|R - Log(lam)| and |inv0_deriv(R)| can differ
+    in the last bit)."""
+    real = tractgeom.anchor_derivative
+
+    def shifted(family, anchor):
+        return real(family, anchor) + 0.125
+
+    monkeypatch.setattr(tractgeom, "anchor_derivative", shifted)
+    monkeypatch.setattr(cli, "anchor_derivative", shifted)
+    rng = np.random.default_rng(23)
+    out = tmp_path / "lemmas.json"
+    for _ in range(40):
+        lam = cmath.rect(math.exp(rng.uniform(-25.0, 0.9)), rng.uniform(-math.pi, math.pi))
+        anchor = float(np.exp(rng.uniform(math.log(5.0), math.log(4000.0))))
+        cfg = cli.load_config({"family": {"lambda_re": lam.real, "lambda_im": lam.imag},
+                               "geometry": {"anchor": anchor, "inset": 0.5}})
+        assert cli.cmd_lemmas(cfg, str(out)) == 0
+        checks = json.loads(out.read_text())["checks"]
+        deriv = real(cfg.family, anchor) + 0.125
+        assert checks["anchor_derivative_lower"]["margin"] == deriv - anchor ** -1.1
+        assert checks["anchor_derivative_upper"]["margin"] \
+            == 4.0 * math.pi / (anchor - cfg.family.ln_r0) - deriv
+
+
 def test_anchor_derivative_condition_arithmetic(fam):
     # at R = 100: |inv0'(R)| = 1/100 > 100^-1.1 ~ 0.006310
     lhs = abs(complex(np.asarray(fam.inv0_deriv(100.0 + 0j)).item()))
@@ -1009,7 +1037,7 @@ def test_level_lines_small_anchor(fam):
     rep = td.trace_level_lines(fam, spec, budget)
     assert rep.curve_count >= rep.required_count
     assert rep.min_component_length >= rep.required_length
-    assert all(m > 0 for m in rep.min_re_margins)
+    assert rep.min_re_margin > 0
 
 
 def test_level_lines_anchor_100(fam):
@@ -1084,7 +1112,7 @@ def _assert_level_lines_match_dense_reference(family, anchor, inset):
             assert not want, (anchor, u)
             continue
         assert sorted(traces[u].arclengths) == pytest.approx(want, rel=1e-5), (anchor, u)
-        assert traces[u].min_re <= pts.real.min(), (anchor, u)
+        assert rep.min_re <= pts.real.min(), (anchor, u)
     assert rep.curve_count == count, anchor
     return count
 
