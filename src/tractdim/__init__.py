@@ -6,21 +6,26 @@ steps: logarithmic lift and inverse branches (loglift), square geometry
 and the admissible index set (tractgeom), the induced conformal iterated
 function system (cantor_ifs), and pressure bounds with the Bowen-root
 enclosure (pressure).  The oracle module holds independent brute-force verifiers.
+
+Every name exported here is read by the package itself, by the
+benchmark harness (`perfbench/`), or is one of the few references the
+tests compare the pipeline against: `inv_branch`, the cylinder maps
+with `check_invariance`, `compare_window_modes`, and the oracles'
+`fd_derivative_check`, `brute_force_pressure_similarity` and
+`containment_recheck`.  `tests/test_api_surface.py` keeps it that way.
 """
 
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
-from .loglift import (MapFamily, check_growth, eval_lift, exponential_family, inv_branch,
-                      normalize_family)
+from .loglift import MapFamily, exponential_family, inv_branch, normalize_family
 from .tractgeom import (DistortionBound, GeometryBudget, GSet, Rect, SquareSpec,
                         anchor_line, build_G, build_squares, distortion_constant,
-                        find_radius, min_cell_gap, solve_s_window, trace_level_lines)
+                        find_radius, min_cell_gap, trace_level_lines)
 from .cantor_ifs import (LimitSample, check_invariance, cylinder_eval,
                          cylinder_fixed_point, project_to_plane, sample_limit_set)
-from .pressure import (BowenInterval, DimensionCertificate, Level1Sum,
-                       PressureReport, WeightedSystem, bowen_root,
-                       build_weighted_system, certify_dim_gt_one,
-                       compare_window_modes, level1_sum, pressure_report)
+from .pressure import (BowenInterval, DimensionCertificate, Level1Sum, WeightedSystem,
+                       bowen_root, build_weighted_system, certify_dim_gt_one,
+                       compare_window_modes, level1_sum)
 from .oracle import (BoxCountEstimate, box_counting_dim, brute_force_pressure,
                      brute_force_pressure_similarity, cantor_middle_thirds,
                      containment_recheck, fd_derivative_check, recheck_gset)

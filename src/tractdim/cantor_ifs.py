@@ -117,7 +117,6 @@ class LimitSample:
     depth: int
     seed: int
     levels: tuple             # depth + 1 arrays of sampled suffix images
-    word_ranks: np.ndarray
 
     @property
     def count(self) -> int:
@@ -157,8 +156,7 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
         if not np.all(spec.outer.contains(z)):
             raise ConstructionError("sampled point left Q; letters outside G?")
     return LimitSample(points=levels[0], words_u=words_u, words_s=words_s,
-                       depth=depth, seed=seed, levels=tuple(levels),
-                       word_ranks=np.arange(count, dtype=np.int64))
+                       depth=depth, seed=seed, levels=tuple(levels))
 
 
 @dataclass(frozen=True)

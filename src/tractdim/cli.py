@@ -32,9 +32,12 @@ ln R0), and the excess 0 of Re F_inv_s over the growth bound, attained
 at x = ln R0 + 1.  So no lemma depends on the seed.  Where the anchor
 line is not right of Log(lam) (lam = 3, R0 = e, anchor 3), the lines are
 not branch preimages, and `level_lines` fails with `min_inf_re_margin`
-NaN.  Its growth grid runs over the powers of ten from the first above
-ln R0 to 1e12, so it also exits 0 at |lam| past e^9 (lam = 1e4, anchor
-100).
+NaN.  Its growth to infinity is a closed form as well: Re F_inv_0(x) =
+ln|x - Log(lam)| rises for every x > Re Log(lam), so along its grid, the
+powers of ten from the first above ln R0 to 1e12, it is strictly
+increasing, and `first_past_threshold` is the first grid index where
+ln|x - Log(lam)| passes ln R0 + 2*inset.  So it also exits 0 at |lam|
+past e^9 (lam = 1e4, anchor 100).
 
 G is the ints of its closed-form sigma windows; a cell outside them is
 left out, not decided by sampling.  At lam = 0.01, R0 = e, anchor 4, G
@@ -48,10 +51,16 @@ reports not-certified with the Bowen bracket [0.6438, 0.7088] and exits
 `geometry.scan`, which the report's config echoes.  `geometry.inset` is a
 number.  A config that is not a JSON object, a section that is not one, a
 non-numeric `oracle.t` or inset, and an unreadable config or
-`oracle.path` file are configuration errors (exit 1).  So are, for
-`oracle box-dim` from a CSV, a file without numeric `re` and `im` and a
-text `space` column, one with no rows of `oracle.space`, and an
-`oracle.scales` that is not a list of numbers.
+`oracle.path` file are configuration errors (exit 1).  So are a key no
+reader knows, named in the message (each section takes the keys of
+`DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
+level also schema_version), a `timing` that is not a JSON bool, and a
+count (`sampling.count` and `depth`, `geometry.boundary_samples`,
+`oracle.density`, `subsystem` and `word_length`) that is not an integer
+>= 1: 2.5 is rejected, not truncated, and an integral float such as 1e4
+is taken as an int.  So are, for `oracle box-dim` from a CSV, a file
+without numeric `re` and `im` and a text `space` column, one with no rows
+of `oracle.space`, and an `oracle.scales` that is not a list of numbers.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -90,7 +99,7 @@ from . import oracle as oracle_mod
 from .cantor_ifs import project_to_plane, sample_limit_set
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
-from .loglift import MapFamily, check_growth, exponential_family, normalize_family
+from .loglift import MapFamily, exponential_family, normalize_family
 from .numerics import TWO_PI, write_csv, write_json
 from .pressure import certify_dim_gt_one, level1_sum
 from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_derivative,
@@ -153,11 +162,32 @@ def _require_seed(value):
     return int(seed)
 
 
-def _require_count(name, value):
-    """Reject all but an integer >= 1 (an integral float counts)."""
+def _require_count(name, value) -> int:
+    """An integer >= 1 (an integral float counts, as an int); anything else
+    is rejected, not truncated."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or value < 1:
         raise ConfigError(f"config field {name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+_SECTIONS = ("family", "geometry", "pressure", "sampling", "oracle")
+
+
+def _require_known_keys(raw: dict) -> None:
+    """Reject a key that nothing reads.  A section takes the keys of its
+    DEFAULT_SMALL_CONFIG section, and `oracle` also path, space and scales
+    (box-dim from a CSV); the top level takes the sections, workers,
+    timing and schema_version, which every report's config echoes."""
+    for key, value in raw.items():
+        if key not in DEFAULT_SMALL_CONFIG and key != "schema_version":
+            raise ConfigError(f"unknown config key {key!r}")
+        if key in _SECTIONS:
+            known = DEFAULT_SMALL_CONFIG[key].keys() | (
+                {"path", "space", "scales"} if key == "oracle" else set())
+            for sub in value:
+                if sub not in known:
+                    raise ConfigError(f"unknown config key '{key}.{sub}'")
 
 
 @dataclass
@@ -180,9 +210,10 @@ def load_config(raw: dict) -> RunConfig:
     """Validate a raw config dict and resolve an "auto" anchor before computing."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    for section in ("family", "geometry", "pressure", "sampling", "oracle"):
+    for section in _SECTIONS:
         if not isinstance(raw.get(section, {}), dict):
             raise ConfigError(f"config section {section} must be a JSON object")
+    _require_known_keys(raw)
     fam = dict(DEFAULT_SMALL_CONFIG["family"], **raw.get("family", {}))
     geo = dict(DEFAULT_SMALL_CONFIG["geometry"], **raw.get("geometry", {}))
     prs = dict(DEFAULT_SMALL_CONFIG["pressure"], **raw.get("pressure", {}))
@@ -204,7 +235,7 @@ def load_config(raw: dict) -> RunConfig:
     budget = GeometryBudget(
         epsilon=epsilon, inset=inset,
         margin=_require_finite("margin", geo["margin"]),
-        boundary_samples=int(_require_finite("boundary_samples", geo["boundary_samples"])))
+        boundary_samples=_require_count("geometry.boundary_samples", geo["boundary_samples"]))
     if anchor == "auto":
         anchor = find_radius(family, budget, *scan)
     anchor = _require_finite("anchor", anchor)
@@ -212,15 +243,16 @@ def load_config(raw: dict) -> RunConfig:
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
     seed = _require_seed(smp["seed"])
-    depth = int(_require_finite("depth", smp["depth"]))
-    count = int(_require_finite("count", smp["count"]))
-    if depth < 1 or count < 1:
-        raise ConfigError("sampling depth and count must be positive")
+    depth = _require_count("sampling.depth", smp["depth"])
+    count = _require_count("sampling.count", smp["count"])
     for key in ("density", "subsystem", "word_length"):
         _require_count(f"oracle.{key}", orc[key])
     _require_finite("oracle.t", orc["t"])
     # no effect: every computation runs in one process
     _require_finite("workers", raw.get("workers", 1))
+    timing = raw.get("timing", False)
+    if not isinstance(timing, bool):
+        raise ConfigError(f"config field timing must be true or false, got {timing!r}")
     resolved = {
         "family": {"kind": "exponential", "lambda_re": lam.real, "lambda_im": lam.imag,
                    "r0": family.r0},
@@ -232,15 +264,14 @@ def load_config(raw: dict) -> RunConfig:
                      "collar": int(_require_finite("collar", prs["collar"]))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
         "oracle": orc,
-        "timing": bool(raw.get("timing", False)),
+        "timing": timing,
         "schema_version": SCHEMA_VERSION,
     }
     return RunConfig(
         family=family, budget=budget, anchor=anchor, mode=mode,
         bisect_tol=resolved["pressure"]["bisect_tol"],
         collar=resolved["pressure"]["collar"], depth=depth, count=count,
-        seed=seed, oracle=orc,
-        timing=resolved["timing"], resolved=resolved)
+        seed=seed, oracle=orc, timing=timing, resolved=resolved)
 
 
 def _read_config(path, base: dict) -> RunConfig:
@@ -296,14 +327,15 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     # - c0 decreases in x, from 0 at x = ln R0 + 1, where c0 = ln|1 + ln R0 - c|
     checks["branch_growth_bound"] = {"max_excess": 0.0, "pass": True, "c0": line.c0}
 
-    # powers of ten from the first above ln R0 (10 for |lam| < e^9) to 1e12
+    # Re F_inv_0(x) = ln|x - c| rises for every x > Re c, so along the powers
+    # of ten from the first above ln R0 > Re c (10 for |lam| < e^9) to 1e12
     k0 = next(k for k in itertools.count(1) if 10.0 ** k > fam.ln_r0)
     grid = [10.0 ** k for k in range(k0, 13)]
-    rep = check_growth(fam, grid, thresholds=[fam.ln_r0 + 2.0 * budget.inset])
+    threshold = fam.ln_r0 + 2.0 * budget.inset
+    first = next((i for i, x in enumerate(grid)
+                  if math.log(abs(x - fam.log_lam)) > threshold), None)
     checks["branch_growth_to_infinity"] = {
-        "strictly_increasing": rep.strictly_increasing,
-        "first_past_threshold": rep.threshold_hits[0][1],
-        "pass": rep.strictly_increasing and rep.threshold_hits[0][1] is not None}
+        "strictly_increasing": True, "first_past_threshold": first, "pass": first is not None}
 
     lines = trace_level_lines(fam, spec, budget)
     checks["level_lines"] = {
@@ -364,7 +396,7 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
     n = write_csv(out_path, ["re", "im", "space", "depth", "word_rank"], [
         lifted.real.tolist() + plane.real.tolist(), lifted.imag.tolist() + plane.imag.tolist(),
         ["lifted"] * sample.count + spaces, [cfg.depth] * (2 * sample.count),
-        sample.word_ranks.tolist() * 2])
+        list(range(sample.count)) * 2])
     print(f"wrote {n} rows; conjugacy checked on {proj.conjugacy_checked} of {sample.count} rows",
           file=sys.stderr)
     return 0

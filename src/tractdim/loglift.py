@@ -14,8 +14,11 @@ ln R0 > Re Log(lam), which is exactly the normalization condition
 
 So the lift's two estimates (Eremenko and Lyubich, Ann. Inst. Fourier 42,
 1992) are exact formulas: at zeta = F(w), |F'(w)| = |zeta - Log(lam)|, and
-Re F_inv_s(x) = ln|x - Log(lam)| on the real axis, for every branch.  The
-lemma report (`cli.cmd_lemmas`) takes their margins in closed form.
+Re F_inv_s(x) = ln|x - Log(lam)| on the real axis, for every branch, which
+rises with x past Re Log(lam).  The lemma report (`cli.cmd_lemmas`) takes
+their margins and the growth to infinity in closed form; no branch is
+sampled.  `inv_branch`, a branch with its half-plane check, is the
+reference that the tests hold the lift and the cylinder maps to.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -61,11 +64,6 @@ class MapFamily:
     @property
     def log_lam(self) -> complex:
         return cmath.log(complex(self.lam))
-
-    @property
-    def tract_threshold(self) -> float:
-        """Left edge of the tract, Re z > this."""
-        return math.log(self.r0 / abs(self.lam))
 
     # -- plane map and lift -------------------------------------------------
 
@@ -128,24 +126,6 @@ def normalize_family(family: MapFamily) -> MapFamily:
     return replace(family, r0=abs(family.lam) * math.e)
 
 
-def eval_lift(family: MapFamily, w):
-    """Evaluate the lift F and its derivative at w.
-
-    w must lie in a lifted tract; the check is post hoc, Re F(w) > ln R0.
-    """
-    w = np.asarray(w, dtype=complex)
-    value = np.asarray(family.lift(w))
-    deriv = np.asarray(family.lift_deriv(w))
-    bad = np.real(value) <= family.ln_r0
-    if np.any(bad):
-        re_bad = float(np.min(np.real(value)[bad])) if value.ndim else float(np.real(value))
-        raise DomainError(
-            f"point outside the lifted tracts: Re F(w) = {re_bad:.6g} <= ln R0 = {family.ln_r0:.6g}")
-    if value.ndim == 0:
-        return complex(value), complex(deriv)
-    return value, deriv
-
-
 def inv_branch(family: MapFamily, s: int, zeta):
     """Evaluate the inverse branch with index s and its derivative.
 
@@ -164,48 +144,6 @@ def inv_branch(family: MapFamily, s: int, zeta):
     if point.ndim == 0:
         return complex(point), complex(deriv)
     return point, deriv
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Sampled Re F_inv_0 along the positive real axis."""
-
-    xs: tuple
-    re_values: tuple
-    strictly_increasing: bool
-    nondecreasing: bool
-    threshold_hits: tuple  # pairs (threshold, first index exceeding it or None)
-
-    def first_exceeding(self, threshold: float):
-        for thr, idx in self.threshold_hits:
-            if thr == threshold:
-                return idx
-        return None
-
-
-def check_growth(family: MapFamily, xs: Sequence[float],
-                 thresholds: Sequence[float] = ()) -> GrowthReport:
-    """Report Re F_inv_0(x) along an increasing grid of real x > ln R0.
-
-    Report-only: a repeated grid value is flagged as non-strict rather
-    than rejected.
-    """
-    xs = [float(x) for x in xs]
-    if any(x <= family.ln_r0 for x in xs):
-        raise DomainError("growth grid must stay above ln R0")
-    vals = np.real(np.asarray(family.inv0(np.asarray(xs, dtype=complex))))
-    diffs = np.diff(vals)
-    hits = []
-    for thr in thresholds:
-        above = np.nonzero(vals > thr)[0]
-        hits.append((float(thr), int(above[0]) if above.size else None))
-    return GrowthReport(
-        xs=tuple(xs),
-        re_values=tuple(float(v) for v in vals),
-        strictly_increasing=bool(np.all(diffs > 0)) if diffs.size else True,
-        nondecreasing=bool(np.all(diffs >= 0)) if diffs.size else True,
-        threshold_hits=tuple(hits),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,6 @@ class WeightedSystem:
         (`TailEnvelope.run_sums`)."""
         return self.env.run_sums([lo_hi for lo_hi, _ in self.runs])
 
-    def scaled(self, factor: float) -> "WeightedSystem":
-        """All weights multiplied by a factor (synthetic systems only)."""
-        if self.runs:
-            raise ConfigError("scaling is defined for materialized systems only")
-        shift = math.log(factor)
-        return WeightedSystem(log_lo=self.log_lo + shift, log_hi=self.log_hi + shift)
-
 
 def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
                           dist: Optional[DistortionBound] = None) -> WeightedSystem:
@@ -175,31 +168,6 @@ def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
     if m == -math.inf:
         return -math.inf
     return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
-
-
-@dataclass(frozen=True)
-class PressureReport:
-    t_grid: tuple
-    p_lo: tuple
-    p_hi: tuple
-    strictly_decreasing_lo: bool
-    strictly_decreasing_hi: bool
-    two_sided_consistent: bool    # p_lo <= p_hi pointwise
-
-
-def pressure_report(system: WeightedSystem, t_grid: Sequence[float]) -> PressureReport:
-    grid = [float(t) for t in t_grid]
-    lows, highs = [], []
-    for t in grid:
-        s = level1_sum(system, t)
-        lows.append(s.log_lo)
-        highs.append(s.log_hi)
-    dec_lo = all(b < a for a, b in zip(lows, lows[1:]))
-    dec_hi = all(b < a for a, b in zip(highs, highs[1:]))
-    consistent = all(lo <= hi for lo, hi in zip(lows, highs))
-    return PressureReport(t_grid=tuple(grid), p_lo=tuple(lows), p_hi=tuple(highs),
-                          strictly_decreasing_lo=dec_lo,
-                          strictly_decreasing_hi=dec_hi, two_sided_consistent=consistent)
 
 
 # ---------------------------------------------------------------------------

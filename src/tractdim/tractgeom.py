@@ -63,10 +63,6 @@ class Rect:
         return self.im_hi - self.im_lo
 
     @property
-    def min_side(self) -> float:
-        return min(self.width, self.height)
-
-    @property
     def diam(self) -> float:
         return math.hypot(self.width, self.height)
 
@@ -85,13 +81,6 @@ class Rect:
         z = np.asarray(z, dtype=complex)
         return ((np.real(z) >= self.re_lo + margin) & (np.real(z) <= self.re_hi - margin)
                 & (np.imag(z) >= self.im_lo + margin) & (np.imag(z) <= self.im_hi - margin))
-
-    def dist_to_boundary(self, z):
-        """Signed distance to the boundary (positive inside)."""
-        z = np.asarray(z, dtype=complex)
-        return np.minimum(
-            np.minimum(np.real(z) - self.re_lo, self.re_hi - np.real(z)),
-            np.minimum(np.imag(z) - self.im_lo, self.im_hi - np.imag(z)))
 
     def boundary_points(self, n: int) -> np.ndarray:
         """n equally spaced boundary samples, anchored at the lower-left corner.
@@ -152,16 +141,10 @@ class SquareSpec:
     inner: Rect   # outer inset by D on all sides
     core: Rect    # half-size square, same center
 
-    @property
-    def inner_degenerate(self) -> bool:
-        """True when the inset square no longer strictly contains the core."""
-        return not (self.inner.re_lo < self.core.re_lo and self.inner.re_hi > self.core.re_hi
-                    and self.inner.im_lo < self.core.im_lo and self.inner.im_hi > self.core.im_hi)
-
 
 def build_squares(anchor: float, inset: float) -> SquareSpec:
     """Nested squares at the anchor; the boundary case inset == anchor/4
-    (inner square collapsing onto the core) is allowed but flagged."""
+    (inner square collapsing onto the core) is allowed."""
     if not inset > 0.0:
         raise GeometryError(f"inset must be positive, got {inset}")
     if anchor / 4.0 < inset:
@@ -309,42 +292,6 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
 # ---------------------------------------------------------------------------
 # Index windows
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SigmaWindow:
-    """Certified admissible sigma interval for one (u, sign) column."""
-
-    u: int
-    sign: int
-    sigma_lo: float
-    sigma_hi: float
-
-    @property
-    def s_bounds(self):
-        """Window endpoints in index units (floats; may overflow to inf)."""
-        return (math.exp(self.sigma_lo) / TWO_PI if self.sigma_lo < 700 else math.inf,
-                math.exp(self.sigma_hi) / TWO_PI if self.sigma_hi < 700 else math.inf)
-
-
-def solve_s_window(family: MapFamily, u: int, spec: SquareSpec,
-                   budget: Optional[GeometryBudget] = None, sign: int = 1,
-                   margin: float = None) -> Optional[SigmaWindow]:
-    """Admissible sigma interval of one (u, sign) column, in closed form.
-
-    The one-column view of `_sigma_windows`, the solve `build_G` runs
-    once per sign over blocks of columns; see there for the formulas and
-    the endpoint certification.  `margin` defaults to the budget's, else
-    0.  Returns None when the column has no room; raises NumericError when
-    an endpoint fails its certification.
-    """
-    if margin is None:
-        margin = budget.margin if budget is not None else 0.0
-    env = family.envelope(spec.outer.bounds())
-    for u_lo, u_hi, lo, hi in _sigma_windows(env, spec.outer, margin, sign):
-        if u_lo <= u <= u_hi:
-            return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
-    return None
-
 
 def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) -> list:
     """Admissible sigma windows of the columns (u, sign), as blocks (u_lo,

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import pytest
 
 import tractdim as td
+from tractdim.numerics import TWO_PI
+from tractdim.tractgeom import _sigma_windows
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +41,16 @@ def mini():
     gset = td.build_G(f, 4.0, spec, budget, mode="enumerate", dist=dist)
     return SimpleNamespace(family=f, budget=budget, spec=spec, dist=dist,
                            gset=gset, anchor=4.0)
+
+
+def column_window(family, u, spec, margin=0.0, sign=1):
+    """(sigma_lo, sigma_hi) of the column (u, sign): the window of the
+    `_sigma_windows` block holding it, or None where it has no room."""
+    env = family.envelope(spec.outer.bounds())
+    return next(((lo, hi) for u_lo, u_hi, lo, hi in _sigma_windows(env, spec.outer, margin, sign)
+                 if u_lo <= u <= u_hi), None)
+
+
+def window_s_bounds(window):
+    """A window's ends in index units, e^sigma / (2 pi), inf past sigma 700."""
+    return tuple(math.exp(x) / TWO_PI if x < 700 else math.inf for x in window)

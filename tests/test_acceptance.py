@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import tractdim as td
+from conftest import column_window, window_s_bounds
 from tractdim.cli import main as cli_main
 from tractdim.numerics import TWO_PI
 from tractdim.pressure import WeightedSystem, build_weighted_system
@@ -151,8 +152,8 @@ def test_criterion_04_small_instance_construction(full12):
     for run in g.runs:
         s_min, s_max = sorted((abs(run.s_lo), abs(run.s_hi)))
         for u in range(run.u_lo, run.u_hi + 1):
-            sw = td.solve_s_window(fam, u, spec, budget=budget, sign=1 if run.s_lo > 0 else -1)
-            lo, hi = sw.s_bounds
+            lo, hi = window_s_bounds(column_window(fam, u, spec, margin=budget.margin,
+                                                   sign=1 if run.s_lo > 0 else -1))
             bracket_ok = bracket_ok and abs(s_min - math.ceil(lo - 1e-9)) <= 1 \
                 and abs(s_max - math.floor(hi + 1e-9)) <= 1
     elapsed = time.perf_counter() - t0 + full12.build_seconds
@@ -167,10 +168,8 @@ def test_criterion_04_small_instance_construction(full12):
 # -- 5 ----------------------------------------------------------------------
 
 def test_criterion_05_cross_mode_sum_agreement(full12):
-    win = td.solve_s_window(full12.family, 0, full12.spec,
-                            budget=full12.budget, sign=1)
-    cmp = td.compare_window_modes(full12.family, full12.spec,
-                                  win.sigma_lo, win.sigma_hi, t=1.0)
+    win = column_window(full12.family, 0, full12.spec, margin=full12.budget.margin, sign=1)
+    cmp = td.compare_window_modes(full12.family, full12.spec, *win, t=1.0)
     ok = (cmp.consistent and cmp.rel_width_lo <= 0.01 and cmp.rel_width_hi <= 0.01)
     _line(5, ok,
           f"level-1 sums at t=1 on the shared sigma window: enumerated "
@@ -263,9 +262,11 @@ def test_criterion_09_pressure_monotonicity(fam, small):
     ok = True
     detail = []
     for name, system in systems.items():
-        rep = td.pressure_report(system, grid)
-        good = (rep.strictly_decreasing_lo and rep.strictly_decreasing_hi
-                and rep.two_sided_consistent)
+        sums = [td.level1_sum(system, t) for t in grid]
+        lows, highs = [s.log_lo for s in sums], [s.log_hi for s in sums]
+        good = (all(b < a for a, b in zip(lows, lows[1:]))
+                and all(b < a for a, b in zip(highs, highs[1:]))
+                and all(lo <= hi for lo, hi in zip(lows, highs)))
         ok = ok and good
         detail.append(f"{name}:{'ok' if good else 'BAD'}")
     _line(9, ok, "both pressure bounds strictly decreasing on t in "

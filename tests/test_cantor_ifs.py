@@ -140,7 +140,7 @@ def test_projection_log_polar_for_huge_real_parts(small):
     pts = np.array([4000.0 + 0.5j, 6.0 + 1.5j, math.log(705.0) + 0j])
     fake = LimitSample(points=pts, words_u=np.zeros((3, 1), dtype=np.int64),
                        words_s=np.full((3, 1), 65, dtype=np.int64), depth=1,
-                       seed=0, levels=(pts, pts), word_ranks=np.arange(3))
+                       seed=0, levels=(pts, pts))
     proj = td.project_to_plane(small.family, fake)
     assert proj.log_polar.tolist() == [True, False, False]
     assert proj.points[0].real == pytest.approx(4000.0)  # ln modulus

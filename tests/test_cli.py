@@ -56,7 +56,9 @@ def test_lemmas_rerun_byte_identical(tmp_path):
 @pytest.mark.parametrize("lam", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.01, 0.0), (-2.0, 0.0)])
 def test_lemmas_margins_are_closed_forms_free_of_the_seed(tmp_path, lam):
     """The expansion margin is 4 pi (ln R0 - Re Log(lam)), the growth
-    excess 0, and no check depends on the seed."""
+    excess 0, and no check depends on the seed.  The growth to infinity
+    passes ln R0 + 2 inset where Re F_inv_0 does along the powers of ten
+    (at inset 3, from 1e4 on)."""
     cfg = write_cfg(tmp_path, "c.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]}})
     checks = []
     for seed in ("0", "1"):
@@ -68,6 +70,14 @@ def test_lemmas_margins_are_closed_forms_free_of_the_seed(tmp_path, lam):
     assert checks[0]["expansion_margin"] == {
         "margin": 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real), "pass": True}
     assert checks[0]["branch_growth_bound"]["max_excess"] == 0.0
+    deep = write_cfg(tmp_path, "d.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]},
+                                          "geometry": {"inset": 3.0}})
+    out = str(tmp_path / "deep.json")
+    assert run(["lemmas", "--config", deep, "--out", out]) == 0
+    re_vals = np.real(fam.inv0(10.0 ** np.arange(1, 13) + 0j))
+    assert read_json(out)["checks"]["branch_growth_to_infinity"] == {
+        "strictly_increasing": True, "pass": True,
+        "first_past_threshold": int(np.flatnonzero(re_vals > fam.ln_r0 + 6.0)[0])}
 
 
 def test_module_entry_point_runs_lemmas(tmp_path):
@@ -532,6 +542,76 @@ def test_malformed_config_exit_1(tmp_path, capsys, command, text):
     argv = command.split() + ["--config", str(cfg), "--out", str(tmp_path / "x")]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("config, field, value", [
+    ({"sampling": {"count": 2.5}}, "sampling.count", "2.5"),
+    ({"sampling": {"depth": 3.7}}, "sampling.depth", "3.7"),
+    ({"geometry": {"boundary_samples": 300.9}}, "geometry.boundary_samples", "300.9"),
+    ({"sampling": {"count": 0}}, "sampling.count", "0"),
+    ({"sampling": {"depth": True}}, "sampling.depth", "True"),
+    ({"sampling": {"count": "10"}}, "sampling.count", "'10'"),
+], ids=["count-2.5", "depth-3.7", "boundary-300.9", "count-0", "depth-true", "count-text"])
+def test_counts_are_integers_not_truncated(tmp_path, capsys, config, field, value):
+    """`sampling.count`, `sampling.depth` and `geometry.boundary_samples`
+    take an integer >= 1, as the oracle counts do: a fractional value is a
+    configuration error, not truncated.  An integral float such as 1e4 is
+    taken as its int."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    assert run(["sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: config field {field} must be an integer >= 1, got {value}\n"
+    c = load_config({"sampling": {"count": 1e4, "depth": 8.0},
+                     "geometry": {"boundary_samples": 300.0}})
+    assert (c.count, c.depth, c.budget.boundary_samples) == (10000, 8, 300)
+    assert c.resolved["sampling"]["count"] == 10000
+    assert type(c.resolved["sampling"]["count"]) is int
+
+
+@pytest.mark.parametrize("timing", ["no", 0, 1, None, "true"])
+def test_timing_must_be_a_json_bool(tmp_path, capsys, timing):
+    """A `timing` that is not true or false would put `runtime_ms` into
+    reports that reruns compare byte for byte: it is a configuration error."""
+    cfg = write_cfg(tmp_path, "t.json", {"timing": timing})
+    assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: config field timing must be true or false, got {timing!r}\n"
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"geometry": {"anchr": 5}}, "'geometry.anchr'"),
+    ({"sampling": {"seeds": 3}}, "'sampling.seeds'"),
+    ({"family": {"path": "x.csv"}}, "'family.path'"),
+    ({"oracle": {"paths": "x.csv"}}, "'oracle.paths'"),
+    ({"timng": True}, "'timng'"),
+], ids=["geometry", "sampling", "family-path", "oracle", "top-level"])
+def test_unknown_config_key_exit_1(tmp_path, capsys, config, key):
+    """A key no reader knows is a configuration error naming it, where it
+    used to run silently on the default (anchor 12 for `anchr`)."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("lemmas", {}),
+    ("dim", {}),
+    ("lemmas", {"geometry": {"anchor": "auto"}, "timing": True, "workers": 2}),
+    ("lemmas", {"family": {"lambda_re": 10.0, "lambda_im": -1.0}}),
+    ("dim", {"sampling": {"count": 1e4}, "pressure": {"mode": "enumerate"}}),
+], ids=["lemmas", "dim", "auto-anchor", "normalized-r0", "integral-float-count"])
+def test_report_config_loads_back_unchanged(tmp_path, command, config):
+    """The `config` block of a report is a config: `load_config` takes it
+    back, schema_version included, and resolves it to itself."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    out = str(tmp_path / "r.json")
+    assert run([command, "--config", cfg, "--out", out]) in (0, 2)
+    echoed = read_json(out)["config"]
+    assert load_config(echoed).resolved == echoed
+    csv = {"oracle": {"source": "csv", "path": "points.csv", "space": "plane",
+                      "scales": [1.0, 0.1, 0.01, 0.001, 0.0001]}}
+    resolved = load_config(csv).resolved
+    assert load_config(json.loads(json.dumps(resolved))).resolved == resolved
 
 
 _ONE_ROW = "re,im,space\n1.0,2.0,lifted\n"

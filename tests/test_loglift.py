@@ -8,21 +8,27 @@ from hypothesis import strategies as st
 
 import run_sum_reference as ref
 import tractdim as td
+from conftest import column_window
 from tractdim.loglift import log_run_sum_bounds, run_sum
 from tractdim.numerics import TWO_PI
+
+
+def _tract_threshold(family):
+    """Left edge of the tract {Re z > ln(R0 / |lam|)}."""
+    return math.log(family.r0 / abs(family.lam))
 
 
 def test_normalize_identity_for_flagship():
     f = td.exponential_family(1.0, math.e)
     g = td.normalize_family(f)
     assert g.r0 == f.r0
-    assert g.tract_threshold == pytest.approx(1.0)
+    assert _tract_threshold(g) == pytest.approx(1.0)
 
 
 def test_normalize_lam_2_5_keeps_tract_off_origin():
     g = td.normalize_family(td.exponential_family(2.5, math.e))
-    assert g.tract_threshold == pytest.approx(1.0 - math.log(2.5))
-    assert g.tract_threshold > 0  # 0 stays outside the closed tract
+    assert _tract_threshold(g) == pytest.approx(1.0 - math.log(2.5))
+    assert _tract_threshold(g) > 0  # 0 stays outside the closed tract
     assert abs(g.plane_map(0.0 + 0.0j)) < g.r0
 
 
@@ -30,24 +36,6 @@ def test_normalize_enlarges_radius_when_needed():
     g = td.normalize_family(td.exponential_family(10.0, math.e))
     assert g.r0 > abs(g.lam)
     assert abs(g.plane_map(0.0 + 0.0j)) < g.r0
-
-
-def test_eval_lift_closed_form(fam):
-    val, dv = td.eval_lift(fam, math.log(100.0))
-    assert val == pytest.approx(100.0, rel=1e-12)
-    assert dv == pytest.approx(100.0, rel=1e-12)
-
-
-def test_eval_lift_periodicity(fam):
-    w = math.log(100.0) + 0.3j
-    v1, _ = td.eval_lift(fam, w)
-    v2, _ = td.eval_lift(fam, w + TWO_PI * 1j)
-    assert abs(v1 - v2) <= 1e-12 * (1.0 + abs(v1))
-
-
-def test_eval_lift_outside_tracts_raises(fam):
-    with pytest.raises(td.DomainError):
-        td.eval_lift(fam, math.log(0.5))
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.5, 1j, -2.0, 0.5 + 0.5j])
@@ -136,25 +124,16 @@ def test_expansion_margin_positive(family, seed):
     assert np.all(np.abs(at_inf - closed) <= 1e-9)
 
 
-def test_growth_report_closed_form(fam):
-    xs = [10.0 ** k for k in range(1, 13)]
-    rep = td.check_growth(fam, xs)
-    assert rep.strictly_increasing
-    for k, val in zip(range(1, 13), rep.re_values):
-        assert val == pytest.approx(k * math.log(10.0), rel=1e-12)
-
-
-def test_growth_report_flags_repeat(fam):
-    rep = td.check_growth(fam, [10.0, 10.0, 100.0])
-    assert not rep.strictly_increasing
-    assert rep.nondecreasing
-
-
 def test_growth_threshold_crossing(fam):
-    # threshold ln R0 + 2D with D = 25 is first exceeded at x = 10^23
+    """Re F_inv_0 along the powers of ten is ln|x - Log(lam)|, the closed
+    form of the lemma report's growth check, and rises; the threshold
+    ln R0 + 2D with D = 25 is first exceeded at x = 10^23."""
     xs = [10.0 ** k for k in range(1, 31)]
-    rep = td.check_growth(fam, xs, thresholds=[fam.ln_r0 + 50.0])
-    idx = rep.first_exceeding(fam.ln_r0 + 50.0)
+    re_vals = np.real(np.asarray(fam.inv0(np.asarray(xs, dtype=complex))))
+    assert re_vals.tolist() == pytest.approx([math.log(abs(x - fam.log_lam)) for x in xs],
+                                             rel=1e-15)
+    assert np.all(np.diff(re_vals) > 0)
+    idx = int(np.flatnonzero(re_vals > fam.ln_r0 + 50.0)[0])
     assert xs[idx] == pytest.approx(1e23)
 
 
@@ -281,8 +260,8 @@ def test_run_sum_data_equals_per_call_reference(s1, length, h, ts, d):
 
 def test_window_comparison_brackets_equal_per_call_reference(small):
     """`compare_window_modes` takes its two brackets from the run sum."""
-    win = td.solve_s_window(small.family, 0, small.spec, budget=small.budget, sign=1)
-    sig_lo, sig_hi = win.sigma_lo, min(win.sigma_lo + 4.0, win.sigma_hi)
+    win_lo, win_hi = column_window(small.family, 0, small.spec, sign=1)
+    sig_lo, sig_hi = win_lo, min(win_lo + 4.0, win_hi)
     env = small.family.envelope(small.spec.outer.bounds())
     s1, s2 = math.ceil(math.exp(sig_lo) / TWO_PI), math.floor(math.exp(sig_hi) / TWO_PI)
     h = env.b / TWO_PI

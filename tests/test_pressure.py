@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import run_sum_reference as ref
 import tractdim as td
+from conftest import column_window
 from tractdim import loglift, pressure, tractgeom
 from tractdim.loglift import RunSum
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
@@ -56,9 +57,11 @@ def test_pressure_middle_thirds_straddles_zero():
 def test_pressure_ordering_and_decrease(small):
     system = build_weighted_system(small.family, small.gset, small.spec, small.dist)
     grid = [0.5 + 0.1 * k for k in range(11)]
-    rep = td.pressure_report(system, grid)
-    assert rep.two_sided_consistent
-    assert rep.strictly_decreasing_lo and rep.strictly_decreasing_hi
+    sums = [td.level1_sum(system, t) for t in grid]
+    lows, highs = [s.log_lo for s in sums], [s.log_hi for s in sums]
+    assert all(lo <= hi for lo, hi in zip(lows, highs))
+    assert all(b < a for a, b in zip(lows, lows[1:]))
+    assert all(b < a for a, b in zip(highs, highs[1:]))
 
 
 def test_two_sided_ratio_within_distortion(small):
@@ -101,7 +104,7 @@ def test_bowen_cap_flag():
 
 def test_bowen_monotone_in_weights():
     base = WeightedSystem.from_uniform([0.3, 0.2, 0.1])
-    shrunk = base.scaled(0.5)
+    shrunk = WeightedSystem.from_uniform([0.15, 0.1, 0.05])
     r1 = td.bowen_root(base, tol=1e-4)
     r2 = td.bowen_root(shrunk, tol=1e-4)
     assert r2.t_lo < r1.t_lo
@@ -111,10 +114,9 @@ def test_bowen_monotone_in_weights():
 def test_level1_cross_mode_windows_vs_segments(small):
     """The enumerated sum of a window lies inside its closed-form run-sum
     bracket; a window past the float range is refused before any exp."""
-    win = td.solve_s_window(small.family, 0, small.spec, budget=small.budget, sign=1)
+    win_lo, win_hi = column_window(small.family, 0, small.spec, sign=1)
     cmp = td.compare_window_modes(small.family, small.spec,
-                                  win.sigma_lo, min(win.sigma_lo + 4.0, win.sigma_hi),
-                                  t=1.0)
+                                  win_lo, min(win_lo + 4.0, win_hi), t=1.0)
     assert cmp.consistent
     assert cmp.rel_width_lo <= 0.01
     assert cmp.rel_width_hi <= 0.01
@@ -305,9 +307,9 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     assert len(converted) == 1
     assert gset.n_segments == 2 and [run.n_columns for run in gset.runs] == [637, 637]
-    win = td.solve_s_window(fam, 0, spec, budget=budget)
+    win = column_window(fam, 0, spec, margin=budget.margin)
     system = build_weighted_system(fam, gset, spec, dist)
-    key = convert(win.sigma_lo, win.sigma_hi)
+    key = convert(*win)
     assert system.runs == ((key, 1274),)
     for t in (0.5, 1.0):
         td.level1_sum(system, t)

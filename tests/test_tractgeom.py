@@ -14,7 +14,8 @@ from tractdim import cli, oracle, tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
-                                SigmaWindow, _sigma_windows)
+                                _sigma_windows)
+from conftest import column_window, window_s_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +130,14 @@ def test_build_squares_corners():
 def test_build_squares_boundary_case_flagged():
     spec = td.build_squares(100.0, 25.0)
     assert spec.inner.bounds() == spec.core.bounds()
-    assert spec.inner_degenerate
-    assert not td.build_squares(100.0, 20.0).inner_degenerate
+    assert _inner_degenerate(spec)
+    assert not _inner_degenerate(td.build_squares(100.0, 20.0))
+
+
+def _inner_degenerate(spec):
+    """True when the inset square no longer strictly contains the core."""
+    return not (spec.inner.re_lo < spec.core.re_lo and spec.inner.re_hi > spec.core.re_hi
+                and spec.inner.im_lo < spec.core.im_lo and spec.inner.im_hi > spec.core.im_hi)
 
 
 def test_build_squares_invalid():
@@ -212,6 +219,15 @@ def _cell_lipschitz(fam, s, spec):
     return float(np.exp(fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)[1]))
 
 
+def _min_side(rect):
+    return min(rect.width, rect.height)
+
+
+def _dist_to_boundary(rect, z):
+    """Signed distance of the point z to the boundary of rect (positive inside)."""
+    return min(z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag)
+
+
 def _boundary_points_per_point(rect, n):
     """Reference: each boundary sample placed on its edge one at a time."""
     ts = np.arange(n, dtype=float) * (rect.perimeter / n)
@@ -278,7 +294,7 @@ def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
     dist = td.distortion_constant(100.0, 1.0)
     bound = _koebe_cell_diameter_bound(spec, fam.ln_r0)
     assert bound == pytest.approx(math.sqrt(2) * 100 * 4 * math.pi * dist.c / 99, rel=1e-12)
-    assert bound > spec.outer.min_side
+    assert bound > _min_side(spec.outer)
     assert _cell_lipschitz(fam, 64, spec) * spec.outer.diam < bound
 
 
@@ -323,8 +339,7 @@ def test_measured_diameter_below_bounds(small):
 # ---------------------------------------------------------------------------
 
 def test_solve_s_window_small_anchor(fam, small):
-    win = td.solve_s_window(fam, 0, small.spec, budget=small.budget, sign=1)
-    lo, hi = win.s_bounds
+    lo, hi = window_s_bounds(column_window(fam, 0, small.spec, sign=1))
     assert 64.0 <= lo <= 65.0          # asymptotic estimate is e^6 / 2pi ~ 64.2
     assert hi == pytest.approx(1.045e7, rel=1e-3)
     # endpoints verified by the dense recheck of explicit cells
@@ -335,12 +350,11 @@ def test_solve_s_window_small_anchor(fam, small):
 
 def test_solve_s_window_empty_for_large_u(fam, small):
     # |2 pi u| > R/2 + pi/2 leaves no room for the image column
-    assert td.solve_s_window(fam, 2, small.spec, budget=small.budget, sign=1) is None
+    assert column_window(fam, 2, small.spec, sign=1) is None
 
 
 def test_solve_s_window_empty_under_huge_margin(fam, small):
-    win = td.solve_s_window(fam, 0, small.spec, budget=small.budget, sign=1,
-                            margin=6.5)
+    win = column_window(fam, 0, small.spec, margin=6.5, sign=1)
     assert win is None
 
 
@@ -379,7 +393,7 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     n_windows = 0
     for sign in (1, -1):
         for u in _columns(spec):
-            win = td.solve_s_window(fam, u, spec, budget=budget, sign=sign, margin=margin)
+            win = column_window(fam, u, spec, margin=margin, sign=sign)
 
             def ok(sigma):
                 return bool(_enclosure_admissible(env, rect, margin, u, sign, sigma))
@@ -390,16 +404,17 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
             if win is None:
                 continue
             n_windows += 1
-            assert ok(win.sigma_lo) and ok(win.sigma_hi)
-            below = _ulps(win.sigma_lo, 4, -math.inf)
+            sigma_lo, sigma_hi = win
+            assert ok(sigma_lo) and ok(sigma_hi)
+            below = _ulps(sigma_lo, 4, -math.inf)
             assert not ok(below) or below <= env.sigma_valid_min
-            assert not ok(_ulps(win.sigma_hi, 4, math.inf))
+            assert not ok(_ulps(sigma_hi, 4, math.inf))
     assert n_windows > 0
 
 
 def _solve_s_window_per_column(family, u, spec, margin, sign):
-    """Reference: the window of one column by its own closed forms and one
-    scalar enclosure test per endpoint step."""
+    """Reference: the window (sigma_lo, sigma_hi) of one column by its own
+    closed forms and one scalar enclosure test per endpoint step."""
     env = family.envelope(spec.outer.bounds())
     target = spec.outer
 
@@ -433,7 +448,7 @@ def _solve_s_window_per_column(family, u, spec, margin, sign):
     lo, hi = certify(sigma_lo, math.inf), certify(sigma_hi, -math.inf)
     if lo is None or hi is None or hi <= lo:
         raise td.NumericError(f"u={u}, sign={sign}")
-    return SigmaWindow(u=int(u), sign=int(sign), sigma_lo=lo, sigma_hi=hi)
+    return lo, hi
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.5])
@@ -458,16 +473,16 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
         wins = [None] * len(us)
         for u_lo, u_hi, lo, hi in blocks:
             for u in range(u_lo, u_hi + 1):
-                wins[u - us.start] = SigmaWindow(u=u, sign=sign, sigma_lo=lo, sigma_hi=hi)
+                wins[u - us.start] = (lo, hi)
         # every column up to anchor 4000; at 1e5 (31,834 columns) both ends and a stride
         picks = range(len(us)) if len(us) <= 2000 else sorted(
             {*range(40), *range(40, len(us) - 40, 97), *range(len(us) - 40, len(us))})
         for i in picks:
             ref = _solve_s_window_per_column(fam, us[i], spec, margin, sign)
             assert wins[i] == ref, (us[i], sign)
-            assert td.solve_s_window(fam, us[i], spec, budget=budget, sign=sign) == ref
+            assert column_window(fam, us[i], spec, margin=budget.margin, sign=sign) == ref
             if ref is not None:
-                assert type(ref.sigma_lo) is type(wins[i].sigma_lo) is float
+                assert type(ref[0]) is type(wins[i][0]) is float
         assert wins[0] is None and wins[-1] is None
         n_windows += sum(w is not None for w in wins)
     # below anchor 12 a margin of 0.5 leaves no column any room
@@ -533,8 +548,8 @@ def test_build_g_is_the_integers_of_its_windows(mini):
     anchor 4 the u = 0 window holds |s| = 2..63, and at lam = 0.5 + 0.5i,
     R0 = e, anchor 8 it holds |s| = 10..25902, for both signs."""
     assert _letter_runs(mini.gset) == [(0, -63, -2), (0, 2, 63)]
-    win = td.solve_s_window(mini.family, 0, mini.spec, budget=mini.budget, sign=1)
-    assert tractgeom._sigma_run(win.sigma_lo, win.sigma_hi) == (2, 63)
+    win = column_window(mini.family, 0, mini.spec, sign=1)
+    assert tractgeom._sigma_run(*win) == (2, 63)
     fam = td.normalize_family(td.exponential_family(0.5 + 0.5j, math.e))
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0)
     g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
@@ -554,10 +569,10 @@ def test_run_end_below_2_53_is_tight_when_the_other_end_is_past(fam, margin, low
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
-        win = td.solve_s_window(fam, run.u_lo, spec, sign=sign, margin=margin)
+        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, margin=margin, sign=sign)
         assert lo == low
-        assert _LOG_TWO_PI + math.log(lo - 1) < win.sigma_lo <= _LOG_TWO_PI + math.log(lo)
-        assert hi > 2 ** 53 and _LOG_TWO_PI + math.log(hi) <= win.sigma_hi
+        assert _LOG_TWO_PI + math.log(lo - 1) < sigma_lo <= _LOG_TWO_PI + math.log(lo)
+        assert hi > 2 ** 53 and _LOG_TWO_PI + math.log(hi) <= sigma_hi
 
 
 def _letter_runs(gset):
@@ -618,7 +633,7 @@ def _letter_runs_per_column(fam, spec, budget):
             win = _solve_s_window_per_column(fam, u, spec, budget.margin, sign)
             if win is None:
                 continue
-            s1, s2 = _window_ints(win.sigma_lo, win.sigma_hi)
+            s1, s2 = _window_ints(*win)
             runs += [(u, *sorted((sign * s1, sign * s2)))] if s1 <= s2 else []
     return _merged(runs)
 
@@ -688,17 +703,17 @@ def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
-        win = td.solve_s_window(fam, run.u_lo, spec, sign=sign, margin=margin)
+        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, margin=margin, sign=sign)
         for u in range(run.u_lo, run.u_hi + 1):
             assert enclosed(u, sign, [lo, hi]).all(), (u, lo, hi)
-            for end, out, edge in ((lo, -1, win.sigma_lo), (hi, 1, win.sigma_hi)):
+            for end, out, edge in ((lo, -1, sigma_lo), (hi, 1, sigma_hi)):
                 if edge - _LOG_TWO_PI < math.log(2 ** 53):
                     ss = [s for s in range(end - depth, end + depth + 1) if s >= 1]
                     admitted = [s for s, ok in zip(ss, enclosed(u, sign, ss)) if ok]
                     assert all(lo <= s <= hi for s in admitted), (u, end)
                 else:
                     past = _LOG_TWO_PI + math.log(end + out * ((end >> 28) + 2))
-                    assert past < win.sigma_lo if out < 0 else past > win.sigma_hi
+                    assert past < sigma_lo if out < 0 else past > sigma_hi
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -899,7 +914,7 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
         assert not tractgeom._enclosed(env, spec.outer, 0.0, 0, int(math.copysign(1, s)),
                                        np.array([sigma])).any()
         center = complex(np.asarray(fam.inv0(base + TWO_PI * 1j * s)).item())
-        assert float(spec.outer.dist_to_boundary(center)) > _cell_lipschitz(fam, s, spec) \
+        assert _dist_to_boundary(spec.outer, center) > _cell_lipschitz(fam, s, spec) \
             * spec.outer.diam
         assert td.containment_recheck(fam, 0, s, spec, budget, density=40) == "inside"
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
@@ -919,7 +934,7 @@ def test_containment_padding_past_half_side_is_borderline_outside(small):
     boundary = oracle._recheck_boundary(small.family, small.spec, budget, 10)
     verdicts, delta, _ = oracle._recheck_cells(0, [5000], small.spec, budget, boundary)
     assert verdicts.tolist() == ["borderline"]
-    assert delta[0] > 0.5 * small.spec.outer.min_side
+    assert delta[0] > 0.5 * _min_side(small.spec.outer)
     assert (0, 5000) not in td.build_G(small.family, 12.0, small.spec, budget)
     spec = td.build_squares(13.5, 0.5)
     center, _ = td.cylinder_eval(small.family, [(0, 136)], complex(spec.anchor))
@@ -930,7 +945,7 @@ def test_containment_padding_past_half_side_is_borderline_outside(small):
         verdicts, delta, _ = oracle._recheck_cells(0, [136], spec, budget, boundary)
         assert verdicts.tolist() == ["outside"] and delta[0] > margin
         assert (0, 136) not in td.build_G(small.family, 13.5, spec, budget)
-    assert delta[0] > 0.5 * spec.outer.min_side
+    assert delta[0] > 0.5 * _min_side(spec.outer)
 
 
 def _sharp_or_koebe_lipschitz(fam, s, spec):
@@ -1021,9 +1036,7 @@ def test_tail_segments_bracket_enumeration(small):
     small-|s| end of every column's run."""
     for u, s_lo, s_hi in _letter_runs(small.gset):
         sign = 1 if s_lo > 0 else -1
-        analytic = td.solve_s_window(small.family, u, small.spec,
-                                     budget=small.budget, sign=sign)
-        lo, hi = analytic.s_bounds
+        lo, hi = window_s_bounds(column_window(small.family, u, small.spec, sign=sign))
         assert abs(min(abs(s_lo), abs(s_hi)) - math.ceil(lo - 1e-9)) <= 1
 
 
