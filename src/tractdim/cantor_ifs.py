@@ -130,7 +130,10 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
 
     Words are int64, so a G with letters past 2^63 raises
     ConstructionError.  Deterministic for a fixed seed; rows are ordered
-    by word rank (lexicographic in the flat letter ranks).
+    by word rank (lexicographic in the flat letter ranks, ties in draw
+    order): one stable sort of each row's ranks as a fixed-width
+    big-endian byte string (`_rank_keys`), whose bytewise order is that
+    lexicographic order.
     """
     if gset.is_empty():
         raise ConstructionError("cannot sample: G has no letters")
@@ -140,7 +143,7 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
         raise ConstructionError("cannot sample: G has letters past 2^63, and words are int64")
     rng = np.random.default_rng(seed)
     ranks = gset.random_ranks(rng, count * depth).reshape(count, depth)
-    order = np.lexsort(tuple(ranks[:, k] for k in range(depth - 1, -1, -1)))
+    order = np.argsort(_rank_keys(ranks, gset.n_letters), kind="stable")
     u, s = gset.letters(ranks[order].ravel())
     words_u = u.astype(np.int64).reshape(count, depth)
     words_s = s.astype(np.int64).reshape(count, depth)
@@ -157,6 +160,19 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
             raise ConstructionError("sampled point left Q; letters outside G?")
     return LimitSample(points=levels[0], words_u=words_u, words_s=words_s,
                        depth=depth, seed=seed, levels=tuple(levels))
+
+
+def _rank_keys(ranks: np.ndarray, n_letters: int) -> np.ndarray:
+    """One byte string per word row: its ranks in [0, n_letters) written
+    big-endian at one fixed width, so that bytewise order is the
+    lexicographic order of the rows.  int64 ranks take 8 bytes each;
+    object ranks (G past 2^63 letters) the byte width of n_letters - 1."""
+    depth = ranks.shape[1]
+    if ranks.dtype != object:
+        return ranks.astype(">u8").view(f"V{8 * depth}").ravel()
+    width = ((n_letters - 1).bit_length() + 7) // 8
+    return np.frombuffer(b"".join(int(r).to_bytes(width, "big") for r in ranks.ravel()),
+                         dtype=f"V{width * depth}")
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,16 @@ non-numeric `oracle.t` or inset, and an unreadable config or
 `oracle.path` file are configuration errors (exit 1).  So are a key no
 reader knows, named in the message (each section takes the keys of
 `DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
-level also schema_version), a `timing` that is not a JSON bool, and a
-count (`sampling.count` and `depth`, `geometry.boundary_samples`,
+level also schema_version), a `schema_version` other than the integer
+`SCHEMA_VERSION` (1; a config without one is read as 1, and "x", 2 or
+true are rejected), a `timing` that is not a JSON bool, and a count
+(`sampling.count` and `depth`, `geometry.boundary_samples`,
 `oracle.density`, `subsystem` and `word_length`) that is not an integer
 >= 1: 2.5 is rejected, not truncated, and an integral float such as 1e4
-is taken as an int.  So are, for `oracle box-dim` from a CSV, a file
-without numeric `re` and `im` and a text `space` column, one with no rows
-of `oracle.space`, and an `oracle.scales` that is not a list of numbers.
+is taken as an int, which the report's config echoes.  So are, for
+`oracle box-dim` from a CSV, a file without numeric `re` and `im` and a
+text `space` column, one with no rows of `oracle.space`, and an
+`oracle.scales` that is not a list of numbers.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -214,6 +217,10 @@ def load_config(raw: dict) -> RunConfig:
         if not isinstance(raw.get(section, {}), dict):
             raise ConfigError(f"config section {section} must be a JSON object")
     _require_known_keys(raw)
+    version = raw.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"config field schema_version must be {SCHEMA_VERSION}, "
+                          f"got {version!r}")
     fam = dict(DEFAULT_SMALL_CONFIG["family"], **raw.get("family", {}))
     geo = dict(DEFAULT_SMALL_CONFIG["geometry"], **raw.get("geometry", {}))
     prs = dict(DEFAULT_SMALL_CONFIG["pressure"], **raw.get("pressure", {}))
@@ -246,7 +253,7 @@ def load_config(raw: dict) -> RunConfig:
     depth = _require_count("sampling.depth", smp["depth"])
     count = _require_count("sampling.count", smp["count"])
     for key in ("density", "subsystem", "word_length"):
-        _require_count(f"oracle.{key}", orc[key])
+        orc[key] = _require_count(f"oracle.{key}", orc[key])
     _require_finite("oracle.t", orc["t"])
     # no effect: every computation runs in one process
     _require_finite("workers", raw.get("workers", 1))
@@ -395,8 +402,8 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
     spaces = ["plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
     n = write_csv(out_path, ["re", "im", "space", "depth", "word_rank"], [
         lifted.real.tolist() + plane.real.tolist(), lifted.imag.tolist() + plane.imag.tolist(),
-        ["lifted"] * sample.count + spaces, [cfg.depth] * (2 * sample.count),
-        list(range(sample.count)) * 2])
+        ["lifted"] * sample.count + spaces, [str(cfg.depth)] * (2 * sample.count),
+        list(map(str, range(sample.count))) * 2])
     print(f"wrote {n} rows; conjugacy checked on {proj.conjugacy_checked} of {sample.count} rows",
           file=sys.stderr)
     return 0
@@ -462,7 +469,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     gset = _nonempty_G(fam, cfg, spec)
-    k = int(cfg.oracle.get("subsystem", 8))
+    k = cfg.oracle["subsystem"]
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
         raise ConstructionError(f"G holds {gset.n_letters} letters; the subsystem needs {k}")
@@ -470,7 +477,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
         raise ConstructionError("the subsystem's letters pass the float range")
     sub = _subsystem(fam, letters, spec)
     t = float(cfg.oracle.get("t", 1.0))
-    n = int(cfg.oracle.get("word_length", 2))
+    n = cfg.oracle["word_length"]
     brute = oracle_mod.brute_force_pressure(fam, letters, spec, n=n, t=t)
     bracket = level1_sum(sub, t)
     p_lo, p_hi = bracket.log_lo, bracket.log_hi
@@ -508,7 +515,7 @@ def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     gset = _nonempty_G(fam, cfg, spec)
     rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
-                                  density=int(cfg.oracle.get("density", 10)),
+                                  density=cfg.oracle["density"],
                                   seed=cfg.seed)
     report = {
         "schema_version": SCHEMA_VERSION, "command": "oracle recheck",

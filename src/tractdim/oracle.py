@@ -22,7 +22,7 @@ gives the bounds).  At x = 0 one sample serves; where x is not small
 every sample is evaluated.  Either way the verdicts, paddings and extents
 are those of evaluating every sample, bit for bit.  Box counting sees
 only point clouds: it counts the distinct boxes at each scale with one
-sort, and the middle-thirds sample is drawn in numpy blocks.
+sort, and the middle-thirds sample takes one draw per point.
 Disagreement between an oracle and the pipeline is a failure of the run,
 not of the oracle.
 """
@@ -43,8 +43,6 @@ from .tractgeom import GSet, GeometryBudget, SquareSpec
 
 # Letters whose margin `recheck_gset` evaluates at each end of a run at first.
 _END_BLOCK = 64
-# Points per block of `cantor_middle_thirds`, which bounds its memory.
-_DIGIT_ROWS = 4096
 # Boundary points per block of the dense recheck: 8 letters at the default
 # 2,560 samples (density 10 x 256).
 _DENSE_BLOCK = 20_480
@@ -142,23 +140,24 @@ def cantor_middle_thirds(count: int = 100_000, depth: int = 35,
                          seed: int = 7) -> np.ndarray:
     """Random points of the middle-thirds set on [0, 1], as complex values.
 
-    Each point is sum_k d_k 3^-k over k = 1..depth with digits d_k drawn
-    uniformly from {0, 2}, formed as the exact int64 numerator
-    sum_k d_k 3^(depth - k) (an integer product, no BLAS) over 3^depth, so
-    the points do not depend on the numerical library.  The digits are
-    drawn and weighted in blocks of `_DIGIT_ROWS` points, so memory does
-    not grow with `count`; the draws are the same as for one count x depth
-    matrix, so the points are too.
+    Each point is sum_k d_k 3^-k over k = 1..depth with digits d_k in
+    {0, 2}, from one uniform draw in [0, 2^depth) per point: digit k is 2
+    times bit depth - k of the draw.  So the numerator sum_k d_k
+    3^(depth - k) is sum_j 2 bit_j 3^j, which is summed exactly in int64
+    from one 256-entry table per byte of the draw (at most 5 bytes), and
+    divided by 3^depth.  No BLAS, so the points do not depend on the
+    numerical library; memory is O(count).
     """
     if depth > 39:
         raise ConfigError(f"depth {depth} > 39 overflows the int64 numerators")
-    rng = np.random.default_rng(seed)
-    powers = 3 ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    xs = np.empty(count)
-    for lo in range(0, count, _DIGIT_ROWS):
-        hi = min(lo + _DIGIT_ROWS, count)
-        xs[lo:hi] = (2 * rng.integers(0, 2, size=(hi - lo, depth)) @ powers) / 3 ** depth
-    return xs.astype(complex)
+    draws = np.random.default_rng(seed).integers(0, 2 ** depth, size=count, dtype=np.int64)
+    numer = np.zeros(count, dtype=np.int64)
+    for lo in range(0, depth, 8):
+        table = [0]  # table[v]: sum of 2 * 3^(lo + i) over the set bits i of v
+        for i in range(lo, min(lo + 8, depth)):  # the draw has no bit past depth
+            table += [x + 2 * 3 ** i for x in table]
+        numer += np.take(np.array(table, dtype=np.int64), (draws >> lo) & 0xFF)
+    return (numer / 3 ** depth).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import tractdim as td
 from tractdim.cantor_ifs import LimitSample
 from tractdim.numerics import TWO_PI
+from tractdim.tractgeom import RunBlock
 
 
 def test_cylinder_single_letter_is_cell_center(fam):
@@ -106,6 +107,58 @@ def test_sampling_depth_refinement(small):
         word = list(zip(a.words_u[i].tolist(), a.words_s[i].tolist()))
         deeper, _ = td.cylinder_eval(small.family, word + [extra], z0)
         assert abs(a.points[i] - deeper) <= tail
+
+
+def _lexsorted_words(gset, depth, count, seed):
+    """Reference: the sample's draws with their rows ordered by an
+    np.lexsort over the depth rank columns (first column most significant)."""
+    rng = np.random.default_rng(seed)
+    ranks = gset.random_ranks(rng, count * depth).reshape(count, depth)
+    order = np.lexsort(tuple(ranks[:, k] for k in range(depth - 1, -1, -1)))
+    u, s = (x.astype(np.int64).reshape(count, depth) for x in gset.letters(ranks[order].ravel()))
+    return ranks[order], u, s
+
+
+def _assert_sample_is_lexsorted(family, gset, spec, depth, count, seed):
+    sample = td.sample_limit_set(family, gset, spec, depth=depth, count=count, seed=seed)
+    ranks, words_u, words_s = _lexsorted_words(gset, depth, count, seed)
+    assert np.array_equal(sample.words_u, words_u)
+    assert np.array_equal(sample.words_s, words_s)
+    points = [td.cylinder_eval(family, np.column_stack([u, s]), spec.outer.center)[0]
+              for u, s in zip(words_u, words_s)]
+    assert np.array_equal(sample.points, np.array(points))
+    return ranks
+
+
+@pytest.mark.parametrize("depth", [1, 2, 8])
+@pytest.mark.parametrize("runs", [
+    ((0, 0, 65, 65), (0, 1, -66, -65)),
+    ((-1, 0, 65, 66),),
+    ((-1, 0, 65, 67), (0, 1, -10450108, -10450106)),
+    ((-1, 0, 65, 364),),
+], ids=["three-letters", "four-letters", "twelve-letters", "600-letters"])
+def test_sampling_order_is_the_lexsort_of_the_word_ranks(small, runs, depth):
+    """The byte-key sort orders the rows as np.lexsort over the rank columns
+    does, ties included: with a few letters, many rows share their first
+    ranks, and where there are at most 3^8 words, whole words repeat.  Ranks
+    past 255 take more than one byte of their key."""
+    gset = td.GSet(runs=tuple(RunBlock(*r) for r in runs))
+    assert all(letter in small.gset for letter in zip(*gset.letters(range(gset.n_letters))))
+    ranks = _assert_sample_is_lexsorted(small.family, gset, small.spec, depth, 600, seed=5)
+    assert len(np.unique(ranks[:, 0])) < len(ranks)
+    if gset.n_letters ** depth <= 3 ** 8:
+        assert len(np.unique(ranks, axis=0)) < len(ranks)
+
+
+def test_sampling_order_with_object_ranks(fam):
+    """At anchor 30 G has more than 2^63 letters, so its ranks are Python
+    ints; their byte keys order the rows as np.lexsort does."""
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0, boundary_samples=256)
+    spec = td.build_squares(30.0, 0.5)
+    gset = td.build_G(fam, 30.0, spec, budget)
+    assert gset.n_letters > 2 ** 63
+    ranks = _assert_sample_is_lexsorted(fam, gset, spec, 3, 400, seed=1)
+    assert ranks.dtype == object
 
 
 def test_projection_conjugacy_and_bookkeeping(small):

@@ -593,6 +593,31 @@ def test_unknown_config_key_exit_1(tmp_path, capsys, config, key):
     assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
 
+@pytest.mark.parametrize("version", ["x", 2, True, 1.5, None])
+def test_schema_version_other_than_current_exit_1(tmp_path, capsys, version):
+    """A config of another schema is a configuration error naming the field,
+    not read as the current one; a missing schema_version or 1 loads."""
+    cfg = write_cfg(tmp_path, "c.json", {"schema_version": version})
+    assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: config field schema_version must be 1, got {version!r}\n"
+    assert load_config({"schema_version": 1}).resolved == load_config({}).resolved
+
+
+@pytest.mark.parametrize("command", ["oracle recheck", "oracle brute-pressure"])
+def test_integral_float_oracle_counts_echo_as_ints(tmp_path, command):
+    """density, subsystem and word_length given as 10.0, 8.0 and 2.0 are the
+    ints 10, 8 and 2: the reports are byte-identical to those of the ints."""
+    outs = []
+    for name, num in (("int", int), ("float", float)):
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(SMALL_TAIL, oracle={
+            "density": num(10), "subsystem": num(8), "word_length": num(2)}))
+        outs.append(tmp_path / f"{name}.json.out")
+        assert run(command.split() + ["--config", cfg, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert read_json(outs[1])["config"]["oracle"]["density"] == 10
+
+
 @pytest.mark.parametrize("command, config", [
     ("lemmas", {}),
     ("dim", {}),

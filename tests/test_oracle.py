@@ -23,38 +23,37 @@ def test_box_dim_middle_thirds():
     assert all(a >= b for a, b in zip(est.counts, est.counts[1:]))  # sorted by scale
 
 
-def _cantor_digits(count, depth, seed):
-    return 2 * np.random.default_rng(seed).integers(0, 2, size=(count, depth))
-
-
-def _cantor_one_shot(count, depth, seed):
-    """Reference: the digits of all points drawn and weighted as one matrix."""
-    powers = 3 ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    return ((_cantor_digits(count, depth, seed) @ powers) / 3 ** depth).astype(complex)
+def _cantor_exact(count, depth, seed):
+    """Reference, in Python ints: the ternary digits d_1..d_depth of a point
+    are its draw in [0, 2^depth) written in binary with depth digits, each
+    doubled (d_k = 2 * bit (depth - k)); read in base 3 they give the
+    numerator sum_k d_k 3^(depth - k), as a float over the float of 3^depth."""
+    draws = np.random.default_rng(seed).integers(0, 2 ** depth, size=count, dtype=np.int64)
+    return np.array([float(int(format(d, f"0{depth}b").replace("1", "2"), 3))
+                     / float(3 ** depth) for d in draws.tolist()], dtype=complex)
 
 
 @pytest.mark.parametrize("count", [100_000, 10_001, 4097, 1])
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
 def test_cantor_blocks_equal_one_shot_draw(count, seed):
+    """The points are those of the one-draw digit rule, evaluated in Python
+    ints, bit for bit."""
     pts = td.cantor_middle_thirds(count, 35, seed=seed)
-    ref = _cantor_one_shot(count, 35, seed)
+    ref = _cantor_exact(count, 35, seed)
     assert pts.dtype == ref.dtype and pts.shape == ref.shape
     assert np.array_equal(pts.view(np.int64), ref.view(np.int64))
 
 
 def test_cantor_points_are_exact_numerators_over_a_power_of_three():
-    """Count 4,097 ends in a block of one row; every point is still its
-    exact numerator sum_k d_k 3^(depth - k) over 3^depth, as a row-by-row
-    evaluation and a Python-int one give it."""
-    count, depth, seed = 4097, 35, 7
-    pts = td.cantor_middle_thirds(count, depth, seed=seed)
-    digits = _cantor_digits(count, depth, seed)
-    powers = 3 ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    rows = np.array([row @ powers for row in digits]) / 3 ** depth
-    exact = [float(sum(int(d) * 3 ** (depth - k) for k, d in enumerate(row, 1)))
-             / float(3 ** depth) for row in digits]
-    assert np.array_equal(pts.real, rows) and np.array_equal(pts.real, exact)
-    assert not pts.imag.any()
+    """Every point is its exact numerator sum_k d_k 3^(depth - k) over
+    3^depth, with d_k = 2 * bit (depth - k) of the point's draw, from depth
+    1 up to depth 39, the last whose numerators fit int64."""
+    count, seed = 4097, 7
+    for depth in (1, 35, 39):
+        pts = td.cantor_middle_thirds(count, depth, seed=seed)
+        ref = _cantor_exact(count, depth, seed)
+        assert np.array_equal(pts.view(np.int64), ref.view(np.int64)), depth
+        assert not pts.imag.any()
     with pytest.raises(td.ConfigError):
         td.cantor_middle_thirds(10, 40)
 
