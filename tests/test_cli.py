@@ -30,6 +30,10 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+# the schema-2 `dim` report: results beside the command, schema and config
+DIM_KEYS = {"C", "P1_lo", "t_lo", "t_hi", "verdict", "runtime_ms", "constants",
+            "diagnostics", "reasons", "schema_version", "command", "config"}
+
 SMALL_TAIL = {"geometry": {"anchor": 12.0, "inset": 0.5},
               "pressure": {"mode": "tail"},
               "sampling": {"count": 2000, "depth": 5, "seed": 42}}
@@ -40,7 +44,7 @@ def test_lemmas_default_all_pass(tmp_path):
     assert run(["lemmas", "--out", out]) == 0
     rep = read_json(out)
     assert rep["all_pass"] is True
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert "config" in rep
     for check in rep["checks"].values():
         assert check["pass"]
@@ -55,10 +59,11 @@ def test_lemmas_rerun_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("lam", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.01, 0.0), (-2.0, 0.0)])
 def test_lemmas_margins_are_closed_forms_free_of_the_seed(tmp_path, lam):
-    """The expansion margin is 4 pi (ln R0 - Re Log(lam)), the growth
-    excess 0, and no check depends on the seed.  The growth to infinity
-    passes ln R0 + 2 inset where Re F_inv_0 does along the powers of ten
-    (at inset 3, from 1e4 on)."""
+    """The expansion margin is 4 pi (ln R0 - Re Log(lam)), and no check
+    depends on the seed.  The growth bound, whose excess is the closed form
+    0, is not reported.  The growth to infinity passes ln R0 + 2 inset
+    where Re F_inv_0 does along the powers of ten (at inset 3, from 1e4
+    on)."""
     cfg = write_cfg(tmp_path, "c.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]}})
     checks = []
     for seed in ("0", "1"):
@@ -69,15 +74,14 @@ def test_lemmas_margins_are_closed_forms_free_of_the_seed(tmp_path, lam):
     fam = load_config(json.loads(Path(cfg).read_text())).family
     assert checks[0]["expansion_margin"] == {
         "margin": 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real), "pass": True}
-    assert checks[0]["branch_growth_bound"]["max_excess"] == 0.0
+    assert "branch_growth_bound" not in checks[0]
     deep = write_cfg(tmp_path, "d.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]},
                                           "geometry": {"inset": 3.0}})
     out = str(tmp_path / "deep.json")
     assert run(["lemmas", "--config", deep, "--out", out]) == 0
     re_vals = np.real(fam.inv0(10.0 ** np.arange(1, 13) + 0j))
     assert read_json(out)["checks"]["branch_growth_to_infinity"] == {
-        "strictly_increasing": True, "pass": True,
-        "first_past_threshold": int(np.flatnonzero(re_vals > fam.ln_r0 + 6.0)[0])}
+        "pass": True, "first_past_threshold": int(np.flatnonzero(re_vals > fam.ln_r0 + 6.0)[0])}
 
 
 def test_module_entry_point_runs_lemmas(tmp_path):
@@ -106,11 +110,8 @@ def test_dim_certificate_exit_0(tmp_path):
     assert cert["P1_lo"] > 0
     assert cert["t_lo"] >= 1.001
     assert cert["runtime_ms"] is None
-    for key in ("family", "lambda", "R0", "R", "epsilon", "D", "C",
-                "sigma_sum_t1_lo", "P1_lo", "t_lo", "t_hi", "verdict",
-                "runtime_ms", "constants"):
-        assert key in cert
-    assert set(cert["constants"]) == {"c0", "a", "b", "C1_empirical"}
+    assert set(cert) == DIM_KEYS
+    assert set(cert["constants"]) == {"c0"}
     # one-sided pressure evaluations of the Bowen root, (lower, upper)
     assert cert["diagnostics"]["bowen_evaluations"] == [8, 5]
 
@@ -551,19 +552,22 @@ def test_malformed_config_exit_1(tmp_path, capsys, command, text):
     ({"sampling": {"count": 0}}, "sampling.count", "0"),
     ({"sampling": {"depth": True}}, "sampling.depth", "True"),
     ({"sampling": {"count": "10"}}, "sampling.count", "'10'"),
-], ids=["count-2.5", "depth-3.7", "boundary-300.9", "count-0", "depth-true", "count-text"])
+    ({"sampling": {"seed": 2.7}}, "sampling.seed", "2.7"),
+], ids=["count-2.5", "depth-3.7", "boundary-300.9", "count-0", "depth-true", "count-text",
+        "seed-2.7"])
 def test_counts_are_integers_not_truncated(tmp_path, capsys, config, field, value):
     """`sampling.count`, `sampling.depth` and `geometry.boundary_samples`
-    take an integer >= 1, as the oracle counts do: a fractional value is a
-    configuration error, not truncated.  An integral float such as 1e4 is
-    taken as its int."""
+    take an integer >= 1, as the oracle counts do, and `sampling.seed` an
+    integer >= 0: a fractional value is a configuration error, not
+    truncated.  An integral float such as 1e4 is taken as its int."""
     cfg = write_cfg(tmp_path, "c.json", config)
     assert run(["sample", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    least = 0 if field == "sampling.seed" else 1
     assert capsys.readouterr().err == \
-        f"config error: config field {field} must be an integer >= 1, got {value}\n"
-    c = load_config({"sampling": {"count": 1e4, "depth": 8.0},
+        f"config error: config field {field} must be an integer >= {least}, got {value}\n"
+    c = load_config({"sampling": {"count": 1e4, "depth": 8.0, "seed": 9.0},
                      "geometry": {"boundary_samples": 300.0}})
-    assert (c.count, c.depth, c.budget.boundary_samples) == (10000, 8, 300)
+    assert (c.count, c.depth, c.seed, c.budget.boundary_samples) == (10000, 8, 9, 300)
     assert c.resolved["sampling"]["count"] == 10000
     assert type(c.resolved["sampling"]["count"]) is int
 
@@ -593,15 +597,15 @@ def test_unknown_config_key_exit_1(tmp_path, capsys, config, key):
     assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
 
-@pytest.mark.parametrize("version", ["x", 2, True, 1.5, None])
+@pytest.mark.parametrize("version", ["x", 1, 3, True, 1.5, None])
 def test_schema_version_other_than_current_exit_1(tmp_path, capsys, version):
     """A config of another schema is a configuration error naming the field,
-    not read as the current one; a missing schema_version or 1 loads."""
+    not read as the current one; a missing schema_version or 2 loads."""
     cfg = write_cfg(tmp_path, "c.json", {"schema_version": version})
     assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == \
-        f"config error: config field schema_version must be 1, got {version!r}\n"
-    assert load_config({"schema_version": 1}).resolved == load_config({}).resolved
+        f"config error: config field schema_version must be 2, got {version!r}\n"
+    assert load_config({"schema_version": 2}).resolved == load_config({}).resolved
 
 
 @pytest.mark.parametrize("command", ["oracle recheck", "oracle brute-pressure"])
@@ -813,3 +817,115 @@ def test_parser_with_shared_flags_equals_per_subparser_flags(capsys, argv):
             parsed, code = None, exc.code
         results.append((parsed, code, capsys.readouterr()))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Schema 2: each report's keys
+# ---------------------------------------------------------------------------
+
+_ECHO = {"schema_version", "command", "config"}
+_BOX_DIM_KEYS = _ECHO | {"slope", "counts", "scales", "residual", "expected", "tolerance",
+                         "pass"}
+_EMPTY_G = {"geometry": {"anchor": 4.0, "inset": 0.5}}
+
+
+@pytest.mark.parametrize("config, rc, diagnostics", [
+    ({}, 0, {"n_segments", "eq1_margin", "depth_margin", "cor_margin", "bowen_capped",
+             "bowen_evaluations"}),
+    (_EMPTY_G, 2, {"n_segments", "eq1_margin", "depth_margin"}),
+], ids=["certificate", "empty-G"])
+def test_dim_report_keys(tmp_path, config, rc, diagnostics):
+    """The `dim` report carries results only: no copy of its config (lambda,
+    R0, R, epsilon, D, bisect_tol) and no constant (4 pi, a second c0).  An
+    empty G has P1_lo = -inf, t_lo = t_hi = 0 and three diagnostics."""
+    cfg = write_cfg(tmp_path, "c.json", config)
+    out = str(tmp_path / "dim.json")
+    assert run(["dim", "--config", cfg, "--out", out]) == rc
+    rep = read_json(out)
+    assert set(rep) == DIM_KEYS
+    assert set(rep["constants"]) == {"c0"}
+    assert set(rep["diagnostics"]) == diagnostics
+    if rc == 2:
+        assert (rep["P1_lo"], rep["t_lo"], rep["t_hi"]) == ("-Infinity", 0.0, 0.0)
+        assert rep["reasons"][-1] == "admissible set G is empty at this configuration"
+
+
+def test_lemmas_report_keys(tmp_path):
+    """No check carries a constant: the growth bound (excess 0, pass true)
+    and the always-true `strictly_increasing` are gone."""
+    out = str(tmp_path / "lemmas.json")
+    assert run(["lemmas", "--out", out]) == 0
+    rep = read_json(out)
+    assert set(rep) == _ECHO | {"distortion_c", "checks", "all_pass"}
+    assert {name: set(check) for name, check in rep["checks"].items()} == {
+        "anchor_derivative_lower": {"margin", "pass"},
+        "anchor_derivative_upper": {"margin", "pass"},
+        "tract_depth": {"margin", "pass", "real_part"},
+        "expansion_margin": {"margin", "pass"},
+        "branch_growth_to_infinity": {"first_past_threshold", "pass"},
+        "level_lines": {"curve_count", "required_count", "min_component_length",
+                        "required_length", "min_inf_re_margin", "pass"},
+        "first_level_in_half_plane": {"margin", "pass"},
+    }
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("oracle recheck", _ECHO | {"n_checked", "n_densely_sampled", "n_flagged", "flagged",
+                                "min_margin", "pass"}),
+    ("oracle brute-pressure", _ECHO | {"letters", "brute_value", "level1_lo", "level1_hi",
+                                       "slack_log", "pass"}),
+    ("oracle box-dim", _BOX_DIM_KEYS),
+])
+def test_oracle_report_keys(tmp_path, command, keys):
+    """brute-pressure no longer repeats `word_length` and `t` of its config."""
+    cfg = write_cfg(tmp_path, "c.json", SMALL_TAIL)
+    out = str(tmp_path / "o.json")
+    assert run(command.split() + ["--config", cfg, "--out", out]) == 0
+    assert set(read_json(out)) == keys
+
+
+def test_box_dim_csv_report_keys(tmp_path):
+    csv_path = tmp_path / "s.csv"
+    assert run(["sample", "--out", str(csv_path)]) == 0
+    cfg = write_cfg(tmp_path, "c.json", {"oracle": {"source": "csv", "path": str(csv_path)}})
+    out = str(tmp_path / "box.json")
+    assert run(["oracle", "box-dim", "--config", cfg, "--out", out]) == 0
+    assert set(read_json(out)) == _BOX_DIM_KEYS
+
+
+# ---------------------------------------------------------------------------
+# Command-line overrides take the config's path
+# ---------------------------------------------------------------------------
+
+def test_seed_past_2_53_runs_as_given(tmp_path):
+    """`--seed 2**53 + 1` is merged into the config before it loads: the
+    report echoes it, `load_config` resolves it to itself, and a rerun from
+    the echoed config is byte-identical.  It is not read as 2**53."""
+    seed = 2 ** 53 + 1
+    cfg = write_cfg(tmp_path, "c.json", SMALL_TAIL)
+    first = tmp_path / "a.json"
+    assert run(["oracle", "recheck", "--config", cfg, "--seed", str(seed),
+                "--out", str(first)]) == 0
+    echoed = read_json(first)["config"]
+    assert echoed["sampling"]["seed"] == seed
+    assert load_config(echoed).seed == seed
+    again = tmp_path / "b.json"
+    assert run(["oracle", "recheck", "--config", write_cfg(tmp_path, "e.json", echoed),
+                "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    samples = []
+    for s in (seed, seed - 1):
+        samples.append(tmp_path / f"s{s}.csv")
+        assert run(["sample", "--config", cfg, "--seed", str(s),
+                    "--out", str(samples[-1])]) == 0
+    assert samples[0].read_bytes() != samples[1].read_bytes()
+
+
+def test_dim_at_a_run_end_past_2_24_exit_0(tmp_path):
+    """At anchor 22,613,379 a sigma window, [11306689.5, 33920068.5], has
+    ends past 2^24, where a fixed trim of 2^-30 rounds back to the end and
+    its int fails the sigma test (exit 3); the trim in ulps certifies."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": 22_613_379.0}})
+    out = str(tmp_path / "dim.json")
+    assert run(["dim", "--config", cfg, "--out", out]) == 0
+    assert read_json(out)["verdict"] == "certified"

@@ -20,14 +20,14 @@ from tractdim.tractgeom import GSet, RunBlock
 def test_level1_empty_system():
     sys0 = WeightedSystem(log_lo=np.array([]), log_hi=np.array([]))
     s = td.level1_sum(sys0, 1.0)
-    assert s.lo == 0.0 and s.hi == 0.0
+    assert math.exp(s.log_lo) == 0.0 and math.exp(s.log_hi) == 0.0
 
 
 def test_level1_two_quarters_exact():
     sys2 = WeightedSystem.from_uniform([0.25, 0.25])
     s = td.level1_sum(sys2, 0.5)
-    assert s.lo == pytest.approx(1.0, abs=1e-14)
-    assert s.hi == pytest.approx(1.0, abs=1e-14)
+    assert math.exp(s.log_lo) == pytest.approx(1.0, abs=1e-14)
+    assert math.exp(s.log_hi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_level1_rejects_bad_exponent():
@@ -205,6 +205,23 @@ def test_certificate_empty_g(fam):
     cert = td.certify_dim_gt_one(fam, 3.0, td.GeometryBudget(epsilon=0.1, inset=0.5))
     assert cert.verdict == "not-certified"
     assert any("empty" in r for r in cert.reasons)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j])
+@pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0), (1e5, 3.0),
+                                           (3e5, 3.0), (1e6, 3.0)])
+def test_verdict_does_not_depend_on_the_bisection_tolerance(lam, anchor, inset):
+    """The verdict is P_lo(1) > 0 alone.  Where the root lies within the
+    tolerance of 1, as at anchor 1e5 and tol 1e-3, the bisection's lower end
+    stays at 1.0, and a certified report reads t_lo = 1.0."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    budget = td.GeometryBudget(epsilon=0.1, inset=inset)
+    certs = [td.certify_dim_gt_one(fam, anchor, budget, bisect_tol=tol)
+             for tol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10)]
+    assert len({(c.verdict, c.p1_lo) for c in certs}) == 1
+    for cert in certs:
+        assert cert.certified == (cert.p1_lo > 0)
+        assert cert.t_lo >= 1.0 if cert.certified else cert.reasons
 
 
 def test_certificate_deterministic(fam):

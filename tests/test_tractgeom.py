@@ -610,18 +610,23 @@ def _least_int(pred):
     return hi
 
 
+def _trim(x):
+    """The inward trim of a run end past 2^53: a relative 2^-30, and from
+    x = 2^18 on 16 ulps of x."""
+    return max(2.0 ** -30, 16.0 * math.ulp(x))
+
+
 def _window_ints(sigma_lo, sigma_hi):
     """Reference integer bounds of a sigma window, end by end: an end below
     2^53 by bisection on the float sigma test ln(2*pi) + math.log(s), an
-    end past 2^53 trimmed inward by a relative 2^-30, e^x formed as a
-    Fraction."""
+    end past 2^53 trimmed inward by `_trim`, e^x formed as a Fraction."""
     log_two_pi = math.log(TWO_PI)
     x_lo, x_hi = sigma_lo - log_two_pi, sigma_hi - log_two_pi
     log_exact = math.log(2 ** 53)
     return (_least_int(lambda s: log_two_pi + math.log(s) >= sigma_lo) if x_lo < log_exact
-            else _exp_int_fraction(x_lo + 2.0 ** -30, math.ceil),
+            else _exp_int_fraction(x_lo + _trim(x_lo), math.ceil),
             _least_int(lambda s: log_two_pi + math.log(s) > sigma_hi) - 1 if x_hi < log_exact
-            else _exp_int_fraction(x_hi - 2.0 ** -30, math.floor))
+            else _exp_int_fraction(x_hi - _trim(x_hi), math.floor))
 
 
 def _letter_runs_per_column(fam, spec, budget):
@@ -739,6 +744,26 @@ def test_sigma_run_equals_the_reference(sigma_lo, width):
     straddles 2^53 and where it holds no int."""
     sigma_hi = sigma_lo + width
     assert tractgeom._sigma_run(sigma_lo, sigma_hi) == _window_ints(sigma_lo, sigma_hi)
+
+
+@example(sigma_lo=11306689.5, width=22613379.0)   # anchor 22,613,379
+@example(sigma_lo=2.0 ** 24, width=0.0)
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(sigma_lo=st.one_of(st.floats(6000.0, 2.0 ** 18), st.floats(2.0 ** 18, 4e7)),
+       width=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3), st.floats(1e-3, 4e7)))
+def test_sigma_run_past_2_24_passes_its_own_test(sigma_lo, width):
+    """Up to sigma = 4e7 (x past 2^24, where a fixed 2^-30 trim rounds
+    back to x) both ends pass the float sigma test, and each lies within
+    the trim plus a few ulps of its window end; a window wider than four
+    trims keeps an int."""
+    sigma_hi = sigma_lo + width
+    s1, s2 = tractgeom._sigma_run(sigma_lo, sigma_hi)
+    for end, edge, out in ((s1, sigma_lo, 1), (s2, sigma_hi, -1)):
+        x = edge - _LOG_TWO_PI
+        inside = out * (_LOG_TWO_PI + math.log(end) - edge)
+        assert 0.0 <= inside <= _trim(x) + 8 * math.ulp(edge)
+    if width >= 4 * _trim(sigma_hi):
+        assert s1 <= s2
 
 
 def test_mini_g_structure(mini):
