@@ -105,18 +105,16 @@ def cylinder_fixed_point(family: MapFamily, word, spec: SquareSpec,
 class LimitSample:
     """Sampled attractor points with their generating words.
 
-    `points` are the depth-step images of the center of Q; `levels[k]`
-    holds the images under the word suffix starting at letter k, so
-    levels[0] is `points` and levels[k] drops the first k letters (used
-    by the shift-invariance check).
+    `points` are the depth-step images of the center of Q; `shifted` are
+    the images under the same words with their first letter dropped (what
+    the shift-invariance check compares F^2 of `points` with).
     """
 
     points: np.ndarray
+    shifted: np.ndarray
     words_u: np.ndarray       # (count, depth)
     words_s: np.ndarray       # (count, depth)
     depth: int
-    seed: int
-    levels: tuple             # depth + 1 arrays of sampled suffix images
 
     @property
     def count(self) -> int:
@@ -147,19 +145,17 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     u, s = gset.letters(ranks[order].ravel())
     words_u = u.astype(np.int64).reshape(count, depth)
     words_s = s.astype(np.int64).reshape(count, depth)
-    levels = [None] * (depth + 1)
     z = np.full(count, spec.outer.center, dtype=complex)
-    levels[depth] = z.copy()
     for k in range(depth - 1, -1, -1):
+        shifted = z  # the words' images from letter k + 1 on; at k = 0, `shifted`
         first = np.asarray(family.inv0(z)) + TWO_PI * 1j * words_s[:, k]
         if np.any(np.real(first) <= family.ln_r0):
             raise ConstructionError("sampled intermediate point left the half plane")
         z = np.asarray(family.inv0(first)) + TWO_PI * 1j * words_u[:, k]
-        levels[k] = z.copy()
         if not np.all(spec.outer.contains(z)):
             raise ConstructionError("sampled point left Q; letters outside G?")
-    return LimitSample(points=levels[0], words_u=words_u, words_s=words_s,
-                       depth=depth, seed=seed, levels=tuple(levels))
+    return LimitSample(points=z, shifted=shifted, words_u=words_u, words_s=words_s,
+                       depth=depth)
 
 
 def _rank_keys(ranks: np.ndarray, n_letters: int) -> np.ndarray:
@@ -275,8 +271,7 @@ def check_invariance(family: MapFamily, sample: LimitSample, gset: GSet,
     fz = np.asarray(family.lift(z))
     in_tracts = bool(np.all(np.real(fz) > family.ln_r0))
     ffz = np.asarray(family.lift(fz))
-    target = sample.levels[1]
-    resid_pts = np.abs(ffz - target)
+    resid_pts = np.abs(ffz - sample.shifted)
     # analytic part: cells at depth d-1 have diameter <= diam(Q) * ratio^(d-1);
     # floating part: round-off in z is amplified by |F'(z)| |F'(F z)| |z|
     ratio = _worst_ratio(family, gset, spec)

@@ -2,7 +2,7 @@
 
 Subcommands: lemmas, dim, sample, oracle {box-dim, brute-pressure,
 recheck}.  All reports are canonical JSON (sorted keys, repr floats) with
-`schema_version` (2), `command` and the fully resolved `config`, so a
+`schema_version` (3), `command` and the fully resolved `config`, so a
 rerun with the same config is byte-identical.  Beside these a report
 carries results only, never a copy of its config or a constant.  `dim`
 writes C, P1_lo, the Bowen bracket t_lo and t_hi, verdict, runtime_ms
@@ -10,10 +10,12 @@ writes C, P1_lo, the Bowen bracket t_lo and t_hi, verdict, runtime_ms
 empty G, P1_lo = -inf, t_lo = t_hi = 0 and the diagnostics are only
 n_segments, eq1_margin and depth_margin.  It certifies exactly when
 P_lo(1) > 0 (P_lo <= P and P decreases, so the root lies above 1), at
-every `pressure.bisect_tol`; t_lo can read 1.0 on a certified report,
-where the root lies within the tolerance of 1.  Exit codes: 0 success or
-certified, 1 configuration error, 2 negative construction/certification
-outcome, 3 numeric or oracle failure.
+every `pressure.bisect_tol`.  That tolerance lies below 1, so t = 1 is a
+point of the Bowen root's bisection grid on [0, 4]: t_lo >= 1 on every
+certified report, and it reads 1.0 where the root lies within the
+tolerance of 1.  Exit codes: 0 success or certified, 1 configuration
+error, 2 negative construction/certification outcome, 3 numeric or
+oracle failure.
 
 Anchors below the Koebe range (no covering disk of Q inside H) are not
 configuration errors.  The Koebe distortion constant C enters neither G,
@@ -55,6 +57,16 @@ reports not-certified with the Bowen bracket [0.6438, 0.7088] and exits
 2; `sample`, `oracle recheck`, `oracle brute-pressure` and `lemmas` exit
 0.
 
+The config (schema 3) sets `family` (kind, lambda_re, lambda_im, r0),
+`geometry` (anchor, epsilon, inset, scan), `pressure` (bisect_tol,
+collar, mode), `sampling` (count, depth, seed), `oracle` (density,
+source, subsystem, t, word_length; path, space and scales for a CSV),
+`timing` and `schema_version`.  Commands start from
+`DEFAULT_SMALL_CONFIG`, `dim` with `DEFAULT_CERTIFICATE_CONFIG`'s
+overrides.  G's cells lie in the closed square Q, and `oracle.density`
+is the one sample count: `oracle recheck` samples density x 256
+boundary points of Q.
+
 `geometry.anchor` may be "auto": `find_radius`'s first passing point of
 `geometry.scan`, which the report's config echoes.  `geometry.inset` is a
 number.  A config that is not a JSON object, a section that is not one, a
@@ -63,27 +75,27 @@ non-numeric `oracle.t` or inset, and an unreadable config or
 reader knows, named in the message (each section takes the keys of
 `DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
 level also schema_version), a `schema_version` other than the integer
-`SCHEMA_VERSION` (2; a config without one is read as 2, and "x", 1, 3 or
-true are rejected), a `timing` that is not a JSON bool, a count
-(`sampling.count` and `depth`, `geometry.boundary_samples`,
-`oracle.density`, `subsystem` and `word_length`) that is not an integer
->= 1, and a `sampling.seed` that is not an integer >= 0: 2.5 is
-rejected, not truncated, and an integral float such as 1e4 is taken as
-an int, which the report's config echoes.  So are, for `oracle box-dim`
-from a CSV, a file without numeric `re` and `im` and a text `space`
-column, one with no rows of `oracle.space`, and an `oracle.scales` that
-is not a list of numbers.  The `--seed` and `--mode` options are merged
+`SCHEMA_VERSION` (3; a config without one is read as 3, and "x", 2, 4 or
+true are rejected), a `timing` that is not a JSON bool, a
+`pressure.bisect_tol` that is not a positive number below 1, a count
+(`sampling.count` and `depth`, `oracle.density`, `subsystem` and
+`word_length`) that is not an integer >= 1, and a `sampling.seed` that
+is not an integer >= 0: 2.5 is rejected, not truncated, and an integral
+float such as 1e4 is taken as an int, which the report's config echoes.
+So are, for `oracle box-dim` from a CSV, a file without numeric `re` and
+`im` and a text `space` column, one with no rows of `oracle.space`, and
+an `oracle.scales` that is not a list of numbers.  The `--seed` and `--mode` options are merged
 into the config before it is loaded, so they are validated and echoed
 as if the config file held them.  A seed never passes through a float:
 `--seed 9007199254740993` (2^53 + 1) runs and echoes that seed.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
-or tail, a finite number) and have no effect, like `workers` and the
-`--mode` and `--workers` options.  They stay because
-`perfbench/workloads.py` passes them.  `sample`
-and `oracle recheck` draw letters uniformly over all of G: at lam = 1,
-R0 = e, inset 0.5, anchor 30 they and `oracle brute-pressure` exit 0.
+or tail, a finite number) and have no effect, like the `--mode` and
+`--workers` options.  They stay because `perfbench/workloads.py` passes
+them.  `sample` and `oracle recheck` draw letters uniformly over all of
+G: at lam = 1, R0 = e, inset 0.5, anchor 30 they and
+`oracle brute-pressure` exit 0.
 Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
 the default certificate, which `oracle recheck` checks.
 
@@ -121,33 +133,23 @@ from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_deriv
                         anchor_derivative_margin, anchor_line, build_G, build_squares,
                         find_radius, trace_level_lines)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DEFAULT_SMALL_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
-    "geometry": {"epsilon": 0.1, "inset": 0.5, "anchor": 12.0,
-                 "scan": [8.0, 4000.0, 1.0], "margin": 0.0, "boundary_samples": 256},
+    "geometry": {"epsilon": 0.1, "inset": 0.5, "anchor": 12.0, "scan": [8.0, 4000.0, 1.0]},
     "pressure": {"mode": "enumerate", "bisect_tol": 1e-3, "collar": 32},
     "sampling": {"depth": 8, "count": 10000, "seed": 42},
     "oracle": {"source": "middle-thirds", "density": 10, "subsystem": 8,
                "word_length": 2, "t": 1.0},
-    "workers": 1,
     "timing": False,
 }
 
-# Certificate scale: at anchor 4000, inset 3, P_lo(1) = 4.85 > 0, and the
-# Bowen bracket is [1.00146, 1.00201].
+# Certificate scale, as overrides of DEFAULT_SMALL_CONFIG: at anchor 4000,
+# inset 3, P_lo(1) = 4.85 > 0, and the Bowen bracket is [1.00146, 1.00201].
 DEFAULT_CERTIFICATE_CONFIG = {
-    "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
-    "geometry": {"epsilon": 0.1, "inset": 3.0, "anchor": 4000.0,
-                 "scan": [1000.0, 20000.0, 100.0], "margin": 0.0,
-                 "boundary_samples": 256},
-    "pressure": {"mode": "tail", "bisect_tol": 1e-4, "collar": 32},
-    "sampling": {"depth": 8, "count": 10000, "seed": 42},
-    "oracle": {"source": "middle-thirds", "density": 10, "subsystem": 8,
-               "word_length": 2, "t": 1.0},
-    "workers": 1,
-    "timing": False,
+    "geometry": {"inset": 3.0, "anchor": 4000.0, "scan": [1000.0, 20000.0, 100.0]},
+    "pressure": {"mode": "tail", "bisect_tol": 1e-4},
 }
 
 
@@ -184,8 +186,8 @@ _SECTIONS = ("family", "geometry", "pressure", "sampling", "oracle")
 def _require_known_keys(raw: dict) -> None:
     """Reject a key that nothing reads.  A section takes the keys of its
     DEFAULT_SMALL_CONFIG section, and `oracle` also path, space and scales
-    (box-dim from a CSV); the top level takes the sections, workers,
-    timing and schema_version, which every report's config echoes."""
+    (box-dim from a CSV); the top level takes the sections, timing and
+    schema_version, which every report's config echoes."""
     for key, value in raw.items():
         if key not in DEFAULT_SMALL_CONFIG and key != "schema_version":
             raise ConfigError(f"unknown config key {key!r}")
@@ -243,10 +245,7 @@ def load_config(raw: dict) -> RunConfig:
     scan = tuple(_require_finite(f"scan[{i}]", v) for i, v in enumerate(scan))
     inset = _require_finite("inset", geo["inset"])
     anchor = geo["anchor"]
-    budget = GeometryBudget(
-        epsilon=epsilon, inset=inset,
-        margin=_require_finite("margin", geo["margin"]),
-        boundary_samples=_require_count("geometry.boundary_samples", geo["boundary_samples"]))
+    budget = GeometryBudget(epsilon=epsilon, inset=inset)
     if anchor == "auto":
         anchor = find_radius(family, budget, *scan)
     anchor = _require_finite("anchor", anchor)
@@ -259,8 +258,11 @@ def load_config(raw: dict) -> RunConfig:
     for key in ("density", "subsystem", "word_length"):
         orc[key] = _require_count(f"oracle.{key}", orc[key])
     _require_finite("oracle.t", orc["t"])
-    # no effect: every computation runs in one process
-    _require_finite("workers", raw.get("workers", 1))
+    bisect_tol = _require_positive("bisect_tol", prs["bisect_tol"])
+    if bisect_tol >= 1.0:
+        # below 1 the Bowen root's bisection grid on [0, 4] holds t = 1
+        raise ConfigError(f"config field pressure.bisect_tol must be below 1, "
+                          f"got {prs['bisect_tol']!r}")
     timing = raw.get("timing", False)
     if not isinstance(timing, bool):
         raise ConfigError(f"config field timing must be true or false, got {timing!r}")
@@ -268,10 +270,8 @@ def load_config(raw: dict) -> RunConfig:
         "family": {"kind": "exponential", "lambda_re": lam.real, "lambda_im": lam.imag,
                    "r0": family.r0},
         "geometry": {"epsilon": epsilon, "inset": inset, "anchor": anchor,
-                     "scan": list(scan), "margin": budget.margin,
-                     "boundary_samples": budget.boundary_samples},
-        "pressure": {"mode": mode,
-                     "bisect_tol": _require_positive("bisect_tol", prs["bisect_tol"]),
+                     "scan": list(scan)},
+        "pressure": {"mode": mode, "bisect_tol": bisect_tol,
                      "collar": int(_require_finite("collar", prs["collar"]))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
         "oracle": orc,
@@ -279,8 +279,7 @@ def load_config(raw: dict) -> RunConfig:
         "schema_version": SCHEMA_VERSION,
     }
     return RunConfig(
-        family=family, budget=budget, anchor=anchor, mode=mode,
-        bisect_tol=resolved["pressure"]["bisect_tol"],
+        family=family, budget=budget, anchor=anchor, mode=mode, bisect_tol=bisect_tol,
         collar=resolved["pressure"]["collar"], depth=depth, count=count,
         seed=seed, oracle=orc, timing=timing, resolved=resolved)
 

@@ -41,10 +41,12 @@ from .loglift import MapFamily
 from .numerics import TWO_PI, log_sum_exp
 from .tractgeom import GSet, GeometryBudget, SquareSpec
 
+# Boundary samples of Q per unit of `density` in the dense recheck.
+_BOUNDARY_SAMPLES = 256
 # Letters whose margin `recheck_gset` evaluates at each end of a run at first.
 _END_BLOCK = 64
 # Boundary points per block of the dense recheck: 8 letters at the default
-# 2,560 samples (density 10 x 256).
+# 2,560 samples (density 10 x _BOUNDARY_SAMPLES).
 _DENSE_BLOCK = 20_480
 # Rounding slack E of the dense recheck's float images (`_recheck_cells`).
 _ROUNDING = 32 * 2.0 ** -53
@@ -289,11 +291,10 @@ class _Boundary:
                    big_lr=float(np.max(np.abs(lr))))
 
 
-def _recheck_boundary(family: MapFamily, spec: SquareSpec, budget: GeometryBudget,
-                      density: int) -> _Boundary:
-    """The shared boundary work of the dense recheck at density x boundary
-    samples of Q."""
-    w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
+def _recheck_boundary(family: MapFamily, spec: SquareSpec, density: int) -> _Boundary:
+    """The shared boundary work of the dense recheck at density x
+    `_BOUNDARY_SAMPLES` boundary samples of Q."""
+    w = spec.outer.boundary_points(_BOUNDARY_SAMPLES * density) - family.log_lam
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     return _Boundary.from_logs(family, log_first[np.argsort(log_first.real, kind="stable")])
 
@@ -419,7 +420,7 @@ def _candidate_samples(boundary: _Boundary, x):
         yield letters, np.nonzero(samples)[0]
 
 
-def _recheck_cells(us, ss, spec: SquareSpec, budget: GeometryBudget, boundary: _Boundary):
+def _recheck_cells(us, ss, spec: SquareSpec, boundary: _Boundary):
     """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
     boundary work (`_recheck_boundary`), in one batch whatever the number
     of letters; `us` may be one column for all letters, and the indices
@@ -497,7 +498,7 @@ def _recheck_cells(us, ss, spec: SquareSpec, budget: GeometryBudget, boundary: _
     ext[:2] += ln_t
     ext[2:] += TWO_PI * us
     lip = np.exp(-(ln_t + low)) * 1.25
-    delta = np.maximum(budget.margin + lip * (rect.perimeter / boundary.logs.size),
+    delta = np.maximum(lip * (rect.perimeter / boundary.logs.size),
                        math.ulp(max(map(abs, rect.bounds()))))
 
     def within(pad):
@@ -510,15 +511,15 @@ def _recheck_cells(us, ss, spec: SquareSpec, budget: GeometryBudget, boundary: _
 
 
 def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
-                        budget: GeometryBudget, density: int = 10) -> str:
+                        density: int = 10) -> str:
     """Repeat one containment decision at density x boundary sampling.
 
     Uses an independent evaluation path and its own Lipschitz padding: the
     one-letter view of the batched dense recheck of `recheck_gset`, on
     freshly built boundary work.
     """
-    boundary = _recheck_boundary(family, spec, budget, density)
-    return str(_recheck_cells(u, [s], spec, budget, boundary)[0][0])
+    boundary = _recheck_boundary(family, spec, density)
+    return str(_recheck_cells(u, [s], spec, boundary)[0][0])
 
 
 @dataclass(frozen=True)
@@ -563,6 +564,11 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     when there is no such letter.  Each letter's verdict is the same in
     any batch, so the flagged letters come in the order of one call per
     run and one for the subsample.
+
+    Both tests ask for containment in the closed square Q.  `density` is
+    the one sample-count knob: the dense recheck samples density x
+    `_BOUNDARY_SAMPLES` (256) boundary points of Q.  `budget` is unused;
+    it stays because `perfbench/workloads.py` passes it positionally.
     """
     n_checked = 0
     min_margin = math.inf
@@ -572,7 +578,7 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     w = rect.boundary_points(4096) - c
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
-    boundary = _recheck_boundary(family, spec, budget, density)
+    boundary = _recheck_boundary(family, spec, density)
 
     def margins(u: int, ln_t: np.ndarray, sign: int) -> np.ndarray:
         # below 2*pi*|s| = b_ind the enclosure is undefined (NaN margin)
@@ -583,10 +589,10 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
         hi_re = ln_t + np.log1p(bx)
         mid = TWO_PI * u + sign * 0.5 * math.pi
         return np.minimum.reduce([
-            lo_re - (rect.re_lo + budget.margin),
-            (rect.re_hi - budget.margin) - hi_re,
-            (mid - dev) - (rect.im_lo + budget.margin),
-            (rect.im_hi - budget.margin) - (mid + dev),
+            lo_re - rect.re_lo,
+            rect.re_hi - hi_re,
+            (mid - dev) - rect.im_lo,
+            rect.im_hi - (mid + dev),
         ])
 
     run_u, run_s = [], []  # the runs' inconclusive letters, in (run, u, s) order
@@ -616,7 +622,7 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
         ss = np.concatenate([np.array(run_s, dtype=object), ss])
     flagged = []
     if ss.size:
-        outside = np.flatnonzero(_recheck_cells(us, ss, spec, budget, boundary)[0] == "outside")
+        outside = np.flatnonzero(_recheck_cells(us, ss, spec, boundary)[0] == "outside")
         flagged = list(zip(us[outside].tolist(), ss[outside].tolist()))
     return RecheckReport(n_checked=n_checked, n_densely_sampled=ranks.size,
                          n_flagged=len(flagged), flagged=tuple(flagged[:64]),

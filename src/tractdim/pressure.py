@@ -39,6 +39,9 @@ from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
                         _distortion_or_unavailable, anchor_derivative_margin, anchor_line,
                         build_G, build_squares)
 
+# The largest exponent: sums are taken at t in [0, _T_MAX], and the Bowen
+# root is capped there (dim <= 2 < _T_MAX for any planar set).
+_T_MAX = 4.0
 
 # ---------------------------------------------------------------------------
 # Weighted systems
@@ -135,8 +138,8 @@ def level1_sum(system: WeightedSystem, t: float) -> Level1Sum:
 
 
 def _check_exponent(t: float) -> None:
-    if not 0.0 <= t <= 4.0:
-        raise ConfigError(f"exponent t = {t} outside [0, 4]")
+    if not 0.0 <= t <= _T_MAX:
+        raise ConfigError(f"exponent t = {t} outside [0, {_T_MAX:g}]")
 
 
 def _envelope_log_sum(system: WeightedSystem, t: float, side: int) -> float:
@@ -180,10 +183,9 @@ class BowenInterval:
     evaluations: tuple = (0, 0)
 
 
-def bowen_root(system: WeightedSystem, tol: float = 1e-3,
-               t_cap: float = 4.0) -> BowenInterval:
-    """Roots of the decreasing pressure bounds on [0, t_cap], with the
-    bisection's final bracket.
+def bowen_root(system: WeightedSystem, tol: float = 1e-3) -> BowenInterval:
+    """Roots of the decreasing pressure bounds on [0, 4] (`_T_MAX`), with
+    the bisection's final bracket.
 
     The reported t_lo is the left end of the final bracket of the lower
     bound's root and t_hi the right end of the upper bound's, so the true
@@ -194,32 +196,32 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3,
     keeps.
 
     The search keeps two points: the largest evaluated t with f(t) > 0 and
-    the smallest with f(t) <= 0.  It evaluates f(min(1, t_cap)) first, then
-    runs the bisection on [0, t_cap] (f(0) <= 0 gives 0, f(t_cap) > 0 the
-    cap), which stops once the bracket is within `tol`, a finite positive
-    number, or once its midpoint is no longer strictly inside it.  A point
-    whose sign the two points imply is not evaluated.  Otherwise the search
+    the smallest with f(t) <= 0.  It evaluates f(1) first, then runs the
+    bisection on [0, 4] (f(0) <= 0 gives 0, f(4) > 0 the cap), which
+    stops once the bracket is within `tol`, a finite positive number, or
+    once its midpoint is no longer strictly inside it.  A point whose sign
+    the two points imply is not evaluated.  Otherwise the search
     alternates between evaluating the midpoint and evaluating a secant
     probe between the two points, placed on the bisection's final grid
     (the current bracket halved until it is within `tol`, or down to
     adjacent floats): the end nearer the secant's zero of the final
     bracket around it whose sign is not implied, else the midpoint.
 
-    Every probe is a point of that grid, and so is the start whenever 1
-    is (t_cap = 4 and tol < 1, say).  So wherever the computed bound
-    changes sign once over the grid and the start, each implied sign is
-    the one the bisection computes, and the result equals the bisection's
-    bit for bit.  A bisection step costs at most a probe and a midpoint,
-    so the search makes at most about twice the bisection's evaluations;
-    at the default certificate it makes 13 (8 + 5) where the bisection
-    makes 2 x 18.  The result is sound whatever the signs: t_lo is at most
-    an evaluated t with P_lo(t) > 0, and t_hi at least an evaluated t
-    with P_hi(t) <= 0 (or 0, or the flagged cap), so with P_lo <= P <=
-    P_hi and P decreasing the root of P lies in [t_lo, t_hi].
+    Every probe is a point of that grid, the multiples of the final width
+    4 / 2^k, and so is the start 1 whenever tol < 1 (then 4 / 2^k < 1).
+    So wherever the computed bound changes sign once over the grid and
+    the start, each implied sign is the one the bisection computes, and
+    the result equals the bisection's bit for bit.  A bisection step
+    costs at most a probe and a midpoint, so the search makes at most
+    about twice the bisection's evaluations; at the default certificate
+    it makes 13 (8 + 5) where the bisection makes 2 x 18.  The result is
+    sound whatever the signs: t_lo is at most an evaluated t with
+    P_lo(t) > 0, and t_hi at least an evaluated t with P_hi(t) <= 0 (or
+    0, or the flagged cap), so with P_lo <= P <= P_hi and P decreasing
+    the root of P lies in [t_lo, t_hi].
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"bisection tolerance must be positive and finite, got {tol!r}")
-    _check_exponent(t_cap)
     if system.is_empty():
         raise ConstructionError("Bowen root of an empty system")
 
@@ -259,13 +261,13 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3,
                     return p
             return mid
 
-        positive(min(1.0, t_cap))
+        positive(1.0)
         if not positive(0.0):
             # single-letter systems: pressure vanishes exactly at t = 0
             return 0.0, False, count
-        if positive(t_cap):
-            return t_cap, True, count
-        lo, hi = 0.0, t_cap
+        if positive(_T_MAX):
+            return _T_MAX, True, count
+        lo, hi = 0.0, _T_MAX
         secant = True   # the next evaluation: a secant probe, else the midpoint
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -332,10 +334,11 @@ def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget,
 
     The verdict is "certified" exactly when P_lo(1) > 0.  That suffices:
     P_lo <= P and P decreases, so P_lo(1) > 0 puts the Bowen root above 1.
-    `bowen_root` evaluates t = 1 first, and 1 is a point of its bisection
-    grid on [0, 4], so for `bisect_tol` < 1 then t_lo >= 1 as well.  Where
-    the root lies within `bisect_tol` of 1, t_lo reads 1.0 on a certified
-    report; the verdict does not depend on the tolerance.
+    `bowen_root` evaluates t = 1 first, and for `bisect_tol` < 1 (the CLI
+    takes no other) 1 is a point of its bisection grid on [0, 4], so
+    t_lo >= 1 on every certified result (tol 2 gives t_lo = 0).  Where
+    the root lies within `bisect_tol` of 1, t_lo reads 1.0; the verdict
+    does not depend on the tolerance.
 
     The anchor-derivative and tract-depth conditions, when they fail, and
     an empty admissible set G are listed in `reasons`.  For an empty G the

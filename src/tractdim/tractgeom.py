@@ -77,10 +77,10 @@ class Rect:
     def shrink(self, d: float) -> "Rect":
         return Rect(self.re_lo + d, self.re_hi - d, self.im_lo + d, self.im_hi - d)
 
-    def contains(self, z, margin: float = 0.0):
+    def contains(self, z):
         z = np.asarray(z, dtype=complex)
-        return ((np.real(z) >= self.re_lo + margin) & (np.real(z) <= self.re_hi - margin)
-                & (np.imag(z) >= self.im_lo + margin) & (np.imag(z) <= self.im_hi - margin))
+        return ((np.real(z) >= self.re_lo) & (np.real(z) <= self.re_hi)
+                & (np.imag(z) >= self.im_lo) & (np.imag(z) <= self.im_hi))
 
     def boundary_points(self, n: int) -> np.ndarray:
         """n equally spaced boundary samples, anchored at the lower-left corner.
@@ -104,28 +104,20 @@ class Rect:
 class GeometryBudget:
     """Tunable constants of the construction.
 
-    epsilon controls the anchor-derivative condition, inset is the width D
-    by which the inner square retreats from Q, margin is the distance by
-    which every cell's enclosure stays inside Q (and extra padding of the
-    dense recheck).  boundary_samples is the number of boundary samples
-    of Q per unit of density in the dense containment recheck
-    (`oracle.recheck_gset`); G itself samples nothing.
+    epsilon controls the anchor-derivative condition, and inset is the
+    width D by which the inner square retreats from Q.  G asks only that
+    each cell's enclosure lie in the closed square Q, which is the
+    containment hypothesis of a conformal IFS; it samples nothing.
     """
 
     epsilon: float = 0.1
     inset: float = 0.5
-    margin: float = 0.0
-    boundary_samples: int = 256
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.inset <= 0.0:
             raise ConfigError(f"inset must be positive, got {self.inset}")
-        if self.margin < 0.0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.boundary_samples < 64:
-            raise ConfigError(f"need >= 64 boundary samples, got {self.boundary_samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +284,14 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
 # Index windows
 # ---------------------------------------------------------------------------
 
-def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) -> list:
+def _sigma_windows(env: TailEnvelope, target: Rect, sign: int) -> list:
     """Admissible sigma windows of the columns (u, sign), as blocks (u_lo,
-    u_hi, sigma_lo, sigma_hi) of adjacent columns sharing one window.
+    u_hi, sigma_lo, sigma_hi) of adjacent columns sharing one window, for
+    cell enclosures inside the closed rectangle `target` (Q for G; a
+    smaller target such as Q.shrink(m) asks for room m on every side).
 
-    With b = env.b, x = re_lo(Q) + margin, y = re_hi(Q) - margin and
-    delta the vertical room around mid = 2*pi*u + sign*pi/2, each
+    With b = env.b, x = re_lo(target), y = re_hi(target) and delta the
+    vertical room around mid = 2*pi*u + sign*pi/2, each
     inequality of `TailEnvelope.cell_enclosure` inverts exactly:
 
         re_lo >= x          <=>  sigma >= ln(e^x + b)
@@ -322,8 +316,7 @@ def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) ->
     gives.  A failing endpoint raises NumericError; there is no fallback.
     """
     ln_b = math.log(env.b)
-    x = target.re_lo + margin
-    y = target.re_hi - margin
+    x, y = target.re_lo, target.re_hi
     if y <= ln_b:
         return []
     sigma_hi = y + math.log1p(-env.b * math.exp(-y))
@@ -331,7 +324,7 @@ def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) ->
 
     def closed_lo(u):  # None without room
         mid = TWO_PI * u + sign * 0.5 * math.pi
-        delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
+        delta = min(mid - target.im_lo, target.im_hi - mid)
         if delta <= 0.0:
             return None
         sigma_lo = shared_lo
@@ -340,8 +333,8 @@ def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) ->
         return sigma_lo if sigma_hi > sigma_lo else None
 
     mid0 = sign * 0.5 * math.pi  # candidates: the columns whose mid is in Q, one more each side
-    us = range(math.ceil((target.im_lo + margin - mid0) / TWO_PI) - 1,
-               math.floor((target.im_hi - margin - mid0) / TWO_PI) + 2)
+    us = range(math.ceil((target.im_lo - mid0) / TWO_PI) - 1,
+               math.floor((target.im_hi - mid0) / TWO_PI) + 2)
     first = next((u for u in us if closed_lo(u) is not None), None)
     if first is None:
         return []
@@ -352,7 +345,7 @@ def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) ->
     extremes = np.array([[blk[0] for blk in blocks], [blk[1] for blk in blocks]])[:, None]
     sigma = np.array([[blk[2] for blk in blocks], [sigma_hi] * len(blocks)])
     for step in range(_ENDPOINT_ULPS + 1):
-        ok = _enclosed(env, target, margin, extremes, sign, sigma).all(axis=0)
+        ok = _enclosed(env, target, extremes, sign, sigma).all(axis=0)
         if ok.all() or step == _ENDPOINT_ULPS:
             break
         sigma = np.where(ok, sigma, np.nextafter(sigma, [[math.inf], [-math.inf]]))  # inward
@@ -365,15 +358,14 @@ def _sigma_windows(env: TailEnvelope, target: Rect, margin: float, sign: int) ->
                   for j, (u_lo, u_hi, _) in enumerate(blocks))
 
 
-def _enclosed(env: TailEnvelope, rect: Rect, margin: float, u, sign: int,
-              sigma: np.ndarray) -> np.ndarray:
-    """Whether the cell enclosures at (u, sign, sigma) lie in rect shrunk by
-    margin; False below envelope validity."""
+def _enclosed(env: TailEnvelope, rect: Rect, u, sign: int, sigma: np.ndarray) -> np.ndarray:
+    """Whether the cell enclosures at (u, sign, sigma) lie in the closed
+    rect; False below envelope validity."""
     with np.errstate(invalid="ignore"):
         re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
         return ((sigma > env.sigma_valid_min)
-                & (re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
-                & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
+                & (re_lo >= rect.re_lo) & (re_hi <= rect.re_hi)
+                & (im_lo >= rect.im_lo) & (im_hi <= rect.im_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +493,9 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     place them in Q: any subset of the admissible cells generates a
     compact invariant Cantor set, whose Bowen root is still a lower bound.
 
-    `mode` (enumerate or tail), `dist`, `collar` and `workers` have no
-    effect; they stay because `perfbench/workloads.py` passes them.
+    `anchor` and `budget` are unused, and `mode` (enumerate or tail),
+    `dist`, `collar` and `workers` have no effect; they stay because
+    `perfbench/workloads.py` passes them (the first two positionally).
 
     An empty G is a reported outcome, not an error: it is returned when
     no column admits a cell, and also when the first-level images leave
@@ -517,8 +510,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     columns: dict = {}  # signed run (s_lo, s_hi) -> column blocks (u_lo, u_hi) holding it
     sigma_runs: dict = {}  # sigma window -> its integer bounds
     for sign in (1, -1):
-        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer, budget.margin,
-                                                             sign):
+        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer, sign):
             key = (sigma_lo, sigma_hi)
             s1, s2 = sigma_runs[key] = sigma_runs.get(key) or _sigma_run(*key)
             if s1 <= s2:

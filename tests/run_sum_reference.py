@@ -93,8 +93,8 @@ def level1_log_bounds(system, t):
                  for side in (0, 1))
 
 
-def bowen_root(system, tol, t_cap=4.0):
-    """(t_lo, t_hi, lo_capped, hi_capped) by bisection on [0, t_cap] on the
+def bowen_root(system, tol):
+    """(t_lo, t_hi, lo_capped, hi_capped) by bisection on [0, 4] on the
     two-sided reference sum, each side read from a sum of both envelopes;
     it stops once the bracket is within tol or its midpoint is no longer
     strictly inside it."""
@@ -103,9 +103,9 @@ def bowen_root(system, tol, t_cap=4.0):
             return level1_log_bounds(system, t)[side]
         if f(0.0) <= 0.0:
             return 0.0, False
-        if f(t_cap) > 0.0:
-            return t_cap, True
-        lo, hi = 0.0, t_cap
+        if f(4.0) > 0.0:
+            return 4.0, True
+        lo, hi = 0.0, 4.0
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # below the float spacing

@@ -30,7 +30,7 @@ def _line(num: int, ok: bool, text: str):
 @pytest.fixture(scope="module")
 def full12(fam):
     """The fully enumerated admissible set at anchor 12 (criterion 4/5 scale)."""
-    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0, boundary_samples=256)
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
     spec = td.build_squares(12.0, 0.5)
     dist = td.distortion_constant(12.0, fam.ln_r0)
     t0 = time.perf_counter()
@@ -152,7 +152,7 @@ def test_criterion_04_small_instance_construction(full12):
     for run in g.runs:
         s_min, s_max = sorted((abs(run.s_lo), abs(run.s_hi)))
         for u in range(run.u_lo, run.u_hi + 1):
-            lo, hi = window_s_bounds(column_window(fam, u, spec, margin=budget.margin,
+            lo, hi = window_s_bounds(column_window(fam, u, spec,
                                                    sign=1 if run.s_lo > 0 else -1))
             bracket_ok = bracket_ok and abs(s_min - math.ceil(lo - 1e-9)) <= 1 \
                 and abs(s_max - math.floor(hi + 1e-9)) <= 1
@@ -168,7 +168,7 @@ def test_criterion_04_small_instance_construction(full12):
 # -- 5 ----------------------------------------------------------------------
 
 def test_criterion_05_cross_mode_sum_agreement(full12):
-    win = column_window(full12.family, 0, full12.spec, margin=full12.budget.margin, sign=1)
+    win = column_window(full12.family, 0, full12.spec, sign=1)
     cmp = td.compare_window_modes(full12.family, full12.spec, *win, t=1.0)
     ok = (cmp.consistent and cmp.rel_width_lo <= 0.01 and cmp.rel_width_hi <= 0.01)
     _line(5, ok,

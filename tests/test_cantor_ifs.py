@@ -153,7 +153,7 @@ def test_sampling_order_is_the_lexsort_of_the_word_ranks(small, runs, depth):
 def test_sampling_order_with_object_ranks(fam):
     """At anchor 30 G has more than 2^63 letters, so its ranks are Python
     ints; their byte keys order the rows as np.lexsort does."""
-    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0, boundary_samples=256)
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
     spec = td.build_squares(30.0, 0.5)
     gset = td.build_G(fam, 30.0, spec, budget)
     assert gset.n_letters > 2 ** 63
@@ -191,9 +191,8 @@ def test_projection_log_polar_for_huge_real_parts(small):
     so only that range test keeps it out of the conjugacy check, and only
     row 1 is compared."""
     pts = np.array([4000.0 + 0.5j, 6.0 + 1.5j, math.log(705.0) + 0j])
-    fake = LimitSample(points=pts, words_u=np.zeros((3, 1), dtype=np.int64),
-                       words_s=np.full((3, 1), 65, dtype=np.int64), depth=1,
-                       seed=0, levels=(pts, pts))
+    fake = LimitSample(points=pts, shifted=pts, words_u=np.zeros((3, 1), dtype=np.int64),
+                       words_s=np.full((3, 1), 65, dtype=np.int64), depth=1)
     proj = td.project_to_plane(small.family, fake)
     assert proj.log_polar.tolist() == [True, False, False]
     assert proj.points[0].real == pytest.approx(4000.0)  # ln modulus
@@ -215,7 +214,7 @@ def test_invariance_depth1_lands_in_square(small):
     sample = td.sample_limit_set(small.family, small.gset, small.spec,
                                  depth=1, count=200, seed=5)
     ffz = np.asarray(small.family.lift(np.asarray(small.family.lift(sample.points))))
-    assert np.all(small.spec.outer.contains(ffz, margin=-1e-6))
+    assert np.all(small.spec.outer.shrink(-1e-6).contains(ffz))
 
 
 def test_invariance_detects_corruption(small):

@@ -30,7 +30,7 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
-# the schema-2 `dim` report: results beside the command, schema and config
+# the `dim` report: results beside the command, schema and config
 DIM_KEYS = {"C", "P1_lo", "t_lo", "t_hi", "verdict", "runtime_ms", "constants",
             "diagnostics", "reasons", "schema_version", "command", "config"}
 
@@ -44,7 +44,7 @@ def test_lemmas_default_all_pass(tmp_path):
     assert run(["lemmas", "--out", out]) == 0
     rep = read_json(out)
     assert rep["all_pass"] is True
-    assert rep["schema_version"] == 2
+    assert rep["schema_version"] == 3
     assert "config" in rep
     for check in rep["checks"].values():
         assert check["pass"]
@@ -277,14 +277,12 @@ def test_oracle_brute_pressure_with_letters_below_envelope_validity_exit_0(tmp_p
 
 
 @pytest.mark.parametrize("mode", ["enumerate", "tail"])
-@pytest.mark.parametrize("margin", [0.0, 0.1])
-def test_unsampleable_cells_do_not_stop_the_run(tmp_path, margin, mode):
-    # lam = 0.01, anchor 4: G holds |s| = 4..63 (margin 0) or 5..56 (margin
-    # 0.1) at u = 0, none of the cells below envelope validity; every
-    # command gives its documented outcome
+def test_unsampleable_cells_do_not_stop_the_run(tmp_path, mode):
+    # lam = 0.01, anchor 4: G holds |s| = 4..63 at u = 0, none of the cells
+    # below envelope validity; every command gives its documented outcome
     cfg = write_cfg(tmp_path, "pad.json",
                     {"family": {"lambda_re": 0.01},
-                     "geometry": {"anchor": 4.0, "inset": 0.5, "margin": margin},
+                     "geometry": {"anchor": 4.0, "inset": 0.5},
                      "pressure": {"mode": mode},
                      "sampling": {"count": 2000, "depth": 5}})
     out = str(tmp_path / "o")
@@ -548,16 +546,16 @@ def test_malformed_config_exit_1(tmp_path, capsys, command, text):
 @pytest.mark.parametrize("config, field, value", [
     ({"sampling": {"count": 2.5}}, "sampling.count", "2.5"),
     ({"sampling": {"depth": 3.7}}, "sampling.depth", "3.7"),
-    ({"geometry": {"boundary_samples": 300.9}}, "geometry.boundary_samples", "300.9"),
+    ({"oracle": {"density": 300.9}}, "oracle.density", "300.9"),
     ({"sampling": {"count": 0}}, "sampling.count", "0"),
     ({"sampling": {"depth": True}}, "sampling.depth", "True"),
     ({"sampling": {"count": "10"}}, "sampling.count", "'10'"),
     ({"sampling": {"seed": 2.7}}, "sampling.seed", "2.7"),
-], ids=["count-2.5", "depth-3.7", "boundary-300.9", "count-0", "depth-true", "count-text",
+], ids=["count-2.5", "depth-3.7", "density-300.9", "count-0", "depth-true", "count-text",
         "seed-2.7"])
 def test_counts_are_integers_not_truncated(tmp_path, capsys, config, field, value):
-    """`sampling.count`, `sampling.depth` and `geometry.boundary_samples`
-    take an integer >= 1, as the oracle counts do, and `sampling.seed` an
+    """`sampling.count`, `sampling.depth` and `oracle.density` take an
+    integer >= 1, as the other oracle counts do, and `sampling.seed` an
     integer >= 0: a fractional value is a configuration error, not
     truncated.  An integral float such as 1e4 is taken as its int."""
     cfg = write_cfg(tmp_path, "c.json", config)
@@ -566,8 +564,8 @@ def test_counts_are_integers_not_truncated(tmp_path, capsys, config, field, valu
     assert capsys.readouterr().err == \
         f"config error: config field {field} must be an integer >= {least}, got {value}\n"
     c = load_config({"sampling": {"count": 1e4, "depth": 8.0, "seed": 9.0},
-                     "geometry": {"boundary_samples": 300.0}})
-    assert (c.count, c.depth, c.seed, c.budget.boundary_samples) == (10000, 8, 9, 300)
+                     "oracle": {"density": 300.0}})
+    assert (c.count, c.depth, c.seed, c.oracle["density"]) == (10000, 8, 9, 300)
     assert c.resolved["sampling"]["count"] == 10000
     assert type(c.resolved["sampling"]["count"]) is int
 
@@ -588,24 +586,71 @@ def test_timing_must_be_a_json_bool(tmp_path, capsys, timing):
     ({"family": {"path": "x.csv"}}, "'family.path'"),
     ({"oracle": {"paths": "x.csv"}}, "'oracle.paths'"),
     ({"timng": True}, "'timng'"),
-], ids=["geometry", "sampling", "family-path", "oracle", "top-level"])
+    ({"geometry": {"margin": 0.0}}, "'geometry.margin'"),
+    ({"geometry": {"boundary_samples": 256}}, "'geometry.boundary_samples'"),
+    ({"workers": 1}, "'workers'"),
+], ids=["geometry", "sampling", "family-path", "oracle", "top-level", "schema-2-margin",
+        "schema-2-boundary-samples", "schema-2-workers"])
 def test_unknown_config_key_exit_1(tmp_path, capsys, config, key):
     """A key no reader knows is a configuration error naming it, where it
-    used to run silently on the default (anchor 12 for `anchr`)."""
+    used to run silently on the default (anchor 12 for `anchr`).  So are
+    the schema-2 keys that schema 3 deleted, even at their old defaults."""
     cfg = write_cfg(tmp_path, "c.json", config)
     assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
 
-@pytest.mark.parametrize("version", ["x", 1, 3, True, 1.5, None])
+@pytest.mark.parametrize("version", ["x", 1, 2, 4, True, 1.5, None])
 def test_schema_version_other_than_current_exit_1(tmp_path, capsys, version):
     """A config of another schema is a configuration error naming the field,
-    not read as the current one; a missing schema_version or 2 loads."""
+    not read as the current one; a missing schema_version or 3 loads."""
     cfg = write_cfg(tmp_path, "c.json", {"schema_version": version})
     assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == \
-        f"config error: config field schema_version must be 2, got {version!r}\n"
-    assert load_config({"schema_version": 2}).resolved == load_config({}).resolved
+        f"config error: config field schema_version must be 3, got {version!r}\n"
+    assert load_config({"schema_version": 3}).resolved == load_config({}).resolved
+
+
+def test_schema_3_config_keys():
+    """The resolved config holds exactly the schema-3 keys: `geometry` has
+    no margin or boundary_samples, and there is no top-level `workers`."""
+    resolved = load_config({}).resolved
+    assert {key: sorted(value) if isinstance(value, dict) else value
+            for key, value in resolved.items()} == {
+        "family": ["kind", "lambda_im", "lambda_re", "r0"],
+        "geometry": ["anchor", "epsilon", "inset", "scan"],
+        "pressure": ["bisect_tol", "collar", "mode"],
+        "sampling": ["count", "depth", "seed"],
+        "oracle": ["density", "source", "subsystem", "t", "word_length"],
+        "timing": False,
+        "schema_version": 3,
+    }
+
+
+@pytest.mark.parametrize("tol", [1, 2, 1e9])
+def test_bisect_tol_of_one_or_more_exit_1(tmp_path, capsys, tol):
+    """From tol 1 on, t = 1 need not be a point of the Bowen root's
+    bisection grid on [0, 4]: such a tolerance is a configuration error
+    naming the key."""
+    cfg = write_cfg(tmp_path, "c.json", {"pressure": {"bisect_tol": tol}})
+    assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: config field pressure.bisect_tol must be below 1, got {tol!r}\n"
+
+
+def test_bisect_tol_below_one_certifies_with_t_lo_at_least_one(tmp_path):
+    """At the certificate config with tol 0.5, 1 is a grid point: the report
+    is certified with t_lo >= 1 (it reads [1.0, 1.5]).  At tol 2, which the
+    CLI refuses, it is not: the certificate reads [0.0, 2.0]."""
+    cfg = write_cfg(tmp_path, "c.json", {"pressure": {"bisect_tol": 0.5}})
+    out = str(tmp_path / "x.json")
+    assert run(["dim", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["verdict"] == "certified" and rep["t_lo"] >= 1.0
+    assert (rep["t_lo"], rep["t_hi"]) == (1.0, 1.5)
+    c = load_config(DEFAULT_CERTIFICATE_CONFIG)
+    cert = td.certify_dim_gt_one(c.family, c.anchor, c.budget, bisect_tol=2.0)
+    assert cert.certified and (cert.t_lo, cert.t_hi) == (0.0, 2.0)
 
 
 @pytest.mark.parametrize("command", ["oracle recheck", "oracle brute-pressure"])
@@ -625,7 +670,7 @@ def test_integral_float_oracle_counts_echo_as_ints(tmp_path, command):
 @pytest.mark.parametrize("command, config", [
     ("lemmas", {}),
     ("dim", {}),
-    ("lemmas", {"geometry": {"anchor": "auto"}, "timing": True, "workers": 2}),
+    ("lemmas", {"geometry": {"anchor": "auto"}, "timing": True}),
     ("lemmas", {"family": {"lambda_re": 10.0, "lambda_im": -1.0}}),
     ("dim", {"sampling": {"count": 1e4}, "pressure": {"mode": "enumerate"}}),
 ], ids=["lemmas", "dim", "auto-anchor", "normalized-r0", "integral-float-count"])

@@ -175,10 +175,8 @@ def test_fd_branch_tolerance(fam):
 
 
 def test_containment_recheck_inside_and_outside(small):
-    assert td.containment_recheck(small.family, 0, 5000, small.spec,
-                                  small.budget, density=10) == "inside"
-    v = td.containment_recheck(small.family, 0, 30, small.spec,
-                               small.budget, density=10)
+    assert td.containment_recheck(small.family, 0, 5000, small.spec, density=10) == "inside"
+    v = td.containment_recheck(small.family, 0, 30, small.spec, density=10)
     assert v == "outside"
 
 
@@ -222,7 +220,7 @@ def test_recheck_gset_undefined_margins_get_dense_recheck(monkeypatch):
     assert math.isfinite(rep.min_margin)
 
 
-def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=2000,
+def _recheck_per_letter(family, gset, spec, density=10, dense_sample=2000,
                         seed=20210):
     """Reference: the recheck margin evaluated on every letter of every
     column of every run, and the dense subsample drawn through the ranks."""
@@ -247,14 +245,14 @@ def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=200
             n_checked += len(ss)
             mid = TWO_PI * float(u) + sign * 0.5 * math.pi
             margin = np.minimum.reduce([
-                lo_re - (rect.re_lo + budget.margin),
-                (rect.re_hi - budget.margin) - hi_re,
-                (mid - dev) - (rect.im_lo + budget.margin),
-                (rect.im_hi - budget.margin) - (mid + dev),
+                lo_re - rect.re_lo,
+                rect.re_hi - hi_re,
+                (mid - dev) - rect.im_lo,
+                rect.im_hi - (mid + dev),
             ])
             min_margin = min(min_margin, float(np.fmin.reduce(margin, initial=math.inf)))
             for i in np.nonzero(~(margin >= 0))[0]:
-                v = td.containment_recheck(family, u, ss[i], spec, budget, density=density)
+                v = td.containment_recheck(family, u, ss[i], spec, density=density)
                 if v == "outside":
                     flagged.append((u, ss[i]))
     rng = np.random.default_rng(seed)
@@ -267,8 +265,7 @@ def _recheck_per_letter(family, gset, spec, budget, density=10, dense_sample=200
         ranks = sorted(picked)
     for rank in ranks:
         (u,), (s,) = gset.letters([rank])
-        if td.containment_recheck(family, int(u), int(s), spec, budget,
-                                  density=density) == "outside":
+        if td.containment_recheck(family, int(u), int(s), spec, density=density) == "outside":
             flagged.append((int(u), int(s)))
     return oracle.RecheckReport(n_checked=n_checked, n_densely_sampled=len(ranks),
                                 n_flagged=len(flagged), flagged=tuple(flagged[:64]),
@@ -280,7 +277,7 @@ def _lam_001_anchor_4():
     1..64 at u = 0, of which |s| <= 2 lie below envelope validity (G's own
     windows start at |s| = 4)."""
     fam = td.normalize_family(td.exponential_family(0.01, 1.2))
-    budget = td.GeometryBudget(inset=0.5, margin=0.0)
+    budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(4.0, 0.5)
     gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
     return fam, gset, spec, budget
@@ -338,7 +335,7 @@ def test_recheck_gset_matches_per_letter_reference(request, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = td.recheck_gset(fam, gset, spec, budget, **kw)
-    ref = _recheck_per_letter(fam, gset, spec, budget, **kw)
+    ref = _recheck_per_letter(fam, gset, spec, **kw)
     assert rep == ref
     assert rep.min_margin.hex() == ref.min_margin.hex()
     if case == "planted-no-window":
@@ -416,7 +413,7 @@ def test_recheck_gset_boundary_work_does_not_grow_with_dense_sample(monkeypatch,
     assert counts[0] == counts[1] == counts[2]
 
 
-def _recheck_cell_reference(family, u, s, spec, budget, log_first):
+def _recheck_cell_reference(family, u, s, spec, log_first):
     """The per-letter dense recheck that `_recheck_cells` batches: verdict,
     padding delta (at least an ulp of Q's largest coordinate) and the images
     of the boundary samples, in the scale-free form."""
@@ -429,9 +426,9 @@ def _recheck_cell_reference(family, u, s, spec, budget, log_first):
     imgs = (ln_t + half) + 1j * (np.arctan2(y, xx) + TWO_PI * float(u))
     lip = float(np.exp(-(ln_t + (half + log_first.real).min()))[0]) * 1.25
     spacing = spec.outer.perimeter / log_first.size
-    delta = max(budget.margin + lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
-    inside = bool(np.all(spec.outer.contains(imgs, margin=delta)))
-    near = bool(np.all(spec.outer.contains(imgs, margin=0.0)))
+    delta = max(lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
+    inside = bool(np.all(spec.outer.shrink(delta).contains(imgs)))
+    near = bool(np.all(spec.outer.contains(imgs)))
     return ("inside" if inside else ("borderline" if near else "outside")), delta, imgs
 
 
@@ -448,19 +445,19 @@ def _random_letters(gset, n, seed=20210):
 
 
 def _kernel_case(request, case):
-    """(family, spec, budget, density, us, ss) for one batched-recheck case."""
+    """(family, spec, density, us, ss) for one batched-recheck case."""
     if case.startswith("block-"):
         b = request.getfixturevalue("small")
-        step = oracle._DENSE_BLOCK // (b.budget.boundary_samples * 10)
+        step = oracle._DENSE_BLOCK // (oracle._BOUNDARY_SAMPLES * 10)
         m = {"1": 1, "B-1": step - 1, "B": step, "B+1": step + 1}[case[len("block-"):]]
         # the first letters of the u = 0 column cross its window edge at |s| = 64
         ss = np.arange(60, 60 + m, dtype=np.int64)
-        return b.family, b.spec, b.budget, 10, np.zeros(m, dtype=np.int64), ss
+        return b.family, b.spec, 10, np.zeros(m, dtype=np.int64), ss
     if case in ("small-subsample", "lam-0.5+0.5i", "anchor-25", "anchor-30", "cert-4000"):
         if case == "small-subsample":
             # the small config: 41.8M letters
             b = request.getfixturevalue("small")
-            fam, spec, budget, gset = b.family, b.spec, b.budget, b.gset
+            fam, spec, gset = b.family, b.spec, b.gset
         else:
             lam, anchor, inset = {"lam-0.5+0.5i": (complex(0.5, 0.5), 12.0, 0.5),
                                   "anchor-25": (1.0, 25.0, 0.5), "anchor-30": (1.0, 30.0, 0.5),
@@ -474,25 +471,24 @@ def _kernel_case(request, case):
             run = gset.runs[0]
             us = np.r_[us, np.full(20, run.u_lo)]
             ss = np.r_[ss, np.arange(run.s_hi - 19, run.s_hi + 1, dtype=np.int64)]
-        return fam, spec, budget, 10, us, ss
-    if case == "margin-0.1":
-        fam, _, spec, _ = _planted(12.0)
-        us = np.repeat([0, 1], 200)
-        ss = np.r_[40:240, -239:-39]
-        return fam, spec, td.GeometryBudget(inset=0.5, margin=0.1), 2, us, ss
+        return fam, spec, 10, us, ss
+    if case == "anchor-24-run-end":
+        fam, _, spec, _ = _planted(24.0)
+        ss = np.arange(686153811537103 - 40, 686153811537103 + 40, dtype=np.int64)
+        return fam, spec, 2, np.zeros(ss.size, dtype=np.int64), ss
     if case == "planted-no-window":
-        fam, gset, spec, budget = _planted(12.0, RunBlock(2, 2, 5000, 5999))
+        fam, gset, spec, _ = _planted(12.0, RunBlock(2, 2, 5000, 5999))
     elif case == "lam-0.01-anchor-4":
-        fam, gset, spec, budget = _lam_001_anchor_4()
+        fam, gset, spec, _ = _lam_001_anchor_4()
     else:
-        fam, gset, spec, budget = _planted(*_EXTENDED_BELOW)
-    return (fam, spec, budget, 2) + _column_letters(gset)
+        fam, gset, spec, _ = _planted(*_EXTENDED_BELOW)
+    return (fam, spec, 2) + _column_letters(gset)
 
 
 @pytest.mark.parametrize("case", ["block-1", "block-B-1", "block-B", "block-B+1",
                                   "small-subsample", "planted-no-window",
                                   "lam-0.01-anchor-4", "window-extended-below",
-                                  "lam-0.5+0.5i", "anchor-25", "margin-0.1",
+                                  "lam-0.5+0.5i", "anchor-25", "anchor-24-run-end",
                                   "anchor-30", "cert-4000"])
 def test_recheck_cells_matches_per_letter_reference(request, case):
     """The batched dense recheck gives every letter the verdict, padding and
@@ -506,20 +502,21 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
     - lam = 0.5 + 0.5i, anchor 12, a 2,000-letter subsample;
     - anchor 25, where G holds 2.5e16 letters (ranks past 2^53), a
       2,000-letter subsample and the last letters of a run;
-    - margin 0.1 at anchor 12, across the u = 0 and u = 1 window edges:
-      all three verdicts;
+    - anchor 24, u = 0, the 40 letters on each side of the run's end
+      686153811537103, whose images step across re_hi(Q) = 36 by less
+      than its ulp, the padding: all three verdicts at density 2;
     - anchor 30 (ranks past 2^63, indices past 2^53), 2,000 letters, and
       the default anchor-4000 certificate (indices of 2,600 digits), 200."""
-    fam, spec, budget, density, us, ss = _kernel_case(request, case)
-    boundary = oracle._recheck_boundary(fam, spec, budget, density)
+    fam, spec, density, us, ss = _kernel_case(request, case)
+    boundary = oracle._recheck_boundary(fam, spec, density)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
+        verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, boundary)
     assert len(verdicts) == delta.size == ext.shape[0] == len(ss)
     if case in ("anchor-30", "cert-4000"):
         assert set(verdicts) == {"inside"}
     for i, (u, s) in enumerate(zip(us, ss)):
-        v, d, imgs = _recheck_cell_reference(fam, int(u), int(s), spec, budget, boundary.logs)
+        v, d, imgs = _recheck_cell_reference(fam, int(u), int(s), spec, boundary.logs)
         assert verdicts[i] == v, (u, s)
         assert delta[i].hex() == d.hex(), (u, s)
         ref = (imgs.real.min(), imgs.real.max(), imgs.imag.min(), imgs.imag.max())
@@ -528,16 +525,16 @@ def test_recheck_cells_matches_per_letter_reference(request, case):
         assert set(verdicts) == {"outside"}
     if case == "window-extended-below":
         assert {"inside", "outside"} <= set(verdicts)
-    if case == "margin-0.1":
+    if case == "anchor-24-run-end":
         assert set(verdicts) == {"inside", "borderline", "outside"}
 
 
-def _direct_recheck_cells(family, us, ss, spec, budget, density, chunk=256):
+def _direct_recheck_cells(family, us, ss, spec, density, chunk=256):
     """The direct-form dense kernel that the scale-free one replaced, kept
     as its reference: w2 = log_first + 2*pi*i*s - c formed in float, images
     0.5*ln(re^2 + im^2) + i*atan2 + 2*pi*i*u, padding 1.25 / min(|w2| * |z - c|).
     Float-exact indices only."""
-    w = spec.outer.boundary_points(budget.boundary_samples * density) - family.log_lam
+    w = spec.outer.boundary_points(oracle._BOUNDARY_SAMPLES * density) - family.log_lam
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     d_first = np.abs(w)
     c = family.log_lam
@@ -555,7 +552,7 @@ def _direct_recheck_cells(family, us, ss, spec, budget, density, chunk=256):
         ext[i:i + chunk] = np.column_stack([re.min(axis=1), re.max(axis=1),
                                             im.min(axis=1), im.max(axis=1)])
     ext[:, 2:] += TWO_PI * us[:, None]
-    delta = np.maximum(budget.margin + lip * (rect.perimeter / log_first.size),
+    delta = np.maximum(lip * (rect.perimeter / log_first.size),
                        math.ulp(max(map(abs, rect.bounds()))))
 
     def within(pad):
@@ -570,7 +567,7 @@ def test_scale_free_kernel_gives_the_direct_kernels_verdicts(small):
     direct-form kernel does, and their image extents agree to 1e-14: s in
     +-[1, 200] at u = -1, 0, 1, 64 letters at each end of every column of
     every run, and 2,000 letters drawn over G."""
-    fam, spec, budget = small.family, small.spec, small.budget
+    fam, spec = small.family, small.spec
     low = np.r_[1:201, -200:0]
     us, ss = [np.repeat([-1, 0, 1], low.size)], [np.tile(low, 3)]
     for r in small.gset.runs:
@@ -579,9 +576,9 @@ def test_scale_free_kernel_gives_the_direct_kernels_verdicts(small):
         ss.append(np.tile(ends, r.n_columns))
     drawn = _random_letters(small.gset, 2000)
     us, ss = np.concatenate(us + [drawn[0]]), np.concatenate(ss + [drawn[1]])
-    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
-    verdicts, _, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
-    direct, direct_ext = _direct_recheck_cells(fam, us, ss, spec, budget, 10)
+    boundary = oracle._recheck_boundary(fam, spec, 10)
+    verdicts, _, ext = oracle._recheck_cells(us, ss, spec, boundary)
+    direct, direct_ext = _direct_recheck_cells(fam, us, ss, spec, 10)
     assert np.array_equal(verdicts, direct)
     assert {"inside", "outside"} <= set(verdicts)
     assert np.max(np.abs(ext - direct_ext)) <= 1e-14
@@ -597,8 +594,8 @@ def test_dense_recheck_pads_by_at_least_an_ulp_at_anchor_24(fam):
     letters = [(-2, 686153811537102), (0, 686153811537103), (0, -686153811537103)]
     assert all(letter in gset for letter in letters)
     us, ss = (np.array(x, dtype=np.int64) for x in zip(*letters))
-    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
-    verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
+    boundary = oracle._recheck_boundary(fam, spec, 10)
+    verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, boundary)
     assert spec.outer.re_hi == 36.0 and np.all(ext[:, 1] == 36.0)
     assert np.all(delta == math.ulp(36.0))
     assert list(verdicts) == ["borderline"] * 3
@@ -677,8 +674,8 @@ _synthetic_boundaries = st.lists(st.tuples(_near(-3.0, 9.0), _near(-8.0, 8.0)),
 def _pinned(*logs):
     """One letter (0, 159), x = 1.0e-3, at lam = 1 (c = 0), on the boundary
     logs `logs`: p = ln|z - c|, q = arg(z - c)."""
-    return example(family=_KERNEL_FAMILIES[0], density=1, margin=0.0,
-                   letters=[(0, 159, 1)], synthetic=np.array(logs))
+    return example(family=_KERNEL_FAMILIES[0], density=1, letters=[(0, 159, 1)],
+                   synthetic=np.array(logs))
 
 
 # Each pins one perturbation bound: a sample that holds a float extreme
@@ -691,32 +688,32 @@ def _pinned(*logs):
 @_pinned(0.0 + 2j, 0.002 - 2j, 0.04 - 3j, 0.05 + 3j)
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(family=st.sampled_from(_KERNEL_FAMILIES), density=st.integers(1, 10),
-       margin=st.sampled_from([0.0, 0.1]), letters=st.lists(_letters, min_size=1, max_size=24),
+       letters=st.lists(_letters, min_size=1, max_size=24),
        synthetic=st.one_of(st.none(), _synthetic_boundaries))
-def test_recheck_cells_on_candidate_samples_equal_every_sample(family, density, margin,
-                                                                letters, synthetic):
+def test_recheck_cells_on_candidate_samples_equal_every_sample(family, density, letters,
+                                                                synthetic):
     """The dense recheck on per-letter candidate samples gives the verdicts,
     paddings and image extents of the same block loop given every sample,
     bit for bit: lam = 1, 20 (p <= 0 on some samples), 0.5 + 0.5i and e^3i
     (|q| up to 4.2 at anchor 4), anchors 4 to 4000, small |s| where every
     sample is a candidate, ln T around the underflow of e^-ln T, indices of
-    2,600 digits, density 1 to 10 and margin 0 and 0.1; and on synthetic
+    2,600 digits and density 1 to 10; and on synthetic
     boundary logs whose keys nearly tie (and with 2*pi*|s| <= max|q| at
     |s| = 1), where the perturbation bounds decide which samples are
     candidates.  Three pinned examples each fail when one perturbation
     bound is dropped."""
     lam, anchor, inset = family
     fam = td.normalize_family(td.exponential_family(lam, math.e))
-    spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(inset=inset, margin=margin)
+    spec = td.build_squares(anchor, inset)
     us = np.array([u for u, _, _ in letters])
     ss = [sign * s for _, s, sign in letters]
-    boundary = (oracle._recheck_boundary(fam, spec, budget, density) if synthetic is None
+    boundary = (oracle._recheck_boundary(fam, spec, density) if synthetic is None
                 else oracle._Boundary.from_logs(fam, synthetic))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, budget, boundary)
+        verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, boundary)
         with mock.patch.object(oracle, "_candidate_samples", _every_sample):
-            ref = oracle._recheck_cells(us, ss, spec, budget, boundary)
+            ref = oracle._recheck_cells(us, ss, spec, boundary)
         # each letter's bucket, folded or not, holds the letter's own candidates
         x = np.exp(-oracle._index_logs(ss)[0])
         for letters, samples in oracle._candidate_samples(boundary, x):
@@ -750,15 +747,15 @@ def test_recheck_cells_evaluates_few_samples_per_letter(monkeypatch, request, ca
     sample each."""
     if case == "small-subsample":
         b = request.getfixturevalue("small")
-        fam, spec, budget, gset = b.family, b.spec, b.budget, b.gset
+        fam, spec, gset = b.family, b.spec, b.gset
     else:
         fam = td.normalize_family(td.exponential_family(1.0, math.e))
-        spec, budget = td.build_squares(4000.0, 3.0), td.GeometryBudget(inset=3.0)
-        gset = td.build_G(fam, 4000.0, spec, budget)
+        spec = td.build_squares(4000.0, 3.0)
+        gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0))
     us, ss = _random_letters(gset, 2000)
-    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
+    boundary = oracle._recheck_boundary(fam, spec, 10)
     counts = _count_evaluations(monkeypatch)
-    oracle._recheck_cells(us, ss, spec, budget, boundary)
+    oracle._recheck_cells(us, ss, spec, boundary)
     if case == "small-subsample":
         assert 0 < sum(counts) <= 0.02 * 2000 * boundary.logs.size
     else:
@@ -836,8 +833,8 @@ def test_sample_extremes_layouts_agree(small):
     fold into one (three buckets into two): each folded bucket's samples
     hold those of the buckets it folds, and its letters get the bits of
     every sample."""
-    fam, spec, budget, gset = small.family, small.spec, small.budget, small.gset
-    boundary = oracle._recheck_boundary(fam, spec, budget, 10)
+    fam, spec, gset = small.family, small.spec, small.gset
+    boundary = oracle._recheck_boundary(fam, spec, 10)
     us, ss = _random_letters(gset, 2000)
     ln_t, sign = oracle._index_logs(ss)
     x = np.exp(-ln_t)

@@ -324,7 +324,7 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     assert len(converted) == 1
     assert gset.n_segments == 2 and [run.n_columns for run in gset.runs] == [637, 637]
-    win = column_window(fam, 0, spec, margin=budget.margin)
+    win = column_window(fam, 0, spec)
     system = build_weighted_system(fam, gset, spec, dist)
     key = convert(*win)
     assert system.runs == ((key, 1274),)
@@ -412,13 +412,11 @@ def test_bowen_root_below_the_float_spacing_gives_the_tightest_bracket():
 @given(weights=st.one_of(
            st.lists(st.floats(1e-300, 0.999), min_size=1, max_size=50),
            st.lists(st.floats(0.9, 0.999), min_size=20, max_size=50)),
-       tol=st.sampled_from([1e-3, 1e-4, 1e-8, 1e-300, 5e-324]),
-       t_cap=st.sampled_from([0.5, 4.0]))
-@example(weights=[0.6], tol=1e-4, t_cap=4.0)              # f(0) = 0 on both sides
-@example(weights=[0.9] * 10, tol=1e-4, t_cap=4.0)         # capped on both sides
-@example(weights=[1 / 3, 1 / 3], tol=5e-324, t_cap=4.0)   # below the float spacing
-@example(weights=[0.25, 0.25, 0.25], tol=1e-8, t_cap=0.5)  # capped at 0.5
-def test_bowen_root_equals_reference_bisection_with_a_witness(weights, tol, t_cap):
+       tol=st.sampled_from([1e-3, 1e-4, 1e-8, 1e-300, 5e-324]))
+@example(weights=[0.6], tol=1e-4)              # f(0) = 0 on both sides
+@example(weights=[0.9] * 10, tol=1e-4)         # capped on both sides
+@example(weights=[1 / 3, 1 / 3], tol=5e-324)   # below the float spacing
+def test_bowen_root_equals_reference_bisection_with_a_witness(weights, tol):
     """On listed systems of 1 to 50 letters the root has the reference
     bisection's bracket and flags, and each uncapped end rests on an
     evaluated value of the right sign: f_lo > 0 at some t >= t_lo (where
@@ -433,8 +431,8 @@ def test_bowen_root_equals_reference_bisection_with_a_witness(weights, tol, t_ca
         return value
 
     with patch.object(pressure, "_envelope_log_sum", spy):
-        r = td.bowen_root(system, tol=tol, t_cap=t_cap)
-    assert (r.t_lo, r.t_hi, r.lo_capped, r.hi_capped) == ref.bowen_root(system, tol, t_cap)
+        r = td.bowen_root(system, tol=tol)
+    assert (r.t_lo, r.t_hi, r.lo_capped, r.hi_capped) == ref.bowen_root(system, tol)
     assert r.evaluations == (len(evaluated[0]), len(evaluated[1]))
     if r.t_lo > 0.0:
         assert any(t >= r.t_lo and f > 0.0 for t, f in evaluated[0])
@@ -444,8 +442,8 @@ def test_bowen_root_equals_reference_bisection_with_a_witness(weights, tol, t_ca
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-8])
 def test_bowen_root_evaluates_only_points_of_the_bisection_grid(monkeypatch, tol):
-    """The root reads its bound only on the bisection's final grid (t_cap
-    halved until it is within tol).  Here the bound is convex and
+    """The root reads its bound only on the bisection's final grid (the cap
+    4 halved until it is within tol).  Here the bound is convex and
     decreasing on the grid, with roots 1.2345 and 1.6789, but has the
     wrong sign everywhere off it, as rounding can make a computed bound
     near its root: the root still returns the grid cells around the roots,

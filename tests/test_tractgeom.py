@@ -15,7 +15,7 @@ from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
                                 _sigma_windows)
-from conftest import column_window, window_s_bounds
+from conftest import cells_inside, column_window, window_s_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,8 @@ def test_cell_image_outside_verdict(fam):
     assert center.real < spec.outer.re_lo
     env = fam.envelope(spec.outer.bounds())
     sigma = np.array([math.log(TWO_PI * 64)])
-    assert not tractgeom._enclosed(env, spec.outer, budget.margin, 0, 1, sigma).any()
-    assert td.containment_recheck(fam, 0, 64, spec, budget, density=10) == "outside"
+    assert not tractgeom._enclosed(env, spec.outer, 0, 1, sigma).any()
+    assert td.containment_recheck(fam, 0, 64, spec, density=10) == "outside"
     assert (0, 64) not in td.build_G(fam, 100.0, spec, budget)
 
 
@@ -304,9 +304,8 @@ def test_containment_fast_path_inside(small):
     G holds it."""
     env = small.family.envelope(small.spec.outer.bounds())
     sigma = np.array([math.log(TWO_PI * 5000)])
-    assert tractgeom._enclosed(env, small.spec.outer, small.budget.margin, 0, 1, sigma).all()
-    assert td.containment_recheck(small.family, 0, 5000, small.spec, small.budget,
-                                  density=10) == "inside"
+    assert tractgeom._enclosed(env, small.spec.outer, 0, 1, sigma).all()
+    assert td.containment_recheck(small.family, 0, 5000, small.spec, density=10) == "inside"
     assert (0, 5000) in small.gset
 
 
@@ -315,8 +314,7 @@ def test_containment_sampled_agrees_with_dense_recheck(small):
     65): each is inside by the dense recheck, and the letters just below
     the window, which G leaves out, are not."""
     for s in (63, 64, 65, 66):
-        dense = td.containment_recheck(small.family, 0, s, small.spec,
-                                       small.budget, density=10)
+        dense = td.containment_recheck(small.family, 0, s, small.spec, density=10)
         assert ((0, s) in small.gset) == (s >= 65)
         assert dense == ("inside" if s >= 65 else "outside")
 
@@ -343,7 +341,7 @@ def test_solve_s_window_small_anchor(fam, small):
     assert 64.0 <= lo <= 65.0          # asymptotic estimate is e^6 / 2pi ~ 64.2
     assert hi == pytest.approx(1.045e7, rel=1e-3)
     # endpoints verified by the dense recheck of explicit cells
-    verdicts = [td.containment_recheck(fam, 0, s, small.spec, small.budget, density=10)
+    verdicts = [td.containment_recheck(fam, 0, s, small.spec, density=10)
                 for s in (math.ceil(lo), math.floor(lo) - 1)]
     assert verdicts == ["inside", "outside"]
 
@@ -354,18 +352,22 @@ def test_solve_s_window_empty_for_large_u(fam, small):
 
 
 def test_solve_s_window_empty_under_huge_margin(fam, small):
-    win = column_window(fam, 0, small.spec, margin=6.5, sign=1)
-    assert win is None
+    """Q's half side is 6 at anchor 12: inside Q shrunk by 5.9 no column of
+    either sign has room."""
+    target = small.spec.outer.shrink(5.9)
+    for sign in (1, -1):
+        assert all(column_window(fam, u, small.spec, target=target, sign=sign) is None
+                   for u in _columns(small.spec))
 
 
-def _enclosure_admissible(env, rect, margin, u, sign, sigma):
+def _enclosure_admissible(env, rect, u, sign, sigma):
     """The enclosure predicate of the window solver, vectorized over sigma."""
     sigma = np.asarray(sigma, dtype=float)
     valid = sigma > env.sigma_valid_min
     s = np.where(valid, sigma, env.sigma_valid_min + 1.0)
     re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, s)
-    return valid & ((re_lo >= rect.re_lo + margin) & (re_hi <= rect.re_hi - margin)
-                    & (im_lo >= rect.im_lo + margin) & (im_hi <= rect.im_hi - margin))
+    return valid & ((re_lo >= rect.re_lo) & (re_hi <= rect.re_hi)
+                    & (im_lo >= rect.im_lo) & (im_hi <= rect.im_hi))
 
 
 def _ulps(x, n, direction):
@@ -384,22 +386,22 @@ def _columns(spec):
 @pytest.mark.parametrize("anchor", [12.0, 30.0, 100.0, 4000.0])
 def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     """Certified endpoints, at most 4 ulps of slack, None exactly when a
-    dense sigma grid finds no admissible point."""
+    dense sigma grid finds no admissible point, for cells inside Q shrunk
+    by the margin."""
     spec = td.build_squares(anchor, 0.5)
-    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=margin)
     env = fam.envelope(spec.outer.bounds())
     rect = spec.outer
+    target = rect.shrink(margin)
     grid = np.linspace(rect.re_lo - 2.0, rect.re_hi + 2.0, 4097)
     n_windows = 0
     for sign in (1, -1):
         for u in _columns(spec):
-            win = column_window(fam, u, spec, margin=margin, sign=sign)
+            win = column_window(fam, u, spec, target=target, sign=sign)
 
             def ok(sigma):
-                return bool(_enclosure_admissible(env, rect, margin, u, sign, sigma))
+                return bool(_enclosure_admissible(env, target, u, sign, sigma))
 
-            on_grid = bool(np.any(_enclosure_admissible(env, rect, margin,
-                                                        u, sign, grid)))
+            on_grid = bool(np.any(_enclosure_admissible(env, target, u, sign, grid)))
             assert (win is None) == (not on_grid), (u, sign)
             if win is None:
                 continue
@@ -412,18 +414,18 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     assert n_windows > 0
 
 
-def _solve_s_window_per_column(family, u, spec, margin, sign):
-    """Reference: the window (sigma_lo, sigma_hi) of one column by its own
-    closed forms and one scalar enclosure test per endpoint step."""
+def _solve_s_window_per_column(family, u, spec, target, sign):
+    """Reference: the window (sigma_lo, sigma_hi) of one column, for cells
+    inside `target` under the envelope of Q, by its own closed forms and
+    one scalar enclosure test per endpoint step."""
     env = family.envelope(spec.outer.bounds())
-    target = spec.outer
 
     def admissible(sigma):
         if sigma <= env.sigma_valid_min:
             return False
         re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
-        return (re_lo >= target.re_lo + margin and re_hi <= target.re_hi - margin
-                and im_lo >= target.im_lo + margin and im_hi <= target.im_hi - margin)
+        return (re_lo >= target.re_lo and re_hi <= target.re_hi
+                and im_lo >= target.im_lo and im_hi <= target.im_hi)
 
     def certify(sigma, inward):
         for _ in range(_ENDPOINT_ULPS + 1):
@@ -433,10 +435,9 @@ def _solve_s_window_per_column(family, u, spec, margin, sign):
         return None
 
     ln_b = math.log(env.b)
-    x = target.re_lo + margin
-    y = target.re_hi - margin
+    x, y = target.re_lo, target.re_hi
     mid = TWO_PI * u + sign * 0.5 * math.pi
-    delta = min(mid - (target.im_lo + margin), (target.im_hi - margin) - mid)
+    delta = min(mid - target.im_lo, target.im_hi - mid)
     if y <= ln_b or delta <= 0.0:
         return None
     sigma_hi = y + math.log1p(-env.b * math.exp(-y))
@@ -458,16 +459,16 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
     """One solve over all columns of a sign gives every column's window bit
     for bit, none where there is no room, as does the one-column view; the
     columns come in at most three blocks: two edge columns and the block
-    between them."""
+    between them.  The cells lie inside Q shrunk by the margin."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     inset = 0.5 if anchor < 1000 else 3.0
     spec = td.build_squares(anchor, inset)
-    budget = td.GeometryBudget(inset=inset, margin=margin)
+    target = spec.outer.shrink(margin)
     env = fam.envelope(spec.outer.bounds())
     n_windows = 0
     for sign in (1, -1):
         us = _columns(spec)
-        blocks = _sigma_windows(env, spec.outer, margin, sign)
+        blocks = _sigma_windows(env, target, sign)
         assert len(blocks) <= 3
         assert all(b[1] == b[0] for b in blocks[:1] + blocks[2:])
         wins = [None] * len(us)
@@ -478,9 +479,9 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
         picks = range(len(us)) if len(us) <= 2000 else sorted(
             {*range(40), *range(40, len(us) - 40, 97), *range(len(us) - 40, len(us))})
         for i in picks:
-            ref = _solve_s_window_per_column(fam, us[i], spec, margin, sign)
+            ref = _solve_s_window_per_column(fam, us[i], spec, target, sign)
             assert wins[i] == ref, (us[i], sign)
-            assert column_window(fam, us[i], spec, margin=budget.margin, sign=sign) == ref
+            assert column_window(fam, us[i], spec, target=target, sign=sign) == ref
             if ref is not None:
                 assert type(ref[0]) is type(wins[i][0]) is float
         assert wins[0] is None and wins[-1] is None
@@ -551,7 +552,7 @@ def test_build_g_is_the_integers_of_its_windows(mini):
     win = column_window(mini.family, 0, mini.spec, sign=1)
     assert tractgeom._sigma_run(*win) == (2, 63)
     fam = td.normalize_family(td.exponential_family(0.5 + 0.5j, math.e))
-    budget = td.GeometryBudget(epsilon=0.1, inset=0.5, margin=0.0)
+    budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
     g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
     assert _letter_runs(g) == [(0, -25902, -10), (0, 10, 25902)]
 
@@ -560,16 +561,18 @@ def test_build_g_is_the_integers_of_its_windows(mini):
 def test_run_end_below_2_53_is_tight_when_the_other_end_is_past(fam, margin, low):
     """At lam = 1, R0 = e, inset 0.5, anchor 50 every window runs from
     below 2^53 to past it.  Its low end is the least int whose float sigma
-    lies in the window: 10 (margin 0) and 11 (margin 0.1) more letters per
-    column than a trim by a relative 2^-30 keeps.  Its high end is
-    trimmed."""
+    lies in the window: 10 (margin 0) and 11 (cells inside Q shrunk by
+    0.1) more letters per column than a trim by a relative 2^-30 keeps.
+    Its high end is trimmed."""
     spec = td.build_squares(50.0, 0.5)
-    gset = td.build_G(fam, 50.0, spec, td.GeometryBudget(inset=0.5, margin=margin))
+    with cells_inside(margin):
+        gset = td.build_G(fam, 50.0, spec, td.GeometryBudget(inset=0.5))
     assert gset.n_segments == 2
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
-        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, margin=margin, sign=sign)
+        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, target=spec.outer.shrink(margin),
+                                           sign=sign)
         assert lo == low
         assert _LOG_TWO_PI + math.log(lo - 1) < sigma_lo <= _LOG_TWO_PI + math.log(lo)
         assert hi > 2 ** 53 and _LOG_TWO_PI + math.log(hi) <= sigma_hi
@@ -629,13 +632,13 @@ def _window_ints(sigma_lo, sigma_hi):
             else _exp_int_fraction(x_hi - _trim(x_hi), math.floor))
 
 
-def _letter_runs_per_column(fam, spec, budget):
-    """Reference from each column's own window solve: its signed run, the
-    ints of its window (`_window_ints`)."""
+def _letter_runs_per_column(fam, spec, target):
+    """Reference from each column's own window solve for cells inside
+    `target`: its signed run, the ints of its window (`_window_ints`)."""
     runs = []
     for sign in (1, -1):
         for u in _columns(spec):
-            win = _solve_s_window_per_column(fam, u, spec, budget.margin, sign)
+            win = _solve_s_window_per_column(fam, u, spec, target, sign)
             if win is None:
                 continue
             s1, s2 = _window_ints(*win)
@@ -645,14 +648,16 @@ def _letter_runs_per_column(fam, spec, budget):
 
 def _check_runs_in_both_modes(lam, anchor, inset, margin):
     """G is the same in both modes, and its runs hold, column by column,
-    the ints of each column's own window solve."""
+    the ints of each column's own window solve, for cells inside Q shrunk
+    by the margin."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
-    budget = td.GeometryBudget(epsilon=0.1, inset=inset, margin=margin)
+    budget = td.GeometryBudget(epsilon=0.1, inset=inset)
     spec = td.build_squares(anchor, inset)
-    enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
-    tail = td.build_G(fam, anchor, spec, budget, mode="tail", collar=-5)
+    with cells_inside(margin):
+        enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
+        tail = td.build_G(fam, anchor, spec, budget, mode="tail", collar=-5)
     assert tail == enum
-    assert _letter_runs(enum) == _letter_runs_per_column(fam, spec, budget)
+    assert _letter_runs(enum) == _letter_runs_per_column(fam, spec, spec.outer.shrink(margin))
 
 
 @pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
@@ -694,21 +699,24 @@ def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
     indices on each side of it admits no letter outside the run.  A run
     end past 2^53, where adjacent ints come to share their float sigma, is
     trimmed: the int a relative 2^-28, plus two, past it has its float
-    sigma outside the window."""
+    sigma outside the window.  The cells lie inside Q shrunk by the
+    margin."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
     spec = td.build_squares(anchor, 0.5)
-    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5, margin=margin))
+    target = spec.outer.shrink(margin)
+    with cells_inside(margin):
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5))
     env = fam.envelope(spec.outer.bounds())
     depth = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
 
     def enclosed(u, sign, ss):
         sigma = _LOG_TWO_PI + np.array([math.log(s) for s in ss])
-        return tractgeom._enclosed(env, spec.outer, margin, u, sign, sigma)
+        return tractgeom._enclosed(env, target, u, sign, sigma)
 
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
-        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, margin=margin, sign=sign)
+        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, target=target, sign=sign)
         for u in range(run.u_lo, run.u_hi + 1):
             assert enclosed(u, sign, [lo, hi]).all(), (u, lo, hi)
             for end, out, edge in ((lo, -1, sigma_lo), (hi, 1, sigma_hi)):
@@ -928,7 +936,7 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     inside by the center + diameter test, as the dense recheck rates them;
     G, the ints of its sigma windows, leaves them out."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
-    budget = td.GeometryBudget(inset=0.5, margin=0.0)
+    budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(4.0, 0.5)
     env = fam.envelope(spec.outer.bounds())
     ss = [1, 2, -1, -2]
@@ -936,41 +944,26 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
     for s in ss:
         sigma = math.log(TWO_PI * abs(s))
-        assert not tractgeom._enclosed(env, spec.outer, 0.0, 0, int(math.copysign(1, s)),
+        assert not tractgeom._enclosed(env, spec.outer, 0, int(math.copysign(1, s)),
                                        np.array([sigma])).any()
         center = complex(np.asarray(fam.inv0(base + TWO_PI * 1j * s)).item())
         assert _dist_to_boundary(spec.outer, center) > _cell_lipschitz(fam, s, spec) \
             * spec.outer.diam
-        assert td.containment_recheck(fam, 0, s, spec, budget, density=40) == "inside"
+        assert td.containment_recheck(fam, 0, s, spec, density=40) == "inside"
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
     assert all((0, s) not in gset for s in ss)
 
 
-def test_containment_padding_past_half_side_is_borderline_outside(small):
-    """A cell whose sampled padding exceeds half the side of Q cannot be
-    certified by sampling: under a budget margin of 6.5 at anchor 12 (side
-    12) the dense recheck rates cell (0, 5000) borderline, and G leaves it
-    out.  At anchor 13.5 cell (0, 136) has its center in Q but its samples
-    leave it: outside at margin 0 and at margin 7, whose padding exceeds
-    half the side of Q."""
-    budget = td.GeometryBudget(inset=0.5, margin=6.5)
-    center, _ = td.cylinder_eval(small.family, [(0, 5000)], complex(small.spec.anchor))
-    assert small.spec.outer.contains(center)
-    boundary = oracle._recheck_boundary(small.family, small.spec, budget, 10)
-    verdicts, delta, _ = oracle._recheck_cells(0, [5000], small.spec, budget, boundary)
-    assert verdicts.tolist() == ["borderline"]
-    assert delta[0] > 0.5 * _min_side(small.spec.outer)
-    assert (0, 5000) not in td.build_G(small.family, 12.0, small.spec, budget)
+def test_cell_with_its_center_in_q_is_outside_by_its_samples(small):
+    """At anchor 13.5 cell (0, 136) has its center in Q but its samples
+    leave it: the dense recheck rates it outside, and G leaves it out."""
     spec = td.build_squares(13.5, 0.5)
     center, _ = td.cylinder_eval(small.family, [(0, 136)], complex(spec.anchor))
     assert spec.outer.contains(center)
-    for margin in (0.0, 7.0):
-        budget = td.GeometryBudget(inset=0.5, margin=margin)
-        boundary = oracle._recheck_boundary(small.family, spec, budget, 10)
-        verdicts, delta, _ = oracle._recheck_cells(0, [136], spec, budget, boundary)
-        assert verdicts.tolist() == ["outside"] and delta[0] > margin
-        assert (0, 136) not in td.build_G(small.family, 13.5, spec, budget)
-    assert delta[0] > 0.5 * _min_side(spec.outer)
+    boundary = oracle._recheck_boundary(small.family, spec, 10)
+    verdicts, delta, _ = oracle._recheck_cells(0, [136], spec, boundary)
+    assert verdicts.tolist() == ["outside"] and delta[0] > 0
+    assert (0, 136) not in td.build_G(small.family, 13.5, spec, small.budget)
 
 
 def _sharp_or_koebe_lipschitz(fam, s, spec):
@@ -1033,11 +1026,13 @@ def test_min_cell_gap_below_sampled_distances(modulus, arg, r0, anchor, margin):
     """Sampled boundary distances can only overstate a gap, so each closed-form
     bound must stay below them: min_gap below the distance of the first and
     the last consecutive pair of every run, column_separation below the gap
-    between the sampled extents of the runs' end cells."""
+    between the sampled extents of the runs' end cells, for G of the cells
+    inside Q shrunk by the margin."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
-    budget = td.GeometryBudget(inset=0.5, margin=margin)
+    budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(anchor, 0.5)
-    gset = td.build_G(fam, anchor, spec, budget, mode="enumerate")
+    with cells_inside(margin):
+        gset = td.build_G(fam, anchor, spec, budget, mode="enumerate")
     if gset.is_empty():
         return
     rep = td.min_cell_gap(fam, gset, spec)
