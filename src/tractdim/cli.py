@@ -2,20 +2,24 @@
 
 Subcommands: lemmas, dim, sample, oracle {box-dim, brute-pressure,
 recheck}.  All reports are canonical JSON (sorted keys, repr floats) with
-`schema_version` (3), `command` and the fully resolved `config`, so a
+`schema_version` (4), `command` and the fully resolved `config`, so a
 rerun with the same config is byte-identical.  Beside these a report
 carries results only, never a copy of its config or a constant.  `dim`
 writes C, P1_lo, the Bowen bracket t_lo and t_hi, verdict, runtime_ms
-(null unless `timing`), constants (c0), diagnostics and reasons; for an
-empty G, P1_lo = -inf, t_lo = t_hi = 0 and the diagnostics are only
-n_segments, eq1_margin and depth_margin.  It certifies exactly when
-P_lo(1) > 0 (P_lo <= P and P decreases, so the root lies above 1), at
+(null unless `timing`), diagnostics (n_segments, bowen_capped and
+bowen_evaluations) and reasons; for an empty G, P1_lo = -inf, t_lo =
+t_hi = 0 and the diagnostics are only n_segments.  It certifies exactly
+when it lists no reason; the two reasons are an empty G and P_lo(1) <= 0
+(P_lo <= P and P decreases, so P_lo(1) > 0 puts the root above 1), at
 every `pressure.bisect_tol`.  That tolerance lies below 1, so t = 1 is a
 point of the Bowen root's bisection grid on [0, 4]: t_lo >= 1 on every
 certified report, and it reads 1.0 where the root lies within the
-tolerance of 1.  Exit codes: 0 success or certified, 1 configuration
-error, 2 negative construction/certification outcome, 3 numeric or
-oracle failure.
+tolerance of 1.  The certificate reads the square Q alone: the
+anchor-derivative (eq1) and tract-depth conditions, `geometry.epsilon`
+and `geometry.inset` enter neither G nor the bounds, so they are
+`lemmas` checks and change no `dim` result.  Exit codes: 0 success or
+certified, 1 configuration error, 2 negative construction/certification
+outcome, 3 numeric or oracle failure.
 
 Anchors below the Koebe range (no covering disk of Q inside H) are not
 configuration errors.  The Koebe distortion constant C enters neither G,
@@ -34,20 +38,19 @@ the Koebe range, it exits 0.  It sums each word's derivative in logs, so
 it also exits 0 where the derivatives underflow as floats, as at anchor
 800, inset 3 (value -404.42 in [-405.06, -403.91]).
 
-`lemmas` traces the level lines in closed form at any anchor: at the
-certificate's config (anchor 4000, inset 3) it exits 0 with `all_pass`
-true.  Its expansion and growth margins are closed forms too, not
-samples: the infimum 4*pi*(ln R0 - Re Log(lam)) of 4*pi*|F'| - (Re F -
-ln R0), and the excess 0 of Re F_inv_s over the growth bound, attained
-at x = ln R0 + 1.  So no lemma depends on the seed.  Where the anchor
-line is not right of Log(lam) (lam = 3, R0 = e, anchor 3), the lines are
-not branch preimages, and `level_lines` fails with `min_inf_re_margin`
-NaN.  Its growth to infinity is a closed form as well: Re F_inv_0(x) =
-ln|x - Log(lam)| rises for every x > Re Log(lam), so along its grid, the
-powers of ten from the first above ln R0 to 1e12, it is strictly
-increasing, and `first_past_threshold` is the first grid index where
-ln|x - Log(lam)| passes ln R0 + 2*inset.  So it also exits 0 at |lam|
-past e^9 (lam = 1e4, anchor 100).
+`lemmas` traces the level lines in closed form at any anchor: at anchor
+4000, inset 3 it exits 0 with `all_pass` true.  Its expansion and growth
+margins are closed forms too, not samples: the infimum 4*pi*(ln R0 - Re
+Log(lam)) of 4*pi*|F'| - (Re F - ln R0), and the excess 0 of Re F_inv_s
+over the growth bound, attained at x = ln R0 + 1.  So no lemma depends on
+the seed.  Where the anchor line is not right of Log(lam) (lam = 3, R0 =
+e, anchor 3), the lines are not branch preimages, and `level_lines`
+fails with `min_inf_re_margin` NaN.  Its growth to infinity is a closed
+form as well: Re F_inv_0(x) = ln|x - Log(lam)| rises for every x > Re
+Log(lam), so along its grid, the powers of ten from the first above ln
+R0 to 1e12, it is strictly increasing, and `first_past_threshold` is the
+first grid index where ln|x - Log(lam)| passes ln R0 + 2*inset.  So it
+also exits 0 at |lam| past e^9 (lam = 1e4, anchor 100).
 
 G is the ints of its closed-form sigma windows; a cell outside them is
 left out, not decided by sampling.  At lam = 0.01, R0 = e, anchor 4, G
@@ -57,15 +60,16 @@ reports not-certified with the Bowen bracket [0.6438, 0.7088] and exits
 2; `sample`, `oracle recheck`, `oracle brute-pressure` and `lemmas` exit
 0.
 
-The config (schema 3) sets `family` (kind, lambda_re, lambda_im, r0),
+The config (schema 4) sets `family` (kind, lambda_re, lambda_im, r0),
 `geometry` (anchor, epsilon, inset, scan), `pressure` (bisect_tol,
 collar, mode), `sampling` (count, depth, seed), `oracle` (density,
 source, subsystem, t, word_length; path, space and scales for a CSV),
 `timing` and `schema_version`.  Commands start from
 `DEFAULT_SMALL_CONFIG`, `dim` with `DEFAULT_CERTIFICATE_CONFIG`'s
-overrides.  G's cells lie in the closed square Q, and `oracle.density`
-is the one sample count: `oracle recheck` samples density x 256
-boundary points of Q.
+overrides: anchor 4000 and its scan, tail mode and bisect_tol 1e-4 (the
+inset stays 0.5).  G's cells lie in the closed square Q, and
+`oracle.density` is the one sample count: `oracle recheck` samples
+density x 256 boundary points of Q.
 
 `geometry.anchor` may be "auto": `find_radius`'s first passing point of
 `geometry.scan`, which the report's config echoes.  `geometry.inset` is a
@@ -75,13 +79,16 @@ non-numeric `oracle.t` or inset, and an unreadable config or
 reader knows, named in the message (each section takes the keys of
 `DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
 level also schema_version), a `schema_version` other than the integer
-`SCHEMA_VERSION` (3; a config without one is read as 3, and "x", 2, 4 or
-true are rejected), a `timing` that is not a JSON bool, a
-`pressure.bisect_tol` that is not a positive number below 1, a count
-(`sampling.count` and `depth`, `oracle.density`, `subsystem` and
-`word_length`) that is not an integer >= 1, and a `sampling.seed` that
-is not an integer >= 0: 2.5 is rejected, not truncated, and an integral
-float such as 1e4 is taken as an int, which the report's config echoes.
+`SCHEMA_VERSION` (4; a config without one is read as 4, and "x", 3, 5 or
+true are rejected), a `geometry.anchor` at or below ln R0 of the
+normalized family (which lifts R0 to e|lam| where |lam| >= R0; the
+message names ln R0), since the anchor must lie in H, a `timing` that is
+not a JSON bool, a `pressure.bisect_tol` that is not a positive number
+below 1, a count (`sampling.count` and `depth`, `oracle.density`,
+`subsystem` and `word_length`) that is not an integer >= 1, and a
+`sampling.seed` that is not an integer >= 0: 2.5 is rejected, not
+truncated, and an integral float such as 1e4 is taken as an int, which
+the report's config echoes.
 So are, for `oracle box-dim` from a CSV, a file without numeric `re` and
 `im` and a text `space` column, one with no rows of `oracle.space`, and
 an `oracle.scales` that is not a list of numbers.  The `--seed` and `--mode` options are merged
@@ -133,7 +140,7 @@ from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_deriv
                         anchor_derivative_margin, anchor_line, build_G, build_squares,
                         find_radius, trace_level_lines)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DEFAULT_SMALL_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
@@ -146,9 +153,9 @@ DEFAULT_SMALL_CONFIG = {
 }
 
 # Certificate scale, as overrides of DEFAULT_SMALL_CONFIG: at anchor 4000,
-# inset 3, P_lo(1) = 4.85 > 0, and the Bowen bracket is [1.00146, 1.00201].
+# P_lo(1) = 4.85 > 0, and the Bowen bracket is [1.00146, 1.00201].
 DEFAULT_CERTIFICATE_CONFIG = {
-    "geometry": {"inset": 3.0, "anchor": 4000.0, "scan": [1000.0, 20000.0, 100.0]},
+    "geometry": {"anchor": 4000.0, "scan": [1000.0, 20000.0, 100.0]},
     "pressure": {"mode": "tail", "bisect_tol": 1e-4},
 }
 
@@ -249,6 +256,10 @@ def load_config(raw: dict) -> RunConfig:
     if anchor == "auto":
         anchor = find_radius(family, budget, *scan)
     anchor = _require_finite("anchor", anchor)
+    if anchor <= family.ln_r0:
+        # the anchor, Q's center, must lie in H = {Re z > ln R0}
+        raise ConfigError(f"config field geometry.anchor must exceed ln R0 = "
+                          f"{family.ln_r0!r}, got {anchor!r}")
     mode = prs["mode"]
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
@@ -380,7 +391,8 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dim(cfg: RunConfig, out_path: str) -> int:
-    cert = certify_dim_gt_one(cfg.family, cfg.anchor, cfg.budget, bisect_tol=cfg.bisect_tol)
+    spec = build_squares(cfg.anchor, cfg.budget.inset)
+    cert = certify_dim_gt_one(cfg.family, spec, bisect_tol=cfg.bisect_tol)
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"

@@ -222,36 +222,21 @@ class TailEnvelope:
 
         The lower envelope ((2 pi s + b) d_hi)^-t is (2 pi d_hi)^-t (s + h)^-t
         with h = b / (2 pi), the upper ((2 pi s - b) d_lo)^-t is
-        (2 pi d_lo)^-t (s - h)^-t.  Below s* = ceil((b + p_lo) / (2 pi)) the
-        upper weight is bounded by (p_lo d_lo)^-1 instead (the bound of
-        `log_weight_bounds`), so each of the m letters of a range below s*
-        is a direct term at ln(p_lo / (2 pi)) in place of ln(s - h):
-        together they add m (p_lo d_lo)^-t.  Needs p_lo > 0, which holds
-        whenever G is non-empty.  Returns, per envelope (lower, upper), the
-        pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi), ints of any
-        size).  A level-1 bound at t is
+        (2 pi d_lo)^-t (s - h)^-t, which needs s_lo > h: a range with
+        s_lo <= h raises DomainError.  G's ranges pass with room: each of
+        its windows starts above `sigma_valid_min`, so 2 pi s_lo > 2b >= b +
+        p_lo (b >= |ln d_lo - Re c| >= p_lo), and there the upper envelope is
+        also the bound of `log_weight_bounds`.  Returns, per envelope (lower,
+        upper), the pair (ln(2 pi d), one `RunSum` per range (s_lo, s_hi),
+        ints of any size).  A level-1 bound at t is
         `RunSum.log_bound(t, -t ln(2 pi d_hi), 0)` on the lower envelope, or
         `RunSum.log_bound(t, -t ln(2 pi d_lo), 1)` on the upper one.
         """
         h = self.b / TWO_PI
-        p_lo = self.p_lo
-        if p_lo <= 0.0:
-            raise DomainError("upper envelope needs ln d_lo > Re Log(lam)")
-        s_star = math.ceil((self.b + p_lo) / TWO_PI)
-        log_x0 = math.log(p_lo / TWO_PI)
-
-        def upper_sum(lo, hi):
-            head = (log_x0,) * max(0, min(hi + 1, s_star) - lo)
-            if hi < s_star:
-                return RunSum(False, head, abs(log_x0))
-            run = run_sum(max(lo, s_star), hi, -h)
-            if not head:
-                return run
-            return replace(run, direct=head + run.direct,
-                           magnitude=max(run.magnitude, abs(log_x0)))
-
+        if any(lo <= h for lo, _ in ranges):
+            raise DomainError(f"upper envelope needs every |s| > b / (2 pi) = {h:.6g}")
         lower = tuple(run_sum(lo, hi, h) for lo, hi in ranges)
-        upper = tuple(upper_sum(lo, hi) for lo, hi in ranges)
+        upper = tuple(run_sum(lo, hi, -h) for lo, hi in ranges)
         return ((math.log(TWO_PI * self.d_hi), lower), (math.log(TWO_PI * self.d_lo), upper))
 
 
@@ -284,11 +269,12 @@ class RunSum:
     depend on t: built once per run by `run_sum`, evaluated per exponent and
     side by `log_bound`.
 
-    `direct` holds ln(s + h) of the terms added one by one (or, for the
-    upper envelope below s*, ln(p_lo / (2 pi)); see `TailEnvelope.run_sums`);
-    the tail from m on is described by x_m = m + h (inf from m = 2^100 on)
-    and its powers, ln x_m, r = ln(x_n / x_m) and, where r is 0, the log of
-    the integral ln(n - m).  `magnitude` is the largest |ln(s + h)| at the run's ends.
+    `direct` holds ln(s + h) of the terms added one by one, from s1 on (h
+    is -b / (2 pi) for the upper envelope, `TailEnvelope.run_sums`); the
+    tail from m on is described by x_m = m + h (inf from m = 2^100 on) and
+    its powers, ln x_m, r = ln(x_n / x_m) and, where r is 0, the log of the
+    integral ln(n - m).  `magnitude` is the largest |ln(s + h)| at the
+    run's ends.
     """
 
     big: bool

@@ -35,9 +35,8 @@ import numpy as np
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
 from .numerics import TWO_PI, weighted_log_sum_exp
-from .tractgeom import (DistortionBound, GeometryBudget, GSet, SquareSpec,
-                        _distortion_or_unavailable, anchor_derivative_margin, anchor_line,
-                        build_G, build_squares)
+from .tractgeom import (DistortionBound, GSet, SquareSpec, _distortion_or_unavailable,
+                        build_G)
 
 # The largest exponent: sums are taken at t in [0, _T_MAX], and the Bowen
 # root is capped there (dim <= 2 < _T_MAX for any planar set).
@@ -295,23 +294,26 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3) -> BowenInterval:
 @dataclass
 class DimensionCertificate:
     """The results of one dimension-greater-than-one run, and nothing it
-    was given: the verdict (`certify_dim_gt_one`), P_lo(1), the Bowen
-    bracket [t_lo, t_hi], the Koebe constant `c` and the growth bound's c0.
+    was given: P_lo(1), the Bowen bracket [t_lo, t_hi], the Koebe constant
+    `c` and the reasons against certifying (`certify_dim_gt_one`), which
+    decide the verdict.
     """
 
     c: float
     p1_lo: float
     t_lo: float
     t_hi: float
-    verdict: str
     runtime_ms: float
-    constants: dict
     diagnostics: dict
     reasons: tuple = ()
 
     @property
     def certified(self) -> bool:
-        return self.verdict == "certified"
+        return not self.reasons
+
+    @property
+    def verdict(self) -> str:
+        return "certified" if self.certified else "not-certified"
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         return {
@@ -322,61 +324,54 @@ class DimensionCertificate:
             "verdict": self.verdict,
             # timing is volatile; kept out of byte-compared reports by default
             "runtime_ms": self.runtime_ms if include_timing else None,
-            "constants": dict(self.constants),
             "diagnostics": dict(self.diagnostics),
             "reasons": list(self.reasons),
         }
 
 
-def certify_dim_gt_one(family: MapFamily, anchor: float, budget: GeometryBudget, *,
+def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
                        bisect_tol: float = 1e-4) -> DimensionCertificate:
-    """Run the full construction and certify dim > 1 via the pressure bound.
+    """Run the full construction on the square Q of `spec` and certify
+    dim > 1 via the pressure bound.
 
-    The verdict is "certified" exactly when P_lo(1) > 0.  That suffices:
-    P_lo <= P and P decreases, so P_lo(1) > 0 puts the Bowen root above 1.
+    The certificate reads Q alone: the cells of G lie in Q, so they form
+    a conformal IFS on Q, whose limit set has dimension above 1 where its
+    pressure at t = 1 is positive (Bowen's formula; Mauldin and Urbanski
+    1996).  P_lo <= P and P decreases, so P_lo(1) > 0 puts the Bowen root
+    above 1.  The verdict is "certified" exactly when `reasons` is empty;
+    the two reasons are an empty admissible set G and P_lo(1) <= 0.  The
+    paper's anchor-derivative (eq1) and tract-depth conditions, which show
+    that such cells exist, and the inset enter neither G nor the bounds,
+    so they are `lemmas` checks, not read here.  The anchor of `spec` is
+    the center of Q; `build_G` reads only Q.
+
     `bowen_root` evaluates t = 1 first, and for `bisect_tol` < 1 (the CLI
     takes no other) 1 is a point of its bisection grid on [0, 4], so
     t_lo >= 1 on every certified result (tol 2 gives t_lo = 0).  Where
     the root lies within `bisect_tol` of 1, t_lo reads 1.0; the verdict
-    does not depend on the tolerance.
-
-    The anchor-derivative and tract-depth conditions, when they fail, and
-    an empty admissible set G are listed in `reasons`.  For an empty G the
-    result has P1_lo = -inf, t_lo = t_hi = 0 and only the diagnostics
-    n_segments, eq1_margin and depth_margin.
+    does not depend on the tolerance.  For an empty G the result has
+    P1_lo = -inf, t_lo = t_hi = 0 and only the diagnostic n_segments.
     """
     start = time.perf_counter()
     family = normalize_family(family)
-    reasons = []
-    spec = build_squares(anchor, budget.inset)
-    dist = _distortion_or_unavailable(anchor, family.ln_r0)
-    line = anchor_line(family, anchor, budget.inset)
-    eq1_margin = anchor_derivative_margin(family, anchor, budget.epsilon)
-    if eq1_margin <= 0:
-        reasons.append(f"anchor-derivative condition fails (margin {eq1_margin:.3g})")
-    if line.depth_margin <= 0:
-        reasons.append(f"tract-depth condition fails (margin {line.depth_margin:.3g})")
-    gset = build_G(family, anchor, spec, budget)
-    diagnostics = {"n_segments": gset.n_segments, "eq1_margin": eq1_margin,
-                   "depth_margin": line.depth_margin}
+    dist = _distortion_or_unavailable(spec.anchor, family.ln_r0)
+    gset = build_G(family, spec.anchor, spec, None)
+    diagnostics = {"n_segments": gset.n_segments}
     p1_lo, t_lo, t_hi = -math.inf, 0.0, 0.0
     if gset.is_empty():
-        reasons.append("admissible set G is empty at this configuration")
+        reasons = ["admissible set G is empty at this configuration"]
     else:
         system = build_weighted_system(family, gset, spec)
         p1_lo = level1_sum(system, 1.0).log_lo
         roots = bowen_root(system, tol=bisect_tol)
         t_lo, t_hi = roots.t_lo, roots.t_hi
-        diagnostics.update(cor_margin=line.cor_margin,
-                           bowen_capped=roots.lo_capped or roots.hi_capped,
+        diagnostics.update(bowen_capped=roots.lo_capped or roots.hi_capped,
                            bowen_evaluations=roots.evaluations)
-        if p1_lo <= 0:
-            reasons.append(f"P_lo(1) = {p1_lo:.6g} <= 0")
+        reasons = [] if p1_lo > 0 else [f"P_lo(1) = {p1_lo:.6g} <= 0"]
     return DimensionCertificate(
         c=dist.c, p1_lo=p1_lo, t_lo=t_lo, t_hi=t_hi,
-        verdict="certified" if p1_lo > 0 else "not-certified",
         runtime_ms=1000.0 * (time.perf_counter() - start),
-        constants={"c0": line.c0}, diagnostics=diagnostics, reasons=tuple(reasons))
+        diagnostics=diagnostics, reasons=tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

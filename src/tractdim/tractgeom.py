@@ -105,9 +105,11 @@ class GeometryBudget:
     """Tunable constants of the construction.
 
     epsilon controls the anchor-derivative condition, and inset is the
-    width D by which the inner square retreats from Q.  G asks only that
-    each cell's enclosure lie in the closed square Q, which is the
-    containment hypothesis of a conformal IFS; it samples nothing.
+    width D by which the inner square retreats from Q; the lemma checks
+    and `find_radius` read them.  G asks only that each cell's enclosure
+    lie in the closed square Q, which is the containment hypothesis of a
+    conformal IFS; it samples nothing, and neither G nor the certificate
+    reads the budget.
     """
 
     epsilon: float = 0.1
@@ -171,11 +173,12 @@ class DistortionBound:
 def distortion_constant(anchor: float, ln_r0: float) -> DistortionBound:
     """Koebe distortion constant of a branch on Q relative to the anchor:
     one application on the disk B(R, R - ln R0), which contains the
-    covering disk of Q of radius R/sqrt(2) provided rho < 1."""
+    covering disk of Q of radius R/sqrt(2) provided rho < 1 (rho is inf
+    where the anchor is not right of ln R0)."""
     a = float(anchor)
     univalence_radius = a - ln_r0
-    rho = (a / math.sqrt(2.0)) / univalence_radius
-    if rho >= 1.0 or univalence_radius <= 0.0:
+    rho = (a / math.sqrt(2.0)) / univalence_radius if univalence_radius > 0.0 else math.inf
+    if rho >= 1.0:
         raise GeometryError(
             f"covering-disk ratio rho = {rho:.4f} >= 1; anchor too close to ln R0")
     return DistortionBound(c=(1.0 + rho) / (1.0 - rho) ** 3, rho=rho)
@@ -202,7 +205,6 @@ class AnchorLine:
     real_part: float            # shared Re of all preimages v_s
     c0: float                   # Re F_inv_0(1 + ln R0)
     growth_bound: float         # 4*pi*ln(anchor - ln R0) + c0
-    cor_margin: float           # growth_bound - real_part (> 0 expected)
     depth_margin: float         # real_part - (ln R0 + 2*inset)
 
 
@@ -217,7 +219,6 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
     bound = 4.0 * math.pi * math.log(anchor - family.ln_r0) + c0
     return AnchorLine(
         anchor=float(anchor), real_part=r, c0=c0, growth_bound=bound,
-        cor_margin=bound - r,
         depth_margin=r - (family.ln_r0 + 2.0 * inset))
 
 
@@ -234,8 +235,8 @@ def anchor_derivative(family: MapFamily, anchor: float) -> float:
 
 def anchor_derivative_margin(family: MapFamily, anchor: float, epsilon: float) -> float:
     """Margin |F_inv_0'(R)| - R^-(1+epsilon) of the anchor-derivative
-    condition (eq1) at R = anchor, for `find_radius`, the certificate's
-    `eq1_margin` and the lemma report's `anchor_derivative_lower`."""
+    condition (eq1) at R = anchor, for `find_radius` and the lemma
+    report's `anchor_derivative_lower`."""
     anchor = float(anchor)
     return anchor_derivative(family, anchor) - anchor ** (-(1.0 + epsilon))
 
@@ -461,34 +462,20 @@ class GSet:
         return [(u, s) for _, u, s in cands[:k]]
 
 
-def _merge_runs(runs: list) -> list:
-    """Merge signed index runs (a, b) into disjoint maximal runs, sorted."""
-    if not runs:
-        return []
-    norm = [(min(a, b), max(a, b)) for a, b in runs]
-    norm.sort()
-    merged = [norm[0]]
-    for a, b in norm[1:]:
-        la, lb = merged[-1]
-        if a <= lb + 1:
-            merged[-1] = (la, max(lb, b))
-        else:
-            merged.append((a, b))
-    return merged
-
-
 def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: GeometryBudget,
             mode: str = "enumerate", dist: Optional[DistortionBound] = None,
             workers: int = 1, collar: int = 32) -> GSet:
     """Assemble the admissible set G: the letters of the sigma windows.
 
     The columns (u, sign) of one sign get their closed-form sigma windows
-    from one solve (`_sigma_windows`), in blocks of adjacent columns
-    sharing a window; the envelope of Q is computed once per call.  The
-    cell enclosure is monotone in sigma, so each letter whose sigma = ln
-    2*pi + ln|s| lies in a certified window has its cell inside Q, without
-    a per-index test.  Each distinct window becomes one integer run
-    (`_sigma_run`), shared by the columns of every block holding it.
+    from one solve (`_sigma_windows`), in at most three blocks of adjacent
+    columns sharing a window; the envelope of Q is computed once per call.
+    The cell enclosure is monotone in sigma, so each letter whose sigma =
+    ln 2*pi + ln|s| lies in a certified window has its cell inside Q,
+    without a per-index test.  The blocks are walked once, in order: each
+    window becomes one integer run (`_sigma_run`, not called again for the
+    previous block's window), and a block whose signed run equals the
+    previous block's, in the adjacent columns, extends that `RunBlock`.
     Cells outside the windows are left out, also where another test could
     place them in Q: any subset of the admissible cells generates a
     compact invariant Cantor set, whose Bowen root is still a lower bound.
@@ -507,18 +494,22 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
         return GSet(runs=())
-    columns: dict = {}  # signed run (s_lo, s_hi) -> column blocks (u_lo, u_hi) holding it
-    sigma_runs: dict = {}  # sigma window -> its integer bounds
+    runs = []
+    window = None
     for sign in (1, -1):
         for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer, sign):
-            key = (sigma_lo, sigma_hi)
-            s1, s2 = sigma_runs[key] = sigma_runs.get(key) or _sigma_run(*key)
-            if s1 <= s2:
-                columns.setdefault(tuple(sorted((sign * s1, sign * s2))), []).append(
-                    (u_lo, u_hi))
-    return GSet(runs=tuple(sorted(
-        RunBlock(u_lo, u_hi, s_lo, s_hi) for (s_lo, s_hi), blocks in columns.items()
-        for u_lo, u_hi in _merge_runs(blocks))))
+            if (sigma_lo, sigma_hi) != window:
+                window = (sigma_lo, sigma_hi)
+                s1, s2 = _sigma_run(sigma_lo, sigma_hi)
+            if s1 > s2:
+                continue
+            s_lo, s_hi = sorted((sign * s1, sign * s2))
+            last = runs[-1] if runs else None
+            if last and (last.s_lo, last.s_hi, last.u_hi + 1) == (s_lo, s_hi, u_lo):
+                runs[-1] = RunBlock(last.u_lo, u_hi, s_lo, s_hi)
+            else:
+                runs.append(RunBlock(u_lo, u_hi, s_lo, s_hi))
+    return GSet(runs=tuple(sorted(runs)))
 
 
 def _exp_int(x: float, up: bool) -> int:

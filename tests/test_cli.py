@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import tractdim as td
-from tractdim import cli
-from tractdim.cli import DEFAULT_CERTIFICATE_CONFIG, _build_parser, load_config, main
+from tractdim import cli, tractgeom
+from tractdim.cli import (DEFAULT_CERTIFICATE_CONFIG, DEFAULT_SMALL_CONFIG, _build_parser,
+                          load_config, main)
 from tractdim.tractgeom import RunBlock
 
 
@@ -31,8 +32,8 @@ def read_json(path):
 
 
 # the `dim` report: results beside the command, schema and config
-DIM_KEYS = {"C", "P1_lo", "t_lo", "t_hi", "verdict", "runtime_ms", "constants",
-            "diagnostics", "reasons", "schema_version", "command", "config"}
+DIM_KEYS = {"C", "P1_lo", "t_lo", "t_hi", "verdict", "runtime_ms", "diagnostics",
+            "reasons", "schema_version", "command", "config"}
 
 SMALL_TAIL = {"geometry": {"anchor": 12.0, "inset": 0.5},
               "pressure": {"mode": "tail"},
@@ -44,7 +45,7 @@ def test_lemmas_default_all_pass(tmp_path):
     assert run(["lemmas", "--out", out]) == 0
     rep = read_json(out)
     assert rep["all_pass"] is True
-    assert rep["schema_version"] == 3
+    assert rep["schema_version"] == 4
     assert "config" in rep
     for check in rep["checks"].values():
         assert check["pass"]
@@ -111,7 +112,9 @@ def test_dim_certificate_exit_0(tmp_path):
     assert cert["t_lo"] >= 1.001
     assert cert["runtime_ms"] is None
     assert set(cert) == DIM_KEYS
-    assert set(cert["constants"]) == {"c0"}
+    assert (cert["C"], cert["P1_lo"], cert["t_lo"], cert["t_hi"]) == (
+        68.07137332325817, 4.853894403614564, 1.00146484375, 1.00201416015625)
+    assert cert["reasons"] == [] and cert["diagnostics"]["n_segments"] == 2
     # one-sided pressure evaluations of the Bowen root, (lower, upper)
     assert cert["diagnostics"]["bowen_evaluations"] == [8, 5]
 
@@ -600,20 +603,21 @@ def test_unknown_config_key_exit_1(tmp_path, capsys, config, key):
     assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
 
-@pytest.mark.parametrize("version", ["x", 1, 2, 4, True, 1.5, None])
+@pytest.mark.parametrize("version", ["x", 1, 2, 3, 5, True, 1.5, None])
 def test_schema_version_other_than_current_exit_1(tmp_path, capsys, version):
     """A config of another schema is a configuration error naming the field,
-    not read as the current one; a missing schema_version or 3 loads."""
+    not read as the current one; a missing schema_version or 4 loads."""
     cfg = write_cfg(tmp_path, "c.json", {"schema_version": version})
     assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == \
-        f"config error: config field schema_version must be 3, got {version!r}\n"
-    assert load_config({"schema_version": 3}).resolved == load_config({}).resolved
+        f"config error: config field schema_version must be 4, got {version!r}\n"
+    assert load_config({"schema_version": 4}).resolved == load_config({}).resolved
 
 
 def test_schema_3_config_keys():
-    """The resolved config holds exactly the schema-3 keys: `geometry` has
-    no margin or boundary_samples, and there is no top-level `workers`."""
+    """The resolved config holds exactly the schema-3 keys, which schema 4
+    keeps (it changed the `dim` report): `geometry` has no margin or
+    boundary_samples, and there is no top-level `workers`."""
     resolved = load_config({}).resolved
     assert {key: sorted(value) if isinstance(value, dict) else value
             for key, value in resolved.items()} == {
@@ -623,7 +627,7 @@ def test_schema_3_config_keys():
         "sampling": ["count", "depth", "seed"],
         "oracle": ["density", "source", "subsystem", "t", "word_length"],
         "timing": False,
-        "schema_version": 3,
+        "schema_version": 4,
     }
 
 
@@ -649,7 +653,8 @@ def test_bisect_tol_below_one_certifies_with_t_lo_at_least_one(tmp_path):
     assert rep["verdict"] == "certified" and rep["t_lo"] >= 1.0
     assert (rep["t_lo"], rep["t_hi"]) == (1.0, 1.5)
     c = load_config(DEFAULT_CERTIFICATE_CONFIG)
-    cert = td.certify_dim_gt_one(c.family, c.anchor, c.budget, bisect_tol=2.0)
+    spec = td.build_squares(c.anchor, c.budget.inset)
+    cert = td.certify_dim_gt_one(c.family, spec, bisect_tol=2.0)
     assert cert.certified and (cert.t_lo, cert.t_hi) == (0.0, 2.0)
 
 
@@ -865,7 +870,7 @@ def test_parser_with_shared_flags_equals_per_subparser_flags(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# Schema 2: each report's keys
+# Each report's keys (schema 4)
 # ---------------------------------------------------------------------------
 
 _ECHO = {"schema_version", "command", "config"}
@@ -875,24 +880,24 @@ _EMPTY_G = {"geometry": {"anchor": 4.0, "inset": 0.5}}
 
 
 @pytest.mark.parametrize("config, rc, diagnostics", [
-    ({}, 0, {"n_segments", "eq1_margin", "depth_margin", "cor_margin", "bowen_capped",
-             "bowen_evaluations"}),
-    (_EMPTY_G, 2, {"n_segments", "eq1_margin", "depth_margin"}),
+    ({}, 0, {"n_segments", "bowen_capped", "bowen_evaluations"}),
+    (_EMPTY_G, 2, {"n_segments"}),
 ], ids=["certificate", "empty-G"])
 def test_dim_report_keys(tmp_path, config, rc, diagnostics):
-    """The `dim` report carries results only: no copy of its config (lambda,
-    R0, R, epsilon, D, bisect_tol) and no constant (4 pi, a second c0).  An
-    empty G has P1_lo = -inf, t_lo = t_hi = 0 and three diagnostics."""
+    """The `dim` report carries what decides its certificate only: no copy
+    of its config (lambda, R0, R, epsilon, D, bisect_tol), no constant (4
+    pi, c0) and no lemma margin (eq1, depth, growth).  An empty G has
+    P1_lo = -inf, t_lo = t_hi = 0, one diagnostic and one reason."""
     cfg = write_cfg(tmp_path, "c.json", config)
     out = str(tmp_path / "dim.json")
     assert run(["dim", "--config", cfg, "--out", out]) == rc
     rep = read_json(out)
     assert set(rep) == DIM_KEYS
-    assert set(rep["constants"]) == {"c0"}
     assert set(rep["diagnostics"]) == diagnostics
+    assert (rep["verdict"] == "certified") == (rep["reasons"] == []) == (rc == 0)
     if rc == 2:
         assert (rep["P1_lo"], rep["t_lo"], rep["t_hi"]) == ("-Infinity", 0.0, 0.0)
-        assert rep["reasons"][-1] == "admissible set G is empty at this configuration"
+        assert rep["reasons"] == ["admissible set G is empty at this configuration"]
 
 
 def test_lemmas_report_keys(tmp_path):
@@ -974,3 +979,95 @@ def test_dim_at_a_run_end_past_2_24_exit_0(tmp_path):
     out = str(tmp_path / "dim.json")
     assert run(["dim", "--config", cfg, "--out", out]) == 0
     assert read_json(out)["verdict"] == "certified"
+
+
+# ---------------------------------------------------------------------------
+# The certificate reads Q alone
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("anchor", [30.0, 85.0, 4000.0])
+def test_dim_report_does_not_depend_on_inset_or_epsilon(tmp_path, anchor):
+    """The inset and epsilon enter neither G nor the pressure bounds: the
+    `dim` report, less its config, is the same for inset 0.5 and 3 and
+    epsilon 0.1 and 0.5, with the same exit code, and it lists no lemma
+    condition among its reasons."""
+    reports = set()
+    for inset in (0.5, 3.0):
+        for epsilon in (0.1, 0.5):
+            cfg = write_cfg(tmp_path, "c.json", {"geometry": {
+                "anchor": anchor, "inset": inset, "epsilon": epsilon}})
+            out = tmp_path / "dim.json"
+            rc = run(["dim", "--config", cfg, "--out", str(out)])
+            rep = read_json(out)
+            assert rep.pop("config")["geometry"]["inset"] == inset
+            reports.add((rc, json.dumps(rep, sort_keys=True)))
+    assert len(reports) == 1
+    rc, rep = reports.pop()
+    assert rc == 0 and json.loads(rep)["reasons"] == []
+
+
+@pytest.mark.parametrize("family, anchor", [
+    ({}, 1.0), ({}, 0.9), ({"r0": 1e10}, 12.0), ({"lambda_re": 0.0, "lambda_im": 1e300}, 12.0),
+], ids=["ln-r0", "below-ln-r0", "r0-1e10", "normalized-r0"])
+@pytest.mark.parametrize("command", ["lemmas", "dim"])
+def test_anchor_at_or_below_ln_r0_exit_1(tmp_path, capsys, family, anchor, command):
+    """The anchor must lie in H = {Re z > ln R0}, with R0 taken after
+    normalization (lam = 1e300 i lifts ln R0 to 691.8): at or below it the
+    config is rejected naming the key and ln R0, where `anchor_line` and
+    `distortion_constant` used to raise a traceback."""
+    fam = dict(DEFAULT_SMALL_CONFIG["family"], **family)
+    ln_r0 = td.normalize_family(td.exponential_family(
+        complex(fam["lambda_re"], fam["lambda_im"]), fam["r0"])).ln_r0
+    cfg = write_cfg(tmp_path, "c.json", {"family": family,
+                                         "geometry": {"anchor": anchor, "inset": 0.2}})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == ("config error: config field geometry.anchor must "
+                                       f"exceed ln R0 = {ln_r0!r}, got {anchor!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# Exit codes at the edge inputs
+# ---------------------------------------------------------------------------
+
+_COMMANDS = ("lemmas", "dim", "sample", "oracle recheck", "oracle brute-pressure",
+             "oracle box-dim")
+# edge input -> (config, exit code of each of _COMMANDS)
+_EDGE_INPUTS = {
+    "anchor-1.001": ({"geometry": {"anchor": 1.001, "inset": 0.2}}, (0, 2, 2, 2, 2, 0)),
+    "anchor-1.0": ({"geometry": {"anchor": 1.0, "inset": 0.2}}, (1, 1, 1, 1, 1, 1)),
+    "anchor-0.9": ({"geometry": {"anchor": 0.9, "inset": 0.2}}, (1, 1, 1, 1, 1, 1)),
+    "empty-G": ({"geometry": {"anchor": 3.0}}, (0, 2, 2, 2, 2, 0)),
+    "anchor-30": ({"geometry": {"anchor": 30.0}}, (0, 0, 0, 0, 0, 0)),
+    "anchor-4000": ({"geometry": {"anchor": 4000.0, "inset": 3.0}}, (0, 0, 2, 0, 2, 0)),
+    "lam-i": ({"family": {"lambda_re": 0.0, "lambda_im": 1.0}, "geometry": {"anchor": 20.0}},
+              (0, 2, 0, 0, 0, 0)),
+    "lam-0.5+0.5i": ({"family": {"lambda_re": 0.5, "lambda_im": 0.5},
+                      "geometry": {"anchor": 50.0}}, (0, 0, 2, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("edge", _EDGE_INPUTS)
+def test_edge_inputs_exit_codes(tmp_path, edge, command):
+    """Each of the north star's edge inputs gives every command its
+    documented exit code: an anchor near ln R0 (just past it, at it and
+    below it), an empty G, runs past 2^53 (anchor 30) and past the float
+    range (anchor 4000, where words and the brute-force subsystem exit 2),
+    and non-real lam.  A RuntimeWarning fails the run."""
+    config, codes = _EDGE_INPUTS[edge]
+    cfg = write_cfg(tmp_path, "c.json", dict(config, sampling={"count": 2000}))
+    rc = run(command.split() + ["--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == codes[_COMMANDS.index(command)]
+
+
+@pytest.mark.parametrize("command", ["dim", "sample", "oracle recheck"])
+def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch, command):
+    """A NumericError from the construction, here a planted failure of a
+    window's integer bounds, is exit 3 with `numeric failure:` on stderr."""
+    def fail(sigma_lo, sigma_hi):
+        raise td.NumericError(f"planted failure of [{sigma_lo!r}, {sigma_hi!r}]")
+
+    monkeypatch.setattr(tractgeom, "_sigma_run", fail)
+    cfg = write_cfg(tmp_path, "c.json", SMALL_TAIL)
+    assert run(command.split() + ["--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: planted failure of [")

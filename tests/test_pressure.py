@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from unittest.mock import patch
@@ -11,7 +12,7 @@ import run_sum_reference as ref
 import tractdim as td
 from conftest import column_window
 from tractdim import loglift, pressure, tractgeom
-from tractdim.loglift import RunSum
+from tractdim.loglift import RunSum, run_sum
 from tractdim.numerics import TWO_PI, log_sum_exp, weighted_log_sum_exp
 from tractdim.pressure import WeightedSystem, build_weighted_system
 from tractdim.tractgeom import GSet, RunBlock
@@ -154,55 +155,42 @@ def test_brute_force_within_level1_sandwich(small):
         assert p_lo <= brute.value <= p_hi
 
 
-def test_upper_envelope_below_s_star_bounds_each_letter_by_p_lo():
-    """lam = 0.01, R0 = e, anchor 4, inset 0.5, a planted G of |s| = 1..64
-    at u = 0 (G's own windows start at |s| = 4): it holds letters with
-    2*pi*|s| <= b = 6.99, where the upper envelope (2*pi*|s| - b)^-1 is
-    unbounded.  Below s* = ceil((b + p_lo) / (2*pi)) = 3 each letter weighs
-    at most (p_lo d_lo)^-1 (p_lo = ln d_lo - Re c = 6.49), so a range
-    (s_lo, s_hi) adds ln m - t ln(p_lo d_lo) for its m letters below s* to
-    the run sum from s* on.  The upper sum is finite, it bounds the sum of
-    the letters' own upper weights, and the upper Bowen root is not
-    capped: t_hi = 0.7645, t_lo = 0.671."""
+def test_run_sums_need_every_range_past_h():
+    """The upper envelope (2*pi*|s| - b)^-1 is a bound only where 2*pi*|s| >
+    b: a range with s_lo <= h = b / (2*pi) raises DomainError, on its own
+    and through the level-1 sum.  lam = 0.01, R0 = e, anchor 4, with a
+    planted G of |s| = 1..64 at u = 0 (G's own windows start at |s| = 4):
+    h = 1.11, so the range from 1 is refused and the one from 2 is summed.
+    With b = 6*pi, h is 3.0 exactly: from 3 refused, from 4 summed."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     spec = td.build_squares(4.0, 0.5)
-    gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
-    system = build_weighted_system(fam, gset, spec)
+    system = build_weighted_system(
+        fam, GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64))), spec)
     env = system.env
-    p_lo = math.log(env.d_lo) - fam.log_lam.real
-    s_star = math.ceil((env.b + p_lo) / TWO_PI)
-    assert (round(env.b, 2), round(p_lo, 2), s_star) == (6.99, 6.49, 3)
-    assert min(lo for (lo, _), _ in system.runs) < s_star
-    ss = [abs(s) for run in gset.runs for _ in range(run.n_columns)
-          for s in range(run.s_lo, run.s_hi + 1)]
-    lo_w, hi_w = env.log_weight_bounds(np.log(TWO_PI) + np.log(ss))
-    h, log_scale = env.b / TWO_PI, math.log(TWO_PI * env.d_lo)
-    for t in (0.0, 0.5, 1.0, 2.0, 4.0):
-        got = td.level1_sum(system, t)
-        parts = []
-        for (lo, hi), k in system.runs:
-            m = min(hi + 1, s_star) - lo
-            part = [math.log(m) - t * math.log(p_lo * env.d_lo)] if m > 0 else []
-            if hi >= s_star:
-                part.append(ref.log_run_sum_bounds(max(lo, s_star), hi, t, -h,
-                                                   -t * log_scale)[1])
-            parts += [log_sum_exp(part)] * k
-        assert got.log_hi == pytest.approx(log_sum_exp(parts), abs=1e-12)
-        assert got.log_lo <= log_sum_exp(t * lo_w) <= log_sum_exp(t * hi_w) <= got.log_hi
-    roots = td.bowen_root(system, tol=1e-3)
-    assert not (roots.lo_capped or roots.hi_capped)
-    assert (roots.t_lo, roots.t_hi) == pytest.approx((0.671, 0.7645), abs=1e-3)
+    assert round(env.b / TWO_PI, 2) == 1.11
+    with pytest.raises(td.DomainError, match=r"every \|s\| > b / \(2 pi\) = 1.11"):
+        td.level1_sum(system, 1.0)
+    with pytest.raises(td.DomainError):
+        env.run_sums([(1, 64)])
+    assert len(env.run_sums([(2, 64)])[1][1]) == 1
+    exact = dataclasses.replace(env, b=6.0 * math.pi)
+    assert exact.b / TWO_PI == 3.0
+    for ranges in ([(3, 10)], [(4, 10), (3, 3)]):
+        with pytest.raises(td.DomainError):
+            exact.run_sums(ranges)
+    (_, lower), (_, upper) = exact.run_sums([(4, 10)])
+    assert upper == (run_sum(4, 10, -3.0),) and lower == (run_sum(4, 10, 3.0),)
 
 
 def test_certificate_small_anchor_not_certified(fam):
-    cert = td.certify_dim_gt_one(fam, 12.0, td.GeometryBudget(epsilon=0.1, inset=0.5))
+    cert = td.certify_dim_gt_one(fam, td.build_squares(12.0, 0.5))
     assert cert.verdict == "not-certified"
     assert cert.p1_lo <= 0
     assert any("P_lo" in r for r in cert.reasons)
 
 
 def test_certificate_empty_g(fam):
-    cert = td.certify_dim_gt_one(fam, 3.0, td.GeometryBudget(epsilon=0.1, inset=0.5))
+    cert = td.certify_dim_gt_one(fam, td.build_squares(3.0, 0.5))
     assert cert.verdict == "not-certified"
     assert any("empty" in r for r in cert.reasons)
 
@@ -215,8 +203,8 @@ def test_verdict_does_not_depend_on_the_bisection_tolerance(lam, anchor, inset):
     tolerance of 1, as at anchor 1e5 and tol 1e-3, the bisection's lower end
     stays at 1.0, and a certified report reads t_lo = 1.0."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
-    budget = td.GeometryBudget(epsilon=0.1, inset=inset)
-    certs = [td.certify_dim_gt_one(fam, anchor, budget, bisect_tol=tol)
+    spec = td.build_squares(anchor, inset)
+    certs = [td.certify_dim_gt_one(fam, spec, bisect_tol=tol)
              for tol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10)]
     assert len({(c.verdict, c.p1_lo) for c in certs}) == 1
     for cert in certs:
@@ -225,9 +213,9 @@ def test_verdict_does_not_depend_on_the_bisection_tolerance(lam, anchor, inset):
 
 
 def test_certificate_deterministic(fam):
-    budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
-    a = td.certify_dim_gt_one(fam, 4000.0, budget)
-    b = td.certify_dim_gt_one(fam, 4000.0, budget)
+    spec = td.build_squares(4000.0, 3.0)
+    a = td.certify_dim_gt_one(fam, spec)
+    b = td.certify_dim_gt_one(fam, spec)
     da, db = a.to_json_dict(), b.to_json_dict()
     assert da == db
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
@@ -47,11 +47,11 @@ def test_find_radius_depth_condition_dominates(fam):
 
 def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
     """On seeded random (lam, anchor), with both signs of the margin: the
-    certificate's `eq1_margin` and the lemma report's
-    `anchor_derivative_lower` margin are `anchor_derivative_margin` bit for
-    bit, and `find_radius` passes a one-point scan at the anchor exactly
-    when that margin is positive (the depth and size conditions hold
-    there)."""
+    lemma report's `anchor_derivative_lower` margin is
+    `anchor_derivative_margin` bit for bit, and `find_radius` passes a
+    one-point scan at the anchor exactly when that margin is positive (the
+    depth and size conditions hold there).  The certificate does not read
+    it: eq1 enters neither G nor the pressure bounds."""
     rng = np.random.default_rng(2026)
     signs = set()
     for k in range(30):
@@ -61,8 +61,6 @@ def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
         budget = td.GeometryBudget(epsilon=0.1, inset=0.05)
         margin = tractgeom.anchor_derivative_margin(fam, anchor, budget.epsilon)
         signs.add(margin > 0)
-        cert = td.certify_dim_gt_one(fam, anchor, budget)
-        assert cert.diagnostics["eq1_margin"] == margin
         cfg = cli.load_config({"family": {"lambda_re": lam.real, "lambda_im": lam.imag},
                                "geometry": {"anchor": anchor, "inset": budget.inset}})
         out = tmp_path / f"lemmas-{k}.json"
@@ -163,8 +161,11 @@ def test_distortion_large_anchor_limit():
 
 
 def test_distortion_geometry_error():
-    with pytest.raises(td.GeometryError):
-        td.distortion_constant(1.2, 1.0)
+    """rho >= 1, and an anchor at or left of ln R0, where rho is inf: a
+    GeometryError, not a division by zero."""
+    for anchor in (1.2, 1.0, 0.9, -3.0):
+        with pytest.raises(td.GeometryError):
+            td.distortion_constant(anchor, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_anchor_line_values(fam):
     assert line.real_part == pytest.approx(math.log(100.0), rel=1e-12)
     assert line.c0 == pytest.approx(0.693147, abs=1e-6)
     assert line.growth_bound == pytest.approx(58.44, abs=0.01)
-    assert line.cor_margin > 0
+    assert line.growth_bound > line.real_part
 
 
 def test_anchor_line_depth_failure_is_reported_not_raised(fam):
@@ -555,6 +556,30 @@ def test_build_g_is_the_integers_of_its_windows(mini):
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
     g = td.build_G(fam, 8.0, td.build_squares(8.0, 0.5), budget, mode="enumerate")
     assert _letter_runs(g) == [(0, -25902, -10), (0, 10, 25902)]
+
+
+@example(log_modulus=math.log(1e-300), arg=0.0, r0=math.e, log_anchor=math.log(30.0))
+@example(log_modulus=0.0, arg=0.0, r0=math.e, log_anchor=math.log(4000.0))
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(log_modulus=st.one_of(st.floats(-700.0, 1.1), st.floats(-5.0, 1.1)),
+       arg=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(-math.pi, math.pi)),
+       r0=st.one_of(st.sampled_from([1.2, math.e, 50.0]), st.floats(1.1, 50.0)),
+       log_anchor=st.floats(math.log(2.2), math.log(2e4)))
+def test_g_runs_start_where_the_upper_envelope_bounds_each_letter(log_modulus, arg, r0,
+                                                                   log_anchor):
+    """Every run of G starts at |s| >= s* = ceil((b + p_lo) / (2*pi)), so
+    past h = b / (2*pi), where the upper run sum needs no other bound
+    (`TailEnvelope.run_sums`): each window starts above
+    `sigma_valid_min`, 2*pi*|s| > 2b, and b >= p_lo."""
+    fam = td.normalize_family(td.exponential_family(cmath.rect(math.exp(log_modulus), arg),
+                                                    r0))
+    anchor = math.exp(log_anchor)
+    assume(anchor / 2.0 > fam.ln_r0)
+    spec = td.build_squares(anchor, 0.5)
+    env = fam.envelope(spec.outer.bounds())
+    s_star = math.ceil((env.b + env.p_lo) / TWO_PI)
+    for run in td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5)).runs:
+        assert min(abs(run.s_lo), abs(run.s_hi)) >= s_star > env.b / TWO_PI
 
 
 @pytest.mark.parametrize("margin, low", [(0.0, 11459935658), (0.1, 12665187612)])
