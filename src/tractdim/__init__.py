@@ -13,7 +13,17 @@ tests compare the pipeline against: `inv_branch`, the cylinder maps
 with `check_invariance`, `compare_window_modes`, and the oracles'
 `fd_derivative_check`, `brute_force_pressure_similarity` and
 `containment_recheck`.  `tests/test_api_surface.py` keeps it that way.
+
+The names of `cantor_ifs` and `oracle` (`_LAZY`) are exported lazily:
+the first access of one, `tractdim.recheck_gset` say, imports its module
+and keeps the name here (a module `__getattr__`, PEP 562), and `dir`
+lists them from the start.  Those two modules import numpy, and the
+certificate path (`tractdim dim`) needs neither them nor numpy, so
+`import tractdim` loads numpy nowhere: the functions of the other modules
+that take numpy arrays import it when called.
 """
+
+import importlib
 
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
@@ -21,13 +31,32 @@ from .loglift import MapFamily, exponential_family, inv_branch, normalize_family
 from .tractgeom import (DistortionBound, GeometryBudget, GSet, Rect, SquareSpec,
                         anchor_line, build_G, build_squares, distortion_constant,
                         find_radius, min_cell_gap, trace_level_lines)
-from .cantor_ifs import (LimitSample, check_invariance, cylinder_eval,
-                         cylinder_fixed_point, project_to_plane, sample_limit_set)
 from .pressure import (BowenInterval, DimensionCertificate, Level1Sum, WeightedSystem,
                        bowen_root, build_weighted_system, certify_dim_gt_one,
                        compare_window_modes, level1_sum)
-from .oracle import (BoxCountEstimate, box_counting_dim, brute_force_pressure,
-                     brute_force_pressure_similarity, cantor_middle_thirds,
-                     containment_recheck, fd_derivative_check, recheck_gset)
 
 __version__ = "0.1.0"
+
+# exported name -> the module that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("LimitSample", "check_invariance", "cylinder_eval",
+                     "cylinder_fixed_point", "project_to_plane", "sample_limit_set"),
+                    "cantor_ifs"),
+    **dict.fromkeys(("BoxCountEstimate", "box_counting_dim", "brute_force_pressure",
+                     "brute_force_pressure_similarity", "cantor_middle_thirds",
+                     "containment_recheck", "fd_derivative_check", "recheck_gset"),
+                    "oracle"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -21,6 +21,14 @@ and `geometry.inset` enter neither G nor the bounds, so they are
 certified, 1 configuration error, 2 negative construction/certification
 outcome, 3 numeric or oracle failure.
 
+`dim` loads no numpy: its path (`load_config`, `build_squares`,
+`build_G`, `build_weighted_system`, `level1_sum`, `bowen_root`,
+`write_json`) runs on `math` alone, and every function that takes numpy
+arrays imports numpy when called.  `sample` loads `cantor_ifs`, the
+three `oracle` commands load `oracle`, both of which import numpy, and
+`lemmas` and an "auto" anchor load numpy through `anchor_line` and
+`find_radius`.
+
 Anchors below the Koebe range (no covering disk of Q inside H) are not
 configuration errors.  The Koebe distortion constant C enters neither G,
 nor the pressure bounds, nor any oracle, so only `lemmas` and `dim`
@@ -82,7 +90,9 @@ level also schema_version), a `schema_version` other than the integer
 `SCHEMA_VERSION` (4; a config without one is read as 4, and "x", 3, 5 or
 true are rejected), a `geometry.anchor` at or below ln R0 of the
 normalized family (which lifts R0 to e|lam| where |lam| >= R0; the
-message names ln R0), since the anchor must lie in H, a `timing` that is
+message names ln R0), since the anchor must lie in H, an anchor above
+2^23 / 3 (about 2,796,202.67; the message names the cap), where Q
+reaches Re = 1.5 * anchor > 2^22 (`MAX_Q_RE`), a `timing` that is
 not a JSON bool, a `pressure.bisect_tol` that is not a positive number
 below 1, a count (`sampling.count` and `depth`, `oracle.density`,
 `subsystem` and `word_length`) that is not an integer >= 1, and a
@@ -95,6 +105,12 @@ an `oracle.scales` that is not a list of numbers.  The `--seed` and `--mode` opt
 into the config before it is loaded, so they are validated and echoed
 as if the config file held them.  A seed never passes through a float:
 `--seed 9007199254740993` (2^53 + 1) runs and echoes that seed.
+
+That cap is the documented outcome for huge indices.  G's |s| reach
+about e^(1.5 * anchor) / (2 pi), ints of any size, and the certificate's
+cost grows with them without bound (0.7 s and a 200 MB peak at anchor
+1e8, on a 2-core x86-64 VM).  Up to the cap it stays small: at anchor
+2.79e6 `dim` certifies in about 20 ms and 21 MB; a larger anchor exits 1.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
@@ -127,10 +143,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import oracle as oracle_mod
-from .cantor_ifs import project_to_plane, sample_limit_set
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
 from .loglift import MapFamily, exponential_family, normalize_family
@@ -141,6 +153,10 @@ from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_deriv
                         find_radius, trace_level_lines)
 
 SCHEMA_VERSION = 4
+
+# The largest Re of Q = [R/2, 3R/2] x [-R/2, R/2] a config may ask for,
+# so anchors up to 2^23 / 3: the cap on huge indices (module docstring).
+MAX_Q_RE = 2.0 ** 22
 
 DEFAULT_SMALL_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
@@ -260,6 +276,11 @@ def load_config(raw: dict) -> RunConfig:
         # the anchor, Q's center, must lie in H = {Re z > ln R0}
         raise ConfigError(f"config field geometry.anchor must exceed ln R0 = "
                           f"{family.ln_r0!r}, got {anchor!r}")
+    if 3.0 * anchor / 2.0 > MAX_Q_RE:
+        # Q = [R/2, 3R/2] x [-R/2, R/2] reaches Re = 3R/2
+        raise ConfigError(f"config field geometry.anchor must be at most 2^23 / 3 = "
+                          f"{2.0 * MAX_Q_RE / 3.0:.2f}, where Q reaches Re = 1.5 * anchor = "
+                          f"2^22, got {anchor!r}")
     mode = prs["mode"]
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"pressure.mode must be enumerate or tail, got {mode!r}")
@@ -408,6 +429,7 @@ def cmd_dim(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(cfg: RunConfig, out_path: str) -> int:
+    from .cantor_ifs import project_to_plane, sample_limit_set
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     gset = _nonempty_G(fam, cfg, spec)
@@ -431,6 +453,9 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
+    import numpy as np
+
+    from . import oracle as oracle_mod
     source = cfg.oracle.get("source", "middle-thirds")
     if source == "middle-thirds":
         pts = oracle_mod.cantor_middle_thirds(count=100_000, depth=35, seed=cfg.seed)
@@ -483,6 +508,7 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
 
 
 def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
+    from . import oracle as oracle_mod
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     gset = _nonempty_G(fam, cfg, spec)
@@ -521,6 +547,8 @@ def _nonempty_G(fam, cfg: RunConfig, spec):
 
 
 def _subsystem(fam, letters, spec):
+    import numpy as np
+
     from .pressure import WeightedSystem
     sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
     lo, hi = fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)
@@ -528,6 +556,7 @@ def _subsystem(fam, letters, spec):
 
 
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
+    from . import oracle as oracle_mod
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
     gset = _nonempty_G(fam, cfg, spec)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 from .numerics import TWO_PI, log_sum_exp
 
@@ -65,21 +63,26 @@ class MapFamily:
     def log_lam(self) -> complex:
         return cmath.log(complex(self.lam))
 
-    # -- plane map and lift -------------------------------------------------
+    # -- plane map and lift (numpy arrays or scalars) ------------------------
 
     def plane_map(self, z):
+        import numpy as np
         return self.lam * np.exp(z)
 
     def lift(self, w):
+        import numpy as np
         return np.exp(w) + self.log_lam
 
     def lift_deriv(self, w):
+        import numpy as np
         return np.exp(w)
 
     def inv0(self, zeta):
+        import numpy as np
         return np.log(np.asarray(zeta, dtype=complex) - self.log_lam)
 
     def inv0_deriv(self, zeta):
+        import numpy as np
         return 1.0 / (np.asarray(zeta, dtype=complex) - self.log_lam)
 
     # -- closed-form bounds over a rectangle --------------------------------
@@ -133,6 +136,7 @@ def inv_branch(family: MapFamily, s: int, zeta):
     covers boundary round-off).  Branches differ from the index-0 branch
     by exactly 2*pi*i*s.
     """
+    import numpy as np
     zeta = np.asarray(zeta, dtype=complex)
     lo = family.ln_r0 - _BOUNDARY_SLACK * (1.0 + abs(family.ln_r0))
     if np.any(np.real(zeta) < lo):
@@ -191,6 +195,7 @@ class TailEnvelope:
         for s != 0.  Neither depends on the first-level index u nor on the
         sign of s.
         """
+        import numpy as np
         sigma = np.asarray(sigma, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = self.b * np.exp(-sigma)
@@ -201,17 +206,18 @@ class TailEnvelope:
                 - math.log(self.d_lo)
         return lo, hi
 
-    def cell_enclosure(self, u: int, sign: int, sigma):
-        """Axis-aligned enclosure of the image cell at (u, sign, sigma).
+    def cell_enclosure(self, u: int, sign: int, sigma: float):
+        """Axis-aligned enclosure of the image cell at (u, sign, sigma), for
+        one sigma above `sigma_valid_min` (below it log1p(-corr) has no
+        value, and math raises).
 
-        Returns (re_lo, re_hi, im_lo, im_hi) arrays covering the full image
-        of the rectangle, not just its center.
+        Returns (re_lo, re_hi, im_lo, im_hi) covering the full image of the
+        rectangle, not just its center.
         """
-        sigma = np.asarray(sigma, dtype=float)
-        corr = self.b * np.exp(-sigma)
-        re_lo = sigma + np.log1p(-corr)
-        re_hi = sigma + np.log1p(corr)
-        dev = np.arcsin(np.minimum(1.0, corr / np.maximum(1e-300, 1.0 - corr)))
+        corr = self.b * math.exp(-sigma)
+        re_lo = sigma + math.log1p(-corr)
+        re_hi = sigma + math.log1p(corr)
+        dev = math.asin(min(1.0, corr / max(1e-300, 1.0 - corr)))
         mid = TWO_PI * u + sign * 0.5 * math.pi
         return re_lo, re_hi, mid - dev, mid + dev
 

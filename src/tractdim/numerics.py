@@ -11,8 +11,6 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -74,27 +72,30 @@ def _sanitize(obj):
     """Make an object JSON-safe; non-finite floats become strings, and so
     do ints with more digits than the interpreter's int-to-string limit
     (`sys.get_int_max_str_digits`), which a default `json.loads` could not
-    read back either."""
+    read back either.  A numpy scalar is first made its Python value
+    (`float` for a numpy float, `.item()` otherwise); numpy is not
+    imported for this, since no numpy scalar exists before it is."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(obj, numpy.generic):
+        obj = float(obj) if isinstance(obj, numpy.floating) else obj.item()
+    if isinstance(obj, float):
         x = float(obj)
         if math.isnan(x):
             return "NaN"
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
         return x
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         n = int(obj)
         # 0 where the limit is off, or the interpreter predates it
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit:
             return _decimal(n, limit)
         return n
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": _sanitize(obj.real), "im": _sanitize(obj.imag)}
     return obj

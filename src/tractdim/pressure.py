@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
 from .numerics import TWO_PI, weighted_log_sum_exp
@@ -66,6 +64,7 @@ class WeightedSystem:
     @classmethod
     def from_uniform(cls, weights: Sequence[float]):
         """Synthetic system of similarity letters with exact weights."""
+        import numpy as np
         w = np.asarray(weights, dtype=float)
         if np.any(w <= 0) or np.any(w >= 1):
             raise ConfigError("synthetic weights must lie in (0, 1)")
@@ -157,6 +156,7 @@ def _envelope_log_sum(system: WeightedSystem, t: float, side: int) -> float:
 
 
 def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
+    import numpy as np
     scaled = t * logs
     m = float(np.max(scaled))
     if m == -math.inf:
@@ -403,6 +403,7 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
     Both target the same per-letter envelopes, so the enumerated value
     must fall inside the bracket of `log_run_sum_bounds`.
     """
+    import numpy as np
     env = family.envelope(spec.outer.bounds())
     # the size test comes first, in log form, so that no exp overflows
     if (max(sigma_lo, sigma_hi) - math.log(TWO_PI) > 54 * math.log(2.0)

@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
 from .loglift import _MAX_EXACT_INT, MapFamily, TailEnvelope
 from .numerics import TWO_PI
@@ -78,6 +76,7 @@ class Rect:
         return Rect(self.re_lo + d, self.re_hi - d, self.im_lo + d, self.im_hi - d)
 
     def contains(self, z):
+        import numpy as np
         z = np.asarray(z, dtype=complex)
         return ((np.real(z) >= self.re_lo) & (np.real(z) <= self.re_hi)
                 & (np.imag(z) >= self.im_lo) & (np.imag(z) <= self.im_hi))
@@ -88,6 +87,7 @@ class Rect:
         The arc lengths ts rise with the index, so each edge (bottom, right,
         top, left) takes the contiguous slice of the samples with ts below
         its end and not below the previous edge's, filled edge by edge."""
+        import numpy as np
         ts = np.arange(n, dtype=float) * (self.perimeter / n)
         w, h = self.width, self.height
         a, b, c = np.searchsorted(ts, [w, w + h, 2 * w + h])  # where each edge ends
@@ -214,6 +214,7 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
     The preimages are v_s = F_inv_0(R) + 2*pi*i*s, so all of them have
     the real part r of F_inv_0(R) exactly.
     """
+    import numpy as np
     r = complex(np.asarray(family.inv0(complex(anchor))).item()).real
     c0 = float(np.real(np.asarray(family.inv0(complex(1.0 + family.ln_r0))).item()))
     bound = 4.0 * math.pi * math.log(anchor - family.ln_r0) + c0
@@ -255,6 +256,7 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
     2*inset; (3) x/4 > inset.  The grid is scan_lo, scan_lo+step, ...;
     ties break to the smallest passing point by construction.
     """
+    import numpy as np
     if scan_lo <= family.ln_r0 + 1.0:
         raise ConfigError(
             f"scan must start above ln R0 + 1 = {family.ln_r0 + 1.0:.6g}")
@@ -306,11 +308,11 @@ def _sigma_windows(env: TailEnvelope, target: Rect, sign: int) -> list:
     shares [max(sigma_valid_min, ln(e^x + b)), ln(e^y - b)].  A column
     without room (y <= ln b, delta <= 0 or an empty interval) has none.
 
-    Each block's endpoints are checked against the enclosure predicate at
-    its two extreme columns, all blocks in one `_enclosed` call, and an
-    endpoint failing at either moves inward by one float, at most
-    `_ENDPOINT_ULPS` times and never outward: the test a bisection would
-    use.  An enclosure's imaginary part is mid -/+ at most pi/2, mid
+    Each block's endpoints are checked against the enclosure predicate
+    `_enclosed` at its two extreme columns, one sigma and one column per
+    call, and an endpoint failing at either moves inward by one float, at
+    most `_ENDPOINT_ULPS` times and never outward: the test a bisection
+    would use.  An enclosure's imaginary part is mid -/+ at most pi/2, mid
     increasing in u in float, so a window passing at both extremes passes
     between them; the block lies more than 2*pi inside Q, where that test
     cannot fail, so each of its columns gets the window its own solve
@@ -321,7 +323,8 @@ def _sigma_windows(env: TailEnvelope, target: Rect, sign: int) -> list:
     if y <= ln_b:
         return []
     sigma_hi = y + math.log1p(-env.b * math.exp(-y))
-    shared_lo = max(env.sigma_valid_min, float(np.logaddexp(x, ln_b)))
+    # ln(e^x + b) by the formula of numpy's logaddexp, bit for bit
+    shared_lo = max(env.sigma_valid_min, max(x, ln_b) + math.log1p(math.exp(-abs(x - ln_b))))
 
     def closed_lo(u):  # None without room
         mid = TWO_PI * u + sign * 0.5 * math.pi
@@ -343,30 +346,35 @@ def _sigma_windows(env: TailEnvelope, target: Rect, sign: int) -> list:
     blocks = [(u, u, closed_lo(u)) for u in sorted({first, last})]
     if last - first >= 2:
         blocks.append((first + 1, last - 1, shared_lo))
-    extremes = np.array([[blk[0] for blk in blocks], [blk[1] for blk in blocks]])[:, None]
-    sigma = np.array([[blk[2] for blk in blocks], [sigma_hi] * len(blocks)])
-    for step in range(_ENDPOINT_ULPS + 1):
-        ok = _enclosed(env, target, extremes, sign, sigma).all(axis=0)
-        if ok.all() or step == _ENDPOINT_ULPS:
-            break
-        sigma = np.where(ok, sigma, np.nextafter(sigma, [[math.inf], [-math.inf]]))  # inward
-    for j, (u_lo, u_hi, closed) in enumerate(blocks):
-        if not (ok[:, j].all() and sigma[1, j] > sigma[0, j]):
+
+    def certified(sigma, inward, columns):  # None if no float within the ulps passes
+        for _ in range(_ENDPOINT_ULPS + 1):
+            if all(_enclosed(env, target, u, sign, sigma) for u in columns):
+                return sigma
+            sigma = math.nextafter(sigma, inward)
+        return None
+
+    windows = []
+    for u_lo, u_hi, closed in blocks:
+        lo = certified(closed, math.inf, {u_lo, u_hi})
+        hi = certified(sigma_hi, -math.inf, {u_lo, u_hi})
+        if lo is None or hi is None or not hi > lo:
             raise NumericError(
                 f"closed-form sigma window [{closed!r}, {sigma_hi!r}] for u={u_lo}..{u_hi}, "
                 f"sign={sign} fails the enclosure test within {_ENDPOINT_ULPS} ulps inward")
-    return sorted((u_lo, u_hi, float(sigma[0, j]), float(sigma[1, j]))
-                  for j, (u_lo, u_hi, _) in enumerate(blocks))
+        windows.append((u_lo, u_hi, lo, hi))
+    return sorted(windows)
 
 
-def _enclosed(env: TailEnvelope, rect: Rect, u, sign: int, sigma: np.ndarray) -> np.ndarray:
-    """Whether the cell enclosures at (u, sign, sigma) lie in the closed
-    rect; False below envelope validity."""
-    with np.errstate(invalid="ignore"):
-        re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
-        return ((sigma > env.sigma_valid_min)
-                & (re_lo >= rect.re_lo) & (re_hi <= rect.re_hi)
-                & (im_lo >= rect.im_lo) & (im_hi <= rect.im_hi))
+def _enclosed(env: TailEnvelope, rect: Rect, u: int, sign: int, sigma: float) -> bool:
+    """Whether the cell enclosure at (u, sign, sigma) lies in the closed
+    rect; False at or below envelope validity, tested first, where the
+    enclosure has no value."""
+    if not sigma > env.sigma_valid_min:
+        return False
+    re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
+    return re_lo >= rect.re_lo and re_hi <= rect.re_hi and im_lo >= rect.im_lo \
+        and im_hi <= rect.im_hi
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +436,7 @@ class GSet:
     def letters(self, ranks):
         """The letters (u, s) at ranks in [0, n_letters): int64 arrays below
         2^63, else object arrays of Python ints, by the same arithmetic."""
+        import numpy as np
         dtype = np.int64 if max(self.n_letters, self.max_abs_index()) < 2 ** 63 else object
         ranks = np.asarray(ranks, dtype=dtype)
         cum = list(itertools.accumulate(r.n_columns * r.length for r in self.runs))
@@ -442,6 +451,7 @@ class GSet:
         """`size` ranks drawn uniformly from [0, n_letters): int64 draws
         below 2^63, else Python ints, each a random integer 64 bits longer
         than n_letters reduced mod n_letters (uniform within 2^-64)."""
+        import numpy as np
         n = self.n_letters
         if n <= 2 ** 63:
             return rng.integers(0, n, size=size, dtype=np.int64)

@@ -23,6 +23,8 @@ import math
 from functools import cache, cached_property
 from pathlib import Path
 
+import pytest
+
 import tractdim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,10 +74,11 @@ def _is_member(obj) -> bool:
 
 @cache
 def _public_names() -> frozenset:
-    """The exported names, the modules' public functions and classes, and
-    Class.member for the public methods and properties of those classes."""
-    names = {name for name, obj in vars(tractdim).items()
-             if not name.startswith("_") and not inspect.ismodule(obj)}
+    """The exported names, the lazy ones too (`dir` lists them), the
+    modules' public functions and classes, and Class.member for the public
+    methods and properties of those classes."""
+    names = {name for name in dir(tractdim)
+             if not name.startswith("_") and not inspect.ismodule(getattr(tractdim, name))}
     for module_name in MODULES:
         module = importlib.import_module(f"tractdim.{module_name}")
         for name, obj in vars(module).items():
@@ -106,6 +109,18 @@ def test_kept_references_exist_and_have_no_other_reader():
     one that gains a reader leaves the list."""
     assert sorted(set(KEPT_REFERENCES) - _public_names()) == []
     assert sorted(name for name in KEPT_REFERENCES if _has_reader(name)) == []
+
+
+def test_lazy_exports_are_their_modules_objects():
+    """Each lazily exported name is its module's object, `dir` lists it,
+    and an unknown attribute raises AttributeError."""
+    assert set(tractdim._LAZY.values()) == {"cantor_ifs", "oracle"}
+    for name, module_name in tractdim._LAZY.items():
+        module = importlib.import_module(f"tractdim.{module_name}")
+        assert getattr(tractdim, name) is getattr(module, name)
+        assert name in dir(tractdim)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tractdim.no_such_name
 
 
 def test_the_surface_covers_the_modules():

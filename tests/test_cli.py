@@ -971,14 +971,54 @@ def test_seed_past_2_53_runs_as_given(tmp_path):
     assert samples[0].read_bytes() != samples[1].read_bytes()
 
 
-def test_dim_at_a_run_end_past_2_24_exit_0(tmp_path):
-    """At anchor 22,613,379 a sigma window, [11306689.5, 33920068.5], has
-    ends past 2^24, where a fixed trim of 2^-30 rounds back to the end and
-    its int fails the sigma test (exit 3); the trim in ulps certifies."""
-    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": 22_613_379.0}})
-    out = str(tmp_path / "dim.json")
-    assert run(["dim", "--config", cfg, "--out", out]) == 0
-    assert read_json(out)["verdict"] == "certified"
+@pytest.mark.parametrize("command, anchor, rc", [
+    ("dim", 2.79e6, 0), ("dim", 2.0 ** 23 / 3.0, 0), ("dim", 2_796_203.0, 1),
+    ("dim", 22_613_379.0, 1), ("dim", 1e9, 1), ("lemmas", 2_796_203.0, 1)])
+def test_anchor_cap(tmp_path, capsys, command, anchor, rc):
+    """An anchor whose Q reaches Re = 1.5 * anchor > 2^22 is a config
+    error naming the key and the cap, whatever the command; up to the cap
+    `dim` certifies.  The run end past 2^24 at anchor 22,613,379 is
+    certified through the library (test_pressure)."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": anchor}})
+    out = str(tmp_path / "x.json")
+    assert run([command, "--config", cfg, "--out", out]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == ("config error: config field geometry.anchor must be at most "
+                       f"2^23 / 3 = 2796202.67, where Q reaches Re = 1.5 * anchor = 2^22, "
+                       f"got {anchor!r}\n")
+    elif command == "dim":
+        assert read_json(out)["verdict"] == "certified"
+
+
+_NO_NUMPY = """
+import json, sys
+import tractdim
+from tractdim import cli
+seen = ["numpy" in sys.modules]
+cli.load_config(cli.DEFAULT_CERTIFICATE_CONFIG)
+seen.append("numpy" in sys.modules)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(cli.main(argv))
+    seen.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "numpy": seen}))
+"""
+
+
+def test_dim_path_imports_no_numpy(tmp_path):
+    """In a fresh interpreter, `import tractdim`, `load_config` of the
+    certificate config and `dim` at the default certificate, at an empty G
+    (anchor 3) and at lam = i, anchor 4000 load no numpy."""
+    configs = [None, {"geometry": {"anchor": 3.0}},
+               {"family": {"lambda_re": 0.0, "lambda_im": 1.0}}]
+    argvs = [["dim", "--out", str(tmp_path / f"d{i}.json")]
+             + (["--config", write_cfg(tmp_path, f"c{i}.json", c)] if c else [])
+             for i, c in enumerate(configs)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"codes": [0, 2, 0], "numpy": [False] * 5}
 
 
 # ---------------------------------------------------------------------------

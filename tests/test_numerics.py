@@ -1,8 +1,10 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
-from tractdim.numerics import write_csv
+from tractdim.numerics import canonical_json, write_csv
 
 
 def _write_csv_per_row(path, header, columns):
@@ -39,3 +41,29 @@ def test_write_csv_counts_rows_of_the_shortest_column(tmp_path):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     assert write_csv(got, ["x", "s"], columns) == _write_csv_per_row(want, ["x", "s"], columns) == 2
     assert got.read_bytes() == want.read_bytes() == b"x,s\n1.5,a\n2.5,b\n"
+
+
+def test_canonical_json_of_numpy_scalars_equals_their_python_values():
+    """numpy scalars, in dicts, lists and tuples and as keys, serialize as
+    the Python values they stand for: a float32 as its widened float,
+    non-finite floats as strings, ints of any width exactly, np.bool_ as
+    a JSON bool, complex128 as {re, im}."""
+    obj = {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-2 ** 63),
+           "u64": np.uint64(2 ** 64 - 1), "true": np.bool_(True), "false": np.bool_(False),
+           "nan": np.float64("nan"), "inf": np.float64("inf"), "ninf": np.float32("-inf"),
+           "c128": np.complex128(1.5 - 2j),
+           "list": [np.float64(-0.0), np.int32(7), np.bool_(False), (np.float32(2.5), np.nan)],
+           np.int64(3): {"nested": [np.float64(1e300), np.uint8(255)]}}
+    plain = {"f64": 0.1, "f32": 0.10000000149011612, "i64": -2 ** 63, "u64": 2 ** 64 - 1,
+             "true": True, "false": False, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+             "c128": 1.5 - 2j, "list": [-0.0, 7, False, [2.5, math.nan]],
+             "3": {"nested": [1e300, 255]}}
+    text = canonical_json(obj)
+    assert text == canonical_json(plain)
+    back = json.loads(text)
+    assert (back["nan"], back["inf"], back["ninf"]) == ("NaN", "Infinity", "-Infinity")
+    assert back["true"] is True and back["false"] is False and back["list"][2] is False
+    assert back["c128"] == {"re": 1.5, "im": -2.0}
+    assert back["i64"] == -2 ** 63 and back["u64"] == 2 ** 64 - 1
+    assert math.copysign(1.0, back["list"][0]) == -1.0
+

@@ -453,3 +453,12 @@ def test_bowen_root_evaluates_only_points_of_the_bisection_grid(monkeypatch, tol
     assert (r.t_lo, r.t_hi) == (cells[0], cells[1] + grid)
     assert all((t / grid).is_integer() for t in evaluated)
     assert len(evaluated) == sum(r.evaluations)
+
+
+def test_certificate_at_a_run_end_past_2_24(fam):
+    """At anchor 22,613,379 a sigma window, [11306689.5, 33920068.5], has
+    ends past 2^24, where a fixed trim of 2^-30 rounds back to the end and
+    its int fails the sigma test (a NumericError); the trim in ulps
+    certifies.  The CLI caps the anchor below this (test_cli)."""
+    spec = td.build_squares(22_613_379.0, 0.5)
+    assert td.certify_dim_gt_one(fam, spec).verdict == "certified"

@@ -207,8 +207,8 @@ def test_cell_image_outside_verdict(fam):
     center, _ = td.cylinder_eval(fam, [(0, 64)], complex(spec.anchor))
     assert center.real < spec.outer.re_lo
     env = fam.envelope(spec.outer.bounds())
-    sigma = np.array([math.log(TWO_PI * 64)])
-    assert not tractgeom._enclosed(env, spec.outer, 0, 1, sigma).any()
+    sigma = math.log(TWO_PI * 64)
+    assert not tractgeom._enclosed(env, spec.outer, 0, 1, sigma)
     assert td.containment_recheck(fam, 0, 64, spec, density=10) == "outside"
     assert (0, 64) not in td.build_G(fam, 100.0, spec, budget)
 
@@ -304,8 +304,8 @@ def test_containment_fast_path_inside(small):
     enclosure lies in Q, with no sample, as the dense recheck agrees, and
     G holds it."""
     env = small.family.envelope(small.spec.outer.bounds())
-    sigma = np.array([math.log(TWO_PI * 5000)])
-    assert tractgeom._enclosed(env, small.spec.outer, 0, 1, sigma).all()
+    sigma = math.log(TWO_PI * 5000)
+    assert tractgeom._enclosed(env, small.spec.outer, 0, 1, sigma)
     assert td.containment_recheck(small.family, 0, 5000, small.spec, density=10) == "inside"
     assert (0, 5000) in small.gset
 
@@ -362,13 +362,12 @@ def test_solve_s_window_empty_under_huge_margin(fam, small):
 
 
 def _enclosure_admissible(env, rect, u, sign, sigma):
-    """The enclosure predicate of the window solver, vectorized over sigma."""
-    sigma = np.asarray(sigma, dtype=float)
-    valid = sigma > env.sigma_valid_min
-    s = np.where(valid, sigma, env.sigma_valid_min + 1.0)
-    re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, s)
-    return valid & ((re_lo >= rect.re_lo) & (re_hi <= rect.re_hi)
-                    & (im_lo >= rect.im_lo) & (im_hi <= rect.im_hi))
+    """The enclosure predicate of the window solver at one sigma."""
+    if not sigma > env.sigma_valid_min:
+        return False
+    re_lo, re_hi, im_lo, im_hi = env.cell_enclosure(u, sign, sigma)
+    return (re_lo >= rect.re_lo and re_hi <= rect.re_hi
+            and im_lo >= rect.im_lo and im_hi <= rect.im_hi)
 
 
 def _ulps(x, n, direction):
@@ -402,7 +401,7 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
             def ok(sigma):
                 return bool(_enclosure_admissible(env, target, u, sign, sigma))
 
-            on_grid = bool(np.any(_enclosure_admissible(env, target, u, sign, grid)))
+            on_grid = any(ok(sigma) for sigma in grid.tolist())
             assert (win is None) == (not on_grid), (u, sign)
             if win is None:
                 continue
@@ -505,8 +504,10 @@ def _count_calls(monkeypatch, cls, name):
 
 def test_build_g_solves_each_sign_once(fam, monkeypatch):
     """The envelope of Q is computed once per build_G, whatever the number
-    of columns, and the window endpoints of one sign take one
-    cell_enclosure call plus at most one per inward ulp step."""
+    of columns, and the window endpoints of one sign take at most one
+    cell_enclosure call per end of a block and extreme column of it (two
+    one-column edge blocks and one block between them: 8), plus as many
+    per inward ulp step."""
     envelopes = _count_calls(monkeypatch, MapFamily, "envelope")
     enclosures = _count_calls(monkeypatch, TailEnvelope, "cell_enclosure")
     counts = {}
@@ -519,7 +520,7 @@ def test_build_g_solves_each_sign_once(fam, monkeypatch):
                           len(enclosures))
     assert counts[100.0][0] < 100 < 1000 < counts[4000.0][0]
     assert counts[100.0][1] == counts[4000.0][1] == 1
-    assert all(n <= 2 * 2 * (1 + _ENDPOINT_ULPS) for _, _, n in counts.values())
+    assert all(n <= 2 * 8 * (1 + _ENDPOINT_ULPS) for _, _, n in counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -735,15 +736,15 @@ def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
     depth = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
 
     def enclosed(u, sign, ss):
-        sigma = _LOG_TWO_PI + np.array([math.log(s) for s in ss])
-        return tractgeom._enclosed(env, target, u, sign, sigma)
+        return [tractgeom._enclosed(env, target, u, sign, _LOG_TWO_PI + math.log(s))
+                for s in ss]
 
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
         sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, target=target, sign=sign)
         for u in range(run.u_lo, run.u_hi + 1):
-            assert enclosed(u, sign, [lo, hi]).all(), (u, lo, hi)
+            assert all(enclosed(u, sign, [lo, hi])), (u, lo, hi)
             for end, out, edge in ((lo, -1, sigma_lo), (hi, 1, sigma_hi)):
                 if edge - _LOG_TWO_PI < math.log(2 ** 53):
                     ss = [s for s in range(end - depth, end + depth + 1) if s >= 1]
@@ -969,8 +970,7 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
     for s in ss:
         sigma = math.log(TWO_PI * abs(s))
-        assert not tractgeom._enclosed(env, spec.outer, 0, int(math.copysign(1, s)),
-                                       np.array([sigma])).any()
+        assert not tractgeom._enclosed(env, spec.outer, 0, int(math.copysign(1, s)), sigma)
         center = complex(np.asarray(fam.inv0(base + TWO_PI * 1j * s)).item())
         assert _dist_to_boundary(spec.outer, center) > _cell_lipschitz(fam, s, spec) \
             * spec.outer.diam
