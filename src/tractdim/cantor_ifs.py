@@ -13,8 +13,7 @@ invariance check verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -101,8 +100,7 @@ def cylinder_fixed_point(family: MapFamily, word, spec: SquareSpec,
     return z, 1.0 / deriv
 
 
-@dataclass(frozen=True)
-class LimitSample:
+class LimitSample(NamedTuple):
     """Sampled attractor points with their generating words.
 
     `points` are the depth-step images of the center of Q; `shifted` are
@@ -171,8 +169,7 @@ def _rank_keys(ranks: np.ndarray, n_letters: int) -> np.ndarray:
                          dtype=f"V{width * depth}")
 
 
-@dataclass(frozen=True)
-class PlaneProjection:
+class PlaneProjection(NamedTuple):
     """Exponential projection of a lifted sample to the dynamical plane.
 
     Rows with lifted real part beyond the exp range are emitted in
@@ -249,8 +246,7 @@ def _project(z: np.ndarray):
     return out, logp
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     max_shift_residual: float
     shift_tolerance: float
     branch_residual: float

@@ -141,7 +141,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
@@ -222,8 +222,7 @@ def _require_known_keys(raw: dict) -> None:
                     raise ConfigError(f"unknown config key '{key}.{sub}'")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     family: MapFamily
     budget: GeometryBudget
     anchor: float            # resolved, never "auto" after load
@@ -235,7 +234,7 @@ class RunConfig:
     seed: int
     oracle: dict
     timing: bool
-    resolved: dict = field(default_factory=dict)
+    resolved: dict           # the config as every report echoes it
 
 
 def load_config(raw: dict) -> RunConfig:

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, DomainError
 from .numerics import TWO_PI, log_sum_exp
@@ -36,22 +35,26 @@ from .numerics import TWO_PI, log_sum_exp
 _BOUNDARY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class MapFamily:
+class _MapFamilyFields(NamedTuple):
+    lam: complex
+    r0: float
+
+
+class MapFamily(_MapFamilyFields):
     """The map f(z) = lam * e**z with tract radius R0, plus its lift.
 
     `envelope` gives the closed-form bounds over a rectangle behind the
     admissible set and its pressure bounds.
     """
 
-    lam: complex = 1.0 + 0.0j
-    r0: float = math.e
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r0 <= 1.0:
-            raise ConfigError(f"tract radius must exceed 1, got {self.r0}")
-        if self.lam == 0:
+    def __new__(cls, lam: complex = 1.0 + 0.0j, r0: float = math.e):
+        if r0 <= 1.0:
+            raise ConfigError(f"tract radius must exceed 1, got {r0}")
+        if lam == 0:
             raise ConfigError("exponential family needs lam != 0")
+        return super().__new__(cls, lam, r0)
 
     # -- basic constants ----------------------------------------------------
 
@@ -126,7 +129,7 @@ def normalize_family(family: MapFamily) -> MapFamily:
     """
     if abs(family.lam) < family.r0:  # |f(0)| = |lam|
         return family
-    return replace(family, r0=abs(family.lam) * math.e)
+    return family._replace(r0=abs(family.lam) * math.e)
 
 
 def inv_branch(family: MapFamily, s: int, zeta):
@@ -154,8 +157,7 @@ def inv_branch(family: MapFamily, s: int, zeta):
 # Closed-form envelopes over a rectangle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailEnvelope:
+class TailEnvelope(NamedTuple):
     """Rigorous per-rectangle bounds backing the large-index regime
     (`MapFamily.envelope`).
 
@@ -269,8 +271,7 @@ _MAX_EXACT_INT = 2 ** 53
 _RUN_SUM_ULPS = 64
 
 
-@dataclass(frozen=True)
-class RunSum:
+class RunSum(NamedTuple):
     """The part of a run sum over s in [s1, s2] of (s + h)^-t that does not
     depend on t: built once per run by `run_sum`, evaluated per exponent and
     side by `log_bound`.

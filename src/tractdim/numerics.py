@@ -74,9 +74,14 @@ def _sanitize(obj):
     (`sys.get_int_max_str_digits`), which a default `json.loads` could not
     read back either.  A numpy scalar is first made its Python value
     (`float` for a numpy float, `.item()` otherwise); numpy is not
-    imported for this, since no numpy scalar exists before it is."""
+    imported for this, since no numpy scalar exists before it is.  A
+    record (a NamedTuple, a tuple with `_fields`) raises TypeError, as
+    `json.dumps` does on any object it does not know, rather than pass
+    as a bare list: a report lists the values it means to write."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     numpy = sys.modules.get("numpy")

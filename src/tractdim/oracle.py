@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +59,7 @@ _FOLD_PAIRS = 2048
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoxCountEstimate:
+class BoxCountEstimate(NamedTuple):
     scales: tuple
     counts: tuple
     slope: float
@@ -166,8 +164,7 @@ def cantor_middle_thirds(count: int = 100_000, depth: int = 35,
 # Brute-force pressure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BrutePressure:
+class BrutePressure(NamedTuple):
     n: int
     t: float
     value: float            # (1/n) log sum over words of |word derivative|^t
@@ -259,8 +256,7 @@ def fd_derivative_check(op: Callable, samples: Sequence[complex],
 # Containment recheck
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Boundary:
+class _Boundary(NamedTuple):
     """What every dense recheck of one `recheck_gset` call shares: the
     first-level logs ln|z - c| + i*arg(z - c) at the boundary samples z of
     Q, sorted by ln|z - c| (stably, so ties keep the order along the
@@ -522,8 +518,7 @@ def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
     return str(_recheck_cells(u, [s], spec, boundary)[0][0])
 
 
-@dataclass(frozen=True)
-class RecheckReport:
+class RecheckReport(NamedTuple):
     n_checked: int
     n_densely_sampled: int
     n_flagged: int

@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
@@ -44,7 +43,6 @@ _T_MAX = 4.0
 # Weighted systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class WeightedSystem:
     """Letters with two-sided log-weight bounds.
 
@@ -53,13 +51,22 @@ class WeightedSystem:
     `env` of Q and G as `runs`: each distinct |s| range (lo, hi), ints of
     any size, with its multiplicity k, since the envelopes depend on |s|
     alone.  The envelopes' run-sum data over those ranges is built on first
-    use and kept (`envelope_sums`).
+    use and kept (`envelope_sums`), so this is a plain class, not a
+    NamedTuple; its fields cannot be set after construction.
     """
 
-    log_lo: Optional[np.ndarray] = None
-    log_hi: Optional[np.ndarray] = None
-    runs: tuple = ()     # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
-    env: Optional[TailEnvelope] = None
+    def __init__(self, log_lo: Optional[np.ndarray] = None,
+                 log_hi: Optional[np.ndarray] = None, runs: tuple = (),
+                 env: Optional[TailEnvelope] = None):
+        # runs: of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
+        vars(self).update(log_lo=log_lo, log_hi=log_hi, runs=runs, env=env)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a WeightedSystem")
+
+    def __repr__(self) -> str:
+        return (f"WeightedSystem(log_lo={self.log_lo!r}, log_hi={self.log_hi!r}, "
+                f"runs={self.runs!r}, env={self.env!r})")
 
     @classmethod
     def from_uniform(cls, weights: Sequence[float]):
@@ -108,8 +115,7 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
 # Level-1 sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level1Sum:
+class Level1Sum(NamedTuple):
     """Two-sided level-1 sum at one exponent, kept in log domain."""
 
     t: float
@@ -168,8 +174,7 @@ def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
 # Bowen root
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BowenInterval:
+class BowenInterval(NamedTuple):
     """Conservative enclosure of the dimension of the constructed subsystem.
 
     `evaluations` counts the one-sided pressure evaluations the root made
@@ -291,8 +296,7 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3) -> BowenInterval:
 # The dimension certificate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DimensionCertificate:
+class DimensionCertificate(NamedTuple):
     """The results of one dimension-greater-than-one run, and nothing it
     was given: P_lo(1), the Bowen bracket [t_lo, t_hi], the Koebe constant
     `c` and the reasons against certifying (`certify_dim_gt_one`), which
@@ -378,8 +382,7 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
 # Cross-mode agreement (enumeration vs the run sum on one window)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WindowComparison:
+class WindowComparison(NamedTuple):
     t: float
     sigma_lo: float
     sigma_hi: float

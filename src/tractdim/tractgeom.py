@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
 from .loglift import _MAX_EXACT_INT, MapFamily, TailEnvelope
@@ -38,16 +37,20 @@ _ENDPOINT_ULPS = 8
 # Rectangles and budgets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rect:
+class _RectFields(NamedTuple):
     re_lo: float
     re_hi: float
     im_lo: float
     im_hi: float
 
-    def __post_init__(self):
-        if not (self.re_lo < self.re_hi and self.im_lo < self.im_hi):
-            raise GeometryError(f"degenerate rectangle {self.bounds()}")
+
+class Rect(_RectFields):
+    __slots__ = ()
+
+    def __new__(cls, re_lo: float, re_hi: float, im_lo: float, im_hi: float):
+        if not (re_lo < re_hi and im_lo < im_hi):
+            raise GeometryError(f"degenerate rectangle {(re_lo, re_hi, im_lo, im_hi)}")
+        return super().__new__(cls, re_lo, re_hi, im_lo, im_hi)
 
     def bounds(self):
         return (self.re_lo, self.re_hi, self.im_lo, self.im_hi)
@@ -100,8 +103,12 @@ class Rect:
         return pts
 
 
-@dataclass(frozen=True)
-class GeometryBudget:
+class _GeometryBudgetFields(NamedTuple):
+    epsilon: float
+    inset: float
+
+
+class GeometryBudget(_GeometryBudgetFields):
     """Tunable constants of the construction.
 
     epsilon controls the anchor-derivative condition, and inset is the
@@ -112,22 +119,21 @@ class GeometryBudget:
     reads the budget.
     """
 
-    epsilon: float = 0.1
-    inset: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.inset <= 0.0:
-            raise ConfigError(f"inset must be positive, got {self.inset}")
+    def __new__(cls, epsilon: float = 0.1, inset: float = 0.5):
+        if not 0.0 < epsilon < 1.0:
+            raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
+        if inset <= 0.0:
+            raise ConfigError(f"inset must be positive, got {inset}")
+        return super().__new__(cls, epsilon, inset)
 
 
 # ---------------------------------------------------------------------------
 # Squares
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SquareSpec:
+class SquareSpec(NamedTuple):
     """The nested squares of the construction, centered at the anchor."""
 
     anchor: float
@@ -155,8 +161,7 @@ def build_squares(anchor: float, inset: float) -> SquareSpec:
 # Distortion constant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistortionBound:
+class DistortionBound(NamedTuple):
     """Koebe distortion constant C for inverse branches on the square Q.
 
     Any branch is univalent on all of H; C bounds |phi'(z)| / |phi'(R)|
@@ -197,8 +202,7 @@ def _distortion_or_unavailable(anchor: float, ln_r0: float) -> DistortionBound:
 # Anchor line and radius search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnchorLine:
+class AnchorLine(NamedTuple):
     """The vertical line carrying every branch preimage of the anchor."""
 
     anchor: float
@@ -381,10 +385,10 @@ def _enclosed(env: TailEnvelope, rect: Rect, u: int, sign: int, sigma: float) ->
 # The admissible set G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class RunBlock:
+class RunBlock(NamedTuple):
     """The letters (u, s) with u_lo <= u <= u_hi and s_lo <= s <= s_hi:
-    one signed index run (ints of any size) shared by adjacent columns."""
+    one signed index run (ints of any size) shared by adjacent columns.
+    Runs sort as the tuples (u_lo, u_hi, s_lo, s_hi)."""
 
     u_lo: int
     u_hi: int
@@ -400,8 +404,7 @@ class RunBlock:
         return self.s_hi - self.s_lo + 1
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(NamedTuple):
     """The admissible index pairs: every letter of G, as maximal signed
     runs in `runs`, each with the block of adjacent columns sharing it.
 
@@ -586,8 +589,7 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
 # Pairwise separation of cells
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     min_gap: float              # consecutive cells of one run (inf: no run of two)
     n_adjacent_checked: int     # sum over the runs of n_columns * (length - 1)
     column_separation: float    # gap between adjacent runs' imaginary extents
@@ -664,8 +666,7 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
 # Level lines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveTrace:
+class CurveTrace(NamedTuple):
     """One branch preimage of the anchor line: the arclengths of its
     components in Q' that meet Q''."""
 
@@ -674,8 +675,7 @@ class CurveTrace:
     meets_core: bool
 
 
-@dataclass(frozen=True)
-class LevelLineReport:
+class LevelLineReport(NamedTuple):
     traces: tuple
     curve_count: int
     required_count: int         # floor(R / (4 pi))

@@ -103,6 +103,44 @@ def _lift_margins(family, zeta, s):
         - (np.real(family.lift(w)) - family.ln_r0)
 
 
+def _sigma_above(base, offset):
+    """`offset` floats above `base` for an int, else base + offset, and in
+    both cases strictly above base."""
+    sigma = math.nextafter(base, math.inf)
+    if isinstance(offset, int):
+        for _ in range(offset - 1):
+            sigma = math.nextafter(sigma, math.inf)
+        return sigma
+    return max(sigma, base + offset)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(lam=st.sampled_from([1.0, 1j, 0.5 + 0.5j, -2.0, 0.01]),
+       log_anchor=st.floats(math.log(12.0), math.log(2.7e6)),
+       u=st.integers(-10 ** 6, 10 ** 6), sign=st.sampled_from([1, -1]),
+       offsets=st.lists(st.one_of(st.integers(1, 64), st.floats(0.0, 50.0),
+                                  st.floats(0.0, 4.1e6)), min_size=1, max_size=60))
+@example(lam=1.0, log_anchor=math.log(4000.0), u=3, sign=1, offsets=[1, 2, 0.5, 30.0, 6000.0])
+def test_cell_enclosure_is_monotone_in_sigma(lam, log_anchor, u, sign, offsets):
+    """Above `sigma_valid_min`, the enclosure of `TailEnvelope.cell_enclosure`
+    moves right and narrows as sigma grows: re_lo and re_hi never decrease,
+    im_lo never decreases and im_hi never increases, so the imaginary
+    half-width never increases.  `_sigma_windows` relies on this to certify
+    a window at its two ends.  Checked on sorted sigmas from a few floats
+    above the validity bound to past the anchor cap's Re, each with the
+    next float above it."""
+    family = td.normalize_family(td.exponential_family(lam=lam))
+    anchor = math.exp(log_anchor)
+    env = family.envelope(td.build_squares(anchor, 0.5).outer.bounds())
+    sigmas = {_sigma_above(env.sigma_valid_min, offset) for offset in offsets}
+    sigmas = sorted(sigmas | {math.nextafter(sigma, math.inf) for sigma in sigmas})
+    boxes = [env.cell_enclosure(u, sign, sigma) for sigma in sigmas]
+    for sigma, (lo1, hi1, bot1, top1), (lo2, hi2, bot2, top2) in zip(sigmas, boxes, boxes[1:]):
+        assert lo1 <= lo2 and hi1 <= hi2, sigma
+        assert bot1 <= bot2 and top1 >= top2, sigma
+        assert top1 - bot1 >= top2 - bot2, sigma
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(_FAMILIES, st.integers(0, 2 ** 32 - 1))
 @example(td.exponential_family(1.0, math.e), 8)

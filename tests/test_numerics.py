@@ -67,3 +67,18 @@ def test_canonical_json_of_numpy_scalars_equals_their_python_values():
     assert back["i64"] == -2 ** 63 and back["u64"] == 2 ** 64 - 1
     assert math.copysign(1.0, back["list"][0]) == -1.0
 
+
+
+@pytest.mark.parametrize("where", ["bare", "in a dict", "in a list", "in a tuple"])
+def test_canonical_json_refuses_records(where):
+    """A record, a tuple with `_fields`, raises TypeError wherever it sits
+    in a report, as `json.dumps` does on an object it does not know,
+    instead of passing as a bare JSON list."""
+    from tractdim.pressure import BowenInterval
+    from tractdim.tractgeom import Rect, RunBlock
+    for record in (Rect(0.5, 1.5, -0.5, 0.5), RunBlock(0, 1, 2, 3),
+                   BowenInterval(t_lo=1.0, t_hi=1.5)):
+        obj = {"bare": record, "in a dict": {"r": record}, "in a list": [1, record],
+               "in a tuple": (record,)}[where]
+        with pytest.raises(TypeError, match=f"type {type(record).__name__} is not JSON"):
+            canonical_json(obj)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 from unittest.mock import patch
@@ -173,7 +172,7 @@ def test_run_sums_need_every_range_past_h():
     with pytest.raises(td.DomainError):
         env.run_sums([(1, 64)])
     assert len(env.run_sums([(2, 64)])[1][1]) == 1
-    exact = dataclasses.replace(env, b=6.0 * math.pi)
+    exact = env._replace(b=6.0 * math.pi)
     assert exact.b / TWO_PI == 3.0
     for ranges in ([(3, 10)], [(4, 10), (3, 3)]):
         with pytest.raises(td.DomainError):
