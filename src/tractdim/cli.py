@@ -21,13 +21,11 @@ and `geometry.inset` enter neither G nor the bounds, so they are
 certified, 1 configuration error, 2 negative construction/certification
 outcome, 3 numeric or oracle failure.
 
-`dim` loads no numpy: its path (`load_config`, `build_squares`,
-`build_G`, `build_weighted_system`, `level1_sum`, `bowen_root`,
-`write_json`) runs on `math` alone, and every function that takes numpy
-arrays imports numpy when called.  `sample` loads `cantor_ifs`, the
-three `oracle` commands load `oracle`, both of which import numpy, and
-`lemmas` and an "auto" anchor load numpy through `anchor_line` and
-`find_radius`.
+Only `sample` and the three `oracle` commands load numpy, through
+`cantor_ifs` and `oracle`.  `dim` and `lemmas` run on `math` and `cmath`
+at any anchor, an "auto" one too (`load_config`, `find_radius`,
+`build_G`, `build_weighted_system`, `bowen_root`, `trace_level_lines`,
+`write_json`); a function taking numpy arrays imports it when called.
 
 Anchors below the Koebe range (no covering disk of Q inside H) are not
 configuration errors.  The Koebe distortion constant C enters neither G,
@@ -110,7 +108,8 @@ That cap is the documented outcome for huge indices.  G's |s| reach
 about e^(1.5 * anchor) / (2 pi), ints of any size, and the certificate's
 cost grows with them without bound (0.7 s and a 200 MB peak at anchor
 1e8, on a 2-core x86-64 VM).  Up to the cap it stays small: at anchor
-2.79e6 `dim` certifies in about 20 ms and 21 MB; a larger anchor exits 1.
+2.79e6 `dim` certifies in about 20 ms and 21 MB, and `lemmas` exits 0
+with `all_pass` true in about 1 ms; a larger anchor exits 1.
 
 Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate

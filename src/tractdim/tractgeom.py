@@ -20,6 +20,7 @@ without evaluating a branch.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
@@ -218,9 +219,8 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
     The preimages are v_s = F_inv_0(R) + 2*pi*i*s, so all of them have
     the real part r of F_inv_0(R) exactly.
     """
-    import numpy as np
-    r = complex(np.asarray(family.inv0(complex(anchor))).item()).real
-    c0 = float(np.real(np.asarray(family.inv0(complex(1.0 + family.ln_r0))).item()))
+    r = cmath.log(anchor - family.log_lam).real
+    c0 = cmath.log(1.0 + family.ln_r0 - family.log_lam).real
     bound = 4.0 * math.pi * math.log(anchor - family.ln_r0) + c0
     return AnchorLine(
         anchor=float(anchor), real_part=r, c0=c0, growth_bound=bound,
@@ -257,30 +257,30 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
     """Smallest grid point satisfying the three anchor conditions.
 
     (1) |F_inv_0'(x)| > 1/x^(1+epsilon); (2) Re F_inv_0(x) > ln R0 +
-    2*inset; (3) x/4 > inset.  The grid is scan_lo, scan_lo+step, ...;
-    ties break to the smallest passing point by construction.
+    2*inset; (3) x/4 > inset.  The grid is numpy's arange(scan_lo, stop,
+    step), stop = scan_hi + step/2, walked up to its first passing point:
+    x_i = scan_lo + i*((scan_lo + step) - scan_lo) for i < ceil((stop -
+    scan_lo) / step).  More than 10^6 points, or none, are a ConfigError.
     """
-    import numpy as np
     if scan_lo <= family.ln_r0 + 1.0:
         raise ConfigError(
             f"scan must start above ln R0 + 1 = {family.ln_r0 + 1.0:.6g}")
-    if step <= 0 or scan_hi < scan_lo:
+    stop = scan_hi + 0.5 * step
+    if step <= 0 or scan_hi < scan_lo or stop <= scan_lo:
         raise ConfigError("empty or backwards scan grid")
-    xs = np.arange(scan_lo, scan_hi + 0.5 * step, step, dtype=float)
-    deriv_margin = np.array([anchor_derivative_margin(family, x, budget.epsilon)
-                             for x in xs.tolist()])
-    depth_margin = np.real(np.asarray(family.inv0(xs.astype(complex)))) \
-        - (family.ln_r0 + 2.0 * budget.inset)
-    size_margin = xs / 4.0 - budget.inset
-    ok = (deriv_margin > 0) & (depth_margin > 0) & (size_margin > 0)
-    hits = np.nonzero(ok)[0]
-    if hits.size:
-        return float(xs[hits[0]])
-    margins = {
-        "anchor_derivative": float(np.max(deriv_margin)),
-        "tract_depth": float(np.max(depth_margin)),
-        "square_size": float(np.max(size_margin)),
-    }
+    count = (stop - scan_lo) / step
+    if not count <= 1e6:
+        raise ConfigError(f"scan grid of {count:.4g} points passes the cap of 10^6 points")
+    delta = (scan_lo + step) - scan_lo
+    c, depth_min, worst = family.log_lam, family.ln_r0 + 2.0 * budget.inset, [-math.inf] * 3
+    for i in range(math.ceil(count)):
+        x = scan_lo + i * delta
+        at_x = (anchor_derivative_margin(family, x, budget.epsilon),
+                cmath.log(x - c).real - depth_min, x / 4.0 - budget.inset)
+        if all(m > 0 for m in at_x):
+            return x
+        worst = list(map(max, worst, at_x))
+    margins = dict(zip(("anchor_derivative", "tract_depth", "square_size"), worst))
     raise RadiusSearchError(
         "no grid point satisfies the anchor conditions (worst margins: "
         + ", ".join(f"{k}={v:.4g}" for k, v in margins.items())
@@ -666,17 +666,7 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
 # Level lines
 # ---------------------------------------------------------------------------
 
-class CurveTrace(NamedTuple):
-    """One branch preimage of the anchor line: the arclengths of its
-    components in Q' that meet Q''."""
-
-    u: int
-    arclengths: tuple
-    meets_core: bool
-
-
 class LevelLineReport(NamedTuple):
-    traces: tuple
     curve_count: int
     required_count: int         # floor(R / (4 pi))
     min_component_length: float
@@ -706,28 +696,38 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     A(l2) - A(l1) summed over its halves.  Every quantity stays finite at
     any anchor.
 
+    Branch u's curve lies within 2*pi*u +- pi/2 in imaginary part, and the
+    core's imaginary range within Q''s (inset <= anchor/4).  A column whose
+    strip misses the core's range has no component meeting it.  One whose
+    strip lies inside it reaches the clipped branch of `_half_interval` on
+    both halves, for Q' and the core, where l1 = max(0, re_lo - ln a) and
+    l2 = re_hi - ln a whatever u, bit for bit.  So only the columns within
+    two of the core's horizontal edges (two cover the rounding of 2*pi*u)
+    and one for the block between them are evaluated.
+
     Every branch is a vertical translate of branch 0, so all of them share
     the least real part min_re = ln a.  Where a <= 0 the anchor line is not
     right of Log(lam): it meets the branch cut of Log, so no branch maps it
-    to a curve.  Each trace then has no components, and min_re and its
-    margin are NaN.
+    to a curve, no column has components, and min_re and its margin are NaN.
     """
     line = anchor_line(family, spec.anchor, budget.inset)
     a = line.real_part - family.log_lam.real
     ln_a = math.log(a) if a > 0.0 else math.nan
     inner, core = spec.inner, spec.core
-    traces = []
-    u_lo = math.floor((inner.im_lo - 1.0) / TWO_PI) - 1
-    u_hi = math.ceil((inner.im_hi + 1.0) / TWO_PI) + 1
-    for u in range(u_lo, u_hi + 1):
-        lens = _branch_components(ln_a, u, inner, core) if a > 0.0 else []
-        if lens or inner.im_lo <= TWO_PI * u <= inner.im_hi:
-            traces.append(CurveTrace(u=u, arclengths=tuple(lens), meets_core=bool(lens)))
-    lengths = [l for t in traces for l in t.arclengths]
+
+    def near(y):  # the columns within two of those whose strip meets Im = y
+        return range(math.floor((y - 0.5 * math.pi) / TWO_PI) - 2,
+                     math.ceil((y + 0.5 * math.pi) / TWO_PI) + 3)
+
+    below, above = near(core.im_lo), near(core.im_hi)
+    block = range(below.stop, above.start)
+    columns = sorted(set(below) | set(above)) + list(block[:1])
+    comps = [_branch_components(ln_a, u, inner, core) if a > 0.0 else [] for u in columns]
     return LevelLineReport(
-        traces=tuple(traces), curve_count=sum(1 for t in traces if t.meets_core),
+        curve_count=sum(len(block) if u in block else 1
+                        for u, lens in zip(columns, comps) if lens),
         required_count=int(math.floor(spec.anchor / (4.0 * math.pi))),
-        min_component_length=min(lengths) if lengths else math.inf,
+        min_component_length=min((x for lens in comps for x in lens), default=math.inf),
         required_length=spec.anchor / 4.0 - budget.inset,
         growth_bound=line.growth_bound, min_re=ln_a, min_re_margin=line.growth_bound - ln_a)
 

@@ -972,12 +972,13 @@ def test_seed_past_2_53_runs_as_given(tmp_path):
 
 @pytest.mark.parametrize("command, anchor, rc", [
     ("dim", 2.79e6, 0), ("dim", 2.0 ** 23 / 3.0, 0), ("dim", 2_796_203.0, 1),
-    ("dim", 22_613_379.0, 1), ("dim", 1e9, 1), ("lemmas", 2_796_203.0, 1)])
+    ("dim", 22_613_379.0, 1), ("dim", 1e9, 1), ("lemmas", 2_796_203.0, 1),
+    ("lemmas", 2.79e6, 0), ("lemmas", 2.0 ** 23 / 3.0, 0)])
 def test_anchor_cap(tmp_path, capsys, command, anchor, rc):
     """An anchor whose Q reaches Re = 1.5 * anchor > 2^22 is a config
     error naming the key and the cap, whatever the command; up to the cap
-    `dim` certifies.  The run end past 2^24 at anchor 22,613,379 is
-    certified through the library (test_pressure)."""
+    `dim` certifies and every lemma passes.  The run end past 2^24 at
+    anchor 22,613,379 is certified through the library (test_pressure)."""
     cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": anchor}})
     out = str(tmp_path / "x.json")
     assert run([command, "--config", cfg, "--out", out]) == rc
@@ -988,6 +989,8 @@ def test_anchor_cap(tmp_path, capsys, command, anchor, rc):
                        f"got {anchor!r}\n")
     elif command == "dim":
         assert read_json(out)["verdict"] == "certified"
+    else:
+        assert read_json(out)["all_pass"] is True
 
 
 _NO_NUMPY = """
@@ -1012,18 +1015,41 @@ print(json.dumps({"codes": codes, "loaded": seen}))
 def test_dim_path_imports_no_numpy(tmp_path):
     """In a fresh interpreter, `import tractdim`, `load_config` of the
     certificate config and `dim` at the default certificate, at an empty G
-    (anchor 3) and at lam = i, anchor 4000 load no numpy.  Nor do they load
-    `dataclasses` or `inspect`: the package's records are NamedTuples, and
-    importing it generates no dataclass code."""
-    configs = [None, {"geometry": {"anchor": 3.0}},
-               {"family": {"lambda_re": 0.0, "lambda_im": 1.0}}]
-    argvs = [["dim", "--out", str(tmp_path / f"d{i}.json")]
+    (anchor 3), at lam = i, anchor 4000 and at an "auto" anchor load no
+    numpy, nor does `lemmas` at the small default, at anchor 2.79e6 and at
+    an "auto" anchor.  Nor do they load `dataclasses` or `inspect`: the
+    package's records are NamedTuples, and importing it generates no
+    dataclass code."""
+    auto = {"geometry": {"anchor": "auto"}}
+    runs = [("dim", None), ("dim", {"geometry": {"anchor": 3.0}}),
+            ("dim", {"family": {"lambda_re": 0.0, "lambda_im": 1.0}}), ("dim", auto),
+            ("lemmas", None), ("lemmas", {"geometry": {"anchor": 2.79e6}}), ("lemmas", auto)]
+    argvs = [[command, "--out", str(tmp_path / f"d{i}.json")]
              + (["--config", write_cfg(tmp_path, f"c{i}.json", c)] if c else [])
-             for i, c in enumerate(configs)]
+             for i, (command, c) in enumerate(runs)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", _NO_NUMPY, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == {"codes": [0, 2, 0], "loaded": [[]] * 5}
+    assert json.loads(done.stdout) == {"codes": [0, 2, 0, 0, 0, 0, 0], "loaded": [[]] * 9}
+
+
+@pytest.mark.parametrize("scan, points", [([8.0, 4000.0, 1e-9], "3.992e+12"),
+                                          ([8.0, 9.0, 1e-300], "1e+300")])
+@pytest.mark.parametrize("command", ["lemmas", "dim"])
+def test_auto_anchor_scan_past_a_million_points_exit_1(tmp_path, scan, points, command):
+    """An "auto" anchor's scan of more than 10^6 points is a config error
+    naming the count, before any point is evaluated, with no traceback:
+    numpy's arange used to raise on these grids (29 TiB at step 1e-9, past
+    its size limit at 1e-300).  The default scans have 3,993 and 191
+    points."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": "auto", "scan": scan}})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "tractdim", command, "--config", cfg,
+                           "--out", str(tmp_path / "x.json")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == (f"config error: scan grid of {points} points passes the cap "
+                           "of 10^6 points\n")
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def records():
     letters = gset.letters_by_weight(2)
     made = [fam, budget, spec, spec.outer, env, env.run_sums([(s1, s1 + 99)])[0][1][0],
             td.distortion_constant(12.0, fam.ln_r0), td.anchor_line(fam, 12.0, budget.inset),
-            gset, gset.runs[0], td.min_cell_gap(fam, gset, spec), lines, lines.traces[0],
+            gset, gset.runs[0], td.min_cell_gap(fam, gset, spec), lines,
             system, td.level1_sum(system, 1.0), td.bowen_root(system),
             td.certify_dim_gt_one(fam, spec),
             td.compare_window_modes(fam, spec, sigma, sigma + 1.0),

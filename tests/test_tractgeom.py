@@ -45,6 +45,55 @@ def test_find_radius_depth_condition_dominates(fam):
     assert err.value.margins["anchor_derivative"] > 0  # condition (1) is easy here
 
 
+@pytest.mark.parametrize("scan", [(100.0, 99.0, 1.0), (100.0, 100.0, 0.0),
+                                  (100.0, 100.0, 1e-20)])
+def test_find_radius_empty_grid_is_a_config_error(fam, scan):
+    """A backwards scan, a zero step, and a step so small that numpy's
+    arange(lo, hi + step/2, step) is empty (hi + step/2 rounds to lo) are
+    config errors, not a reduction over no points."""
+    with pytest.raises(td.ConfigError, match="empty or backwards scan grid"):
+        td.find_radius(fam, td.GeometryBudget(), *scan)
+
+
+def _find_radius_reference(family, budget, lo, hi, step):
+    """Reference: numpy's arange(lo, hi + step/2, step), the three margins
+    per point with numpy's complex log, and the first point passing all
+    three (None if none does), with each margin's maximum."""
+    xs = np.arange(lo, hi + 0.5 * step, step, dtype=float)
+    deriv = np.array([tractgeom.anchor_derivative_margin(family, x, budget.epsilon)
+                      for x in xs.tolist()])
+    depth = np.real(np.log(xs.astype(complex) - family.log_lam)) \
+        - (family.ln_r0 + 2.0 * budget.inset)
+    size = xs / 4.0 - budget.inset
+    hits = np.flatnonzero((deriv > 0) & (depth > 0) & (size > 0))
+    return (float(xs[hits[0]]) if hits.size else None,
+            [float(deriv.max()), float(depth.max()), float(size.max())])
+
+
+def test_find_radius_walks_numpys_arange_grid():
+    """On seeded random (lam, epsilon, inset, scan), passing and failing:
+    `find_radius` returns the reference's first passing point, or raises
+    with the reference's worst margins, bit for bit."""
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(150):
+        lam = cmath.rect(math.exp(rng.uniform(-5.0, 5.0)), rng.uniform(-math.pi, math.pi))
+        family = td.normalize_family(td.exponential_family(lam, math.e))
+        budget = td.GeometryBudget(float(rng.uniform(0.01, 0.9)), float(rng.uniform(0.05, 30.0)))
+        lo = family.ln_r0 + 1.0 + float(rng.uniform(0.01, 200.0))
+        step = float(np.exp(rng.uniform(math.log(1e-3), math.log(50.0))))
+        hi = lo + step * float(rng.uniform(0.0, 400.0))
+        point, worst = _find_radius_reference(family, budget, lo, hi, step)
+        outcomes.add(point is None)
+        if point is not None:
+            assert td.find_radius(family, budget, lo, hi, step) == point
+            continue
+        with pytest.raises(RadiusSearchError) as err:
+            td.find_radius(family, budget, lo, hi, step)
+        assert list(err.value.margins.values()) == worst
+    assert outcomes == {True, False}
+
+
 def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
     """On seeded random (lam, anchor), with both signs of the margin: the
     lemma report's `anchor_derivative_lower` margin is
@@ -1153,25 +1202,28 @@ def _clipped_lengths(pts, inner, core):
 
 def _assert_level_lines_match_dense_reference(family, anchor, inset):
     """The closed-form curves against dense polylines of Log, clipped here,
-    over every branch within two of Q': the same curve count, the same
-    components to 1e-5 relative, and a least real part at or below every
-    reference point's.  Returns the curve count."""
+    over every branch within two of Q': each column's components
+    (`_branch_components`) to 1e-5 relative, a least real part at or below
+    every reference point's, and the report's curve count and least
+    component length those of the reference over all the columns (the
+    length to 1e-5 relative).  Returns the curve count."""
     spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
     rep = td.trace_level_lines(family, spec, budget)
     r = td.anchor_line(family, anchor, inset).real_part
-    traces = {t.u: t for t in rep.traces}
-    count = 0
+    assert math.isfinite(rep.min_re), anchor
+    count, lengths = 0, []
     for u in range(math.floor(spec.inner.im_lo / TWO_PI) - 2,
                    math.ceil(spec.inner.im_hi / TWO_PI) + 3):
         pts = _dense_branch(family, r, u, spec.inner.re_hi)
         want = sorted(_clipped_lengths(pts, spec.inner, spec.core))
-        count += bool(want)
-        if u not in traces:
-            assert not want, (anchor, u)
-            continue
-        assert sorted(traces[u].arclengths) == pytest.approx(want, rel=1e-5), (anchor, u)
+        got = tractgeom._branch_components(rep.min_re, u, spec.inner, spec.core)
+        assert sorted(got) == pytest.approx(want, rel=1e-5), (anchor, u)
         assert rep.min_re <= pts.real.min(), (anchor, u)
+        count += bool(want)
+        lengths += want
     assert rep.curve_count == count, anchor
+    assert rep.min_component_length == pytest.approx(min(lengths, default=math.inf),
+                                                     rel=1e-5), anchor
     return count
 
 
@@ -1183,6 +1235,45 @@ def test_level_lines_equal_dense_log_reference(lam):
     counts = [_assert_level_lines_match_dense_reference(family, anchor, 0.5)
               for anchor in (6.0, 12.0, 30.0, 100.0, 400.0)]
     assert counts[1:] == [1, 3, 9, 33]
+
+
+def _per_column_level_lines(family, spec, budget):
+    """Reference: the curve count and least component length of the level
+    lines by a walk over every column u within one column and one unit of
+    Q''s imaginary range, each evaluated by `_branch_components`."""
+    line = td.anchor_line(family, spec.anchor, budget.inset)
+    a = line.real_part - family.log_lam.real
+    ln_a = math.log(a) if a > 0.0 else math.nan
+    inner, core = spec.inner, spec.core
+    comps = [tractgeom._branch_components(ln_a, u, inner, core) if a > 0.0 else []
+             for u in range(math.floor((inner.im_lo - 1.0) / TWO_PI) - 1,
+                            math.ceil((inner.im_hi + 1.0) / TWO_PI) + 2)]
+    lengths = [length for lens in comps for length in lens]
+    return sum(1 for lens in comps if lens), min(lengths, default=math.inf)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3, 3.0, 0.5 + 0.5j, 1j, 0.01, -2.0, 1e4])
+def test_level_lines_per_block_equal_the_per_column_walk(lam):
+    """The block lemma, one column standing for every column whose strip
+    lies inside the core's imaginary range, against the per-column walk:
+    the same curve count and least component length, bit for bit, at
+    anchors 4 to 13 (no interior block; lam = 3 has its anchor line left of
+    Log(lam) there) and 14 to 1e4, insets 0.1, 0.5, 3 and anchor/4."""
+    family = td.normalize_family(td.exponential_family(lam, math.e))
+    anchors = [4.0 + 0.25 * k for k in range(37)] + np.geomspace(14.0, 1e4, 40).tolist()
+    checked = 0
+    for anchor in anchors:
+        if anchor <= family.ln_r0:
+            continue
+        for inset in (0.1, 0.5, 3.0, anchor / 4.0):
+            if inset > anchor / 4.0:
+                continue
+            spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(0.1, inset)
+            rep = td.trace_level_lines(family, spec, budget)
+            want = _per_column_level_lines(family, spec, budget)
+            assert (rep.curve_count, rep.min_component_length) == want, (anchor, inset)
+            checked += 1
+    assert checked >= 150
 
 
 @pytest.mark.parametrize("inner, core, n_comps", [
