@@ -25,10 +25,8 @@ that take numpy arrays import it when called.
 The records are `typing.NamedTuple`s, so importing the package generates
 no dataclass code and loads neither `dataclasses` nor `inspect`.  `Rect`,
 `GeometryBudget` and `MapFamily` check their fields in the `__new__` of a
-subclass of their NamedTuple (`_replace` skips that check).
-`WeightedSystem` is a plain class whose fields cannot be set, since it
-builds its run-sum data once, on first use, and keeps it.  A record is a
-tuple, but no report writes one: `canonical_json` refuses it.
+subclass of their NamedTuple (`_replace` skips that check).  A record is
+a tuple, but no report writes one: `canonical_json` refuses it.
 """
 
 import importlib

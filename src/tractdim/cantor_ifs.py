@@ -125,11 +125,11 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     over all of G, through the ranks of its runs (`GSet.random_ranks`).
 
     Words are int64, so a G with letters past 2^63 raises
-    ConstructionError.  Deterministic for a fixed seed; rows are ordered
-    by word rank (lexicographic in the flat letter ranks, ties in draw
-    order): one stable sort of each row's ranks as a fixed-width
-    big-endian byte string (`_rank_keys`), whose bytewise order is that
-    lexicographic order.
+    ConstructionError.  Deterministic for a fixed seed; rows come in draw
+    order: row i is the image of the i-th word, whose letters are the
+    draws i*depth to (i+1)*depth - 1 of `GSet.random_ranks`, first letter
+    first.  `tractdim sample` writes the rows in this order, then their
+    plane projections in the same order.
     """
     if gset.is_empty():
         raise ConstructionError("cannot sample: G has no letters")
@@ -138,9 +138,7 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     if gset.max_abs_index() >= 2 ** 63:
         raise ConstructionError("cannot sample: G has letters past 2^63, and words are int64")
     rng = np.random.default_rng(seed)
-    ranks = gset.random_ranks(rng, count * depth).reshape(count, depth)
-    order = np.argsort(_rank_keys(ranks, gset.n_letters), kind="stable")
-    u, s = gset.letters(ranks[order].ravel())
+    u, s = gset.letters(gset.random_ranks(rng, count * depth))
     words_u = u.astype(np.int64).reshape(count, depth)
     words_s = s.astype(np.int64).reshape(count, depth)
     z = np.full(count, spec.outer.center, dtype=complex)
@@ -156,19 +154,6 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
                        depth=depth)
 
 
-def _rank_keys(ranks: np.ndarray, n_letters: int) -> np.ndarray:
-    """One byte string per word row: its ranks in [0, n_letters) written
-    big-endian at one fixed width, so that bytewise order is the
-    lexicographic order of the rows.  int64 ranks take 8 bytes each;
-    object ranks (G past 2^63 letters) the byte width of n_letters - 1."""
-    depth = ranks.shape[1]
-    if ranks.dtype != object:
-        return ranks.astype(">u8").view(f"V{8 * depth}").ravel()
-    width = ((n_letters - 1).bit_length() + 7) // 8
-    return np.frombuffer(b"".join(int(r).to_bytes(width, "big") for r in ranks.ravel()),
-                         dtype=f"V{width * depth}")
-
-
 class PlaneProjection(NamedTuple):
     """Exponential projection of a lifted sample to the dynamical plane.
 
@@ -179,7 +164,6 @@ class PlaneProjection(NamedTuple):
 
     points: np.ndarray
     log_polar: np.ndarray
-    conjugacy_residual: float
     conjugacy_checked: int        # rows compared with both sides nonzero and finite
 
 
@@ -231,8 +215,7 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
             raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
     if np.any(~logp) and np.any(pts[~logp] == 0):
         raise ConstructionError("plane projection produced 0")
-    return PlaneProjection(points=pts, log_polar=logp, conjugacy_residual=resid,
-                           conjugacy_checked=checked)
+    return PlaneProjection(points=pts, log_polar=logp, conjugacy_checked=checked)
 
 
 def _project(z: np.ndarray):

@@ -121,6 +121,12 @@ G: at lam = 1, R0 = e, inset 0.5, anchor 30 they and
 Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
 the default certificate, which `oracle recheck` checks.
 
+`sample` writes a CSV with the header `re,im,space`, then
+`sampling.count` rows of space `lifted`, the sampled points in Q, and
+as many rows of their exp projections to the plane, of space `plane`
+(`plane_logpolar`, as ln|.| and arg, for a point past the exp range),
+each part in the order the words were drawn (`sample_limit_set`).
+
 For a non-real or negative lam, `sample` writes its rows and exits 0 as
 for lam > 0.  Its conjugacy check f(exp z) = exp(F z) leaves out the rows
 where the rounding of F z = e^z + Log(lam) alone can reach the check's
@@ -437,10 +443,9 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
 
     lifted, plane = sample.points, proj.points
     spaces = ["plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
-    n = write_csv(out_path, ["re", "im", "space", "depth", "word_rank"], [
+    n = write_csv(out_path, ["re", "im", "space"], [
         lifted.real.tolist() + plane.real.tolist(), lifted.imag.tolist() + plane.imag.tolist(),
-        ["lifted"] * sample.count + spaces, [str(cfg.depth)] * (2 * sample.count),
-        list(map(str, range(sample.count))) * 2])
+        ["lifted"] * sample.count + spaces])
     print(f"wrote {n} rows; conjugacy checked on {proj.conjugacy_checked} of {sample.count} rows",
           file=sys.stderr)
     return 0
@@ -523,12 +528,12 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     bracket = level1_sum(sub, t)
     p_lo, p_hi = bracket.log_lo, bracket.log_hi
     # the brute value lies in [p_lo, p_hi] exactly; eps covers float rounding
-    eps = 1e-12 * (1.0 + abs(brute.value))
-    ok = (p_lo - eps) <= brute.value <= (p_hi + eps)
+    eps = 1e-12 * (1.0 + abs(brute))
+    ok = (p_lo - eps) <= brute <= (p_hi + eps)
     report = {
         "schema_version": SCHEMA_VERSION, "command": "oracle brute-pressure",
         "config": cfg.resolved, "letters": [list(l) for l in letters],
-        "brute_value": brute.value,
+        "brute_value": brute,
         "level1_lo": p_lo, "level1_hi": p_hi, "slack_log": eps,
         "pass": bool(ok),
     }

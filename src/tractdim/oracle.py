@@ -164,13 +164,6 @@ def cantor_middle_thirds(count: int = 100_000, depth: int = 35,
 # Brute-force pressure
 # ---------------------------------------------------------------------------
 
-class BrutePressure(NamedTuple):
-    n: int
-    t: float
-    value: float            # (1/n) log sum over words of |word derivative|^t
-    n_words: int
-
-
 def brute_force_pressure_similarity(weights: Sequence[float], n: int, t: float) -> float:
     """(1/n) log sum over n-words of similarity systems (exact ratios).
 
@@ -199,7 +192,7 @@ def _branch_deriv(family: MapFamily, zeta: complex) -> complex:
 
 
 def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
-                         n: int, t: float) -> BrutePressure:
+                         n: int, t: float) -> float:
     """(1/n) log sum over all n-words of |(g^word)'(center Q)|^t.
 
     For letters of G every intermediate point of a word lies in Q, where
@@ -224,7 +217,7 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
                           + math.log(abs(_branch_deriv(family, first))))
             z = _branch_point(family, u, first)
         log_terms.append(t * log_deriv)
-    return BrutePressure(n=n, t=t, value=log_sum_exp(log_terms) / n, n_words=len(log_terms))
+    return log_sum_exp(log_terms) / n
 
 
 # ---------------------------------------------------------------------------

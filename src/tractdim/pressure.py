@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, ConstructionError
-from .loglift import MapFamily, TailEnvelope, log_run_sum_bounds, normalize_family
+from .loglift import MapFamily, log_run_sum_bounds, normalize_family
 from .numerics import TWO_PI, weighted_log_sum_exp
 from .tractgeom import (DistortionBound, GSet, SquareSpec, _distortion_or_unavailable,
                         build_G)
@@ -43,30 +42,22 @@ _T_MAX = 4.0
 # Weighted systems
 # ---------------------------------------------------------------------------
 
-class WeightedSystem:
+class WeightedSystem(NamedTuple):
     """Letters with two-sided log-weight bounds.
 
     Synthetic systems and letter subsystems list their weights (log_lo /
-    log_hi arrays).  Systems built from an admissible set hold the envelope
-    `env` of Q and G as `runs`: each distinct |s| range (lo, hi), ints of
-    any size, with its multiplicity k, since the envelopes depend on |s|
-    alone.  The envelopes' run-sum data over those ranges is built on first
-    use and kept (`envelope_sums`), so this is a plain class, not a
-    NamedTuple; its fields cannot be set after construction.
+    log_hi arrays).  Systems built from an admissible set hold `runs`:
+    each distinct |s| range (lo, hi), ints of any size, with its
+    multiplicity k, since the envelopes depend on |s| alone; and
+    `envelope_sums`, per envelope (lower, upper), ln(2 pi d) and the
+    t-independent run-sum data of every range in `runs`, in order
+    (`TailEnvelope.run_sums`).
     """
 
-    def __init__(self, log_lo: Optional[np.ndarray] = None,
-                 log_hi: Optional[np.ndarray] = None, runs: tuple = (),
-                 env: Optional[TailEnvelope] = None):
-        # runs: of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
-        vars(self).update(log_lo=log_lo, log_hi=log_hi, runs=runs, env=env)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a WeightedSystem")
-
-    def __repr__(self) -> str:
-        return (f"WeightedSystem(log_lo={self.log_lo!r}, log_hi={self.log_hi!r}, "
-                f"runs={self.runs!r}, env={self.env!r})")
+    log_lo: Optional[np.ndarray] = None
+    log_hi: Optional[np.ndarray] = None
+    runs: tuple = ()  # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
+    envelope_sums: tuple = ()
 
     @classmethod
     def from_uniform(cls, weights: Sequence[float]):
@@ -78,20 +69,13 @@ class WeightedSystem:
         logs = np.log(w)
         return cls(log_lo=logs.copy(), log_hi=logs.copy())
 
-    @cached_property
+    @property
     def n_letters(self) -> int:
         n = 0 if self.log_lo is None else int(self.log_lo.size)
         return n + sum(k * (hi - lo + 1) for (lo, hi), k in self.runs)
 
     def is_empty(self) -> bool:
         return self.n_letters == 0
-
-    @cached_property
-    def envelope_sums(self) -> tuple:
-        """Per envelope (lower, upper): ln(2 pi d) and the t-independent
-        run-sum data of every range in `runs`, in order
-        (`TailEnvelope.run_sums`)."""
-        return self.env.run_sums([lo_hi for lo_hi, _ in self.runs])
 
 
 def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
@@ -101,14 +85,17 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     The per-letter bounds are the closed-form envelopes of |g'| over Q,
     which depend on sigma = ln(2*pi*|s|) alone.  So G's runs reduce to
     distinct |s| ranges, each with the number of columns holding it (at
-    the default anchor-4000 certificate, one range for 1,274 columns).
+    the default anchor-4000 certificate, one range for 1,274 columns),
+    whose run-sum data is built here, once per system; a range at or
+    below h = b / (2 pi) raises DomainError (`TailEnvelope.run_sums`).
     `dist` has no effect, since no distortion constant enters the bounds;
     it stays because `perfbench/workloads.py` passes it.
     """
     runs = Counter()
     for run in gset.runs:
         runs[tuple(sorted((abs(run.s_lo), abs(run.s_hi))))] += run.n_columns
-    return WeightedSystem(runs=tuple(runs.items()), env=family.envelope(spec.outer.bounds()))
+    env = family.envelope(spec.outer.bounds())
+    return WeightedSystem(runs=tuple(runs.items()), envelope_sums=env.run_sums(list(runs)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +105,6 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
 class Level1Sum(NamedTuple):
     """Two-sided level-1 sum at one exponent, kept in log domain."""
 
-    t: float
     log_lo: float
     log_hi: float
     n_letters: int
@@ -136,7 +122,7 @@ def level1_sum(system: WeightedSystem, t: float) -> Level1Sum:
     its own.
     """
     _check_exponent(t)
-    return Level1Sum(t=t, log_lo=_envelope_log_sum(system, t, 0),
+    return Level1Sum(log_lo=_envelope_log_sum(system, t, 0),
                      log_hi=_envelope_log_sum(system, t, 1),
                      n_letters=system.n_letters)
 
@@ -366,7 +352,7 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
         reasons = ["admissible set G is empty at this configuration"]
     else:
         system = build_weighted_system(family, gset, spec)
-        p1_lo = level1_sum(system, 1.0).log_lo
+        p1_lo = _envelope_log_sum(system, 1.0, 0)
         roots = bowen_root(system, tol=bisect_tol)
         t_lo, t_hi = roots.t_lo, roots.t_hi
         diagnostics.update(bowen_capped=roots.lo_capped or roots.hi_capped,

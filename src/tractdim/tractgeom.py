@@ -21,13 +21,14 @@ without evaluating a branch.
 from __future__ import annotations
 
 import cmath
+import heapq
 import itertools
 import math
 import sys
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
-from .loglift import _MAX_EXACT_INT, MapFamily, TailEnvelope
+from .loglift import _MAX_EXACT_INT, MapFamily, TailEnvelope, _log_add
 from .numerics import TWO_PI
 
 # Floats a closed-form window endpoint may move inward to pass the enclosure test.
@@ -173,7 +174,6 @@ class DistortionBound(NamedTuple):
     """
 
     c: float
-    rho: float
 
 
 def distortion_constant(anchor: float, ln_r0: float) -> DistortionBound:
@@ -187,7 +187,7 @@ def distortion_constant(anchor: float, ln_r0: float) -> DistortionBound:
     if rho >= 1.0:
         raise GeometryError(
             f"covering-disk ratio rho = {rho:.4f} >= 1; anchor too close to ln R0")
-    return DistortionBound(c=(1.0 + rho) / (1.0 - rho) ** 3, rho=rho)
+    return DistortionBound(c=(1.0 + rho) / (1.0 - rho) ** 3)
 
 
 def _distortion_or_unavailable(anchor: float, ln_r0: float) -> DistortionBound:
@@ -196,7 +196,7 @@ def _distortion_or_unavailable(anchor: float, ln_r0: float) -> DistortionBound:
     try:
         return distortion_constant(anchor, ln_r0)
     except GeometryError:
-        return DistortionBound(c=math.inf, rho=math.nan)
+        return DistortionBound(c=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +208,7 @@ class AnchorLine(NamedTuple):
 
     anchor: float
     real_part: float            # shared Re of all preimages v_s
-    c0: float                   # Re F_inv_0(1 + ln R0)
-    growth_bound: float         # 4*pi*ln(anchor - ln R0) + c0
+    growth_bound: float         # 4*pi*ln(anchor - ln R0) + Re F_inv_0(1 + ln R0)
     depth_margin: float         # real_part - (ln R0 + 2*inset)
 
 
@@ -223,7 +222,7 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
     c0 = cmath.log(1.0 + family.ln_r0 - family.log_lam).real
     bound = 4.0 * math.pi * math.log(anchor - family.ln_r0) + c0
     return AnchorLine(
-        anchor=float(anchor), real_part=r, c0=c0, growth_bound=bound,
+        anchor=float(anchor), real_part=r, growth_bound=bound,
         depth_margin=r - (family.ln_r0 + 2.0 * inset))
 
 
@@ -328,7 +327,7 @@ def _sigma_windows(env: TailEnvelope, target: Rect, sign: int) -> list:
         return []
     sigma_hi = y + math.log1p(-env.b * math.exp(-y))
     # ln(e^x + b) by the formula of numpy's logaddexp, bit for bit
-    shared_lo = max(env.sigma_valid_min, max(x, ln_b) + math.log1p(math.exp(-abs(x - ln_b))))
+    shared_lo = max(env.sigma_valid_min, _log_add(x, ln_b))
 
     def closed_lo(u):  # None without room
         mid = TWO_PI * u + sign * 0.5 * math.pi
@@ -465,14 +464,18 @@ class GSet(NamedTuple):
 
     def letters_by_weight(self, k: int):
         """The k letters of largest derivative (smallest |s|), ties broken
-        by (u, s): taken from the small-|s| ends of the runs."""
-        cands = []
-        for r in self.runs:
-            take = min(r.length, k)
-            ss = range(r.s_lo, r.s_lo + take) if r.s_lo > 0 else range(r.s_hi, r.s_hi - take, -1)
-            cands.extend((abs(s), u, s) for u in range(r.u_lo, r.u_hi + 1) for s in ss)
-        cands.sort()
-        return [(u, s) for _, u, s in cands[:k]]
+        by (u, s).  Each run yields its letters in that order, from its
+        small-|s| end, s by s and column by column, and one merge of the
+        runs stops after k letters."""
+        def ordered(r):
+            ss = range(r.s_lo, r.s_hi + 1) if r.s_lo > 0 else range(r.s_hi, r.s_lo - 1, -1)
+            for s in ss:
+                size = abs(s)
+                for u in range(r.u_lo, r.u_hi + 1):
+                    yield size, u, s
+
+        merged = heapq.merge(*map(ordered, self.runs))
+        return [(u, s) for _, u, s in itertools.islice(merged, k)]
 
 
 def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: GeometryBudget,
@@ -591,7 +594,6 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
 
 class GapReport(NamedTuple):
     min_gap: float              # consecutive cells of one run (inf: no run of two)
-    n_adjacent_checked: int     # sum over the runs of n_columns * (length - 1)
     column_separation: float    # gap between adjacent runs' imaginary extents
     log_min_gap: float          # ln min_gap, finite where min_gap underflows
 
@@ -657,8 +659,6 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     for (a_lo, a_hi), (b_lo, b_hi) in zip(columns, columns[1:]):
         col_sep = min(col_sep, b_lo - a_hi)
     return GapReport(min_gap=math.exp(log_min_gap), column_separation=col_sep,
-                     n_adjacent_checked=sum(run.n_columns * (run.length - 1)
-                                            for run in gset.runs),
                      log_min_gap=log_min_gap)
 
 
@@ -671,9 +671,8 @@ class LevelLineReport(NamedTuple):
     required_count: int         # floor(R / (4 pi))
     min_component_length: float
     required_length: float      # R/4 - inset
-    growth_bound: float         # 4 pi ln(r - ln R0) + c0
-    min_re: float               # ln a, the least Re of every branch
-    min_re_margin: float        # growth_bound - min_re
+    growth_bound: float         # 4 pi ln(r - ln R0) + Re F_inv_0(1 + ln R0)
+    min_re_margin: float        # growth_bound - ln a, ln a the least Re of every branch
 
 
 def trace_level_lines(family: MapFamily, spec: SquareSpec,
@@ -706,9 +705,10 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     and one for the block between them are evaluated.
 
     Every branch is a vertical translate of branch 0, so all of them share
-    the least real part min_re = ln a.  Where a <= 0 the anchor line is not
-    right of Log(lam): it meets the branch cut of Log, so no branch maps it
-    to a curve, no column has components, and min_re and its margin are NaN.
+    the least real part ln a, and `min_re_margin` is growth_bound - ln a.
+    Where a <= 0 the anchor line is not right of Log(lam): it meets the
+    branch cut of Log, so no branch maps it to a curve, no column has
+    components, and the margin is NaN.
     """
     line = anchor_line(family, spec.anchor, budget.inset)
     a = line.real_part - family.log_lam.real
@@ -729,7 +729,7 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
         required_count=int(math.floor(spec.anchor / (4.0 * math.pi))),
         min_component_length=min((x for lens in comps for x in lens), default=math.inf),
         required_length=spec.anchor / 4.0 - budget.inset,
-        growth_bound=line.growth_bound, min_re=ln_a, min_re_margin=line.growth_bound - ln_a)
+        growth_bound=line.growth_bound, min_re_margin=line.growth_bound - ln_a)
 
 
 def _branch_components(ln_a: float, u: int, inner: Rect, core: Rect) -> list:

@@ -81,26 +81,27 @@ def _listed_log_sum(logs, t):
     return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
 
 
-def level1_log_bounds(system, t):
+def level1_log_bounds(system, t, env=None):
     """(ln lower, ln upper) level-1 sum of a system: its listed weights
     summed as they are, and each distinct range of a system built from G
-    summed once and taken k times, both envelopes."""
+    summed once over the envelope `env` of Q and taken k times, both
+    envelopes."""
     listed = ([(_listed_log_sum(system.log_lo, t), _listed_log_sum(system.log_hi, t))]
               if system.log_lo is not None and system.log_lo.size else [])
-    parts = [(envelope_run_sum(lo, hi, t, system.env), k) for (lo, hi), k in system.runs]
+    parts = [(envelope_run_sum(lo, hi, t, env), k) for (lo, hi), k in system.runs]
     return tuple(log_sum_exp([pair[side] for pair in listed]
                              + [pair[side] for pair, k in parts for _ in range(k)])
                  for side in (0, 1))
 
 
-def bowen_root(system, tol):
+def bowen_root(system, tol, env=None):
     """(t_lo, t_hi, lo_capped, hi_capped) by bisection on [0, 4] on the
     two-sided reference sum, each side read from a sum of both envelopes;
     it stops once the bracket is within tol or its midpoint is no longer
     strictly inside it."""
     def root(side, conservative_left):
         def f(t):
-            return level1_log_bounds(system, t)[side]
+            return level1_log_bounds(system, t, env)[side]
         if f(0.0) <= 0.0:
             return 0.0, False
         if f(4.0) > 0.0:

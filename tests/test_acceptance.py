@@ -103,9 +103,8 @@ def test_criterion_03_lemma_margins(fam, fam25, tmp_path):
     max_excess = -math.inf
     for f in (fam, fam25):
         xs = np.geomspace(f.ln_r0 + 1.0, 1e6, 500)
-        c0 = td.anchor_line(f, 12.0, 0.5).c0
         re_vals = np.real(np.asarray(f.inv0(xs.astype(complex))))  # same for every branch
-        bound = 4.0 * math.pi * np.log(xs - f.ln_r0) + c0
+        bound = np.array([td.anchor_line(f, x, 0.5).growth_bound for x in xs.tolist()])
         max_excess = max(max_excess, float(np.max(re_vals - bound)))
     cor_ok = max_excess <= 1e-9
 

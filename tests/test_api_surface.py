@@ -14,6 +14,12 @@ must be passed, by keyword or by position, by some call in
 `src/tractdim/` or `perfbench/`, or be listed in `KEPT_KNOBS` with the
 tests that pass it.  A parameter that every caller leaves at its default
 is a constant.
+
+And each field of every NamedTuple record of the seven modules must be
+read as an attribute (`.field`, matched by name) in the same sources,
+but the fields of the records the kept references return
+(`KEPT_RECORDS`) and those listed in `KEPT_FIELDS` with what the tests
+check: a field that nothing reads is computed for nothing.
 """
 
 import ast
@@ -44,11 +50,14 @@ KEPT_REFERENCES = {
 }
 
 
-def _sources() -> list:
-    """The package's modules, less the re-exports of `__init__.py`, and the
-    benchmark's."""
+@cache
+def _nodes() -> tuple:
+    """Every AST node of the package's modules, less the re-exports of
+    `__init__.py`, and of the benchmark's."""
     paths = [p for p in (ROOT / "src" / "tractdim").glob("*.py") if p.name != "__init__.py"]
-    return paths + sorted((ROOT / "perfbench").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return tuple(node for path in paths
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
 
 
 @cache
@@ -56,14 +65,13 @@ def _reads() -> frozenset:
     """Every name, attribute and imported name the package and the
     benchmark read."""
     reads = set()
-    for path in _sources():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                reads.update(alias.name for alias in node.names)
+    for node in _nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
     return frozenset(reads)
 
 
@@ -129,7 +137,7 @@ def test_the_surface_covers_the_modules():
     names = _public_names()
     assert {"build_G", "certify_dim_gt_one", "load_config", "write_json", "recheck_gset",
             "sample_limit_set", "RunSum.log_bound", "GSet.n_letters",
-            "WeightedSystem.envelope_sums", "WeightedSystem.from_uniform",
+            "WeightedSystem.n_letters", "WeightedSystem.from_uniform",
             "ConfigError"} <= names
     assert not any(name.startswith("_") or "._" in name for name in names)
 
@@ -157,16 +165,15 @@ def _calls() -> dict:
     name alone (a name or an attribute); a * argument passes every
     position and a ** argument every keyword."""
     calls = {}
-    for path in _sources():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                     else len(node.args))
-            keywords = {kw.arg for kw in node.keywords}
-            calls.setdefault(name, []).append((n_pos, _Every() if None in keywords else keywords))
+    for node in _nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+        keywords = {kw.arg for kw in node.keywords}
+        calls.setdefault(name, []).append((n_pos, _Every() if None in keywords else keywords))
     return calls
 
 
@@ -225,3 +232,66 @@ def test_every_knob_is_passed():
 def test_kept_knobs_exist_and_are_passed_only_by_tests():
     assert sorted(set(KEPT_KNOBS) - set(_knobs())) == []
     assert sorted(k for k in KEPT_KNOBS if _passed(k)) == []
+
+
+# records whose fields only the tests read: what the kept references return
+KEPT_RECORDS = ("WindowComparison", "InvarianceReport")
+
+# "Record.field" -> what the tests check with it
+KEPT_FIELDS = {
+    "GapReport.log_min_gap": "the gap bound itself, against an 80-digit mpmath value "
+                             "(test_tractgeom); min_gap is its exp and is 0 from anchor "
+                             "about 750 on",
+}
+
+
+@cache
+def _records() -> dict:
+    """name -> class for every NamedTuple class that the modules define."""
+    records = {}
+    for module_name in MODULES:
+        module = importlib.import_module(f"tractdim.{module_name}")
+        records.update((name, obj) for name, obj in vars(module).items()
+                       if inspect.isclass(obj) and issubclass(obj, tuple)
+                       and hasattr(obj, "_fields") and obj.__module__ == module.__name__)
+    return records
+
+
+@cache
+def _record_fields() -> frozenset:
+    """"Record.field" for every field of every record but the kept ones."""
+    return frozenset(f"{name}.{field}" for name, record in _records().items()
+                     if name not in KEPT_RECORDS for field in record._fields)
+
+
+@cache
+def _attribute_reads() -> frozenset:
+    """Every attribute the package and the benchmark read."""
+    return frozenset(node.attr for node in _nodes()
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _field_is_read(field: str) -> bool:
+    return field.rpartition(".")[2] in _attribute_reads()
+
+
+def test_every_record_field_has_a_reader():
+    unread = sorted(f for f in _record_fields() if not _field_is_read(f) and f not in KEPT_FIELDS)
+    assert unread == [], ("read as an attribute by no module of src/tractdim or perfbench: "
+                          "delete them and what computes them, or list them in KEPT_FIELDS "
+                          "with what the tests check")
+
+
+def test_kept_records_and_fields_exist_and_fields_have_no_other_reader():
+    assert sorted(set(KEPT_RECORDS) - set(_records())) == []
+    assert sorted(set(KEPT_FIELDS) - _record_fields()) == []
+    assert sorted(f for f in KEPT_FIELDS if _field_is_read(f)) == []
+
+
+def test_the_field_check_sees_the_records():
+    """Public and private records, and the fields of a NamedTuple under a
+    checked subclass, are collected."""
+    fields = _record_fields()
+    assert {"GSet.runs", "WeightedSystem.envelope_sums", "Rect.re_lo", "_RectFields.re_lo",
+            "_Boundary.q_order", "RunConfig.collar", "LimitSample.shifted"} <= fields
+    assert not any(f.startswith(KEPT_RECORDS) for f in fields)

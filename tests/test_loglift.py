@@ -184,13 +184,14 @@ def test_growth_bound_shared_constant(family):
     growth bound 4 pi ln(x - ln R0) + c0 up to x = 1e6 (within 1e-9), and
     the excess is 0 (up to rounding) at x = ln R0 + 1, its closed-form
     maximum, the lemma report's `max_excess`; c0 = ln|1 + ln R0 - Log(lam)|
-    (ln 2 at lam = 1, R0 = e) is `AnchorLine.c0`."""
-    line = td.anchor_line(family, family.ln_r0 + 10.0, 1.0)
-    assert line.c0 == pytest.approx(math.log(abs(1.0 + family.ln_r0 - family.log_lam)),
-                                    rel=1e-15, abs=1e-15)
+    (ln 2 at lam = 1, R0 = e) is the constant of `AnchorLine.growth_bound`."""
+    c0 = math.log(abs(1.0 + family.ln_r0 - family.log_lam))
+    anchor = family.ln_r0 + 10.0
+    assert td.anchor_line(family, anchor, 1.0).growth_bound == pytest.approx(
+        4.0 * math.pi * math.log(anchor - family.ln_r0) + c0, rel=1e-15, abs=1e-15)
     xs = np.geomspace(family.ln_r0 + 1.0, 1e6, 500)
     re_vals = np.real(np.asarray(family.inv0(xs.astype(complex))))
-    excess = re_vals - (4.0 * math.pi * np.log(xs - family.ln_r0) + line.c0)
+    excess = re_vals - (4.0 * math.pi * np.log(xs - family.ln_r0) + c0)
     assert np.all(excess <= 1e-9)
     assert abs(excess[0]) <= 1e-9
     for s in (-1000, -10, 1, 100):

@@ -133,7 +133,8 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
     system = build_weighted_system(fam, gset, spec, dist)
     assert sum(run.n_columns for run in gset.runs) > 1000
-    parts = [ref.envelope_run_sum(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, system.env)
+    env = fam.envelope(spec.outer.bounds())
+    parts = [ref.envelope_run_sum(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, env)
              for run in gset.runs for _ in range(run.n_columns)]
     got = td.level1_sum(system, 1.0)
     assert got.log_lo == log_sum_exp([lo for lo, _ in parts])
@@ -151,24 +152,24 @@ def test_brute_force_within_level1_sandwich(small):
     for n in (1, 2, 3):
         # every intermediate point lies in Q: no distortion slack
         brute = td.brute_force_pressure(small.family, letters, small.spec, n=n, t=1.0)
-        assert p_lo <= brute.value <= p_hi
+        assert p_lo <= brute <= p_hi
 
 
 def test_run_sums_need_every_range_past_h():
     """The upper envelope (2*pi*|s| - b)^-1 is a bound only where 2*pi*|s| >
     b: a range with s_lo <= h = b / (2*pi) raises DomainError, on its own
-    and through the level-1 sum.  lam = 0.01, R0 = e, anchor 4, with a
-    planted G of |s| = 1..64 at u = 0 (G's own windows start at |s| = 4):
-    h = 1.11, so the range from 1 is refused and the one from 2 is summed.
+    and where the weighted system is built.  lam = 0.01, R0 = e, anchor 4,
+    with a planted G of |s| = 1..64 at u = 0 (G's own windows start at |s|
+    = 4): h = 1.11, so the range from 1 is refused and the one from 2 is
+    summed.
     With b = 6*pi, h is 3.0 exactly: from 3 refused, from 4 summed."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     spec = td.build_squares(4.0, 0.5)
-    system = build_weighted_system(
-        fam, GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64))), spec)
-    env = system.env
+    env = fam.envelope(spec.outer.bounds())
     assert round(env.b / TWO_PI, 2) == 1.11
     with pytest.raises(td.DomainError, match=r"every \|s\| > b / \(2 pi\) = 1.11"):
-        td.level1_sum(system, 1.0)
+        build_weighted_system(
+            fam, GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64))), spec)
     with pytest.raises(td.DomainError):
         env.run_sums([(1, 64)])
     assert len(env.run_sums([(2, 64)])[1][1]) == 1
@@ -248,13 +249,14 @@ def _runs_per_part(gset):
             for run in gset.runs for _ in range(run.n_columns)]
 
 
-def _level1_sum_per_part(system, runs, t):
+def _level1_sum_per_part(env, runs, t):
     """Reference: one log-sum-exp term per run of G, each distinct range
-    summed once (the level-1 sum before multiplicities)."""
+    summed once over the envelope `env` of Q (the level-1 sum before
+    multiplicities)."""
     sums = {}
     for key in runs:
         if key not in sums:
-            sums[key] = ref.envelope_run_sum(*key, t, system.env)
+            sums[key] = ref.envelope_run_sum(*key, t, env)
     parts = [sums[key] for key in runs]
     return log_sum_exp([lo for lo, _ in parts]), log_sum_exp([hi for _, hi in parts])
 
@@ -280,7 +282,7 @@ def test_level1_sum_bit_identical_to_per_part_reference(config):
     assert sorted(system.runs) == sorted(Counter(runs).items())
     for t in (0.0, 0.5, 1.0, 1.0015, 2.0, 4.0):
         got = td.level1_sum(system, t)
-        ref = _level1_sum_per_part(system, runs, t)
+        ref = _level1_sum_per_part(fam.envelope(spec.outer.bounds()), runs, t)
         assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
         assert got.n_letters == sum(hi - lo + 1 for lo, hi in runs)
 
@@ -289,8 +291,8 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     """The 1,274 columns of the default certificate share one sigma window:
     build_G converts it to integer bounds once and holds G as one run of
     637 columns per sign, the weighted system is that |s| range with
-    multiplicity 1,274, and its run sum is built once per envelope, on the
-    first level-1 sum, whatever the number of exponents."""
+    multiplicity 1,274, and its run sum is built once per envelope, with
+    the system, whatever the number of exponents."""
     spec = td.build_squares(4000.0, 3.0)
     dist = td.distortion_constant(4000.0, fam.ln_r0)
     converted, summed = [], []
@@ -317,7 +319,7 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     assert system.runs == ((key, 1274),)
     for t in (0.5, 1.0):
         td.level1_sum(system, t)
-    h = system.env.b / TWO_PI
+    h = fam.envelope(spec.outer.bounds()).b / TWO_PI
     assert summed == [(*key, h), (*key, -h)]
 
 
@@ -369,15 +371,16 @@ def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
         dist = td.distortion_constant(anchor, fam.ln_r0)
         gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), dist=dist)
         system = build_weighted_system(fam, gset, spec, dist)
+        env = fam.envelope(spec.outer.bounds())
         assert system.runs
         for t in (0.0, 0.5, 1.0, 1.37, 2.0, 4.0):
             got = td.level1_sum(system, t)
-            want = ref.level1_log_bounds(system, t)
+            want = ref.level1_log_bounds(system, t, env)
             assert (got.log_lo.hex(), got.log_hi.hex()) == tuple(x.hex() for x in want)
         for tol in (1e-3, 1e-4, 1e-8):
             r = td.bowen_root(system, tol=tol)
             got = (r.t_lo.hex(), r.t_hi.hex(), r.lo_capped, r.hi_capped)
-            t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, tol)
+            t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, tol, env)
             assert got == (t_lo.hex(), t_hi.hex(), lo_capped, hi_capped), (anchor, tol)
 
 

@@ -1,8 +1,7 @@
 """What the package's records keep as NamedTuples.
 
 Every public class of the pipeline modules that is not an exception is
-a record: a NamedTuple, or `WeightedSystem`, a plain class that keeps
-its run-sum data once built.  Each one is immutable, keeps the
+a record, a NamedTuple.  Each one is immutable, keeps the
 `Name(field=value, ...)` repr, and the three records with constructor
 checks still make them.
 """
@@ -15,7 +14,7 @@ import math
 import pytest
 
 import tractdim as td
-from tractdim import cantor_ifs, cli, oracle
+from tractdim import cantor_ifs, cli
 from tractdim.numerics import TWO_PI
 from tractdim.tractgeom import Rect, RunBlock
 
@@ -36,12 +35,6 @@ def _record_classes() -> dict:
     return found
 
 
-def _fields(record) -> tuple:
-    if isinstance(record, td.WeightedSystem):
-        return ("log_lo", "log_hi", "runs", "env")
-    return type(record)._fields
-
-
 @pytest.fixture(scope="module")
 def records():
     """One instance of every record, from one small run at anchor 12."""
@@ -55,7 +48,6 @@ def records():
     sample = td.sample_limit_set(fam, gset, spec, depth=2, count=10)
     s1 = next(run.s_lo for run in gset.runs if run.s_lo > 0)
     sigma = math.log(TWO_PI * s1)
-    letters = gset.letters_by_weight(2)
     made = [fam, budget, spec, spec.outer, env, env.run_sums([(s1, s1 + 99)])[0][1][0],
             td.distortion_constant(12.0, fam.ln_r0), td.anchor_line(fam, 12.0, budget.inset),
             gset, gset.runs[0], td.min_cell_gap(fam, gset, spec), lines,
@@ -66,7 +58,6 @@ def records():
             td.check_invariance(fam, sample, gset, spec),
             td.box_counting_dim(td.cantor_middle_thirds(10_000, 35),
                                [3.0 ** -k for k in range(1, 7)]),
-            oracle.brute_force_pressure(fam, letters, spec, n=1, t=1.0),
             td.recheck_gset(fam, gset, spec, budget, density=1, dense_sample=10)]
     return {type(record).__name__: record for record in made}
 
@@ -78,16 +69,16 @@ def test_every_record_is_covered(records):
         assert type(record) is classes[name]
 
 
-def test_records_are_namedtuples_but_the_weighted_system(records):
+def test_records_are_namedtuples(records):
     for name, record in records.items():
-        assert isinstance(record, tuple) is (name != "WeightedSystem"), name
+        assert isinstance(record, tuple) and hasattr(record, "_fields"), name
 
 
 def test_records_are_immutable(records):
     """Assigning any field of any record raises AttributeError and leaves
     the field as it was."""
     for name, record in records.items():
-        for field in _fields(record):
+        for field in type(record)._fields:
             before = getattr(record, field)
             with pytest.raises(AttributeError):
                 setattr(record, field, 0)
@@ -98,7 +89,7 @@ def test_records_repr_their_fields_by_name(records):
     for name, record in records.items():
         text = repr(record)
         assert text.startswith(f"{name}(") and text.endswith(")"), text
-        head = ", ".join(f"{field}={getattr(record, field)!r}" for field in _fields(record))
+        head = ", ".join(f"{field}={getattr(record, field)!r}" for field in type(record)._fields)
         assert text == f"{name}({head})"
 
 

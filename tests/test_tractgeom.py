@@ -200,7 +200,6 @@ def test_build_squares_invalid():
 
 def test_distortion_single_disk_value():
     d = td.distortion_constant(100.0, 1.0)
-    assert d.rho == pytest.approx(0.714249, abs=1e-6)
     assert d.c == pytest.approx(73.47, abs=0.01)
 
 
@@ -224,7 +223,8 @@ def test_distortion_geometry_error():
 def test_anchor_line_values(fam):
     line = td.anchor_line(fam, 100.0, inset=25.0)
     assert line.real_part == pytest.approx(math.log(100.0), rel=1e-12)
-    assert line.c0 == pytest.approx(0.693147, abs=1e-6)
+    assert line.growth_bound - 4.0 * math.pi * math.log(100.0 - fam.ln_r0) == pytest.approx(
+        0.693147, abs=1e-6)
     assert line.growth_bound == pytest.approx(58.44, abs=0.01)
     assert line.growth_bound > line.real_part
 
@@ -892,6 +892,64 @@ def test_gset_letter_ranks_of_any_size(fam, anchor):
     assert all(0 <= rank < gset.n_letters for rank in drawn) and len(set(drawn)) == 500
 
 
+def _letters_by_weight_per_column(gset, k):
+    """Reference: the k least (|s|, u, s) over the k small-|s| letters of
+    every column of every run."""
+    cands = []
+    for r in gset.runs:
+        take = min(r.length, k)
+        ss = range(r.s_lo, r.s_lo + take) if r.s_lo > 0 else range(r.s_hi, r.s_hi - take, -1)
+        cands.extend((abs(s), u, s) for u in range(r.u_lo, r.u_hi + 1) for s in ss)
+    cands.sort()
+    return [(u, s) for _, u, s in cands[:k]]
+
+
+_PLANTED_BLOCKS = {
+    "one-column": ((0, 0, 5, 9), (0, 0, -7, -5)),
+    "two-columns": ((0, 1, -7, -5), (2, 2, 5, 9)),
+    "forty-columns": ((-20, 19, -6, -5), (-20, 19, 5, 6)),
+    "mixed": ((-3, -3, 4, 4), (-2, 30, -50, -4), (-2, 30, 4, 50), (31, 31, -3, -3)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 40, 200])
+@pytest.mark.parametrize("blocks", sorted(_PLANTED_BLOCKS))
+def test_letters_by_weight_equal_the_per_column_walk_on_planted_blocks(blocks, k):
+    """Blocks of 1 to 40 columns, narrower and wider than k, of both signs,
+    with |s| shared across signs and runs: the ties break by (u, s)."""
+    gset = GSet(runs=tuple(RunBlock(*r) for r in _PLANTED_BLOCKS[blocks]))
+    letters = gset.letters_by_weight(k)
+    assert letters == _letters_by_weight_per_column(gset, k)
+    assert len(letters) == min(k, gset.n_letters)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1j, -2.0])
+@pytest.mark.parametrize("anchor, inset", [(12.0, 0.5), (30.0, 0.5), (100.0, 0.5),
+                                           (4000.0, 3.0)])
+def test_letters_by_weight_equal_the_per_column_walk_on_G(lam, anchor, inset):
+    """G's own blocks, up to 637 columns wide at anchor 4000."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    spec = td.build_squares(anchor, inset)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset))
+    for k in (1, 2, 8, 12, 100):
+        assert gset.letters_by_weight(k) == _letters_by_weight_per_column(gset, k), k
+
+
+def test_letters_by_weight_at_the_anchor_cap(fam):
+    """At the anchor cap 2^23 / 3, G's blocks hold about 445,000 columns
+    and its indices about 6 million bits: the k letters come from the
+    first k columns of each block."""
+    anchor = 2.0 ** 23 / 3.0
+    spec = td.build_squares(anchor, 3.0)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=3.0))
+    assert max(r.n_columns for r in gset.runs) > 400_000
+    letters = gset.letters_by_weight(4)
+    first_columns = GSet(runs=tuple(r._replace(u_hi=min(r.u_hi, r.u_lo + 3))
+                                    for r in gset.runs))
+    assert letters == _letters_by_weight_per_column(first_columns, 4)
+    assert all(letter in gset for letter in letters)
+
+
 def test_min_cell_gap_positive(mini):
     rep = td.min_cell_gap(mini.family, mini.gset, mini.spec)
     assert rep.min_gap > 0
@@ -916,7 +974,6 @@ def test_min_cell_gap_with_letters_below_envelope_validity():
         rep = td.min_cell_gap(fam, gset, spec)
     assert 0 < rep.min_gap < math.inf
     assert 0 < rep.column_separation < math.inf
-    assert rep.n_adjacent_checked == sum(r.n_columns * (r.s_hi - r.s_lo) for r in gset.runs)
 
 
 def _mp_log_min_gap(fam, gset, spec):
@@ -960,7 +1017,6 @@ def test_min_cell_gap_past_the_float_range(fam):
                                                 rel=0, abs=1e-12)
         assert rep.min_gap == math.exp(rep.log_min_gap)
         assert 3.0 < rep.column_separation < math.pi
-        assert rep.n_adjacent_checked == sum(r.n_columns * (r.length - 1) for r in gset.runs)
 
 
 def _brute_column_separation(fam, gset, spec):
@@ -1203,22 +1259,24 @@ def _clipped_lengths(pts, inner, core):
 def _assert_level_lines_match_dense_reference(family, anchor, inset):
     """The closed-form curves against dense polylines of Log, clipped here,
     over every branch within two of Q': each column's components
-    (`_branch_components`) to 1e-5 relative, a least real part at or below
-    every reference point's, and the report's curve count and least
-    component length those of the reference over all the columns (the
-    length to 1e-5 relative).  Returns the curve count."""
+    (`_branch_components`) to 1e-5 relative, a least real part ln a, the
+    one `min_re_margin` subtracts, at or below every reference point's,
+    and the report's curve count and least component length those of the
+    reference over all the columns (the length to 1e-5 relative).
+    Returns the curve count."""
     spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
     rep = td.trace_level_lines(family, spec, budget)
     r = td.anchor_line(family, anchor, inset).real_part
-    assert math.isfinite(rep.min_re), anchor
+    ln_a = math.log(r - family.log_lam.real)
+    assert rep.min_re_margin == rep.growth_bound - ln_a, anchor
     count, lengths = 0, []
     for u in range(math.floor(spec.inner.im_lo / TWO_PI) - 2,
                    math.ceil(spec.inner.im_hi / TWO_PI) + 3):
         pts = _dense_branch(family, r, u, spec.inner.re_hi)
         want = sorted(_clipped_lengths(pts, spec.inner, spec.core))
-        got = tractgeom._branch_components(rep.min_re, u, spec.inner, spec.core)
+        got = tractgeom._branch_components(ln_a, u, spec.inner, spec.core)
         assert sorted(got) == pytest.approx(want, rel=1e-5), (anchor, u)
-        assert rep.min_re <= pts.real.min(), (anchor, u)
+        assert ln_a <= pts.real.min(), (anchor, u)
         count += bool(want)
         lengths += want
     assert rep.curve_count == count, anchor
