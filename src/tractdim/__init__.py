@@ -34,9 +34,9 @@ import importlib
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
 from .loglift import MapFamily, exponential_family, inv_branch, normalize_family
-from .tractgeom import (DistortionBound, GeometryBudget, GSet, Rect, SquareSpec,
-                        anchor_line, build_G, build_squares, distortion_constant,
-                        find_radius, min_cell_gap, trace_level_lines)
+from .tractgeom import (GeometryBudget, GSet, Rect, SquareSpec, anchor_line, build_G,
+                        build_squares, find_radius, log_distortion_bound, min_cell_gap,
+                        trace_level_lines)
 from .pressure import (BowenInterval, DimensionCertificate, Level1Sum, WeightedSystem,
                        bowen_root, build_weighted_system, certify_dim_gt_one,
                        compare_window_modes, level1_sum)

@@ -279,7 +279,6 @@ def check_invariance(family: MapFamily, sample: LimitSample, gset: GSet,
 def _worst_ratio(family: MapFamily, gset: GSet, spec: SquareSpec) -> float:
     if gset.is_empty():
         return 0.5
-    s_min = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
-    _, log_hi = family.envelope(spec.outer.bounds()).log_weight_bounds(
-        math.log(TWO_PI) + math.log(s_min))
+    _, log_hi = family.envelope(spec.outer).log_weight_bounds(
+        math.log(TWO_PI) + math.log(gset.min_abs_index()))
     return min(0.99, float(np.exp(log_hi)))

@@ -7,14 +7,14 @@ rerun with the same config is byte-identical.  Beside these a report
 carries results only, never a copy of its config or a constant.  `dim`
 writes C, P1_lo, the Bowen bracket t_lo and t_hi, verdict, runtime_ms
 (null unless `timing`), diagnostics (n_segments, bowen_capped and
-bowen_evaluations) and reasons; for an empty G, P1_lo = -inf, t_lo =
-t_hi = 0 and the diagnostics are only n_segments.  It certifies exactly
-when it lists no reason; the two reasons are an empty G and P_lo(1) <= 0
-(P_lo <= P and P decreases, so P_lo(1) > 0 puts the root above 1), at
-every `pressure.bisect_tol`.  That tolerance lies below 1, so t = 1 is a
-point of the Bowen root's bisection grid on [0, 4]: t_lo >= 1 on every
-certified report, and it reads 1.0 where the root lies within the
-tolerance of 1.  The certificate reads the square Q alone: the
+bowen_evaluations) and reasons; for an empty G, C = 1.0, P1_lo = -inf,
+t_lo = t_hi = 0 and the diagnostics are only n_segments.  It certifies
+exactly when it lists no reason; the two reasons are an empty G and
+P_lo(1) <= 0 (P_lo <= P and P decreases, so P_lo(1) > 0 puts the root
+above 1), at every `pressure.bisect_tol`.  That tolerance lies below 1,
+so t = 1 is a point of the Bowen root's bisection grid on [0, 4]:
+t_lo >= 1 on every certified report, and it reads 1.0 where the root
+lies within the tolerance of 1.  The certificate reads Q alone: the
 anchor-derivative (eq1) and tract-depth conditions, `geometry.epsilon`
 and `geometry.inset` enter neither G nor the bounds, so they are
 `lemmas` checks and change no `dim` result.  Exit codes: 0 success or
@@ -27,22 +27,21 @@ at any anchor, an "auto" one too (`load_config`, `find_radius`,
 `build_G`, `build_weighted_system`, `bowen_root`, `trace_level_lines`,
 `write_json`); a function taking numpy arrays imports it when called.
 
-Anchors below the Koebe range (no covering disk of Q inside H) are not
-configuration errors.  The Koebe distortion constant C enters neither G,
-nor the pressure bounds, nor any oracle, so only `lemmas` and `dim`
-compute it: `lemmas` writes its report with `distortion_c` = "Infinity"
-and exits 0 like any other lemma report (the failing lemmas show in
-`checks` and `all_pass`), and `dim` reports `C` = "Infinity".  Every
-G-based command exits 2 on an empty admissible set G; the two oracles say
-"admissible set G is empty".  `oracle brute-pressure` needs no C: every
+`dim`'s C and `lemmas`' `distortion_c` are K = exp(`log_distortion_bound`),
+one bounded-distortion constant for every word of G on Q (16.92 at the
+default certificate): finite wherever G is non-empty, 1.0 for an empty
+G.  `lemmas` builds G for K alone, which enters neither G, nor the
+pressure bounds, nor any oracle.  Every G-based command exits 2 on
+an empty admissible set G; the two oracles say "admissible set G is
+empty".  `oracle brute-pressure` needs no distortion constant: every
 intermediate point of a word lies in Q, so its brute value must lie in
 the level-1 bracket [P_lo, P_hi] of its letters, up to a float-rounding
 slack 1e-12 * (1 + |value|) (the report's `slack_log`); outside it, the
 command exits 3.  It exits 2 when G lists fewer letters than its
-subsystem (it says how many).  At lam = 0.01, R0 = e, anchor 3.3, below
-the Koebe range, it exits 0.  It sums each word's derivative in logs, so
-it also exits 0 where the derivatives underflow as floats, as at anchor
-800, inset 3 (value -404.42 in [-405.06, -403.91]).
+subsystem (it says how many).  At lam = 0.01, R0 = e, anchor 3.3 it
+exits 0.  It sums each word's derivative in logs, so it also exits 0
+where the derivatives underflow as floats, as at anchor 800, inset 3
+(value -404.42 in [-405.06, -403.91]).
 
 `lemmas` traces the level lines in closed form at any anchor: at anchor
 4000, inset 3 it exits 0 with `all_pass` true.  Its expansion and growth
@@ -153,9 +152,9 @@ from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
 from .loglift import MapFamily, exponential_family, normalize_family
 from .numerics import TWO_PI, write_csv, write_json
 from .pressure import certify_dim_gt_one, level1_sum
-from .tractgeom import (GeometryBudget, _distortion_or_unavailable, anchor_derivative,
-                        anchor_derivative_margin, anchor_line, build_G, build_squares,
-                        find_radius, trace_level_lines)
+from .tractgeom import (GeometryBudget, anchor_derivative, anchor_derivative_margin,
+                        anchor_line, build_G, build_squares, find_radius,
+                        log_distortion_bound, trace_level_lines)
 
 SCHEMA_VERSION = 4
 
@@ -356,7 +355,6 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
     fam = cfg.family
     budget = cfg.budget
     spec = build_squares(cfg.anchor, budget.inset)
-    dist = _distortion_or_unavailable(cfg.anchor, fam.ln_r0)
     line = anchor_line(fam, cfg.anchor, budget.inset)
     checks = {}
 
@@ -396,14 +394,15 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
                  and lines.min_component_length >= lines.required_length
                  and lines.min_re_margin > 0)}
 
-    depth_direct = math.log(fam.envelope(spec.outer.bounds()).d_lo) - fam.ln_r0
+    depth_direct = math.log(fam.envelope(spec.outer).d_lo) - fam.ln_r0
     checks["first_level_in_half_plane"] = {"margin": depth_direct, "pass": depth_direct > 0}
+    log_k = log_distortion_bound(fam, build_G(fam, cfg.anchor, spec, budget), spec)
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "lemmas",
         "config": cfg.resolved,
-        "distortion_c": dist.c,
+        "distortion_c": math.exp(log_k),
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
     }
@@ -459,7 +458,7 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
     import numpy as np
 
     from . import oracle as oracle_mod
-    source = cfg.oracle.get("source", "middle-thirds")
+    source = cfg.oracle["source"]
     if source == "middle-thirds":
         pts = oracle_mod.cantor_middle_thirds(count=100_000, depth=35, seed=cfg.seed)
         scales = [3.0 ** -k for k in range(1, 8)]
@@ -522,7 +521,7 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     if max(abs(s) for _, s in letters) > sys.float_info.max / TWO_PI:
         raise ConstructionError("the subsystem's letters pass the float range")
     sub = _subsystem(fam, letters, spec)
-    t = float(cfg.oracle.get("t", 1.0))
+    t = float(cfg.oracle["t"])
     n = cfg.oracle["word_length"]
     brute = oracle_mod.brute_force_pressure(fam, letters, spec, n=n, t=t)
     bracket = level1_sum(sub, t)
@@ -554,7 +553,7 @@ def _subsystem(fam, letters, spec):
 
     from .pressure import WeightedSystem
     sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
-    lo, hi = fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)
+    lo, hi = fam.envelope(spec.outer).log_weight_bounds(sigma)
     return WeightedSystem(log_lo=lo, log_hi=hi)
 
 
@@ -609,27 +608,24 @@ def main(argv=None) -> int:
     try:
         base = DEFAULT_CERTIFICATE_CONFIG if args.command == "dim" else DEFAULT_SMALL_CONFIG
         cfg = _read_config(args.config, base, mode=args.mode, seed=args.seed)
-        out = args.out or f"tractdim_{args.command.replace(' ', '_')}.json"
+        out = args.out or f"tractdim_{args.command}.json"
         if args.command == "lemmas":
             return cmd_lemmas(cfg, out)
         if args.command == "dim":
             return cmd_dim(cfg, out)
         if args.command == "sample":
-            out = args.out or "tractdim_sample.csv"
-            return cmd_sample(cfg, out)
-        if args.command == "oracle":
-            sub = {"box-dim": _oracle_box_dim,
-                   "brute-pressure": _oracle_brute_pressure,
-                   "recheck": _oracle_recheck}[args.oracle_command]
-            return sub(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_sample(cfg, args.out or "tractdim_sample.csv")
+        sub = {"box-dim": _oracle_box_dim,
+               "brute-pressure": _oracle_brute_pressure,
+               "recheck": _oracle_recheck}[args.oracle_command]
+        return sub(cfg, out)
     except (ConfigError, GeometryError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ConstructionError as exc:
         print(f"construction: {exc}", file=sys.stderr)
         return 2
-    except (NumericError,) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except TractdimError as exc:

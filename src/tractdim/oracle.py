@@ -488,7 +488,7 @@ def _recheck_cells(us, ss, spec: SquareSpec, boundary: _Boundary):
     ext[2:] += TWO_PI * us
     lip = np.exp(-(ln_t + low)) * 1.25
     delta = np.maximum(lip * (rect.perimeter / boundary.logs.size),
-                       math.ulp(max(map(abs, rect.bounds()))))
+                       math.ulp(max(map(abs, rect))))
 
     def within(pad):
         return ((ext[0] >= rect.re_lo + pad) & (ext[1] <= rect.re_hi - pad)

@@ -7,8 +7,10 @@ in closed form by the family's tail envelopes, giving
 
     P_lo(t) = ln sum(inf-weights^t)  <=  P(t)  <=  ln sum(sup-weights^t).
 
-Bounded distortion makes the level-1 infimum a valid lower bound for the
-limit pressure, which is the paper-level reduction this module encodes.
+Bounded distortion, with one constant K for every word
+(`tractgeom.log_distortion_bound`), makes the level-1 infimum a valid
+lower bound for the limit pressure, which is the paper-level reduction
+this module encodes.
 The dimension of the constructed subsystem lies between the Bowen roots
 of the two bounds; dimension > 1 is certified by P_lo(1) > 0.
 
@@ -31,8 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, log_run_sum_bounds, normalize_family
 from .numerics import TWO_PI, weighted_log_sum_exp
-from .tractgeom import (DistortionBound, GSet, SquareSpec, _distortion_or_unavailable,
-                        build_G)
+from .tractgeom import GSet, SquareSpec, build_G, log_distortion_bound
 
 # The largest exponent: sums are taken at t in [0, _T_MAX], and the Bowen
 # root is capped there (dim <= 2 < _T_MAX for any planar set).
@@ -79,7 +80,7 @@ class WeightedSystem(NamedTuple):
 
 
 def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
-                          dist: Optional[DistortionBound] = None) -> WeightedSystem:
+                          dist=None) -> WeightedSystem:
     """Weight envelopes for an admissible set.
 
     The per-letter bounds are the closed-form envelopes of |g'| over Q,
@@ -94,7 +95,7 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     runs = Counter()
     for run in gset.runs:
         runs[tuple(sorted((abs(run.s_lo), abs(run.s_hi))))] += run.n_columns
-    env = family.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer)
     return WeightedSystem(runs=tuple(runs.items()), envelope_sums=env.run_sums(list(runs)))
 
 
@@ -107,7 +108,6 @@ class Level1Sum(NamedTuple):
 
     log_lo: float
     log_hi: float
-    n_letters: int
 
 
 def level1_sum(system: WeightedSystem, t: float) -> Level1Sum:
@@ -123,8 +123,7 @@ def level1_sum(system: WeightedSystem, t: float) -> Level1Sum:
     """
     _check_exponent(t)
     return Level1Sum(log_lo=_envelope_log_sum(system, t, 0),
-                     log_hi=_envelope_log_sum(system, t, 1),
-                     n_letters=system.n_letters)
+                     log_hi=_envelope_log_sum(system, t, 1))
 
 
 def _check_exponent(t: float) -> None:
@@ -284,9 +283,9 @@ def bowen_root(system: WeightedSystem, tol: float = 1e-3) -> BowenInterval:
 
 class DimensionCertificate(NamedTuple):
     """The results of one dimension-greater-than-one run, and nothing it
-    was given: P_lo(1), the Bowen bracket [t_lo, t_hi], the Koebe constant
-    `c` and the reasons against certifying (`certify_dim_gt_one`), which
-    decide the verdict.
+    was given: P_lo(1), the Bowen bracket [t_lo, t_hi], the distortion
+    constant `c` = K of every word (`log_distortion_bound`) and the reasons
+    against certifying (`certify_dim_gt_one`), which decide the verdict.
     """
 
     c: float
@@ -324,27 +323,28 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
     """Run the full construction on the square Q of `spec` and certify
     dim > 1 via the pressure bound.
 
-    The certificate reads Q alone: the cells of G lie in Q, so they form
-    a conformal IFS on Q, whose limit set has dimension above 1 where its
+    The certificate reads Q alone: the cells of G lie in Q, so they form a
+    conformal IFS on Q, whose limit set has dimension above 1 where its
     pressure at t = 1 is positive (Bowen's formula; Mauldin and Urbanski
-    1996).  P_lo <= P and P decreases, so P_lo(1) > 0 puts the Bowen root
-    above 1.  The verdict is "certified" exactly when `reasons` is empty;
-    the two reasons are an empty admissible set G and P_lo(1) <= 0.  The
-    paper's anchor-derivative (eq1) and tract-depth conditions, which show
-    that such cells exist, and the inset enter neither G nor the bounds,
-    so they are `lemmas` checks, not read here.  The anchor of `spec` is
-    the center of Q; `build_G` reads only Q.
+    1996; C reports its distortion constant K, `log_distortion_bound`).
+    P_lo <= P and P decreases, so P_lo(1) > 0 puts the Bowen root above 1.
+    The verdict is "certified" exactly when `reasons` is empty; the two
+    reasons are an empty admissible set G and P_lo(1) <= 0.  The paper's
+    anchor-derivative (eq1) and tract-depth conditions, which show that
+    such cells exist, and the inset enter neither G nor the bounds, so
+    they are `lemmas` checks, not read here.  The anchor of `spec` is the
+    center of Q; `build_G` reads only Q.
 
     `bowen_root` evaluates t = 1 first, and for `bisect_tol` < 1 (the CLI
     takes no other) 1 is a point of its bisection grid on [0, 4], so
     t_lo >= 1 on every certified result (tol 2 gives t_lo = 0).  Where
     the root lies within `bisect_tol` of 1, t_lo reads 1.0; the verdict
     does not depend on the tolerance.  For an empty G the result has
-    P1_lo = -inf, t_lo = t_hi = 0 and only the diagnostic n_segments.
+    C = 1, P1_lo = -inf, t_lo = t_hi = 0 and only the diagnostic
+    n_segments.
     """
     start = time.perf_counter()
     family = normalize_family(family)
-    dist = _distortion_or_unavailable(spec.anchor, family.ln_r0)
     gset = build_G(family, spec.anchor, spec, None)
     diagnostics = {"n_segments": gset.n_segments}
     p1_lo, t_lo, t_hi = -math.inf, 0.0, 0.0
@@ -359,8 +359,8 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
                            bowen_evaluations=roots.evaluations)
         reasons = [] if p1_lo > 0 else [f"P_lo(1) = {p1_lo:.6g} <= 0"]
     return DimensionCertificate(
-        c=dist.c, p1_lo=p1_lo, t_lo=t_lo, t_hi=t_hi,
-        runtime_ms=1000.0 * (time.perf_counter() - start),
+        c=math.exp(log_distortion_bound(family, gset, spec)), p1_lo=p1_lo,
+        t_lo=t_lo, t_hi=t_hi, runtime_ms=1000.0 * (time.perf_counter() - start),
         diagnostics=diagnostics, reasons=tuple(reasons))
 
 
@@ -393,7 +393,7 @@ def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
     must fall inside the bracket of `log_run_sum_bounds`.
     """
     import numpy as np
-    env = family.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer)
     # the size test comes first, in log form, so that no exp overflows
     if (max(sigma_lo, sigma_hi) - math.log(TWO_PI) > 54 * math.log(2.0)
             or math.floor(math.exp(sigma_hi) / TWO_PI) > 2 ** 53):

@@ -25,7 +25,7 @@ import heapq
 import itertools
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import ConfigError, ConstructionError, GeometryError, NumericError
 from .loglift import _MAX_EXACT_INT, MapFamily, TailEnvelope, _log_add
@@ -53,9 +53,6 @@ class Rect(_RectFields):
         if not (re_lo < re_hi and im_lo < im_hi):
             raise GeometryError(f"degenerate rectangle {(re_lo, re_hi, im_lo, im_hi)}")
         return super().__new__(cls, re_lo, re_hi, im_lo, im_hi)
-
-    def bounds(self):
-        return (self.re_lo, self.re_hi, self.im_lo, self.im_hi)
 
     @property
     def width(self) -> float:
@@ -160,53 +157,12 @@ def build_squares(anchor: float, inset: float) -> SquareSpec:
 
 
 # ---------------------------------------------------------------------------
-# Distortion constant
-# ---------------------------------------------------------------------------
-
-class DistortionBound(NamedTuple):
-    """Koebe distortion constant C for inverse branches on the square Q.
-
-    Any branch is univalent on all of H; C bounds |phi'(z)| / |phi'(R)|
-    from above and its reciprocal from below, for every z in Q.  It enters
-    neither G, nor the pressure bounds, which use the exact derivative of
-    the two-level branches, nor any oracle: it is only reported (the
-    certificate's `C`, the lemma report's `distortion_c`).
-    """
-
-    c: float
-
-
-def distortion_constant(anchor: float, ln_r0: float) -> DistortionBound:
-    """Koebe distortion constant of a branch on Q relative to the anchor:
-    one application on the disk B(R, R - ln R0), which contains the
-    covering disk of Q of radius R/sqrt(2) provided rho < 1 (rho is inf
-    where the anchor is not right of ln R0)."""
-    a = float(anchor)
-    univalence_radius = a - ln_r0
-    rho = (a / math.sqrt(2.0)) / univalence_radius if univalence_radius > 0.0 else math.inf
-    if rho >= 1.0:
-        raise GeometryError(
-            f"covering-disk ratio rho = {rho:.4f} >= 1; anchor too close to ln R0")
-    return DistortionBound(c=(1.0 + rho) / (1.0 - rho) ** 3)
-
-
-def _distortion_or_unavailable(anchor: float, ln_r0: float) -> DistortionBound:
-    """Distortion constant, or an infinite sentinel below the Koebe range,
-    where no covering disk of Q fits in H."""
-    try:
-        return distortion_constant(anchor, ln_r0)
-    except GeometryError:
-        return DistortionBound(c=math.inf)
-
-
-# ---------------------------------------------------------------------------
 # Anchor line and radius search
 # ---------------------------------------------------------------------------
 
 class AnchorLine(NamedTuple):
     """The vertical line carrying every branch preimage of the anchor."""
 
-    anchor: float
     real_part: float            # shared Re of all preimages v_s
     growth_bound: float         # 4*pi*ln(anchor - ln R0) + Re F_inv_0(1 + ln R0)
     depth_margin: float         # real_part - (ln R0 + 2*inset)
@@ -222,8 +178,7 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
     c0 = cmath.log(1.0 + family.ln_r0 - family.log_lam).real
     bound = 4.0 * math.pi * math.log(anchor - family.ln_r0) + c0
     return AnchorLine(
-        anchor=float(anchor), real_part=r, growth_bound=bound,
-        depth_margin=r - (family.ln_r0 + 2.0 * inset))
+        real_part=r, growth_bound=bound, depth_margin=r - (family.ln_r0 + 2.0 * inset))
 
 
 def anchor_derivative(family: MapFamily, anchor: float) -> float:
@@ -432,6 +387,9 @@ class GSet(NamedTuple):
         u, s = letter
         return any(r.u_lo <= u <= r.u_hi and r.s_lo <= s <= r.s_hi for r in self.runs)
 
+    def min_abs_index(self) -> int:
+        return min(min(abs(r.s_lo), abs(r.s_hi)) for r in self.runs)
+
     def max_abs_index(self) -> int:
         return max(max(abs(r.s_lo), abs(r.s_hi)) for r in self.runs)
 
@@ -479,8 +437,7 @@ class GSet(NamedTuple):
 
 
 def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: GeometryBudget,
-            mode: str = "enumerate", dist: Optional[DistortionBound] = None,
-            workers: int = 1, collar: int = 32) -> GSet:
+            mode: str = "enumerate", dist=None, workers: int = 1, collar: int = 32) -> GSet:
     """Assemble the admissible set G: the letters of the sigma windows.
 
     The columns (u, sign) of one sign get their closed-form sigma windows
@@ -506,7 +463,7 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     """
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"unknown G mode {mode!r}")
-    env = family.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer)
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
         return GSet(runs=())
@@ -589,6 +546,53 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
 
 
 # ---------------------------------------------------------------------------
+# Bounded distortion
+# ---------------------------------------------------------------------------
+
+def log_distortion_bound(family: MapFamily, gset: GSet, spec: SquareSpec) -> float:
+    """ln K: |ln|phi_w'(x)| - ln|phi_w'(y)|| <= ln K for all x, y in Q and
+    every word w = w_1...w_n of G, phi_w = g_{w_1} o ... o g_{w_n}: the
+    bounded distortion that Bowen's formula for a conformal IFS needs
+    (Mauldin and Urbanski 1996; each branch is conformal on H, which
+    contains Q, and a square satisfies the cone condition).
+
+    With c = Log(lam), g_{u,s}'(z) = 1 / (xi_s(z) (z - c)), xi_s(z) =
+    Log(z - c) - c + 2*pi*i*s.  On Q, |z - c| >= d_lo and |xi_s| >= 2*pi*|s|
+    - b > 0 (`TailEnvelope`), so log g' is holomorphic there, (log g')' =
+    -(1 + 1/xi_s) / (z - c), and with s_min the least |s| of G
+
+        |(log g')'| <= L = (1 + 1/(2*pi*s_min - b)) / d_lo,
+        |g'| <= kappa = 1 / ((2*pi*s_min - b) d_lo).
+
+    Q is convex and every cell lies in Q, so the orbits x_n = x, x_{k-1} =
+    g_{w_k}(x_k) and likewise y_k stay in Q with |x_k - y_k| <= kappa^(n-k)
+    diam Q; summing L |x_k - y_k| over k gives ln K = L diam Q / (1 -
+    kappa).  G's windows start at ln(e^(R/2) + b), so 2*pi*s_min - b >
+    1, and a non-empty G has d_lo > R0 > 1: kappa < 1 (else
+    ConstructionError).  1/(2*pi*s_min - b) is x / (1 - b x), x = e^-sigma
+    with sigma = ln 2*pi + ln s_min, so s_min is an int of any size; past
+    the float range x = 0 and ln K = diam Q / d_lo.  An empty G leaves
+    only the empty word, whose ratio is 1: ln K = 0.
+    """
+    if gset.is_empty():
+        return 0.0
+    env = family.envelope(spec.outer)
+    x = math.exp(-(math.log(TWO_PI) + math.log(gset.min_abs_index())))
+    room = 1.0 - env.b * x
+    if not x < room * env.d_lo:
+        raise ConstructionError("branch derivatives on Q reach 1: no distortion bound")
+    inv = x / room  # 1 / (2*pi*s_min - b)
+    return (1.0 + inv) / env.d_lo * spec.outer.diam / (1.0 - inv / env.d_lo)
+
+
+def distortion_constant(anchor: float, ln_r0: float) -> None:
+    """None, for `perfbench/workloads.py`, which passes it to parameters that
+    ignore it (`build_G(dist=)`, `build_weighted_system(dist)`); ROADMAP
+    item 1 deletes it."""
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Pairwise separation of cells
 # ---------------------------------------------------------------------------
 
@@ -622,7 +626,7 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     """
     if gset.is_empty():
         raise ConstructionError("gap report needs a non-empty G")
-    env = family.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer)
     c = env.c
     p_lo, p_hi = env.p_lo, math.log(env.d_hi) - c.real
     if p_lo <= 0.0:
@@ -671,8 +675,7 @@ class LevelLineReport(NamedTuple):
     required_count: int         # floor(R / (4 pi))
     min_component_length: float
     required_length: float      # R/4 - inset
-    growth_bound: float         # 4 pi ln(r - ln R0) + Re F_inv_0(1 + ln R0)
-    min_re_margin: float        # growth_bound - ln a, ln a the least Re of every branch
+    min_re_margin: float        # growth bound - ln a, ln a the least Re of every branch
 
 
 def trace_level_lines(family: MapFamily, spec: SquareSpec,
@@ -705,7 +708,8 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     and one for the block between them are evaluated.
 
     Every branch is a vertical translate of branch 0, so all of them share
-    the least real part ln a, and `min_re_margin` is growth_bound - ln a.
+    the least real part ln a, and `min_re_margin` is the anchor line's
+    growth bound minus ln a.
     Where a <= 0 the anchor line is not right of Log(lam): it meets the
     branch cut of Log, so no branch maps it to a curve, no column has
     components, and the margin is NaN.
@@ -729,7 +733,7 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
         required_count=int(math.floor(spec.anchor / (4.0 * math.pi))),
         min_component_length=min((x for lens in comps for x in lens), default=math.inf),
         required_length=spec.anchor / 4.0 - budget.inset,
-        growth_bound=line.growth_bound, min_re_margin=line.growth_bound - ln_a)
+        min_re_margin=line.growth_bound - ln_a)
 
 
 def _branch_components(ln_a: float, u: int, inner: Rect, core: Rect) -> list:

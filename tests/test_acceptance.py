@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tractdim as td
-from conftest import column_window, window_s_bounds
+from conftest import column_window, koebe_constant, window_s_bounds
 from tractdim.cli import main as cli_main
 from tractdim.numerics import TWO_PI
 from tractdim.pressure import WeightedSystem, build_weighted_system
@@ -32,12 +32,11 @@ def full12(fam):
     """The fully enumerated admissible set at anchor 12 (criterion 4/5 scale)."""
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
     spec = td.build_squares(12.0, 0.5)
-    dist = td.distortion_constant(12.0, fam.ln_r0)
     t0 = time.perf_counter()
-    gset = td.build_G(fam, 12.0, spec, budget, mode="enumerate", dist=dist)
+    gset = td.build_G(fam, 12.0, spec, budget, mode="enumerate")
     build_seconds = time.perf_counter() - t0
-    return SimpleNamespace(family=fam, budget=budget, spec=spec, dist=dist,
-                           gset=gset, build_seconds=build_seconds)
+    return SimpleNamespace(family=fam, budget=budget, spec=spec, gset=gset,
+                           build_seconds=build_seconds)
 
 
 # -- 1 ----------------------------------------------------------------------
@@ -124,16 +123,16 @@ def test_criterion_03_lemma_margins(fam, fam25, tmp_path):
 
 def test_criterion_04_small_instance_construction(full12):
     t0 = time.perf_counter()
-    g, fam, spec, budget, dist = (full12.gset, full12.family, full12.spec,
-                                  full12.budget, full12.dist)
+    g, fam, spec, budget = full12.gset, full12.family, full12.spec, full12.budget
     nonempty = g.n_letters > 0
 
     recheck = td.recheck_gset(fam, g, spec, budget, density=10, dense_sample=2000)
     all_recheck = recheck.n_flagged == 0 and recheck.n_checked == g.n_letters
 
-    # measured diameters against the distortion-certified bound, on a
+    # measured diameters against the Koebe-certified bound, on a
     # deterministic stratified subsample
-    eq5_bound = spec.outer.diam * 4.0 * math.pi * dist.c / (12.0 - fam.ln_r0)
+    eq5_bound = spec.outer.diam * 4.0 * math.pi * koebe_constant(12.0, fam.ln_r0) \
+        / (12.0 - fam.ln_r0)
     pts = spec.outer.boundary_points(256)
     base = np.asarray(fam.inv0(pts))
     diam_ok = True
@@ -212,9 +211,9 @@ def test_criterion_07_bowen_solver_oracles():
 # -- 8 ----------------------------------------------------------------------
 
 def test_criterion_08_dimension_cross_check(small):
-    fam, spec, dist = small.family, small.spec, small.dist
+    fam, spec = small.family, small.spec
     letters = small.gset.letters_by_weight(8)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
@@ -246,13 +245,12 @@ def test_criterion_09_pressure_monotonicity(fam, small):
     systems = {}
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
     spec4000 = td.build_squares(4000.0, 3.0)
-    dist4000 = td.distortion_constant(4000.0, fam.ln_r0)
-    g4000 = td.build_G(fam, 4000.0, spec4000, budget, mode="tail", dist=dist4000)
-    systems["tail@4000"] = build_weighted_system(fam, g4000, spec4000, dist4000)
+    g4000 = td.build_G(fam, 4000.0, spec4000, budget, mode="tail")
+    systems["tail@4000"] = build_weighted_system(fam, g4000, spec4000)
     systems["mixed@12"] = build_weighted_system(small.family, small.gset,
-                                                small.spec, small.dist)
+                                                small.spec)
     letters = small.gset.letters_by_weight(8)
-    env = fam.envelope(small.spec.outer.bounds())
+    env = fam.envelope(small.spec.outer)
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     systems["subsystem8"] = WeightedSystem(log_lo=lo, log_hi=hi)

@@ -19,7 +19,15 @@ And each field of every NamedTuple record of the seven modules must be
 read as an attribute (`.field`, matched by name) in the same sources,
 but the fields of the records the kept references return
 (`KEPT_RECORDS`) and those listed in `KEPT_FIELDS` with what the tests
-check: a field that nothing reads is computed for nothing.
+check: a field that nothing reads is computed for nothing.  The match
+is by name alone, so a field sharing its name with an attribute read on
+another class passes unread (`Level1Sum.n_letters` did, read only as
+`WeightedSystem.n_letters`); such a field is found by grepping its
+reads.
+
+What is kept only because `perfbench/` passes or reads it is listed in
+`PERFBENCH_ONLY`, each entry with the benchmark line that needs it, and
+nothing in `src/tractdim/` reads it.
 """
 
 import ast
@@ -50,14 +58,24 @@ KEPT_REFERENCES = {
 }
 
 
+def _parsed(paths) -> tuple:
+    return tuple(node for path in paths
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+@cache
+def _src_nodes() -> tuple:
+    """Every AST node of the package's modules, less the re-exports of
+    `__init__.py`."""
+    return _parsed(sorted(p for p in (ROOT / "src" / "tractdim").glob("*.py")
+                          if p.name != "__init__.py"))
+
+
 @cache
 def _nodes() -> tuple:
     """Every AST node of the package's modules, less the re-exports of
     `__init__.py`, and of the benchmark's."""
-    paths = [p for p in (ROOT / "src" / "tractdim").glob("*.py") if p.name != "__init__.py"]
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
-    return tuple(node for path in paths
-                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return _src_nodes() + _parsed(sorted((ROOT / "perfbench").glob("*.py")))
 
 
 @cache
@@ -159,13 +177,13 @@ class _Every:
 
 
 @cache
-def _calls() -> dict:
+def _calls(package_only: bool = False) -> dict:
     """callee name -> [(number of positional arguments, keyword names)] for
-    every call in the package and the benchmark, the callee known by its
-    name alone (a name or an attribute); a * argument passes every
-    position and a ** argument every keyword."""
+    every call in the package and the benchmark (or the package only), the
+    callee known by its name alone (a name or an attribute); a * argument
+    passes every position and a ** argument every keyword."""
     calls = {}
-    for node in _nodes():
+    for node in _src_nodes() if package_only else _nodes():
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -211,13 +229,13 @@ def _knobs() -> dict:
     return knobs
 
 
-def _passed(knob: str) -> bool:
+def _passed(knob: str, package_only: bool = False) -> bool:
     """Whether some call of the function passes the parameter, by keyword
     or by position."""
     func_name, position = _knobs()[knob]
     param = knob.rpartition(".")[2]
     return any(param in keywords or (position is not None and position < n_pos)
-               for n_pos, keywords in _calls().get(func_name, ()))
+               for n_pos, keywords in _calls(package_only).get(func_name, ()))
 
 
 def test_every_knob_is_passed():
@@ -295,3 +313,86 @@ def test_the_field_check_sees_the_records():
     assert {"GSet.runs", "WeightedSystem.envelope_sums", "Rect.re_lo", "_RectFields.re_lo",
             "_Boundary.q_order", "RunConfig.collar", "LimitSample.shifted"} <= fields
     assert not any(f.startswith(KEPT_RECORDS) for f in fields)
+
+
+# What only perfbench/ passes or reads: "function", "Class.attribute" or
+# "function.parameter" -> the benchmark file and the line of it that needs
+# the entry.  Each has no effect, and ROADMAP item 1 deletes them.
+_BUILD_G_LINE = ("workloads.py", "gset = build_G(cfg.family, cfg.anchor, spec, cfg.budget, "
+                                 "mode=cfg.mode, dist=dist,")
+_BUILD_G_TAIL = ("workloads.py", "collar=cfg.collar, workers=1)")
+PERFBENCH_ONLY = {
+    "distortion_constant": ("workloads.py",
+                            "dist = distortion_constant(cfg.anchor, cfg.family.ln_r0)"),
+    "GSet.n_explicit": ("layers.py", 'tr.count("tractgeom.letters", gset.n_explicit)'),
+    "GSet.windows": ("layers.py", 'tr.count("tractgeom.windows", len(gset.windows))'),
+    "RunConfig.mode": _BUILD_G_LINE,
+    "RunConfig.collar": _BUILD_G_TAIL,
+    "build_G.anchor": _BUILD_G_LINE,
+    "build_G.budget": _BUILD_G_LINE,
+    "build_G.mode": _BUILD_G_LINE,
+    "build_G.dist": _BUILD_G_LINE,
+    "build_G.workers": _BUILD_G_TAIL,
+    "build_G.collar": _BUILD_G_TAIL,
+    "build_weighted_system.dist": ("workloads.py", "system = build_weighted_system("
+                                                   "cfg.family, gset, spec, dist)"),
+    "recheck_gset.budget": ("workloads.py", "rep = step(recheck_gset, fam, gset, spec, "
+                                            "cfg.budget,"),
+}
+
+# attribute reads in src/tractdim that share a listed name: the parsed
+# `--mode` option, which `_read_config` merges into the config
+_OTHER_READS = {"args.mode"}
+
+
+def _package_object(name: str):
+    """The object a module of the package defines under `name`."""
+    for module_name in MODULES:
+        module = importlib.import_module(f"tractdim.{module_name}")
+        if name in vars(module):
+            return vars(module)[name]
+    raise AssertionError(f"no module defines {name}")
+
+
+def test_perfbench_only_entries_exist_and_are_named_in_perfbench():
+    """Each entry is in the package (a function, a class attribute, or a
+    parameter of a function) and its benchmark line, which names it, is in
+    the file given; a parameter's function is called in that file."""
+    for entry, (file_name, line) in PERFBENCH_ONLY.items():
+        source = (ROOT / "perfbench" / file_name).read_text(encoding="utf-8")
+        assert line in source and entry.rpartition(".")[2] in line, entry
+        owner_name, _, member = entry.rpartition(".")
+        if not owner_name:
+            assert inspect.isfunction(_package_object(member)), entry
+            continue
+        owner = _package_object(owner_name)
+        if inspect.isfunction(owner):
+            assert member in inspect.signature(owner).parameters, entry
+            assert f"{owner_name}(" in source or f"({owner_name}," in source, entry
+        else:
+            assert hasattr(owner, member), entry
+
+
+def test_perfbench_only_entries_have_no_reader_in_the_package():
+    """No listed function or attribute is read in src/tractdim, and no call
+    there passes a listed parameter that has a default."""
+    names, attributes = set(), set()
+    for node in _src_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if ast.unparse(node) not in _OTHER_READS:
+                attributes.add(node.attr)
+
+    def is_read(entry):
+        owner_name, _, member = entry.rpartition(".")
+        if not owner_name:
+            return member in names | attributes
+        return not inspect.isfunction(_package_object(owner_name)) and member in attributes
+
+    read = [entry for entry in PERFBENCH_ONLY if is_read(entry)]
+    passed = [entry for entry in PERFBENCH_ONLY
+              if entry in _knobs() and _passed(entry, package_only=True)]
+    assert read == [] and passed == []

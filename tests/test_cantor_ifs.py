@@ -78,7 +78,7 @@ def test_sampling_points_in_disjoint_cells(small):
     # distinct first letters put points in disjoint cells: cross distances
     # exceed within-cell diameters
     first = list(zip(sample.words_u[:, 0].tolist(), sample.words_s[:, 0].tolist()))
-    env = small.family.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer)
     for i in range(0, 50):
         for j in range(i + 1, 50):
             if first[i] != first[j]:
@@ -96,7 +96,7 @@ def test_sampling_depth_refinement(small):
     d = 4
     a = td.sample_limit_set(small.family, small.gset, small.spec,
                             depth=d, count=40, seed=12)
-    env = small.family.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer)
     sig_min = min(math.log(TWO_PI) + math.log(min(abs(r.s_lo), abs(r.s_hi)))
                   for r in small.gset.runs)
     ratio = float(np.exp(env.log_weight_bounds(sig_min)[1]))

@@ -111,8 +111,9 @@ def test_dim_certificate_exit_0(tmp_path):
     assert cert["t_lo"] >= 1.001
     assert cert["runtime_ms"] is None
     assert set(cert) == DIM_KEYS
+    # C = K = exp(diam Q / d_lo) = e^(2 sqrt 2): G's least |s| is past the float range
     assert (cert["C"], cert["P1_lo"], cert["t_lo"], cert["t_hi"]) == (
-        68.07137332325817, 4.853894403614564, 1.00146484375, 1.00201416015625)
+        16.9188286785579, 4.853894403614564, 1.00146484375, 1.00201416015625)
     assert cert["reasons"] == [] and cert["diagnostics"]["n_segments"] == 2
     # one-sided pressure evaluations of the Bowen root, (lower, upper)
     assert cert["diagnostics"]["bowen_evaluations"] == [8, 5]
@@ -731,14 +732,20 @@ def test_malformed_json_exit_1(tmp_path):
     ({"lambda_re": 0.01}, 3.3, {"anchor_derivative_lower"}),
 ])
 def test_lemmas_below_koebe_range_report_exit_0(tmp_path, family, anchor, failing):
-    """No covering disk of Q fits in H: the report is written with an
-    infinite distortion constant and the failing lemmas, not a config error."""
+    """Below the Koebe range (no covering disk of Q fits in H) the report
+    is written with the failing lemmas, not a config error, and with the
+    finite distortion constant K of G: 1.0 for the empty G at lam = 1,
+    anchor 3, and 2.13 at lam = 0.01, anchor 3.3."""
     cfg = write_cfg(tmp_path, "koebe.json",
                     {"family": family, "geometry": {"anchor": anchor, "inset": 0.5}})
     out = str(tmp_path / "lemmas.json")
     assert run(["lemmas", "--config", cfg, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["distortion_c"] == "Infinity"
+    fam = td.normalize_family(td.exponential_family(family["lambda_re"]))
+    spec = td.build_squares(anchor, 0.5)
+    log_k = td.log_distortion_bound(fam, td.build_G(fam, anchor, spec, None), spec)
+    assert rep["distortion_c"] == math.exp(log_k) < math.inf
+    assert (rep["distortion_c"] == 1.0) == (anchor == 3.0)
     assert rep["all_pass"] is False
     assert {name for name, check in rep["checks"].items() if not check["pass"]} == failing
 

@@ -372,12 +372,11 @@ def test_enumerate_g_at_anchor_20_works_per_run(fam):
     sum, the gap report and the recheck all work per run."""
     budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(20.0, 0.5)
-    dist = td.distortion_constant(20.0, fam.ln_r0)
-    gset = td.build_G(fam, 20.0, spec, budget, mode="enumerate", dist=dist)
+    gset = td.build_G(fam, 20.0, spec, budget, mode="enumerate")
     assert [run.n_columns for run in gset.runs] == [3, 3]
     # the ints of each column's window, |s| = 3507..1700805253874
     assert gset.n_letters == 10_204_831_502_208
-    s1 = td.level1_sum(td.build_weighted_system(fam, gset, spec, dist), 1.0)
+    s1 = td.level1_sum(td.build_weighted_system(fam, gset, spec), 1.0)
     assert s1.log_lo < s1.log_hi
     gap = td.min_cell_gap(fam, gset, spec)
     assert gap.min_gap > 0 and gap.column_separation > 0
@@ -426,7 +425,7 @@ def _recheck_cell_reference(family, u, s, spec, log_first):
     imgs = (ln_t + half) + 1j * (np.arctan2(y, xx) + TWO_PI * float(u))
     lip = float(np.exp(-(ln_t + (half + log_first.real).min()))[0]) * 1.25
     spacing = spec.outer.perimeter / log_first.size
-    delta = max(lip * spacing, math.ulp(max(map(abs, spec.outer.bounds()))))
+    delta = max(lip * spacing, math.ulp(max(map(abs, spec.outer))))
     inside = bool(np.all(spec.outer.shrink(delta).contains(imgs)))
     near = bool(np.all(spec.outer.contains(imgs)))
     return ("inside" if inside else ("borderline" if near else "outside")), delta, imgs
@@ -553,7 +552,7 @@ def _direct_recheck_cells(family, us, ss, spec, density, chunk=256):
                                             im.min(axis=1), im.max(axis=1)])
     ext[:, 2:] += TWO_PI * us[:, None]
     delta = np.maximum(lip * (rect.perimeter / log_first.size),
-                       math.ulp(max(map(abs, rect.bounds()))))
+                       math.ulp(max(map(abs, rect))))
 
     def within(pad):
         return ((ext[:, 0] >= rect.re_lo + pad) & (ext[:, 1] <= rect.re_hi - pad)

@@ -55,7 +55,7 @@ def test_pressure_middle_thirds_straddles_zero():
 
 
 def test_pressure_ordering_and_decrease(small):
-    system = build_weighted_system(small.family, small.gset, small.spec, small.dist)
+    system = build_weighted_system(small.family, small.gset, small.spec)
     grid = [0.5 + 0.1 * k for k in range(11)]
     sums = [td.level1_sum(system, t) for t in grid]
     lows, highs = [s.log_lo for s in sums], [s.log_hi for s in sums]
@@ -65,10 +65,11 @@ def test_pressure_ordering_and_decrease(small):
 
 
 def test_two_sided_ratio_within_distortion(small):
-    system = build_weighted_system(small.family, small.gset, small.spec, small.dist)
+    system = build_weighted_system(small.family, small.gset, small.spec)
+    log_k = td.log_distortion_bound(small.family, small.gset, small.spec)
     for t in (0.5, 1.0, 1.5):
         s = td.level1_sum(system, t)
-        assert s.log_hi - s.log_lo <= 2.0 * t * math.log(small.dist.c) + 1e-9
+        assert s.log_hi - s.log_lo <= 2.0 * t * log_k + 1e-9
 
 
 def test_explicit_letter_envelope_width(small):
@@ -78,10 +79,10 @@ def test_explicit_letter_envelope_width(small):
     ends = [np.r_[r.s_lo:r.s_lo + 64, r.s_hi - 63:r.s_hi + 1] for r in small.gset.runs]
     drawn = small.gset.random_ranks(np.random.default_rng(0), 2000)
     s = np.concatenate(ends + [small.gset.letters(drawn)[1]])
-    env = small.family.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer)
     lo, hi = env.log_weight_bounds(np.log(TWO_PI) + np.log(np.abs(s).astype(float)))
     assert s.size > 0
-    assert np.all(hi - lo <= 2.0 * math.log(small.dist.c))
+    assert np.all(hi - lo <= 2.0 * td.log_distortion_bound(small.family, small.gset, small.spec))
     assert np.all(hi < 0)
 
 
@@ -129,11 +130,10 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
     sum equals one run-sum term per column of every run of G."""
     budget = td.GeometryBudget(epsilon=0.1, inset=3.0)
     spec = td.build_squares(4000.0, 3.0)
-    dist = td.distortion_constant(4000.0, fam.ln_r0)
-    gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
-    system = build_weighted_system(fam, gset, spec, dist)
+    gset = td.build_G(fam, 4000.0, spec, budget, mode="tail")
+    system = build_weighted_system(fam, gset, spec)
     assert sum(run.n_columns for run in gset.runs) > 1000
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     parts = [ref.envelope_run_sum(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, env)
              for run in gset.runs for _ in range(run.n_columns)]
     got = td.level1_sum(system, 1.0)
@@ -143,7 +143,7 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
 
 def test_brute_force_within_level1_sandwich(small):
     letters = small.gset.letters_by_weight(8)
-    env = small.family.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer)
     sigma = np.log(2 * math.pi) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
@@ -165,7 +165,7 @@ def test_run_sums_need_every_range_past_h():
     With b = 6*pi, h is 3.0 exactly: from 3 refused, from 4 summed."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     spec = td.build_squares(4.0, 0.5)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     assert round(env.b / TWO_PI, 2) == 1.11
     with pytest.raises(td.DomainError, match=r"every \|s\| > b / \(2 pi\) = 1.11"):
         build_weighted_system(
@@ -274,17 +274,15 @@ def test_level1_sum_bit_identical_to_per_part_reference(config):
     lam, anchor, inset, mode = _SUM_CONFIGS[config]
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     spec = td.build_squares(anchor, inset)
-    dist = td.distortion_constant(anchor, fam.ln_r0)
-    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), mode=mode,
-                      dist=dist)
-    system = build_weighted_system(fam, gset, spec, dist)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), mode=mode)
+    system = build_weighted_system(fam, gset, spec)
     runs = _runs_per_part(gset)
     assert sorted(system.runs) == sorted(Counter(runs).items())
+    assert system.n_letters == sum(hi - lo + 1 for lo, hi in runs)
     for t in (0.0, 0.5, 1.0, 1.0015, 2.0, 4.0):
         got = td.level1_sum(system, t)
-        ref = _level1_sum_per_part(fam.envelope(spec.outer.bounds()), runs, t)
+        ref = _level1_sum_per_part(fam.envelope(spec.outer), runs, t)
         assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
-        assert got.n_letters == sum(hi - lo + 1 for lo, hi in runs)
 
 
 def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
@@ -294,7 +292,6 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     multiplicity 1,274, and its run sum is built once per envelope, with
     the system, whatever the number of exponents."""
     spec = td.build_squares(4000.0, 3.0)
-    dist = td.distortion_constant(4000.0, fam.ln_r0)
     converted, summed = [], []
     convert = tractgeom._sigma_run
     run_sum = loglift.run_sum
@@ -310,16 +307,16 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     monkeypatch.setattr(tractgeom, "_sigma_run", convert_spy)
     monkeypatch.setattr(loglift, "run_sum", sum_spy)
     budget = td.GeometryBudget(inset=3.0)
-    gset = td.build_G(fam, 4000.0, spec, budget, mode="tail", dist=dist)
+    gset = td.build_G(fam, 4000.0, spec, budget, mode="tail")
     assert len(converted) == 1
     assert gset.n_segments == 2 and [run.n_columns for run in gset.runs] == [637, 637]
     win = column_window(fam, 0, spec)
-    system = build_weighted_system(fam, gset, spec, dist)
+    system = build_weighted_system(fam, gset, spec)
     key = convert(*win)
     assert system.runs == ((key, 1274),)
     for t in (0.5, 1.0):
         td.level1_sum(system, t)
-    h = fam.envelope(spec.outer.bounds()).b / TWO_PI
+    h = fam.envelope(spec.outer).b / TWO_PI
     assert summed == [(*key, h), (*key, -h)]
 
 
@@ -330,8 +327,7 @@ def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
     for the upper), where bisecting took 2 x 18, with the bisection's
     bracket."""
     spec = td.build_squares(4000.0, 3.0)
-    dist = td.distortion_constant(4000.0, fam.ln_r0)
-    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0), dist=dist)
+    gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0))
     built, evaluated = [], []
     run_sum, log_bound = loglift.run_sum, RunSum.log_bound
 
@@ -345,7 +341,7 @@ def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
 
     monkeypatch.setattr(loglift, "run_sum", build_spy)
     monkeypatch.setattr(RunSum, "log_bound", evaluate_spy)
-    system = build_weighted_system(fam, gset, spec, dist)
+    system = build_weighted_system(fam, gset, spec)
     roots = td.bowen_root(system, tol=1e-4)
     assert len(built) == 2
     assert len(evaluated) == 13 and roots.evaluations == (8, 5)
@@ -368,10 +364,9 @@ def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     for anchor, inset in _ROOT_ANCHORS:
         spec = td.build_squares(anchor, inset)
-        dist = td.distortion_constant(anchor, fam.ln_r0)
-        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset), dist=dist)
-        system = build_weighted_system(fam, gset, spec, dist)
-        env = fam.envelope(spec.outer.bounds())
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset))
+        system = build_weighted_system(fam, gset, spec)
+        env = fam.envelope(spec.outer)
         assert system.runs
         for t in (0.0, 0.5, 1.0, 1.37, 2.0, 4.0):
             got = td.level1_sum(system, t)

@@ -41,7 +41,7 @@ def records():
     fam = td.exponential_family()
     budget = td.GeometryBudget()
     spec = td.build_squares(12.0, budget.inset)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     gset = td.build_G(fam, 12.0, spec, budget)
     system = td.build_weighted_system(fam, gset, spec)
     lines = td.trace_level_lines(fam, spec, budget)
@@ -49,7 +49,7 @@ def records():
     s1 = next(run.s_lo for run in gset.runs if run.s_lo > 0)
     sigma = math.log(TWO_PI * s1)
     made = [fam, budget, spec, spec.outer, env, env.run_sums([(s1, s1 + 99)])[0][1][0],
-            td.distortion_constant(12.0, fam.ln_r0), td.anchor_line(fam, 12.0, budget.inset),
+            td.anchor_line(fam, 12.0, budget.inset),
             gset, gset.runs[0], td.min_cell_gap(fam, gset, spec), lines,
             system, td.level1_sum(system, 1.0), td.bowen_root(system),
             td.certify_dim_gt_one(fam, spec),
@@ -129,6 +129,6 @@ def test_map_family_refuses_bad_parameters(kwargs, match):
 def test_checked_records_keep_their_defaults_and_fields():
     assert td.GeometryBudget() == (0.1, 0.5)
     assert td.MapFamily() == (1.0 + 0.0j, math.e)
-    assert Rect(0.0, 1.0, 2.0, 3.0).bounds() == (0.0, 1.0, 2.0, 3.0)
+    assert Rect(0.0, 1.0, 2.0, 3.0) == (0.0, 1.0, 2.0, 3.0)
     family = td.normalize_family(td.exponential_family(lam=10.0))
     assert type(family) is td.MapFamily and family.r0 == 10.0 * math.e

@@ -15,7 +15,7 @@ from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
 from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
                                 _sigma_windows)
-from conftest import cells_inside, column_window, window_s_bounds
+from conftest import cells_inside, column_window, koebe_constant, window_s_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +169,14 @@ def test_anchor_derivative_condition_arithmetic(fam):
 
 def test_build_squares_corners():
     spec = td.build_squares(100.0, 25.0)
-    assert spec.outer.bounds() == (50.0, 150.0, -50.0, 50.0)
-    assert spec.core.bounds() == (75.0, 125.0, -25.0, 25.0)
+    assert spec.outer == (50.0, 150.0, -50.0, 50.0)
+    assert spec.core == (75.0, 125.0, -25.0, 25.0)
     assert spec.outer.diam == pytest.approx(141.421, abs=1e-3)
 
 
 def test_build_squares_boundary_case_flagged():
     spec = td.build_squares(100.0, 25.0)
-    assert spec.inner.bounds() == spec.core.bounds()
+    assert spec.inner == spec.core
     assert _inner_degenerate(spec)
     assert not _inner_degenerate(td.build_squares(100.0, 20.0))
 
@@ -198,22 +198,94 @@ def test_build_squares_invalid():
 # distortion
 # ---------------------------------------------------------------------------
 
-def test_distortion_single_disk_value():
-    d = td.distortion_constant(100.0, 1.0)
-    assert d.c == pytest.approx(73.47, abs=0.01)
+def _mp_log_derivative(family, word, z, mp):
+    """ln|phi_w'(z)|, phi_w = g_{w_1} o ... o g_{w_n}, in mpmath at its
+    working precision: g_{u,s}(z) = Log(xi) + 2*pi*i*u with xi = Log(z - c)
+    - c + 2*pi*i*s, and g' = 1 / (xi (z - c)); the last letter acts first."""
+    c = mp.log(mp.mpc(family.lam))
+    total = mp.mpf(0)
+    for u, s in reversed(word):
+        xi = mp.log(z - c) - c + 2j * mp.pi * s
+        total -= mp.log(abs(xi)) + mp.log(abs(z - c))
+        z = mp.log(xi) + 2j * mp.pi * u
+    return total
 
 
-def test_distortion_large_anchor_limit():
-    d = td.distortion_constant(1e9, 1.0)
-    assert d.c == pytest.approx(67.94, abs=0.01)
+@pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j], ids=str)
+@pytest.mark.parametrize("anchor", [12.0, 30.0, 85.0])
+def test_log_distortion_bound_holds_on_words_of_G(lam, anchor):
+    """|ln|phi_w'(x)| - ln|phi_w'(y)|| <= ln K in mpmath, with more digits
+    than G's largest |s| has, on 120 seeded words of length 1 to 3 (letters
+    drawn uniformly over G and from its 8 of smallest |s|), each at 4
+    pairs of points of Q (uniform, or Q's corners).  The largest difference
+    is 1.08 to 1.14, close to ln(d_hi / d_lo) = 1.15 of the |z - c| factor
+    at lam = 1, where ln K is 2.68 to 2.84."""
+    mp = pytest.importorskip("mpmath")
+    fam = td.normalize_family(td.exponential_family(lam))
+    spec = td.build_squares(anchor, 0.5)
+    gset = td.build_G(fam, anchor, spec, None)
+    log_k = td.log_distortion_bound(fam, gset, spec)
+    rng = np.random.default_rng(int(anchor))
+    drawn = list(zip(*(a.tolist() for a in gset.letters(gset.random_ranks(rng, 400)))))
+    pool = drawn + gset.letters_by_weight(8) * 25
+    rect = spec.outer
+    corners = [complex(x, y) for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
+    worst = 0.0
+    with mp.workdps(len(str(gset.max_abs_index())) + 30):
+        for _ in range(120):
+            word = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 4))]
+            for _ in range(4):
+                x, y = (corners[rng.integers(4)] if rng.random() < 0.3 else
+                        complex(rng.uniform(rect.re_lo, rect.re_hi),
+                                rng.uniform(rect.im_lo, rect.im_hi)) for _ in range(2))
+                diff = _mp_log_derivative(fam, word, mp.mpc(x), mp) \
+                    - _mp_log_derivative(fam, word, mp.mpc(y), mp)
+                worst = max(worst, float(abs(diff)))
+    assert 0.0 < worst <= log_k
 
 
-def test_distortion_geometry_error():
-    """rho >= 1, and an anchor at or left of ln R0, where rho is inf: a
-    GeometryError, not a division by zero."""
-    for anchor in (1.2, 1.0, 0.9, -3.0):
-        with pytest.raises(td.GeometryError):
-            td.distortion_constant(anchor, 1.0)
+@pytest.mark.parametrize("lam, anchor", [
+    (1.0, 12.0), (1.0, 30.0), (1j, 50.0), (0.01, 3.3), (0.01, 4.0), (1.0, 4000.0),
+    (0.01, 4000.0), (1.0, 2.79e6), (1j, 2.79e6)])
+def test_log_distortion_bound_is_its_closed_form(lam, anchor):
+    """ln K = L diam Q / (1 - kappa), L = (1 + 1/(2*pi*s_min - b)) / d_lo and
+    kappa = 1 / ((2*pi*s_min - b) d_lo), evaluated in 50-digit mpmath from
+    (b, d_lo, s_min, diam Q), within 1e-12.  s_min passes the float range
+    at anchor 4000 and 2.79e6, where ln K is diam Q / d_lo (2 sqrt 2 at lam
+    = 1)."""
+    mp = pytest.importorskip("mpmath")
+    fam = td.normalize_family(td.exponential_family(lam))
+    spec = td.build_squares(anchor, 0.5)
+    gset = td.build_G(fam, anchor, spec, None)
+    env = fam.envelope(spec.outer)
+    got = td.log_distortion_bound(fam, gset, spec)
+    with mp.workdps(50):
+        room = 2 * mp.pi * gset.min_abs_index() - mp.mpf(env.b)
+        lip = (1 + 1 / room) / mp.mpf(env.d_lo)
+        kappa = 1 / (room * mp.mpf(env.d_lo))
+        want = lip * mp.mpf(spec.outer.diam) / (1 - kappa)
+        assert got == pytest.approx(float(want), rel=0, abs=1e-12)
+        if anchor > 1000.0:
+            assert got == pytest.approx(float(mp.mpf(spec.outer.diam) / mp.mpf(env.d_lo)),
+                                        rel=0, abs=1e-12)
+    if lam == 1.0 and anchor > 1000.0:
+        assert got == pytest.approx(2.0 * math.sqrt(2.0), rel=0, abs=1e-12)
+
+
+def test_log_distortion_bound_of_an_empty_G_is_0(fam):
+    """An empty G leaves only the empty word, whose derivative ratio is 1."""
+    spec = td.build_squares(4.0, 0.5)
+    gset = td.build_G(fam, 4.0, spec, None)
+    assert gset.is_empty() and td.log_distortion_bound(fam, gset, spec) == 0.0
+
+
+def test_log_distortion_bound_needs_contracting_letters():
+    """A planted letter with 2*pi*|s| <= b has no derivative bound on Q."""
+    fam = td.normalize_family(td.exponential_family(0.01))
+    spec = td.build_squares(3.3, 0.5)
+    assert TWO_PI < fam.envelope(spec.outer).b
+    with pytest.raises(td.ConstructionError, match="no distortion bound"):
+        td.log_distortion_bound(fam, GSet(runs=(RunBlock(0, 0, 1, 1),)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +327,7 @@ def test_cell_image_outside_verdict(fam):
     budget = td.GeometryBudget(epsilon=0.1, inset=25.0)
     center, _ = td.cylinder_eval(fam, [(0, 64)], complex(spec.anchor))
     assert center.real < spec.outer.re_lo
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     sigma = math.log(TWO_PI * 64)
     assert not tractgeom._enclosed(env, spec.outer, 0, 1, sigma)
     assert td.containment_recheck(fam, 0, 64, spec, density=10) == "outside"
@@ -266,7 +338,7 @@ def _cell_lipschitz(fam, s, spec):
     """sup_Q |g'_{u,s}| <= e^hi of `log_weight_bounds`, the closed-form
     Lipschitz bound of a cell."""
     sigma = np.log(TWO_PI) + np.log(float(abs(s)))
-    return float(np.exp(fam.envelope(spec.outer.bounds()).log_weight_bounds(sigma)[1]))
+    return float(np.exp(fam.envelope(spec.outer).log_weight_bounds(sigma)[1]))
 
 
 def _min_side(rect):
@@ -333,7 +405,7 @@ def test_boundary_points_edge_slices_equal_np_select(rect):
 def _koebe_cell_diameter_bound(spec, ln_r0):
     """diam(Q) * 4*pi*C / (R - ln R0): the cell diameter bound from the Koebe
     constant C alone, which the construction does not use."""
-    c = td.distortion_constant(spec.anchor, ln_r0).c
+    c = koebe_constant(spec.anchor, ln_r0)
     return spec.outer.diam * 4.0 * math.pi * c / (spec.anchor - ln_r0)
 
 
@@ -341,9 +413,10 @@ def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
     # the distortion-only bound dwarfs the square itself at this scale;
     # the cell's closed-form Lipschitz bound does not
     spec = td.build_squares(100.0, 25.0)
-    dist = td.distortion_constant(100.0, 1.0)
+    c = koebe_constant(100.0, 1.0)
+    assert c == pytest.approx(73.47, abs=0.01)
     bound = _koebe_cell_diameter_bound(spec, fam.ln_r0)
-    assert bound == pytest.approx(math.sqrt(2) * 100 * 4 * math.pi * dist.c / 99, rel=1e-12)
+    assert bound == pytest.approx(math.sqrt(2) * 100 * 4 * math.pi * c / 99, rel=1e-12)
     assert bound > _min_side(spec.outer)
     assert _cell_lipschitz(fam, 64, spec) * spec.outer.diam < bound
 
@@ -352,7 +425,7 @@ def test_containment_fast_path_inside(small):
     """An index well inside the admissible window: its closed-form
     enclosure lies in Q, with no sample, as the dense recheck agrees, and
     G holds it."""
-    env = small.family.envelope(small.spec.outer.bounds())
+    env = small.family.envelope(small.spec.outer)
     sigma = math.log(TWO_PI * 5000)
     assert tractgeom._enclosed(env, small.spec.outer, 0, 1, sigma)
     assert td.containment_recheck(small.family, 0, 5000, small.spec, density=10) == "inside"
@@ -438,7 +511,7 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     dense sigma grid finds no admissible point, for cells inside Q shrunk
     by the margin."""
     spec = td.build_squares(anchor, 0.5)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     rect = spec.outer
     target = rect.shrink(margin)
     grid = np.linspace(rect.re_lo - 2.0, rect.re_hi + 2.0, 4097)
@@ -467,7 +540,7 @@ def _solve_s_window_per_column(family, u, spec, target, sign):
     """Reference: the window (sigma_lo, sigma_hi) of one column, for cells
     inside `target` under the envelope of Q, by its own closed forms and
     one scalar enclosure test per endpoint step."""
-    env = family.envelope(spec.outer.bounds())
+    env = family.envelope(spec.outer)
 
     def admissible(sigma):
         if sigma <= env.sigma_valid_min:
@@ -513,7 +586,7 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
     inset = 0.5 if anchor < 1000 else 3.0
     spec = td.build_squares(anchor, inset)
     target = spec.outer.shrink(margin)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     n_windows = 0
     for sign in (1, -1):
         us = _columns(spec)
@@ -626,7 +699,7 @@ def test_g_runs_start_where_the_upper_envelope_bounds_each_letter(log_modulus, a
     anchor = math.exp(log_anchor)
     assume(anchor / 2.0 > fam.ln_r0)
     spec = td.build_squares(anchor, 0.5)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     s_star = math.ceil((env.b + env.p_lo) / TWO_PI)
     for run in td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5)).runs:
         assert min(abs(run.s_lo), abs(run.s_hi)) >= s_star > env.b / TWO_PI
@@ -781,7 +854,7 @@ def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
     target = spec.outer.shrink(margin)
     with cells_inside(margin):
         gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5))
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     depth = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
 
     def enclosed(u, sign, ss):
@@ -966,7 +1039,7 @@ def test_min_cell_gap_with_letters_below_envelope_validity():
     fam = td.normalize_family(td.exponential_family(0.01, 1.2))
     spec = td.build_squares(4.0, 0.5)
     gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     lowest = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
     assert lowest <= math.exp(env.sigma_valid_min) / TWO_PI
     with warnings.catch_warnings():
@@ -981,7 +1054,7 @@ def _mp_log_min_gap(fam, gset, spec):
     {q_lo, q_hi} at each run's largest |s|, in 80-digit arithmetic from the
     same float corner data (q_lo, q_hi, p_hi)."""
     mp = pytest.importorskip("mpmath")
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     c, rect = env.c, spec.outer
     thetas = [math.atan2(y - c.imag, x - c.real)
               for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
@@ -1069,7 +1142,7 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(4.0, 0.5)
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     ss = [1, 2, -1, -2]
     assert all(math.log(TWO_PI * abs(s)) <= env.sigma_valid_min for s in ss)
     base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
@@ -1101,7 +1174,7 @@ def _sharp_or_koebe_lipschitz(fam, s, spec):
     Koebe).  sharp = 1 / ((2*pi*|s| - b) d_lo), above envelope validity
     (e^sigma > 2b) only; Koebe = |g'(R)| * C, the derivative at the anchor
     times the Koebe constant C (infinite below the Koebe range)."""
-    env = fam.envelope(spec.outer.bounds())
+    env = fam.envelope(spec.outer)
     sigma = math.log(TWO_PI) + math.log(abs(s))
     sharp = math.inf
     if sigma > env.sigma_valid_min:
@@ -1110,7 +1183,7 @@ def _sharp_or_koebe_lipschitz(fam, s, spec):
     v_s = complex(np.asarray(fam.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
     deriv = abs(complex(np.asarray(fam.inv0_deriv(v_s)).item())
                 * complex(np.asarray(fam.inv0_deriv(complex(spec.anchor))).item()))
-    return min(sharp, deriv * tractgeom._distortion_or_unavailable(spec.anchor, fam.ln_r0).c)
+    return min(sharp, deriv * koebe_constant(spec.anchor, fam.ln_r0))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -1124,7 +1197,7 @@ def test_cell_lipschitz_bounds_the_sampled_derivative(modulus, arg, r0, anchor, 
     min(sharp, Koebe)."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
     spec = td.build_squares(anchor, 0.5)
-    if math.log(fam.envelope(spec.outer.bounds()).d_lo) <= fam.ln_r0:
+    if math.log(fam.envelope(spec.outer).d_lo) <= fam.ln_r0:
         return  # the first-level image leaves H: no cells
     lip = _cell_lipschitz(fam, sign * s, spec)
     c, rect = fam.log_lam, spec.outer
@@ -1266,9 +1339,10 @@ def _assert_level_lines_match_dense_reference(family, anchor, inset):
     Returns the curve count."""
     spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
     rep = td.trace_level_lines(family, spec, budget)
-    r = td.anchor_line(family, anchor, inset).real_part
+    line = td.anchor_line(family, anchor, inset)
+    r = line.real_part
     ln_a = math.log(r - family.log_lam.real)
-    assert rep.min_re_margin == rep.growth_bound - ln_a, anchor
+    assert rep.min_re_margin == line.growth_bound - ln_a, anchor
     count, lengths = 0, []
     for u in range(math.floor(spec.inner.im_lo / TWO_PI) - 2,
                    math.ceil(spec.inner.im_hi / TWO_PI) + 3):
