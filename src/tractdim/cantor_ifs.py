@@ -139,8 +139,8 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
         raise ConstructionError("cannot sample: G has letters past 2^63, and words are int64")
     rng = np.random.default_rng(seed)
     u, s = gset.letters(gset.random_ranks(rng, count * depth))
-    words_u = u.astype(np.int64).reshape(count, depth)
-    words_s = s.astype(np.int64).reshape(count, depth)
+    words_u = u.astype(np.int64, copy=False).reshape(count, depth)
+    words_s = s.astype(np.int64, copy=False).reshape(count, depth)
     z = np.full(count, spec.outer.center, dtype=complex)
     for k in range(depth - 1, -1, -1):
         shifted = z  # the words' images from letter k + 1 on; at k = 0, `shifted`
@@ -189,14 +189,19 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     0 with 0).
     """
     z = sample.points
-    pts, logp = _project(z)
-    fz = np.asarray(family.lift(z[~logp]))
-    ok = ~logp
-    ok[ok] = np.real(fz) <= _EXP_OVERFLOW_RE
+    logp = np.real(z) > _EXP_OVERFLOW_RE
+    ez = np.exp(z[~logp])  # e^z on the rows in the exp range, formed once
+    pts = np.empty_like(z)
+    pts[~logp] = ez
+    # log-polar record: modulus as ln|.|, angle wrapped to (-pi, pi]
+    wrapped = np.mod(np.imag(z[logp]) + math.pi, TWO_PI) - math.pi
+    pts[logp] = np.real(z[logp]) + 1j * wrapped
+    c = family.log_lam
+    fz = ez + c  # F z = e^z + Log(lam), as `family.lift` forms it
+    ok = np.real(fz) <= _EXP_OVERFLOW_RE  # over the rows of ez
     resid, checked = 0.0, 0
     if np.any(ok):
-        c = family.log_lam
-        f_ok = fz[ok[~logp]]
+        f_ok = fz[ok]
         rhs = np.exp(f_ok)
         scale = np.abs(rhs) / (1.0 + np.abs(rhs))
         rounding = (0.5 * np.spacing(np.abs(f_ok.real)) * (c.real != 0.0)
@@ -205,7 +210,7 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
         bound = np.expm1(np.minimum(rounding + _CONJUGACY_ULPS * 2.0 ** -52, 1.0)) * scale
         decidable = bound < 1e-9
         ok[ok] = decidable
-        lhs = np.asarray(family.plane_map(np.exp(z[ok])))
+        lhs = np.asarray(family.plane_map(ez[ok]))
         rhs = rhs[decidable]
         if rhs.size:
             resid = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
@@ -213,20 +218,9 @@ def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
                                        & np.isfinite(lhs) & np.isfinite(rhs)))
         if resid > 1e-9:
             raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
-    if np.any(~logp) and np.any(pts[~logp] == 0):
+    if np.any(ez == 0):
         raise ConstructionError("plane projection produced 0")
     return PlaneProjection(points=pts, log_polar=logp, conjugacy_checked=checked)
-
-
-def _project(z: np.ndarray):
-    logp = np.real(z) > _EXP_OVERFLOW_RE
-    out = np.empty_like(z)
-    safe = ~logp
-    out[safe] = np.exp(z[safe])
-    # log-polar record: modulus as ln|.|, angle wrapped to (-pi, pi]
-    wrapped = np.mod(np.imag(z[logp]) + math.pi, TWO_PI) - math.pi
-    out[logp] = np.real(z[logp]) + 1j * wrapped
-    return out, logp
 
 
 class InvarianceReport(NamedTuple):

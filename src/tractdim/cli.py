@@ -432,6 +432,8 @@ def cmd_dim(cfg: RunConfig, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(cfg: RunConfig, out_path: str) -> int:
+    import numpy as np
+
     from .cantor_ifs import project_to_plane, sample_limit_set
     fam = cfg.family
     spec = build_squares(cfg.anchor, cfg.budget.inset)
@@ -440,11 +442,10 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
                               seed=cfg.seed)
     proj = project_to_plane(fam, sample)
 
-    lifted, plane = sample.points, proj.points
-    spaces = ["plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
-    n = write_csv(out_path, ["re", "im", "space"], [
-        lifted.real.tolist() + plane.real.tolist(), lifted.imag.tolist() + plane.imag.tolist(),
-        ["lifted"] * sample.count + spaces])
+    points = np.concatenate([sample.points, proj.points])  # lifted rows, then plane rows
+    spaces = ["lifted"] * sample.count + [
+        "plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
+    n = write_csv(out_path, ["re", "im", "space"], [points.real, points.imag, spaces])
     print(f"wrote {n} rows; conjugacy checked on {proj.conjugacy_checked} of {sample.count} rows",
           file=sys.stderr)
     return 0

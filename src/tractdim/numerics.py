@@ -12,6 +12,8 @@ import sys
 from typing import Iterable, Sequence
 
 TWO_PI = 2.0 * math.pi
+# Rows per block of `write_csv`.
+_CSV_BLOCK = 2048
 
 
 def log_sum_exp(log_terms: Sequence[float]) -> float:
@@ -116,14 +118,22 @@ def write_json(path, obj) -> None:
         fh.write(canonical_json(obj))
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence[list]) -> int:
-    """Write columns of plain Python values (lists, as `.tolist()` gives
-    them) as rows: each column is mapped through `str` (str of a float is
-    its repr), the rows are zipped and joined by commas, and the rows by
-    newlines, each row ending in one.  Returns the row count."""
-    rows = list(map(",".join, zip(*(map(str, c) for c in columns))))
+def write_csv(path, header: Sequence[str], columns: Sequence) -> int:
+    """Write columns as rows, `_CSV_BLOCK` rows at a time.
+
+    A column is a list of plain Python values or a numpy array (float64,
+    or a strided `.real`/`.imag` view); each block of an array column is
+    made plain values by `.tolist()`.  Each value is mapped through `str`
+    (str of a float is its repr), the rows are zipped and joined by
+    commas, each row ending in a newline: the bytes of joining every row
+    at once, with at most one block of strings in memory.  As with zip,
+    the shortest column sets the row count, which is returned.
+    """
+    n = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if rows:
-            fh.write("\n".join(rows) + "\n")
-    return len(rows)
+        for lo in range(0, n, _CSV_BLOCK):
+            block = (c[lo:lo + _CSV_BLOCK] for c in columns)
+            cells = (map(str, b.tolist() if hasattr(b, "tolist") else b) for b in block)
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return n

@@ -75,23 +75,25 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
     meets exactly its own boxes.  Needs at least 1e4 points and 5 scales
     spanning two decades relative to the cloud diameter.
 
-    Each scale costs one sort of the box keys of the two contiguous
-    coordinate columns.  Division by eps > 0 and floor are monotone, so a
-    column's least and greatest box index are floor(min / eps) and
-    floor(max / eps), taken from the cloud's extremes computed once.  With
-    the indices shifted to start at 0, the key i*(span_j + 1) + j numbers
-    the boxes of the cloud's bounding grid one to one; the count is the
-    number of steps in the sorted keys plus one.  A grid of 2**63 boxes or
-    more has no int64 key, and there the index pairs are sorted
-    lexicographically instead.  Box indices past the int64 range raise
-    `ConfigError`.
+    Each scale costs one sort of the box keys of the two coordinate
+    columns, read as views of the input.  Division by eps > 0 and floor
+    are monotone, so a column's least and greatest box index are
+    floor(min / eps) and floor(max / eps), taken from the cloud's extremes
+    computed once.  With the indices shifted to start at 0, the key
+    i*(span_j + 1) + j numbers the boxes of the cloud's bounding grid one
+    to one; the count is the number of steps in the sorted keys plus one.
+    A grid of 2**63 boxes or more has no int64 key, and there the index
+    pairs are sorted lexicographically instead.  Box indices past the
+    int64 range raise `ConfigError`.  Every scale divides, floors and
+    casts into the same three buffers (one float64, two int64), allocated
+    once per call, and forms its key in place.
     """
     pts = np.asarray(points)
     if np.iscomplexobj(pts):
-        cols = (np.ascontiguousarray(pts.real).ravel(), np.ascontiguousarray(pts.imag).ravel())
+        cols = (pts.real.reshape(-1), pts.imag.reshape(-1))
     else:
         xy = np.asarray(pts, dtype=float).reshape(-1, 2)
-        cols = (np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]))
+        cols = (xy[:, 0], xy[:, 1])
     n = cols[0].size
     if n < 10_000:
         raise ConfigError(f"box counting needs >= 1e4 points, got {n}")
@@ -109,13 +111,17 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
         raise ConfigError("scales must be positive and finite")
     if scales[-1] / scales[0] < 100.0:
         raise ConfigError("scales must span at least two decades")
+    f = np.empty(n)
+    i, j = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     counts = []
     for eps in scales:
         (i_lo, i_hi), (j_lo, j_hi) = ((math.floor(a / eps), math.floor(b / eps))
                                       for a, b in zip(lo, hi))
         if min(i_lo, j_lo) < -2 ** 63 or max(i_hi, j_hi) >= 2 ** 63:
             raise ConfigError(f"box indices at scale {eps!r} exceed the int64 range")
-        i, j = (np.floor(c / eps).astype(np.int64) for c in cols)
+        for c, k in zip(cols, (i, j)):
+            np.floor(np.divide(c, eps, out=f), out=f)
+            k[...] = f
         rows = j_hi - j_lo + 1
         if (i_hi - i_lo + 1) * rows < 2 ** 63:
             i -= i_lo
@@ -123,11 +129,12 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
             j -= j_lo
             i += j
             i.sort()
-            steps = np.diff(i)
+            steps = np.count_nonzero(i[1:] != i[:-1])
         else:  # more boxes than int64 keys: sort the index pairs instead
             order = np.lexsort((j, i))
-            steps = np.diff(i[order]) | np.diff(j[order])
-        counts.append(int(np.count_nonzero(steps)) + 1)
+            i_s, j_s = i[order], j[order]
+            steps = np.count_nonzero((i_s[1:] != i_s[:-1]) | (j_s[1:] != j_s[:-1]))
+        counts.append(int(steps) + 1)
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)
@@ -146,18 +153,27 @@ def cantor_middle_thirds(count: int = 100_000, depth: int = 35,
     3^(depth - k) is sum_j 2 bit_j 3^j, which is summed exactly in int64
     from one 256-entry table per byte of the draw (at most 5 bytes), and
     divided by 3^depth.  No BLAS, so the points do not depend on the
-    numerical library; memory is O(count).
+    numerical library.  Memory is O(count): each byte of the draws is
+    shifted and masked into one reused uint8 buffer, the draws are dropped
+    before the output is allocated, and the numerators are divided
+    straight into the output's real part.
     """
     if depth > 39:
         raise ConfigError(f"depth {depth} > 39 overflows the int64 numerators")
     draws = np.random.default_rng(seed).integers(0, 2 ** depth, size=count, dtype=np.int64)
     numer = np.zeros(count, dtype=np.int64)
+    byte = np.empty(count, dtype=np.uint8)
     for lo in range(0, depth, 8):
         table = [0]  # table[v]: sum of 2 * 3^(lo + i) over the set bits i of v
         for i in range(lo, min(lo + 8, depth)):  # the draw has no bit past depth
             table += [x + 2 * 3 ** i for x in table]
-        numer += np.take(np.array(table, dtype=np.int64), (draws >> lo) & 0xFF)
-    return (numer / 3 ** depth).astype(complex)
+        # the cast to uint8 keeps bits lo to lo + 7 of the shifted draw: the mask
+        np.right_shift(draws, lo, out=byte, casting="unsafe")
+        numer += np.array(table, dtype=np.int64)[byte]
+    del draws
+    points = np.zeros(count, dtype=complex)
+    np.divide(numer, 3 ** depth, out=points.real)
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,26 @@ def test_sample_rows_and_determinism(tmp_path):
     assert set(spaces[2000:]) <= {"plane", "plane_logpolar"}
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.5 + 0.5j])
+def test_sample_csv_rows_are_the_sample_then_its_projection(tmp_path, lam):
+    """Row k parses back, bit for bit, to the k-th sample point, and row
+    count + k to its plane projection, with the projection's log-polar
+    flag as its space."""
+    raw = dict(SMALL_TAIL, family={"lambda_re": lam.real, "lambda_im": lam.imag})
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--config", write_cfg(tmp_path, "s.json", raw), "--out", str(out)]) == 0
+    cfg = load_config(raw)
+    spec = td.build_squares(cfg.anchor, cfg.budget.inset)
+    sample = td.sample_limit_set(cfg.family, cli._nonempty_G(cfg.family, cfg, spec), spec,
+                                 depth=cfg.depth, count=cfg.count, seed=cfg.seed)
+    proj = td.project_to_plane(cfg.family, sample)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    got = np.array([complex(float(re_), float(im_)) for re_, im_, _ in rows])
+    assert got.tobytes() == np.concatenate([sample.points, proj.points]).tobytes()
+    assert [space for *_, space in rows] == ["lifted"] * cfg.count + [
+        "plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
+
+
 def test_sample_seed_changes_words_not_statistics(tmp_path):
     cfg1 = write_cfg(tmp_path, "s1.json",
                      dict(SMALL_TAIL, sampling={"count": 10000, "depth": 4, "seed": 1}))

@@ -61,6 +61,56 @@ def test_inv_branch_examples(fam):
         td.inv_branch(fam, 0, fam.ln_r0 - 1.0)
 
 
+def _inv0_test_points():
+    """w over 600 decades of modulus at every angle, |w| within 1e-17 to
+    1e-3 of 1, and the negative real axis with +0 and -0 imaginary parts."""
+    rng = np.random.default_rng(12)
+    far = 10.0 ** rng.uniform(-300, 300, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+    near = (1.0 + rng.choice([-1, 1], 1000) * 10.0 ** rng.uniform(-17, -3, 1000)) \
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, 1000))
+    axis = -(10.0 ** rng.uniform(-300, 300, 50))
+    cut = np.concatenate([axis + 0j, np.array(axis, dtype=complex)])
+    cut.imag[axis.size:] = -0.0
+    edge = np.array([5e-324, 1.7e308, -5e-324, 1j, -1j, 5e-324j, 1.0, -1.0], dtype=complex)
+    return np.concatenate([far, near, cut, edge])
+
+
+def test_inv0_within_4_ulps_of_mpmath():
+    """inv0 = ln|w| + i*atan2 against a 40-digit mpmath log: each part
+    within 4 ulps, the real part absolutely (4 ulps of 1) where |ln|w|| < 1,
+    that is near |w| = 1.  On the negative real axis the sign of a zero
+    imaginary part picks the branch edge: +pi for +0, -pi for -0, as
+    numpy's complex log gives it."""
+    mpmath = pytest.importorskip("mpmath")
+    fam = td.exponential_family(1.0, math.e)  # Log(lam) = 0, so w = zeta
+    w = _inv0_test_points()
+    got = np.asarray(fam.inv0(w))
+    assert got.shape == w.shape
+    with mpmath.workdps(40):
+        for x, g in zip(w.tolist(), got.tolist()):
+            exact = mpmath.log(mpmath.mpc(x.real, x.imag))
+            im = -exact.imag if x.imag == 0 and math.copysign(1.0, x.imag) < 0 else exact.imag
+            assert abs(g.real - exact.real) <= 4 * math.ulp(max(abs(float(exact.real)), 1.0)), x
+            assert abs(g.imag - im) <= 4 * math.ulp(abs(float(im))), x
+    cut = (w.real < 0) & (w.imag == 0)
+    assert np.array_equal(got.imag[cut], np.where(np.signbit(w.imag[cut]), -np.pi, np.pi))
+    assert np.array_equal(got.imag[cut], np.log(w[cut]).imag)
+
+
+def test_inv0_of_a_0d_input_is_the_array_value():
+    """inv_branch passes inv0 a 0-d array; the value is the one inv0 gives
+    inside an array, for a family whose Log(lam) is not 0 too."""
+    for lam in (1.0, 0.5 + 0.5j):
+        f = td.normalize_family(td.exponential_family(lam, math.e))
+        zeta = np.array([3.0 + 4.0j, 100.0 - 1e-3j, 12.5 + 7e6j])
+        row = np.asarray(f.inv0(zeta))
+        for k, z in enumerate(zeta.tolist()):
+            one = f.inv0(np.asarray(z))
+            assert np.ndim(one) == 0 and complex(one) == row[k]
+            pt, _ = td.inv_branch(f, 3, z)
+            assert pt == row[k] + TWO_PI * 3j
+
+
 def test_branch_inversion_property(fam):
     rng = np.random.default_rng(5)
     zeta = fam.ln_r0 + 0.1 + 40.0 * rng.random(1000) \

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tractdim import numerics
 from tractdim.numerics import canonical_json, write_csv
 
 
@@ -25,12 +26,46 @@ COLUMNS = [
 ]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 3, 10])
-def test_write_csv_equals_per_row_format(tmp_path, n_rows):
+B = numerics._CSV_BLOCK
+
+
+def _cycled(col, n):
+    return [col[k % len(col)] for k in range(n)]
+
+
+def _array_columns(n):
+    """A float64 array column, the strided .real/.imag views of a complex
+    array (special values included) and a list three entries longer, so
+    that the arrays set the row count."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-20, 20, n)
+    special = COLUMNS[0][:n]
+    x[:len(special)] = special
+    z.imag[-len(special):] = special[::-1]
+    assert n == 0 or z.real.strides == z.imag.strides == (z.itemsize,)  # every other float
+    return [x, z.real, z.imag, _cycled(COLUMNS[2], n + 3)]
+
+
+ROW_COUNTS = [0, 1, 3, 10, B - 1, B, B + 1, 2 * B + 1]
+
+
+@pytest.mark.parametrize("n_rows, kind", [(n, "lists") for n in ROW_COUNTS]
+                         + [(n, "arrays") for n in ROW_COUNTS],
+                         ids=[str(n) for n in ROW_COUNTS] + [f"{n}-arrays" for n in ROW_COUNTS])
+def test_write_csv_equals_per_row_format(tmp_path, n_rows, kind):
+    """The block writer gives the bytes of one format call per row, at
+    every row count around the block size.  An array column (float64, or
+    a strided view of a complex array) writes the bytes of its .tolist()."""
     header = ["re", "im", "space", "mixed"]
-    columns = [col[:n_rows] for col in COLUMNS]
+    if kind == "lists":
+        columns = [_cycled(col, n_rows) for col in COLUMNS]
+        plain = columns
+    else:
+        columns = _array_columns(n_rows)
+        plain = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    assert write_csv(got, header, columns) == _write_csv_per_row(want, header, columns) == n_rows
+    assert write_csv(got, header, columns) == _write_csv_per_row(want, header, plain) == n_rows
     assert got.read_bytes() == want.read_bytes()
     if n_rows == 0:
         assert got.read_bytes() == b"re,im,space,mixed\n"
