@@ -130,6 +130,12 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     draws i*depth to (i+1)*depth - 1 of `GSet.random_ranks`, first letter
     first.  `tractdim sample` writes the rows in this order, then their
     plane projections in the same order.
+
+    Each of the 2*depth inverse steps adds 2*pi*s, a float formed in one
+    buffer, to the imaginary part of its `inv0` image in place: bit for
+    bit the complex sum inv0 + 2*pi*i*s, whose term has real part +-0 and
+    an imaginary part rounded once either way.  Every level checks the
+    half plane and Q.
     """
     if gset.is_empty():
         raise ConstructionError("cannot sample: G has no letters")
@@ -142,12 +148,15 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     words_u = u.astype(np.int64, copy=False).reshape(count, depth)
     words_s = s.astype(np.int64, copy=False).reshape(count, depth)
     z = np.full(count, spec.outer.center, dtype=complex)
+    turn = np.empty(count)  # 2*pi times a column of letter indices
     for k in range(depth - 1, -1, -1):
         shifted = z  # the words' images from letter k + 1 on; at k = 0, `shifted`
-        first = np.asarray(family.inv0(z)) + TWO_PI * 1j * words_s[:, k]
-        if np.any(np.real(first) <= family.ln_r0):
+        first = np.asarray(family.inv0(z))
+        first.imag += np.multiply(words_s[:, k], TWO_PI, out=turn)
+        if np.any(first.real <= family.ln_r0):
             raise ConstructionError("sampled intermediate point left the half plane")
-        z = np.asarray(family.inv0(first)) + TWO_PI * 1j * words_u[:, k]
+        z = np.asarray(family.inv0(first))
+        z.imag += np.multiply(words_u[:, k], TWO_PI, out=turn)
         if not np.all(spec.outer.contains(z)):
             raise ConstructionError("sampled point left Q; letters outside G?")
     return LimitSample(points=z, shifted=shifted, words_u=words_u, words_s=words_s,
@@ -169,6 +178,11 @@ class PlaneProjection(NamedTuple):
 
 def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
     """Project sampled points by exp.
+
+    `tractdim sample` never writes a log-polar row, which needs Re z >
+    700: its points lie in Q, around the anchor, and `sample_limit_set`
+    refuses a G with letters past 2^63, as G has at every anchor from
+    30.5 to 700 (lam = 1, inset 0.5, in steps of 0.5).
 
     Also verifies the conjugacy f(exp z) = lam * exp(e^z) = exp(F z) at
     relative tolerance 1e-9 on the rows where float64 can decide it: not

@@ -84,10 +84,20 @@ class MapFamily(_MapFamilyFields):
         """Log(w), w = zeta - Log(lam), on the principal branch, formed as
         ln|w| + i*atan2(Im w, Re w) in about a quarter of the time of
         numpy's complex log; within 4 ulps of the exact value (absolute
-        where |w| is near 1, where ln|w| is near 0)."""
+        where |w| is near 1, where ln|w| is near 0).  Both parts are
+        written into one complex array, which is returned (0-d for a 0-d
+        input).  The imaginary part is +0 where atan2 gives -0 (Im w = -0,
+        Re w > 0), as the complex sum ln|w| + i*atan2 gives it; the two
+        agree bit for bit wherever no part of w is NaN.  Where w has an
+        infinite part and a NaN part, the real part is +inf, as in C99
+        clog, where the sum gave NaN."""
         import numpy as np
         w = np.asarray(zeta, dtype=complex) - self.log_lam
-        return np.log(np.abs(w)) + 1j * np.arctan2(w.imag, w.real)
+        out = np.empty_like(w)
+        np.log(np.abs(w), out=out.real)
+        np.arctan2(w.imag, w.real, out=out.imag)
+        out.imag += 0.0  # -0 to +0
+        return out
 
     def inv0_deriv(self, zeta):
         import numpy as np

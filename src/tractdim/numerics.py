@@ -123,17 +123,21 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> int:
 
     A column is a list of plain Python values or a numpy array (float64,
     or a strided `.real`/`.imag` view); each block of an array column is
-    made plain values by `.tolist()`.  Each value is mapped through `str`
-    (str of a float is its repr), the rows are zipped and joined by
-    commas, each row ending in a newline: the bytes of joining every row
-    at once, with at most one block of strings in memory.  As with zip,
-    the shortest column sets the row count, which is returned.
+    made plain values by `.tolist()`.  A float64 array's values are
+    mapped through `repr` (the same bytes as `str`, for less than the type
+    call), every other value through `str`, which leaves a string
+    unquoted.  The rows are zipped and joined by commas, each row ending
+    in a newline: the bytes of joining every row at once, with at most
+    one block of strings in memory.  As with zip, the shortest column
+    sets the row count, which is returned.
     """
     n = min(map(len, columns), default=0)
+    fmts = [repr if getattr(c, "dtype", None) == "float64" else str for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _CSV_BLOCK):
             block = (c[lo:lo + _CSV_BLOCK] for c in columns)
-            cells = (map(str, b.tolist() if hasattr(b, "tolist") else b) for b in block)
+            cells = (map(fmt, b.tolist() if hasattr(b, "tolist") else b)
+                     for fmt, b in zip(fmts, block))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return n

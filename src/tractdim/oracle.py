@@ -22,7 +22,8 @@ gives the bounds).  At x = 0 one sample serves; where x is not small
 every sample is evaluated.  Either way the verdicts, paddings and extents
 are those of evaluating every sample, bit for bit.  Box counting sees
 only point clouds: it counts the distinct boxes at each scale with one
-sort, and the middle-thirds sample takes one draw per point.
+sort, and skips a coordinate whose span fits in one box at that scale.
+The middle-thirds sample takes one draw per point.
 Disagreement between an oracle and the pipeline is a failure of the run,
 not of the oracle.
 """
@@ -79,9 +80,13 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
     columns, read as views of the input.  Division by eps > 0 and floor
     are monotone, so a column's least and greatest box index are
     floor(min / eps) and floor(max / eps), taken from the cloud's extremes
-    computed once.  With the indices shifted to start at 0, the key
+    computed once.  Where the two are equal, every point has that index:
+    the column is skipped at that scale (no divide, floor or cast), and
+    the key is the other column's index.  A real cloud, such as the
+    middle-thirds set, skips its imaginary column at every scale.
+    Otherwise, with the indices shifted to start at 0, the key
     i*(span_j + 1) + j numbers the boxes of the cloud's bounding grid one
-    to one; the count is the number of steps in the sorted keys plus one.
+    to one.  The count is the number of steps in the sorted keys plus one.
     A grid of 2**63 boxes or more has no int64 key, and there the index
     pairs are sorted lexicographically instead.  Box indices past the
     int64 range raise `ConfigError`.  Every scale divides, floors and
@@ -119,21 +124,29 @@ def box_counting_dim(points, scales: Sequence[float]) -> BoxCountEstimate:
                                       for a, b in zip(lo, hi))
         if min(i_lo, j_lo) < -2 ** 63 or max(i_hi, j_hi) >= 2 ** 63:
             raise ConfigError(f"box indices at scale {eps!r} exceed the int64 range")
-        for c, k in zip(cols, (i, j)):
+        # a column whose extremes share a box has that index at every point
+        split = [(c, k) for c, k, a, b in zip(cols, (i, j), (i_lo, j_lo), (i_hi, j_hi))
+                 if a != b]
+        for c, k in split:
             np.floor(np.divide(c, eps, out=f), out=f)
             k[...] = f
         rows = j_hi - j_lo + 1
-        if (i_hi - i_lo + 1) * rows < 2 ** 63:
-            i -= i_lo
-            i *= rows
-            j -= j_lo
-            i += j
-            i.sort()
-            steps = np.count_nonzero(i[1:] != i[:-1])
-        else:  # more boxes than int64 keys: sort the index pairs instead
+        if not split:  # one box
+            steps = 0
+        elif len(split) == 2 and (i_hi - i_lo + 1) * rows >= 2 ** 63:
+            # more boxes than int64 keys: sort the index pairs instead
             order = np.lexsort((j, i))
             i_s, j_s = i[order], j[order]
             steps = np.count_nonzero((i_s[1:] != i_s[:-1]) | (j_s[1:] != j_s[:-1]))
+        else:
+            if len(split) == 2:
+                i -= i_lo
+                i *= rows
+                j -= j_lo
+                i += j
+            key = split[0][1]  # the merged key in i, or the one split column's index
+            key.sort()
+            steps = np.count_nonzero(key[1:] != key[:-1])
         counts.append(int(steps) + 1)
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))

@@ -395,16 +395,32 @@ class GSet(NamedTuple):
 
     def letters(self, ranks):
         """The letters (u, s) at ranks in [0, n_letters): int64 arrays below
-        2^63, else object arrays of Python ints, by the same arithmetic."""
+        2^63, else object arrays of Python ints, by the same arithmetic.
+
+        A rank's run is the number of run ends (cumulative letter counts)
+        at or below it, summed over one comparison per run end but the
+        last.  `build_G` gives at most three column blocks per sign, so at
+        most 6 runs and 5 comparisons.  Within the run the offset splits
+        into (column, s) by one `np.divmod` on the int64 path, in place;
+        numpy has no object divmod, so object ranks take `//` and `%`."""
         import numpy as np
         dtype = np.int64 if max(self.n_letters, self.max_abs_index()) < 2 ** 63 else object
         ranks = np.asarray(ranks, dtype=dtype)
+        if ranks.ndim == 0:  # one rank: its letter as scalars
+            return tuple(x[0] for x in self.letters(ranks.reshape(1)))
         cum = list(itertools.accumulate(r.n_columns * r.length for r in self.runs))
-        k = np.searchsorted(np.array(cum, dtype=dtype), ranks, side="right")
-        offset = ranks - np.array([0] + cum[:-1], dtype=dtype)[k]
-        length = np.array([r.length for r in self.runs], dtype=dtype)[k]
-        u = np.array([r.u_lo for r in self.runs], dtype=dtype)[k] + offset // length
-        s = np.array([r.s_lo for r in self.runs], dtype=dtype)[k] + offset % length
+        k = np.zeros(ranks.shape, dtype=np.intp)
+        for end in cum[:-1]:
+            k += ranks >= end
+        u = np.array([0] + cum[:-1], dtype=dtype)[k]  # the run's first rank
+        np.subtract(ranks, u, out=u)  # the offset in the run
+        s = np.array([r.length for r in self.runs], dtype=dtype)[k]
+        if dtype is object:
+            u, s = u // s, u % s
+        else:
+            np.divmod(u, s, out=(u, s))
+        u += np.array([r.u_lo for r in self.runs], dtype=dtype)[k]
+        s += np.array([r.s_lo for r in self.runs], dtype=dtype)[k]
         return u, s
 
     def random_ranks(self, rng: np.random.Generator, size: int) -> np.ndarray:

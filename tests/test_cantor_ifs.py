@@ -119,6 +119,85 @@ def _letter(gset, rank):
     raise AssertionError("rank past the letters of G")
 
 
+# Column blocks of either sign, as `build_G` lays them out: at most three
+# blocks of adjacent columns per sign, each with its own s run.
+_POSITIVE = [(-2, -2, 65, 90), (-1, 0, 70, 100), (1, 1, 66, 80)]
+_NEGATIVE = [(0, 0, -95, -65), (1, 2, -88, -70), (3, 3, -77, -66)]
+# The same layout with |s| and the run lengths past 2^63: object ranks.
+_POSITIVE_BIG = [(-2, -2, 65, 2 ** 64), (-1, 0, 2 ** 63 - 9, 2 ** 64), (1, 1, 3, 2 ** 63 + 1)]
+_NEGATIVE_BIG = [(0, 0, -(2 ** 65), -7), (1, 2, -(2 ** 63) - 3, -(2 ** 63) + 2),
+                 (3, 3, -(2 ** 70), -(2 ** 64))]
+_RUN_LAYOUTS = [(1, 0), (0, 1), (1, 1), (0, 3), (3, 0), (2, 1), (2, 2), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n_pos, n_neg", _RUN_LAYOUTS,
+                         ids=[f"{a}+{b}" for a, b in _RUN_LAYOUTS])
+def test_letters_equal_the_per_rank_walk_on_1_to_6_runs(n_pos, n_neg):
+    """`GSet.letters` against `_letter` on planted layouts of 1 to 6 runs:
+    every rank of a small G (int64), and the ends of every run with random
+    ranks of a G past 2^63 (object)."""
+    small = td.GSet(runs=tuple(sorted(RunBlock(*r) for r in
+                                      _POSITIVE[:n_pos] + _NEGATIVE[:n_neg])))
+    ranks = np.arange(small.n_letters)
+    u, s = small.letters(ranks)
+    assert u.dtype == s.dtype == np.int64
+    assert list(zip(u.tolist(), s.tolist())) == [_letter(small, r) for r in ranks.tolist()]
+    assert small.letters(ranks[-1]) == _letter(small, int(ranks[-1]))
+
+    big = td.GSet(runs=tuple(sorted(RunBlock(*r) for r in
+                                    _POSITIVE_BIG[:n_pos] + _NEGATIVE_BIG[:n_neg])))
+    n = big.n_letters
+    assert n > 2 ** 63
+    rng = np.random.default_rng(n_pos * 10 + n_neg)
+    ends = [0]
+    for r in big.runs:
+        ends.append(ends[-1] + r.n_columns * r.length)
+    ranks = sorted({x for e in ends for x in (e - 1, e, e + 1) if 0 <= x < n}
+                   | {int(x) * n >> 63 for x in rng.integers(0, 2 ** 63, 200)})
+    u, s = big.letters(ranks)
+    assert u.dtype == s.dtype == object
+    assert list(zip(u.tolist(), s.tolist())) == [_letter(big, r) for r in ranks]
+    assert big.letters(ranks[-1]) == _letter(big, ranks[-1])
+
+
+@pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j], ids=["1", "i", "half"])
+def test_build_G_has_at_most_6_runs(lam):
+    """`GSet.letters` makes one comparison per run end, so G's run count
+    bounds its cost: at most three column blocks per sign."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    for anchor in (12.0, 30.0, 85.0, 4000.0):
+        spec = td.build_squares(anchor, 0.5)
+        gset = td.build_G(fam, anchor, spec, td.GeometryBudget(epsilon=0.1, inset=0.5))
+        assert 1 <= gset.n_segments <= 6, anchor
+
+
+def _sample_per_level(family, gset, spec, depth, count, seed):
+    """Reference: each inverse step adds the complex term 2*pi*i*s to its
+    `inv0` image."""
+    u, s = gset.letters(gset.random_ranks(np.random.default_rng(seed), count * depth))
+    words_u, words_s = u.reshape(count, depth), s.reshape(count, depth)
+    z = np.full(count, spec.outer.center, dtype=complex)
+    for k in range(depth - 1, -1, -1):
+        shifted = z
+        first = np.asarray(family.inv0(z)) + TWO_PI * 1j * words_s[:, k]
+        z = np.asarray(family.inv0(first)) + TWO_PI * 1j * words_u[:, k]
+    return z, shifted
+
+
+@pytest.mark.parametrize("depth", [1, 8])
+@pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j], ids=["1", "i", "half"])
+def test_sampling_equals_the_complex_sum_per_level_bitwise(lam, depth):
+    """Adding 2*pi*s to the imaginary part in place gives the points and
+    the shifted points of the complex sum, signed zeros included."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    spec = td.build_squares(12.0, 0.5)
+    gset = td.build_G(fam, 12.0, spec, td.GeometryBudget(epsilon=0.1, inset=0.5))
+    got = td.sample_limit_set(fam, gset, spec, depth=depth, count=2000, seed=3)
+    points, shifted = _sample_per_level(fam, gset, spec, depth, 2000, seed=3)
+    assert np.array_equal(got.points.view(np.uint64), points.view(np.uint64))
+    assert np.array_equal(got.shifted.view(np.uint64), shifted.view(np.uint64))
+
+
 def _assert_rows_are_the_drawn_words(family, gset, spec, depth, count, seed):
     """Row i of the sample is the word of draws i*depth to (i+1)*depth - 1
     of `GSet.random_ranks`, first letter first, and its point is that

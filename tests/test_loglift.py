@@ -97,6 +97,36 @@ def test_inv0_within_4_ulps_of_mpmath():
     assert np.array_equal(got.imag[cut], np.log(w[cut]).imag)
 
 
+def test_inv0_equals_the_complex_sum_bitwise():
+    """inv0 writes ln|w| and atan2 into one complex array: bit for bit the
+    complex sum ln|w| + i*atan2 wherever no part of w is NaN, on the
+    branch cut and on +-0 parts too (the sum turns an atan2 of -0 into
+    +0).  Where a part of w is NaN, both give NaN parts, but for the real
+    part where the other part is infinite: NaN in the sum, +inf in inv0,
+    as in C99 clog."""
+    zeros = [complex(a, b) for a in (0.0, -0.0, 2.0, -2.0, 1.0, math.inf, -math.inf)
+             for b in (0.0, -0.0)]
+    nonfinite = [complex(a, b) for a in (math.inf, -math.inf, math.nan, 3.0)
+                 for b in (math.inf, -math.inf, math.nan, -0.0)]
+    zeta = np.concatenate([_inv0_test_points(), np.array(zeros + nonfinite)])
+    zeta = np.concatenate([zeta, -zeta, np.conj(zeta)])
+    for lam in (1.0, 0.5 + 0.5j, -2.0):
+        f = td.normalize_family(td.exponential_family(lam, math.e))
+        w = zeta - f.log_lam
+        with np.errstate(all="ignore"):  # log 0 and the non-finite points
+            got = np.asarray(f.inv0(zeta))
+            want = np.log(np.abs(w)) + 1j * np.arctan2(w.imag, w.real)
+            clog = np.log(w)
+        nan = np.isnan(w.real) | np.isnan(w.imag)
+        odd = nan & (np.isinf(w.real) | np.isinf(w.imag))
+        assert odd.any() and (nan & ~odd).any()
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        assert not np.any(np.signbit(got.imag) & (got.imag == 0))
+        assert np.all(np.isnan(got.imag[nan])) and np.all(np.isnan(got.real[nan & ~odd]))
+        assert np.all(np.isnan(want.real[odd])) and np.all(got.real[odd] == math.inf)
+        assert np.array_equal(got.real[odd], clog.real[odd])
+
+
 def test_inv0_of_a_0d_input_is_the_array_value():
     """inv_branch passes inv0 a 0-d array; the value is the one inv0 gives
     inside an array, for a family whose Log(lam) is not 0 too."""

@@ -106,6 +106,20 @@ def test_box_counts_equal_distinct_box_pairs():
         xy = rng.normal(rng.normal(size=2), rng.uniform(0.1, 3.0), size=(20_000, 2))
         assert td.box_counting_dim(xy, scales).counts == _box_counts_by_pairs(xy, scales)
         assert td.box_counting_dim(xy.ravel(), scales).counts == _box_counts_by_pairs(xy, scales)
+    # a vertical segment: the real column fits in one box at every scale
+    y = rng.uniform(-1.0, 2.0, 20_000)
+    xy = np.column_stack([np.full_like(y, 0.3), y])
+    assert td.box_counting_dim(0.3 + 1j * y, scales).counts == _box_counts_by_pairs(xy, scales)
+    # imaginary span in [0.23, 0.25]: one box at the three coarse scales only
+    xy = np.column_stack([rng.random(20_000), rng.uniform(0.23, 0.25, 20_000)])
+    lo, hi = xy[:, 1].min(), xy[:, 1].max()
+    assert [math.floor(lo / e) == math.floor(hi / e) for e in sorted(scales)] \
+        == [False] * 3 + [True] * 3
+    pts = xy[:, 0] + 1j * xy[:, 1]
+    assert td.box_counting_dim(pts, scales).counts == _box_counts_by_pairs(xy, scales)
+    # a flat cloud given as a real (n, 2) array
+    xy = np.column_stack([rng.normal(0.0, 2.0, 20_000), np.full(20_000, -0.7)])
+    assert td.box_counting_dim(xy, scales).counts == _box_counts_by_pairs(xy, scales)
 
 
 def test_box_counts_of_boxes_2_31_apart_do_not_collide():
