@@ -2,7 +2,7 @@
 
 Subcommands: lemmas, dim, sample, oracle {box-dim, brute-pressure,
 recheck}.  All reports are canonical JSON (sorted keys, repr floats) with
-`schema_version` (4), `command` and the fully resolved `config`, so a
+`schema_version` (5), `command` and the fully resolved `config`, so a
 rerun with the same config is byte-identical.  Beside these a report
 carries results only, never a copy of its config or a constant.  `dim`
 writes C, P1_lo, the Bowen bracket t_lo and t_hi, verdict, runtime_ms
@@ -11,15 +11,15 @@ bowen_evaluations) and reasons; for an empty G, C = 1.0, P1_lo = -inf,
 t_lo = t_hi = 0 and the diagnostics are only n_segments.  It certifies
 exactly when it lists no reason; the two reasons are an empty G and
 P_lo(1) <= 0 (P_lo <= P and P decreases, so P_lo(1) > 0 puts the root
-above 1), at every `pressure.bisect_tol`.  That tolerance lies below 1,
-so t = 1 is a point of the Bowen root's bisection grid on [0, 4]:
-t_lo >= 1 on every certified report, and it reads 1.0 where the root
-lies within the tolerance of 1.  The certificate reads Q alone: the
-anchor-derivative (eq1) and tract-depth conditions, `geometry.epsilon`
-and `geometry.inset` enter neither G nor the bounds, so they are
-`lemmas` checks and change no `dim` result.  Exit codes: 0 success or
-certified, 1 configuration error, 2 negative construction/certification
-outcome, 3 numeric or oracle failure.
+above 1).  Each end of the Bowen bracket is an evaluated point within 4
+ulp of one of the opposite sign (`bowen_root`), so t_lo >= 1 on every
+certified report, and it reads 1.0 only where the root lies within 4
+ulp of 1, where the bracket itself shows it.  The certificate reads Q
+alone: the anchor-derivative (eq1) and tract-depth conditions,
+`geometry.epsilon` and `geometry.inset` enter neither G nor the bounds,
+so they are `lemmas` checks and change no `dim` result.  Exit codes: 0
+success or certified, 1 configuration error, 2 negative
+construction/certification outcome, 3 numeric or oracle failure.
 
 Only `sample` and the three `oracle` commands load numpy, through
 `cantor_ifs` and `oracle`.  `dim` and `lemmas` run on `math` and `cmath`
@@ -65,16 +65,17 @@ reports not-certified with the Bowen bracket [0.6438, 0.7088] and exits
 2; `sample`, `oracle recheck`, `oracle brute-pressure` and `lemmas` exit
 0.
 
-The config (schema 4) sets `family` (kind, lambda_re, lambda_im, r0),
-`geometry` (anchor, epsilon, inset, scan), `pressure` (bisect_tol,
-collar, mode), `sampling` (count, depth, seed), `oracle` (density,
-source, subsystem, t, word_length; path, space and scales for a CSV),
-`timing` and `schema_version`.  Commands start from
-`DEFAULT_SMALL_CONFIG`, `dim` with `DEFAULT_CERTIFICATE_CONFIG`'s
-overrides: anchor 4000 and its scan, tail mode and bisect_tol 1e-4 (the
-inset stays 0.5).  G's cells lie in the closed square Q, and
-`oracle.density` is the one sample count: `oracle recheck` samples
-density x 256 boundary points of Q.
+The config (schema 5) sets `family` (kind, lambda_re, lambda_im, r0),
+`geometry` (anchor, epsilon, inset, scan), `pressure` (collar, mode),
+`sampling` (count, depth, seed), `oracle` (density, source, subsystem,
+t, word_length; path, space and scales for a CSV), `timing` and
+`schema_version`.  Commands start from `DEFAULT_SMALL_CONFIG`, `dim`
+with `DEFAULT_CERTIFICATE_CONFIG`'s overrides: anchor 4000 and its scan,
+and tail mode (the inset stays 0.5).  G's cells lie in the closed square
+Q, and `oracle.density` is the one sample count: `oracle recheck`
+samples density x 256 boundary points of Q.  Schema 5 dropped the
+Bowen root's tolerance from `pressure`, as the root brackets to within 4
+ulp; ROADMAP items 9 and 11 extend schema 5 rather than bumping it again.
 
 `geometry.anchor` may be "auto": `find_radius`'s first passing point of
 `geometry.scan`, which the report's config echoes.  `geometry.inset` is a
@@ -84,14 +85,13 @@ non-numeric `oracle.t` or inset, and an unreadable config or
 reader knows, named in the message (each section takes the keys of
 `DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
 level also schema_version), a `schema_version` other than the integer
-`SCHEMA_VERSION` (4; a config without one is read as 4, and "x", 3, 5 or
+`SCHEMA_VERSION` (5; a config without one is read as 5, and "x", 4, 6 or
 true are rejected), a `geometry.anchor` at or below ln R0 of the
 normalized family (which lifts R0 to e|lam| where |lam| >= R0; the
 message names ln R0), since the anchor must lie in H, an anchor above
 2^23 / 3 (about 2,796,202.67; the message names the cap), where Q
 reaches Re = 1.5 * anchor > 2^22 (`MAX_Q_RE`), a `timing` that is
-not a JSON bool, a `pressure.bisect_tol` that is not a positive number
-below 1, a count (`sampling.count` and `depth`, `oracle.density`,
+not a JSON bool, a count (`sampling.count` and `depth`, `oracle.density`,
 `subsystem` and `word_length`) that is not an integer >= 1, and a
 `sampling.seed` that is not an integer >= 0: 2.5 is rejected, not
 truncated, and an integral float such as 1e4 is taken as an int, which
@@ -156,7 +156,7 @@ from .tractgeom import (GeometryBudget, anchor_derivative, anchor_derivative_mar
                         anchor_line, build_G, build_squares, find_radius,
                         log_distortion_bound, trace_level_lines)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # The largest Re of Q = [R/2, 3R/2] x [-R/2, R/2] a config may ask for,
 # so anchors up to 2^23 / 3: the cap on huge indices (module docstring).
@@ -165,7 +165,7 @@ MAX_Q_RE = 2.0 ** 22
 DEFAULT_SMALL_CONFIG = {
     "family": {"kind": "exponential", "lambda_re": 1.0, "lambda_im": 0.0, "r0": math.e},
     "geometry": {"epsilon": 0.1, "inset": 0.5, "anchor": 12.0, "scan": [8.0, 4000.0, 1.0]},
-    "pressure": {"mode": "enumerate", "bisect_tol": 1e-3, "collar": 32},
+    "pressure": {"mode": "enumerate", "collar": 32},
     "sampling": {"depth": 8, "count": 10000, "seed": 42},
     "oracle": {"source": "middle-thirds", "density": 10, "subsystem": 8,
                "word_length": 2, "t": 1.0},
@@ -173,10 +173,10 @@ DEFAULT_SMALL_CONFIG = {
 }
 
 # Certificate scale, as overrides of DEFAULT_SMALL_CONFIG: at anchor 4000,
-# P_lo(1) = 4.85 > 0, and the Bowen bracket is [1.00146, 1.00201].
+# P_lo(1) = 4.85 > 0, and the Bowen bracket is [1.0015175, 1.0019642].
 DEFAULT_CERTIFICATE_CONFIG = {
     "geometry": {"anchor": 4000.0, "scan": [1000.0, 20000.0, 100.0]},
-    "pressure": {"mode": "tail", "bisect_tol": 1e-4},
+    "pressure": {"mode": "tail"},
 }
 
 
@@ -189,13 +189,6 @@ def _require_finite(name, value):
             or not math.isfinite(float(value)):
         raise ConfigError(f"config field {name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _require_positive(name, value):
-    value = _require_finite(name, value)
-    if value <= 0:
-        raise ConfigError(f"config field {name} must be positive, got {value!r}")
-    return value
 
 
 def _require_count(name, value, least: int = 1) -> int:
@@ -231,7 +224,6 @@ class RunConfig(NamedTuple):
     budget: GeometryBudget
     anchor: float            # resolved, never "auto" after load
     mode: str
-    bisect_tol: float
     collar: int
     depth: int
     count: int
@@ -239,6 +231,7 @@ class RunConfig(NamedTuple):
     oracle: dict
     timing: bool
     resolved: dict           # the config as every report echoes it
+    bisect_tol: None = None  # read by perfbench/workloads.py alone; no effect
 
 
 def load_config(raw: dict) -> RunConfig:
@@ -293,11 +286,6 @@ def load_config(raw: dict) -> RunConfig:
     for key in ("density", "subsystem", "word_length"):
         orc[key] = _require_count(f"oracle.{key}", orc[key])
     _require_finite("oracle.t", orc["t"])
-    bisect_tol = _require_positive("bisect_tol", prs["bisect_tol"])
-    if bisect_tol >= 1.0:
-        # below 1 the Bowen root's bisection grid on [0, 4] holds t = 1
-        raise ConfigError(f"config field pressure.bisect_tol must be below 1, "
-                          f"got {prs['bisect_tol']!r}")
     timing = raw.get("timing", False)
     if not isinstance(timing, bool):
         raise ConfigError(f"config field timing must be true or false, got {timing!r}")
@@ -306,17 +294,16 @@ def load_config(raw: dict) -> RunConfig:
                    "r0": family.r0},
         "geometry": {"epsilon": epsilon, "inset": inset, "anchor": anchor,
                      "scan": list(scan)},
-        "pressure": {"mode": mode, "bisect_tol": bisect_tol,
-                     "collar": int(_require_finite("collar", prs["collar"]))},
+        "pressure": {"mode": mode, "collar": int(_require_finite("collar", prs["collar"]))},
         "sampling": {"depth": depth, "count": count, "seed": seed},
         "oracle": orc,
         "timing": timing,
         "schema_version": SCHEMA_VERSION,
     }
     return RunConfig(
-        family=family, budget=budget, anchor=anchor, mode=mode, bisect_tol=bisect_tol,
-        collar=resolved["pressure"]["collar"], depth=depth, count=count,
-        seed=seed, oracle=orc, timing=timing, resolved=resolved)
+        family=family, budget=budget, anchor=anchor, mode=mode,
+        collar=resolved["pressure"]["collar"], depth=depth, count=count, seed=seed,
+        oracle=orc, timing=timing, resolved=resolved)
 
 
 def _read_config(path, base: dict, mode=None, seed=None) -> RunConfig:
@@ -416,7 +403,7 @@ def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
 
 def cmd_dim(cfg: RunConfig, out_path: str) -> int:
     spec = build_squares(cfg.anchor, cfg.budget.inset)
-    cert = certify_dim_gt_one(cfg.family, spec, bisect_tol=cfg.bisect_tol)
+    cert = certify_dim_gt_one(cfg.family, spec)
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"

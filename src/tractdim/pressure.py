@@ -172,107 +172,79 @@ class BowenInterval(NamedTuple):
     evaluations: tuple = (0, 0)
 
 
-def bowen_root(system: WeightedSystem, tol: float = 1e-3) -> BowenInterval:
-    """Roots of the decreasing pressure bounds on [0, 4] (`_T_MAX`), with
-    the bisection's final bracket.
+def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
+    """Roots of the decreasing pressure bounds on [0, 4] (`_T_MAX`), each
+    bracketed to within 4 ulp.
 
-    The reported t_lo is the left end of the final bracket of the lower
-    bound's root and t_hi the right end of the upper bound's, so the true
-    Bowen interval is contained in [t_lo, t_hi].  Without a sign change
-    up to the cap the corresponding end is capped and flagged.  Each root
-    evaluates only its own envelope (the lower bound's side of the level-1
-    sum for t_lo, the upper's for t_hi), over the run-sum data the system
-    keeps.
+    t_lo is an evaluated t with P_lo(t) > 0 and t_hi one with P_hi(t) <= 0,
+    each within 4 ulp (of the larger) of an evaluated t of the opposite
+    sign; or 0 where the bound is <= 0 at t = 0 (one letter), or the cap,
+    flagged, where it is > 0 at 4.  As P_lo <= P <= P_hi and P decreases,
+    the root of P lies in [t_lo, t_hi] whatever the bounds do between the
+    evaluated points: soundness needs no convexity.  Each root evaluates
+    only its own envelope, over the run-sum data the system keeps.  `tol`
+    has no effect; it stays because `perfbench/workloads.py` passes it.
 
-    The search keeps two points: the largest evaluated t with f(t) > 0 and
-    the smallest with f(t) <= 0.  It evaluates f(1) first, then runs the
-    bisection on [0, 4] (f(0) <= 0 gives 0, f(4) > 0 the cap), which
-    stops once the bracket is within `tol`, a finite positive number, or
-    once its midpoint is no longer strictly inside it.  A point whose sign
-    the two points imply is not evaluated.  Otherwise the search
-    alternates between evaluating the midpoint and evaluating a secant
-    probe between the two points, placed on the bisection's final grid
-    (the current bracket halved until it is within `tol`, or down to
-    adjacent floats): the end nearer the secant's zero of the final
-    bracket around it whose sign is not implied, else the midpoint.
-
-    Every probe is a point of that grid, the multiples of the final width
-    4 / 2^k, and so is the start 1 whenever tol < 1 (then 4 / 2^k < 1).
-    So wherever the computed bound changes sign once over the grid and
-    the start, each implied sign is the one the bisection computes, and
-    the result equals the bisection's bit for bit.  A bisection step
-    costs at most a probe and a midpoint, so the search makes at most
-    about twice the bisection's evaluations; at the default certificate
-    it makes 13 (8 + 5) where the bisection makes 2 x 18.  The result is
-    sound whatever the signs: t_lo is at most an evaluated t with
-    P_lo(t) > 0, and t_hi at least an evaluated t with P_hi(t) <= 0 (or
-    0, or the flagged cap), so with P_lo <= P <= P_hi and P decreasing
-    the root of P lies in [t_lo, t_hi].
+    Convexity of pressure in t (Przytycki and Urbanski, Conformal Fractals,
+    2010) only makes the search fast.  For the bound f, the lower root
+    from t = 1 and the upper from t_lo (1 where t_lo = 0) step along the
+    secant through the two latest points with f > 0, first through the
+    exact, unevaluated P(0) = ln #letters; past its points the secant of a
+    convex decreasing f lies below it, so its zero stays left of the root.
+    A probe keeps k ulp inside the bracket [pos, neg] of the largest
+    evaluated t with f > 0 and the smallest with f <= 0 (before one, a
+    probe at or past the cap is the cap); k starts at 4 and doubles each
+    time that moves the probe, so near the root the search steps by
+    doubling ulps.  With no secant (f(start) <= 0) or a bracket under 2k
+    ulp wide the probe is the midpoint.  Every evaluation shrinks the
+    bracket, so the search ends, with no iteration cap: 15 evaluations
+    (8 + 7) at the default certificate.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"bisection tolerance must be positive and finite, got {tol!r}")
     if system.is_empty():
         raise ConstructionError("Bowen root of an empty system")
+    log_n = math.log(system.n_letters)
 
-    def root(side: int):
-        pos, neg = -math.inf, math.inf   # largest t with f > 0, smallest with f <= 0
-        f_pos = f_neg = 0.0
+    def root(side: int, start: float):
+        left = [(0.0, log_n)]    # the two latest (t, f(t)) with f > 0, latest last
+        neg = math.inf           # the smallest evaluated t with f <= 0
         count = 0
 
         def positive(t):
-            """The sign of f(t) > 0, implied or else evaluated."""
-            nonlocal pos, neg, f_pos, f_neg, count
-            if t <= pos or t >= neg:
-                return t <= pos
+            nonlocal left, neg, count
             value = _envelope_log_sum(system, t, side)
             count += 1
             if value > 0.0:
-                pos, f_pos = t, value
+                left = [left[-1], (t, value)]
             else:
-                neg, f_neg = t, value
+                neg = t
             return value > 0.0
 
-        def probe(lo, hi):
-            """The final-grid point nearest the secant's zero in [lo, hi]
-            whose sign is not implied, else the midpoint."""
-            x = pos + f_pos * (neg - pos) / (f_pos - f_neg)
-            mid = 0.5 * (lo + hi)
-            while hi - lo > tol:
-                half = 0.5 * (lo + hi)
-                if not lo < half < hi:
-                    break
-                if x < half:
-                    hi = half
-                else:
-                    lo = half
-            for p in ((lo, hi) if x - lo <= hi - x else (hi, lo)):
-                if pos < p < neg:
-                    return p
-            return mid
+        if not positive(start):
+            if not positive(0.0):
+                # single-letter systems: pressure vanishes exactly at t = 0
+                return 0.0, False, count
+            left = left[-1:]
+        k = 4
+        while left[-1][0] < _T_MAX and neg - left[-1][0] > 4 * math.ulp(min(neg, _T_MAX)):
+            pos, f_pos = left[-1]
+            x = math.nan
+            if len(left) == 2:   # the secant's zero; no step where f did not decrease
+                t0, f0 = left[0]
+                x = pos + f_pos * (pos - t0) / (f0 - f_pos) if f0 > f_pos else pos
+            lo = pos + k * math.ulp(pos)
+            hi = neg - k * math.ulp(neg) if neg < math.inf else _T_MAX
+            if x < lo:
+                x, k = lo, 2 * k
+            elif x > hi:
+                x, k = hi, 2 * k
+            if not lo <= x <= hi:
+                x = 0.5 * (pos + min(neg, _T_MAX))
+            positive(x)
+        pos = left[-1][0]
+        return (pos if side == 0 or pos == _T_MAX else neg), pos == _T_MAX, count
 
-        positive(1.0)
-        if not positive(0.0):
-            # single-letter systems: pressure vanishes exactly at t = 0
-            return 0.0, False, count
-        if positive(_T_MAX):
-            return _T_MAX, True, count
-        lo, hi = 0.0, _T_MAX
-        secant = True   # the next evaluation: a secant probe, else the midpoint
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if pos < mid < neg:
-                positive(probe(lo, hi) if secant else mid)
-                secant = not secant
-            elif mid <= pos:
-                lo = mid
-            else:
-                hi = mid
-        return (lo if side == 0 else hi), False, count
-
-    t_lo, lo_capped, n_lo = root(0)
-    t_hi, hi_capped, n_hi = root(1)
+    t_lo, lo_capped, n_lo = root(0, 1.0)
+    t_hi, hi_capped, n_hi = root(1, t_lo or 1.0)
     return BowenInterval(t_lo=t_lo, t_hi=t_hi, lo_capped=lo_capped,
                          hi_capped=hi_capped, evaluations=(n_lo, n_hi))
 
@@ -318,8 +290,7 @@ class DimensionCertificate(NamedTuple):
         }
 
 
-def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
-                       bisect_tol: float = 1e-4) -> DimensionCertificate:
+def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertificate:
     """Run the full construction on the square Q of `spec` and certify
     dim > 1 via the pressure bound.
 
@@ -335,11 +306,10 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
     they are `lemmas` checks, not read here.  The anchor of `spec` is the
     center of Q; `build_G` reads only Q.
 
-    `bowen_root` evaluates t = 1 first, and for `bisect_tol` < 1 (the CLI
-    takes no other) 1 is a point of its bisection grid on [0, 4], so
-    t_lo >= 1 on every certified result (tol 2 gives t_lo = 0).  Where
-    the root lies within `bisect_tol` of 1, t_lo reads 1.0; the verdict
-    does not depend on the tolerance.  For an empty G the result has
+    `bowen_root` evaluates P_lo(1) first, so t_lo >= 1 on every certified
+    result, and t_lo is within 4 ulp of an evaluated t with P_lo(t) <= 0.
+    So t_lo reads 1.0 only where P_lo changes sign within 4 ulp of 1, and
+    then 1.0 is the bracket's sound lower end.  For an empty G the result has
     C = 1, P1_lo = -inf, t_lo = t_hi = 0 and only the diagnostic
     n_segments.
     """
@@ -353,7 +323,7 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec, *,
     else:
         system = build_weighted_system(family, gset, spec)
         p1_lo = _envelope_log_sum(system, 1.0, 0)
-        roots = bowen_root(system, tol=bisect_tol)
+        roots = bowen_root(system)
         t_lo, t_hi = roots.t_lo, roots.t_hi
         diagnostics.update(bowen_capped=roots.lo_capped or roots.hi_capped,
                            bowen_evaluations=roots.evaluations)

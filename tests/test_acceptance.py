@@ -179,7 +179,7 @@ def test_criterion_05_cross_mode_sum_agreement(full12):
 
 def test_criterion_06_certificate_run(fam, tmp_path):
     t0 = time.perf_counter()
-    cert = td.certify_dim_gt_one(fam, td.build_squares(4000.0, 3.0), bisect_tol=1e-4)
+    cert = td.certify_dim_gt_one(fam, td.build_squares(4000.0, 3.0))
     elapsed = time.perf_counter() - t0
     out = str(tmp_path / "cert.json")
     code = cli_main(["dim", "--out", out])
@@ -217,7 +217,7 @@ def test_criterion_08_dimension_cross_check(small):
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
-    roots = td.bowen_root(sub, tol=1e-4)
+    roots = td.bowen_root(sub)
 
     from tractdim.tractgeom import GSet, RunBlock
     g8 = GSet(runs=tuple(sorted(RunBlock(u, u, s, s) for (u, s) in letters)))

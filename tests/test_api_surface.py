@@ -321,7 +321,10 @@ def test_the_field_check_sees_the_records():
 _BUILD_G_LINE = ("workloads.py", "gset = build_G(cfg.family, cfg.anchor, spec, cfg.budget, "
                                  "mode=cfg.mode, dist=dist,")
 _BUILD_G_TAIL = ("workloads.py", "collar=cfg.collar, workers=1)")
+_BOWEN_ROOT_LINE = ("workloads.py", "roots = bowen_root(system, tol=cfg.bisect_tol)")
 PERFBENCH_ONLY = {
+    "RunConfig.bisect_tol": _BOWEN_ROOT_LINE,
+    "bowen_root.tol": _BOWEN_ROOT_LINE,
     "distortion_constant": ("workloads.py",
                             "dist = distortion_constant(cfg.anchor, cfg.family.ln_r0)"),
     "GSet.n_explicit": ("layers.py", 'tr.count("tractgeom.letters", gset.n_explicit)'),

@@ -44,7 +44,7 @@ def test_lemmas_default_all_pass(tmp_path):
     assert run(["lemmas", "--out", out]) == 0
     rep = read_json(out)
     assert rep["all_pass"] is True
-    assert rep["schema_version"] == 4
+    assert rep["schema_version"] == 5
     assert "config" in rep
     for check in rep["checks"].values():
         assert check["pass"]
@@ -113,10 +113,23 @@ def test_dim_certificate_exit_0(tmp_path):
     assert set(cert) == DIM_KEYS
     # C = K = exp(diam Q / d_lo) = e^(2 sqrt 2): G's least |s| is past the float range
     assert (cert["C"], cert["P1_lo"], cert["t_lo"], cert["t_hi"]) == (
-        16.9188286785579, 4.853894403614564, 1.00146484375, 1.00201416015625)
+        16.9188286785579, 4.853894403614564, 1.0015174776166387, 1.0019642360507377)
     assert cert["reasons"] == [] and cert["diagnostics"]["n_segments"] == 2
     # one-sided pressure evaluations of the Bowen root, (lower, upper)
-    assert cert["diagnostics"]["bowen_evaluations"] == [8, 5]
+    assert cert["diagnostics"]["bowen_evaluations"] == [8, 7]
+
+
+@pytest.mark.parametrize("anchor, least", [(2e6, 1.0), (1e5, 1.0001)])
+def test_dim_at_large_anchors_certifies_with_t_lo_above_1(tmp_path, anchor, least):
+    """The bracket ends near its root, not on a tolerance grid: at inset 3
+    a bisection to 1e-4 read t_lo = 1.0 at anchor 2e6 and 1.00006103515625
+    at 1e5, although P_lo(1) > 0; the roots lie near 1.0000083 and
+    1.0001129."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": anchor, "inset": 3.0}})
+    out = str(tmp_path / "dim.json")
+    assert run(["dim", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["verdict"] == "certified" and least < rep["t_lo"] < rep["t_hi"]
 
 
 def test_dim_small_anchor_exit_2(tmp_path):
@@ -611,70 +624,46 @@ def test_timing_must_be_a_json_bool(tmp_path, capsys, timing):
     ({"geometry": {"margin": 0.0}}, "'geometry.margin'"),
     ({"geometry": {"boundary_samples": 256}}, "'geometry.boundary_samples'"),
     ({"workers": 1}, "'workers'"),
+    ({"pressure": {"bisect_tol": 1e-4}}, "'pressure.bisect_tol'"),
 ], ids=["geometry", "sampling", "family-path", "oracle", "top-level", "schema-2-margin",
-        "schema-2-boundary-samples", "schema-2-workers"])
+        "schema-2-boundary-samples", "schema-2-workers", "schema-4-bisect-tol"])
 def test_unknown_config_key_exit_1(tmp_path, capsys, config, key):
     """A key no reader knows is a configuration error naming it, where it
     used to run silently on the default (anchor 12 for `anchr`).  So are
-    the schema-2 keys that schema 3 deleted, even at their old defaults."""
+    the schema-2 keys that schema 3 deleted and the tolerance schema 5
+    deleted, even at their old defaults."""
     cfg = write_cfg(tmp_path, "c.json", config)
     assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
 
-@pytest.mark.parametrize("version", ["x", 1, 2, 3, 5, True, 1.5, None])
+@pytest.mark.parametrize("version", ["x", 1, 2, 3, 4, 6, True, 1.5, None])
 def test_schema_version_other_than_current_exit_1(tmp_path, capsys, version):
     """A config of another schema is a configuration error naming the field,
-    not read as the current one; a missing schema_version or 4 loads."""
+    not read as the current one; a missing schema_version or 5 loads."""
     cfg = write_cfg(tmp_path, "c.json", {"schema_version": version})
     assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == \
-        f"config error: config field schema_version must be 4, got {version!r}\n"
-    assert load_config({"schema_version": 4}).resolved == load_config({}).resolved
+        f"config error: config field schema_version must be 5, got {version!r}\n"
+    assert load_config({"schema_version": 5}).resolved == load_config({}).resolved
 
 
-def test_schema_3_config_keys():
-    """The resolved config holds exactly the schema-3 keys, which schema 4
-    keeps (it changed the `dim` report): `geometry` has no margin or
-    boundary_samples, and there is no top-level `workers`."""
+def test_schema_5_config_keys():
+    """The resolved config holds exactly the schema-5 keys: the schema-3
+    keys, which schema 4 kept (it changed the `dim` report), less
+    `pressure.bisect_tol`.  `geometry` has no margin or boundary_samples,
+    and there is no top-level `workers`."""
     resolved = load_config({}).resolved
     assert {key: sorted(value) if isinstance(value, dict) else value
             for key, value in resolved.items()} == {
         "family": ["kind", "lambda_im", "lambda_re", "r0"],
         "geometry": ["anchor", "epsilon", "inset", "scan"],
-        "pressure": ["bisect_tol", "collar", "mode"],
+        "pressure": ["collar", "mode"],
         "sampling": ["count", "depth", "seed"],
         "oracle": ["density", "source", "subsystem", "t", "word_length"],
         "timing": False,
-        "schema_version": 4,
+        "schema_version": 5,
     }
-
-
-@pytest.mark.parametrize("tol", [1, 2, 1e9])
-def test_bisect_tol_of_one_or_more_exit_1(tmp_path, capsys, tol):
-    """From tol 1 on, t = 1 need not be a point of the Bowen root's
-    bisection grid on [0, 4]: such a tolerance is a configuration error
-    naming the key."""
-    cfg = write_cfg(tmp_path, "c.json", {"pressure": {"bisect_tol": tol}})
-    assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
-    assert capsys.readouterr().err == \
-        f"config error: config field pressure.bisect_tol must be below 1, got {tol!r}\n"
-
-
-def test_bisect_tol_below_one_certifies_with_t_lo_at_least_one(tmp_path):
-    """At the certificate config with tol 0.5, 1 is a grid point: the report
-    is certified with t_lo >= 1 (it reads [1.0, 1.5]).  At tol 2, which the
-    CLI refuses, it is not: the certificate reads [0.0, 2.0]."""
-    cfg = write_cfg(tmp_path, "c.json", {"pressure": {"bisect_tol": 0.5}})
-    out = str(tmp_path / "x.json")
-    assert run(["dim", "--config", cfg, "--out", out]) == 0
-    rep = read_json(out)
-    assert rep["verdict"] == "certified" and rep["t_lo"] >= 1.0
-    assert (rep["t_lo"], rep["t_hi"]) == (1.0, 1.5)
-    c = load_config(DEFAULT_CERTIFICATE_CONFIG)
-    spec = td.build_squares(c.anchor, c.budget.inset)
-    cert = td.certify_dim_gt_one(c.family, spec, bisect_tol=2.0)
-    assert cert.certified and (cert.t_lo, cert.t_hi) == (0.0, 2.0)
 
 
 @pytest.mark.parametrize("command", ["oracle recheck", "oracle brute-pressure"])
@@ -837,23 +826,6 @@ def test_oracle_box_dim_every_seed(tmp_path):
         assert rep["counts"] == [2 ** k for k in range(7, 0, -1)]
 
 
-@pytest.mark.parametrize("tol", [0, -1])
-def test_dim_non_positive_bisect_tol_exit_1(tmp_path, capsys, tol):
-    cfg = write_cfg(tmp_path, "tol.json", {"pressure": {"bisect_tol": tol}})
-    assert run(["dim", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
-    assert "bisect_tol must be positive" in capsys.readouterr().err
-
-
-def test_dim_bisect_tol_below_float_spacing_finishes(tmp_path):
-    """The bisection stops at the tightest float bracket, which lies inside
-    the bracket of the default tolerance."""
-    cfg = write_cfg(tmp_path, "tol.json", {"pressure": {"bisect_tol": 1e-300}})
-    out = str(tmp_path / "cert.json")
-    assert run(["dim", "--config", cfg, "--out", out]) == 0
-    cert = read_json(out)
-    assert 1.00146484375 <= cert["t_lo"] <= cert["t_hi"] <= 1.00201416015625
-
-
 def _per_subparser_parser():
     """The command line as built before the common flags moved to one
     parent parser: the five flags added to each subparser."""
@@ -895,7 +867,7 @@ def test_parser_with_shared_flags_equals_per_subparser_flags(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# Each report's keys (schema 4)
+# Each report's keys (schema 5)
 # ---------------------------------------------------------------------------
 
 _ECHO = {"schema_version", "command", "config"}
@@ -910,7 +882,7 @@ _EMPTY_G = {"geometry": {"anchor": 4.0, "inset": 0.5}}
 ], ids=["certificate", "empty-G"])
 def test_dim_report_keys(tmp_path, config, rc, diagnostics):
     """The `dim` report carries what decides its certificate only: no copy
-    of its config (lambda, R0, R, epsilon, D, bisect_tol), no constant (4
+    of its config (lambda, R0, R, epsilon, D), no constant (4
     pi, c0) and no lemma margin (eq1, depth, growth).  An empty G has
     P1_lo = -inf, t_lo = t_hi = 0, one diagnostic and one reason."""
     cfg = write_cfg(tmp_path, "c.json", config)

@@ -106,8 +106,8 @@ def test_bowen_cap_flag():
 def test_bowen_monotone_in_weights():
     base = WeightedSystem.from_uniform([0.3, 0.2, 0.1])
     shrunk = WeightedSystem.from_uniform([0.15, 0.1, 0.05])
-    r1 = td.bowen_root(base, tol=1e-4)
-    r2 = td.bowen_root(shrunk, tol=1e-4)
+    r1 = td.bowen_root(base)
+    r2 = td.bowen_root(shrunk)
     assert r2.t_lo < r1.t_lo
     assert r2.t_hi < r1.t_hi
 
@@ -198,18 +198,15 @@ def test_certificate_empty_g(fam):
 @pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j])
 @pytest.mark.parametrize("anchor, inset", [(30.0, 0.5), (4000.0, 3.0), (1e5, 3.0),
                                            (3e5, 3.0), (1e6, 3.0)])
-def test_verdict_does_not_depend_on_the_bisection_tolerance(lam, anchor, inset):
-    """The verdict is P_lo(1) > 0 alone.  Where the root lies within the
-    tolerance of 1, as at anchor 1e5 and tol 1e-3, the bisection's lower end
-    stays at 1.0, and a certified report reads t_lo = 1.0."""
+def test_verdict_is_p_lo_at_1_and_a_certified_t_lo_lies_above_1(lam, anchor, inset):
+    """The verdict is P_lo(1) > 0 alone, and a certified bracket starts
+    above 1: the root of P_lo lies farther than 4 ulp from 1 at each of
+    these anchors (at 1e6 about 1.5e-5 above it), so t_lo > 1, where a
+    bisection to 1e-3 read t_lo = 1.0 from anchor 1e5 on."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
-    spec = td.build_squares(anchor, inset)
-    certs = [td.certify_dim_gt_one(fam, spec, bisect_tol=tol)
-             for tol in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10)]
-    assert len({(c.verdict, c.p1_lo) for c in certs}) == 1
-    for cert in certs:
-        assert cert.certified == (cert.p1_lo > 0)
-        assert cert.t_lo >= 1.0 if cert.certified else cert.reasons
+    cert = td.certify_dim_gt_one(fam, td.build_squares(anchor, inset))
+    assert cert.certified == (cert.p1_lo > 0)
+    assert 1.0 < cert.t_lo <= cert.t_hi if cert.certified else cert.reasons
 
 
 def test_certificate_deterministic(fam):
@@ -323,9 +320,9 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
 def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
     """At the default certificate the run data is built once per system
     (one range, two envelopes) and the root evaluates the run sum of one
-    envelope per step: 13 one-sided evaluations (8 for the lower bound, 5
-    for the upper), where bisecting took 2 x 18, with the bisection's
-    bracket."""
+    envelope per step: 15 one-sided evaluations (8 for the lower bound, 7
+    for the upper), within the budget of 16, for a bracket strictly inside
+    the bisection's [1.00146484375, 1.00201416015625] at tolerance 1e-4."""
     spec = td.build_squares(4000.0, 3.0)
     gset = td.build_G(fam, 4000.0, spec, td.GeometryBudget(inset=3.0))
     built, evaluated = [], []
@@ -342,25 +339,59 @@ def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
     monkeypatch.setattr(loglift, "run_sum", build_spy)
     monkeypatch.setattr(RunSum, "log_bound", evaluate_spy)
     system = build_weighted_system(fam, gset, spec)
-    roots = td.bowen_root(system, tol=1e-4)
+    roots = td.bowen_root(system)
     assert len(built) == 2
-    assert len(evaluated) == 13 and roots.evaluations == (8, 5)
-    assert [side for _, _, side in evaluated] == [0] * 8 + [1] * 5
-    assert (roots.t_lo, roots.t_hi) == (1.00146484375, 1.00201416015625)
-    td.bowen_root(system, tol=1e-4)
-    assert len(built) == 2 and len(evaluated) == 26
+    assert len(evaluated) == sum(roots.evaluations) <= 16 and roots.evaluations == (8, 7)
+    assert [side for _, _, side in evaluated] == [0] * 8 + [1] * 7
+    assert 1.00146484375 < roots.t_lo < roots.t_hi < 1.00201416015625
+    td.bowen_root(system)
+    assert len(built) == 2 and len(evaluated) == 30
 
 
 _ROOT_LAMBDAS = (1.0, 0.5 + 0.5j, 2.5, 0.01)
 _ROOT_ANCHORS = ((12.0, 0.5), (30.0, 0.5), (100.0, 3.0), (4000.0, 3.0), (8000.0, 3.0))
 
 
+def _within_4_ulp(a, b):
+    return abs(a - b) <= 4.0 * math.ulp(max(a, b))
+
+
+def _spied_root(system):
+    """`bowen_root` of `system` with the (t, value) pairs it evaluated, per
+    side."""
+    evaluated = {0: [], 1: []}
+    envelope_log_sum = pressure._envelope_log_sum
+
+    def spy(system, t, side):
+        value = envelope_log_sum(system, t, side)
+        evaluated[side].append((t, value))
+        return value
+
+    with patch.object(pressure, "_envelope_log_sum", spy):
+        r = td.bowen_root(system)
+    assert r.evaluations == (len(evaluated[0]), len(evaluated[1]))
+    return r, evaluated
+
+
+def _assert_ends_are_evaluated_sign_changes(r, evaluated):
+    """Each uncapped nonzero end is an evaluated t of the right sign (f_lo >
+    0 at t_lo, f_hi <= 0 at t_hi) with an evaluated t of the opposite sign
+    within 4 ulp."""
+    for side, end, capped in ((0, r.t_lo, r.lo_capped), (1, r.t_hi, r.hi_capped)):
+        if capped or end == 0.0:
+            continue
+        signs = {f > 0.0 for t, f in evaluated[side] if t == end}
+        assert signs == {side == 0}, (side, end)
+        assert any((f > 0.0) != (side == 0) and _within_4_ulp(t, end)
+                   for t, f in evaluated[side]), (side, end)
+
+
 @pytest.mark.parametrize("lam", _ROOT_LAMBDAS, ids=str)
-def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
-    """The one-envelope root and the level-1 sums over the system's run
-    data are hex-identical to a per-call run sum of both envelopes at every
-    exponent and to bisecting on it, over anchors from 12 to 8000 and
-    tolerances down to 1e-8."""
+def test_level1_sum_equals_and_bowen_root_lies_inside_the_two_sided_reference(lam):
+    """The level-1 sums over the system's run data are hex-identical to a
+    per-call run sum of both envelopes at every exponent, and the root's
+    bracket lies inside the reference bisection's to 1e-4 on that sum,
+    with its flags, over anchors from 12 to 8000."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     for anchor, inset in _ROOT_ANCHORS:
         spec = td.build_squares(anchor, inset)
@@ -372,84 +403,71 @@ def test_bowen_root_and_level1_sum_equal_two_sided_reference(lam):
             got = td.level1_sum(system, t)
             want = ref.level1_log_bounds(system, t, env)
             assert (got.log_lo.hex(), got.log_hi.hex()) == tuple(x.hex() for x in want)
-        for tol in (1e-3, 1e-4, 1e-8):
-            r = td.bowen_root(system, tol=tol)
-            got = (r.t_lo.hex(), r.t_hi.hex(), r.lo_capped, r.hi_capped)
-            t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, tol, env)
-            assert got == (t_lo.hex(), t_hi.hex(), lo_capped, hi_capped), (anchor, tol)
+        r = td.bowen_root(system)
+        t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, 1e-4, env)
+        assert (r.lo_capped, r.hi_capped) == (lo_capped, hi_capped) == (False, False)
+        assert t_lo <= r.t_lo < r.t_hi <= t_hi, anchor
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
-def test_bowen_root_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
-    with pytest.raises(td.ConfigError, match="bisection tolerance"):
-        td.bowen_root(WeightedSystem.from_uniform([1 / 3, 1 / 3]), tol=tol)
-
-
-def test_bowen_root_below_the_float_spacing_gives_the_tightest_bracket():
-    """A tolerance of 1e-300 is finer than any float bracket around the
-    root ln 2 / ln 3: the bisection stops at two adjacent floats."""
-    r = td.bowen_root(WeightedSystem.from_uniform([1 / 3, 1 / 3]), tol=1e-300)
-    assert r.t_hi == math.nextafter(r.t_lo, math.inf)
-    assert r.t_lo <= math.log(2.0) / math.log(3.0) <= r.t_hi
+@pytest.mark.parametrize("anchor, inset", _ROOT_ANCHORS)
+@pytest.mark.parametrize("lam", _ROOT_LAMBDAS, ids=str)
+def test_bowen_root_brackets_each_real_root_to_4_ulp_in_at_most_32_evaluations(
+        lam, anchor, inset):
+    """Each end rests on an evaluated sign change 4 ulp wide, in at most 32
+    one-sided evaluations in total (at most 19 on this grid)."""
+    fam = td.normalize_family(td.exponential_family(lam, math.e))
+    spec = td.build_squares(anchor, inset)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset))
+    r, evaluated = _spied_root(build_weighted_system(fam, gset, spec))
+    assert 0.0 < r.t_lo < r.t_hi < 4.0 and sum(r.evaluations) <= 32
+    _assert_ends_are_evaluated_sign_changes(r, evaluated)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(weights=st.one_of(
            st.lists(st.floats(1e-300, 0.999), min_size=1, max_size=50),
-           st.lists(st.floats(0.9, 0.999), min_size=20, max_size=50)),
-       tol=st.sampled_from([1e-3, 1e-4, 1e-8, 1e-300, 5e-324]))
-@example(weights=[0.6], tol=1e-4)              # f(0) = 0 on both sides
-@example(weights=[0.9] * 10, tol=1e-4)         # capped on both sides
-@example(weights=[1 / 3, 1 / 3], tol=5e-324)   # below the float spacing
-def test_bowen_root_equals_reference_bisection_with_a_witness(weights, tol):
-    """On listed systems of 1 to 50 letters the root has the reference
-    bisection's bracket and flags, and each uncapped end rests on an
-    evaluated value of the right sign: f_lo > 0 at some t >= t_lo (where
-    t_lo > 0) and f_hi <= 0 at some t <= t_hi."""
+           st.lists(st.floats(0.9, 0.999), min_size=20, max_size=50)))
+@example(weights=[0.6])              # f(0) = 0 on both sides
+@example(weights=[0.9] * 10)         # capped on both sides
+@example(weights=[1 / 3, 1 / 3])
+def test_bowen_root_ends_are_evaluated_sign_changes_inside_the_reference(weights):
+    """On listed systems of 1 to 50 letters each uncapped nonzero end is an
+    evaluated t of the right sign with an evaluated t of the opposite sign
+    within 4 ulp, the flags are the reference bisection's, and the bracket
+    lies inside the reference's to 1e-4."""
     system = WeightedSystem.from_uniform(weights)
-    evaluated = {0: [], 1: []}
-    envelope_log_sum = pressure._envelope_log_sum
+    r, evaluated = _spied_root(system)
+    _assert_ends_are_evaluated_sign_changes(r, evaluated)
+    t_lo, t_hi, lo_capped, hi_capped = ref.bowen_root(system, 1e-4)
+    assert (r.lo_capped, r.hi_capped) == (lo_capped, hi_capped)
+    assert t_lo <= r.t_lo <= r.t_hi <= t_hi
 
-    def spy(system, t, side):
-        value = envelope_log_sum(system, t, side)
+
+@pytest.mark.parametrize("scale", [8, 30, 50])
+def test_bowen_root_ends_on_a_bound_that_is_not_convex(monkeypatch, scale):
+    """Here the bound decreases but is not convex, with roots 1.2345 and
+    1.6789, and within 0.05 of each root it has the wrong sign on every
+    third interval of length 2^-scale, as rounding can make a computed
+    bound near its root (at 2^-50, a few ulp).  The root still ends, never
+    evaluates a point twice, and each end is an evaluated sign change 4
+    ulp wide."""
+    roots = (1.2345, 1.6789)
+    evaluated = {0: [], 1: []}
+
+    def bound(system, t, side):
+        value = roots[side] - t + 0.02 * math.sin(40.0 * (t - roots[side]))
+        if abs(t - roots[side]) < 0.05 and math.floor(t * 2.0 ** scale) % 3 == 0:
+            value = -value
         evaluated[side].append((t, value))
         return value
 
-    with patch.object(pressure, "_envelope_log_sum", spy):
-        r = td.bowen_root(system, tol=tol)
-    assert (r.t_lo, r.t_hi, r.lo_capped, r.hi_capped) == ref.bowen_root(system, tol)
-    assert r.evaluations == (len(evaluated[0]), len(evaluated[1]))
-    if r.t_lo > 0.0:
-        assert any(t >= r.t_lo and f > 0.0 for t, f in evaluated[0])
-    if not r.hi_capped:
-        assert any(t <= r.t_hi and f <= 0.0 for t, f in evaluated[1])
-
-
-@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-8])
-def test_bowen_root_evaluates_only_points_of_the_bisection_grid(monkeypatch, tol):
-    """The root reads its bound only on the bisection's final grid (the cap
-    4 halved until it is within tol).  Here the bound is convex and
-    decreasing on the grid, with roots 1.2345 and 1.6789, but has the
-    wrong sign everywhere off it, as rounding can make a computed bound
-    near its root: the root still returns the grid cells around the roots,
-    the bisection's brackets, from grid evaluations only."""
-    grid = 4.0
-    while grid > tol:
-        grid *= 0.5
-    roots = (1.2345, 1.6789)
-    evaluated = []
-
-    def bound(system, t, side):
-        evaluated.append(t)
-        value = math.exp(-3.0 * t) - math.exp(-3.0 * roots[side])
-        return value if (t / grid).is_integer() else -value
-
     monkeypatch.setattr(pressure, "_envelope_log_sum", bound)
-    r = td.bowen_root(WeightedSystem.from_uniform([0.5, 0.5]), tol=tol)
-    cells = [math.floor(root / grid) * grid for root in roots]
-    assert (r.t_lo, r.t_hi) == (cells[0], cells[1] + grid)
-    assert all((t / grid).is_integer() for t in evaluated)
-    assert len(evaluated) == sum(r.evaluations)
+    r = td.bowen_root(WeightedSystem.from_uniform([0.5, 0.5]))
+    assert not (r.lo_capped or r.hi_capped) and 0.0 < r.t_lo and 0.0 < r.t_hi
+    for side in (0, 1):
+        assert len({t for t, _ in evaluated[side]}) == len(evaluated[side]) \
+            == r.evaluations[side]
+    _assert_ends_are_evaluated_sign_changes(r, evaluated)
 
 
 def test_certificate_at_a_run_end_past_2_24(fam):
