@@ -41,7 +41,11 @@ command exits 3.  It exits 2 when G lists fewer letters than its
 subsystem (it says how many).  At lam = 0.01, R0 = e, anchor 3.3 it
 exits 0.  It sums each word's derivative in logs, so it also exits 0
 where the derivatives underflow as floats, as at anchor 800, inset 3
-(value -404.42 in [-405.06, -403.91]).
+(value -404.42 in [-405.06, -403.91]).  It and its bracket take
+ln(2*pi*|s|) on the int, so it exits 0 at the default certificate
+(-2006.04 in [-2006.67, -2005.52]) and at the anchor cap.  Reports write
+ints past 4,300 digits as hex strings, `hex(n)` (`n_checked` from anchor
+about 8000, brute-pressure's letters from about 19,800).
 
 `lemmas` traces the level lines in closed form at any anchor: at anchor
 4000, inset 3 it exits 0 with `all_pass` true.  Its expansion and growth
@@ -118,7 +122,8 @@ them.  `sample` and `oracle recheck` draw letters uniformly over all of
 G: at lam = 1, R0 = e, inset 0.5, anchor 30 they and
 `oracle brute-pressure` exit 0.
 Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
-the default certificate, which `oracle recheck` checks.
+the default certificate, which `oracle recheck` and
+`oracle brute-pressure` check.
 
 `sample` writes a CSV with the header `re,im,space`, then
 `sampling.count` rows of space `lifted`, the sampled points in Q, and
@@ -506,8 +511,6 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
         raise ConstructionError(f"G holds {gset.n_letters} letters; the subsystem needs {k}")
-    if max(abs(s) for _, s in letters) > sys.float_info.max / TWO_PI:
-        raise ConstructionError("the subsystem's letters pass the float range")
     sub = _subsystem(fam, letters, spec)
     t = float(cfg.oracle["t"])
     n = cfg.oracle["word_length"]
@@ -540,7 +543,8 @@ def _subsystem(fam, letters, spec):
     import numpy as np
 
     from .pressure import WeightedSystem
-    sigma = np.log(TWO_PI) + np.log(np.abs(np.asarray([s for (_, s) in letters], dtype=float)))
+    # sigma = ln(2*pi*|s|) from the int, finite for indices of any size
+    sigma = np.array([math.log(TWO_PI) + math.log(abs(s)) for (_, s) in letters])
     lo, hi = fam.envelope(spec.outer).log_weight_bounds(sigma)
     return WeightedSystem(log_lo=lo, log_hi=hi)
 

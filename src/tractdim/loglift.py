@@ -120,11 +120,13 @@ class MapFamily(_MapFamilyFields):
         dy = 0.0 if im_lo <= ci <= im_hi else min(abs(im_lo - ci), abs(im_hi - ci))
         d_lo = math.hypot(dx_lo, dy)
         d_hi = max(math.hypot(dx, iy - ci) for dx in (dx_lo, dx_hi) for iy in (im_lo, im_hi))
-        # |Arg(z - c)| is extremal at the left-edge corners
-        amax = max(abs(math.atan2(im_lo - ci, dx_lo)), abs(math.atan2(im_hi - ci, dx_lo)))
+        # Arg(z - c) at the corners, left edge first, where |Arg| is extremal
+        args = [math.atan2(iy - ci, dx) for dx in (dx_lo, dx_hi) for iy in (im_lo, im_hi)]
+        amax = max(abs(args[0]), abs(args[1]))
         b_re = max(abs(math.log(d_lo) - cr), abs(math.log(d_hi) - cr))
         b = math.hypot(b_re, amax + abs(ci))
-        return TailEnvelope(b=b, d_lo=d_lo, d_hi=d_hi, c=c, p_lo=math.log(d_lo) - cr)
+        return TailEnvelope(b=b, d_lo=d_lo, d_hi=d_hi, c=c, p_lo=math.log(d_lo) - cr,
+                            arg_lo=min(args), arg_hi=max(args))
 
 
 def exponential_family(lam=1.0, r0=math.e) -> MapFamily:
@@ -185,7 +187,7 @@ class TailEnvelope(NamedTuple):
     where b bounds |Log(z - c) - c|, and Re xi_s >= p_lo = ln d_lo - Re c.
     Everything downstream (weights, cell enclosures, window solving, run
     sums) is derived from (b, d_lo, d_hi, c, p_lo) alone, as a function of
-    sigma = ln(2*pi*|s|).
+    sigma = ln(2*pi*|s|); [arg_lo, arg_hi] is Arg(z - c)'s range, at corners.
     """
 
     b: float
@@ -193,6 +195,8 @@ class TailEnvelope(NamedTuple):
     d_hi: float
     c: complex
     p_lo: float
+    arg_lo: float
+    arg_hi: float
 
     @property
     def sigma_valid_min(self) -> float:

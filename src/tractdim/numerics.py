@@ -60,26 +60,17 @@ def weighted_log_sum_exp(terms: Iterable[tuple]) -> float:
 # Canonical report serialization
 # ---------------------------------------------------------------------------
 
-def _decimal(n: int, limit: int) -> str:
-    """str(n) with the interpreter's int-to-string digit limit (`limit`)
-    lifted for this conversion only."""
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _sanitize(obj):
-    """Make an object JSON-safe; non-finite floats become strings, and so
-    do ints with more digits than the interpreter's int-to-string limit
-    (`sys.get_int_max_str_digits`), which a default `json.loads` could not
-    read back either.  A numpy scalar is first made its Python value
-    (`float` for a numpy float, `.item()` otherwise); numpy is not
-    imported for this, since no numpy scalar exists before it is.  A
-    record (a NamedTuple, a tuple with `_fields`) raises TypeError, as
-    `json.dumps` does on any object it does not know, rather than pass
-    as a bare list: a report lists the values it means to write."""
+    """Make an object JSON-safe; non-finite floats become strings, and an
+    int past the interpreter's int-to-string limit (4,300 digits by
+    default) the string `hex(n)`: linear in time, and `int(x, 16)` reads
+    it back under any limit, where its decimal could not be read back.
+    A numpy scalar is first made its Python value (`float` for a numpy
+    float, `.item()` otherwise); numpy is not imported for this, since no
+    numpy scalar exists before it is.  A record (a NamedTuple, a tuple
+    with `_fields`) raises TypeError, as `json.dumps` does on any object
+    it does not know, rather than pass as a bare list: a report lists the
+    values it means to write."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
@@ -101,7 +92,7 @@ def _sanitize(obj):
         # 0 where the limit is off, or the interpreter predates it
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-            return _decimal(n, limit)
+            return hex(n)
         return n
     if isinstance(obj, complex):
         return {"re": _sanitize(obj.real), "im": _sanitize(obj.imag)}

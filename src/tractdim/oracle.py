@@ -2,7 +2,7 @@
 
 Nothing here reuses the main pipeline's evaluation paths: complex
 logarithms are assembled from ln|.| and atan2.  The brute-force pressure
-composes branches on complex scalars in plain loops.  The containment
+steps letters of any size from their logs in plain loops.  The containment
 recheck is array-based.  One `recheck_gset` call builds the boundary
 object once (`_Boundary`: the first-level logs of the boundary samples of
 Q, sorted, with every key order and maximum that does not depend on the
@@ -210,16 +210,6 @@ def brute_force_pressure_similarity(weights: Sequence[float], n: int, t: float) 
     return math.log(math.fsum(terms)) / n
 
 
-def _branch_point(family: MapFamily, s: int, zeta: complex) -> complex:
-    # independent principal log: ln|.| + i atan2
-    w = zeta - family.log_lam
-    return complex(math.log(abs(w)), math.atan2(w.imag, w.real)) + TWO_PI * 1j * s
-
-
-def _branch_deriv(family: MapFamily, zeta: complex) -> complex:
-    return 1.0 / (zeta - family.log_lam)
-
-
 def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
                          n: int, t: float) -> float:
     """(1/n) log sum over all n-words of |(g^word)'(center Q)|^t.
@@ -227,24 +217,34 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
     For letters of G every intermediate point of a word lies in Q, where
     each letter's |g'| lies between its level-1 weight bounds, so the
     value lies between the letters' level-1 pressure bounds at every n.
-    Each word's ln|derivative| is summed letter by letter and the words
-    are added by `log_sum_exp`, so a derivative below the float range
-    (letters with |s| near e^(R/2) at anchors R of about 750 and more)
-    does not underflow.  Refuses budgets beyond 1e6 words.
+    Each letter (u, s) steps in the scalar, scale-free form of
+    `_recheck_cells`, with ln T = ln(2*pi*|s|) taken on the int
+    (`_index_logs`), so no float 2*pi*s is formed: the image is (ln T +
+    half) + i*(atan2(Y, X) + 2*pi*u), and ln|g'(z)| = -(ln|z - c| + ln T +
+    half).  Each word's ln|derivative| is summed letter by letter and the
+    words are added by `log_sum_exp`, so no derivative underflows.
+    Refuses budgets beyond 1e6 words.
     """
     letters = [(int(u), int(s)) for (u, s) in letters]
     if len(letters) ** n > 1_000_000:
         raise ConfigError(f"{len(letters)}^{n} words exceed the brute-force budget")
+    ln_ts, signs = _index_logs([s for _, s in letters])
+    steps = [(TWO_PI * u, ln_t, math.exp(-ln_t), sign)
+             for (u, _), ln_t, sign in zip(letters, ln_ts.tolist(), signs.tolist())]
+    c = family.log_lam
     z0 = spec.outer.center
     log_terms = []
-    for word in itertools.product(letters, repeat=n):
+    for word in itertools.product(steps, repeat=n):
         z = z0
         log_deriv = 0.0
-        for (u, s) in reversed(word):
-            first = _branch_point(family, s, z)
-            log_deriv += (math.log(abs(_branch_deriv(family, z)))
-                          + math.log(abs(_branch_deriv(family, first))))
-            z = _branch_point(family, u, first)
+        for two_pi_u, ln_t, x, sign in reversed(word):
+            w = z - c
+            log_r = math.log(abs(w))
+            big_x = (log_r - c.real) * x
+            big_y = sign + (math.atan2(w.imag, w.real) - c.imag) * x
+            half = 0.5 * math.log(big_x * big_x + big_y * big_y)
+            log_deriv -= log_r + ln_t + half
+            z = complex(ln_t + half, math.atan2(big_y, big_x) + two_pi_u)
         log_terms.append(t * log_deriv)
     return log_sum_exp(log_terms) / n
 

@@ -163,13 +163,14 @@ class BowenInterval(NamedTuple):
     """Conservative enclosure of the dimension of the constructed subsystem.
 
     `evaluations` counts the one-sided pressure evaluations the root made
-    per bound (lower, upper)."""
+    per bound (lower, upper); `p1_lo` is P_lo(1), the lower root's first."""
 
     t_lo: float
     t_hi: float
     lo_capped: bool = False
     hi_capped: bool = False
     evaluations: tuple = (0, 0)
+    p1_lo: float = math.nan
 
 
 def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
@@ -207,12 +208,12 @@ def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
     def root(side: int, start: float):
         left = [(0.0, log_n)]    # the two latest (t, f(t)) with f > 0, latest last
         neg = math.inf           # the smallest evaluated t with f <= 0
-        count = 0
+        values = []              # f at every evaluated t, in order
 
         def positive(t):
-            nonlocal left, neg, count
+            nonlocal left, neg
             value = _envelope_log_sum(system, t, side)
-            count += 1
+            values.append(value)
             if value > 0.0:
                 left = [left[-1], (t, value)]
             else:
@@ -222,7 +223,7 @@ def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
         if not positive(start):
             if not positive(0.0):
                 # single-letter systems: pressure vanishes exactly at t = 0
-                return 0.0, False, count
+                return 0.0, False, values
             left = left[-1:]
         k = 4
         while left[-1][0] < _T_MAX and neg - left[-1][0] > 4 * math.ulp(min(neg, _T_MAX)):
@@ -241,12 +242,12 @@ def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
                 x = 0.5 * (pos + min(neg, _T_MAX))
             positive(x)
         pos = left[-1][0]
-        return (pos if side == 0 or pos == _T_MAX else neg), pos == _T_MAX, count
+        return (pos if side == 0 or pos == _T_MAX else neg), pos == _T_MAX, values
 
-    t_lo, lo_capped, n_lo = root(0, 1.0)
-    t_hi, hi_capped, n_hi = root(1, t_lo or 1.0)
-    return BowenInterval(t_lo=t_lo, t_hi=t_hi, lo_capped=lo_capped,
-                         hi_capped=hi_capped, evaluations=(n_lo, n_hi))
+    t_lo, lo_capped, lo_values = root(0, 1.0)
+    t_hi, hi_capped, hi_values = root(1, t_lo or 1.0)
+    return BowenInterval(t_lo=t_lo, t_hi=t_hi, lo_capped=lo_capped, hi_capped=hi_capped,
+                         evaluations=(len(lo_values), len(hi_values)), p1_lo=lo_values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +307,12 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertific
     they are `lemmas` checks, not read here.  The anchor of `spec` is the
     center of Q; `build_G` reads only Q.
 
-    `bowen_root` evaluates P_lo(1) first, so t_lo >= 1 on every certified
-    result, and t_lo is within 4 ulp of an evaluated t with P_lo(t) <= 0.
-    So t_lo reads 1.0 only where P_lo changes sign within 4 ulp of 1, and
-    then 1.0 is the bracket's sound lower end.  For an empty G the result has
-    C = 1, P1_lo = -inf, t_lo = t_hi = 0 and only the diagnostic
-    n_segments.
+    P1_lo is `bowen_root`'s first evaluation, so t_lo >= 1 on every
+    certified result, and t_lo is within 4 ulp of an evaluated t with
+    P_lo(t) <= 0.  So t_lo reads 1.0 only where P_lo changes sign within 4
+    ulp of 1, and then 1.0 is the bracket's sound lower end.  For an empty
+    G the result has C = 1, P1_lo = -inf, t_lo = t_hi = 0 and only the
+    diagnostic n_segments.
     """
     start = time.perf_counter()
     family = normalize_family(family)
@@ -322,9 +323,8 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertific
         reasons = ["admissible set G is empty at this configuration"]
     else:
         system = build_weighted_system(family, gset, spec)
-        p1_lo = _envelope_log_sum(system, 1.0, 0)
         roots = bowen_root(system)
-        t_lo, t_hi = roots.t_lo, roots.t_hi
+        p1_lo, t_lo, t_hi = roots.p1_lo, roots.t_lo, roots.t_hi
         diagnostics.update(bowen_capped=roots.lo_capped or roots.hi_capped,
                            bowen_evaluations=roots.evaluations)
         reasons = [] if p1_lo > 0 else [f"P_lo(1) = {p1_lo:.6g} <= 0"]

@@ -624,9 +624,10 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     With c = Log(lam), the first-level image of Q minus c is the set of
     w = p + i*(q + 2*pi*s): p = ln|z - c| - Re c lies in [ln d_lo - Re c,
     ln d_hi - Re c] and is > 0 whenever G is non-empty; q = arg(z - c) -
-    Im c lies in [theta_lo, theta_hi] - Im c, arg's extremes over the four
-    corners of Q.  Consecutive images are 2*pi translates of a set of
-    height < pi, hence at least room = 2*pi - (theta_hi - theta_lo) apart.
+    Im c lies in [arg_lo, arg_hi] - Im c, arg's range over Q, from the
+    envelope (`MapFamily.envelope`).  Consecutive images are 2*pi
+    translates of a set of height < pi, hence at least room = 2*pi -
+    (arg_hi - arg_lo) apart.
     The cell is Log(w) + 2*pi*i*u, and |e^h1 - e^h2| <= |h1 - h2| *
     max(|e^h1|, |e^h2|), so Log shrinks distances by at most max|w| <=
     hypot(p_hi, top), top = max|q + 2*pi*s| = 2*pi*n + q_hi for s = +n and
@@ -647,10 +648,7 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     p_lo, p_hi = env.p_lo, math.log(env.d_hi) - c.real
     if p_lo <= 0.0:
         raise ConstructionError("first-level images of Q reach Re <= Re Log(lam)")
-    rect = spec.outer
-    thetas = [math.atan2(y - c.imag, x - c.real)
-              for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
-    q_lo, q_hi = min(thetas) - c.imag, max(thetas) - c.imag
+    q_lo, q_hi = env.arg_lo - c.imag, env.arg_hi - c.imag
     log_room = math.log(TWO_PI - (q_hi - q_lo))
     log_p_hi = math.log(p_hi)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +369,7 @@ def test_oracle_recheck_past_2_53_exit_0(tmp_path, config):
 def test_oracle_recheck_past_the_int_digit_limit_exit_0(tmp_path):
     # at anchor 8000 G holds more letters than an int of 4,300 digits (the
     # interpreter's default int-to-string limit): the report writes
-    # n_checked as a decimal string, which a default json.loads reads back
+    # n_checked as the hex string that int(x, 16) reads back
     raw = dict(DEFAULT_CERTIFICATE_CONFIG,
                geometry=dict(DEFAULT_CERTIFICATE_CONFIG["geometry"], anchor=8000.0))
     cfg = write_cfg(tmp_path, "a8000.json", raw)
@@ -382,11 +383,7 @@ def test_oracle_recheck_past_the_int_digit_limit_exit_0(tmp_path):
     spec = td.build_squares(c.anchor, c.budget.inset)
     n = sum(r.n_columns * r.length for r in td.build_G(c.family, c.anchor, spec, c.budget).runs)
     assert n >= 10 ** limit
-    sys.set_int_max_str_digits(0)
-    try:
-        assert rep["n_checked"] == str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    assert rep["n_checked"] == hex(n) and int(rep["n_checked"], 16) == n
 
 
 def test_sample_past_2_53_exit_0_and_past_2_63_exit_2(tmp_path, capsys):
@@ -423,10 +420,10 @@ def test_parser_is_built_on_first_use_and_kept():
     assert done.stdout.split() == ["0", "True"]
 
 
-def test_oracle_brute_pressure_past_2_53_exit_0(tmp_path, capsys):
+def test_oracle_brute_pressure_past_2_53_exit_0(tmp_path):
     # anchor 30: the eight heaviest letters sit at |s| = 520,281, the low
     # ends of the two runs; at the default certificate they pass the float
-    # range, where the brute-force sum cannot be formed
+    # range (868 digits), and the letters step from their logs all the same
     cfg = write_cfg(tmp_path, "a30.json", A30)
     out = str(tmp_path / "o.json")
     assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
@@ -436,8 +433,34 @@ def test_oracle_brute_pressure_past_2_53_exit_0(tmp_path, capsys):
     assert rep["level1_lo"] - rep["slack_log"] <= rep["brute_value"] \
         <= rep["level1_hi"] + rep["slack_log"]
     cfg = write_cfg(tmp_path, "cert.json", DEFAULT_CERTIFICATE_CONFIG)
-    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 2
-    assert "float range" in capsys.readouterr().err
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    rep = read_json(out)
+    assert rep["pass"] is True
+    assert {len(str(abs(s))) for _, s in rep["letters"]} == {868}
+    assert rep["level1_lo"] <= rep["brute_value"] <= rep["level1_hi"]
+    assert rep["brute_value"] == pytest.approx(-2006.0399, abs=1e-4)
+
+
+def test_oracle_brute_pressure_at_the_anchor_cap_exit_0(tmp_path, monkeypatch):
+    """At the anchor cap the subsystem's letters have about 607,000 digits:
+    brute-pressure passes in under a second, and the report writes them
+    as hex strings that int(x, 16) reads back, with
+    `sys.set_int_max_str_digits` raising: no report changes the
+    interpreter-wide int-to-string limit."""
+    def refuse(_):
+        raise AssertionError("set_int_max_str_digits called")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    cfg = write_cfg(tmp_path, "cap.json", {"geometry": {"anchor": 2.0 ** 23 / 3.0, "inset": 3.0}})
+    out = str(tmp_path / "o.json")
+    start = time.perf_counter()
+    assert run(["oracle", "brute-pressure", "--config", cfg, "--out", out]) == 0
+    assert time.perf_counter() - start < 1.0
+    rep = read_json(out)
+    assert rep["pass"] is True
+    assert rep["level1_lo"] <= rep["brute_value"] <= rep["level1_hi"]
+    ss = [int(s, 16) for _, s in rep["letters"]]
+    assert len(ss) == 8 and all(abs(s).bit_length() > 2_000_000 for s in ss)
 
 
 @pytest.mark.parametrize("pressure", [{"collar": -5}, {"mode": "tail"}, {"collar": 0}])
@@ -1107,7 +1130,7 @@ _EDGE_INPUTS = {
     "anchor-0.9": ({"geometry": {"anchor": 0.9, "inset": 0.2}}, (1, 1, 1, 1, 1, 1)),
     "empty-G": ({"geometry": {"anchor": 3.0}}, (0, 2, 2, 2, 2, 0)),
     "anchor-30": ({"geometry": {"anchor": 30.0}}, (0, 0, 0, 0, 0, 0)),
-    "anchor-4000": ({"geometry": {"anchor": 4000.0, "inset": 3.0}}, (0, 0, 2, 0, 2, 0)),
+    "anchor-4000": ({"geometry": {"anchor": 4000.0, "inset": 3.0}}, (0, 0, 2, 0, 0, 0)),
     "lam-i": ({"family": {"lambda_re": 0.0, "lambda_im": 1.0}, "geometry": {"anchor": 20.0}},
               (0, 2, 0, 0, 0, 0)),
     "lam-0.5+0.5i": ({"family": {"lambda_re": 0.5, "lambda_im": 0.5},
@@ -1121,8 +1144,8 @@ def test_edge_inputs_exit_codes(tmp_path, edge, command):
     """Each of the north star's edge inputs gives every command its
     documented exit code: an anchor near ln R0 (just past it, at it and
     below it), an empty G, runs past 2^53 (anchor 30) and past the float
-    range (anchor 4000, where words and the brute-force subsystem exit 2),
-    and non-real lam.  A RuntimeWarning fails the run."""
+    range (anchor 4000, where int64 words exit 2), and non-real lam.  A
+    RuntimeWarning fails the run."""
     config, codes = _EDGE_INPUTS[edge]
     cfg = write_cfg(tmp_path, "c.json", dict(config, sampling={"count": 2000}))
     rc = run(command.split() + ["--config", cfg, "--out", str(tmp_path / "out")])

@@ -221,6 +221,24 @@ def test_cell_enclosure_is_monotone_in_sigma(lam, log_anchor, u, sign, offsets):
         assert top1 - bot1 >= top2 - bot2, sigma
 
 
+@pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j, -2.0, 0.01])
+@pytest.mark.parametrize("anchor", [3.3, 12.0, 30.0, 4000.0])
+def test_envelope_arg_range_is_that_of_the_corners(lam, anchor):
+    """[arg_lo, arg_hi] is the least and greatest Arg(z - c) at Q's four
+    corners, bit for bit, and holds Arg(z - c) at 4,096 boundary samples
+    of Q; `amax` in b is the larger |Arg| of the two left corners."""
+    family = td.normalize_family(td.exponential_family(lam=lam))
+    rect = td.build_squares(anchor, 0.5).outer
+    c = family.log_lam
+    env = family.envelope(rect)
+    corners = [math.atan2(y - c.imag, x - c.real)
+               for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
+    assert (env.arg_lo, env.arg_hi) == (min(corners), max(corners))
+    args = [math.atan2(w.imag, w.real) for w in (rect.boundary_points(4096) - c).tolist()]
+    assert env.arg_lo <= min(args) and max(args) <= env.arg_hi
+    assert max(abs(env.arg_lo), abs(env.arg_hi)) == max(abs(corners[0]), abs(corners[1]))
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(_FAMILIES, st.integers(0, 2 ** 32 - 1))
 @example(td.exponential_family(1.0, math.e), 8)

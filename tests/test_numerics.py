@@ -1,5 +1,8 @@
+import ast
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,3 +120,31 @@ def test_canonical_json_refuses_records(where):
                "in a tuple": (record,)}[where]
         with pytest.raises(TypeError, match=f"type {type(record).__name__} is not JSON"):
             canonical_json(obj)
+
+
+def test_canonical_json_writes_ints_past_the_digit_limit_as_hex():
+    """An int past the int-to-string limit is the string hex(n), which
+    int(x, 16) reads back under the limit; one at the limit stays a JSON
+    number."""
+    limit = sys.get_int_max_str_digits()
+    big, at_limit = 10 ** (limit + 5) + 3, 10 ** limit - 1
+    back = json.loads(canonical_json({"big": big, "neg": -big, "at": at_limit}))
+    assert back["big"] == hex(big) and int(back["big"], 16) == big
+    assert int(back["neg"], 16) == -big
+    assert back["at"] == at_limit
+
+
+def test_no_module_changes_the_int_digit_limit():
+    """No module of the package touches `sys.set_int_max_str_digits`: a
+    report must not change interpreter-wide state."""
+    src = Path(numerics.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [name]
+            if "set_int_max_str_digits" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

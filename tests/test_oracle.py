@@ -1,5 +1,6 @@
 import cmath
 import decimal
+import itertools
 import math
 import sys
 import warnings
@@ -173,6 +174,43 @@ def test_brute_budget_guard(small):
     letters = small.gset.letters_by_weight(12)
     with pytest.raises(td.ConfigError):
         td.brute_force_pressure(small.family, letters, small.spec, n=6, t=1.0)
+
+
+def _mp_brute_pressure(family, letters, spec, n, t):
+    """`brute_force_pressure` by an mpmath composition of both branches,
+    F_inv_u(F_inv_s(z)) with F_inv_s(z) = Log(z - c) + 2*pi*i*s, at 40
+    digits past the letters' own."""
+    mpmath = pytest.importorskip("mpmath")
+    digits = max(len(str(abs(s))) for _, s in letters)
+    with mpmath.workdps(digits + 40):
+        c = mpmath.log(mpmath.mpc(family.lam.real, family.lam.imag))
+        z0 = mpmath.mpc(spec.outer.center.real, spec.outer.center.imag)
+        two_pi_i = 2 * mpmath.pi * mpmath.mpc(0, 1)
+        log_terms = []
+        for word in itertools.product(letters, repeat=n):
+            z, log_deriv = z0, mpmath.mpf(0)
+            for u, s in reversed(word):
+                first = mpmath.log(z - c) + two_pi_i * s
+                log_deriv -= mpmath.log(abs(z - c)) + mpmath.log(abs(first - c))
+                z = mpmath.log(first - c) + two_pi_i * u
+            log_terms.append(t * log_deriv)
+        return float(mpmath.log(mpmath.fsum(mpmath.exp(x) for x in log_terms)) / n)
+
+
+@pytest.mark.parametrize("lam, anchor, inset", [
+    (1.0, 12.0, 0.5), (1.0, 30.0, 0.5), (1.0, 4000.0, 3.0), (0.5 + 0.5j, 50.0, 0.5)])
+def test_brute_force_pressure_against_mpmath(lam, anchor, inset):
+    """The brute value over n = 2 words of the 8 heaviest letters at t = 1
+    against the mpmath composition, within 1e-12 (1 + |v|): at anchor
+    4000 the letters have 868 digits and step from their logs."""
+    family = td.normalize_family(td.exponential_family(lam, math.e))
+    spec = td.build_squares(anchor, inset)
+    letters = td.build_G(family, anchor, spec, td.GeometryBudget(inset=inset)) \
+        .letters_by_weight(8)
+    assert len(letters) == 8
+    value = td.brute_force_pressure(family, letters, spec, n=2, t=1.0)
+    exact = _mp_brute_pressure(family, letters, spec, 2, 1.0)
+    assert abs(value - exact) <= 1e-12 * (1.0 + abs(exact))
 
 
 def test_fd_constant_map():

@@ -348,6 +348,21 @@ def test_the_root_evaluates_one_envelope_per_step(fam, monkeypatch):
     assert len(built) == 2 and len(evaluated) == 30
 
 
+def test_the_certificate_evaluates_p_lo_1_once(fam):
+    """At the default certificate `certify_dim_gt_one` makes 15 one-sided
+    evaluations, those of the root alone: P1_lo is the lower root's first,
+    at t = 1."""
+    spec = td.build_squares(4000.0, 3.0)
+    with patch.object(pressure, "_envelope_log_sum",
+                      wraps=pressure._envelope_log_sum) as spy:
+        cert = td.certify_dim_gt_one(fam, spec)
+    assert cert.diagnostics["bowen_evaluations"] == (8, 7)
+    assert spy.call_count == 15
+    system, t, side = spy.call_args_list[0].args
+    assert (t, side) == (1.0, 0)
+    assert cert.p1_lo == pressure._envelope_log_sum(system, 1.0, 0) > 0
+
+
 _ROOT_LAMBDAS = (1.0, 0.5 + 0.5j, 2.5, 0.01)
 _ROOT_ANCHORS = ((12.0, 0.5), (30.0, 0.5), (100.0, 3.0), (4000.0, 3.0), (8000.0, 3.0))
 
