@@ -342,11 +342,6 @@ class RunSum(NamedTuple):
         total = reduce(_log_add, parts) if self.big else log_sum_exp(parts)
         return log_c + total + slack if side else log_c + total - slack
 
-    def log_bounds(self, t: float, log_c: float):
-        """(lower, upper) bounds on log(e^log_c * sum_{s=s1}^{s2} (s + h)^-t):
-        both sides of `log_bound`."""
-        return self.log_bound(t, log_c, 0), self.log_bound(t, log_c, 1)
-
 
 def run_sum(s1: int, s2: int, h: float) -> RunSum:
     """The t-independent data of the run sum over s in [s1, s2] of (s + h)^-t.
@@ -407,7 +402,8 @@ def log_run_sum_bounds(s1: int, s2: int, t: float, h: float, log_c: float = 0.0)
     This builds the run's t-independent data, `run_sum(s1, s2, h)`, and
     evaluates it once; keep that data to evaluate many exponents.
     """
-    return run_sum(s1, s2, h).log_bounds(t, log_c)
+    data = run_sum(s1, s2, h)
+    return data.log_bound(t, log_c, 0), data.log_bound(t, log_c, 1)
 
 
 def _log_shifted(s: int, h: float) -> float:

@@ -1,7 +1,9 @@
 """Deterministic numeric and serialization helpers.
 
-Reductions here have a fixed evaluation order so that every report is
-byte-identical across repeated runs.
+`log_sum_exp` is the package's one log-sum-exp: the level-1 sum, a run
+sum's direct terms and the oracle's word sums go through it.  Reductions
+here have a fixed evaluation order so that every report is byte-identical
+across repeated runs.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
 # Rows per block of `write_csv`.
@@ -28,32 +30,6 @@ def log_sum_exp(log_terms: Sequence[float]) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(math.fsum(math.exp(x - m) for x in terms))
-
-
-def weighted_log_sum_exp(terms: Iterable[tuple]) -> float:
-    """log(sum(k * exp(x))) over pairs (x, k): k copies of each log term.
-
-    Equal bit for bit to `log_sum_exp` over the expanded list.  There,
-    math.fsum rounds the exact sum of the scaled terms exp(x - m) once;
-    here that exact sum is accumulated in integers (every float is an
-    integer over a power of two) and rounded once by the correctly
-    rounded integer division.
-    """
-    terms = [(float(x), int(k)) for x, k in terms if x != -math.inf and k > 0]
-    if not terms:
-        return -math.inf
-    m = max(x for x, _ in terms)
-    if m == math.inf:
-        return math.inf
-    num, shift = 0, 0  # the exact sum is num / 2**shift
-    for x, k in terms:
-        p, q = math.exp(x - m).as_integer_ratio()
-        e = q.bit_length() - 1
-        if e > shift:
-            num <<= e - shift
-            shift = e
-        num += k * p << (shift - e)
-    return m + math.log(num / (1 << shift))
 
 
 # ---------------------------------------------------------------------------

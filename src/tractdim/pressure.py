@@ -18,9 +18,12 @@ Each envelope's sum over G is a run sum per distinct |s| range.  What
 does not depend on t (the logs of the run ends, of their h-shifts and of
 the run ratios) is built once per system, `WeightedSystem.envelope_sums`;
 a sum at one exponent then evaluates that data, and a Bowen root
-evaluates only the envelope whose root it seeks, at few exponents.  Sums
-are evaluated in log domain in a fixed order, so certificates are
-reproducible bit for bit.
+evaluates only the envelope whose root it seeks, at few exponents.  A sum
+is one `log_sum_exp`, in a fixed order, of a term t * x per listed
+log-weight x and a term ln(run sum) + ln k per range of multiplicity k,
+so certificates are reproducible bit for bit (the ln k term is within a
+few ulp of adding the run's sum k times, `level1_sum`).  Sums and roots
+use `math` alone.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, log_run_sum_bounds, normalize_family
-from .numerics import TWO_PI, weighted_log_sum_exp
+from .numerics import TWO_PI, log_sum_exp
 from .tractgeom import GSet, SquareSpec, build_G, log_distortion_bound
 
 # The largest exponent: sums are taken at t in [0, _T_MAX], and the Bowen
@@ -46,34 +49,31 @@ _T_MAX = 4.0
 class WeightedSystem(NamedTuple):
     """Letters with two-sided log-weight bounds.
 
-    Synthetic systems and letter subsystems list their weights (log_lo /
-    log_hi arrays).  Systems built from an admissible set hold `runs`:
-    each distinct |s| range (lo, hi), ints of any size, with its
-    multiplicity k, since the envelopes depend on |s| alone; and
-    `envelope_sums`, per envelope (lower, upper), ln(2 pi d) and the
-    t-independent run-sum data of every range in `runs`, in order
+    Synthetic systems and letter subsystems list their log-weights
+    (log_lo / log_hi, sequences of floats).  Systems built from an
+    admissible set hold `runs`: each distinct |s| range (lo, hi), ints of
+    any size, with its multiplicity k, since the envelopes depend on |s|
+    alone; and `envelope_sums`, per envelope (lower, upper), ln(2 pi d)
+    and the t-independent run-sum data of every range in `runs`, in order
     (`TailEnvelope.run_sums`).
     """
 
-    log_lo: Optional[np.ndarray] = None
-    log_hi: Optional[np.ndarray] = None
+    log_lo: Sequence[float] = ()
+    log_hi: Sequence[float] = ()
     runs: tuple = ()  # of ((s_lo, s_hi), k), 0 < s_lo <= s_hi
     envelope_sums: tuple = ()
 
     @classmethod
     def from_uniform(cls, weights: Sequence[float]):
         """Synthetic system of similarity letters with exact weights."""
-        import numpy as np
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0) or np.any(w >= 1):
+        if not all(0.0 < w < 1.0 for w in weights):
             raise ConfigError("synthetic weights must lie in (0, 1)")
-        logs = np.log(w)
-        return cls(log_lo=logs.copy(), log_hi=logs.copy())
+        logs = tuple(map(math.log, weights))
+        return cls(log_lo=logs, log_hi=logs)
 
     @property
     def n_letters(self) -> int:
-        n = 0 if self.log_lo is None else int(self.log_lo.size)
-        return n + sum(k * (hi - lo + 1) for (lo, hi), k in self.runs)
+        return len(self.log_lo) + sum(k * (hi - lo + 1) for (lo, hi), k in self.runs)
 
     def is_empty(self) -> bool:
         return self.n_letters == 0
@@ -115,11 +115,14 @@ def level1_sum(system: WeightedSystem, t: float) -> Level1Sum:
     envelopes of |g'| on Q; listed weights are used as given.
 
     Each distinct run range is summed in closed form by Euler-Maclaurin,
-    from the run-sum data the system keeps (`WeightedSystem.envelope_sums`).
-    The parts are combined with their multiplicities k by
-    `weighted_log_sum_exp`: the sum of k * e^(x - m) is exact and rounded
-    once, so the bounds are bit-identical to adding every run as a term of
-    its own.
+    from the run-sum data the system keeps (`WeightedSystem.envelope_sums`),
+    and enters with its multiplicity k as the one term ln(run sum) + ln k.
+    Each listed log-weight x enters as the term t * x.  One `log_sum_exp`
+    adds every term.  Against adding a run's sum k times, the ln k term
+    leaves the bounds of a system with one range unchanged, bit for bit,
+    and moves those of a system with several ranges by a few ulp of the
+    largest term (at most 2 where checked), far inside each run sum's
+    widening of 64 ulp of at least 1 (`loglift._RUN_SUM_ULPS`).
     """
     _check_exponent(t)
     return Level1Sum(log_lo=_envelope_log_sum(system, t, 0),
@@ -134,25 +137,14 @@ def _check_exponent(t: float) -> None:
 def _envelope_log_sum(system: WeightedSystem, t: float, side: int) -> float:
     """One side of the level-1 sum at t: ln of the lower bound on the
     lower-envelope sum (side 0) or of the upper bound on the upper-envelope
-    sum (side 1), over the system's run-sum data."""
-    parts = []
-    if system.log_lo is not None and system.log_lo.size:
-        parts.append((_materialized_log_sum((system.log_lo, system.log_hi)[side], t), 1))
+    sum (side 1), over the listed log-weights and the run-sum data."""
+    terms = [t * x for x in (system.log_lo, system.log_hi)[side]]
     if system.runs:
         log_scale, data = system.envelope_sums[side]
         log_c = -t * log_scale
-        parts.extend((run.log_bound(t, log_c, side), k)
+        terms.extend(run.log_bound(t, log_c, side) + math.log(k)
                      for run, (_, k) in zip(data, system.runs))
-    return weighted_log_sum_exp(parts)
-
-
-def _materialized_log_sum(logs: np.ndarray, t: float) -> float:
-    import numpy as np
-    scaled = t * logs
-    m = float(np.max(scaled))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
+    return log_sum_exp(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +171,13 @@ def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
 
     t_lo is an evaluated t with P_lo(t) > 0 and t_hi one with P_hi(t) <= 0,
     each within 4 ulp (of the larger) of an evaluated t of the opposite
-    sign; or 0 where the bound is <= 0 at t = 0 (one letter), or the cap,
-    flagged, where it is > 0 at 4.  As P_lo <= P <= P_hi and P decreases,
-    the root of P lies in [t_lo, t_hi] whatever the bounds do between the
-    evaluated points: soundness needs no convexity.  Each root evaluates
-    only its own envelope, over the run-sum data the system keeps.  `tol`
-    has no effect; it stays because `perfbench/workloads.py` passes it.
+    sign; or 0 for one letter where the bound is <= 0 at its start (P(0) =
+    ln 1 = 0 is then the root), or the cap, flagged, where it is > 0 at 4.
+    As P_lo <= P <= P_hi and P decreases, the root of P lies in [t_lo,
+    t_hi] whatever the bounds do between the evaluated points: soundness
+    needs no convexity.  Each root evaluates only its own envelope, over
+    the run-sum data the system keeps.  `tol` has no effect; it stays
+    because `perfbench/workloads.py` passes it.
 
     Convexity of pressure in t (Przytycki and Urbanski, Conformal Fractals,
     2010) only makes the search fast.  For the bound f, the lower root
@@ -196,8 +189,9 @@ def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
     evaluated t with f > 0 and the smallest with f <= 0 (before one, a
     probe at or past the cap is the cap); k starts at 4 and doubles each
     time that moves the probe, so near the root the search steps by
-    doubling ulps.  With no secant (f(start) <= 0) or a bracket under 2k
-    ulp wide the probe is the midpoint.  Every evaluation shrinks the
+    doubling ulps.  With no secant (f(start) <= 0, where (0, ln #letters)
+    is the only point) or a bracket under 2k ulp wide the probe is the
+    midpoint; no root evaluates t = 0.  Every evaluation shrinks the
     bracket, so the search ends, with no iteration cap: 15 evaluations
     (8 + 7) at the default certificate.
     """
@@ -220,11 +214,8 @@ def bowen_root(system: WeightedSystem, tol=None) -> BowenInterval:
                 neg = t
             return value > 0.0
 
-        if not positive(start):
-            if not positive(0.0):
-                # single-letter systems: pressure vanishes exactly at t = 0
-                return 0.0, False, values
-            left = left[-1:]
+        if not positive(start) and log_n == 0.0:
+            return 0.0, False, values   # one letter: P(0) = ln 1 = 0 is the root
         k = 4
         while left[-1][0] < _T_MAX and neg - left[-1][0] > 4 * math.ulp(min(neg, _T_MAX)):
             pos, f_pos = left[-1]

@@ -10,7 +10,6 @@ every midpoint.  The tests compare the library with them hex for hex.
 import math
 from functools import reduce
 
-import numpy as np
 
 from tractdim.loglift import (_MAX_EXACT_INT, _RUN_DIRECT, _RUN_SUM_ULPS, _log_add,
                               _log_power_integral, _log_shifted)
@@ -74,11 +73,7 @@ def envelope_run_sum(s_lo, s_hi, t, env):
 
 def _listed_log_sum(logs, t):
     """ln sum(w^t) over listed log-weights, in the library's order."""
-    scaled = t * logs
-    m = float(np.max(scaled))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum([float(np.sum(np.exp(scaled - m)))]))
+    return log_sum_exp([t * x for x in logs])
 
 
 def level1_log_bounds(system, t, env=None):
@@ -87,7 +82,7 @@ def level1_log_bounds(system, t, env=None):
     summed once over the envelope `env` of Q and taken k times, both
     envelopes."""
     listed = ([(_listed_log_sum(system.log_lo, t), _listed_log_sum(system.log_hi, t))]
-              if system.log_lo is not None and system.log_lo.size else [])
+              if len(system.log_lo) else [])
     parts = [(envelope_run_sum(lo, hi, t, env), k) for (lo, hi), k in system.runs]
     return tuple(log_sum_exp([pair[side] for pair in listed]
                              + [pair[side] for pair, k in parts for _ in range(k)])

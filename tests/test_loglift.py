@@ -389,7 +389,7 @@ def test_run_sum_data_equals_per_call_reference(s1, length, h, ts, d):
     data = run_sum(s1, s1 + length, h)
     for t in ts:
         log_c = -t * math.log(TWO_PI * d)
-        got = data.log_bounds(t, log_c)
+        got = (data.log_bound(t, log_c, 0), data.log_bound(t, log_c, 1))
         want = ref.log_run_sum_bounds(s1, s1 + length, t, h, log_c)
         assert tuple(x.hex() for x in got) == tuple(x.hex() for x in want)
         assert log_run_sum_bounds(s1, s1 + length, t, h, log_c) == got
