@@ -13,6 +13,7 @@ invariance check verifies.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,9 +25,6 @@ from .tractgeom import GSet, SquareSpec
 
 # exp overflows past this; plane projections switch to log-polar records
 _EXP_OVERFLOW_RE = 700.0
-# Float64 ulps covering the rounding of exp, lam * . and the residual itself
-# in the conjugacy check of `project_to_plane`.
-_CONJUGACY_ULPS = 16
 
 
 def _as_word(word) -> np.ndarray:
@@ -105,11 +103,14 @@ class LimitSample(NamedTuple):
 
     `points` are the depth-step images of the center of Q; `shifted` are
     the images under the same words with their first letter dropped (what
-    the shift-invariance check compares F^2 of `points` with).
+    the shift-invariance check compares F^2 of `points` with); `first` are
+    the first-level points between them, F_inv_s1 of `shifted` (what the
+    conjugacy check compares F of `points` with).
     """
 
     points: np.ndarray
     shifted: np.ndarray
+    first: np.ndarray
     words_u: np.ndarray       # (count, depth)
     words_s: np.ndarray       # (count, depth)
     depth: int
@@ -124,43 +125,43 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     """Sample the attractor with random words of letters drawn uniformly
     over all of G, through the ranks of its runs (`GSet.random_ranks`).
 
-    Words are int64, so a G with letters past 2^63 raises
-    ConstructionError.  Deterministic for a fixed seed; rows come in draw
-    order: row i is the image of the i-th word, whose letters are the
-    draws i*depth to (i+1)*depth - 1 of `GSet.random_ranks`, first letter
-    first.  `tractdim sample` writes the rows in this order, then their
-    plane projections in the same order.
+    Words hold the letters of `GSet.letters`, int64 or Python ints; a G
+    whose 2*pi*|s| passes the float range raises ConstructionError.
+    Deterministic for a fixed seed; rows come in draw order: row i is the
+    image of the i-th word, whose letters are the draws i*depth to
+    (i+1)*depth - 1 of `GSet.random_ranks`, first letter first.
+    `tractdim sample` writes the rows in this order, then their plane
+    projections in the same order.
 
     Each of the 2*depth inverse steps adds 2*pi*s, a float formed in one
     buffer, to the imaginary part of its `inv0` image in place: bit for
     bit the complex sum inv0 + 2*pi*i*s, whose term has real part +-0 and
-    an imaginary part rounded once either way.  Every level checks the
-    half plane and Q.
+    the same imaginary part either way (s cast to a float, times 2*pi).
+    Every level checks the half plane and Q.
     """
     if gset.is_empty():
         raise ConstructionError("cannot sample: G has no letters")
     if depth < 1:
         raise ConstructionError("depth must be >= 1")
-    if gset.max_abs_index() >= 2 ** 63:
-        raise ConstructionError("cannot sample: G has letters past 2^63, and words are int64")
+    if gset.max_abs_index() > sys.float_info.max / TWO_PI:
+        raise ConstructionError("cannot sample: G has letters with 2*pi*|s| past the float range")
     rng = np.random.default_rng(seed)
     u, s = gset.letters(gset.random_ranks(rng, count * depth))
-    words_u = u.astype(np.int64, copy=False).reshape(count, depth)
-    words_s = s.astype(np.int64, copy=False).reshape(count, depth)
+    words_u, words_s = u.reshape(count, depth), s.reshape(count, depth)
     z = np.full(count, spec.outer.center, dtype=complex)
     turn = np.empty(count)  # 2*pi times a column of letter indices
     for k in range(depth - 1, -1, -1):
         shifted = z  # the words' images from letter k + 1 on; at k = 0, `shifted`
         first = np.asarray(family.inv0(z))
-        first.imag += np.multiply(words_s[:, k], TWO_PI, out=turn)
+        first.imag += np.multiply(words_s[:, k], TWO_PI, out=turn, casting="unsafe")
         if np.any(first.real <= family.ln_r0):
             raise ConstructionError("sampled intermediate point left the half plane")
         z = np.asarray(family.inv0(first))
-        z.imag += np.multiply(words_u[:, k], TWO_PI, out=turn)
+        z.imag += np.multiply(words_u[:, k], TWO_PI, out=turn, casting="unsafe")
         if not np.all(spec.outer.contains(z)):
             raise ConstructionError("sampled point left Q; letters outside G?")
-    return LimitSample(points=z, shifted=shifted, words_u=words_u, words_s=words_s,
-                       depth=depth)
+    return LimitSample(points=z, shifted=shifted, first=first, words_u=words_u,
+                       words_s=words_s, depth=depth)
 
 
 class PlaneProjection(NamedTuple):
@@ -173,68 +174,40 @@ class PlaneProjection(NamedTuple):
 
     points: np.ndarray
     log_polar: np.ndarray
-    conjugacy_checked: int        # rows compared with both sides nonzero and finite
+    conjugacy_checked: int        # rows in the exp range, all compared on the lift
 
 
 def project_to_plane(family: MapFamily, sample: LimitSample) -> PlaneProjection:
-    """Project sampled points by exp.
+    """Project sampled points by exp; a point past the exp range, Re z >
+    700, goes log-polar, as most do at anchor 469 (lam = 1, inset 3),
+    where Q reaches Re = 1.5 * anchor.
 
-    `tractdim sample` never writes a log-polar row, which needs Re z >
-    700: its points lie in Q, around the anchor, and `sample_limit_set`
-    refuses a G with letters past 2^63, as G has at every anchor from
-    30.5 to 700 (lam = 1, inset 0.5, in steps of 0.5).
-
-    Also verifies the conjugacy f(exp z) = lam * exp(e^z) = exp(F z) at
-    relative tolerance 1e-9 on the rows where float64 can decide it: not
-    where z or F z is past the exp range (Re > 700), and not where the
-    rounding of F z = e^z + Log(lam) alone can move exp(F z) by the
-    tolerance.  That sum rounds each part to which Log(lam) adds a nonzero
-    term by up to half an ulp, which turns the phase or the modulus of
-    exp(F z) by as much.  For lam > 0 only the real part rounds, and the
-    compared rows have Re F z <= 700, so no row is left out.  For a
-    non-real lam the imaginary part rounds too; it is about 2*pi*|s| for
-    the sample's first letter s, so rows past |s| of about 1e7 are left
-    out, most rows from anchor 12 on.
-
-    `conjugacy_checked` counts the compared rows whose two sides are both
-    nonzero and finite: a row where both underflow to 0 passes without
-    testing anything.  At lam = 1, seed 42, 10,000 rows, it is 10,000 at
-    anchor 12 and 1,224 at anchor 30 (5,150 rows left out, 3,626 compare
-    0 with 0).
+    Also verifies the conjugacy f o exp = exp o F on the lift: on every
+    row in the exp range, F z = e^z + Log(lam) must equal the row's
+    first-level point to relative tolerance 1e-9.  Both have modulus
+    about 2*pi*|s| at any s, and e^z carries the rounding of z, a few
+    ulps of |z|: the residual is at most 6.3e-14 at anchor 400 (10,000
+    rows, lam = 1, i, 0.5+0.5i or -2).  With no row in the exp range it
+    raises NumericError, as it would check nothing.
     """
     z = sample.points
     logp = np.real(z) > _EXP_OVERFLOW_RE
+    if np.all(logp):
+        raise NumericError("no sampled point lies in the exp range (Re z <= 700), "
+                           "so the conjugacy is checked on no row")
     ez = np.exp(z[~logp])  # e^z on the rows in the exp range, formed once
     pts = np.empty_like(z)
     pts[~logp] = ez
     # log-polar record: modulus as ln|.|, angle wrapped to (-pi, pi]
-    wrapped = np.mod(np.imag(z[logp]) + math.pi, TWO_PI) - math.pi
-    pts[logp] = np.real(z[logp]) + 1j * wrapped
-    c = family.log_lam
-    fz = ez + c  # F z = e^z + Log(lam), as `family.lift` forms it
-    ok = np.real(fz) <= _EXP_OVERFLOW_RE  # over the rows of ez
-    resid, checked = 0.0, 0
-    if np.any(ok):
-        f_ok = fz[ok]
-        rhs = np.exp(f_ok)
-        scale = np.abs(rhs) / (1.0 + np.abs(rhs))
-        rounding = (0.5 * np.spacing(np.abs(f_ok.real)) * (c.real != 0.0)
-                    + 0.5 * np.spacing(np.abs(f_ok.imag)) * (c.imag != 0.0))
-        # clipped at 1, far past the tolerance, so that expm1 cannot overflow
-        bound = np.expm1(np.minimum(rounding + _CONJUGACY_ULPS * 2.0 ** -52, 1.0)) * scale
-        decidable = bound < 1e-9
-        ok[ok] = decidable
-        lhs = np.asarray(family.plane_map(ez[ok]))
-        rhs = rhs[decidable]
-        if rhs.size:
-            resid = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
-        checked = int(np.count_nonzero((lhs != 0) & (rhs != 0)
-                                       & np.isfinite(lhs) & np.isfinite(rhs)))
-        if resid > 1e-9:
-            raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
+    pts[logp] = np.real(z[logp]) + 1j * (math.pi - np.mod(math.pi - np.imag(z[logp]), TWO_PI))
+    first = sample.first[~logp]
+    fz = ez + family.log_lam  # F z = e^z + Log(lam), as `family.lift` forms it
+    resid = float(np.max(np.abs(fz - first) / np.abs(first)))
+    if resid > 1e-9:
+        raise ConstructionError(f"conjugacy residual {resid:.3g} exceeds 1e-9")
     if np.any(ez == 0):
         raise ConstructionError("plane projection produced 0")
-    return PlaneProjection(points=pts, log_polar=logp, conjugacy_checked=checked)
+    return PlaneProjection(points=pts, log_polar=logp, conjugacy_checked=int(ez.size))
 
 
 class InvarianceReport(NamedTuple):

@@ -17,7 +17,11 @@ certified report, and it reads 1.0 only where the root lies within 4
 ulp of 1, where the bracket itself shows it.  The certificate reads Q
 alone: the anchor-derivative (eq1) and tract-depth conditions,
 `geometry.epsilon` and `geometry.inset` enter neither G nor the bounds,
-so they are `lemmas` checks and change no `dim` result.  Exit codes: 0
+so they are `lemmas` checks and change no `dim` result it writes.  But
+every command builds its squares from the inset, which rejects an
+anchor/4 below it (`build_squares`): at the default inset 0.5 `dim`
+exits 1 at anchor 1.5 ("anchor/4 = 0.375 must not be below the inset
+0.5"), and 2, on an empty G, at anchor 2.  Exit codes: 0
 success or certified, 1 configuration error, 2 negative
 construction/certification outcome, 3 numeric or oracle failure.
 
@@ -121,8 +125,9 @@ or tail, a finite number) and have no effect, like the `--mode` and
 them.  `sample` and `oracle recheck` draw letters uniformly over all of
 G: at lam = 1, R0 = e, inset 0.5, anchor 30 they and
 `oracle brute-pressure` exit 0.
-Words are int64, so `sample` exits 2 where G has letters past 2^63, as at
-the default certificate, which `oracle recheck` and
+Words are int64 below 2^63 and Python ints past it; `sample` exits 2
+only where 2*pi*|s| passes the float range, from anchor 474 at inset 3
+and at the default certificate, which `oracle recheck` and
 `oracle brute-pressure` check.
 
 `sample` writes a CSV with the header `re,im,space`, then
@@ -131,14 +136,12 @@ as many rows of their exp projections to the plane, of space `plane`
 (`plane_logpolar`, as ln|.| and arg, for a point past the exp range),
 each part in the order the words were drawn (`sample_limit_set`).
 
-For a non-real or negative lam, `sample` writes its rows and exits 0 as
-for lam > 0.  Its conjugacy check f(exp z) = exp(F z) leaves out the rows
-where the rounding of F z = e^z + Log(lam) alone can reach the check's
-1e-9 tolerance: for such lam, the rows whose first letter has |s| past
-about 1e7, most rows at anchors 20 and 30 (lam = i, -2 or 0.5+0.5i).
-Its stderr line says on how many rows the check compared two nonzero,
-finite sides: at lam = 1, seed 42, all 10,000 at anchor 12, 1,224 at
-anchor 30.
+`sample` checks the conjugacy on the lift, for any lam: on every row in
+the exp range (Re z <= 700), F z = e^z + Log(lam) must equal the row's
+first-level point to relative tolerance 1e-9.  Its stderr line says on
+how many rows: all 10,000 up to anchor 400 (lam = 1, i, 0.5+0.5i or -2),
+292 at anchor 469, inset 3, where the other rows lie past Re 700 and go
+log-polar.  With no row in the exp range, as at anchor 472, it exits 3.
 """
 
 from __future__ import annotations

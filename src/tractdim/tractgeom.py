@@ -394,8 +394,9 @@ class GSet(NamedTuple):
         return max(max(abs(r.s_lo), abs(r.s_hi)) for r in self.runs)
 
     def letters(self, ranks):
-        """The letters (u, s) at ranks in [0, n_letters): int64 arrays below
-        2^63, else object arrays of Python ints, by the same arithmetic.
+        """The letters (u, s) at an array of ranks in [0, n_letters): int64
+        arrays below 2^63, else object arrays of Python ints, by the same
+        arithmetic.
 
         A rank's run is the number of run ends (cumulative letter counts)
         at or below it, summed over one comparison per run end but the
@@ -406,8 +407,6 @@ class GSet(NamedTuple):
         import numpy as np
         dtype = np.int64 if max(self.n_letters, self.max_abs_index()) < 2 ** 63 else object
         ranks = np.asarray(ranks, dtype=dtype)
-        if ranks.ndim == 0:  # one rank: its letter as scalars
-            return tuple(x[0] for x in self.letters(ranks.reshape(1)))
         cum = list(itertools.accumulate(r.n_columns * r.length for r in self.runs))
         k = np.zeros(ranks.shape, dtype=np.intp)
         for end in cum[:-1]:

@@ -55,6 +55,8 @@ KEPT_REFERENCES = {
     "fd_derivative_check": "closed-form derivatives against central differences",
     "brute_force_pressure_similarity": "the pressure of a similarity system by brute force",
     "containment_recheck": "the dense containment verdict of one letter",
+    "MapFamily.plane_map": "f itself: criterion 1 and `test_conjugacy_residual` compare "
+                           "f∘exp with exp∘F",
 }
 
 

@@ -142,7 +142,7 @@ def test_letters_equal_the_per_rank_walk_on_1_to_6_runs(n_pos, n_neg):
     u, s = small.letters(ranks)
     assert u.dtype == s.dtype == np.int64
     assert list(zip(u.tolist(), s.tolist())) == [_letter(small, r) for r in ranks.tolist()]
-    assert small.letters(ranks[-1]) == _letter(small, int(ranks[-1]))
+    assert list(zip(*small.letters([ranks[-1]]))) == [_letter(small, int(ranks[-1]))]
 
     big = td.GSet(runs=tuple(sorted(RunBlock(*r) for r in
                                     _POSITIVE_BIG[:n_pos] + _NEGATIVE_BIG[:n_neg])))
@@ -157,7 +157,7 @@ def test_letters_equal_the_per_rank_walk_on_1_to_6_runs(n_pos, n_neg):
     u, s = big.letters(ranks)
     assert u.dtype == s.dtype == object
     assert list(zip(u.tolist(), s.tolist())) == [_letter(big, r) for r in ranks]
-    assert big.letters(ranks[-1]) == _letter(big, ranks[-1])
+    assert list(zip(*big.letters([ranks[-1]]))) == [_letter(big, ranks[-1])]
 
 
 @pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j], ids=["1", "i", "half"])
@@ -247,35 +247,40 @@ def test_projection_conjugacy_and_bookkeeping(small):
     assert np.all(proj.points != 0)
 
 
+@pytest.mark.parametrize("anchor", [12.0, 20.0, 30.0])
 @pytest.mark.parametrize("lam", [1.0, 1j, -2.0, 0.5 + 0.5j])
-def test_projection_conjugacy_check_still_catches_a_planted_error(lam, monkeypatch):
-    """At anchor 12 the check still compares rows for every lam (all of
-    them for lam = 1), so an error of 1e-8 in f fails it."""
+def test_projection_conjugacy_check_still_catches_a_planted_error(lam, anchor):
+    """The check compares every row on the lift, for every lam, so a
+    relative error of 1e-8 in the first-level points fails it."""
     fam = td.normalize_family(td.exponential_family(lam, math.e))
-    spec = td.build_squares(12.0, 0.5)
-    gset = td.build_G(fam, 12.0, spec, td.GeometryBudget(inset=0.5))
+    spec = td.build_squares(anchor, 0.5)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5))
     sample = td.sample_limit_set(fam, gset, spec, depth=8, count=2000, seed=3)
-    assert td.project_to_plane(fam, sample).conjugacy_checked > 0
-    plane_map = td.MapFamily.plane_map
-    monkeypatch.setattr(td.MapFamily, "plane_map", lambda f, z: plane_map(f, z) * (1 + 1e-8))
+    assert td.project_to_plane(fam, sample).conjugacy_checked == 2000
+    planted = sample._replace(first=sample.first * (1 + 1e-8))
     with pytest.raises(td.ConstructionError, match="conjugacy residual"):
-        td.project_to_plane(fam, sample)
+        td.project_to_plane(fam, planted)
 
 
 def test_projection_log_polar_for_huge_real_parts(small):
-    """Row 0 is past the exp range and goes log-polar.  Row 2 is not, but
-    its F-image is: Re F z = 705 > 700, where exp(F z) is still finite,
-    so only that range test keeps it out of the conjugacy check, and only
-    row 1 is compared."""
-    pts = np.array([4000.0 + 0.5j, 6.0 + 1.5j, math.log(705.0) + 0j])
-    fake = LimitSample(points=pts, shifted=pts, words_u=np.zeros((3, 1), dtype=np.int64),
-                       words_s=np.full((3, 1), 65, dtype=np.int64), depth=1)
+    """Rows 0, 3, 4 and 5 are past the exp range and go log-polar, with
+    the angle wrapped to (-pi, pi]: Im z = pi, -pi and 3pi all give pi.
+    Row 2 is not, though its F-image is (Re F z = 705 > 700): it is
+    compared on the lift with row 1."""
+    pts = np.array([4000.0 + 0.5j, 6.0 + 1.5j, math.log(705.0) + 0j,
+                    800.0 + math.pi * 1j, 800.0 - math.pi * 1j, 800.0 + 3 * math.pi * 1j])
+    first = pts.copy()  # F z on rows 1 and 2; the log-polar rows' are not read
+    first[1:3] = small.family.lift(pts[1:3])
+    fake = LimitSample(points=pts, shifted=pts, first=first,
+                       words_u=np.zeros((6, 1), dtype=np.int64),
+                       words_s=np.full((6, 1), 65, dtype=np.int64), depth=1)
     proj = td.project_to_plane(small.family, fake)
-    assert proj.log_polar.tolist() == [True, False, False]
+    assert proj.log_polar.tolist() == [True, False, False, True, True, True]
     assert proj.points[0].real == pytest.approx(4000.0)  # ln modulus
-    assert -math.pi < proj.points[0].imag <= math.pi
+    assert proj.points[0].imag == 0.5
+    assert proj.points[3:].tolist() == [800.0 + math.pi * 1j] * 3
     assert 700.0 < np.real(small.family.lift(pts[2])) < 709.0
-    assert proj.conjugacy_checked == 1
+    assert proj.conjugacy_checked == 2
 
 
 def test_invariance_shift_and_branch(small):

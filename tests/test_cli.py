@@ -97,10 +97,13 @@ def test_module_entry_point_runs_lemmas(tmp_path):
     assert out.read_bytes() == (tmp_path / "in.json").read_bytes()
 
 
-def test_lemmas_geometry_error_exit_1(tmp_path):
+@pytest.mark.parametrize("command", ["lemmas", "dim"])
+def test_lemmas_geometry_error_exit_1(tmp_path, command):
+    """The inset enters no `dim` result, but an anchor/4 below it is
+    rejected by every command."""
     cfg = write_cfg(tmp_path, "bad.json",
                     {"geometry": {"anchor": 12.0, "inset": 4.0}})
-    assert run(["lemmas", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
 
 
 def test_dim_certificate_exit_0(tmp_path):
@@ -386,29 +389,76 @@ def test_oracle_recheck_past_the_int_digit_limit_exit_0(tmp_path):
     assert rep["n_checked"] == hex(n) and int(rep["n_checked"], 16) == n
 
 
-def test_sample_past_2_53_exit_0_and_past_2_63_exit_2(tmp_path, capsys):
+def test_sample_past_2_63_exit_0_and_past_the_float_range_exit_2(tmp_path, capsys):
+    """Words past 2^63 are Python ints (anchor 30); from anchor 474 on
+    (inset 3) 2*pi*|s| passes the float range, and only there `sample`
+    refuses, as at the default certificate."""
     cfg = write_cfg(tmp_path, "a30.json", dict(A30, sampling={"count": 2000, "depth": 5}))
     out = str(tmp_path / "o.csv")
     assert run(["sample", "--config", cfg, "--out", out]) == 0
     assert len(Path(out).read_text().splitlines()) == 1 + 2 * 2000
-    cfg = write_cfg(tmp_path, "cert.json", DEFAULT_CERTIFICATE_CONFIG)
-    assert run(["sample", "--config", cfg, "--out", out]) == 2
-    assert "past 2^63" in capsys.readouterr().err
+    for config in ({"geometry": {"anchor": 474.0, "inset": 3.0}}, DEFAULT_CERTIFICATE_CONFIG):
+        capsys.readouterr()
+        assert run(["sample", "--config", write_cfg(tmp_path, "big.json", config),
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "construction: cannot sample: G has letters with 2*pi*|s| past the float range\n")
 
 
 @pytest.mark.parametrize("lam, anchor", [
     ((0.0, 1.0), 20.0), ((0.0, 1.0), 30.0), ((-2.0, 0.0), 12.0), ((-2.0, 0.0), 20.0),
     ((-2.0, 0.0), 30.0), ((0.5, 0.5), 20.0), ((0.5, 0.5), 30.0)],
     ids=lambda v: f"{complex(*v)}" if isinstance(v, tuple) else f"anchor{v:g}")
-def test_sample_non_real_lambda_exit_0(tmp_path, lam, anchor):
-    """For a non-real or negative lam the rounding of e^z + Log(lam) turns
-    the phase of exp(F z) by up to half an ulp of 2*pi*|s|: the conjugacy
-    check leaves those rows out instead of failing the sample on them."""
+def test_sample_non_real_lambda_exit_0(tmp_path, capsys, lam, anchor):
+    """For a non-real or negative lam the conjugacy is checked on the
+    lift, where adding Log(lam) to e^z rounds at the relative size of an
+    ulp, so every row is compared."""
     cfg = write_cfg(tmp_path, "c.json", {"family": {"lambda_re": lam[0], "lambda_im": lam[1]},
                                          "geometry": {"anchor": anchor, "inset": 0.5}})
     out = tmp_path / "s.csv"
     assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 20_000
+    assert capsys.readouterr().err.endswith("conjugacy checked on 10000 of 10000 rows\n")
+
+
+@pytest.mark.parametrize("anchor", [50.0, 100.0, 400.0])
+@pytest.mark.parametrize("lam", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (-2.0, 0.0)],
+                         ids=lambda v: f"{complex(*v)}")
+def test_sample_up_to_anchor_400_checks_every_row(tmp_path, capsys, lam, anchor):
+    """Past 2^63 and up to anchor 400 every sampled point lies in the exp
+    range, and every row is compared on the lift."""
+    cfg = write_cfg(tmp_path, "c.json", {
+        "family": {"lambda_re": lam[0], "lambda_im": lam[1]},
+        "geometry": {"anchor": anchor, "inset": 0.5 if anchor == 50.0 else 3.0}})
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "wrote 20000 rows; conjugacy checked on 10000 of 10000 rows\n")
+    assert "plane_logpolar" not in out.read_text()
+
+
+def test_sample_writes_log_polar_rows_at_anchor_469(tmp_path, capsys):
+    """Q reaches Re = 1.5 * anchor = 703.5 > 700: most sampled points lie
+    past the exp range and are written in log-polar form; the others are
+    checked."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": 469.0, "inset": 3.0}})
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "wrote 20000 rows; conjugacy checked on 292 of 10000 rows\n")
+    spaces = [line.rpartition(",")[2] for line in out.read_text().splitlines()[1:]]
+    assert spaces.count("plane_logpolar") == 9708 and spaces.count("plane") == 292
+
+
+def test_sample_with_no_row_in_the_exp_range_exit_3(tmp_path, capsys):
+    """A row lands at Re z <= 700 with probability about e^(700 - 1.5 *
+    anchor); at anchor 473, seed 0, none of 100 rows does, so nothing is
+    checked and `sample` fails instead of reporting a vacuous check."""
+    cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": 473.0, "inset": 3.0},
+                                         "sampling": {"count": 100, "seed": 0}})
+    assert run(["sample", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: no sampled point lies in the exp range")
 
 
 def test_parser_is_built_on_first_use_and_kept():
@@ -828,10 +878,10 @@ def test_oracle_brute_pressure_at_anchor_800_exit_0(tmp_path):
     assert rep["brute_value"] == pytest.approx(-404.4234, abs=1e-4)
 
 
-@pytest.mark.parametrize("anchor, checked", [(12.0, 10_000), (30.0, 1_224)])
+@pytest.mark.parametrize("anchor, checked", [(12.0, 10_000), (30.0, 10_000)])
 def test_sample_reports_conjugacy_checked_rows(tmp_path, capsys, anchor, checked):
-    """At anchor 30 most rows are left out of the conjugacy check or
-    compare 0 with 0; the stderr line says how many were checked."""
+    """The stderr line says on how many rows the conjugacy was checked:
+    every row in the exp range, all of them at anchors 12 and 30."""
     cfg = write_cfg(tmp_path, "s.json", {"geometry": {"anchor": anchor}})
     assert run(["sample", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
     assert capsys.readouterr().err == (
@@ -1134,7 +1184,7 @@ _EDGE_INPUTS = {
     "lam-i": ({"family": {"lambda_re": 0.0, "lambda_im": 1.0}, "geometry": {"anchor": 20.0}},
               (0, 2, 0, 0, 0, 0)),
     "lam-0.5+0.5i": ({"family": {"lambda_re": 0.5, "lambda_im": 0.5},
-                      "geometry": {"anchor": 50.0}}, (0, 0, 2, 0, 0, 0)),
+                      "geometry": {"anchor": 50.0}}, (0, 0, 0, 0, 0, 0)),
 }
 
 
@@ -1144,8 +1194,8 @@ def test_edge_inputs_exit_codes(tmp_path, edge, command):
     """Each of the north star's edge inputs gives every command its
     documented exit code: an anchor near ln R0 (just past it, at it and
     below it), an empty G, runs past 2^53 (anchor 30) and past the float
-    range (anchor 4000, where int64 words exit 2), and non-real lam.  A
-    RuntimeWarning fails the run."""
+    range (anchor 4000, where 2*pi*|s| is no float and `sample` exits 2),
+    and non-real lam.  A RuntimeWarning fails the run."""
     config, codes = _EDGE_INPUTS[edge]
     cfg = write_cfg(tmp_path, "c.json", dict(config, sampling={"count": 2000}))
     rc = run(command.split() + ["--config", cfg, "--out", str(tmp_path / "out")])
