@@ -23,7 +23,11 @@ anchor/4 below it (`build_squares`): at the default inset 0.5 `dim`
 exits 1 at anchor 1.5 ("anchor/4 = 0.375 must not be below the inset
 0.5"), and 2, on an empty G, at anchor 2.  Exit codes: 0
 success or certified, 1 configuration error, 2 negative
-construction/certification outcome, 3 numeric or oracle failure.
+construction/certification outcome, 3 numeric or oracle failure.  A
+report that cannot be written (an `--out` in a missing directory, or a
+directory) exits 1 for every command, with one stderr line
+`cannot write report: <reason>`.  `--out /dev/null`, and `--out
+/dev/stdout` into a pipe, exit 0.
 
 Only `sample` and the three `oracle` commands load numpy, through
 `cantor_ifs` and `oracle`.  `dim` and `lemmas` run on `math` and `cmath`
@@ -626,6 +630,9 @@ def main(argv=None) -> int:
     except TractdimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the report write: reading a file raises ConfigError
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -76,10 +76,6 @@ class MapFamily(_MapFamilyFields):
         import numpy as np
         return np.exp(w) + self.log_lam
 
-    def lift_deriv(self, w):
-        import numpy as np
-        return np.exp(w)
-
     def inv0(self, zeta):
         """Log(w), w = zeta - Log(lam), on the principal branch, formed as
         ln|w| + i*atan2(Im w, Re w) in about a quarter of the time of

@@ -94,7 +94,7 @@ def test_criterion_03_lemma_margins(fam, fam25, tmp_path):
     zeta = fam.ln_r0 + 0.1 + 30.0 * rng.random(10_000) \
         + 1j * (rng.random(10_000) * 100.0 - 50.0)
     w = np.asarray(fam.inv0(zeta)) + TWO_PI * 1j * (np.arange(10_000) % 7 - 3)
-    sampled = 4.0 * math.pi * np.abs(fam.lift_deriv(w)) - (np.real(fam.lift(w)) - fam.ln_r0)
+    sampled = 4.0 * math.pi * np.abs(np.exp(w)) - (np.real(fam.lift(w)) - fam.ln_r0)  # F' = e^w
     closed = 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real)
     lemma2_ok = (checks["expansion_margin"]["margin"] == closed > 0
                  and bool(np.all(sampled >= closed - 1e-9)))

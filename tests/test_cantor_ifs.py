@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,10 +287,58 @@ def test_projection_log_polar_for_huge_real_parts(small):
 def test_invariance_shift_and_branch(small):
     sample = td.sample_limit_set(small.family, small.gset, small.spec,
                                  depth=3, count=500, seed=4)
-    rep = td.check_invariance(small.family, sample, small.gset, small.spec)
-    assert rep.passed
+    rep = td.check_invariance(small.family, sample)
+    assert rep.rows_checked == 500
+    assert rep.branch_residual <= 1e-9 and rep.modulus_residual <= 1e-9
+    assert rep.max_shift_residual <= rep.shift_tolerance < 1e-7
+
+
+def _invariance_sample(anchor, count=200):
+    """A lam = 1, inset 0.5, depth-3 sample at `anchor`, with its family."""
+    fam = td.normalize_family(td.exponential_family(1.0, math.e))
+    spec = td.build_squares(anchor, 0.5)
+    gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5))
+    return fam, td.sample_limit_set(fam, gset, spec, depth=3, count=count, seed=0)
+
+
+@pytest.mark.parametrize("anchor", [12.0, 20.0, 25.0, 30.0])
+def test_invariance_passes_a_correct_sample_with_no_warning(anchor):
+    """Each step is compared on the lift: F of the point with `first` to
+    relative 1e-9 and |e^first| with |shifted - Log(lam)| to relative
+    1e-9 at every anchor, so no exp overflows; the phase bound is below
+    1e-7 at anchor 12 and 1e-2 at 20."""
+    fam, sample = _invariance_sample(anchor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = td.check_invariance(fam, sample)
+    assert rep.rows_checked == 200
+    assert rep.branch_residual <= 1e-9 and rep.modulus_residual <= 1e-9
     assert rep.max_shift_residual <= rep.shift_tolerance
-    assert rep.all_images_in_tracts
+    assert rep.shift_tolerance < {12.0: 1e-7, 20.0: 1e-2}.get(anchor, math.inf)
+
+
+@pytest.mark.parametrize("anchor", [12.0, 20.0, 25.0, 30.0])
+def test_invariance_catches_a_planted_wrong_shifted_row(anchor):
+    """One `shifted` row moved 0.1% away from Log(lam) fails the modulus
+    comparison at every anchor; one turned by 0.05 rad about Log(lam)
+    fails the phase comparison where a float `first` holds the phase."""
+    fam, sample = _invariance_sample(anchor)
+    moved = sample.shifted.copy()
+    moved[7] = fam.log_lam + 1.001 * (moved[7] - fam.log_lam)
+    with pytest.raises(td.ConstructionError, match="invariance failure"):
+        td.check_invariance(fam, sample._replace(shifted=moved))
+    if anchor <= 20.0:
+        turned = sample.shifted.copy()
+        turned[7] = fam.log_lam + np.exp(0.05j) * (turned[7] - fam.log_lam)
+        with pytest.raises(td.ConstructionError, match="invariance failure"):
+            td.check_invariance(fam, sample._replace(shifted=turned))
+
+
+def test_invariance_with_no_row_in_the_exp_range_raises():
+    fam, sample = _invariance_sample(12.0, count=3)
+    far = sample._replace(points=sample.points + 800.0)
+    with pytest.raises(td.NumericError, match="exp range"):
+        td.check_invariance(fam, far)
 
 
 def test_invariance_depth1_lands_in_square(small):
@@ -304,4 +353,4 @@ def test_invariance_detects_corruption(small):
                                  depth=3, count=100, seed=6)
     sample.points[0] += 1.0
     with pytest.raises(td.ConstructionError):
-        td.check_invariance(small.family, sample, small.gset, small.spec)
+        td.check_invariance(small.family, sample)

@@ -97,6 +97,32 @@ def test_module_entry_point_runs_lemmas(tmp_path):
     assert out.read_bytes() == (tmp_path / "in.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["dim", "sample"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_exit_1_with_one_line(tmp_path, capsys, command, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert run([command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def test_dim_to_dev_null_exit_0():
+    assert run(["dim", "--out", os.devnull]) == 0
+
+
+def test_dim_to_dev_stdout_into_a_pipe_prints_the_report(tmp_path):
+    """/dev/stdout into a pipe takes the report uncut: truncating a pipe
+    would raise ESPIPE."""
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, "-m", "tractdim", "dim", "--out", "/dev/stdout"],
+                          cwd=Path(__file__).resolve().parents[1], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert done.returncode == 0, done.stderr
+    assert run(["dim", "--out", str(tmp_path / "dim.json")]) == 0
+    assert done.stdout == (tmp_path / "dim.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["lemmas", "dim"])
 def test_lemmas_geometry_error_exit_1(tmp_path, command):
     """The inset enters no `dim` result, but an anchor/4 below it is

@@ -177,9 +177,10 @@ _FAMILIES = st.builds(
 
 
 def _lift_margins(family, zeta, s):
-    """Sampled 4 pi |F'(w)| - (Re F(w) - ln R0) at w = F_inv_s(zeta)."""
+    """Sampled 4 pi |F'(w)| - (Re F(w) - ln R0) at w = F_inv_s(zeta), with
+    F'(w) = e^w."""
     w = np.asarray(family.inv0(zeta)) + TWO_PI * 1j * s
-    return 4.0 * math.pi * np.abs(family.lift_deriv(w)) \
+    return 4.0 * math.pi * np.abs(np.exp(w)) \
         - (np.real(family.lift(w)) - family.ln_r0)
 
 

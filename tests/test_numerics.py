@@ -1,6 +1,8 @@
 import ast
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -148,3 +150,106 @@ def test_no_module_changes_the_int_digit_limit():
             if "set_int_max_str_digits" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+REPORT = {"t": 1.0015174776166387, "words": [[2, -3], [0, 65]], "name": "é"}
+CSV_ARGS = (["re", "im", "space"], [np.array([0.5, -1e300]), np.array([2.0, math.nan]),
+                                    ["lifted", "plane"]])
+WRITERS = {"json": lambda path: numerics.write_json(path, REPORT),
+           "csv": lambda path: write_csv(path, *CSV_ARGS)}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+@pytest.mark.parametrize("before", [None, "same", "longer", "shorter"])
+def test_a_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, kind, before):
+    """Over no file, or one of the same length, longer or shorter, a
+    report is rewritten in place: the same inode, cut to the bytes of a
+    write to a new path."""
+    write = WRITERS[kind]
+    fresh, path = tmp_path / "fresh", tmp_path / "report"
+    write(fresh)
+    want = fresh.read_bytes()
+    old = {None: None, "same": b"x" * len(want), "longer": b"y" * (3 * len(want) + 7),
+           "shorter": b"z\n"}[before]
+    if old is not None:
+        path.write_bytes(old)
+    inode = path.stat().st_ino if old is not None else None
+    write(path)
+    assert path.read_bytes() == want
+    assert inode in (None, path.stat().st_ino)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_report_gets_the_mode_of_a_truncating_open(tmp_path, kind, umask):
+    old_umask = os.umask(umask)
+    try:
+        WRITERS[kind](tmp_path / "new")
+        with open(tmp_path / "reference", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_report_through_a_symlink_rewrites_its_target(tmp_path, kind):
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    target.write_bytes(b"old bytes, longer than nothing\n" * 40)
+    link.symlink_to(target)
+    WRITERS[kind](link)
+    WRITERS[kind](fresh)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_report_to_dev_null_is_not_cut(kind):
+    """/dev/null takes the bytes; truncating it would raise EINVAL."""
+    WRITERS[kind](os.devnull)
+
+
+def _writer_sites(tree):
+    """(function, line) of each call in `tree` that may write a file: an
+    `os.open`, any `open(...)` whose mode is not a constant without w, a
+    or x, and `write_text` / `write_bytes`."""
+    sites, stack = [], [(tree, "<module>")]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else where
+            stack.append((child, inner))
+            if not isinstance(child, ast.Call):
+                continue
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            is_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+            if name in ("write_text", "write_bytes") or (name == "open" and is_os):
+                sites.append((inner, child.lineno))
+            elif name == "open":
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax")):
+                    sites.append((inner, child.lineno))
+    return sorted(sites)
+
+
+def test_the_scan_finds_a_truncating_open():
+    code = ("def f(p):\n    with open(p, 'w') as fh:\n        pass\n"
+            "    open(p, mode='ab'); open(p, 'x'); open(p); open(p, 'rb')\n")
+    assert _writer_sites(ast.parse(code)) == [("f", 2), ("f", 4), ("f", 4)]
+
+
+def test_every_file_write_goes_through_the_numerics_helper():
+    """Only `numerics._write_text` opens a file for writing, so no writer
+    brings back the truncating `open(path, "w")` (see the `numerics`
+    module docstring)."""
+    src = Path(numerics.__file__).parent
+    found = {path.name: _writer_sites(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(src.glob("*.py"))}
+    found = {name: sites for name, sites in found.items() if sites}
+    assert set(found) == {"numerics.py"}
+    assert {where for where, _ in found["numerics.py"]} == {"_write_text"}

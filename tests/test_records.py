@@ -55,7 +55,7 @@ def records():
             td.certify_dim_gt_one(fam, spec),
             td.compare_window_modes(fam, spec, sigma, sigma + 1.0),
             cli.load_config({}), sample, cantor_ifs.project_to_plane(fam, sample),
-            td.check_invariance(fam, sample, gset, spec),
+            td.check_invariance(fam, sample),
             td.box_counting_dim(td.cantor_middle_thirds(10_000, 35),
                                [3.0 ** -k for k in range(1, 7)]),
             td.recheck_gset(fam, gset, spec, budget, density=1, dense_sample=10)]
