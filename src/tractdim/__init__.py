@@ -5,22 +5,25 @@ logarithmic tract, to a dimension-greater-than-one certificate in four
 steps: logarithmic lift and inverse branches (loglift), square geometry
 and the admissible index set (tractgeom), the induced conformal iterated
 function system (cantor_ifs), and pressure bounds with the Bowen-root
-enclosure (pressure).  The oracle module holds independent brute-force verifiers.
+enclosure (pressure).  The lemmas module checks the paper's anchor and
+level-line conditions, and the oracle module holds independent
+brute-force verifiers.
 
 Every name exported here is read by the package itself, by the
 benchmark harness (`perfbench/`), or is one of the few references the
 tests compare the pipeline against: `inv_branch`, the cylinder maps
-with `check_invariance`, `compare_window_modes`, and the oracles'
+with `check_invariance`, and the oracles' `compare_window_modes`,
 `fd_derivative_check`, `brute_force_pressure_similarity` and
 `containment_recheck`.  `tests/test_api_surface.py` keeps it that way.
 
-The names of `cantor_ifs` and `oracle` (`_LAZY`) are exported lazily:
-the first access of one, `tractdim.recheck_gset` say, imports its module
-and keeps the name here (a module `__getattr__`, PEP 562), and `dir`
-lists them from the start.  Those two modules import numpy, and the
-certificate path (`tractdim dim`) needs neither them nor numpy, so
-`import tractdim` loads numpy nowhere: the functions of the other modules
-that take numpy arrays import it when called.
+The names of `cantor_ifs`, `oracle` and `lemmas` (`_LAZY`) are exported
+lazily: the first access of one, `tractdim.recheck_gset` say, imports
+its module and keeps the name here (a module `__getattr__`, PEP 562), and
+`dir` lists them from the start.  The certificate path (`tractdim dim`
+at a numeric anchor) needs none of the three, so `import tractdim`
+neither compiles them nor loads numpy, which `cantor_ifs` and `oracle`
+import: the functions of the other modules that take numpy arrays
+import it when called.
 
 The records are `typing.NamedTuple`s, so importing the package generates
 no dataclass code and loads neither `dataclasses` nor `inspect`.  `Rect`,
@@ -34,12 +37,10 @@ import importlib
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
 from .loglift import MapFamily, exponential_family, inv_branch, normalize_family
-from .tractgeom import (GeometryBudget, GSet, Rect, SquareSpec, anchor_line, build_G,
-                        build_squares, find_radius, log_distortion_bound, min_cell_gap,
-                        trace_level_lines)
+from .tractgeom import (GeometryBudget, GSet, Rect, SquareSpec, build_G, build_squares,
+                        log_distortion_bound, min_cell_gap)
 from .pressure import (BowenInterval, DimensionCertificate, Level1Sum, WeightedSystem,
-                       bowen_root, build_weighted_system, certify_dim_gt_one,
-                       compare_window_modes, level1_sum)
+                       bowen_root, build_weighted_system, certify_dim_gt_one, level1_sum)
 
 __version__ = "0.1.0"
 
@@ -50,8 +51,10 @@ _LAZY = {
                     "cantor_ifs"),
     **dict.fromkeys(("BoxCountEstimate", "box_counting_dim", "brute_force_pressure",
                      "brute_force_pressure_similarity", "cantor_middle_thirds",
-                     "containment_recheck", "fd_derivative_check", "recheck_gset"),
+                     "compare_window_modes", "containment_recheck", "fd_derivative_check",
+                     "recheck_gset"),
                     "oracle"),
+    **dict.fromkeys(("anchor_line", "find_radius", "trace_level_lines"), "lemmas"),
 }
 
 

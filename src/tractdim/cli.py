@@ -34,6 +34,9 @@ Only `sample` and the three `oracle` commands load numpy, through
 at any anchor, an "auto" one too (`load_config`, `find_radius`,
 `build_G`, `build_weighted_system`, `bowen_root`, `trace_level_lines`,
 `write_json`); a function taking numpy arrays imports it when called.
+Every command but `dim` runs from `commands`, which `main` imports for
+it, and `load_config` imports `lemmas` for an "auto" anchor alone, so
+`dim` at a numeric anchor compiles neither.
 
 `dim`'s C and `lemmas`' `distortion_c` are K = exp(`log_distortion_bound`),
 one bounded-distortion constant for every word of G on Q (16.92 at the
@@ -41,33 +44,9 @@ default certificate): finite wherever G is non-empty, 1.0 for an empty
 G.  `lemmas` builds G for K alone, which enters neither G, nor the
 pressure bounds, nor any oracle.  Every G-based command exits 2 on
 an empty admissible set G; the two oracles say "admissible set G is
-empty".  `oracle brute-pressure` needs no distortion constant: every
-intermediate point of a word lies in Q, so its brute value must lie in
-the level-1 bracket [P_lo, P_hi] of its letters, up to a float-rounding
-slack 1e-12 * (1 + |value|) (the report's `slack_log`); outside it, the
-command exits 3.  It exits 2 when G lists fewer letters than its
-subsystem (it says how many).  At lam = 0.01, R0 = e, anchor 3.3 it
-exits 0.  It sums each word's derivative in logs, so it also exits 0
-where the derivatives underflow as floats, as at anchor 800, inset 3
-(value -404.42 in [-405.06, -403.91]).  It and its bracket take
-ln(2*pi*|s|) on the int, so it exits 0 at the default certificate
-(-2006.04 in [-2006.67, -2005.52]) and at the anchor cap.  Reports write
-ints past 4,300 digits as hex strings, `hex(n)` (`n_checked` from anchor
-about 8000, brute-pressure's letters from about 19,800).
-
-`lemmas` traces the level lines in closed form at any anchor: at anchor
-4000, inset 3 it exits 0 with `all_pass` true.  Its expansion and growth
-margins are closed forms too, not samples: the infimum 4*pi*(ln R0 - Re
-Log(lam)) of 4*pi*|F'| - (Re F - ln R0), and the excess 0 of Re F_inv_s
-over the growth bound, attained at x = ln R0 + 1.  So no lemma depends on
-the seed.  Where the anchor line is not right of Log(lam) (lam = 3, R0 =
-e, anchor 3), the lines are not branch preimages, and `level_lines`
-fails with `min_inf_re_margin` NaN.  Its growth to infinity is a closed
-form as well: Re F_inv_0(x) = ln|x - Log(lam)| rises for every x > Re
-Log(lam), so along its grid, the powers of ten from the first above ln
-R0 to 1e12, it is strictly increasing, and `first_past_threshold` is the
-first grid index where ln|x - Log(lam)| passes ln R0 + 2*inset.  So it
-also exits 0 at |lam| past e^9 (lam = 1e4, anchor 100).
+empty".  Reports write ints past 4,300 digits as hex strings, `hex(n)`
+(`n_checked` from anchor about 8000, brute-pressure's letters from about
+19,800).
 
 G is the ints of its closed-form sigma windows; a cell outside them is
 left out, not decided by sampling.  At lam = 0.01, R0 = e, anchor 4, G
@@ -89,11 +68,11 @@ samples density x 256 boundary points of Q.  Schema 5 dropped the
 Bowen root's tolerance from `pressure`, as the root brackets to within 4
 ulp; ROADMAP items 9 and 11 extend schema 5 rather than bumping it again.
 
-`geometry.anchor` may be "auto": `find_radius`'s first passing point of
-`geometry.scan`, which the report's config echoes.  `geometry.inset` is a
-number.  A config that is not a JSON object, a section that is not one, a
-non-numeric `oracle.t` or inset, and an unreadable config or
-`oracle.path` file are configuration errors (exit 1).  So are a key no
+`geometry.anchor` is a number or "auto" (`lemmas.find_radius`), and
+`geometry.inset` is a number.  A config that is not a JSON object, a
+section that is not one, a non-numeric `oracle.t` or inset, and an
+unreadable config or `oracle.path` file are configuration errors (exit
+1).  So are a key no
 reader knows, named in the message (each section takes the keys of
 `DEFAULT_SMALL_CONFIG`, `oracle` also path, space and scales, the top
 level also schema_version), a `schema_version` other than the integer
@@ -126,47 +105,24 @@ Every command reads G from its runs of indices shared by blocks of
 columns, so `pressure.mode` and `pressure.collar` are validated (enumerate
 or tail, a finite number) and have no effect, like the `--mode` and
 `--workers` options.  They stay because `perfbench/workloads.py` passes
-them.  `sample` and `oracle recheck` draw letters uniformly over all of
-G: at lam = 1, R0 = e, inset 0.5, anchor 30 they and
-`oracle brute-pressure` exit 0.
-Words are int64 below 2^63 and Python ints past it; `sample` exits 2
-only where 2*pi*|s| passes the float range, from anchor 474 at inset 3
-and at the default certificate, which `oracle recheck` and
-`oracle brute-pressure` check.
-
-`sample` writes a CSV with the header `re,im,space`, then
-`sampling.count` rows of space `lifted`, the sampled points in Q, and
-as many rows of their exp projections to the plane, of space `plane`
-(`plane_logpolar`, as ln|.| and arg, for a point past the exp range),
-each part in the order the words were drawn (`sample_limit_set`).
-
-`sample` checks the conjugacy on the lift, for any lam: on every row in
-the exp range (Re z <= 700), F z = e^z + Log(lam) must equal the row's
-first-level point to relative tolerance 1e-9.  Its stderr line says on
-how many rows: all 10,000 up to anchor 400 (lam = 1, i, 0.5+0.5i or -2),
-292 at anchor 469, inset 3, where the other rows lie past Re 700 and go
-log-polar.  With no row in the exp range, as at anchor 472, it exits 3.
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
-import warnings
 from typing import NamedTuple
 
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
 from .loglift import MapFamily, exponential_family, normalize_family
-from .numerics import TWO_PI, write_csv, write_json
-from .pressure import certify_dim_gt_one, level1_sum
-from .tractgeom import (GeometryBudget, anchor_derivative, anchor_derivative_margin,
-                        anchor_line, build_G, build_squares, find_radius,
-                        log_distortion_bound, trace_level_lines)
+from .numerics import write_json
+from .pressure import certify_dim_gt_one
+from .tractgeom import GeometryBudget, build_squares
 
 SCHEMA_VERSION = 5
 
@@ -278,6 +234,7 @@ def load_config(raw: dict) -> RunConfig:
     anchor = geo["anchor"]
     budget = GeometryBudget(epsilon=epsilon, inset=inset)
     if anchor == "auto":
+        from .lemmas import find_radius
         anchor = find_radius(family, budget, *scan)
     anchor = _require_finite("anchor", anchor)
     if anchor <= family.ln_r0:
@@ -345,71 +302,6 @@ def _read_config(path, base: dict, mode=None, seed=None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# lemmas
-# ---------------------------------------------------------------------------
-
-def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
-    """Write the lemma report: pass/fail with numeric margins for every
-    verifiable growth, expansion and level-line statement."""
-    fam = cfg.family
-    budget = cfg.budget
-    spec = build_squares(cfg.anchor, budget.inset)
-    line = anchor_line(fam, cfg.anchor, budget.inset)
-    checks = {}
-
-    eq1_margin = anchor_derivative_margin(fam, cfg.anchor, budget.epsilon)
-    checks["anchor_derivative_lower"] = {"margin": eq1_margin, "pass": eq1_margin > 0}
-
-    eq4_margin = 4.0 * math.pi / (cfg.anchor - fam.ln_r0) - anchor_derivative(fam, cfg.anchor)
-    checks["anchor_derivative_upper"] = {"margin": eq4_margin, "pass": eq4_margin > 0}
-
-    checks["tract_depth"] = {"margin": line.depth_margin, "pass": line.depth_margin > 0,
-                             "real_part": line.real_part}
-
-    # 4 pi |F'(w)| - (Re F(w) - ln R0) = 4 pi |zeta - c| - Re zeta + ln R0 at
-    # zeta = F(w), on every branch; its infimum over Re zeta > ln R0 is at
-    # zeta = ln R0 + i Im c
-    exp_margin = 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real)
-    checks["expansion_margin"] = {"margin": exp_margin, "pass": exp_margin > 0}
-
-    # Re F_inv_0(x) = ln|x - c| rises for every x > Re c, so along the powers
-    # of ten from the first above ln R0 > Re c (10 for |lam| < e^9) to 1e12
-    k0 = next(k for k in itertools.count(1) if 10.0 ** k > fam.ln_r0)
-    grid = [10.0 ** k for k in range(k0, 13)]
-    threshold = fam.ln_r0 + 2.0 * budget.inset
-    first = next((i for i, x in enumerate(grid)
-                  if math.log(abs(x - fam.log_lam)) > threshold), None)
-    checks["branch_growth_to_infinity"] = {"first_past_threshold": first,
-                                           "pass": first is not None}
-
-    lines = trace_level_lines(fam, spec, budget)
-    checks["level_lines"] = {
-        "curve_count": lines.curve_count,
-        "required_count": lines.required_count,
-        "min_component_length": lines.min_component_length,
-        "required_length": lines.required_length,
-        "min_inf_re_margin": lines.min_re_margin,
-        "pass": (lines.curve_count >= lines.required_count
-                 and lines.min_component_length >= lines.required_length
-                 and lines.min_re_margin > 0)}
-
-    depth_direct = math.log(fam.envelope(spec.outer).d_lo) - fam.ln_r0
-    checks["first_level_in_half_plane"] = {"margin": depth_direct, "pass": depth_direct > 0}
-    log_k = log_distortion_bound(fam, build_G(fam, cfg.anchor, spec, budget), spec)
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lemmas",
-        "config": cfg.resolved,
-        "distortion_c": math.exp(log_k),
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks.values()),
-    }
-    write_json(out_path, report)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # dim
 # ---------------------------------------------------------------------------
 
@@ -424,156 +316,6 @@ def cmd_dim(cfg: RunConfig, out_path: str) -> int:
     if cfg.timing:
         print(f"certificate: {cert.verdict} in {cert.runtime_ms:.1f} ms", file=sys.stderr)
     return 0 if cert.certified else 2
-
-
-# ---------------------------------------------------------------------------
-# sample
-# ---------------------------------------------------------------------------
-
-def cmd_sample(cfg: RunConfig, out_path: str) -> int:
-    import numpy as np
-
-    from .cantor_ifs import project_to_plane, sample_limit_set
-    fam = cfg.family
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    gset = _nonempty_G(fam, cfg, spec)
-    sample = sample_limit_set(fam, gset, spec, depth=cfg.depth, count=cfg.count,
-                              seed=cfg.seed)
-    proj = project_to_plane(fam, sample)
-
-    points = np.concatenate([sample.points, proj.points])  # lifted rows, then plane rows
-    spaces = ["lifted"] * sample.count + [
-        "plane_logpolar" if lp else "plane" for lp in proj.log_polar.tolist()]
-    n = write_csv(out_path, ["re", "im", "space"], [points.real, points.imag, spaces])
-    print(f"wrote {n} rows; conjugacy checked on {proj.conjugacy_checked} of {sample.count} rows",
-          file=sys.stderr)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# oracle
-# ---------------------------------------------------------------------------
-
-def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
-    import numpy as np
-
-    from . import oracle as oracle_mod
-    source = cfg.oracle["source"]
-    if source == "middle-thirds":
-        pts = oracle_mod.cantor_middle_thirds(count=100_000, depth=35, seed=cfg.seed)
-        scales = [3.0 ** -k for k in range(1, 8)]
-        expected, tol = math.log(2.0) / math.log(3.0), 0.05
-    elif source == "csv":
-        path = cfg.oracle.get("path")
-        if not path:
-            raise ConfigError("oracle.source=csv needs oracle.path")
-        space = cfg.oracle.get("space", "lifted")
-        scales = cfg.oracle.get("scales")
-        if scales is not None and not (isinstance(scales, list) and all(
-                isinstance(s, (int, float)) and not isinstance(s, bool) for s in scales)):
-            raise ConfigError(f"oracle.scales must be a list of numbers, got {scales!r}")
-        try:
-            with warnings.catch_warnings():  # an empty file is reported below
-                warnings.filterwarnings("ignore", "genfromtxt: Empty input file")
-                data = np.genfromtxt(path, delimiter=",", names=True, dtype=None,
-                                     encoding="utf-8")
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read oracle.path: {exc}") from exc
-        except IndexError as exc:  # genfromtxt on a file with no header line
-            raise ConfigError("oracle.path is empty") from exc
-        columns = data.dtype.names or ()
-        for name, kinds, what in (("re", "iuf", "numeric"), ("im", "iuf", "numeric"),
-                                  ("space", "U", "text")):
-            if name not in columns or data[name].dtype.kind not in kinds:
-                raise ConfigError(f"oracle.path needs a {what} column {name!r}")
-        mask = data["space"] == space
-        pts = data["re"][mask] + 1j * data["im"][mask]
-        if pts.size == 0:
-            raise ConfigError(f"oracle.path has no rows of oracle.space {space!r}")
-        if scales is None:
-            diam = float(np.hypot(np.ptp(pts.real), np.ptp(pts.imag)))
-            scales = [diam * (10.0 ** -k) for k in np.linspace(0.5, 3.0, 6)]
-        expected, tol = None, None
-    else:
-        raise ConfigError(f"unknown oracle source {source!r}")
-    est = oracle_mod.box_counting_dim(pts, scales)
-    report = {
-        "schema_version": SCHEMA_VERSION, "command": "oracle box-dim",
-        "config": cfg.resolved,
-        "slope": est.slope, "counts": list(est.counts), "scales": list(est.scales),
-        "residual": est.residual, "expected": expected, "tolerance": tol,
-    }
-    ok = expected is None or abs(est.slope - expected) <= tol
-    report["pass"] = bool(ok)
-    write_json(out_path, report)
-    return 0 if ok else 3
-
-
-def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
-    from . import oracle as oracle_mod
-    fam = cfg.family
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    gset = _nonempty_G(fam, cfg, spec)
-    k = cfg.oracle["subsystem"]
-    letters = gset.letters_by_weight(k)
-    if len(letters) < k:
-        raise ConstructionError(f"G holds {gset.n_letters} letters; the subsystem needs {k}")
-    sub = _subsystem(fam, letters, spec)
-    t = float(cfg.oracle["t"])
-    n = cfg.oracle["word_length"]
-    brute = oracle_mod.brute_force_pressure(fam, letters, spec, n=n, t=t)
-    bracket = level1_sum(sub, t)
-    p_lo, p_hi = bracket.log_lo, bracket.log_hi
-    # the brute value lies in [p_lo, p_hi] exactly; eps covers float rounding
-    eps = 1e-12 * (1.0 + abs(brute))
-    ok = (p_lo - eps) <= brute <= (p_hi + eps)
-    report = {
-        "schema_version": SCHEMA_VERSION, "command": "oracle brute-pressure",
-        "config": cfg.resolved, "letters": [list(l) for l in letters],
-        "brute_value": brute,
-        "level1_lo": p_lo, "level1_hi": p_hi, "slack_log": eps,
-        "pass": bool(ok),
-    }
-    write_json(out_path, report)
-    return 0 if ok else 3
-
-
-def _nonempty_G(fam, cfg: RunConfig, spec):
-    """The admissible set a command works on; an empty G is a negative outcome."""
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget)
-    if gset.is_empty():
-        raise ConstructionError("admissible set G is empty at this configuration")
-    return gset
-
-
-def _subsystem(fam, letters, spec):
-    import numpy as np
-
-    from .pressure import WeightedSystem
-    # sigma = ln(2*pi*|s|) from the int, finite for indices of any size
-    sigma = np.array([math.log(TWO_PI) + math.log(abs(s)) for (_, s) in letters])
-    lo, hi = fam.envelope(spec.outer).log_weight_bounds(sigma)
-    return WeightedSystem(log_lo=lo, log_hi=hi)
-
-
-def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
-    from . import oracle as oracle_mod
-    fam = cfg.family
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    gset = _nonempty_G(fam, cfg, spec)
-    rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
-                                  density=cfg.oracle["density"],
-                                  seed=cfg.seed)
-    report = {
-        "schema_version": SCHEMA_VERSION, "command": "oracle recheck",
-        "config": cfg.resolved,
-        "n_checked": rep.n_checked, "n_densely_sampled": rep.n_densely_sampled,
-        "n_flagged": rep.n_flagged, "flagged": [list(f) for f in rep.flagged],
-        "min_margin": rep.min_margin,
-        "pass": rep.n_flagged == 0,
-    }
-    write_json(out_path, report)
-    return 0 if rep.n_flagged == 0 else 3
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +350,14 @@ def main(argv=None) -> int:
         base = DEFAULT_CERTIFICATE_CONFIG if args.command == "dim" else DEFAULT_SMALL_CONFIG
         cfg = _read_config(args.config, base, mode=args.mode, seed=args.seed)
         out = args.out or f"tractdim_{args.command}.json"
-        if args.command == "lemmas":
-            return cmd_lemmas(cfg, out)
         if args.command == "dim":
             return cmd_dim(cfg, out)
+        from . import commands
+        if args.command == "lemmas":
+            return commands.cmd_lemmas(cfg, out)
         if args.command == "sample":
-            return cmd_sample(cfg, args.out or "tractdim_sample.csv")
-        sub = {"box-dim": _oracle_box_dim,
-               "brute-pressure": _oracle_brute_pressure,
-               "recheck": _oracle_recheck}[args.oracle_command]
-        return sub(cfg, out)
+            return commands.cmd_sample(cfg, args.out or "tractdim_sample.csv")
+        return commands.ORACLES[args.oracle_command](cfg, out)
     except (ConfigError, GeometryError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,9 +15,9 @@ ln R0 > Re Log(lam), which is exactly the normalization condition
 So the lift's two estimates (Eremenko and Lyubich, Ann. Inst. Fourier 42,
 1992) are exact formulas: at zeta = F(w), |F'(w)| = |zeta - Log(lam)|, and
 Re F_inv_s(x) = ln|x - Log(lam)| on the real axis, for every branch, which
-rises with x past Re Log(lam).  The lemma report (`cli.cmd_lemmas`) takes
-their margins and the growth to infinity in closed form; no branch is
-sampled.  `inv_branch`, a branch with its half-plane check, is the
+rises with x past Re Log(lam).  The lemma report
+(`commands.cmd_lemmas`) takes their margins and the growth to infinity
+in closed form; no branch is sampled.  `inv_branch`, a branch with its half-plane check, is the
 reference that the tests hold the lift and the cylinder maps to.
 """
 

@@ -34,8 +34,8 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, ConstructionError
-from .loglift import MapFamily, log_run_sum_bounds, normalize_family
-from .numerics import TWO_PI, log_sum_exp
+from .loglift import MapFamily, normalize_family
+from .numerics import log_sum_exp
 from .tractgeom import GSet, SquareSpec, build_G, log_distortion_bound
 
 # The largest exponent: sums are taken at t in [0, _T_MAX], and the Bowen
@@ -323,70 +323,3 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertific
         c=math.exp(log_distortion_bound(family, gset, spec)), p1_lo=p1_lo,
         t_lo=t_lo, t_hi=t_hi, runtime_ms=1000.0 * (time.perf_counter() - start),
         diagnostics=diagnostics, reasons=tuple(reasons))
-
-
-# ---------------------------------------------------------------------------
-# Cross-mode agreement (enumeration vs the run sum on one window)
-# ---------------------------------------------------------------------------
-
-class WindowComparison(NamedTuple):
-    t: float
-    sigma_lo: float
-    sigma_hi: float
-    enum_lo: float
-    enum_hi: float
-    tail_lo_bounds: tuple   # run-sum bracket of the lower-envelope sum
-    tail_hi_bounds: tuple   # run-sum bracket of the upper-envelope sum
-    rel_width_lo: float
-    rel_width_hi: float
-
-    @property
-    def consistent(self) -> bool:
-        return (self.tail_lo_bounds[0] <= self.enum_lo <= self.tail_lo_bounds[1]
-                and self.tail_hi_bounds[0] <= self.enum_hi <= self.tail_hi_bounds[1])
-
-
-def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
-                         sigma_hi: float, t: float = 1.0) -> WindowComparison:
-    """Sum one sigma window by explicit enumeration and by the run sum.
-
-    Both target the same per-letter envelopes, so the enumerated value
-    must fall inside the bracket of `log_run_sum_bounds`.
-    """
-    import numpy as np
-    env = family.envelope(spec.outer)
-    # the size test comes first, in log form, so that no exp overflows
-    if (max(sigma_lo, sigma_hi) - math.log(TWO_PI) > 54 * math.log(2.0)
-            or math.floor(math.exp(sigma_hi) / TWO_PI) > 2 ** 53):
-        raise ConfigError("window too large to enumerate; shrink sigma_hi")
-    s1 = math.ceil(math.exp(sigma_lo) / TWO_PI)
-    s2 = math.floor(math.exp(sigma_hi) / TWO_PI)
-    if s2 < s1:
-        raise ConfigError("empty comparison window")
-    # fixed chunk length of the per-letter sums: bounds their memory and
-    # pins their evaluation order
-    chunk = 1 << 20
-    parts_lo, parts_hi = [], []
-    for start in range(s1, s2 + 1, chunk):
-        ss = np.arange(start, min(start + chunk - 1, s2) + 1, dtype=np.int64)
-        sigma = np.log(TWO_PI) + np.log(ss.astype(float))
-        lo, hi = env.log_weight_bounds(sigma)
-        parts_lo.append(float(np.sum(np.exp(t * lo))))
-        parts_hi.append(float(np.sum(np.exp(t * hi))))
-    enum_lo = math.fsum(parts_lo)
-    enum_hi = math.fsum(parts_hi)
-    sig_a = math.log(TWO_PI) + math.log(s1)
-    sig_b = math.log(TWO_PI) + math.log(s2)
-    h = env.b / TWO_PI
-    lo_pair = log_run_sum_bounds(s1, s2, t, h, -t * math.log(TWO_PI * env.d_hi))
-    hi_pair = log_run_sum_bounds(s1, s2, t, -h, -t * math.log(TWO_PI * env.d_lo))
-
-    def span(pair):
-        return (math.exp(pair[0]), math.exp(pair[1]))
-
-    tl, th = span(lo_pair), span(hi_pair)
-    return WindowComparison(
-        t=t, sigma_lo=sig_a, sigma_hi=sig_b, enum_lo=enum_lo, enum_hi=enum_hi,
-        tail_lo_bounds=tl, tail_hi_bounds=th,
-        rel_width_lo=(tl[1] - tl[0]) / enum_lo if enum_lo else math.inf,
-        rel_width_hi=(th[1] - th[0]) / enum_hi if enum_hi else math.inf)

@@ -1,7 +1,7 @@
 """Every public name of the package has a reader, and every knob a caller.
 
 Each name that `tractdim/__init__.py` exports, and each public function
-and class of the seven pipeline modules, with the public methods and
+and class of the nine pipeline modules, with the public methods and
 properties of those classes, must be read somewhere in `src/tractdim/`
 or `perfbench/`, or be one of the references the tests compare the
 pipeline against (`KEPT_REFERENCES`).  A read is a name, an attribute or
@@ -15,7 +15,7 @@ must be passed, by keyword or by position, by some call in
 tests that pass it.  A parameter that every caller leaves at its default
 is a constant.
 
-And each field of every NamedTuple record of the seven modules must be
+And each field of every NamedTuple record of the nine modules must be
 read as an attribute (`.field`, matched by name) in the same sources,
 but the fields of the records the kept references return
 (`KEPT_RECORDS`) and those listed in `KEPT_FIELDS` with what the tests
@@ -42,7 +42,8 @@ import pytest
 import tractdim
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("cli", "tractgeom", "loglift", "pressure", "numerics", "cantor_ifs", "oracle")
+MODULES = ("cli", "commands", "tractgeom", "lemmas", "loglift", "pressure", "numerics",
+           "cantor_ifs", "oracle")
 
 # name -> what the tests compare with it
 KEPT_REFERENCES = {
@@ -142,7 +143,7 @@ def test_kept_references_exist_and_have_no_other_reader():
 def test_lazy_exports_are_their_modules_objects():
     """Each lazily exported name is its module's object, `dir` lists it,
     and an unknown attribute raises AttributeError."""
-    assert set(tractdim._LAZY.values()) == {"cantor_ifs", "oracle"}
+    assert set(tractdim._LAZY.values()) == {"cantor_ifs", "oracle", "lemmas"}
     for name, module_name in tractdim._LAZY.items():
         module = importlib.import_module(f"tractdim.{module_name}")
         assert getattr(tractdim, name) is getattr(module, name)

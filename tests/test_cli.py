@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tractdim as td
-from tractdim import cli, tractgeom
+from tractdim import cli, commands, tractgeom
 from tractdim.cli import (DEFAULT_CERTIFICATE_CONFIG, DEFAULT_SMALL_CONFIG, _build_parser,
                           load_config, main)
 from tractdim.tractgeom import RunBlock
@@ -238,7 +238,7 @@ def test_sample_csv_rows_are_the_sample_then_its_projection(tmp_path, lam):
     assert run(["sample", "--config", write_cfg(tmp_path, "s.json", raw), "--out", str(out)]) == 0
     cfg = load_config(raw)
     spec = td.build_squares(cfg.anchor, cfg.budget.inset)
-    sample = td.sample_limit_set(cfg.family, cli._nonempty_G(cfg.family, cfg, spec), spec,
+    sample = td.sample_limit_set(cfg.family, commands._nonempty_G(cfg.family, cfg, spec), spec,
                                  depth=cfg.depth, count=cfg.count, seed=cfg.seed)
     proj = td.project_to_plane(cfg.family, sample)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -329,7 +329,7 @@ def test_oracle_brute_pressure_with_letters_below_envelope_validity_exit_0(tmp_p
     # at |s| = 4, inside its sigma windows); the letters' upper weights come
     # from |xi_s| >= p_lo = ln d_lo - Re c there
     planted = td.GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
-    monkeypatch.setattr(cli, "build_G", lambda *args, **kwargs: planted)
+    monkeypatch.setattr(commands, "build_G", lambda *args, **kwargs: planted)
     cfg = write_cfg(tmp_path, "low.json",
                     {"family": {"lambda_re": 0.01, "r0": r0},
                      "geometry": {"anchor": 4.0, "inset": 0.5}})
@@ -1098,15 +1098,24 @@ from tractdim import cli
 def loaded():
     return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
 
-seen = [loaded()]
+def package():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "tractdim")
+
+seen, modules = [loaded()], [package()]
 cli.load_config(cli.DEFAULT_CERTIFICATE_CONFIG)
 seen.append(loaded())
+modules.append(package())
 codes = []
 for argv in json.loads(sys.argv[1]):
     codes.append(cli.main(argv))
     seen.append(loaded())
-print(json.dumps({"codes": codes, "loaded": seen}))
+    modules.append(package())
+print(json.dumps({"codes": codes, "loaded": seen, "modules": modules}))
 """
+
+# the modules `tractdim dim` at a numeric anchor compiles
+_DIM_PATH = ["tractdim", "tractdim.cli", "tractdim.errors", "tractdim.loglift",
+             "tractdim.numerics", "tractdim.pressure", "tractdim.tractgeom"]
 
 
 def test_dim_path_imports_no_numpy(tmp_path):
@@ -1116,7 +1125,9 @@ def test_dim_path_imports_no_numpy(tmp_path):
     numpy, nor does `lemmas` at the small default, at anchor 2.79e6 and at
     an "auto" anchor.  Nor do they load `dataclasses` or `inspect`: the
     package's records are NamedTuples, and importing it generates no
-    dataclass code."""
+    dataclass code.  Up to `dim` at its numeric anchors the package
+    modules loaded are exactly the certificate's; an "auto" anchor adds
+    `lemmas`, and the `lemmas` command `commands`."""
     auto = {"geometry": {"anchor": "auto"}}
     runs = [("dim", None), ("dim", {"geometry": {"anchor": 3.0}}),
             ("dim", {"family": {"lambda_re": 0.0, "lambda_im": 1.0}}), ("dim", auto),
@@ -1127,7 +1138,11 @@ def test_dim_path_imports_no_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", _NO_NUMPY, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == {"codes": [0, 2, 0, 0, 0, 0, 0], "loaded": [[]] * 9}
+    with_lemmas = sorted(_DIM_PATH + ["tractdim.lemmas"])
+    assert json.loads(done.stdout) == {
+        "codes": [0, 2, 0, 0, 0, 0, 0], "loaded": [[]] * 9,
+        "modules": [_DIM_PATH] * 5 + [with_lemmas]
+                   + [sorted(with_lemmas + ["tractdim.commands"])] * 3}
 
 
 @pytest.mark.parametrize("scan, points", [([8.0, 4000.0, 1e-9], "3.992e+12"),

@@ -18,7 +18,8 @@ from tractdim import cantor_ifs, cli
 from tractdim.numerics import TWO_PI
 from tractdim.tractgeom import Rect, RunBlock
 
-MODULES = ("cli", "tractgeom", "loglift", "pressure", "numerics", "cantor_ifs", "oracle")
+MODULES = ("cli", "commands", "tractgeom", "lemmas", "loglift", "pressure", "numerics",
+           "cantor_ifs", "oracle")
 
 
 def _record_classes() -> dict:

@@ -10,11 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tractdim as td
-from tractdim import cli, oracle, tractgeom
+from tractdim import cli, commands, lemmas, oracle, tractgeom
 from tractdim.numerics import TWO_PI
 from tractdim.loglift import MapFamily, TailEnvelope
-from tractdim.tractgeom import (_ENDPOINT_ULPS, GSet, RadiusSearchError, Rect, RunBlock,
-                                _sigma_windows)
+from tractdim.lemmas import RadiusSearchError
+from tractdim.tractgeom import _ENDPOINT_ULPS, GSet, Rect, RunBlock, _sigma_windows
 from conftest import cells_inside, column_window, koebe_constant, window_s_bounds
 
 
@@ -60,7 +60,7 @@ def _find_radius_reference(family, budget, lo, hi, step):
     per point with numpy's complex log, and the first point passing all
     three (None if none does), with each margin's maximum."""
     xs = np.arange(lo, hi + 0.5 * step, step, dtype=float)
-    deriv = np.array([tractgeom.anchor_derivative_margin(family, x, budget.epsilon)
+    deriv = np.array([lemmas.anchor_derivative_margin(family, x, budget.epsilon)
                       for x in xs.tolist()])
     depth = np.real(np.log(xs.astype(complex) - family.log_lam)) \
         - (family.ln_r0 + 2.0 * budget.inset)
@@ -108,12 +108,12 @@ def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
         anchor = float(rng.uniform(5.0, 100.0))
         fam = td.normalize_family(td.exponential_family(lam, math.e))
         budget = td.GeometryBudget(epsilon=0.1, inset=0.05)
-        margin = tractgeom.anchor_derivative_margin(fam, anchor, budget.epsilon)
+        margin = lemmas.anchor_derivative_margin(fam, anchor, budget.epsilon)
         signs.add(margin > 0)
         cfg = cli.load_config({"family": {"lambda_re": lam.real, "lambda_im": lam.imag},
                                "geometry": {"anchor": anchor, "inset": budget.inset}})
         out = tmp_path / f"lemmas-{k}.json"
-        assert cli.cmd_lemmas(cfg, str(out)) == 0
+        assert commands.cmd_lemmas(cfg, str(out)) == 0
         report = json.loads(out.read_text())
         assert report["checks"]["anchor_derivative_lower"]["margin"] == margin
         if margin > 0:
@@ -132,13 +132,13 @@ def test_eq1_and_eq4_read_one_anchor_derivative(tmp_path, monkeypatch):
     its eq4 margin down by the same float, so both read that one
     expression (the forms 1/|R - Log(lam)| and |inv0_deriv(R)| can differ
     in the last bit)."""
-    real = tractgeom.anchor_derivative
+    real = lemmas.anchor_derivative
 
     def shifted(family, anchor):
         return real(family, anchor) + 0.125
 
-    monkeypatch.setattr(tractgeom, "anchor_derivative", shifted)
-    monkeypatch.setattr(cli, "anchor_derivative", shifted)
+    monkeypatch.setattr(lemmas, "anchor_derivative", shifted)
+    monkeypatch.setattr(commands, "anchor_derivative", shifted)
     rng = np.random.default_rng(23)
     out = tmp_path / "lemmas.json"
     for _ in range(40):
@@ -146,7 +146,7 @@ def test_eq1_and_eq4_read_one_anchor_derivative(tmp_path, monkeypatch):
         anchor = float(np.exp(rng.uniform(math.log(5.0), math.log(4000.0))))
         cfg = cli.load_config({"family": {"lambda_re": lam.real, "lambda_im": lam.imag},
                                "geometry": {"anchor": anchor, "inset": 0.5}})
-        assert cli.cmd_lemmas(cfg, str(out)) == 0
+        assert commands.cmd_lemmas(cfg, str(out)) == 0
         checks = json.loads(out.read_text())["checks"]
         deriv = real(cfg.family, anchor) + 0.125
         assert checks["anchor_derivative_lower"]["margin"] == deriv - anchor ** -1.1
@@ -1348,7 +1348,7 @@ def _assert_level_lines_match_dense_reference(family, anchor, inset):
                    math.ceil(spec.inner.im_hi / TWO_PI) + 3):
         pts = _dense_branch(family, r, u, spec.inner.re_hi)
         want = sorted(_clipped_lengths(pts, spec.inner, spec.core))
-        got = tractgeom._branch_components(ln_a, u, spec.inner, spec.core)
+        got = lemmas._branch_components(ln_a, u, spec.inner, spec.core)
         assert sorted(got) == pytest.approx(want, rel=1e-5), (anchor, u)
         assert ln_a <= pts.real.min(), (anchor, u)
         count += bool(want)
@@ -1377,7 +1377,7 @@ def _per_column_level_lines(family, spec, budget):
     a = line.real_part - family.log_lam.real
     ln_a = math.log(a) if a > 0.0 else math.nan
     inner, core = spec.inner, spec.core
-    comps = [tractgeom._branch_components(ln_a, u, inner, core) if a > 0.0 else []
+    comps = [lemmas._branch_components(ln_a, u, inner, core) if a > 0.0 else []
              for u in range(math.floor((inner.im_lo - 1.0) / TWO_PI) - 1,
                             math.ceil((inner.im_hi + 1.0) / TWO_PI) + 2)]
     lengths = [length for lens in comps for length in lens]
@@ -1419,7 +1419,7 @@ def test_branch_components_cut_by_each_edge(fam, inner, core, n_comps):
     """a = 1 (ln a = 0), branch 0, against rectangles that cut the curve
     by each of their edges: the same lengths as the dense reference."""
     inner, core = Rect(*inner), Rect(*core)
-    got = tractgeom._branch_components(0.0, 0, inner, core)
+    got = lemmas._branch_components(0.0, 0, inner, core)
     want = _clipped_lengths(_dense_branch(fam, 1.0, 0, inner.re_hi), inner, core)
     assert len(want) == n_comps
     assert sorted(got) == pytest.approx(sorted(want), rel=1e-6)
