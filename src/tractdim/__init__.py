@@ -37,7 +37,7 @@ import importlib
 from .errors import (ConfigError, ConstructionError, DomainError, GeometryError,
                      NumericError, TractdimError)
 from .loglift import MapFamily, exponential_family, inv_branch, normalize_family
-from .tractgeom import (GeometryBudget, GSet, Rect, SquareSpec, build_G, build_squares,
+from .tractgeom import (GeometryBudget, GSet, Rect, build_G, build_squares,
                         log_distortion_bound, min_cell_gap)
 from .pressure import (BowenInterval, DimensionCertificate, Level1Sum, WeightedSystem,
                        bowen_root, build_weighted_system, certify_dim_gt_one, level1_sum)

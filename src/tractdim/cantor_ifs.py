@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConstructionError, NumericError
 from .loglift import MapFamily
 from .numerics import TWO_PI
-from .tractgeom import GSet, SquareSpec
+from .tractgeom import GSet, Rect
 
 # exp overflows past this; plane projections switch to log-polar records
 _EXP_OVERFLOW_RE = 700.0
@@ -40,11 +40,11 @@ def _letters_in_gset(word: np.ndarray, gset: GSet) -> bool:
     return all((u, s) in gset for u, s in word.tolist())
 
 
-def cylinder_eval(family: MapFamily, word, z, spec: Optional[SquareSpec] = None,
+def cylinder_eval(family: MapFamily, word, z, square: Optional[Rect] = None,
                   gset: Optional[GSet] = None):
     """Evaluate the cylinder map of a word at z, with its derivative.
 
-    Letters are applied right to left.  When spec is given, every
+    Letters are applied right to left.  When the square Q is given, every
     intermediate point is required to stay in Q; leaving Q means some
     letter is not admissible and is flagged as an invariant breach.
     """
@@ -55,7 +55,7 @@ def cylinder_eval(family: MapFamily, word, z, spec: Optional[SquareSpec] = None,
     scalar = val.ndim == 0
     val = np.atleast_1d(val)
     deriv = np.ones_like(val)
-    if spec is not None and not np.all(spec.outer.contains(val)):
+    if square is not None and not np.all(square.contains(val)):
         raise ConstructionError("evaluation point outside Q")
     for u, s in word[::-1]:
         first = np.asarray(family.inv0(val)) + TWO_PI * 1j * int(s)
@@ -65,7 +65,7 @@ def cylinder_eval(family: MapFamily, word, z, spec: Optional[SquareSpec] = None,
         d = np.asarray(family.inv0_deriv(val)) * np.asarray(family.inv0_deriv(first))
         val = np.asarray(family.inv0(first)) + TWO_PI * 1j * int(u)
         deriv = deriv * d
-        if spec is not None and not np.all(spec.outer.contains(val)):
+        if square is not None and not np.all(square.contains(val)):
             raise ConstructionError(
                 f"cylinder image leaves Q at letter ({u},{s}); letter not in G?")
     if scalar:
@@ -73,7 +73,7 @@ def cylinder_eval(family: MapFamily, word, z, spec: Optional[SquareSpec] = None,
     return val, deriv
 
 
-def cylinder_fixed_point(family: MapFamily, word, spec: SquareSpec,
+def cylinder_fixed_point(family: MapFamily, word, square: Rect,
                          tol: float = 1e-12, max_iter: int = 1000):
     """Fixed point of the cylinder map and the multiplier of the return map.
 
@@ -83,16 +83,16 @@ def cylinder_fixed_point(family: MapFamily, word, spec: SquareSpec,
     derivative, so |multiplier| > 1.
     """
     word = _as_word(word)
-    z = spec.outer.center
+    z = square.center
     for _ in range(max_iter):
-        nxt, _ = cylinder_eval(family, word, z, spec=spec)
+        nxt, _ = cylinder_eval(family, word, z, square=square)
         if abs(nxt - z) < tol:
             z = nxt
             break
         z = nxt
     else:
         raise NumericError(f"fixed-point iteration did not converge in {max_iter} steps")
-    _, deriv = cylinder_eval(family, word, z, spec=spec)
+    _, deriv = cylinder_eval(family, word, z, square=square)
     if deriv == 0:
         raise NumericError("degenerate cylinder derivative at the fixed point")
     return z, 1.0 / deriv
@@ -120,7 +120,7 @@ class LimitSample(NamedTuple):
         return int(self.points.size)
 
 
-def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
+def sample_limit_set(family: MapFamily, gset: GSet, square: Rect,
                      depth: int = 8, count: int = 10000, seed: int = 42) -> LimitSample:
     """Sample the attractor with random words of letters drawn uniformly
     over all of G, through the ranks of its runs (`GSet.random_ranks`).
@@ -148,7 +148,7 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
     rng = np.random.default_rng(seed)
     u, s = gset.letters(gset.random_ranks(rng, count * depth))
     words_u, words_s = u.reshape(count, depth), s.reshape(count, depth)
-    z = np.full(count, spec.outer.center, dtype=complex)
+    z = np.full(count, square.center, dtype=complex)
     turn = np.empty(count)  # 2*pi times a column of letter indices
     for k in range(depth - 1, -1, -1):
         shifted = z  # the words' images from letter k + 1 on; at k = 0, `shifted`
@@ -158,7 +158,7 @@ def sample_limit_set(family: MapFamily, gset: GSet, spec: SquareSpec,
             raise ConstructionError("sampled intermediate point left the half plane")
         z = np.asarray(family.inv0(first))
         z.imag += np.multiply(words_u[:, k], TWO_PI, out=turn, casting="unsafe")
-        if not np.all(spec.outer.contains(z)):
+        if not np.all(square.contains(z)):
             raise ConstructionError("sampled point left Q; letters outside G?")
     return LimitSample(points=z, shifted=shifted, first=first, words_u=words_u,
                        words_s=words_s, depth=depth)

@@ -18,16 +18,15 @@ ulp of 1, where the bracket itself shows it.  The certificate reads Q
 alone: the anchor-derivative (eq1) and tract-depth conditions,
 `geometry.epsilon` and `geometry.inset` enter neither G nor the bounds,
 so they are `lemmas` checks and change no `dim` result it writes.  But
-every command builds its squares from the inset, which rejects an
-anchor/4 below it (`build_squares`): at the default inset 0.5 `dim`
-exits 1 at anchor 1.5 ("anchor/4 = 0.375 must not be below the inset
-0.5"), and 2, on an empty G, at anchor 2.  Exit codes: 0
-success or certified, 1 configuration error, 2 negative
-construction/certification outcome, 3 numeric or oracle failure.  A
-report that cannot be written (an `--out` in a missing directory, or a
-directory) exits 1 for every command, with one stderr line
-`cannot write report: <reason>`.  `--out /dev/null`, and `--out
-/dev/stdout` into a pipe, exit 0.
+every command builds Q with `build_squares`, which rejects an anchor/4
+below the inset: at the default inset 0.5 `dim` exits 1 at anchor 1.5
+("anchor/4 = 0.375 must not be below the inset 0.5"), and 2, on an
+empty G, at anchor 2.  Exit codes: 0 success or certified, 1
+configuration error, 2 negative construction/certification outcome, 3
+numeric or oracle failure.  A report that cannot be written (an `--out`
+in a missing directory, or a directory) exits 1 for every command,
+with one stderr line `cannot write report: <reason>`.  `--out
+/dev/null`, and `--out /dev/stdout` into a pipe, exit 0.
 
 Only `sample` and the three `oracle` commands load numpy, through
 `cantor_ifs` and `oracle`.  `dim` and `lemmas` run on `math` and `cmath`
@@ -306,8 +305,7 @@ def _read_config(path, base: dict, mode=None, seed=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_dim(cfg: RunConfig, out_path: str) -> int:
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    cert = certify_dim_gt_one(cfg.family, spec)
+    cert = certify_dim_gt_one(cfg.family, build_squares(cfg.anchor, cfg.budget.inset))
     payload = cert.to_json_dict(include_timing=cfg.timing)
     payload["schema_version"] = SCHEMA_VERSION
     payload["command"] = "dim"

@@ -40,14 +40,13 @@ log-polar.  With no row in the exp range, as at anchor 472, it exits 3.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
 
 from .cli import SCHEMA_VERSION, RunConfig
 from .errors import ConfigError, ConstructionError
-from .lemmas import anchor_derivative, anchor_derivative_margin, anchor_line, trace_level_lines
+from .lemmas import lemma_checks
 from .numerics import TWO_PI, write_csv, write_json
 from .pressure import level1_sum
 from .tractgeom import build_G, build_squares, log_distortion_bound
@@ -58,53 +57,14 @@ from .tractgeom import build_G, build_squares, log_distortion_bound
 # ---------------------------------------------------------------------------
 
 def cmd_lemmas(cfg: RunConfig, out_path: str) -> int:
-    """Write the lemma report: pass/fail with numeric margins for every
-    verifiable growth, expansion and level-line statement."""
+    """Write the lemma report: `lemma_checks`, whether the first-level
+    images of Q lie in H, and the distortion constant on Q."""
     fam = cfg.family
-    budget = cfg.budget
-    spec = build_squares(cfg.anchor, budget.inset)
-    line = anchor_line(fam, cfg.anchor, budget.inset)
-    checks = {}
-
-    eq1_margin = anchor_derivative_margin(fam, cfg.anchor, budget.epsilon)
-    checks["anchor_derivative_lower"] = {"margin": eq1_margin, "pass": eq1_margin > 0}
-
-    eq4_margin = 4.0 * math.pi / (cfg.anchor - fam.ln_r0) - anchor_derivative(fam, cfg.anchor)
-    checks["anchor_derivative_upper"] = {"margin": eq4_margin, "pass": eq4_margin > 0}
-
-    checks["tract_depth"] = {"margin": line.depth_margin, "pass": line.depth_margin > 0,
-                             "real_part": line.real_part}
-
-    # 4 pi |F'(w)| - (Re F(w) - ln R0) = 4 pi |zeta - c| - Re zeta + ln R0 at
-    # zeta = F(w), on every branch; its infimum over Re zeta > ln R0 is at
-    # zeta = ln R0 + i Im c
-    exp_margin = 4.0 * math.pi * (fam.ln_r0 - fam.log_lam.real)
-    checks["expansion_margin"] = {"margin": exp_margin, "pass": exp_margin > 0}
-
-    # Re F_inv_0(x) = ln|x - c| rises for every x > Re c, so along the powers
-    # of ten from the first above ln R0 > Re c (10 for |lam| < e^9) to 1e12
-    k0 = next(k for k in itertools.count(1) if 10.0 ** k > fam.ln_r0)
-    grid = [10.0 ** k for k in range(k0, 13)]
-    threshold = fam.ln_r0 + 2.0 * budget.inset
-    first = next((i for i, x in enumerate(grid)
-                  if math.log(abs(x - fam.log_lam)) > threshold), None)
-    checks["branch_growth_to_infinity"] = {"first_past_threshold": first,
-                                           "pass": first is not None}
-
-    lines = trace_level_lines(fam, spec, budget)
-    checks["level_lines"] = {
-        "curve_count": lines.curve_count,
-        "required_count": lines.required_count,
-        "min_component_length": lines.min_component_length,
-        "required_length": lines.required_length,
-        "min_inf_re_margin": lines.min_re_margin,
-        "pass": (lines.curve_count >= lines.required_count
-                 and lines.min_component_length >= lines.required_length
-                 and lines.min_re_margin > 0)}
-
-    depth_direct = math.log(fam.envelope(spec.outer).d_lo) - fam.ln_r0
+    square = build_squares(cfg.anchor, cfg.budget.inset)
+    checks = lemma_checks(fam, cfg.anchor, cfg.budget)
+    depth_direct = math.log(fam.envelope(square).d_lo) - fam.ln_r0
     checks["first_level_in_half_plane"] = {"margin": depth_direct, "pass": depth_direct > 0}
-    log_k = log_distortion_bound(fam, build_G(fam, cfg.anchor, spec, budget), spec)
+    log_k = log_distortion_bound(fam, build_G(fam, cfg.anchor, square, cfg.budget), square)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -127,9 +87,9 @@ def cmd_sample(cfg: RunConfig, out_path: str) -> int:
 
     from .cantor_ifs import project_to_plane, sample_limit_set
     fam = cfg.family
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    gset = _nonempty_G(fam, cfg, spec)
-    sample = sample_limit_set(fam, gset, spec, depth=cfg.depth, count=cfg.count,
+    square = build_squares(cfg.anchor, cfg.budget.inset)
+    gset = _nonempty_G(fam, cfg, square)
+    sample = sample_limit_set(fam, gset, square, depth=cfg.depth, count=cfg.count,
                               seed=cfg.seed)
     proj = project_to_plane(fam, sample)
 
@@ -204,16 +164,16 @@ def _oracle_box_dim(cfg: RunConfig, out_path: str) -> int:
 def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     from . import oracle as oracle_mod
     fam = cfg.family
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    gset = _nonempty_G(fam, cfg, spec)
+    square = build_squares(cfg.anchor, cfg.budget.inset)
+    gset = _nonempty_G(fam, cfg, square)
     k = cfg.oracle["subsystem"]
     letters = gset.letters_by_weight(k)
     if len(letters) < k:
         raise ConstructionError(f"G holds {gset.n_letters} letters; the subsystem needs {k}")
-    sub = _subsystem(fam, letters, spec)
+    sub = _subsystem(fam, letters, square)
     t = float(cfg.oracle["t"])
     n = cfg.oracle["word_length"]
-    brute = oracle_mod.brute_force_pressure(fam, letters, spec, n=n, t=t)
+    brute = oracle_mod.brute_force_pressure(fam, letters, square, n=n, t=t)
     bracket = level1_sum(sub, t)
     p_lo, p_hi = bracket.log_lo, bracket.log_hi
     # the brute value lies in [p_lo, p_hi] exactly; eps covers float rounding
@@ -230,30 +190,30 @@ def _oracle_brute_pressure(cfg: RunConfig, out_path: str) -> int:
     return 0 if ok else 3
 
 
-def _nonempty_G(fam, cfg: RunConfig, spec):
+def _nonempty_G(fam, cfg: RunConfig, square):
     """The admissible set a command works on; an empty G is a negative outcome."""
-    gset = build_G(fam, cfg.anchor, spec, cfg.budget)
+    gset = build_G(fam, cfg.anchor, square, cfg.budget)
     if gset.is_empty():
         raise ConstructionError("admissible set G is empty at this configuration")
     return gset
 
 
-def _subsystem(fam, letters, spec):
+def _subsystem(fam, letters, square):
     import numpy as np
 
     from .pressure import WeightedSystem
     # sigma = ln(2*pi*|s|) from the int, finite for indices of any size
     sigma = np.array([math.log(TWO_PI) + math.log(abs(s)) for (_, s) in letters])
-    lo, hi = fam.envelope(spec.outer).log_weight_bounds(sigma)
+    lo, hi = fam.envelope(square).log_weight_bounds(sigma)
     return WeightedSystem(log_lo=lo, log_hi=hi)
 
 
 def _oracle_recheck(cfg: RunConfig, out_path: str) -> int:
     from . import oracle as oracle_mod
     fam = cfg.family
-    spec = build_squares(cfg.anchor, cfg.budget.inset)
-    gset = _nonempty_G(fam, cfg, spec)
-    rep = oracle_mod.recheck_gset(fam, gset, spec, cfg.budget,
+    square = build_squares(cfg.anchor, cfg.budget.inset)
+    gset = _nonempty_G(fam, cfg, square)
+    rep = oracle_mod.recheck_gset(fam, gset, square, cfg.budget,
                                   density=cfg.oracle["density"],
                                   seed=cfg.seed)
     report = {

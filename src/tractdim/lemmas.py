@@ -7,18 +7,24 @@ pressure bounds read them, so `tractdim dim` at a numeric anchor never
 imports this module.  It runs on `math` and `cmath` alone.
 
 `lemmas` traces the level lines in closed form at any anchor: at anchor
-4000, inset 3 it exits 0 with `all_pass` true.  Its expansion and growth
-margins are closed forms too, not samples: the infimum 4*pi*(ln R0 - Re
-Log(lam)) of 4*pi*|F'| - (Re F - ln R0), and the excess 0 of Re F_inv_s
-over the growth bound, attained at x = ln R0 + 1.  So no lemma depends on
-the seed.  Where the anchor line is not right of Log(lam) (lam = 3, R0 =
-e, anchor 3), the lines are not branch preimages, and `level_lines`
-fails with `min_inf_re_margin` NaN.  Its growth to infinity is a closed
-form as well: Re F_inv_0(x) = ln|x - Log(lam)| rises for every x > Re
-Log(lam), so along its grid, the powers of ten from the first above ln
-R0 to 1e12, it is strictly increasing, and `first_past_threshold` is the
-first grid index where ln|x - Log(lam)| passes ln R0 + 2*inset.  So it
-also exits 0 at |lam| past e^9 (lam = 1e4, anchor 100).
+4000, inset 3 it exits 0 with `all_pass` true.  Its other margins are
+closed forms too, not samples, so no lemma depends on the seed.  With c
+= Log(lam), the expansion margin is the infimum 4*pi*(ln R0 - Re c) of
+4*pi*|F'| - (Re F - ln R0) = 4*pi*|zeta - c| - Re zeta + ln R0, zeta =
+F(w), at zeta = ln R0 + i*Im c on every branch; the growth margin is the
+excess 0 of Re F_inv_s over the growth bound, at x = ln R0 + 1.  Where
+the anchor line is not right of c (lam = 3, R0 = e, anchor 3), the lines
+are not branch preimages, and `level_lines` fails with
+`min_inf_re_margin` NaN.  Re F_inv_0(x) = ln|x - c| rises for every x >
+Re c, so along the powers of ten from the first above ln R0 to 1e12,
+`first_past_threshold` is the first index where it passes ln R0 +
+2*inset, and `branch_growth_to_infinity` also passes at |lam| past e^9
+(lam = 1e4, anchor 100).
+
+The level lines live in two squares that only this module builds, from
+the anchor R and inset D (`_level_line_squares`): Q' = Q shrunk by D on
+all sides, and the core Q'' = [3R/4, 5R/4] x [-R/4, R/4], which Q'
+contains (D <= R/4, `build_squares`) and equals at D = R/4.
 
 `geometry.anchor` may be "auto": `find_radius`'s first passing point of
 `geometry.scan`, which the report's config echoes.
@@ -27,13 +33,14 @@ also exits 0 at |lam| past e^9 (lam = 1e4, anchor 100).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from typing import NamedTuple
 
 from .errors import ConfigError, GeometryError
 from .loglift import MapFamily
 from .numerics import TWO_PI
-from .tractgeom import GeometryBudget, Rect, SquareSpec
+from .tractgeom import GeometryBudget, Rect, build_squares
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +69,8 @@ def anchor_line(family: MapFamily, anchor: float, inset: float) -> AnchorLine:
 
 
 def anchor_derivative(family: MapFamily, anchor: float) -> float:
-    """|F_inv_0'(R)| = 1 / |R - Log(lam)| at R = anchor.
-
-    One scalar expression in Python floats for every reader (the margins
-    of eq1, in `anchor_derivative_margin`, and of eq4, in the lemma
-    report's `anchor_derivative_upper`), so that all of them see the same
-    float.
-    """
+    """|F_inv_0'(R)| = 1 / |R - Log(lam)| at R = anchor: the one float that
+    the margins of eq1 (`anchor_derivative_margin`) and eq4 read."""
     return 1.0 / abs(float(anchor) - family.log_lam)
 
 
@@ -92,33 +94,51 @@ def find_radius(family: MapFamily, budget: GeometryBudget,
 
     (1) |F_inv_0'(x)| > 1/x^(1+epsilon); (2) Re F_inv_0(x) > ln R0 +
     2*inset; (3) x/4 > inset.  The grid is numpy's arange(scan_lo, stop,
-    step), stop = scan_hi + step/2, walked up to its first passing point:
-    x_i = scan_lo + i*((scan_lo + step) - scan_lo) for i < ceil((stop -
-    scan_lo) / step).  More than 10^6 points, or none, are a ConfigError.
+    step), stop = scan_hi + step/2: x_i = scan_lo + i*((scan_lo + step) -
+    scan_lo) for i < n = ceil((stop - scan_lo) / step).  A scan starting
+    at or below ln R0 + 1, an empty or backwards grid and a non-finite n
+    are ConfigErrors.
+
+    Each condition fails below some x and holds above it, as x > ln R0 +
+    1 > max(1, Re c + 1), c = Log(lam): (1) holds where x^(1+epsilon) -
+    |x - c| > 0, whose derivative is at least (1+epsilon)*x^epsilon - 1 >
+    0; (2) ln|x - c| and (3) x/4 rise.  So the first passing index is a
+    bisection over i, after the last point: at most 1 + ceil(log2 n)
+    evaluations.  Where eq1's float margin flips sign within a few ulps of
+    its threshold, the result still passes and its predecessor fails.
+    Where the last point fails, RadiusSearchError carries its margins: a
+    condition whose margin is <= 0 there fails at every grid point.
     """
     if scan_lo <= family.ln_r0 + 1.0:
-        raise ConfigError(
-            f"scan must start above ln R0 + 1 = {family.ln_r0 + 1.0:.6g}")
+        raise ConfigError(f"scan must start above ln R0 + 1 = {family.ln_r0 + 1.0:.6g}")
     stop = scan_hi + 0.5 * step
     if step <= 0 or scan_hi < scan_lo or stop <= scan_lo:
         raise ConfigError("empty or backwards scan grid")
     count = (stop - scan_lo) / step
-    if not count <= 1e6:
-        raise ConfigError(f"scan grid of {count:.4g} points passes the cap of 10^6 points")
+    if not math.isfinite(count):
+        raise ConfigError(f"scan grid of {count} points: step {step!r} is too small "
+                          f"for [{scan_lo!r}, {scan_hi!r}]")
     delta = (scan_lo + step) - scan_lo
-    c, depth_min, worst = family.log_lam, family.ln_r0 + 2.0 * budget.inset, [-math.inf] * 3
-    for i in range(math.ceil(count)):
+
+    def margins(i):
         x = scan_lo + i * delta
-        at_x = (anchor_derivative_margin(family, x, budget.epsilon),
-                cmath.log(x - c).real - depth_min, x / 4.0 - budget.inset)
-        if all(m > 0 for m in at_x):
-            return x
-        worst = list(map(max, worst, at_x))
-    margins = dict(zip(("anchor_derivative", "tract_depth", "square_size"), worst))
-    raise RadiusSearchError(
-        "no grid point satisfies the anchor conditions (worst margins: "
-        + ", ".join(f"{k}={v:.4g}" for k, v in margins.items())
-        + "); the scan may simply be too short", margins)
+        return (anchor_derivative_margin(family, x, budget.epsilon),
+                anchor_line(family, x, budget.inset).depth_margin, x / 4.0 - budget.inset)
+
+    lo, hi = -1, math.ceil(count) - 1  # hi passes; lo fails, or lies before the grid
+    last = margins(hi)
+    if not all(m > 0 for m in last):
+        named = dict(zip(("anchor_derivative", "tract_depth", "square_size"), last))
+        shown = ", ".join(f"{k}={v:.4g}" for k, v in named.items())
+        raise RadiusSearchError(f"no grid point satisfies the anchor conditions (margins at the "
+                                f"last point: {shown}); the scan may simply be too short", named)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if all(m > 0 for m in margins(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return scan_lo + hi * delta
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +153,7 @@ class LevelLineReport(NamedTuple):
     min_re_margin: float        # growth bound - ln a, ln a the least Re of every branch
 
 
-def trace_level_lines(family: MapFamily, spec: SquareSpec,
+def trace_level_lines(family: MapFamily, anchor: float,
                       budget: GeometryBudget) -> LevelLineReport:
     """The branch preimages of the anchor line {Re zeta = r}, in closed form.
 
@@ -169,10 +189,10 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     branch cut of Log, so no branch maps it to a curve, no column has
     components, and the margin is NaN.
     """
-    line = anchor_line(family, spec.anchor, budget.inset)
+    line = anchor_line(family, anchor, budget.inset)
     a = line.real_part - family.log_lam.real
     ln_a = math.log(a) if a > 0.0 else math.nan
-    inner, core = spec.inner, spec.core
+    inner, core = _level_line_squares(anchor, budget.inset)
 
     def near(y):  # the columns within two of those whose strip meets Im = y
         return range(math.floor((y - 0.5 * math.pi) / TWO_PI) - 2,
@@ -185,10 +205,17 @@ def trace_level_lines(family: MapFamily, spec: SquareSpec,
     return LevelLineReport(
         curve_count=sum(len(block) if u in block else 1
                         for u, lens in zip(columns, comps) if lens),
-        required_count=int(math.floor(spec.anchor / (4.0 * math.pi))),
+        required_count=int(math.floor(anchor / (4.0 * math.pi))),
         min_component_length=min((x for lens in comps for x in lens), default=math.inf),
-        required_length=spec.anchor / 4.0 - budget.inset,
+        required_length=anchor / 4.0 - budget.inset,
         min_re_margin=line.growth_bound - ln_a)
+
+
+def _level_line_squares(anchor: float, inset: float) -> tuple:
+    """Q' and Q'' (module docstring), after `build_squares`' inset check."""
+    a = float(anchor)
+    core = Rect(3.0 * a / 4.0, 5.0 * a / 4.0, -a / 4.0, a / 4.0)
+    return build_squares(a, inset).shrink(float(inset)), core
 
 
 def _branch_components(ln_a: float, u: int, inner: Rect, core: Rect) -> list:
@@ -222,3 +249,34 @@ def _half_interval(ln_a: float, u: int, h: int, rect: Rect):
     l1 = max(0.0, rect.re_lo - ln_a, -math.log(math.cos(th_lo)) if th_lo > 0.0 else 0.0)
     l2 = min(rect.re_hi - ln_a, -math.log(math.cos(th_hi)) if th_hi < 0.5 * math.pi else math.inf)
     return (l1, l2) if l1 < l2 else None
+
+
+# ---------------------------------------------------------------------------
+# The checks of the lemma report
+# ---------------------------------------------------------------------------
+
+def lemma_checks(family: MapFamily, anchor: float, budget: GeometryBudget) -> dict:
+    """Pass/fail with numeric margins for every verifiable growth, expansion
+    and level-line statement at the anchor, by the lemma report's names."""
+    def check(margin, **extra):
+        return {"margin": margin, "pass": margin > 0, **extra}
+
+    line = anchor_line(family, anchor, budget.inset)
+    eq4 = 4.0 * math.pi / (anchor - family.ln_r0) - anchor_derivative(family, anchor)
+    k0 = next(k for k in itertools.count(1) if 10.0 ** k > family.ln_r0)
+    first = next((i for i, x in enumerate(10.0 ** k for k in range(k0, 13))
+                  if math.log(abs(x - family.log_lam)) > family.ln_r0 + 2.0 * budget.inset), None)
+    lines = trace_level_lines(family, anchor, budget)
+    return {
+        "anchor_derivative_lower": check(anchor_derivative_margin(family, anchor, budget.epsilon)),
+        "anchor_derivative_upper": check(eq4),
+        "tract_depth": check(line.depth_margin, real_part=line.real_part),
+        "expansion_margin": check(4.0 * math.pi * (family.ln_r0 - family.log_lam.real)),
+        "branch_growth_to_infinity": {"first_past_threshold": first, "pass": first is not None},
+        "level_lines": {
+            "curve_count": lines.curve_count, "required_count": lines.required_count,
+            "min_component_length": lines.min_component_length,
+            "required_length": lines.required_length, "min_inf_re_margin": lines.min_re_margin,
+            "pass": (lines.curve_count >= lines.required_count
+                     and lines.min_component_length >= lines.required_length
+                     and lines.min_re_margin > 0)}}

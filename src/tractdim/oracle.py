@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError
 from .loglift import MapFamily, log_run_sum_bounds
 from .numerics import TWO_PI, log_sum_exp
-from .tractgeom import GSet, GeometryBudget, SquareSpec
+from .tractgeom import GSet, GeometryBudget, Rect
 
 # Boundary samples of Q per unit of `density` in the dense recheck.
 _BOUNDARY_SAMPLES = 256
@@ -213,7 +213,7 @@ def brute_force_pressure_similarity(weights: Sequence[float], n: int, t: float) 
     return math.log(math.fsum(terms)) / n
 
 
-def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
+def brute_force_pressure(family: MapFamily, letters: Sequence, square: Rect,
                          n: int, t: float) -> float:
     """(1/n) log sum over all n-words of |(g^word)'(center Q)|^t.
 
@@ -235,7 +235,7 @@ def brute_force_pressure(family: MapFamily, letters: Sequence, spec: SquareSpec,
     steps = [(TWO_PI * u, ln_t, math.exp(-ln_t), sign)
              for (u, _), ln_t, sign in zip(letters, ln_ts.tolist(), signs.tolist())]
     c = family.log_lam
-    z0 = spec.outer.center
+    z0 = square.center
     log_terms = []
     for word in itertools.product(steps, repeat=n):
         z = z0
@@ -273,14 +273,14 @@ class WindowComparison(NamedTuple):
                 and self.tail_hi_bounds[0] <= self.enum_hi <= self.tail_hi_bounds[1])
 
 
-def compare_window_modes(family: MapFamily, spec: SquareSpec, sigma_lo: float,
+def compare_window_modes(family: MapFamily, square: Rect, sigma_lo: float,
                          sigma_hi: float, t: float = 1.0) -> WindowComparison:
     """Sum one sigma window by explicit enumeration and by the run sum.
 
     Both target the same per-letter envelopes, so the enumerated value
     must fall inside the bracket of `log_run_sum_bounds`.
     """
-    env = family.envelope(spec.outer)
+    env = family.envelope(square)
     # the size test comes first, in log form, so that no exp overflows
     if (max(sigma_lo, sigma_hi) - math.log(TWO_PI) > 54 * math.log(2.0)
             or math.floor(math.exp(sigma_hi) / TWO_PI) > 2 ** 53):
@@ -378,10 +378,10 @@ class _Boundary(NamedTuple):
                    big_lr=float(np.max(np.abs(lr))))
 
 
-def _recheck_boundary(family: MapFamily, spec: SquareSpec, density: int) -> _Boundary:
+def _recheck_boundary(family: MapFamily, square: Rect, density: int) -> _Boundary:
     """The shared boundary work of the dense recheck at density x
     `_BOUNDARY_SAMPLES` boundary samples of Q."""
-    w = spec.outer.boundary_points(_BOUNDARY_SAMPLES * density) - family.log_lam
+    w = square.boundary_points(_BOUNDARY_SAMPLES * density) - family.log_lam
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     return _Boundary.from_logs(family, log_first[np.argsort(log_first.real, kind="stable")])
 
@@ -507,7 +507,7 @@ def _candidate_samples(boundary: _Boundary, x):
         yield letters, np.nonzero(samples)[0]
 
 
-def _recheck_cells(us, ss, spec: SquareSpec, boundary: _Boundary):
+def _recheck_cells(us, ss, square: Rect, boundary: _Boundary):
     """Dense containment verdicts of the cells (us[i], ss[i]) from the shared
     boundary work (`_recheck_boundary`), in one batch whatever the number
     of letters; `us` may be one column for all letters, and the indices
@@ -572,7 +572,6 @@ def _recheck_cells(us, ss, spec: SquareSpec, boundary: _Boundary):
     paddings delta and the image extents (re_min, re_max, im_min, im_max),
     one row per letter.
     """
-    rect = spec.outer
     p, q, lr = boundary.p, boundary.q, boundary.lr
     ln_t, sign = _index_logs(ss)
     x = np.exp(-ln_t)
@@ -585,19 +584,19 @@ def _recheck_cells(us, ss, spec: SquareSpec, boundary: _Boundary):
     ext[:2] += ln_t
     ext[2:] += TWO_PI * us
     lip = np.exp(-(ln_t + low)) * 1.25
-    delta = np.maximum(lip * (rect.perimeter / boundary.logs.size),
-                       math.ulp(max(map(abs, rect))))
+    delta = np.maximum(lip * (square.perimeter / boundary.logs.size),
+                       math.ulp(max(map(abs, square))))
 
     def within(pad):
-        return ((ext[0] >= rect.re_lo + pad) & (ext[1] <= rect.re_hi - pad)
-                & (ext[2] >= rect.im_lo + pad) & (ext[3] <= rect.im_hi - pad))
+        return ((ext[0] >= square.re_lo + pad) & (ext[1] <= square.re_hi - pad)
+                & (ext[2] >= square.im_lo + pad) & (ext[3] <= square.im_hi - pad))
 
     verdicts = np.where(within(delta), "inside",
                         np.where(within(0.0), "borderline", "outside"))
     return verdicts, delta, ext.T
 
 
-def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
+def containment_recheck(family: MapFamily, u: int, s: int, square: Rect,
                         density: int = 10) -> str:
     """Repeat one containment decision at density x boundary sampling.
 
@@ -605,8 +604,8 @@ def containment_recheck(family: MapFamily, u: int, s: int, spec: SquareSpec,
     one-letter view of the batched dense recheck of `recheck_gset`, on
     freshly built boundary work.
     """
-    boundary = _recheck_boundary(family, spec, density)
-    return str(_recheck_cells(u, [s], spec, boundary)[0][0])
+    boundary = _recheck_boundary(family, square, density)
+    return str(_recheck_cells(u, [s], square, boundary)[0][0])
 
 
 class RecheckReport(NamedTuple):
@@ -617,7 +616,7 @@ class RecheckReport(NamedTuple):
     min_margin: float          # worst enclosure margin over cells where it is defined
 
 
-def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
+def recheck_gset(family: MapFamily, gset: GSet, square: Rect,
                  budget: GeometryBudget, density: int = 10,
                  dense_sample: int = 2000, seed: int = 20210) -> RecheckReport:
     """Recheck every letter of G with independent evaluations.
@@ -659,12 +658,11 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
     n_checked = 0
     min_margin = math.inf
     c = family.log_lam
-    rect = spec.outer
     # independent envelope constants from a dense boundary grid of Q
-    w = rect.boundary_points(4096) - c
+    w = square.boundary_points(4096) - c
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
-    boundary = _recheck_boundary(family, spec, density)
+    boundary = _recheck_boundary(family, square, density)
 
     def margins(u: int, ln_t: np.ndarray, sign: int) -> np.ndarray:
         # below 2*pi*|s| = b_ind the enclosure is undefined (NaN margin)
@@ -675,10 +673,10 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
         hi_re = ln_t + np.log1p(bx)
         mid = TWO_PI * u + sign * 0.5 * math.pi
         return np.minimum.reduce([
-            lo_re - rect.re_lo,
-            rect.re_hi - hi_re,
-            (mid - dev) - rect.im_lo,
-            rect.im_hi - (mid + dev),
+            lo_re - square.re_lo,
+            square.re_hi - hi_re,
+            (mid - dev) - square.im_lo,
+            square.im_hi - (mid + dev),
         ])
 
     run_u, run_s = [], []  # the runs' inconclusive letters, in (run, u, s) order
@@ -708,7 +706,7 @@ def recheck_gset(family: MapFamily, gset: GSet, spec: SquareSpec,
         ss = np.concatenate([np.array(run_s, dtype=object), ss])
     flagged = []
     if ss.size:
-        outside = np.flatnonzero(_recheck_cells(us, ss, spec, boundary)[0] == "outside")
+        outside = np.flatnonzero(_recheck_cells(us, ss, square, boundary)[0] == "outside")
         flagged = list(zip(us[outside].tolist(), ss[outside].tolist()))
     return RecheckReport(n_checked=n_checked, n_densely_sampled=ranks.size,
                          n_flagged=len(flagged), flagged=tuple(flagged[:64]),

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 from .errors import ConfigError, ConstructionError
 from .loglift import MapFamily, normalize_family
 from .numerics import log_sum_exp
-from .tractgeom import GSet, SquareSpec, build_G, log_distortion_bound
+from .tractgeom import GSet, Rect, build_G, log_distortion_bound
 
 # The largest exponent: sums are taken at t in [0, _T_MAX], and the Bowen
 # root is capped there (dim <= 2 < _T_MAX for any planar set).
@@ -79,7 +79,7 @@ class WeightedSystem(NamedTuple):
         return self.n_letters == 0
 
 
-def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
+def build_weighted_system(family: MapFamily, gset: GSet, square: Rect,
                           dist=None) -> WeightedSystem:
     """Weight envelopes for an admissible set.
 
@@ -95,7 +95,7 @@ def build_weighted_system(family: MapFamily, gset: GSet, spec: SquareSpec,
     runs = Counter()
     for run in gset.runs:
         runs[tuple(sorted((abs(run.s_lo), abs(run.s_hi))))] += run.n_columns
-    env = family.envelope(spec.outer)
+    env = family.envelope(square)
     return WeightedSystem(runs=tuple(runs.items()), envelope_sums=env.run_sums(list(runs)))
 
 
@@ -282,8 +282,8 @@ class DimensionCertificate(NamedTuple):
         }
 
 
-def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertificate:
-    """Run the full construction on the square Q of `spec` and certify
+def certify_dim_gt_one(family: MapFamily, square: Rect) -> DimensionCertificate:
+    """Run the full construction on the square Q (`build_squares`) and certify
     dim > 1 via the pressure bound.
 
     The certificate reads Q alone: the cells of G lie in Q, so they form a
@@ -295,8 +295,8 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertific
     reasons are an empty admissible set G and P_lo(1) <= 0.  The paper's
     anchor-derivative (eq1) and tract-depth conditions, which show that
     such cells exist, and the inset enter neither G nor the bounds, so
-    they are `lemmas` checks, not read here.  The anchor of `spec` is the
-    center of Q; `build_G` reads only Q.
+    they are `lemmas` checks, not read here.  `build_G` reads Q alone, so
+    it gets no anchor and no budget.
 
     P1_lo is `bowen_root`'s first evaluation, so t_lo >= 1 on every
     certified result, and t_lo is within 4 ulp of an evaluated t with
@@ -307,19 +307,19 @@ def certify_dim_gt_one(family: MapFamily, spec: SquareSpec) -> DimensionCertific
     """
     start = time.perf_counter()
     family = normalize_family(family)
-    gset = build_G(family, spec.anchor, spec, None)
+    gset = build_G(family, None, square, None)
     diagnostics = {"n_segments": gset.n_segments}
     p1_lo, t_lo, t_hi = -math.inf, 0.0, 0.0
     if gset.is_empty():
         reasons = ["admissible set G is empty at this configuration"]
     else:
-        system = build_weighted_system(family, gset, spec)
+        system = build_weighted_system(family, gset, square)
         roots = bowen_root(system)
         p1_lo, t_lo, t_hi = roots.p1_lo, roots.t_lo, roots.t_hi
         diagnostics.update(bowen_capped=roots.lo_capped or roots.hi_capped,
                            bowen_evaluations=roots.evaluations)
         reasons = [] if p1_lo > 0 else [f"P_lo(1) = {p1_lo:.6g} <= 0"]
     return DimensionCertificate(
-        c=math.exp(log_distortion_bound(family, gset, spec)), p1_lo=p1_lo,
+        c=math.exp(log_distortion_bound(family, gset, square)), p1_lo=p1_lo,
         t_lo=t_lo, t_hi=t_hi, runtime_ms=1000.0 * (time.perf_counter() - start),
         diagnostics=diagnostics, reasons=tuple(reasons))

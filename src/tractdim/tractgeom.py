@@ -1,8 +1,8 @@
 """Geometric construction over the half plane H = {Re z > ln R0}.
 
 Given an anchor value R deep inside H, the construction takes the square
-Q = [R/2, 3R/2] x [-R/2, R/2] centered at R, its inset copy Q' and core
-Q'', and studies the two-level inverse images
+Q = [R/2, 3R/2] x [-R/2, R/2] centered at R, and nothing else, and
+studies the two-level inverse images
 
     cell(u, s) = F_inv_u(F_inv_s(Q)).
 
@@ -35,7 +35,7 @@ _ENDPOINT_ULPS = 8
 
 
 # ---------------------------------------------------------------------------
-# Rectangles and budgets
+# Rectangles, budgets and the square Q
 # ---------------------------------------------------------------------------
 
 class _RectFields(NamedTuple):
@@ -107,14 +107,13 @@ class _GeometryBudgetFields(NamedTuple):
 
 
 class GeometryBudget(_GeometryBudgetFields):
-    """Tunable constants of the construction.
+    """Tunable constants of the lemma checks.
 
     epsilon controls the anchor-derivative condition, and inset is the
-    width D by which the inner square retreats from Q; the lemma checks
-    and `find_radius` (`lemmas`) read them.  G asks only that each cell's
-    enclosure lie in the closed square Q, which is the containment
-    hypothesis of a conformal IFS; it samples nothing, and neither G nor
-    the certificate reads the budget.
+    width D by which Q' retreats from Q; `lemmas` reads both, and
+    `build_squares` checks the inset.  G asks only that each cell's
+    enclosure lie in the closed square Q, the containment hypothesis of a
+    conformal IFS, and neither G nor the certificate reads the budget.
     """
 
     __slots__ = ()
@@ -127,32 +126,17 @@ class GeometryBudget(_GeometryBudgetFields):
         return super().__new__(cls, epsilon, inset)
 
 
-# ---------------------------------------------------------------------------
-# Squares
-# ---------------------------------------------------------------------------
-
-class SquareSpec(NamedTuple):
-    """The nested squares of the construction, centered at the anchor."""
-
-    anchor: float
-    outer: Rect   # side R
-    inner: Rect   # outer inset by D on all sides
-    core: Rect    # half-size square, same center
-
-
-def build_squares(anchor: float, inset: float) -> SquareSpec:
-    """Nested squares at the anchor; the boundary case inset == anchor/4
-    (inner square collapsing onto the core) is allowed."""
+def build_squares(anchor: float, inset: float) -> Rect:
+    """Q = [R/2, 3R/2] x [-R/2, R/2], R = anchor.  The inset must be
+    positive and at most anchor/4, so that the lemma squares Q' and Q''
+    exist (`lemmas`); at anchor/4 Q' collapses onto Q''."""
     if not inset > 0.0:
         raise GeometryError(f"inset must be positive, got {inset}")
     if anchor / 4.0 < inset:
         raise GeometryError(
             f"anchor/4 = {anchor / 4.0:.6g} must not be below the inset {inset:.6g}")
     a = float(anchor)
-    outer = Rect(a / 2.0, 3.0 * a / 2.0, -a / 2.0, a / 2.0)
-    inner = outer.shrink(float(inset))
-    core = Rect(3.0 * a / 4.0, 5.0 * a / 4.0, -a / 4.0, a / 4.0)
-    return SquareSpec(anchor=a, outer=outer, inner=inner, core=core)
+    return Rect(a / 2.0, 3.0 * a / 2.0, -a / 2.0, a / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +349,7 @@ class GSet(NamedTuple):
         return [(u, s) for _, u, s in itertools.islice(merged, k)]
 
 
-def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: GeometryBudget,
+def build_G(family: MapFamily, anchor: float, square: Rect, budget: GeometryBudget,
             mode: str = "enumerate", dist=None, workers: int = 1, collar: int = 32) -> GSet:
     """Assemble the admissible set G: the letters of the sigma windows.
 
@@ -392,14 +376,14 @@ def build_G(family: MapFamily, anchor: float, spec: SquareSpec, budget: Geometry
     """
     if mode not in ("enumerate", "tail"):
         raise ConfigError(f"unknown G mode {mode!r}")
-    env = family.envelope(spec.outer)
+    env = family.envelope(square)
     if math.log(env.d_lo) <= family.ln_r0:
         # first-level images leave the half plane at this anchor/family
         return GSet(runs=())
     runs = []
     window = None
     for sign in (1, -1):
-        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, spec.outer, sign):
+        for u_lo, u_hi, sigma_lo, sigma_hi in _sigma_windows(env, square, sign):
             if (sigma_lo, sigma_hi) != window:
                 window = (sigma_lo, sigma_hi)
                 s1, s2 = _sigma_run(sigma_lo, sigma_hi)
@@ -478,7 +462,7 @@ def _sigma_run(sigma_lo: float, sigma_hi: float):
 # Bounded distortion
 # ---------------------------------------------------------------------------
 
-def log_distortion_bound(family: MapFamily, gset: GSet, spec: SquareSpec) -> float:
+def log_distortion_bound(family: MapFamily, gset: GSet, square: Rect) -> float:
     """ln K: |ln|phi_w'(x)| - ln|phi_w'(y)|| <= ln K for all x, y in Q and
     every word w = w_1...w_n of G, phi_w = g_{w_1} o ... o g_{w_n}: the
     bounded distortion that Bowen's formula for a conformal IFS needs
@@ -505,13 +489,13 @@ def log_distortion_bound(family: MapFamily, gset: GSet, spec: SquareSpec) -> flo
     """
     if gset.is_empty():
         return 0.0
-    env = family.envelope(spec.outer)
+    env = family.envelope(square)
     x = math.exp(-(math.log(TWO_PI) + math.log(gset.min_abs_index())))
     room = 1.0 - env.b * x
     if not x < room * env.d_lo:
         raise ConstructionError("branch derivatives on Q reach 1: no distortion bound")
     inv = x / room  # 1 / (2*pi*s_min - b)
-    return (1.0 + inv) / env.d_lo * spec.outer.diam / (1.0 - inv / env.d_lo)
+    return (1.0 + inv) / env.d_lo * square.diam / (1.0 - inv / env.d_lo)
 
 
 def distortion_constant(anchor: float, ln_r0: float) -> None:
@@ -531,7 +515,7 @@ class GapReport(NamedTuple):
     log_min_gap: float          # ln min_gap, finite where min_gap underflows
 
 
-def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
+def min_cell_gap(family: MapFamily, gset: GSet, square: Rect) -> GapReport:
     """Closed-form lower bounds on the separation of the cells of G.
 
     With c = Log(lam), the first-level image of Q minus c is the set of
@@ -556,7 +540,7 @@ def min_cell_gap(family: MapFamily, gset: GSet, spec: SquareSpec) -> GapReport:
     """
     if gset.is_empty():
         raise ConstructionError("gap report needs a non-empty G")
-    env = family.envelope(spec.outer)
+    env = family.envelope(square)
     c = env.c
     p_lo, p_hi = env.p_lo, math.log(env.d_hi) - c.real
     if p_lo <= 0.0:

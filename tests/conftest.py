@@ -56,8 +56,8 @@ def column_window(family, u, spec, target=None, sign=1):
     """(sigma_lo, sigma_hi) of the column (u, sign): the window of the
     `_sigma_windows` block holding it, or None where it has no room.  The
     envelope is that of Q; the cells must lie in `target` (Q by default)."""
-    env = family.envelope(spec.outer)
-    target = spec.outer if target is None else target
+    env = family.envelope(spec)
+    target = spec if target is None else target
     return next(((lo, hi) for u_lo, u_hi, lo, hi in _sigma_windows(env, target, sign)
                  if u_lo <= u <= u_hi), None)
 

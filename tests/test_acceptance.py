@@ -71,7 +71,7 @@ def test_criterion_02_derivative_suite(fam, mini):
         for s in (-2, 0, 3))
     letters = mini.gset.letters_by_weight(4)
     word = [letters[0], letters[2], letters[1]]
-    z0 = mini.spec.outer.center
+    z0 = mini.spec.center
     samples = z0 + 0.4 * (rng.random(60) - 0.5) + 0.4j * (rng.random(60) - 0.5)
     worst_cyl = td.fd_derivative_check(
         lambda z: td.cylinder_eval(mini.family, word, z), samples)
@@ -131,9 +131,9 @@ def test_criterion_04_small_instance_construction(full12):
 
     # measured diameters against the Koebe-certified bound, on a
     # deterministic stratified subsample
-    eq5_bound = spec.outer.diam * 4.0 * math.pi * koebe_constant(12.0, fam.ln_r0) \
+    eq5_bound = spec.diam * 4.0 * math.pi * koebe_constant(12.0, fam.ln_r0) \
         / (12.0 - fam.ln_r0)
-    pts = spec.outer.boundary_points(256)
+    pts = spec.boundary_points(256)
     base = np.asarray(fam.inv0(pts))
     diam_ok = True
     ranks = np.unique(np.geomspace(1, g.n_letters - 1, 200).astype(np.int64))
@@ -213,7 +213,7 @@ def test_criterion_07_bowen_solver_oracles():
 def test_criterion_08_dimension_cross_check(small):
     fam, spec = small.family, small.spec
     letters = small.gset.letters_by_weight(8)
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
@@ -250,7 +250,7 @@ def test_criterion_09_pressure_monotonicity(fam, small):
     systems["mixed@12"] = build_weighted_system(small.family, small.gset,
                                                 small.spec)
     letters = small.gset.letters_by_weight(8)
-    env = fam.envelope(small.spec.outer)
+    env = fam.envelope(small.spec)
     sigma = np.log(TWO_PI) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     systems["subsystem8"] = WeightedSystem(log_lo=lo, log_hi=hi)
@@ -303,8 +303,7 @@ def test_criterion_11_level_line_suite(fam):
     results = []
     for anchor, inset in ((12.0, 0.5), (100.0, 5.0)):
         budget = td.GeometryBudget(epsilon=0.1, inset=inset)
-        spec = td.build_squares(anchor, inset)
-        rep = td.trace_level_lines(fam, spec, budget)
+        rep = td.trace_level_lines(fam, anchor, budget)
         need_len = anchor / 4.0 - inset
         need_cnt = int(math.floor(anchor / (4.0 * math.pi)))
         results.append((anchor, rep.min_component_length, need_len,

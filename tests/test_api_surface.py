@@ -28,6 +28,11 @@ reads.
 What is kept only because `perfbench/` passes or reads it is listed in
 `PERFBENCH_ONLY`, each entry with the benchmark line that needs it, and
 nothing in `src/tractdim/` reads it.
+
+And outside `lemmas` the construction reads the square Q alone: the lemma
+budget (epsilon, inset) is read only where it is validated and as the
+inset `build_squares` checks, and only `lemmas` builds the squares Q' and
+Q'' of the level lines.
 """
 
 import ast
@@ -402,3 +407,73 @@ def test_perfbench_only_entries_have_no_reader_in_the_package():
     passed = [entry for entry in PERFBENCH_ONLY
               if entry in _knobs() and _passed(entry, package_only=True)]
     assert read == [] and passed == []
+
+
+
+# Where the lemma budget may be read outside `lemmas`: the function or class
+# that validates it, by module
+_BUDGET_OWNERS = {"cli": "load_config", "tractgeom": "GeometryBudget"}
+# attribute reads that share the budget's field names
+_OTHER_BUDGET_READS = {"sys.float_info.epsilon"}
+
+
+def _lemma_layer_uses(module: str, source: str) -> tuple:
+    """What a module reads or builds of the lemma layer: its reads of
+    `.inset` or `.epsilon` but the inset argument of a `build_squares`
+    call (and those of `_BUDGET_OWNERS`), its reads of `.shrink`, `.inner`
+    and `.core`, and the scope of each `Rect(...)` call, each scope named
+    by its top-level function or class."""
+    tree = ast.parse(source)
+    inset_args = {id(call.args[1]) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and len(call.args) == 2
+                  and getattr(call.func, "id", getattr(call.func, "attr", None))
+                  == "build_squares"}
+    reads, rects = [], []
+    for top in tree.body:
+        scope = f"{module}.{getattr(top, 'name', None)}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Rect":
+                rects.append(scope)
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            budget = (node.attr in ("inset", "epsilon") and id(node) not in inset_args
+                      and _BUDGET_OWNERS.get(module) != scope.partition(".")[2]
+                      and ast.unparse(node) not in _OTHER_BUDGET_READS)
+            if budget or node.attr in ("shrink", "inner", "core"):
+                reads.append(f"{scope}: {ast.unparse(node)}")
+    return reads, rects
+
+
+def test_the_construction_reads_q_alone():
+    """Outside `lemmas`, `cli.load_config` and `GeometryBudget`, the only
+    read of `.inset` or `.epsilon` is the inset argument of a
+    `build_squares` call.  And no module but `lemmas` builds Q' or Q'':
+    nothing else reads `.shrink`, `.inner` or `.core`, and `Rect` is
+    constructed once in `build_squares` (Q) and once in `Rect.shrink`."""
+    reads, rects = [], []
+    for path in sorted((ROOT / "src" / "tractdim").glob("*.py")):
+        if path.stem != "lemmas":
+            module_reads, module_rects = _lemma_layer_uses(path.stem,
+                                                           path.read_text(encoding="utf-8"))
+            reads += module_reads
+            rects += module_rects
+    assert reads == []
+    assert sorted(rects) == ["tractgeom.Rect", "tractgeom.build_squares"]
+
+
+def test_the_q_guard_finds_what_it_forbids():
+    """Planted in a module: a budget read beside the allowed inset argument,
+    an inset copy of Q and a second Rect are each found; in `cli`, the
+    reads of `load_config` are not."""
+    source = ("import sys\n"
+              "def run(cfg):\n"
+              "    q = build_squares(cfg.anchor, cfg.budget.inset)\n"
+              "    eps = sys.float_info.epsilon + cfg.budget.epsilon\n"
+              "    return q.shrink(1.0), Rect(1.0, 2.0, 3.0, 4.0)\n"
+              "def load_config(raw):\n"
+              "    return raw.inset\n")
+    assert _lemma_layer_uses("commands", source) == (
+        ["commands.run: cfg.budget.epsilon", "commands.run: q.shrink",
+         "commands.load_config: raw.inset"], ["commands.run"])
+    assert _lemma_layer_uses("cli", source)[0] == ["cli.run: cfg.budget.epsilon",
+                                                   "cli.run: q.shrink"]

@@ -23,24 +23,24 @@ def test_cylinder_single_letter_is_cell_center(fam):
 def test_cylinder_composition_associative(mini):
     letters = mini.gset.letters_by_weight(3)
     word = [letters[0], letters[1], letters[2]]
-    z = mini.spec.outer.center
-    v_once, d_once = td.cylinder_eval(mini.family, word + word, z, spec=mini.spec)
-    mid, d1 = td.cylinder_eval(mini.family, word, z, spec=mini.spec)
-    v_twice, d2 = td.cylinder_eval(mini.family, word, mid, spec=mini.spec)
+    z = mini.spec.center
+    v_once, d_once = td.cylinder_eval(mini.family, word + word, z, square=mini.spec)
+    mid, d1 = td.cylinder_eval(mini.family, word, z, square=mini.spec)
+    v_twice, d2 = td.cylinder_eval(mini.family, word, mid, square=mini.spec)
     assert abs(v_once - v_twice) <= 1e-12 * (1.0 + abs(v_once))
     assert abs(d_once - d1 * d2) <= 1e-12 * abs(d_once)
 
 
 def test_cylinder_rejects_alien_letter(mini):
     with pytest.raises(td.ConstructionError):
-        td.cylinder_eval(mini.family, [(5, 7)], mini.spec.outer.center,
-                         spec=mini.spec, gset=mini.gset)
+        td.cylinder_eval(mini.family, [(5, 7)], mini.spec.center,
+                         square=mini.spec, gset=mini.gset)
 
 
 def test_cylinder_derivative_against_finite_differences(mini):
     letters = mini.gset.letters_by_weight(4)
     word = [letters[0], letters[2], letters[1]]
-    z0 = mini.spec.outer.center
+    z0 = mini.spec.center
     rng = np.random.default_rng(9)
     samples = z0 + 0.3 * (rng.random(50) - 0.5) + 0.3j * (rng.random(50) - 0.5)
     worst = td.fd_derivative_check(
@@ -79,7 +79,7 @@ def test_sampling_points_in_disjoint_cells(small):
     # distinct first letters put points in disjoint cells: cross distances
     # exceed within-cell diameters
     first = list(zip(sample.words_u[:, 0].tolist(), sample.words_s[:, 0].tolist()))
-    env = small.family.envelope(small.spec.outer)
+    env = small.family.envelope(small.spec)
     for i in range(0, 50):
         for j in range(i + 1, 50):
             if first[i] != first[j]:
@@ -88,7 +88,7 @@ def test_sampling_points_in_disjoint_cells(small):
                 lip = float(np.exp(env.log_weight_bounds(np.log(TWO_PI * abs(s)))[1]))
                 d = abs(sample.points[i] - sample.points[j])
                 assert d > 0
-                assert abs(sample.points[i] - center) <= lip * small.spec.outer.diam
+                assert abs(sample.points[i] - center) <= lip * small.spec.diam
 
 
 def test_sampling_depth_refinement(small):
@@ -97,13 +97,13 @@ def test_sampling_depth_refinement(small):
     d = 4
     a = td.sample_limit_set(small.family, small.gset, small.spec,
                             depth=d, count=40, seed=12)
-    env = small.family.envelope(small.spec.outer)
+    env = small.family.envelope(small.spec)
     sig_min = min(math.log(TWO_PI) + math.log(min(abs(r.s_lo), abs(r.s_hi)))
                   for r in small.gset.runs)
     ratio = float(np.exp(env.log_weight_bounds(sig_min)[1]))
-    tail = small.spec.outer.diam * ratio ** d + 1e-12
+    tail = small.spec.diam * ratio ** d + 1e-12
     extra = small.gset.letters_by_weight(1)[0]
-    z0 = small.spec.outer.center
+    z0 = small.spec.center
     for i in range(a.count):
         word = list(zip(a.words_u[i].tolist(), a.words_s[i].tolist()))
         deeper, _ = td.cylinder_eval(small.family, word + [extra], z0)
@@ -177,7 +177,7 @@ def _sample_per_level(family, gset, spec, depth, count, seed):
     `inv0` image."""
     u, s = gset.letters(gset.random_ranks(np.random.default_rng(seed), count * depth))
     words_u, words_s = u.reshape(count, depth), s.reshape(count, depth)
-    z = np.full(count, spec.outer.center, dtype=complex)
+    z = np.full(count, spec.center, dtype=complex)
     for k in range(depth - 1, -1, -1):
         shifted = z
         first = np.asarray(family.inv0(z)) + TWO_PI * 1j * words_s[:, k]
@@ -208,7 +208,7 @@ def _assert_rows_are_the_drawn_words(family, gset, spec, depth, count, seed):
     words = [[_letter(gset, rank) for rank in row] for row in ranks.tolist()]
     assert sample.words_u.tolist() == [[u for u, _ in word] for word in words]
     assert sample.words_s.tolist() == [[s for _, s in word] for word in words]
-    points = [td.cylinder_eval(family, word, spec.outer.center)[0] for word in words]
+    points = [td.cylinder_eval(family, word, spec.center)[0] for word in words]
     assert np.array_equal(sample.points, np.array(points))
     return ranks
 
@@ -345,7 +345,7 @@ def test_invariance_depth1_lands_in_square(small):
     sample = td.sample_limit_set(small.family, small.gset, small.spec,
                                  depth=1, count=200, seed=5)
     ffz = np.asarray(small.family.lift(np.asarray(small.family.lift(sample.points))))
-    assert np.all(small.spec.outer.shrink(-1e-6).contains(ffz))
+    assert np.all(small.spec.shrink(-1e-6).contains(ffz))
 
 
 def test_invariance_detects_corruption(small):

@@ -1145,23 +1145,40 @@ def test_dim_path_imports_no_numpy(tmp_path):
                    + [sorted(with_lemmas + ["tractdim.commands"])] * 3}
 
 
-@pytest.mark.parametrize("scan, points", [([8.0, 4000.0, 1e-9], "3.992e+12"),
-                                          ([8.0, 9.0, 1e-300], "1e+300")])
-@pytest.mark.parametrize("command", ["lemmas", "dim"])
-def test_auto_anchor_scan_past_a_million_points_exit_1(tmp_path, scan, points, command):
-    """An "auto" anchor's scan of more than 10^6 points is a config error
-    naming the count, before any point is evaluated, with no traceback:
-    numpy's arange used to raise on these grids (29 TiB at step 1e-9, past
-    its size limit at 1e-300).  The default scans have 3,993 and 191
-    points."""
+def _run_auto(tmp_path, command, scan):
     cfg = write_cfg(tmp_path, "c.json", {"geometry": {"anchor": "auto", "scan": scan}})
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-m", "tractdim", command, "--config", cfg,
+    return subprocess.run([sys.executable, "-m", "tractdim", command, "--config", cfg,
                            "--out", str(tmp_path / "x.json")], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("scan", [[8.0, 4000.0, 1e-3], [8.0, 4000.0, 1e-9], [8.0, 9.0, 1e-300]],
+                         ids=["3.99e6-points", "3.99e12-points", "1e300-points"])
+@pytest.mark.parametrize("command, code", [("lemmas", 0), ("dim", 2)])
+def test_auto_anchor_scan_past_a_million_points_resolves(tmp_path, scan, command, code):
+    """An "auto" anchor's scan of more than 10^6 points resolves by
+    bisection, here to 8.0: the default scan [8, 4000] at step 1e-3 (3.99M
+    points) and 1e-9, and [8, 9] at step 1e-300, which rounds to 0 at 8,
+    so that each of its 1e300 points is 8.0.  `lemmas` then exits 0, and
+    `dim`, not certified at anchor 8, exits 2, each with no stderr."""
+    done = _run_auto(tmp_path, command, scan)
+    assert (done.returncode, done.stderr) == (code, "")
+    report = json.loads((tmp_path / "x.json").read_text())
+    assert report["config"]["geometry"]["anchor"] == 8.0
+    if command == "lemmas":
+        assert report["all_pass"] is True
+
+
+@pytest.mark.parametrize("command", ["lemmas", "dim"])
+def test_auto_anchor_scan_of_no_finite_point_count_exit_1(tmp_path, command):
+    """A scan whose point count overflows to inf is a config error naming
+    the step, with no traceback, where `math.ceil` of the count would
+    raise."""
+    done = _run_auto(tmp_path, command, [8.0, 1e300, 1e-300])
     assert done.returncode == 1
-    assert done.stderr == (f"config error: scan grid of {points} points passes the cap "
-                           "of 10^6 points\n")
+    assert done.stderr == ("config error: scan grid of inf points: step 1e-300 is too small "
+                           "for [8.0, 1e+300]\n")
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_cell_enclosure_is_monotone_in_sigma(lam, log_anchor, u, sign, offsets):
     next float above it."""
     family = td.normalize_family(td.exponential_family(lam=lam))
     anchor = math.exp(log_anchor)
-    env = family.envelope(td.build_squares(anchor, 0.5).outer)
+    env = family.envelope(td.build_squares(anchor, 0.5))
     sigmas = {_sigma_above(env.sigma_valid_min, offset) for offset in offsets}
     sigmas = sorted(sigmas | {math.nextafter(sigma, math.inf) for sigma in sigmas})
     boxes = [env.cell_enclosure(u, sign, sigma) for sigma in sigmas]
@@ -229,7 +229,7 @@ def test_envelope_arg_range_is_that_of_the_corners(lam, anchor):
     corners, bit for bit, and holds Arg(z - c) at 4,096 boundary samples
     of Q; `amax` in b is the larger |Arg| of the two left corners."""
     family = td.normalize_family(td.exponential_family(lam=lam))
-    rect = td.build_squares(anchor, 0.5).outer
+    rect = td.build_squares(anchor, 0.5)
     c = family.log_lam
     env = family.envelope(rect)
     corners = [math.atan2(y - c.imag, x - c.real)
@@ -400,7 +400,7 @@ def test_window_comparison_brackets_equal_per_call_reference(small):
     """`compare_window_modes` takes its two brackets from the run sum."""
     win_lo, win_hi = column_window(small.family, 0, small.spec, sign=1)
     sig_lo, sig_hi = win_lo, min(win_lo + 4.0, win_hi)
-    env = small.family.envelope(small.spec.outer)
+    env = small.family.envelope(small.spec)
     s1, s2 = math.ceil(math.exp(sig_lo) / TWO_PI), math.floor(math.exp(sig_hi) / TWO_PI)
     h = env.b / TWO_PI
     for t in (0.5, 1.0, 2.0):

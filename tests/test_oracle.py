@@ -184,7 +184,7 @@ def _mp_brute_pressure(family, letters, spec, n, t):
     digits = max(len(str(abs(s))) for _, s in letters)
     with mpmath.workdps(digits + 40):
         c = mpmath.log(mpmath.mpc(family.lam.real, family.lam.imag))
-        z0 = mpmath.mpc(spec.outer.center.real, spec.outer.center.imag)
+        z0 = mpmath.mpc(spec.center.real, spec.center.imag)
         two_pi_i = 2 * mpmath.pi * mpmath.mpc(0, 1)
         log_terms = []
         for word in itertools.product(letters, repeat=n):
@@ -280,7 +280,7 @@ def _recheck_per_letter(family, gset, spec, density=10, dense_sample=2000,
     n_checked = 0
     min_margin = math.inf
     c = family.log_lam
-    rect = spec.outer
+    rect = spec
     w = rect.boundary_points(4096) - c
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     b_ind = float(np.max(np.abs(log_first - c))) * (1.0 + 1e-9)
@@ -476,10 +476,10 @@ def _recheck_cell_reference(family, u, s, spec, log_first):
     half = 0.5 * np.log(y * y + xx * xx)
     imgs = (ln_t + half) + 1j * (np.arctan2(y, xx) + TWO_PI * float(u))
     lip = float(np.exp(-(ln_t + (half + log_first.real).min()))[0]) * 1.25
-    spacing = spec.outer.perimeter / log_first.size
-    delta = max(lip * spacing, math.ulp(max(map(abs, spec.outer))))
-    inside = bool(np.all(spec.outer.shrink(delta).contains(imgs)))
-    near = bool(np.all(spec.outer.contains(imgs)))
+    spacing = spec.perimeter / log_first.size
+    delta = max(lip * spacing, math.ulp(max(map(abs, spec))))
+    inside = bool(np.all(spec.shrink(delta).contains(imgs)))
+    near = bool(np.all(spec.contains(imgs)))
     return ("inside" if inside else ("borderline" if near else "outside")), delta, imgs
 
 
@@ -585,11 +585,11 @@ def _direct_recheck_cells(family, us, ss, spec, density, chunk=256):
     as its reference: w2 = log_first + 2*pi*i*s - c formed in float, images
     0.5*ln(re^2 + im^2) + i*atan2 + 2*pi*i*u, padding 1.25 / min(|w2| * |z - c|).
     Float-exact indices only."""
-    w = spec.outer.boundary_points(oracle._BOUNDARY_SAMPLES * density) - family.log_lam
+    w = spec.boundary_points(oracle._BOUNDARY_SAMPLES * density) - family.log_lam
     log_first = 0.5 * np.log(w.real ** 2 + w.imag ** 2) + 1j * np.arctan2(w.imag, w.real)
     d_first = np.abs(w)
     c = family.log_lam
-    rect = spec.outer
+    rect = spec
     ss = np.asarray(ss, dtype=float)
     us = np.broadcast_to(np.asarray(us, dtype=float), ss.shape)
     re_w2 = log_first.real - c.real
@@ -647,7 +647,7 @@ def test_dense_recheck_pads_by_at_least_an_ulp_at_anchor_24(fam):
     us, ss = (np.array(x, dtype=np.int64) for x in zip(*letters))
     boundary = oracle._recheck_boundary(fam, spec, 10)
     verdicts, delta, ext = oracle._recheck_cells(us, ss, spec, boundary)
-    assert spec.outer.re_hi == 36.0 and np.all(ext[:, 1] == 36.0)
+    assert spec.re_hi == 36.0 and np.all(ext[:, 1] == 36.0)
     assert np.all(delta == math.ulp(36.0))
     assert list(verdicts) == ["borderline"] * 3
 

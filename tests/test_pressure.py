@@ -83,7 +83,7 @@ def test_explicit_letter_envelope_width(small):
     ends = [np.r_[r.s_lo:r.s_lo + 64, r.s_hi - 63:r.s_hi + 1] for r in small.gset.runs]
     drawn = small.gset.random_ranks(np.random.default_rng(0), 2000)
     s = np.concatenate(ends + [small.gset.letters(drawn)[1]])
-    env = small.family.envelope(small.spec.outer)
+    env = small.family.envelope(small.spec)
     lo, hi = env.log_weight_bounds(np.log(TWO_PI) + np.log(np.abs(s).astype(float)))
     assert s.size > 0
     assert np.all(hi - lo <= 2.0 * td.log_distortion_bound(small.family, small.gset, small.spec))
@@ -166,7 +166,7 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
     gset = td.build_G(fam, 4000.0, spec, budget, mode="tail")
     system = build_weighted_system(fam, gset, spec)
     assert sum(run.n_columns for run in gset.runs) > 1000
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     parts = [ref.envelope_run_sum(*sorted((abs(run.s_lo), abs(run.s_hi))), 1.0, env)
              for run in gset.runs for _ in range(run.n_columns)]
     got = td.level1_sum(system, 1.0)
@@ -176,7 +176,7 @@ def test_level1_segment_sums_bit_identical_to_direct(fam):
 
 def test_brute_force_within_level1_sandwich(small):
     letters = small.gset.letters_by_weight(8)
-    env = small.family.envelope(small.spec.outer)
+    env = small.family.envelope(small.spec)
     sigma = np.log(2 * math.pi) + np.log(np.abs(np.array([s for _, s in letters], dtype=float)))
     lo, hi = env.log_weight_bounds(sigma)
     sub = WeightedSystem(log_lo=lo, log_hi=hi)
@@ -198,7 +198,7 @@ def test_run_sums_need_every_range_past_h():
     With b = 6*pi, h is 3.0 exactly: from 3 refused, from 4 summed."""
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     spec = td.build_squares(4.0, 0.5)
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     assert round(env.b / TWO_PI, 2) == 1.11
     with pytest.raises(td.DomainError, match=r"every \|s\| > b / \(2 pi\) = 1.11"):
         build_weighted_system(
@@ -292,7 +292,7 @@ def test_level1_sum_bit_identical_to_per_part_reference(config):
     assert system.n_letters == sum(hi - lo + 1 for lo, hi in runs)
     for t in (0.0, 0.5, 1.0, 1.0015, 2.0, 4.0):
         got = td.level1_sum(system, t)
-        ref = _level1_sum_per_part(fam.envelope(spec.outer), runs, t)
+        ref = _level1_sum_per_part(fam.envelope(spec), runs, t)
         assert (got.log_lo.hex(), got.log_hi.hex()) == (ref[0].hex(), ref[1].hex())
 
 
@@ -327,7 +327,7 @@ def test_level1_sum_at_the_certificate_sums_one_range(fam, monkeypatch):
     assert system.runs == ((key, 1274),)
     for t in (0.5, 1.0):
         td.level1_sum(system, t)
-    h = fam.envelope(spec.outer).b / TWO_PI
+    h = fam.envelope(spec).b / TWO_PI
     assert summed == [(*key, h), (*key, -h)]
 
 
@@ -419,7 +419,7 @@ def test_a_system_of_several_ranges_sums_within_4_ulp_of_each_part(lam):
     gset = td.build_G(fam, 9.5, spec, td.GeometryBudget(inset=0.5))
     system = build_weighted_system(fam, gset, spec)
     assert system.runs == tuple((key, 2) for key in _MULTI_RANGE[lam])
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     for t in (0.0, 0.5, 1.0, 2.0):
         got = td.level1_sum(system, t)
         want = _level1_sum_per_part(env, _runs_per_part(gset), t)
@@ -482,7 +482,7 @@ def test_level1_sum_equals_and_bowen_root_lies_inside_the_two_sided_reference(la
         spec = td.build_squares(anchor, inset)
         gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=inset))
         system = build_weighted_system(fam, gset, spec)
-        env = fam.envelope(spec.outer)
+        env = fam.envelope(spec)
         assert system.runs
         for t in (0.0, 0.5, 1.0, 1.37, 2.0, 4.0):
             got = td.level1_sum(system, t)

@@ -42,14 +42,14 @@ def records():
     fam = td.exponential_family()
     budget = td.GeometryBudget()
     spec = td.build_squares(12.0, budget.inset)
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     gset = td.build_G(fam, 12.0, spec, budget)
     system = td.build_weighted_system(fam, gset, spec)
-    lines = td.trace_level_lines(fam, spec, budget)
+    lines = td.trace_level_lines(fam, 12.0, budget)
     sample = td.sample_limit_set(fam, gset, spec, depth=2, count=10)
     s1 = next(run.s_lo for run in gset.runs if run.s_lo > 0)
     sigma = math.log(TWO_PI * s1)
-    made = [fam, budget, spec, spec.outer, env, env.run_sums([(s1, s1 + 99)])[0][1][0],
+    made = [fam, budget, spec, env, env.run_sums([(s1, s1 + 99)])[0][1][0],
             td.anchor_line(fam, 12.0, budget.inset),
             gset, gset.runs[0], td.min_cell_gap(fam, gset, spec), lines,
             system, td.level1_sum(system, 1.0), td.bowen_root(system),

@@ -58,7 +58,7 @@ def test_find_radius_empty_grid_is_a_config_error(fam, scan):
 def _find_radius_reference(family, budget, lo, hi, step):
     """Reference: numpy's arange(lo, hi + step/2, step), the three margins
     per point with numpy's complex log, and the first point passing all
-    three (None if none does), with each margin's maximum."""
+    three (None if none does), with the margins at the last point."""
     xs = np.arange(lo, hi + 0.5 * step, step, dtype=float)
     deriv = np.array([lemmas.anchor_derivative_margin(family, x, budget.epsilon)
                       for x in xs.tolist()])
@@ -67,13 +67,13 @@ def _find_radius_reference(family, budget, lo, hi, step):
     size = xs / 4.0 - budget.inset
     hits = np.flatnonzero((deriv > 0) & (depth > 0) & (size > 0))
     return (float(xs[hits[0]]) if hits.size else None,
-            [float(deriv.max()), float(depth.max()), float(size.max())])
+            [float(deriv[-1]), float(depth[-1]), float(size[-1])])
 
 
 def test_find_radius_walks_numpys_arange_grid():
     """On seeded random (lam, epsilon, inset, scan), passing and failing:
     `find_radius` returns the reference's first passing point, or raises
-    with the reference's worst margins, bit for bit."""
+    with the reference's margins at the last point, bit for bit."""
     rng = np.random.default_rng(31)
     outcomes = set()
     for _ in range(150):
@@ -92,6 +92,123 @@ def test_find_radius_walks_numpys_arange_grid():
             td.find_radius(family, budget, lo, hi, step)
         assert list(err.value.margins.values()) == worst
     assert outcomes == {True, False}
+
+
+def _walk(family, budget, lo, hi, step):
+    """Reference: the grid of `find_radius` walked point by point with its
+    three margins, giving the first passing point (None if none) and each
+    point's verdict."""
+    delta = (lo + step) - lo
+    c, depth_min = family.log_lam, family.ln_r0 + 2.0 * budget.inset
+    xs = [lo + i * delta for i in range(math.ceil((hi + 0.5 * step - lo) / step))]
+    passes = [lemmas.anchor_derivative_margin(family, x, budget.epsilon) > 0
+              and cmath.log(x - c).real - depth_min > 0 and x / 4.0 - budget.inset > 0
+              for x in xs]
+    return next((x for x, ok in zip(xs, passes) if ok), None), xs, passes
+
+
+def _threshold(margin, lo, hi):
+    """A float where `margin` changes sign from <= 0 at lo to > 0 at hi, by
+    bisection over the floats between them."""
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        lo, hi = (lo, mid) if margin(mid) > 0 else (mid, hi)
+    return hi
+
+
+# (lam, r0, epsilon, inset, the condition that binds, a bracket of its threshold)
+_BINDING = [
+    (1e-5, math.e, 0.1, 0.5, "anchor_derivative", (12.0, 100.0)),
+    (1e-3j, math.e, 0.1, 0.5, "anchor_derivative", (8.0, 100.0)),
+    (0.01 + 0.01j, math.e, 0.3, 0.5, "anchor_derivative", (3.0, 100.0)),
+    (1.0, math.e, 0.1, 0.5, "tract_depth", (3.0, 100.0)),
+    (0.3 - 0.4j, math.e, 0.1, 1.5, "tract_depth", (3.0, 1000.0)),
+    (1e-3, 1.0001, 0.8, 1.0, "square_size", (2.0, 100.0)),
+]
+
+
+@pytest.mark.parametrize("lam, r0, epsilon, inset, binding, bracket", _BINDING,
+                         ids=[f"{b[4]}-{b[0]}" for b in _BINDING])
+def test_find_radius_bisection_on_grids_ulps_apart_at_a_threshold(lam, r0, epsilon, inset,
+                                                                   binding, bracket):
+    """Grids stepped 1 to 5 ulps apart, starting up to 60 ulps below the
+    float threshold of the binding condition (the other two hold there):
+    where the walk's verdicts are monotone along the grid (fail, then
+    pass), the bisection returns the walk's first passing point; and on
+    every grid it returns a passing point whose predecessor fails, or
+    raises where the last point fails."""
+    family = td.normalize_family(td.exponential_family(lam, r0))
+    budget = td.GeometryBudget(epsilon, inset)
+    c, depth_min = family.log_lam, family.ln_r0 + 2.0 * inset
+    margin = {"anchor_derivative": lambda x: lemmas.anchor_derivative_margin(family, x, epsilon),
+              "tract_depth": lambda x: cmath.log(x - c).real - depth_min,
+              "square_size": lambda x: x / 4.0 - inset}
+    x_star = _threshold(margin[binding], *bracket)
+    others = [m for name, m in margin.items() if name != binding]
+    assert all(m(x_star) > 0 for m in others), x_star
+    assert margin[binding](math.nextafter(x_star, 0.0)) <= 0 < margin[binding](x_star)
+    crossed = 0
+    for below in (0, 1, 7, 30, 60):
+        lo = x_star
+        for _ in range(below):
+            lo = math.nextafter(lo, 0.0)
+        for ulps in (1, 2, 3, 5):
+            step = ulps * math.ulp(x_star)
+            hi = lo + 60 * step
+            point, xs, passes = _walk(family, budget, lo, hi, step)
+            if passes[-1]:
+                got = td.find_radius(family, budget, lo, hi, step)
+                k = xs.index(got)
+                assert passes[k] and (k == 0 or not passes[k - 1]), (lo, ulps)
+                if passes == sorted(passes):
+                    assert got == point, (lo, ulps)
+            else:
+                with pytest.raises(RadiusSearchError):
+                    td.find_radius(family, budget, lo, hi, step)
+            crossed += not passes[0] and passes[-1]
+    assert crossed >= 12
+
+
+def test_find_radius_bisection_passes_the_walk_by_3_ulps_where_eq1_flips():
+    """Where eq1's float margin changes sign three times within 3 ulps of
+    its threshold (lam = -0.0199-0.0560i, epsilon = 0.0651, threshold
+    15.118; 25 of 257 random thresholds flip like this), a grid 1 ulp apart
+    has non-monotone verdicts, and the bisection returns a passing point
+    whose predecessor fails, 3 grid points past the walk's first passing
+    point."""
+    family = td.normalize_family(td.exponential_family(
+        complex(-0.019908877213657805, -0.056018943457541895), math.e))
+    budget = td.GeometryBudget(0.06510900928212279, 0.5)
+    lo = 15.117986549055049
+    step = math.ulp(lo)
+    point, xs, passes = _walk(family, budget, lo, lo + 200 * step, step)
+    assert passes != sorted(passes) and passes[-1]
+    k = xs.index(td.find_radius(family, budget, lo, lo + 200 * step, step))
+    assert passes[k] and not passes[k - 1]
+    assert k - xs.index(point) == 3
+
+
+def test_find_radius_makes_few_evaluations_on_scans_past_a_million_points(fam, monkeypatch):
+    """A failing scan of 10^6 points (lam = 1, inset 25, [8, 8.999998] at
+    step 1e-6) and a passing one of 3.99M points ([8, 4000] at 1e-3) each
+    call `anchor_derivative_margin` at most 64 times."""
+    calls = []
+    real = lemmas.anchor_derivative_margin
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lemmas, "anchor_derivative_margin", counted)
+    with pytest.raises(RadiusSearchError) as err:
+        td.find_radius(fam, td.GeometryBudget(inset=25.0), 8.0, 8.999998, 1e-6)
+    assert err.value.margins["tract_depth"] < 0 and err.value.margins["square_size"] < 0
+    assert 1 <= len(calls) <= 64
+    calls.clear()
+    assert td.find_radius(fam, td.GeometryBudget(), 8.0, 4000.0, 1e-3) == 8.0
+    assert 1 <= len(calls) <= 64
 
 
 def test_anchor_derivative_margin_is_the_one_every_reader_reports(tmp_path):
@@ -138,7 +255,6 @@ def test_eq1_and_eq4_read_one_anchor_derivative(tmp_path, monkeypatch):
         return real(family, anchor) + 0.125
 
     monkeypatch.setattr(lemmas, "anchor_derivative", shifted)
-    monkeypatch.setattr(commands, "anchor_derivative", shifted)
     rng = np.random.default_rng(23)
     out = tmp_path / "lemmas.json"
     for _ in range(40):
@@ -169,22 +285,22 @@ def test_anchor_derivative_condition_arithmetic(fam):
 
 def test_build_squares_corners():
     spec = td.build_squares(100.0, 25.0)
-    assert spec.outer == (50.0, 150.0, -50.0, 50.0)
-    assert spec.core == (75.0, 125.0, -25.0, 25.0)
-    assert spec.outer.diam == pytest.approx(141.421, abs=1e-3)
+    assert spec == (50.0, 150.0, -50.0, 50.0)
+    assert lemmas._level_line_squares(100.0, 25.0)[1] == (75.0, 125.0, -25.0, 25.0)
+    assert spec.diam == pytest.approx(141.421, abs=1e-3)
 
 
 def test_build_squares_boundary_case_flagged():
-    spec = td.build_squares(100.0, 25.0)
-    assert spec.inner == spec.core
-    assert _inner_degenerate(spec)
-    assert not _inner_degenerate(td.build_squares(100.0, 20.0))
+    inner, core = lemmas._level_line_squares(100.0, 25.0)
+    assert inner == core
+    assert _inner_degenerate(inner, core)
+    assert not _inner_degenerate(*lemmas._level_line_squares(100.0, 20.0))
 
 
-def _inner_degenerate(spec):
+def _inner_degenerate(inner, core):
     """True when the inset square no longer strictly contains the core."""
-    return not (spec.inner.re_lo < spec.core.re_lo and spec.inner.re_hi > spec.core.re_hi
-                and spec.inner.im_lo < spec.core.im_lo and spec.inner.im_hi > spec.core.im_hi)
+    return not (inner.re_lo < core.re_lo and inner.re_hi > core.re_hi
+                and inner.im_lo < core.im_lo and inner.im_hi > core.im_hi)
 
 
 def test_build_squares_invalid():
@@ -228,7 +344,7 @@ def test_log_distortion_bound_holds_on_words_of_G(lam, anchor):
     rng = np.random.default_rng(int(anchor))
     drawn = list(zip(*(a.tolist() for a in gset.letters(gset.random_ranks(rng, 400)))))
     pool = drawn + gset.letters_by_weight(8) * 25
-    rect = spec.outer
+    rect = spec
     corners = [complex(x, y) for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
     worst = 0.0
     with mp.workdps(len(str(gset.max_abs_index())) + 30):
@@ -257,16 +373,16 @@ def test_log_distortion_bound_is_its_closed_form(lam, anchor):
     fam = td.normalize_family(td.exponential_family(lam))
     spec = td.build_squares(anchor, 0.5)
     gset = td.build_G(fam, anchor, spec, None)
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     got = td.log_distortion_bound(fam, gset, spec)
     with mp.workdps(50):
         room = 2 * mp.pi * gset.min_abs_index() - mp.mpf(env.b)
         lip = (1 + 1 / room) / mp.mpf(env.d_lo)
         kappa = 1 / (room * mp.mpf(env.d_lo))
-        want = lip * mp.mpf(spec.outer.diam) / (1 - kappa)
+        want = lip * mp.mpf(spec.diam) / (1 - kappa)
         assert got == pytest.approx(float(want), rel=0, abs=1e-12)
         if anchor > 1000.0:
-            assert got == pytest.approx(float(mp.mpf(spec.outer.diam) / mp.mpf(env.d_lo)),
+            assert got == pytest.approx(float(mp.mpf(spec.diam) / mp.mpf(env.d_lo)),
                                         rel=0, abs=1e-12)
     if lam == 1.0 and anchor > 1000.0:
         assert got == pytest.approx(2.0 * math.sqrt(2.0), rel=0, abs=1e-12)
@@ -283,7 +399,7 @@ def test_log_distortion_bound_needs_contracting_letters():
     """A planted letter with 2*pi*|s| <= b has no derivative bound on Q."""
     fam = td.normalize_family(td.exponential_family(0.01))
     spec = td.build_squares(3.3, 0.5)
-    assert TWO_PI < fam.envelope(spec.outer).b
+    assert TWO_PI < fam.envelope(spec).b
     with pytest.raises(td.ConstructionError, match="no distortion bound"):
         td.log_distortion_bound(fam, GSet(runs=(RunBlock(0, 0, 1, 1),)), spec)
 
@@ -325,11 +441,11 @@ def test_cell_image_outside_verdict(fam):
     recheck rates it outside, and G leaves it out."""
     spec = td.build_squares(100.0, 25.0)
     budget = td.GeometryBudget(epsilon=0.1, inset=25.0)
-    center, _ = td.cylinder_eval(fam, [(0, 64)], complex(spec.anchor))
-    assert center.real < spec.outer.re_lo
-    env = fam.envelope(spec.outer)
+    center, _ = td.cylinder_eval(fam, [(0, 64)], complex(100.0))
+    assert center.real < spec.re_lo
+    env = fam.envelope(spec)
     sigma = math.log(TWO_PI * 64)
-    assert not tractgeom._enclosed(env, spec.outer, 0, 1, sigma)
+    assert not tractgeom._enclosed(env, spec, 0, 1, sigma)
     assert td.containment_recheck(fam, 0, 64, spec, density=10) == "outside"
     assert (0, 64) not in td.build_G(fam, 100.0, spec, budget)
 
@@ -338,7 +454,7 @@ def _cell_lipschitz(fam, s, spec):
     """sup_Q |g'_{u,s}| <= e^hi of `log_weight_bounds`, the closed-form
     Lipschitz bound of a cell."""
     sigma = np.log(TWO_PI) + np.log(float(abs(s)))
-    return float(np.exp(fam.envelope(spec.outer).log_weight_bounds(sigma)[1]))
+    return float(np.exp(fam.envelope(spec).log_weight_bounds(sigma)[1]))
 
 
 def _min_side(rect):
@@ -371,7 +487,7 @@ def _boundary_points_per_point(rect, n):
 def test_boundary_points_bit_identical_to_per_point_reference(anchor):
     for inset in (0.5, anchor / 8.0):
         spec = td.build_squares(anchor, inset)
-        for rect in (spec.outer, spec.inner, spec.core):
+        for rect in (spec, *lemmas._level_line_squares(anchor, inset)):
             for n in (64, 256, 777, 1000, 2560, 4096):
                 pts = rect.boundary_points(n)
                 assert pts.tobytes() == _boundary_points_per_point(rect, n).tobytes()
@@ -402,11 +518,11 @@ def test_boundary_points_edge_slices_equal_np_select(rect):
                 == _boundary_points_by_select(rect, n).tobytes())
 
 
-def _koebe_cell_diameter_bound(spec, ln_r0):
+def _koebe_cell_diameter_bound(spec, anchor, ln_r0):
     """diam(Q) * 4*pi*C / (R - ln R0): the cell diameter bound from the Koebe
     constant C alone, which the construction does not use."""
-    c = koebe_constant(spec.anchor, ln_r0)
-    return spec.outer.diam * 4.0 * math.pi * c / (spec.anchor - ln_r0)
+    c = koebe_constant(anchor, ln_r0)
+    return spec.diam * 4.0 * math.pi * c / (anchor - ln_r0)
 
 
 def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
@@ -415,19 +531,19 @@ def test_universal_diameter_bound_inconsistent_at_small_anchor(fam):
     spec = td.build_squares(100.0, 25.0)
     c = koebe_constant(100.0, 1.0)
     assert c == pytest.approx(73.47, abs=0.01)
-    bound = _koebe_cell_diameter_bound(spec, fam.ln_r0)
+    bound = _koebe_cell_diameter_bound(spec, 100.0, fam.ln_r0)
     assert bound == pytest.approx(math.sqrt(2) * 100 * 4 * math.pi * c / 99, rel=1e-12)
-    assert bound > _min_side(spec.outer)
-    assert _cell_lipschitz(fam, 64, spec) * spec.outer.diam < bound
+    assert bound > _min_side(spec)
+    assert _cell_lipschitz(fam, 64, spec) * spec.diam < bound
 
 
 def test_containment_fast_path_inside(small):
     """An index well inside the admissible window: its closed-form
     enclosure lies in Q, with no sample, as the dense recheck agrees, and
     G holds it."""
-    env = small.family.envelope(small.spec.outer)
+    env = small.family.envelope(small.spec)
     sigma = math.log(TWO_PI * 5000)
-    assert tractgeom._enclosed(env, small.spec.outer, 0, 1, sigma)
+    assert tractgeom._enclosed(env, small.spec, 0, 1, sigma)
     assert td.containment_recheck(small.family, 0, 5000, small.spec, density=10) == "inside"
     assert (0, 5000) in small.gset
 
@@ -446,13 +562,13 @@ def test_measured_diameter_below_bounds(small):
     """A cell's sampled diameter stays below lip * diam(Q), its closed-form
     Lipschitz bound, and below the Koebe bound."""
     spec, fam = small.spec, small.family
-    pts = spec.outer.boundary_points(128)
+    pts = spec.boundary_points(128)
     for s in (65, 200, 40000):
         first = np.asarray(fam.inv0(pts)) + TWO_PI * 1j * s
         imgs = np.asarray(fam.inv0(first))
         measured = float(np.max(np.abs(imgs[:, None] - imgs[None, :])))
-        assert measured <= _cell_lipschitz(fam, s, spec) * spec.outer.diam
-        assert measured <= _koebe_cell_diameter_bound(spec, fam.ln_r0)
+        assert measured <= _cell_lipschitz(fam, s, spec) * spec.diam
+        assert measured <= _koebe_cell_diameter_bound(spec, small.anchor, fam.ln_r0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +593,7 @@ def test_solve_s_window_empty_for_large_u(fam, small):
 def test_solve_s_window_empty_under_huge_margin(fam, small):
     """Q's half side is 6 at anchor 12: inside Q shrunk by 5.9 no column of
     either sign has room."""
-    target = small.spec.outer.shrink(5.9)
+    target = small.spec.shrink(5.9)
     for sign in (1, -1):
         assert all(column_window(fam, u, small.spec, target=target, sign=sign) is None
                    for u in _columns(small.spec))
@@ -500,8 +616,8 @@ def _ulps(x, n, direction):
 
 def _columns(spec):
     """Every column u that can have room in Q, and two more past each end."""
-    return range(math.floor(spec.outer.im_lo / TWO_PI) - 3,
-                 math.ceil(spec.outer.im_hi / TWO_PI) + 4)
+    return range(math.floor(spec.im_lo / TWO_PI) - 3,
+                 math.ceil(spec.im_hi / TWO_PI) + 4)
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.5, 2.0])
@@ -511,8 +627,8 @@ def test_closed_form_windows_are_tight_and_complete(fam, anchor, margin):
     dense sigma grid finds no admissible point, for cells inside Q shrunk
     by the margin."""
     spec = td.build_squares(anchor, 0.5)
-    env = fam.envelope(spec.outer)
-    rect = spec.outer
+    env = fam.envelope(spec)
+    rect = spec
     target = rect.shrink(margin)
     grid = np.linspace(rect.re_lo - 2.0, rect.re_hi + 2.0, 4097)
     n_windows = 0
@@ -540,7 +656,7 @@ def _solve_s_window_per_column(family, u, spec, target, sign):
     """Reference: the window (sigma_lo, sigma_hi) of one column, for cells
     inside `target` under the envelope of Q, by its own closed forms and
     one scalar enclosure test per endpoint step."""
-    env = family.envelope(spec.outer)
+    env = family.envelope(spec)
 
     def admissible(sigma):
         if sigma <= env.sigma_valid_min:
@@ -585,8 +701,8 @@ def test_window_solve_matches_per_column_reference(lam, anchor, margin):
     fam = td.normalize_family(td.exponential_family(lam, math.e))
     inset = 0.5 if anchor < 1000 else 3.0
     spec = td.build_squares(anchor, inset)
-    target = spec.outer.shrink(margin)
-    env = fam.envelope(spec.outer)
+    target = spec.shrink(margin)
+    env = fam.envelope(spec)
     n_windows = 0
     for sign in (1, -1):
         us = _columns(spec)
@@ -699,7 +815,7 @@ def test_g_runs_start_where_the_upper_envelope_bounds_each_letter(log_modulus, a
     anchor = math.exp(log_anchor)
     assume(anchor / 2.0 > fam.ln_r0)
     spec = td.build_squares(anchor, 0.5)
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     s_star = math.ceil((env.b + env.p_lo) / TWO_PI)
     for run in td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5)).runs:
         assert min(abs(run.s_lo), abs(run.s_hi)) >= s_star > env.b / TWO_PI
@@ -719,7 +835,7 @@ def test_run_end_below_2_53_is_tight_when_the_other_end_is_past(fam, margin, low
     for run in gset.runs:
         sign = 1 if run.s_lo > 0 else -1
         lo, hi = sorted((abs(run.s_lo), abs(run.s_hi)))
-        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, target=spec.outer.shrink(margin),
+        sigma_lo, sigma_hi = column_window(fam, run.u_lo, spec, target=spec.shrink(margin),
                                            sign=sign)
         assert lo == low
         assert _LOG_TWO_PI + math.log(lo - 1) < sigma_lo <= _LOG_TWO_PI + math.log(lo)
@@ -805,7 +921,7 @@ def _check_runs_in_both_modes(lam, anchor, inset, margin):
         enum = td.build_G(fam, anchor, spec, budget, mode="enumerate")
         tail = td.build_G(fam, anchor, spec, budget, mode="tail", collar=-5)
     assert tail == enum
-    assert _letter_runs(enum) == _letter_runs_per_column(fam, spec, spec.outer.shrink(margin))
+    assert _letter_runs(enum) == _letter_runs_per_column(fam, spec, spec.shrink(margin))
 
 
 @pytest.mark.parametrize("anchor", [8.0, 10.0, 12.0])
@@ -851,10 +967,10 @@ def test_windows_agree_with_brute_enumeration(modulus, arg, r0, anchor, margin):
     margin."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
     spec = td.build_squares(anchor, 0.5)
-    target = spec.outer.shrink(margin)
+    target = spec.shrink(margin)
     with cells_inside(margin):
         gset = td.build_G(fam, anchor, spec, td.GeometryBudget(inset=0.5))
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     depth = math.ceil((TWO_PI + 2.0 * env.b) / TWO_PI) + 2
 
     def enclosed(u, sign, ss):
@@ -1039,7 +1155,7 @@ def test_min_cell_gap_with_letters_below_envelope_validity():
     fam = td.normalize_family(td.exponential_family(0.01, 1.2))
     spec = td.build_squares(4.0, 0.5)
     gset = GSet(runs=(RunBlock(0, 0, -64, -1), RunBlock(0, 0, 1, 64)))
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     lowest = min(min(abs(r.s_lo), abs(r.s_hi)) for r in gset.runs)
     assert lowest <= math.exp(env.sigma_valid_min) / TWO_PI
     with warnings.catch_warnings():
@@ -1054,8 +1170,8 @@ def _mp_log_min_gap(fam, gset, spec):
     {q_lo, q_hi} at each run's largest |s|, in 80-digit arithmetic from the
     same float corner data (q_lo, q_hi, p_hi)."""
     mp = pytest.importorskip("mpmath")
-    env = fam.envelope(spec.outer)
-    c, rect = env.c, spec.outer
+    env = fam.envelope(spec)
+    c, rect = env.c, spec
     thetas = [math.atan2(y - c.imag, x - c.real)
               for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
     q_lo, q_hi = min(thetas) - c.imag, max(thetas) - c.imag
@@ -1097,7 +1213,7 @@ def _brute_column_separation(fam, gset, spec):
     each the min and max of atan2(q + 2*pi*s, p) + 2*pi*u over the run
     ends s, q = arg(corner - c) - Im c at the four corners of Q, and p =
     ln|z - c| - Re c at the nearest and farthest points z of Q."""
-    c, rect = fam.log_lam, spec.outer
+    c, rect = fam.log_lam, spec
     corners = [complex(x, y) for x in (rect.re_lo, rect.re_hi) for y in (rect.im_lo, rect.im_hi)]
     nearest = complex(min(max(c.real, rect.re_lo), rect.re_hi),
                       min(max(c.imag, rect.im_lo), rect.im_hi))
@@ -1142,16 +1258,16 @@ def test_cells_below_envelope_validity_are_certified_by_their_lipschitz_bound():
     fam = td.normalize_family(td.exponential_family(0.01, math.e))
     budget = td.GeometryBudget(inset=0.5)
     spec = td.build_squares(4.0, 0.5)
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     ss = [1, 2, -1, -2]
     assert all(math.log(TWO_PI * abs(s)) <= env.sigma_valid_min for s in ss)
-    base = complex(np.asarray(fam.inv0(complex(spec.anchor))).item())
+    base = complex(np.asarray(fam.inv0(complex(4.0))).item())
     for s in ss:
         sigma = math.log(TWO_PI * abs(s))
-        assert not tractgeom._enclosed(env, spec.outer, 0, int(math.copysign(1, s)), sigma)
+        assert not tractgeom._enclosed(env, spec, 0, int(math.copysign(1, s)), sigma)
         center = complex(np.asarray(fam.inv0(base + TWO_PI * 1j * s)).item())
-        assert _dist_to_boundary(spec.outer, center) > _cell_lipschitz(fam, s, spec) \
-            * spec.outer.diam
+        assert _dist_to_boundary(spec, center) > _cell_lipschitz(fam, s, spec) \
+            * spec.diam
         assert td.containment_recheck(fam, 0, s, spec, density=40) == "inside"
     gset = td.build_G(fam, 4.0, spec, budget, mode="enumerate")
     assert all((0, s) not in gset for s in ss)
@@ -1161,29 +1277,29 @@ def test_cell_with_its_center_in_q_is_outside_by_its_samples(small):
     """At anchor 13.5 cell (0, 136) has its center in Q but its samples
     leave it: the dense recheck rates it outside, and G leaves it out."""
     spec = td.build_squares(13.5, 0.5)
-    center, _ = td.cylinder_eval(small.family, [(0, 136)], complex(spec.anchor))
-    assert spec.outer.contains(center)
+    center, _ = td.cylinder_eval(small.family, [(0, 136)], complex(13.5))
+    assert spec.contains(center)
     boundary = oracle._recheck_boundary(small.family, spec, 10)
     verdicts, delta, _ = oracle._recheck_cells(0, [136], spec, boundary)
     assert verdicts.tolist() == ["outside"] and delta[0] > 0
     assert (0, 136) not in td.build_G(small.family, 13.5, spec, small.budget)
 
 
-def _sharp_or_koebe_lipschitz(fam, s, spec):
+def _sharp_or_koebe_lipschitz(fam, s, spec, anchor):
     """Reference that the cell's Lipschitz bound may not exceed: min(sharp,
     Koebe).  sharp = 1 / ((2*pi*|s| - b) d_lo), above envelope validity
     (e^sigma > 2b) only; Koebe = |g'(R)| * C, the derivative at the anchor
     times the Koebe constant C (infinite below the Koebe range)."""
-    env = fam.envelope(spec.outer)
+    env = fam.envelope(spec)
     sigma = math.log(TWO_PI) + math.log(abs(s))
     sharp = math.inf
     if sigma > env.sigma_valid_min:
         corr = env.b * np.exp(-sigma)
         sharp = float(np.exp(-(sigma + np.log1p(-corr)) - math.log(env.d_lo)))
-    v_s = complex(np.asarray(fam.inv0(complex(spec.anchor))).item()) + TWO_PI * 1j * s
+    v_s = complex(np.asarray(fam.inv0(complex(anchor))).item()) + TWO_PI * 1j * s
     deriv = abs(complex(np.asarray(fam.inv0_deriv(v_s)).item())
-                * complex(np.asarray(fam.inv0_deriv(complex(spec.anchor))).item()))
-    return min(sharp, deriv * koebe_constant(spec.anchor, fam.ln_r0))
+                * complex(np.asarray(fam.inv0_deriv(complex(anchor))).item()))
+    return min(sharp, deriv * koebe_constant(anchor, fam.ln_r0))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -1197,23 +1313,23 @@ def test_cell_lipschitz_bounds_the_sampled_derivative(modulus, arg, r0, anchor, 
     min(sharp, Koebe)."""
     fam = td.normalize_family(td.exponential_family(cmath.rect(modulus, arg), r0))
     spec = td.build_squares(anchor, 0.5)
-    if math.log(fam.envelope(spec.outer).d_lo) <= fam.ln_r0:
+    if math.log(fam.envelope(spec).d_lo) <= fam.ln_r0:
         return  # the first-level image leaves H: no cells
     lip = _cell_lipschitz(fam, sign * s, spec)
-    c, rect = fam.log_lam, spec.outer
+    c, rect = fam.log_lam, spec
     x, y = np.meshgrid(np.linspace(rect.re_lo, rect.re_hi, 80),
                        np.linspace(rect.im_lo, rect.im_hi, 80))
     dist = np.hypot(x - c.real, y - c.imag)
     xi = np.hypot(np.log(dist) - c.real,
                   np.arctan2(y - c.imag, x - c.real) - c.imag + TWO_PI * sign * s)
     assert float(np.max(1.0 / (xi * dist))) <= lip * (1.0 + 1e-12)
-    assert lip <= _sharp_or_koebe_lipschitz(fam, sign * s, spec)
+    assert lip <= _sharp_or_koebe_lipschitz(fam, sign * s, spec, anchor)
 
 
 def _cells(fam, spec, u, ss, n=1024):
     """Boundary samples of cell(u, s) for each s: the cell's boundary is
     the image of the boundary of Q."""
-    first = np.asarray(fam.inv0(spec.outer.boundary_points(n)))
+    first = np.asarray(fam.inv0(spec.boundary_points(n)))
     return [np.asarray(fam.inv0(first + TWO_PI * 1j * s)) + TWO_PI * 1j * u for s in ss]
 
 
@@ -1269,8 +1385,7 @@ def test_tail_segments_bracket_enumeration(small):
 
 def test_level_lines_small_anchor(fam):
     budget = td.GeometryBudget(epsilon=0.1, inset=0.5)
-    spec = td.build_squares(12.0, 0.5)
-    rep = td.trace_level_lines(fam, spec, budget)
+    rep = td.trace_level_lines(fam, 12.0, budget)
     assert rep.curve_count >= rep.required_count
     assert rep.min_component_length >= rep.required_length
     assert rep.min_re_margin > 0
@@ -1278,8 +1393,7 @@ def test_level_lines_small_anchor(fam):
 
 def test_level_lines_anchor_100(fam):
     budget = td.GeometryBudget(epsilon=0.1, inset=5.0)
-    spec = td.build_squares(100.0, 5.0)
-    rep = td.trace_level_lines(fam, spec, budget)
+    rep = td.trace_level_lines(fam, 100.0, budget)
     assert rep.required_count == 7
     assert rep.curve_count >= 7
     assert rep.min_component_length >= 100.0 / 4.0 - 5.0
@@ -1337,18 +1451,18 @@ def _assert_level_lines_match_dense_reference(family, anchor, inset):
     and the report's curve count and least component length those of the
     reference over all the columns (the length to 1e-5 relative).
     Returns the curve count."""
-    spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(epsilon=0.1, inset=inset)
-    rep = td.trace_level_lines(family, spec, budget)
+    inner, core = lemmas._level_line_squares(anchor, inset)
+    rep = td.trace_level_lines(family, anchor, td.GeometryBudget(epsilon=0.1, inset=inset))
     line = td.anchor_line(family, anchor, inset)
     r = line.real_part
     ln_a = math.log(r - family.log_lam.real)
     assert rep.min_re_margin == line.growth_bound - ln_a, anchor
     count, lengths = 0, []
-    for u in range(math.floor(spec.inner.im_lo / TWO_PI) - 2,
-                   math.ceil(spec.inner.im_hi / TWO_PI) + 3):
-        pts = _dense_branch(family, r, u, spec.inner.re_hi)
-        want = sorted(_clipped_lengths(pts, spec.inner, spec.core))
-        got = lemmas._branch_components(ln_a, u, spec.inner, spec.core)
+    for u in range(math.floor(inner.im_lo / TWO_PI) - 2,
+                   math.ceil(inner.im_hi / TWO_PI) + 3):
+        pts = _dense_branch(family, r, u, inner.re_hi)
+        want = sorted(_clipped_lengths(pts, inner, core))
+        got = lemmas._branch_components(ln_a, u, inner, core)
         assert sorted(got) == pytest.approx(want, rel=1e-5), (anchor, u)
         assert ln_a <= pts.real.min(), (anchor, u)
         count += bool(want)
@@ -1369,14 +1483,14 @@ def test_level_lines_equal_dense_log_reference(lam):
     assert counts[1:] == [1, 3, 9, 33]
 
 
-def _per_column_level_lines(family, spec, budget):
+def _per_column_level_lines(family, anchor, budget):
     """Reference: the curve count and least component length of the level
     lines by a walk over every column u within one column and one unit of
     Q''s imaginary range, each evaluated by `_branch_components`."""
-    line = td.anchor_line(family, spec.anchor, budget.inset)
+    line = td.anchor_line(family, anchor, budget.inset)
     a = line.real_part - family.log_lam.real
     ln_a = math.log(a) if a > 0.0 else math.nan
-    inner, core = spec.inner, spec.core
+    inner, core = lemmas._level_line_squares(anchor, budget.inset)
     comps = [lemmas._branch_components(ln_a, u, inner, core) if a > 0.0 else []
              for u in range(math.floor((inner.im_lo - 1.0) / TWO_PI) - 1,
                             math.ceil((inner.im_hi + 1.0) / TWO_PI) + 2)]
@@ -1400,9 +1514,9 @@ def test_level_lines_per_block_equal_the_per_column_walk(lam):
         for inset in (0.1, 0.5, 3.0, anchor / 4.0):
             if inset > anchor / 4.0:
                 continue
-            spec, budget = td.build_squares(anchor, inset), td.GeometryBudget(0.1, inset)
-            rep = td.trace_level_lines(family, spec, budget)
-            want = _per_column_level_lines(family, spec, budget)
+            budget = td.GeometryBudget(0.1, inset)
+            rep = td.trace_level_lines(family, anchor, budget)
+            want = _per_column_level_lines(family, anchor, budget)
             assert (rep.curve_count, rep.min_component_length) == want, (anchor, inset)
             checked += 1
     assert checked >= 150
